@@ -26,11 +26,14 @@ fmt-check:
 
 # fuzz-smoke runs the R*-tree fuzzers briefly — enough to catch invariant
 # regressions in insert/delete/rebuild and packed-vs-pointer search parity
-# without a dedicated fuzz farm. `go test` accepts only one -fuzz target per
-# invocation, so the 10s budget is split across the two fuzzers.
+# without a dedicated fuzz farm — and the Ruben-kernel fuzzer, which checks
+# the linear-time series (value, certified bound, early decisions) against
+# its O(K²) reference. `go test` accepts only one -fuzz target per
+# invocation, so the 15s budget is split across the three fuzzers.
 fuzz-smoke:
 	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzTreeOps -fuzztime 5s
 	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedSearch -fuzztime 5s
+	$(GO) test ./internal/quadform -run '^$$' -fuzz FuzzRubenCDF -fuzztime 5s
 
 # verify is the pre-merge gate: formatting, static analysis, and the
 # race-enabled test suite (the storage engine, plan cache, worker pools,

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"gaussrange/internal/vecmat"
 )
 
 // ForkableEvaluator is an Evaluator that can produce independent instances
@@ -43,7 +45,9 @@ func (p *Plan) ExecuteParallel(ctx context.Context, workers int) (*Result, error
 // The evaluator must implement ForkableEvaluator when it is used by the
 // pool; one fork is derived per candidate, with the stream id taken from the
 // candidate index, so the answer set is identical for every worker count —
-// including for Monte Carlo evaluators. Cancelling ctx (or the first
+// including for Monte Carlo evaluators. (The deterministic ExactEvaluator
+// forks once per worker instead.) Forks are asked the decide form when they
+// offer one, exactly as the serial executor does. Cancelling ctx (or the first
 // evaluator error) stops all workers promptly: no new candidates are claimed
 // once cancellation is observed.
 //
@@ -99,16 +103,24 @@ func (p *Plan) ExecuteWith(ctx context.Context, eval Evaluator, workers int) (*R
 	st.Integrations = n
 	qualifies := make([]bool, n)
 
-	// Fork one evaluator per candidate, serially and in candidate order, so
-	// every stream depends only on the candidate index — never on which
-	// worker happens to claim the candidate or on the worker count.
-	evs := make([]Evaluator, n)
-	for i := range evs {
-		evs[i] = fe.ForkEvaluator(uint64(i))
-	}
-
 	if workers > n {
 		workers = n
+	}
+
+	// Fork one evaluator per candidate, serially and in candidate order, so
+	// every stream depends only on the candidate index — never on which
+	// worker happens to claim the candidate or on the worker count. The exact
+	// evaluator has no stream: one fork (one spectral cache) per worker.
+	_, perWorker := eval.(*ExactEvaluator)
+	forks := n
+	if perWorker {
+		forks = workers
+	}
+	evs := make([]Evaluator, forks)
+	tests := make([]func(vecmat.Vector) (bool, error), forks)
+	for i := range evs {
+		evs[i] = fe.ForkEvaluator(uint64(i))
+		tests[i] = p.qualifier(evs[i])
 	}
 
 	execCtx, cancel := context.WithCancel(ctx)
@@ -122,7 +134,7 @@ func (p *Plan) ExecuteWith(ctx context.Context, eval Evaluator, workers int) (*R
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for {
 				if execCtx.Err() != nil {
@@ -132,7 +144,11 @@ func (p *Plan) ExecuteWith(ctx context.Context, eval Evaluator, workers int) (*R
 				if i >= n {
 					return
 				}
-				pr, err := evs[i].Qualification(p.dist, snap.point(needEval[i]), p.delta)
+				fork := i
+				if perWorker {
+					fork = w
+				}
+				qual, err := tests[fork](snap.point(needEval[i]))
 				if err != nil {
 					errMu.Lock()
 					if firstErr == nil {
@@ -142,9 +158,9 @@ func (p *Plan) ExecuteWith(ctx context.Context, eval Evaluator, workers int) (*R
 					cancel()
 					return
 				}
-				qualifies[i] = pr >= p.theta
+				qualifies[i] = qual
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	// Fold per-fork evaluation counts into the parent's shared total (the

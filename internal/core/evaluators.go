@@ -28,6 +28,14 @@ func (e *ExactEvaluator) Qualification(dist *gauss.Dist, o vecmat.Vector, delta 
 	return e.inner.Qualification(dist, o, delta)
 }
 
+// DecideQualifies implements DecisionEvaluator with the series' certified
+// early exit (quadform.RubenDecide): most candidates settle in a fraction of
+// the terms the 12-digit value needs. samples is always 0.
+func (e *ExactEvaluator) DecideQualifies(dist *gauss.Dist, o vecmat.Vector, delta, theta float64) (bool, int, error) {
+	qual, _, err := e.inner.Decide(dist, o, delta, theta)
+	return qual, 0, err
+}
+
 // Evaluations returns the number of qualification computations performed.
 func (e *ExactEvaluator) Evaluations() int { return e.inner.Evaluations() }
 

@@ -415,6 +415,22 @@ func (p *Plan) ExecuteEval(ctx context.Context, eval Evaluator) (*Result, error)
 	return p.executeSerial(ctx, eval)
 }
 
+// qualifier returns eval's threshold test for the plan's (dist, δ, θ): the
+// decide form when eval offers one — it stops as soon as the answer is
+// settled — else the qualification probability compared against θ.
+func (p *Plan) qualifier(eval Evaluator) func(o vecmat.Vector) (bool, error) {
+	if de, ok := eval.(DecisionEvaluator); ok {
+		return func(o vecmat.Vector) (bool, error) {
+			qual, _, err := de.DecideQualifies(p.dist, o, p.delta, p.theta)
+			return qual, err
+		}
+	}
+	return func(o vecmat.Vector) (bool, error) {
+		pr, err := eval.Qualification(p.dist, o, p.delta)
+		return pr >= p.theta, err
+	}
+}
+
 // executeSerial is the single-goroutine Phase-3 executor.
 func (p *Plan) executeSerial(ctx context.Context, eval Evaluator) (*Result, error) {
 	snap, st, accepted, needEval, err := p.filterPhases(ctx)
@@ -437,31 +453,17 @@ func (p *Plan) executeSerial(ctx context.Context, eval Evaluator) (*Result, erro
 	t2 := time.Now()
 	st.Integrations = len(needEval)
 	result := accepted
-	if de, ok := eval.(DecisionEvaluator); ok {
-		for _, id := range needEval {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			qual, _, err := de.DecideQualifies(p.dist, snap.point(id), p.delta, p.theta)
-			if err != nil {
-				return nil, fmt.Errorf("core: qualification of object %d: %w", id, err)
-			}
-			if qual {
-				result = append(result, id)
-			}
+	qualifies := p.qualifier(eval)
+	for _, id := range needEval {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-	} else {
-		for _, id := range needEval {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			pr, err := eval.Qualification(p.dist, snap.point(id), p.delta)
-			if err != nil {
-				return nil, fmt.Errorf("core: qualification of object %d: %w", id, err)
-			}
-			if pr >= p.theta {
-				result = append(result, id)
-			}
+		qual, err := qualifies(snap.point(id))
+		if err != nil {
+			return nil, fmt.Errorf("core: qualification of object %d: %w", id, err)
+		}
+		if qual {
+			result = append(result, id)
 		}
 	}
 	st.PhaseDurations[2] = time.Since(t2)

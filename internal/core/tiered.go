@@ -20,15 +20,13 @@ const (
 	// noncentral-χ² CDF is evaluated to ~1e-12 relative accuracy, so a 1e-9
 	// guard band keeps every envelope decision certified despite the CDF's
 	// own floating-point error; candidates inside the band fall through to
-	// the exact tier.
+	// the exact tier, which keeps the same band (quadform.DecideGuard) on top
+	// of Ruben's certified error bound.
 	tierEnvMargin = 1e-9
-	// tierExactMargin pads tier 2's comparison the same way, on top of
-	// Ruben's certified truncation bound.
-	tierExactMargin = 1e-9
 	// tierMaxCondition is the eigenvalue ratio λmax/λmin beyond which tier 2
 	// is skipped outright: Ruben's series converges like (1 − λmin/λmax)^k
 	// per term, so past this ratio a candidate would burn thousands of terms
-	// (or hit MaxTerms) — ill-conditioned Σ goes straight to the MC fallback.
+	// — ill-conditioned Σ goes straight to the MC fallback.
 	tierMaxCondition = 500.0
 )
 
@@ -38,7 +36,7 @@ const (
 //
 //	tier 0  BF radii        d(o, q) vs the compiled α∥/α⊥ spheres
 //	tier 1  χ'² envelope    bracket Pr(‖x−o‖ ≤ δ) via λmin/λmax of Σ
-//	tier 2  Ruben exact     certified series value, compared against θ
+//	tier 2  Ruben exact     certified series bracket, decided against θ
 //	tier 3  shared cloud    the existing MC decide kernel, drawn lazily
 //
 // Every field is mean-independent (derived from Σ, δ, θ only), so Rebind's
@@ -222,26 +220,18 @@ func (p *Plan) tieredQualifies(o vecmat.Vector, w *tierScratch, st *PhaseStats) 
 		return false, nil
 	}
 
-	// ---- Tier 2: Ruben exact with certified truncation bound ------------
+	// ---- Tier 2: Ruben exact, certified decide ---------------------------
+	// The series stops as soon as its bracket clears θ by the guard band; a
+	// θ inside the band of the converged value cannot be certified and falls
+	// through to the MC fallback, as does a series refused for its length.
 	if !te.skipExact {
-		pr, bound, err := w.exact.QualificationBound(p.dist, o, p.delta)
-		switch {
-		case errors.Is(err, quadform.ErrNotConverged):
-			// Series exhausted MaxTerms — let sampling decide.
-		case err != nil:
+		ok, certified, err := w.exact.Decide(p.dist, o, p.delta, te.theta)
+		if err != nil && !errors.Is(err, quadform.ErrNotConverged) {
 			return false, err
-		default:
-			margin := bound + tierExactMargin
-			if pr-margin >= te.theta {
-				st.TierExact++
-				return true, nil
-			}
-			if pr+margin < te.theta {
-				st.TierExact++
-				return false, nil
-			}
-			// θ inside the certified interval: the comparison cannot be
-			// certified, fall through to the MC fallback.
+		}
+		if certified {
+			st.TierExact++
+			return ok, nil
 		}
 	}
 

@@ -25,130 +25,232 @@ import (
 	"gaussrange/internal/vecmat"
 )
 
-// ErrNotConverged indicates the series needed more than MaxTerms terms.
+// ErrNotConverged indicates the series would need more than MaxTerms terms.
 var ErrNotConverged = errors.New("quadform: Ruben series did not converge")
 
-// MaxTerms bounds the Ruben series length. Convergence rate is
-// max_j (1 − β/λ_j) per term; 20 000 terms covers eigenvalue ratios beyond
-// anything produced by the experiments (ratio 9 in 2-D, ~10² in 9-D).
-const MaxTerms = 20000
+// MaxTerms is the ceiling on the series length. Term k's χ² factor is the
+// Poisson(x/2) tail beyond k + d/2, x = t/λmin, which is below epsAbs once
+// k ≥ x/2 + 8·√(x/2) + 40: every series ends by then, and one whose cap would
+// exceed MaxTerms (x ≳ 4·10⁶) is refused up front.
+const MaxTerms = 1 << 21
 
 // epsAbs is the absolute truncation error target of the series.
 const epsAbs = 1e-12
 
+// DecideGuard is the half-width of the band around θ in which RubenDecide
+// certifies nothing: it absorbs rounding in the inputs (eigenvalues, rotated
+// offsets) that the series' own error bound cannot see.
+const DecideGuard = 1e-9
+
 // RubenCDF returns Pr(Σⱼ lambda[j]·(z_j + b[j])² ≤ t) for independent
-// standard normal z_j. All lambda[j] must be positive; len(b) must equal
-// len(lambda). For t ≤ 0 the result is 0.
+// standard normal z_j. All lambda[j] must be positive and finite; len(b)
+// must equal len(lambda). The result is 0 for t ≤ 0 or an infinite b[j], and
+// 1 for t = +Inf.
 func RubenCDF(lambda, b []float64, t float64) (float64, error) {
 	p, _, err := RubenCDFBound(lambda, b, t)
 	return p, err
 }
 
 // RubenCDFBound is RubenCDF plus a certified absolute error bound: the true
-// CDF value lies in [p − bound, p + bound]. The bound is rigorous, not an
-// estimate — the discarded mixture coefficients sum to exactly 1 − Σ aₖ and
-// each multiplies a χ² CDF no larger than the last one computed, so the
-// truncated tail is contained in [0, (1 − Σ aₖ)·F_k] and p is reported at the
-// interval midpoint. Callers comparing p against a threshold θ can therefore
-// certify the comparison whenever |p − θ| > bound.
+// CDF value lies in [p − bound, p + bound]. The discarded mixture
+// coefficients sum to exactly 1 − Σ aₖ and each multiplies a χ² CDF no larger
+// than the last one computed, so the truncated tail lies in
+// [0, (1 − Σ aₖ)·F_k] and p is its midpoint; bound is half that interval plus
+// a first-order allowance for rounding in the recurrence and the χ² ladder.
+// Callers can certify p against a threshold θ whenever |p − θ| > bound.
 func RubenCDFBound(lambda, b []float64, t float64) (p, bound float64, err error) {
-	d := len(lambda)
-	if d == 0 || len(b) != d {
-		return 0, 0, fmt.Errorf("quadform: need len(lambda) == len(b) > 0, got %d and %d", d, len(b))
-	}
-	for j, l := range lambda {
-		if l <= 0 || math.IsNaN(l) {
-			return 0, 0, fmt.Errorf("quadform: lambda[%d] = %g must be positive", j, l)
-		}
-		if math.IsNaN(b[j]) {
-			return 0, 0, fmt.Errorf("quadform: b[%d] is NaN", j)
-		}
-	}
-	if math.IsNaN(t) {
-		return 0, 0, fmt.Errorf("quadform: t is NaN")
-	}
-	if t <= 0 {
-		return 0, 0, nil
-	}
-
-	// Scale parameter: β = min λ_j keeps all mixture coefficients a_k ≥ 0
-	// and Σ a_k = 1, giving a rigorous truncation bound.
-	beta := lambda[0]
-	for _, l := range lambda[1:] {
-		if l < beta {
-			beta = l
-		}
-	}
-
-	// γ_j = 1 − β/λ_j ∈ [0, 1);  η_j = b_j²·β/λ_j.
-	gamma := make([]float64, d)
-	eta := make([]float64, d)
-	var logA0 float64
-	for j := range lambda {
-		gamma[j] = 1 - beta/lambda[j]
-		eta[j] = b[j] * b[j] * beta / lambda[j]
-		logA0 += -0.5*b[j]*b[j] + 0.5*math.Log(beta/lambda[j])
-	}
-
-	// Series state. gammaPow[j] = γ_j^k, etaPow[j] = η_j·γ_j^{k−1} track the
-	// two geometric families in g_k = Σ γ_j^k + k·Σ η_j·γ_j^{k−1}.
-	a := make([]float64, 1, 64)
-	g := make([]float64, 1, 64) // g[0] unused
-	a[0] = math.Exp(logA0)
-
-	gammaPow := make([]float64, d)
-	etaPow := make([]float64, d)
-	for j := range gammaPow {
-		gammaPow[j] = 1 // γ_j^0; advanced before first use
-		etaPow[j] = eta[j]
-	}
-
-	x := t / beta
-	dof := float64(d)
-
-	// First mixture term.
-	f, err := stats.ChiSquareCDF(dof, x)
-	if err != nil {
+	var f form
+	if err := f.init(lambda); err != nil {
 		return 0, 0, err
 	}
-	sum := a[0] * f
-	aSum := a[0]
+	p, bound, _, err = f.run(b, t, math.Inf(-1), math.Inf(1))
+	return p, bound, err
+}
 
-	for k := 1; k <= MaxTerms; k++ {
-		// g_k = Σ_j γ_j^k + k·Σ_j η_j γ_j^{k−1}.
-		var gk float64
-		for j := 0; j < d; j++ {
-			gk += gammaPow[j]*gamma[j] + float64(k)*etaPow[j]
-			// Advance powers for next round.
-			gammaPow[j] *= gamma[j]
-			etaPow[j] *= gamma[j]
+// RubenDecide answers "is RubenCDF(lambda, b, t) ≥ theta?": after every term
+// the truth lies in [Σ aᵢFᵢ, Σ aᵢFᵢ + (1 − Σ aᵢ)·F_k], and the series stops
+// as soon as that bracket clears theta by DecideGuard on either side
+// (certified). Only a theta inside the guard band of the converged value runs
+// to the full tail and compares the midpoint (certified = false).
+func RubenDecide(lambda, b []float64, t, theta float64) (qualifies, certified bool, err error) {
+	var f form
+	if err := f.init(lambda); err != nil {
+		return false, false, err
+	}
+	return f.decide(b, t, theta)
+}
+
+// form is what Ruben's series needs of the eigenvalues, plus the scratch of
+// one evaluation, so a cached form integrates without allocating. β = min λ_j
+// makes every mixture coefficient a_k non-negative with Σ a_k = 1.
+type form struct {
+	beta   float64   // β
+	logDet float64   // ½·Σ log(β/λ_j)
+	ratio  []float64 // β/λ_j
+	gamma  []float64 // γ_j = 1 − β/λ_j ∈ [0, 1)
+	eta    []float64 // η_j = b_j²·β/λ_j of the evaluation in progress
+	s, t   []float64 // running sums S_j, T_j of the coefficient recurrence
+
+	// ladder is seeded for (d, ladderT/β); evaluations at that t copy it.
+	ladderT float64
+	ladder  stats.ChiSquareLadder
+}
+
+func (f *form) init(lambda []float64) error {
+	d := len(lambda)
+	if d == 0 {
+		return errors.New("quadform: need at least one eigenvalue")
+	}
+	f.beta = math.Inf(1)
+	for j, l := range lambda {
+		if !(l > 0) || math.IsInf(l, 1) {
+			return fmt.Errorf("quadform: lambda[%d] = %g must be positive and finite", j, l)
 		}
-		g = append(g, gk)
+		f.beta = math.Min(f.beta, l)
+	}
+	buf := make([]float64, 5*d)
+	f.ratio, f.gamma, f.eta, f.s, f.t = buf[:d], buf[d:2*d], buf[2*d:3*d], buf[3*d:4*d], buf[4*d:]
+	f.logDet, f.ladderT = 0, 0
+	for j, l := range lambda {
+		f.ratio[j] = f.beta / l
+		f.gamma[j] = 1 - f.ratio[j]
+		f.logDet += 0.5 * math.Log(f.ratio[j])
+	}
+	return nil
+}
 
-		// a_k = (1/2k)·Σ_{r=0}^{k−1} g_{k−r}·a_r.
-		var ak float64
-		for r := 0; r < k; r++ {
-			ak += g[k-r] * a[r]
+// decide is RubenDecide on a prepared form.
+func (f *form) decide(b []float64, t, theta float64) (qualifies, certified bool, err error) {
+	p, _, verdict, err := f.run(b, t, theta-DecideGuard, theta+DecideGuard)
+	if verdict != 0 || err != nil {
+		return verdict > 0, verdict != 0, err
+	}
+	return p >= theta, false, nil
+}
+
+// run validates (b, t), settles degenerate inputs and otherwise sums the
+// series. verdict is +1 once the value is certainly ≥ hi, −1 once certainly
+// < lo (p and bound are then not computed), and 0 when the series ran to its
+// tail, leaving p within bound of the truth.
+func (f *form) run(b []float64, t, lo, hi float64) (p, bound float64, verdict int, err error) {
+	if len(b) != len(f.gamma) {
+		return 0, 0, 0, fmt.Errorf("quadform: need len(lambda) == len(b), got %d and %d", len(f.gamma), len(b))
+	}
+	if math.IsNaN(t) {
+		return 0, 0, 0, errors.New("quadform: t is NaN")
+	}
+	for j, bj := range b {
+		if math.IsNaN(bj) {
+			return 0, 0, 0, fmt.Errorf("quadform: b[%d] is NaN", j)
 		}
-		ak /= 2 * float64(k)
-		a = append(a, ak)
-		aSum += ak
-
-		fk, err := stats.ChiSquareCDF(dof+2*float64(k), x)
-		if err != nil {
-			return 0, 0, err
-		}
-		sum += ak * fk
-
-		// Rigorous truncation bound: remaining coefficients sum to 1 − aSum
-		// and every remaining CDF factor is ≤ fk (CDF decreases in dof).
-		if tail := (1 - aSum) * fk; tail < epsAbs {
-			// Midpoint of [sum, sum + tail]; clamping to [0, 1] can only move
-			// the report toward the true value, so tail/2 stays valid.
-			return clamp01(sum + tail/2), tail / 2, nil
+		if math.IsInf(bj, 0) {
+			t = 0 // the form is +Inf almost surely
 		}
 	}
-	return 0, 0, ErrNotConverged
+	switch {
+	case t <= 0:
+		p = 0
+	case math.IsInf(t, 1):
+		p = 1
+	default:
+		return f.series(b, t, lo, hi)
+	}
+	if p >= hi {
+		verdict = 1
+	} else if p < lo {
+		verdict = -1
+	}
+	return p, 0, verdict, nil
+}
+
+// series sums Ruben's mixture Σ a_k·F_{d+2k}(t/β) in O(d) per term (DESIGN.md
+// §4). The convolution a_k = (1/2k)·Σ_{r<k} g_{k−r}·a_r with
+// g_k = Σ_j γ_j^k + k·Σ_j η_j γ_j^{k−1} equals (1/2k)·Σ_j (S_j + η_j·T_j) for
+// S_j = Σ_{r<k} γ_j^{k−r}·a_r and T_j = Σ_{r<k} (k−r)·γ_j^{k−r−1}·a_r, which
+// advance by T_j ← γ_j·T_j + (S_j + a_{k−1}), S_j ← γ_j·(S_j + a_{k−1}); all
+// terms are non-negative, so nothing cancels. Coefficients are carried as
+// a_k = ak·scale so that a_0 = exp(−½Σb_j²)·Π√(β/λ_j) may underflow float64
+// (offsets ≈ δ at λ ≪ δ²) without zeroing the series.
+func (f *form) series(b []float64, t, lo, hi float64) (p, bound float64, verdict int, err error) {
+	d := len(f.gamma)
+	x := t / f.beta
+	maxTerms := x/2 + 8*math.Sqrt(x/2) + 40
+	if !(maxTerms <= MaxTerms) {
+		return 0, 0, 0, ErrNotConverged
+	}
+	if t != f.ladderT {
+		if f.ladder, err = stats.NewChiSquareLadder(float64(d), x); err != nil {
+			return 0, 0, 0, err
+		}
+		f.ladderT = t
+	}
+	lad := f.ladder
+
+	gamma, eta, s, tt := f.gamma, f.eta[:d], f.s[:d], f.t[:d]
+	logA0 := f.logDet
+	for j, bj := range b {
+		logA0 -= 0.5 * bj * bj
+		eta[j] = bj * bj * f.ratio[j]
+		s[j], tt[j] = 0, 0
+	}
+	ak, scale, rescales := math.Exp(logA0), 1.0, 0
+	if logA0 < -700 {
+		ak, scale = 1, math.Exp(logA0)
+	}
+
+	var sum, aSum float64
+	for k := 0; ; k++ {
+		if k > 0 {
+			var acc float64
+			for j, g := range gamma {
+				sj := s[j] + ak
+				tj := g*tt[j] + sj
+				sj *= g
+				s[j], tt[j] = sj, tj
+				acc += sj + eta[j]*tj
+			}
+			ak = acc / float64(2*k)
+			if ak > 0x1p256 {
+				// Only while scale is still tiny: a_k ≤ 1 bounds ak·scale.
+				ak *= 0x1p-256
+				for j := range s {
+					s[j] *= 0x1p-256
+					tt[j] *= 0x1p-256
+				}
+				rescales++
+				scale = math.Exp(logA0 + float64(256*rescales)*math.Ln2)
+			}
+			lad.Next()
+		}
+		w := ak * scale
+		aSum += w
+		sum += w * lad.F
+		// Remaining coefficients sum to 1 − aSum and every remaining χ²
+		// factor is ≤ F_k (the CDF decreases in its degrees of freedom).
+		tail := (1 - aSum) * lad.F
+		if tail < 0 {
+			tail = 0 // aSum rounded past 1
+		}
+		last := float64(k) >= maxTerms
+		if sum >= hi || sum+tail < lo || tail < epsAbs || last {
+			// Rounding allowance, first order in u = 2⁻⁵³: every a_k inherits
+			// ≤ (2d+6)·u relative error per term plus that of a_0, whose log
+			// has magnitude |logA0|; the ladder's error is absolute, on
+			// factors that weigh at most 1 in total.
+			r := sum*(float64(k*(2*d+6))+float64(2*d+4)*math.Abs(logA0)+2)*0x1p-53 + lad.ErrBound()
+			switch {
+			case sum-r >= hi:
+				return 0, 0, 1, nil
+			case sum+tail+r < lo:
+				return 0, 0, -1, nil
+			case tail < epsAbs || last:
+				// Midpoint of [sum, sum + tail]; clamping to [0, 1] only moves
+				// it toward the truth. At the cap the true F_k is below
+				// epsAbs: what is left of tail is ladder rounding, inside r.
+				return clamp01(sum + tail/2), tail/2 + r, 0, nil
+			}
+		}
+	}
 }
 
 func clamp01(p float64) float64 {
@@ -166,7 +268,8 @@ func clamp01(p float64) float64 {
 // returns Pr(‖x − o‖ ≤ delta) for x ~ N(q, Σ).
 //
 // Per-distribution spectral data is cached so repeated candidates against the
-// same query pay only the O(d²) offset transform plus the series.
+// same query pay only the O(d²) offset transform plus the series, and
+// allocate nothing.
 //
 // An Exact instance is single-goroutine, but a family of instances created
 // with Fork shares one cumulative evaluation counter safely: each instance
@@ -180,14 +283,16 @@ type Exact struct {
 	// evalTotal is shared by every fork in the family.
 	evalTotal *atomic.Int64
 
-	// Cache keyed by distribution identity.
+	// Cache keyed by distribution identity: the spectral form (β, γ_j,
+	// log(β/λ_j) and the series scratch) and the offset transform buffers.
 	dist    interface{ Dim() int }
-	lambda  []float64
+	form    form
+	sqrtLam []float64
 	basis   *vecmat.Dense
 	mean    vecmat.Vector
 	scratch vecmat.Vector
 	u       vecmat.Vector
-	bBuf    []float64
+	b       []float64
 }
 
 // GaussDist is the subset of *gauss.Dist the evaluator needs; declared as an
@@ -238,34 +343,61 @@ func (e *Exact) Qualification(dist GaussDist, o vecmat.Vector, delta float64) (f
 	return p, err
 }
 
-// QualificationBound is Qualification plus the certified truncation bound of
+// QualificationBound is Qualification plus the certified error bound of
 // RubenCDFBound: the true probability lies in [p − bound, p + bound].
 func (e *Exact) QualificationBound(dist GaussDist, o vecmat.Vector, delta float64) (p, bound float64, err error) {
+	if err := e.offsets(dist, o, delta); err != nil {
+		return 0, 0, err
+	}
+	p, bound, _, err = e.form.run(e.b, delta*delta, math.Inf(-1), math.Inf(1))
+	return p, bound, err
+}
+
+// Decide answers "is Pr(‖x − o‖ ≤ delta) ≥ theta?" with RubenDecide's early
+// exit: most candidates are settled after a fraction of the series.
+func (e *Exact) Decide(dist GaussDist, o vecmat.Vector, delta, theta float64) (qualifies, certified bool, err error) {
+	if err := e.offsets(dist, o, delta); err != nil {
+		return false, false, err
+	}
+	return e.form.decide(e.b, delta*delta, theta)
+}
+
+// offsets counts one evaluation and fills e.b with the scaled offsets of o,
+// rebuilding the spectral cache when dist changed. Steady state allocates
+// nothing.
+func (e *Exact) offsets(dist GaussDist, o vecmat.Vector, delta float64) error {
 	d := dist.Dim()
 	if o.Dim() != d {
-		return 0, 0, fmt.Errorf("quadform: object dim %d vs distribution dim %d", o.Dim(), d)
+		return fmt.Errorf("quadform: object dim %d vs distribution dim %d", o.Dim(), d)
 	}
 	if delta <= 0 {
-		return 0, 0, fmt.Errorf("quadform: delta must be positive, got %g", delta)
+		return fmt.Errorf("quadform: delta must be positive, got %g", delta)
 	}
 	e.evalLocal++
 
-	if e.dist != dist || len(e.lambda) != d {
+	if e.dist != dist || len(e.b) != d {
+		lambda := dist.EigenValuesCov()
+		if err := e.form.init(lambda); err != nil {
+			return err
+		}
 		e.dist = dist
-		e.lambda = dist.EigenValuesCov()
 		e.basis = dist.EigenBasis()
 		e.mean = dist.Mean()
 		e.scratch = make(vecmat.Vector, d)
 		e.u = make(vecmat.Vector, d)
-		e.bBuf = make([]float64, d)
+		e.b = make([]float64, d)
+		e.sqrtLam = make([]float64, d)
+		for j, l := range lambda {
+			e.sqrtLam[j] = math.Sqrt(l)
+		}
 	}
 
 	// In the eigenbasis of Σ: u = Eᵗ(q − o) is the sphere-center offset; the
 	// quadratic form is Σ λ_j (z_j + u_j/√λ_j)².
 	e.mean.SubTo(o, e.scratch)
 	e.basis.MulVecTransTo(e.scratch, e.u)
-	for j := 0; j < d; j++ {
-		e.bBuf[j] = e.u[j] / math.Sqrt(e.lambda[j])
+	for j, uj := range e.u {
+		e.b[j] = uj / e.sqrtLam[j]
 	}
-	return RubenCDFBound(e.lambda, e.bBuf, delta*delta)
+	return nil
 }

@@ -33,16 +33,18 @@ func NoncentralChiSquareCDF(k, lambda, x float64) (float64, error) {
 	}
 
 	half := lambda / 2
-	X := x / 2
 
 	// Start at the modal Poisson index.
 	j0 := int(half)
 	a0 := k/2 + float64(j0)
 
-	p0, err := GammaP(a0, X)
+	// The upward sweep walks P(a0+1, X), P(a0+2, X), …, X = x/2, on the χ²
+	// ladder, whose seed is the modal term's P(a0, X).
+	up, err := NewChiSquareLadder(2*a0, x)
 	if err != nil {
 		return 0, err
 	}
+	p0 := up.F
 	// logW(j) = −λ/2 + j·log(λ/2) − logΓ(j+1).
 	logW := func(j int) float64 {
 		lg, _ := math.Lgamma(float64(j) + 1)
@@ -54,21 +56,16 @@ func NoncentralChiSquareCDF(k, lambda, x float64) (float64, error) {
 
 	// termT(a) = X^a·e^{−X}/Γ(a+1), the decrement of P when a increases by 1.
 	termT := func(a float64) float64 {
-		lg, _ := math.Lgamma(a + 1)
-		return math.Exp(a*math.Log(X) - X - lg)
+		ld, _ := up.logDec(a)
+		return math.Exp(ld)
 	}
 
 	// Upward sweep: j = j0+1, j0+2, …
 	w := w0
-	p := p0
-	tUp := termT(a0)
 	for j := j0 + 1; j <= j0+maxIter; j++ {
 		w *= half / float64(j)
-		p -= tUp
-		if p < 0 {
-			p = 0
-		}
-		term := w * p
+		up.Next()
+		term := w * up.F
 		sum += term
 		// The Poisson tail beyond j is bounded by w (for j > λ/2 weights
 		// decay geometrically) and p only decreases; stop when a crude tail
@@ -76,13 +73,11 @@ func NoncentralChiSquareCDF(k, lambda, x float64) (float64, error) {
 		if term < epsRel*sum && float64(j) > half {
 			break
 		}
-		a := k/2 + float64(j)
-		tUp *= X / a
 	}
 
 	// Downward sweep: j = j0−1, …, 0.
 	w = w0
-	p = p0
+	p := p0
 	a := a0
 	for j := j0 - 1; j >= 0; j-- {
 		w *= float64(j+1) / half
