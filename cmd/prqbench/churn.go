@@ -25,9 +25,8 @@ var churnWriteFractions = []float64{0, 0.05, 0.20, 0.50}
 
 // churnPoints subsamples the road dataset for the churn cells. The full
 // 50k-point set would need thousands of replaces per cell to cross the
-// overlay-rebuild threshold (clamp(live/4, 128, 4096) entries); at 8k points
-// the threshold is 2048, so the higher write fractions trigger real rebuilds
-// and the two strategies are measured doing the work they differ on.
+// overlay-fold threshold (clamp(live/4, 128, 4096) entries); at 8k points
+// the threshold is 2048, so the higher write fractions trigger real folds.
 const churnPoints = 8192
 
 // ingestWriters is the concurrency of the ingest-throughput rows: 64
@@ -99,9 +98,8 @@ type churnByWhere struct {
 	Command string `json:"command"`
 }
 
-// ChurnCell is one (strategy, write fraction) measurement.
+// ChurnCell is one write fraction's measurement.
 type ChurnCell struct {
-	Strategy      string  `json:"rebuild_strategy"`
 	WriteFraction float64 `json:"write_fraction"`
 	Reads         int     `json:"reads"`
 	Writes        int     `json:"writes"`
@@ -121,11 +119,9 @@ type ChurnCell struct {
 // goroutines issue paper-shaped queries against one DB while a share of
 // operations (the write fraction) replaces a random live point (one insert +
 // one delete per write, so dataset size is steady but the storage engine
-// keeps publishing epochs and crossing rebuild thresholds). Both overlay
-// rebuild strategies are swept so the default (STR) is a measured choice,
-// not a guess. Because reads pin an immutable snapshot and never lock, the
-// headline result is how flat the read quantiles stay as the write fraction
-// grows.
+// keeps publishing epochs and folding its overlay). Because reads pin an
+// immutable snapshot and never lock, the headline result is how flat the
+// read quantiles stay as the write fraction grows.
 func runChurn(cfg experiments.Config, workers, ops int, jsonPath, comparePath string) error {
 	if ops < 1 {
 		return fmt.Errorf("-queries must be at least 1, got %d", ops)
@@ -171,27 +167,18 @@ func runChurn(cfg experiments.Config, workers, ops int, jsonPath, comparePath st
 		},
 	}
 
-	strategies := []struct {
-		name string
-		opt  gaussrange.Option
-	}{
-		{"str", gaussrange.WithRebuildStrategy(gaussrange.RebuildSTR)},
-		{"incremental", gaussrange.WithRebuildStrategy(gaussrange.RebuildIncremental)},
-	}
 	fmt.Printf("read/write churn (%d points, %d ops per cell, %d workers, δ=25, θ=0.01, γ=10)\n",
 		len(points), ops, workers)
-	for _, strat := range strategies {
-		for _, wf := range churnWriteFractions {
-			cell, err := churnCell(raw, covRows, strat.name, strat.opt, wf, workers, ops, seed)
-			if err != nil {
-				return err
-			}
-			rep.Cells = append(rep.Cells, cell)
-			fmt.Printf("  %-12s wf=%.2f : %6d reads (p50 %7.1fµs  p90 %7.1fµs  p99 %8.1fµs)  %5d writes  %4d epochs  %8.1f reads/s\n",
-				cell.Strategy, cell.WriteFraction, cell.Reads,
-				cell.ReadP50US, cell.ReadP90US, cell.ReadP99US,
-				cell.Writes, cell.Epochs, cell.ReadsPerSec)
+	for _, wf := range churnWriteFractions {
+		cell, err := churnCell(raw, covRows, wf, workers, ops, seed)
+		if err != nil {
+			return err
 		}
+		rep.Cells = append(rep.Cells, cell)
+		fmt.Printf("  wf=%.2f : %6d reads (p50 %7.1fµs  p90 %7.1fµs  p99 %8.1fµs)  %5d writes  %4d epochs  %8.1f reads/s\n",
+			cell.WriteFraction, cell.Reads,
+			cell.ReadP50US, cell.ReadP90US, cell.ReadP99US,
+			cell.Writes, cell.Epochs, cell.ReadsPerSec)
 	}
 
 	ing, err := runIngest(seed)
@@ -220,12 +207,12 @@ func runChurn(cfg experiments.Config, workers, ops int, jsonPath, comparePath st
 	return nil
 }
 
-// churnCell runs one (strategy, write fraction) cell: a fresh DB, `ops` total
+// churnCell runs one write-fraction cell: a fresh DB, `ops` total
 // operations split across `workers` goroutines, each operation a query or a
 // replace (insert one point near a random site, delete a random live id)
 // chosen by a per-worker deterministic RNG.
-func churnCell(raw [][]float64, covRows [][]float64, stratName string, stratOpt gaussrange.Option, writeFrac float64, workers, ops int, seed uint64) (ChurnCell, error) {
-	db, err := gaussrange.Load(raw, stratOpt)
+func churnCell(raw [][]float64, covRows [][]float64, writeFrac float64, workers, ops int, seed uint64) (ChurnCell, error) {
+	db, err := gaussrange.Load(raw)
 	if err != nil {
 		return ChurnCell{}, err
 	}
@@ -328,7 +315,6 @@ func churnCell(raw [][]float64, covRows [][]float64, stratName string, stratOpt 
 	sort.Slice(writes, func(a, b int) bool { return writes[a] < writes[b] })
 
 	cell := ChurnCell{
-		Strategy:      stratName,
 		WriteFraction: writeFrac,
 		Reads:         len(reads),
 		Writes:        len(writes),

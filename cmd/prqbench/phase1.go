@@ -4,11 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
+	"runtime"
+	"sort"
+	"time"
 
 	"gaussrange"
+	"gaussrange/internal/core"
 	"gaussrange/internal/data"
 	"gaussrange/internal/experiments"
+	"gaussrange/internal/vecmat"
 )
 
 // phase1ArmResult is one front-half implementation's measurement: the summed
@@ -29,6 +35,23 @@ type phase1ArmResult struct {
 	Answers         int    `json:"answers"`
 }
 
+// phase1Build is the build block: what it costs to make the structure the
+// arms search. Times are medians on the machine that wrote the file; the
+// allocation count and the materialised flag are scale-free and gated.
+type phase1Build struct {
+	BuildMS     float64 `json:"build_ms"` // core.NewIndex on the dataset
+	BuildAllocs int     `json:"build_allocs"`
+	PackedBytes int     `json:"packed_bytes"`
+	FoldMS      float64 `json:"fold_ms"` // the Apply that folds a full overlay
+	// PointerTreeMaterialised reports whether load or fold built the derived
+	// pointer tree (they must not: only its few remaining callers do).
+	PointerTreeMaterialised bool `json:"pointer_tree_materialised"`
+}
+
+// buildAllocsCeiling is the -compare gate on build_allocs: a few dozen
+// allocations for the whole load; per-point cloning would be 50 000+.
+const buildAllocsCeiling = 64
+
 // phase1Report is the JSON document written by -json and committed as
 // BENCH_phase1.json.
 type phase1Report struct {
@@ -48,6 +71,7 @@ type phase1Report struct {
 	// Speedup is pointer front-half time over packed-fused front-half time.
 	Speedup float64           `json:"speedup_front_half"`
 	Arms    []phase1ArmResult `json:"arms"`
+	Build   phase1Build       `json:"build"`
 }
 
 // phase1Counts is one query's front-half counter tuple, compared across arms.
@@ -184,6 +208,9 @@ func runPhase1(cfg experiments.Config, queries int, jsonPath, comparePath string
 		report.Speedup = float64(pointer.res.FrontNS) / float64(fused.res.FrontNS)
 	}
 	report.Arms = []phase1ArmResult{pointer.res, fused.res}
+	if report.Build, err = measureBuild(points); err != nil {
+		return err
+	}
 
 	fmt.Printf("phase-1/2 front half (%d points, %d queries × %d passes, γ=%g, δ=%g, θ=%g)\n",
 		len(raw), queries, passes, gamma, delta, theta)
@@ -194,6 +221,9 @@ func runPhase1(cfg experiments.Config, queries int, jsonPath, comparePath string
 	}
 	fmt.Printf("  speedup      : %.2fx front-half (pointer / packed-fused)\n", report.Speedup)
 	fmt.Printf("  identity     : ids=%v counts=%v\n", report.IDsIdentical, report.CountsIdentical)
+	fmt.Printf("  build        : %.1f ms, %d allocs, %d packed bytes; fold %.1f ms; pointer tree materialised: %v\n",
+		report.Build.BuildMS, report.Build.BuildAllocs, report.Build.PackedBytes, report.Build.FoldMS,
+		report.Build.PointerTreeMaterialised)
 	if !report.IDsIdentical {
 		for i := range pointer.ids {
 			if !idSliceEqual(pointer.ids[i], fused.ids[i]) {
@@ -221,11 +251,58 @@ func runPhase1(cfg experiments.Config, queries int, jsonPath, comparePath string
 	return nil
 }
 
+// measureBuild fills the build block on an index of its own: five loads
+// (median time, fewest mallocs — nothing else runs meanwhile, so the count is
+// the load's own), then three overlay folds driven by insert+delete pairs.
+func measureBuild(points []vecmat.Vector) (phase1Build, error) {
+	var (
+		b          = phase1Build{BuildAllocs: math.MaxInt}
+		idx        *core.Index
+		loads      []float64
+		folds      []float64
+		mem0, mem1 runtime.MemStats
+	)
+	for range 5 {
+		var err error
+		runtime.ReadMemStats(&mem0)
+		t0 := time.Now()
+		if idx, err = core.NewIndex(points, 2); err != nil {
+			return b, err
+		}
+		loads = append(loads, float64(time.Since(t0).Nanoseconds())/1e6)
+		runtime.ReadMemStats(&mem1)
+		b.BuildAllocs = min(b.BuildAllocs, int(mem1.Mallocs-mem0.Mallocs))
+	}
+	for i := 0; len(folds) < 3; i++ {
+		before, _ := idx.Current().OverlaySize()
+		t0 := time.Now()
+		ids, _, _, err := idx.Apply([]vecmat.Vector{points[(i*7919)%len(points)]}, nil)
+		if err == nil {
+			_, _, _, err = idx.Apply(nil, ids)
+		}
+		if err != nil {
+			return b, err
+		}
+		if after, _ := idx.Current().OverlaySize(); after < before {
+			folds = append(folds, float64(time.Since(t0).Nanoseconds())/1e6)
+		}
+	}
+	sort.Float64s(loads)
+	sort.Float64s(folds)
+	b.BuildMS, b.FoldMS = loads[len(loads)/2], folds[len(folds)/2]
+	b.PackedBytes = idx.Current().Packed().Bytes()
+	b.PointerTreeMaterialised = idx.Current().TreeBuilt()
+	return b, nil
+}
+
 // comparePhase1 gates a fresh phase1 run: answer-id and counter identity
-// between the arms is non-negotiable, and the packed+fused front half must
-// stay at least 2× faster than the pointer path. The ratio is same-run, so
-// the gate holds on slow CI machines as well as the committed snapshot; the
-// baseline report documents the recorded speedup for reference.
+// between the arms is non-negotiable (the pointer arm runs on the tree
+// unpacked from the packed base, so this is also the Unpack identity gate),
+// the build must stay a few dozen allocations and never materialise the
+// pointer tree, and the packed+fused front half must stay at least 2× faster
+// than the pointer path. The ratio is same-run, so the gate holds on slow CI
+// machines as well as the committed snapshot; the baseline report documents
+// the recorded speedup for reference.
 func comparePhase1(report *phase1Report, baselinePath string) error {
 	if !report.IDsIdentical {
 		return fmt.Errorf("packed-fused answers differ from the pointer path — identity broken, not a perf question")
@@ -243,6 +320,15 @@ func comparePhase1(report *phase1Report, baselinePath string) error {
 	}
 	if !base.IDsIdentical || !base.CountsIdentical {
 		return fmt.Errorf("baseline %s recorded an identity failure — refusing to gate against it", baselinePath)
+	}
+	fmt.Printf("bench-compare: build %d allocs (baseline %d, ceiling %d), %.1f ms (baseline %.1f ms); fold %.1f ms (baseline %.1f ms)\n",
+		report.Build.BuildAllocs, base.Build.BuildAllocs, buildAllocsCeiling,
+		report.Build.BuildMS, base.Build.BuildMS, report.Build.FoldMS, base.Build.FoldMS)
+	if report.Build.BuildAllocs > buildAllocsCeiling {
+		return fmt.Errorf("build made %d allocations, ceiling %d — per-point copying is back", report.Build.BuildAllocs, buildAllocsCeiling)
+	}
+	if report.Build.PointerTreeMaterialised {
+		return fmt.Errorf("load or fold materialised the pointer tree")
 	}
 	fmt.Printf("bench-compare: packed-fused front half %.2fx faster than pointer (baseline %.2fx, floor 2.00x)\n",
 		report.Speedup, base.Speedup)

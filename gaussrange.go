@@ -77,7 +77,6 @@ type options struct {
 	useCatalogs   bool
 	planCacheSize int
 	phase3Kernel  Phase3Kernel
-	rebuild       RebuildStrategy
 	pointerPhase1 bool
 }
 
@@ -227,34 +226,6 @@ func WithCatalogs() Option {
 	return func(o *options) error { o.useCatalogs = true; return nil }
 }
 
-// RebuildStrategy selects how the storage engine folds its mutation overlay
-// back into the base R*-tree when the overlay crosses the rebuild threshold.
-type RebuildStrategy int
-
-const (
-	// RebuildSTR discards the old tree and STR bulk-loads the live points.
-	// The default: `prqbench churn` measures it faster than the incremental
-	// path at every write fraction on the paper's workload, and it restores
-	// the packed leaf layout that Phase-1 search performance depends on.
-	RebuildSTR RebuildStrategy = RebuildStrategy(core.RebuildSTR)
-	// RebuildIncremental deep-clones the base tree and replays overlay
-	// inserts/deletes into the clone, preserving the existing node layout.
-	RebuildIncremental RebuildStrategy = RebuildStrategy(core.RebuildIncremental)
-)
-
-// WithRebuildStrategy selects the overlay-rebuild strategy (default
-// RebuildSTR). Exposed so benchmarks can compare the two paths; the default
-// is right for almost every workload.
-func WithRebuildStrategy(s RebuildStrategy) Option {
-	return func(o *options) error {
-		if s != RebuildSTR && s != RebuildIncremental {
-			return fmt.Errorf("gaussrange: unknown rebuild strategy %d", int(s))
-		}
-		o.rebuild = s
-		return nil
-	}
-}
-
 // WithPlanCacheSize sets how many compiled query plans the database retains
 // (default DefaultPlanCacheSize). Zero disables the cache, forcing every
 // query to recompile its geometry.
@@ -294,7 +265,6 @@ func Open(dim int, opts ...Option) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx.SetRebuildStrategy(core.RebuildStrategy(o.rebuild))
 	return &DB{idx: idx, dim: dim, options: o, plans: newPlanCache(o.planCacheSize)}, nil
 }
 
@@ -317,13 +287,12 @@ func Load(points [][]float64, opts ...Option) (*DB, error) {
 		if len(p) != dim {
 			return nil, fmt.Errorf("gaussrange: point %d has dim %d, want %d", i, len(p), dim)
 		}
-		vecs[i] = vecmat.Vector(p).Clone()
+		vecs[i] = p // NewIndex copies
 	}
 	idx, err := core.NewIndex(vecs, dim, rtree.WithPageSize(o.pageSize))
 	if err != nil {
 		return nil, err
 	}
-	idx.SetRebuildStrategy(core.RebuildStrategy(o.rebuild))
 	return &DB{idx: idx, dim: dim, options: o, plans: newPlanCache(o.planCacheSize)}, nil
 }
 
@@ -365,13 +334,12 @@ func LoadWithIDs(points [][]float64, ids []int64, opts ...Option) (*DB, error) {
 		if addressed[ids[i]] != nil {
 			return nil, fmt.Errorf("gaussrange: duplicate point id %d", ids[i])
 		}
-		addressed[ids[i]] = vecmat.Vector(p).Clone()
+		addressed[ids[i]] = p // RestoreIndex copies
 	}
 	idx, err := core.RestoreIndex(addressed, 1, dim, rtree.WithPageSize(o.pageSize))
 	if err != nil {
 		return nil, err
 	}
-	idx.SetRebuildStrategy(core.RebuildStrategy(o.rebuild))
 	return &DB{idx: idx, dim: dim, options: o, plans: newPlanCache(o.planCacheSize)}, nil
 }
 

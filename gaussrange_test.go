@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"gaussrange/internal/data"
 )
 
 func gridPoints(n int, spacing float64) [][]float64 {
@@ -540,5 +542,59 @@ func TestAutoStrategy(t *testing.T) {
 	}
 	if res.Stats.Integrations > 2 {
 		t.Errorf("AUTO on spherical Σ still integrated %d", res.Stats.Integrations)
+	}
+}
+
+// TestLoadAllocs gates the load path's allocation count: the build's
+// scratch, the packed arrays and one header slice — a few dozen
+// allocations for the whole dataset. Per-point cloning anywhere between Load
+// and the packed build would show as tens of thousands.
+func TestLoadAllocs(t *testing.T) {
+	pts := toRaw(data.LongBeach(1))
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Load(pts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 64 {
+		t.Fatalf("Load of %d points made %.0f allocations, want ≤ 64", len(pts), allocs)
+	}
+}
+
+// TestServingPathLeavesPointerTreeUnbuilt pins who pays for the derived
+// pointer tree: loading, the default (packed, fused) query path, mutations
+// and folds never ask for it, nor does RangeSearch; NearestNeighbors does,
+// once per base generation.
+func TestServingPathLeavesPointerTreeUnbuilt(t *testing.T) {
+	db, err := Load(gridPoints(400, 5)) // fold threshold 128
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := QuerySpec{Center: []float64{50, 50}, Cov: paperCov(4), Delta: 25, Theta: 0.01}
+	for i := 0; i < 140; i++ { // crosses one fold
+		if _, err := db.Insert([]float64{float64(i), 200}); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := db.Query(spec); err != nil || len(res.IDs) == 0 {
+			t.Fatalf("query: %v ids, err %v", res, err)
+		}
+	}
+	if ins, _ := db.idx.Current().OverlaySize(); ins >= 128 {
+		t.Fatalf("no fold happened: %d overlay inserts", ins)
+	}
+	if db.idx.Current().TreeBuilt() {
+		t.Fatal("load, packed queries, inserts or the fold built the pointer tree")
+	}
+	if ids, err := db.RangeSearch([]float64{50, 50}, 10); err != nil || len(ids) == 0 {
+		t.Fatalf("RangeSearch: %v, err %v", ids, err)
+	}
+	if db.idx.Current().TreeBuilt() {
+		t.Fatal("RangeSearch built the pointer tree")
+	}
+	if _, err := db.NearestNeighbors([]float64{50, 50}, 3); err != nil {
+		t.Fatal(err)
+	}
+	if !db.idx.Current().TreeBuilt() {
+		t.Fatal("NearestNeighbors answered without the pointer tree — update this test and DESIGN §15")
 	}
 }

@@ -26,22 +26,6 @@ import (
 	"gaussrange/internal/vecmat"
 )
 
-// RebuildStrategy selects how the Index folds its mutation overlay back into
-// the base R*-tree when the overlay crosses the rebuild threshold.
-type RebuildStrategy int
-
-const (
-	// RebuildSTR discards the old tree and STR bulk-loads the live points —
-	// O(n log n), and the packing restores bulk-load query quality. The
-	// default; prqbench churn measures it faster than RebuildIncremental at
-	// every write rate tried (the clone alone costs as much as the reload).
-	RebuildSTR RebuildStrategy = iota
-	// RebuildIncremental deep-clones the base tree, then replays the overlay
-	// with R* InsertPoint/DeletePoint — O(n) copy plus O(overlay·log n)
-	// updates, preserving the incremental structure.
-	RebuildIncremental
-)
-
 // Index is an epoch-versioned point collection: an atomic pointer to the
 // current immutable Snapshot. Reads pin a snapshot with Current — no lock on
 // the read path — while Insert, Delete and Apply build the next epoch behind
@@ -49,16 +33,15 @@ const (
 // mixture of two epochs. Point identifiers are assigned sequentially and
 // never reused.
 type Index struct {
-	dim     int
-	opts    []rtree.Option // retained for overlay rebuilds
-	rebuild RebuildStrategy
+	dim  int
+	opts []rtree.Option // retained for overlay folds
 
 	mu  sync.Mutex // serializes writers; readers never take it
 	cur atomic.Pointer[Snapshot]
 }
 
 // rebuildThreshold bounds the overlay an epoch may carry before the writer
-// folds it into a fresh base tree: large enough to amortize the O(n) rebuild
+// folds it into a fresh base: large enough to amortize the O(n log n) rebuild
 // over many mutations, small enough that the per-query overlay scan stays
 // negligible next to Phase 3.
 func rebuildThreshold(live int) int {
@@ -73,75 +56,64 @@ func rebuildThreshold(live int) int {
 }
 
 // NewIndex bulk-loads the given points (STR packing) as epoch 1. All points
-// must have dimension dim.
+// must have dimension dim. The points are copied.
 func NewIndex(points []vecmat.Vector, dim int, opts ...rtree.Option) (*Index, error) {
-	ids := make([]int64, len(points))
-	for i := range ids {
-		ids[i] = int64(i)
-	}
-	tree, err := rtree.BulkLoadPoints(points, ids, dim, opts...)
-	if err != nil {
-		return nil, err
-	}
-	stored := make([]vecmat.Vector, len(points))
 	for i, p := range points {
-		stored[i] = p.Clone()
+		if p == nil {
+			return nil, fmt.Errorf("core: point %d is nil", i)
+		}
 	}
-	ix := &Index{dim: dim, opts: opts}
-	ix.cur.Store(&Snapshot{tree: tree, packed: rtree.Pack(tree), points: stored, live: len(stored), dim: dim, epoch: 1})
-	return ix, nil
+	return RestoreIndex(points, 1, dim, opts...)
 }
 
 // NewDynamicIndex returns an empty epoch-1 index that accepts incremental
 // mutations.
 func NewDynamicIndex(dim int, opts ...rtree.Option) (*Index, error) {
-	tree, err := rtree.New(dim, opts...)
-	if err != nil {
-		return nil, err
-	}
-	ix := &Index{dim: dim, opts: opts}
-	ix.cur.Store(&Snapshot{tree: tree, packed: rtree.Pack(tree), dim: dim, epoch: 1})
-	return ix, nil
+	return RestoreIndex(nil, 1, dim, opts...)
 }
 
 // RestoreIndex rebuilds an index from an id-addressed point slice (nil
 // entries are deleted ids, preserved as holes so identifiers stay stable)
-// at the given epoch — the persistence layer's entry point.
+// at the given epoch — the persistence layer's entry point. The points are
+// copied.
 func RestoreIndex(points []vecmat.Vector, epoch uint64, dim int, opts ...rtree.Option) (*Index, error) {
 	if epoch == 0 {
 		epoch = 1
 	}
-	var (
-		livePts []vecmat.Vector
-		liveIDs []int64
-	)
-	stored := make([]vecmat.Vector, len(points))
-	for i, p := range points {
-		if p == nil {
-			continue
-		}
-		if p.Dim() != dim {
-			return nil, fmt.Errorf("core: restored point %d has dim %d, want %d", i, p.Dim(), dim)
-		}
-		stored[i] = p.Clone()
-		livePts = append(livePts, stored[i])
-		liveIDs = append(liveIDs, int64(i))
-	}
-	tree, err := rtree.BulkLoadPoints(livePts, liveIDs, dim, opts...)
+	b, stored, live, err := newGeneration(points, nil, dim, opts)
 	if err != nil {
 		return nil, err
 	}
 	ix := &Index{dim: dim, opts: opts}
-	ix.cur.Store(&Snapshot{tree: tree, packed: rtree.Pack(tree), points: stored, live: len(livePts), dim: dim, epoch: epoch})
+	ix.cur.Store(&Snapshot{base: b, points: stored, live: live, dim: dim, epoch: epoch})
 	return ix, nil
 }
 
-// SetRebuildStrategy selects how overlay rebuilds reconstruct the base tree
-// (default RebuildSTR). Safe to call concurrently with readers.
-func (ix *Index) SetRebuildStrategy(s RebuildStrategy) {
-	ix.mu.Lock()
-	ix.rebuild = s
-	ix.mu.Unlock()
+// newGeneration STR-builds a base over the live entries of the id-addressed
+// points (nil = hole; ids in dead are dropped) and returns it with the
+// generation's own id-addressed slice, whose live entries are windows on the
+// packed leaf block: a generation keeps one copy of its coordinates, in one
+// allocation, and holds on to nothing of the generation before it.
+func newGeneration(points []vecmat.Vector, dead map[int64]struct{}, dim int, opts []rtree.Option) (*base, []vecmat.Vector, int, error) {
+	livePts := make([]vecmat.Vector, 0, len(points)-len(dead))
+	liveIDs := make([]int64, 0, len(points)-len(dead))
+	for id, p := range points {
+		if _, gone := dead[int64(id)]; p == nil || gone {
+			continue
+		}
+		if p.Dim() != dim {
+			return nil, nil, 0, fmt.Errorf("core: point %d has dim %d, want %d", id, p.Dim(), dim)
+		}
+		livePts = append(livePts, p)
+		liveIDs = append(liveIDs, int64(id))
+	}
+	packed, err := rtree.BuildPacked(livePts, liveIDs, dim, opts...)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	stored := make([]vecmat.Vector, len(points))
+	packed.EachPoint(func(id int64, pt []float64) { stored[id] = pt })
+	return &base{packed: packed}, stored, len(livePts), nil
 }
 
 // Current pins the current snapshot: an immutable view of the latest
@@ -164,10 +136,10 @@ func (ix *Index) Point(id int64) (vecmat.Vector, error) {
 	return ix.Current().Point(id)
 }
 
-// Tree exposes the current snapshot's base R*-tree for diagnostics. It does
-// not see the mutation overlay; use Snapshot search methods for exact
-// answers.
-func (ix *Index) Tree() *rtree.Tree { return ix.Current().tree }
+// Tree exposes the current snapshot's base as a pointer R*-tree for
+// diagnostics (see Snapshot.Tree). It does not see the mutation overlay; use
+// Snapshot search methods for exact answers.
+func (ix *Index) Tree() *rtree.Tree { return ix.Current().Tree() }
 
 // SearchRect returns the identifiers of live points inside the rectangle.
 func (ix *Index) SearchRect(r geom.Rect) ([]int64, error) {
@@ -312,8 +284,7 @@ func (ix *Index) Stage(inserts []vecmat.Vector, insertIDs []int64, deletes []int
 	}
 
 	next := &Snapshot{
-		tree:   cur.tree,
-		packed: cur.packed, // valid as long as the tree is shared
+		base:   cur.base,
 		points: cur.points,
 		mem:    cur.mem,
 		dead:   cur.dead,
@@ -391,56 +362,15 @@ func (s *Staged) Discard() {
 	s.ix = nil
 }
 
-// rebuildSnapshot folds next's overlay into a fresh base tree in place,
-// clearing the overlay. points gets a fresh backing array with tombstoned
-// ids zeroed to nil, so the retired epoch's array stops growing.
+// rebuildSnapshot folds next's overlay into a freshly built base in place,
+// clearing the overlay. points becomes the new generation's slice, with
+// tombstoned ids nil and nothing shared with the retired epoch's.
 func (ix *Index) rebuildSnapshot(next *Snapshot) error {
-	points := make([]vecmat.Vector, len(next.points))
-	copy(points, next.points)
-	for id := range next.dead {
-		points[id] = nil
+	b, points, _, err := newGeneration(next.points, next.dead, ix.dim, ix.opts)
+	if err != nil {
+		return err
 	}
-
-	var tree *rtree.Tree
-	if ix.rebuild == RebuildIncremental && next.tree.Len() > 0 {
-		tree = next.tree.Clone()
-		for id := range next.dead {
-			// Tombstones for overlay inserts never reached the tree;
-			// DeletePoint reports false for them, which is fine.
-			if p := next.points[id]; p != nil {
-				if _, err := tree.DeletePoint(p, id); err != nil {
-					return err
-				}
-			}
-		}
-		for _, id := range next.mem {
-			if points[id] == nil {
-				continue
-			}
-			if err := tree.InsertPoint(points[id], id); err != nil {
-				return err
-			}
-		}
-	} else {
-		var (
-			livePts []vecmat.Vector
-			liveIDs []int64
-		)
-		for id, p := range points {
-			if p != nil {
-				livePts = append(livePts, p)
-				liveIDs = append(liveIDs, int64(id))
-			}
-		}
-		var err error
-		tree, err = rtree.BulkLoadPoints(livePts, liveIDs, ix.dim, ix.opts...)
-		if err != nil {
-			return err
-		}
-	}
-
-	next.tree = tree
-	next.packed = rtree.Pack(tree)
+	next.base = b
 	next.points = points
 	next.mem = nil
 	next.dead = nil

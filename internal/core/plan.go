@@ -324,7 +324,7 @@ func (p *Plan) filterPhases(ctx context.Context) (*Snapshot, PhaseStats, []int64
 	if err := ctx.Err(); err != nil {
 		return snap, st, nil, nil, err
 	}
-	if p.engine.opts.PointerPhase1 || snap.packed == nil {
+	if p.engine.opts.PointerPhase1 {
 		return p.filterPhasesPointer(snap, st)
 	}
 	return p.filterPhasesFused(snap, st)
@@ -335,13 +335,14 @@ func (p *Plan) filterPhases(ctx context.Context) (*Snapshot, PhaseStats, []int64
 func (p *Plan) filterPhasesPointer(snap *Snapshot, st PhaseStats) (*Snapshot, PhaseStats, []int64, []int64, error) {
 	// ---- Phase 1: index-based search -------------------------------------
 	t0 := time.Now()
-	nodesBefore := snap.tree.NodesRead()
-	candidates, err := snap.SearchRect(p.searchBox)
+	tree := snap.Tree()
+	nodesBefore := tree.NodesRead()
+	candidates, err := snap.searchRect(p.searchBox, true)
 	if err != nil {
 		return snap, st, nil, nil, err
 	}
 	st.Retrieved = len(candidates)
-	st.NodesRead = snap.tree.NodesRead() - nodesBefore
+	st.NodesRead = tree.NodesRead() - nodesBefore
 	st.OverlayScanned = len(snap.mem)
 	st.PhaseDurations[0] = time.Since(t0)
 
@@ -366,7 +367,7 @@ func (p *Plan) filterPhasesFused(snap *Snapshot, st PhaseStats) (*Snapshot, Phas
 	t0 := time.Now()
 	s := p.newPhase2State(&st, snap.dim)
 	var pst rtree.SearchStats
-	err := snap.packed.SearchRect(p.searchBox, func(id int64, pt []float64) bool {
+	err := snap.base.packed.SearchRect(p.searchBox, func(id int64, pt []float64) bool {
 		if _, gone := snap.dead[id]; gone {
 			return true
 		}

@@ -3,30 +3,52 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"gaussrange/internal/geom"
 	"gaussrange/internal/rtree"
 	"gaussrange/internal/vecmat"
 )
 
-// Snapshot is one immutable epoch of the point collection: an R*-tree over
-// the points present when the tree was last built, plus a small overlay of
-// mutations applied since — recently inserted ids (mem) and tombstoned ids
-// (dead). Every search merges the tree answer with the overlay, so a
+// base is one generation of the immutable base structure: the packed R-tree
+// STR-built over the points live at load, restore or the last overlay fold.
+// Every epoch between two folds shares one base. Queries run on the packed
+// arrays alone; the pointer-tree form is a derived view, unpacked on first
+// request (once, for all the epochs sharing the base) for the few consumers
+// that still walk nodes — Snapshot.NearestNeighbors, the
+// Options.PointerPhase1 arm, and Snapshot.Tree's diagnostics.
+type base struct {
+	packed *rtree.Packed
+	once   sync.Once
+	tree   atomic.Pointer[rtree.Tree] // stored by once; atomic so TreeBuilt can look without unpacking
+}
+
+// pointerTree returns the derived pointer tree, unpacking it on first use.
+func (b *base) pointerTree() *rtree.Tree {
+	b.once.Do(func() { b.tree.Store(rtree.Unpack(b.packed)) })
+	return b.tree.Load()
+}
+
+// Snapshot is one immutable epoch of the point collection: a packed R-tree
+// over the points present when the base was last built, plus a small overlay
+// of mutations applied since — recently inserted ids (mem) and tombstoned ids
+// (dead). Every search merges the base answer with the overlay, so a
 // Snapshot is always an exact view of its epoch. Snapshots are never
 // modified after publication; queries pin one with Index.Current and read it
 // without any lock, while the writer builds the next epoch beside it.
 //
 // The points slice is shared structurally across epochs: it is append-only
-// between tree rebuilds (older snapshots hold shorter slice headers over the
-// same backing array and never index past their own length), and a rebuild
-// starts a fresh array. A nil entry marks an id deleted before the last
-// rebuild; ids are never reused.
+// between folds (older snapshots hold shorter slice headers over the same
+// backing array and never index past their own length), and a fold starts a
+// fresh array. A nil entry marks an id deleted before the last fold; ids are
+// never reused. A base's points are windows on its packed leaf block — the
+// one copy a generation keeps; overlay inserts are allocated singly until the
+// next fold moves them into the new base's block.
 type Snapshot struct {
-	tree   *rtree.Tree
-	packed *rtree.Packed   // cache-linear mirror of tree, built when tree is built
-	points []vecmat.Vector // id-indexed; nil = deleted before the base tree was built
-	mem    []int64         // ids inserted after the base tree was built (ascending)
+	base   *base
+	points []vecmat.Vector // id-indexed; nil = deleted before the base was built
+	mem    []int64         // ids inserted after the base was built (ascending)
 	dead   map[int64]struct{}
 	live   int
 	dim    int
@@ -72,16 +94,23 @@ func (s *Snapshot) Point(id int64) (vecmat.Vector, error) {
 // executors iterating ids this snapshot itself produced.
 func (s *Snapshot) point(id int64) vecmat.Vector { return s.points[id] }
 
-// Tree exposes the snapshot's base R*-tree for diagnostics. It does not see
-// the overlay; use the Snapshot search methods for exact answers.
-func (s *Snapshot) Tree() *rtree.Tree { return s.tree }
+// Tree exposes the snapshot's base as a pointer R*-tree for diagnostics and
+// the node-I/O experiments. It is unpacked from the packed base on first
+// request and shared by the epochs that share the base; nothing the query
+// path needs, so a process that never asks never pays for it. It does not
+// see the overlay; use the Snapshot search methods for exact answers.
+func (s *Snapshot) Tree() *rtree.Tree { return s.base.pointerTree() }
 
-// Packed exposes the cache-linear mirror of the base tree. The base tree is
-// never mutated after the snapshot is built (mutations land in the overlay
-// and the tree is only replaced wholesale at fold time), so the mirror is
-// valid for the snapshot's entire lifetime and shared across epochs that
-// share the tree.
-func (s *Snapshot) Packed() *rtree.Packed { return s.packed }
+// TreeBuilt reports whether anything has asked this snapshot's base for its
+// pointer tree yet — build-cost accounting: false means the process is
+// serving from the packed arrays alone.
+func (s *Snapshot) TreeBuilt() bool { return s.base.tree.Load() != nil }
+
+// Packed exposes the packed base. It is never mutated (mutations land in the
+// overlay and the base is only replaced wholesale at fold time), so it is
+// valid for the snapshot's entire lifetime and shared across the epochs
+// between two folds.
+func (s *Snapshot) Packed() *rtree.Packed { return s.base.packed }
 
 // OverlaySize reports the overlay's pending inserts and tombstones — the
 // extra per-query work this epoch pays until the next rebuild.
@@ -90,9 +119,24 @@ func (s *Snapshot) OverlaySize() (inserted, deleted int) {
 }
 
 // SearchRect returns the identifiers of live points inside the rectangle:
-// the base-tree answer minus tombstones, plus matching overlay inserts.
+// the packed base's answer minus tombstones, plus matching overlay inserts.
 func (s *Snapshot) SearchRect(r geom.Rect) ([]int64, error) {
-	ids, err := s.tree.CollectRect(r)
+	return s.searchRect(r, false)
+}
+
+// searchRect is SearchRect with the base half run on the packed arrays or,
+// for the Options.PointerPhase1 arm, on the derived pointer tree; both
+// return the same ids in the same order.
+func (s *Snapshot) searchRect(r geom.Rect, pointer bool) ([]int64, error) {
+	var (
+		ids []int64
+		err error
+	)
+	if pointer {
+		ids, err = s.Tree().CollectRect(r)
+	} else {
+		ids, err = s.base.packed.CollectRect(r, nil)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +164,7 @@ func (s *Snapshot) SearchRect(r geom.Rect) ([]int64, error) {
 // radius of center. Returning false stops the search early.
 func (s *Snapshot) SearchSphere(center vecmat.Vector, radius float64, fn func(id int64) bool) error {
 	stopped := false
-	err := s.tree.SearchSphere(center, radius, func(_ geom.Rect, id int64) bool {
+	err := s.base.packed.SearchSphere(center, radius, func(id int64, _ []float64) bool {
 		if _, gone := s.dead[id]; gone {
 			return true
 		}
@@ -129,7 +173,7 @@ func (s *Snapshot) SearchSphere(center vecmat.Vector, radius float64, fn func(id
 			return false
 		}
 		return true
-	})
+	}, nil)
 	if err != nil || stopped {
 		return err
 	}
@@ -155,7 +199,7 @@ func (s *Snapshot) NearestNeighbors(p vecmat.Vector, k int) ([]rtree.Neighbor, e
 		return nil, fmt.Errorf("core: k must be positive, got %d", k)
 	}
 	fetch := k + len(s.dead)
-	base, err := s.tree.NearestNeighbors(p, fetch)
+	base, err := s.Tree().NearestNeighbors(p, fetch)
 	if err != nil {
 		return nil, err
 	}

@@ -199,93 +199,83 @@ func TestNearestNeighborsWithTombstones(t *testing.T) {
 }
 
 // TestRebuildThresholdCrossing pushes the overlay past the rebuild threshold
-// under both strategies and checks that the fold is invisible: overlay
-// drained, answers unchanged, and snapshots pinned before the rebuild keep
-// their exact pre-rebuild view.
+// and checks that the fold is invisible: overlay drained, answers unchanged,
+// and snapshots pinned before the rebuild keep their exact pre-rebuild view.
 func TestRebuildThresholdCrossing(t *testing.T) {
-	for _, strat := range []RebuildStrategy{RebuildSTR, RebuildIncremental} {
-		name := "str"
-		if strat == RebuildIncremental {
-			name = "incremental"
+	rng := rand.New(rand.NewSource(5))
+	var pts []vecmat.Vector
+	for i := 0; i < 100; i++ {
+		pts = append(pts, vecmat.Vector{rng.Float64() * 100, rng.Float64() * 100})
+	}
+	ix, err := NewIndex(pts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := model{}
+	for i, p := range pts {
+		m[int64(i)] = p
+	}
+
+	pinned := ix.Current()
+	pinnedLen := pinned.Len()
+
+	// threshold = max(128, live/4); at ~100 live it is 128, so 200
+	// replaces (400 overlay entries) force at least one rebuild.
+	rebuilds := 0
+	for i := 0; i < 200; i++ {
+		p := vecmat.Vector{rng.Float64() * 100, rng.Float64() * 100}
+		victim := int64(-1)
+		for id := range m {
+			victim = id
+			break
 		}
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(5))
-			var pts []vecmat.Vector
-			for i := 0; i < 100; i++ {
-				pts = append(pts, vecmat.Vector{rng.Float64() * 100, rng.Float64() * 100})
-			}
-			ix, err := NewIndex(pts, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ix.SetRebuildStrategy(strat)
-			m := model{}
-			for i, p := range pts {
-				m[int64(i)] = p
-			}
+		ids, deleted, _, err := ix.Apply([]vecmat.Vector{p}, []int64{victim})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !deleted[0] {
+			t.Fatalf("replace %d: victim %d not deleted", i, victim)
+		}
+		delete(m, victim)
+		m[ids[0]] = p
+		if ins, dels := ix.Current().OverlaySize(); ins == 0 && dels == 0 {
+			rebuilds++
+		}
+	}
+	if rebuilds == 0 {
+		t.Fatal("no rebuild observed after 200 replaces (threshold 128)")
+	}
 
-			pinned := ix.Current()
-			pinnedLen := pinned.Len()
+	// Current epoch answers match the oracle.
+	whole, _ := geom.NewRect(vecmat.Vector{-1, -1}, vecmat.Vector{101, 101})
+	got, err := ix.Current().SearchRect(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(m) {
+		t.Fatalf("after churn: %d live ids, oracle %d", len(got), len(m))
+	}
+	for _, id := range got {
+		if _, ok := m[id]; !ok {
+			t.Fatalf("after churn: id %d not in oracle", id)
+		}
+	}
 
-			// threshold = max(128, live/4); at ~100 live it is 128, so 200
-			// replaces (400 overlay entries) force at least one rebuild.
-			rebuilds := 0
-			for i := 0; i < 200; i++ {
-				p := vecmat.Vector{rng.Float64() * 100, rng.Float64() * 100}
-				victim := int64(-1)
-				for id := range m {
-					victim = id
-					break
-				}
-				ids, deleted, _, err := ix.Apply([]vecmat.Vector{p}, []int64{victim})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !deleted[0] {
-					t.Fatalf("replace %d: victim %d not deleted", i, victim)
-				}
-				delete(m, victim)
-				m[ids[0]] = p
-				if ins, dels := ix.Current().OverlaySize(); ins == 0 && dels == 0 {
-					rebuilds++
-				}
-			}
-			if rebuilds == 0 {
-				t.Fatal("no rebuild observed after 200 replaces (threshold 128)")
-			}
-
-			// Current epoch answers match the oracle.
-			whole, _ := geom.NewRect(vecmat.Vector{-1, -1}, vecmat.Vector{101, 101})
-			got, err := ix.Current().SearchRect(whole)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(m) {
-				t.Fatalf("after churn: %d live ids, oracle %d", len(got), len(m))
-			}
-			for _, id := range got {
-				if _, ok := m[id]; !ok {
-					t.Fatalf("after churn: id %d not in oracle", id)
-				}
-			}
-
-			// The pre-churn snapshot still sees exactly its own epoch.
-			if pinned.Len() != pinnedLen {
-				t.Fatalf("pinned snapshot Len changed: %d -> %d", pinnedLen, pinned.Len())
-			}
-			old, err := pinned.SearchRect(whole)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(old) != 100 {
-				t.Fatalf("pinned snapshot sees %d points, want the original 100", len(old))
-			}
-			for _, id := range old {
-				if id >= 100 {
-					t.Fatalf("pinned snapshot sees id %d inserted after the pin", id)
-				}
-			}
-		})
+	// The pre-churn snapshot still sees exactly its own epoch.
+	if pinned.Len() != pinnedLen {
+		t.Fatalf("pinned snapshot Len changed: %d -> %d", pinnedLen, pinned.Len())
+	}
+	old, err := pinned.SearchRect(whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(old) != 100 {
+		t.Fatalf("pinned snapshot sees %d points, want the original 100", len(old))
+	}
+	for _, id := range old {
+		if id >= 100 {
+			t.Fatalf("pinned snapshot sees id %d inserted after the pin", id)
+		}
 	}
 }
 

@@ -3,20 +3,68 @@ package rtree
 import (
 	"fmt"
 	"math"
+	"slices"
 
-	"gaussrange/internal/geom"
 	"gaussrange/internal/vecmat"
 )
 
-// BulkLoadPoints builds a tree from points using Sort-Tile-Recursive (STR)
-// packing: near-100 % leaf fill and strongly square leaf regions, which is
-// the standard way to materialize a static dataset like the experiments'
-// TIGER point set before issuing queries.
-func BulkLoadPoints(points []vecmat.Vector, ids []int64, dim int, opts ...Option) (*Tree, error) {
+// BuildPacked builds the packed index of a static point set with
+// Sort-Tile-Recursive (STR) packing: near-100 % leaf fill and strongly
+// square leaf regions, the standard way to materialize a dataset like the
+// experiments' TIGER point set before issuing queries. The build works on
+// flat coordinates and an int32 permutation and fills the level-order arrays
+// directly — no pointer tree is made; Unpack derives one for the callers
+// that still want it. The points are copied, not retained.
+func BuildPacked(points []vecmat.Vector, ids []int64, dim int, opts ...Option) (*Packed, error) {
 	if len(points) != len(ids) {
 		return nil, fmt.Errorf("rtree: %d points but %d ids", len(points), len(ids))
 	}
-	entries := make([]Entry, len(points))
+	coords, err := flattenPoints(points, dim)
+	if err != nil {
+		return nil, err
+	}
+	maxFill, minFill, err := nodeFill(dim, opts)
+	if err != nil {
+		return nil, err
+	}
+	return buildPacked(coords, coords, ids, dim, maxFill, minFill), nil
+}
+
+// BulkLoadPoints is Unpack(BuildPacked(...)): the STR-packed pointer tree.
+func BulkLoadPoints(points []vecmat.Vector, ids []int64, dim int, opts ...Option) (*Tree, error) {
+	p, err := BuildPacked(points, ids, dim, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return Unpack(p), nil
+}
+
+// BulkLoad builds a tree from arbitrary entries with STR packing. Entries
+// whose center (Lo+Hi)/2 is NaN on some axis sort in an unspecified order.
+func BulkLoad(entries []Entry, dim int, opts ...Option) (*Tree, error) {
+	maxFill, minFill, err := nodeFill(dim, opts)
+	if err != nil {
+		return nil, err
+	}
+	lo := make([]float64, len(entries)*dim)
+	hi := make([]float64, len(entries)*dim)
+	ids := make([]int64, len(entries))
+	for i := range entries {
+		r := entries[i].Rect
+		if r.Dim() != dim {
+			return nil, fmt.Errorf("%w: rect dim %d vs tree dim %d", ErrDimension, r.Dim(), dim)
+		}
+		copy(lo[i*dim:], r.Lo)
+		copy(hi[i*dim:], r.Hi)
+		ids[i] = entries[i].ID
+	}
+	return Unpack(buildPacked(lo, hi, ids, dim, maxFill, minFill)), nil
+}
+
+// flattenPoints validates the points and copies them into one row-major
+// coordinate block: point i occupies [i·dim, (i+1)·dim).
+func flattenPoints(points []vecmat.Vector, dim int) ([]float64, error) {
+	coords := make([]float64, 0, len(points)*max(dim, 0))
 	for i, p := range points {
 		if p.Dim() != dim {
 			return nil, fmt.Errorf("%w: point %d has dim %d, want %d", ErrDimension, i, p.Dim(), dim)
@@ -24,104 +72,183 @@ func BulkLoadPoints(points []vecmat.Vector, ids []int64, dim int, opts ...Option
 		if !p.IsFinite() {
 			return nil, fmt.Errorf("rtree: non-finite point %d: %v", i, p)
 		}
-		entries[i] = Entry{Rect: geom.PointRect(p), ID: ids[i]}
+		coords = append(coords, p...)
 	}
-	return BulkLoad(entries, dim, opts...)
+	return coords, nil
 }
 
-// BulkLoad builds a tree from arbitrary entries with STR packing.
-func BulkLoad(entries []Entry, dim int, opts ...Option) (*Tree, error) {
-	t, err := New(dim, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if len(entries) == 0 {
-		return t, nil
-	}
-	for i := range entries {
-		if err := t.checkRect(entries[i].Rect); err != nil {
-			return nil, err
-		}
-	}
-	es := append([]Entry(nil), entries...)
-	level := 0
-	for len(es) > t.maxFill {
-		nodes := t.strPack(es, level)
-		es = es[:0]
-		for _, n := range nodes {
-			es = append(es, Entry{Rect: n.mbr(), child: n})
-		}
-		level++
-	}
-	t.root = &node{level: level, entries: es}
-	for i := range es {
-		if es[i].child != nil {
-			es[i].child.parent = t.root
-		}
-	}
-	t.height = level + 1
-	t.size = len(entries)
-	return t, nil
+// strKey is what STR actually sorts: an entry's center on the sort axis, the
+// entry's position before the sort, and its index. Ordering by (center, pos)
+// with an unstable sort reproduces a stable sort by center — STR needs that,
+// because slicing on axis a+1 must keep ties in their axis-a order — while
+// moving 16 pointer-free bytes per swap instead of a whole Entry.
+type strKey struct {
+	center   float64
+	pos, idx int32
 }
 
-// strPack groups entries into nodes of the given level using recursive
-// sort-tile slicing across the dimensions. Chunks are distributed evenly so
-// that every produced node holds at least ⌊(M+1)/2⌋ ≥ m entries — STR's
-// naive "last chunk gets the remainder" rule would violate the minimum-fill
-// invariant.
-func (t *Tree) strPack(es []Entry, level int) []*node {
-	groups := [][]Entry{es}
-	// Slice dimension by dimension; along axis a the number of slabs follows
-	// the ⌈(node count)^(1/(d−a))⌉ STR rule.
-	for axis := 0; axis < t.dim-1; axis++ {
-		remainingDims := t.dim - axis
-		var next [][]Entry
-		for _, g := range groups {
-			gNodes := (len(g) + t.maxFill - 1) / t.maxFill
-			slabs := int(math.Ceil(math.Pow(float64(gNodes), 1/float64(remainingDims))))
-			if slabs < 1 {
-				slabs = 1
-			}
-			if slabs > len(g) {
-				slabs = len(g)
-			}
-			sortEntriesByAxis(g, axis)
-			next = append(next, evenChunks(g, slabs)...)
-		}
-		groups = next
+// sortByCenter stably reorders the entry indices in perm by the entries'
+// centers (lo+hi)/2 on axis. keys is scratch of at least len(perm).
+func sortByCenter(perm []int32, keys []strKey, lo, hi []float64, dim, axis int) {
+	keys = keys[:len(perm)]
+	for k, i := range perm {
+		o := int(i)*dim + axis
+		keys[k] = strKey{center: (lo[o] + hi[o]) / 2, pos: int32(k), idx: i}
 	}
-	var nodes []*node
-	for _, g := range groups {
-		sortEntriesByAxis(g, t.dim-1)
-		chunkCount := (len(g) + t.maxFill - 1) / t.maxFill
-		for _, chunk := range evenChunks(g, chunkCount) {
-			n := &node{level: level, entries: append([]Entry(nil), chunk...)}
-			for i := range n.entries {
-				if n.entries[i].child != nil {
-					n.entries[i].child.parent = n
+	slices.SortFunc(keys, func(a, b strKey) int {
+		switch {
+		case a.center < b.center:
+			return -1
+		case a.center > b.center:
+			return 1
+		}
+		return int(a.pos) - int(b.pos)
+	})
+	for k := range keys {
+		perm[k] = keys[k].idx
+	}
+}
+
+func identityPerm(n int) []int32 {
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	return perm
+}
+
+// strLevel is one level of the tree under construction: the bounds of its
+// entries (the data rectangles at level 0, the MBRs of the nodes one level
+// down above that), the order STR put them in, and where that order is cut
+// into nodes.
+type strLevel struct {
+	lo, hi []float64 // entry i's bounds at [i·dim, (i+1)·dim)
+	perm   []int32   // entry indices in packed order
+	starts []int32   // node j holds perm[starts[j]:starts[j+1]]
+}
+
+// strBuilder carries what the recursive slicing of one level shares.
+type strBuilder struct {
+	strLevel
+	dim, maxFill int
+	keys         []strKey
+}
+
+// tile groups perm — the level's entries from position off on — into nodes
+// by sort-tile slicing: sorted on axis, it is cut into
+// ⌈(node count)^(1/(d−axis))⌉ slabs that recurse on the next axis, and the
+// last axis cuts each slab into nodes. Cuts are even (sizes differ by at most
+// one): STR's naive "last chunk gets the remainder" rule would violate the
+// minimum fill, while even chunks of more than M entries hold at least
+// ⌊(M+1)/2⌋ ≥ m each.
+func (b *strBuilder) tile(perm []int32, off int32, axis int) {
+	last := axis == b.dim-1
+	k := (len(perm) + b.maxFill - 1) / b.maxFill
+	if !last {
+		k = min(max(int(math.Ceil(math.Pow(float64(k), 1/float64(b.dim-axis)))), 1), len(perm))
+	}
+	sortByCenter(perm, b.keys, b.lo, b.hi, b.dim, axis)
+	s := 0
+	for i := 0; i < k; i++ {
+		e := s + (len(perm)-s)/(k-i)
+		if e == s {
+			continue
+		}
+		if last {
+			b.starts = append(b.starts, off+int32(e))
+		} else {
+			b.tile(perm[s:e], off+int32(s), axis+1)
+		}
+		s = e
+	}
+}
+
+// nodeBounds returns the MBR of every node of the level, folding entries in
+// node order with the comparisons geom.Rect.UnionInPlace makes.
+func (lv *strLevel) nodeBounds(dim int) (lo, hi []float64) {
+	nodes := len(lv.starts) - 1
+	both := make([]float64, 2*nodes*dim)
+	lo, hi = both[:nodes*dim:nodes*dim], both[nodes*dim:]
+	for j := 0; j < nodes; j++ {
+		ents := lv.perm[lv.starts[j]:lv.starts[j+1]]
+		nlo, nhi := lo[j*dim:(j+1)*dim], hi[j*dim:(j+1)*dim]
+		first := int(ents[0]) * dim
+		copy(nlo, lv.lo[first:first+dim])
+		copy(nhi, lv.hi[first:first+dim])
+		for _, i := range ents[1:] {
+			o := int(i) * dim
+			for a := 0; a < dim; a++ {
+				if v := lv.lo[o+a]; v < nlo[a] {
+					nlo[a] = v
+				}
+				if v := lv.hi[o+a]; v > nhi[a] {
+					nhi[a] = v
 				}
 			}
-			nodes = append(nodes, n)
 		}
 	}
-	return nodes
+	return lo, hi
 }
 
-// evenChunks splits s into k contiguous chunks whose sizes differ by at most
-// one.
-func evenChunks(s []Entry, k int) [][]Entry {
-	if k <= 1 {
-		return [][]Entry{s}
+// buildPacked STR-packs the entries (lo, hi: flat bounds, aliased for point
+// data) level by level, then emits the levels top-down in level order. The
+// result equals Pack of the pointer tree the same STR would have built,
+// field for field: same node order, same entry order within nodes, same
+// bounds bits.
+func buildPacked(lo, hi []float64, ids []int64, dim, maxFill, minFill int) *Packed {
+	b := strBuilder{dim: dim, maxFill: maxFill}
+	if len(ids) > maxFill {
+		b.keys = make([]strKey, len(ids))
 	}
-	out := make([][]Entry, 0, k)
-	n := len(s)
-	start := 0
-	for i := 0; i < k; i++ {
-		end := start + (n-start)/(k-i)
-		if end > start {
-			out = append(out, s[start:end])
+	levels := make([]strLevel, 0, 8)
+	count := len(ids)
+	for count > maxFill {
+		b.strLevel = strLevel{lo: lo, hi: hi, perm: identityPerm(count), starts: make([]int32, 1, 2*count/maxFill+1)}
+		b.tile(b.perm, 0, 0)
+		levels = append(levels, b.strLevel)
+		lo, hi = b.nodeBounds(dim)
+		count = len(b.starts) - 1
+	}
+	// The root keeps what is left in the order it was produced.
+	levels = append(levels, strLevel{lo: lo, hi: hi, perm: identityPerm(count), starts: []int32{0, int32(count)}})
+
+	nodes, total := 0, 0
+	for _, lv := range levels {
+		nodes += len(lv.starts) - 1
+		total += len(lv.perm)
+	}
+	p := newPacked(dim, nodes, total, len(ids))
+	p.height = len(levels)
+	p.maxFill, p.minFill = maxFill, minFill
+	p.firstLeaf = int32(nodes - (len(levels[0].starts) - 1))
+
+	// A level's nodes in level order are the entries of the level above,
+	// read node by node — so each pass both emits its level and yields the
+	// next one's order. The root level has the one node.
+	order := []int32{0}
+	for l := len(levels) - 1; l >= 0; l-- {
+		lv, leaf := &levels[l], l == 0
+		var below []int32
+		if !leaf {
+			below = make([]int32, 0, len(lv.perm))
 		}
-		start = end
+		for _, j := range order {
+			ents := lv.perm[lv.starts[j]:lv.starts[j+1]]
+			p.openNode(len(ents))
+			for _, i := range ents {
+				var id int64
+				if leaf {
+					id = ids[i]
+				}
+				o := int(i) * dim
+				p.putEntry(lv.lo[o:o+dim], lv.hi[o:o+dim], leaf, id)
+			}
+			if !leaf {
+				below = append(below, ents...)
+			}
+		}
+		order = below
 	}
-	return out
+	p.seal()
+	return p
 }

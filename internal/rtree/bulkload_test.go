@@ -1,0 +1,237 @@
+package rtree
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"gaussrange/internal/data"
+	"gaussrange/internal/geom"
+	"gaussrange/internal/vecmat"
+)
+
+func seqIDs(n int) []int64 {
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(i) * 3 // not the input position, so a swapped id shows
+	}
+	return ids
+}
+
+// checkBuildMatchesReference holds BuildPacked to the old pipeline — STR
+// pointer tree by reflective stable sort, then Pack — field for field, and
+// checks that Unpack inverts Pack on the result.
+func checkBuildMatchesReference(t *testing.T, pts []vecmat.Vector, dim int, opts ...Option) {
+	t.Helper()
+	ids := seqIDs(len(pts))
+	ref, err := referenceBulkLoadPoints(pts, ids, dim, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Pack(ref)
+	got, err := BuildPacked(pts, ids, dim, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("d=%d n=%d: BuildPacked differs from Pack(referenceBulkLoad):\n got %s\nwant %s",
+			dim, len(pts), describePacked(got), describePacked(want))
+	}
+	// EachPoint hands every id out once, with the coordinates it came in with.
+	byID := make(map[int64]vecmat.Vector, len(pts))
+	got.EachPoint(func(id int64, pt []float64) { byID[id] = pt })
+	for i, p := range pts {
+		if !reflect.DeepEqual(byID[ids[i]], p) {
+			t.Fatalf("d=%d n=%d: EachPoint gave id %d = %v, want %v", dim, len(pts), ids[i], byID[ids[i]], p)
+		}
+	}
+	if len(byID) != len(pts) {
+		t.Fatalf("d=%d n=%d: EachPoint visited %d ids", dim, len(pts), len(byID))
+	}
+	tr := Unpack(got)
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatalf("d=%d n=%d: unpacked tree: %v", dim, len(pts), err)
+	}
+	if tr.Len() != len(pts) || tr.Height() != ref.Height() || tr.MaxFill() != ref.MaxFill() || tr.MinFill() != ref.MinFill() {
+		t.Fatalf("d=%d n=%d: unpacked tree shape (%d, h=%d, M=%d, m=%d) vs reference (%d, h=%d, M=%d, m=%d)", dim, len(pts),
+			tr.Len(), tr.Height(), tr.MaxFill(), tr.MinFill(), ref.Len(), ref.Height(), ref.MaxFill(), ref.MinFill())
+	}
+	if back := Pack(tr); !reflect.DeepEqual(back, got) {
+		t.Fatalf("d=%d n=%d: Pack(Unpack(p)) != p", dim, len(pts))
+	}
+}
+
+// describePacked summarizes the scalar fields and the first few array
+// values, enough to see which part of the layout diverged.
+func describePacked(p *Packed) string {
+	head := func(n int) int { return min(n, 12) }
+	return fmt.Sprintf("size=%d height=%d nodes=%d firstLeaf=%d leafBase=%d maxSpan=%d fill=%d/%d errs=%v start=%v ids=%v",
+		p.size, p.height, p.NumNodes(), p.firstLeaf, p.leafBase, p.maxSpan, p.minFill, p.maxFill, p.errs,
+		p.start[:head(len(p.start))], p.ids[:head(len(p.ids))])
+}
+
+func TestBuildPackedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, dim := range []int{1, 2, 3, 9} {
+		tr, err := New(dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		M := tr.MaxFill()
+		for _, n := range []int{0, 1, M, M + 1, M*M + 1} {
+			checkBuildMatchesReference(t, packedRandPoints(rng, n, dim), dim)
+		}
+		// Duplicates: a handful of distinct values per axis, so nearly every
+		// comparison is a tie and only the stable order separates entries.
+		dup := make([]vecmat.Vector, 5*M*M)
+		for i := range dup {
+			p := make(vecmat.Vector, dim)
+			for a := range p {
+				p[a] = float64(rng.Intn(3))
+			}
+			dup[i] = p
+		}
+		checkBuildMatchesReference(t, dup, dim)
+		// Collinear: every point on one diagonal, in shuffled order.
+		line := make([]vecmat.Vector, 3*M*M)
+		for i, k := range rng.Perm(len(line)) {
+			p := make(vecmat.Vector, dim)
+			for a := range p {
+				p[a] = float64(k/2) * 0.1 // each position twice
+			}
+			line[i] = p
+		}
+		checkBuildMatchesReference(t, line, dim)
+		// Non-default page size: a different fan-out at every level.
+		checkBuildMatchesReference(t, packedRandPoints(rng, 2000, dim), dim, WithPageSize(256))
+		checkBuildMatchesReference(t, packedRandPoints(rng, 3000, dim), dim, WithPageSize(4096))
+	}
+	// The paper's dataset at the paper's page size.
+	roads := data.LongBeach(1)
+	if len(roads) != 50747 {
+		t.Fatalf("LongBeach has %d points, want 50747", len(roads))
+	}
+	checkBuildMatchesReference(t, roads, 2)
+}
+
+// TestBulkLoadRectsMatchesReference covers the Entry form: proper rectangles
+// rather than points, so centers differ from corners and pointData is false.
+func TestBulkLoadRectsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, dim := range []int{1, 2, 3} {
+		entries := make([]Entry, 1500)
+		for i := range entries {
+			lo, hi := make(vecmat.Vector, dim), make(vecmat.Vector, dim)
+			for a := 0; a < dim; a++ {
+				lo[a] = float64(rng.Intn(40))
+				hi[a] = lo[a] + float64(rng.Intn(4))
+			}
+			entries[i] = Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, ID: int64(i)}
+		}
+		ref, err := referenceBulkLoad(entries, dim, WithPageSize(256))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := BulkLoad(entries, dim, WithPageSize(256))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := got.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		gp, rp := Pack(got), Pack(ref)
+		if gp.PointData() {
+			t.Fatalf("d=%d: rectangles reported as point data", dim)
+		}
+		if !reflect.DeepEqual(gp, rp) {
+			t.Fatalf("d=%d: BulkLoad differs from the reference", dim)
+		}
+	}
+}
+
+func TestBuildPackedRejectsBadInput(t *testing.T) {
+	ok := []vecmat.Vector{{1, 2}, {3, 4}}
+	if _, err := BuildPacked(ok, []int64{0}, 2); err == nil {
+		t.Error("id count mismatch accepted")
+	}
+	if _, err := BuildPacked([]vecmat.Vector{{1, 2}, {3}}, []int64{0, 1}, 2); err == nil {
+		t.Error("dimension mismatch accepted")
+	}
+	if _, err := BuildPacked([]vecmat.Vector{{1, math.NaN()}}, []int64{0}, 2); err == nil {
+		t.Error("NaN coordinate accepted")
+	}
+	if _, err := BuildPacked(nil, nil, 0); err == nil {
+		t.Error("dimension 0 accepted")
+	}
+	if _, err := BuildPacked(ok, []int64{0, 1}, 2, WithPageSize(8)); err == nil {
+		t.Error("page size 8 accepted")
+	}
+}
+
+// TestPartitionSTRMatchesReference: the typed key sort must cut the same
+// tiles at the same planes as the Entry-based slicing it replaced, ties
+// included.
+func TestPartitionSTRMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, dim := range []int{1, 2, 3} {
+		for _, k := range []int{1, 2, 3, 7, 16} {
+			for _, distinct := range []int{5, 1 << 30} {
+				pts := make([]vecmat.Vector, 700)
+				for i := range pts {
+					p := make(vecmat.Vector, dim)
+					for a := range p {
+						p[a] = float64(rng.Intn(distinct)) / 8
+					}
+					pts[i] = p
+				}
+				got, err := PartitionSTR(pts, dim, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := referencePartitionSTR(pts, dim, k); !reflect.DeepEqual(got, want) {
+					t.Fatalf("d=%d k=%d distinct=%d: tiles differ from the reference", dim, k, distinct)
+				}
+			}
+		}
+	}
+}
+
+// FuzzPackedBuild decodes a dimension, a page size and a point set with many
+// forced ties from the input and holds BuildPacked to the reference pipeline.
+func FuzzPackedBuild(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	f.Add([]byte{1, 1, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7})
+	f.Add([]byte{3, 2})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 2 {
+			return
+		}
+		dims := []int{1, 2, 3, 9}
+		pages := []int{128, 256, 1024}
+		dim, page := dims[int(in[0])%len(dims)], pages[int(in[1])%len(pages)]
+		in = in[2:]
+		if len(in) > 4096 {
+			in = in[:4096]
+		}
+		// One byte per point: the low nibble is every even axis, the high
+		// nibble every odd one — 16 values per axis, so ties dominate; each
+		// point is stored in×3 times over to reach a few levels.
+		var pts []vecmat.Vector
+		for rep := 0; rep < 3; rep++ {
+			for _, b := range in {
+				p := make(vecmat.Vector, dim)
+				for a := range p {
+					if a%2 == 0 {
+						p[a] = float64(b&15) + float64(rep)/4
+					} else {
+						p[a] = float64(b>>4) * 1e5
+					}
+				}
+				pts = append(pts, p)
+			}
+		}
+		checkBuildMatchesReference(t, pts, dim, WithPageSize(page))
+	})
+}

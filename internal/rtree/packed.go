@@ -1,12 +1,19 @@
 package rtree
 
-import "math"
+import (
+	"math"
+	"slices"
 
-// Packed is an immutable, cache-linear mirror of a Tree, built once per base
-// snapshot at STR-load/overlay-fold time. The pointer tree stores one heap
-// node per page with a slice of entries; Packed stores every node's bounds in
-// level-order contiguous structure-of-arrays form, so a search walks flat
-// arrays instead of chasing pointers:
+	"gaussrange/internal/geom"
+)
+
+// Packed is the immutable, cache-linear form of an R-tree and the structure
+// every base snapshot serves from: BuildPacked STR-builds it directly at
+// load, restore and overlay-fold time, and Pack derives it from a pointer
+// tree. Where the pointer tree stores one heap node per page with a slice of
+// entries, Packed stores every node's bounds in level-order contiguous
+// structure-of-arrays form, so a search walks flat arrays instead of chasing
+// pointers:
 //
 //   - per-axis Lo/Hi float64 bounds for every entry, plus a round-to-nearest
 //     float32 mirror of both and a per-axis worst-case rounding error — the
@@ -29,6 +36,8 @@ type Packed struct {
 	firstLeaf int32 // node index of the first leaf; all nodes ≥ it are leaves
 	leafBase  int32 // entry index of the first leaf entry
 	maxSpan   int   // widest node entry span (classification buffer size)
+	maxFill   int   // node capacity M and minimum fill m the index was built
+	minFill   int   // for; Unpack hands them to the pointer tree
 
 	// start[i] .. start[i+1] is node i's entry span; len(start) = nodes+1.
 	start []int32
@@ -53,17 +62,87 @@ type Packed struct {
 	pointData bool
 }
 
-// Pack builds the packed mirror of t. The tree must not mutate concurrently;
-// snapshots call this once on a freshly built base tree.
-func Pack(t *Tree) *Packed {
-	dim := t.dim
+// newPacked allocates the arrays of a packed index with the given node,
+// entry and leaf-entry counts; the caller fills them in level order with
+// openNode and putEntry, then seals it.
+func newPacked(dim, nodes, total, leafTotal int) *Packed {
+	p := &Packed{dim: dim, size: leafTotal, pointData: true}
+	p.start = make([]int32, 0, nodes+1)
+	// One block per element type, carved into the per-axis arrays.
+	axes64, axes32 := make([][]float64, 2*dim), make([][]float32, 2*dim)
+	p.lo, p.hi = axes64[:dim:dim], axes64[dim:]
+	p.lo32, p.hi32 = axes32[:dim:dim], axes32[dim:]
+	f64 := make([]float64, 2*dim*total)
+	f32 := make([]float32, 2*dim*total)
+	for a := 0; a < dim; a++ {
+		p.lo[a], f64 = f64[:total:total], f64[total:]
+		p.hi[a], f64 = f64[:total:total], f64[total:]
+		p.lo32[a], f32 = f32[:total:total], f32[total:]
+		p.hi32[a], f32 = f32[:total:total], f32[total:]
+	}
+	p.errs = make([]float64, dim)
+	p.child = make([]int32, 0, total-leafTotal)
+	p.ids = make([]int64, 0, leafTotal)
+	p.pts = make([]float64, 0, leafTotal*dim)
+	return p
+}
 
+// openNode starts the next node in level order, span entries wide.
+func (p *Packed) openNode(span int) {
+	p.start = append(p.start, int32(len(p.child)+len(p.ids)))
+	p.maxSpan = max(p.maxSpan, span)
+}
+
+// putEntry appends one entry to the open node: its bounds with their float32
+// mirrors (widening the per-axis rounding-error bounds to cover them), and
+// either its id and Lo corner (leaf) or its child index. Level order
+// enumerates children in exactly the order parents enumerate their entries,
+// and internal entries occupy the array prefix, so child indices are simply
+// sequential from 1.
+func (p *Packed) putEntry(lo, hi []float64, leaf bool, id int64) {
+	e := len(p.child) + len(p.ids)
+	for a := 0; a < p.dim; a++ {
+		l, h := lo[a], hi[a]
+		p.lo[a][e], p.hi[a][e] = l, h
+		l32, h32 := float32(l), float32(h)
+		p.lo32[a][e], p.hi32[a][e] = l32, h32
+		if d := math.Abs(float64(l32) - l); d > p.errs[a] {
+			p.errs[a] = d
+		}
+		if d := math.Abs(float64(h32) - h); d > p.errs[a] {
+			p.errs[a] = d
+		}
+	}
+	if !leaf {
+		p.child = append(p.child, int32(len(p.child)+1))
+		return
+	}
+	p.ids = append(p.ids, id)
+	p.pts = append(p.pts, lo...)
+	p.pointData = p.pointData && slices.Equal(lo, hi)
+}
+
+// seal closes the last node.
+func (p *Packed) seal() {
+	p.start = append(p.start, int32(len(p.child)+len(p.ids)))
+	p.leafBase = p.start[p.firstLeaf]
+}
+
+// Pack builds the packed form of a pointer tree — the inverse of Unpack, and
+// the way a tree shaped by R* insertion and deletion (rather than built by
+// BuildPacked) gets one. The tree must not mutate concurrently.
+func Pack(t *Tree) *Packed {
 	// Level-order (BFS) node enumeration. The tree is height-balanced, so BFS
 	// order groups nodes by level and all leaves form a contiguous tail.
 	nodes := []*node{t.root}
+	total, firstLeaf := 0, -1
 	for i := 0; i < len(nodes); i++ {
 		n := nodes[i]
+		total += len(n.entries)
 		if n.isLeaf() {
+			if firstLeaf < 0 {
+				firstLeaf = i
+			}
 			continue
 		}
 		for j := range n.entries {
@@ -71,80 +150,52 @@ func Pack(t *Tree) *Packed {
 		}
 	}
 
-	p := &Packed{dim: dim, size: t.size, height: t.height, firstLeaf: int32(len(nodes)), pointData: true}
-	total, leafTotal := 0, 0
-	for i, n := range nodes {
-		if n.isLeaf() && int32(i) < p.firstLeaf {
-			p.firstLeaf = int32(i)
-		}
-		total += len(n.entries)
-		if n.isLeaf() {
-			leafTotal += len(n.entries)
-		}
-		if len(n.entries) > p.maxSpan {
-			p.maxSpan = len(n.entries)
-		}
-	}
-
-	p.start = make([]int32, len(nodes)+1)
-	p.lo = make([][]float64, dim)
-	p.hi = make([][]float64, dim)
-	p.lo32 = make([][]float32, dim)
-	p.hi32 = make([][]float32, dim)
-	for a := 0; a < dim; a++ {
-		p.lo[a] = make([]float64, total)
-		p.hi[a] = make([]float64, total)
-		p.lo32[a] = make([]float32, total)
-		p.hi32[a] = make([]float32, total)
-	}
-	p.errs = make([]float64, dim)
-	p.child = make([]int32, 0, total-leafTotal)
-	p.ids = make([]int64, 0, leafTotal)
-	p.pts = make([]float64, 0, leafTotal*dim)
-
-	// Children were appended to the BFS queue in exactly the order parents
-	// enumerate their entries, so internal entries' child indices are simply
-	// sequential from 1.
-	nextChild := int32(1)
-	e := int32(0)
-	for i, n := range nodes {
-		p.start[i] = e
-		leaf := n.isLeaf()
+	p := newPacked(t.dim, len(nodes), total, t.size)
+	p.height = t.height
+	p.maxFill, p.minFill = t.maxFill, t.minFill
+	p.firstLeaf = int32(firstLeaf)
+	for _, n := range nodes {
+		p.openNode(len(n.entries))
 		for j := range n.entries {
 			ent := &n.entries[j]
-			for a := 0; a < dim; a++ {
-				lo, hi := ent.Rect.Lo[a], ent.Rect.Hi[a]
-				p.lo[a][e], p.hi[a][e] = lo, hi
-				lo32, hi32 := float32(lo), float32(hi)
-				p.lo32[a][e], p.hi32[a][e] = lo32, hi32
-				if d := math.Abs(float64(lo32) - lo); d > p.errs[a] {
-					p.errs[a] = d
-				}
-				if d := math.Abs(float64(hi32) - hi); d > p.errs[a] {
-					p.errs[a] = d
-				}
-			}
-			if leaf {
-				p.ids = append(p.ids, ent.ID)
-				p.pts = append(p.pts, ent.Rect.Lo...)
-				if p.pointData {
-					for a := 0; a < dim; a++ {
-						if ent.Rect.Lo[a] != ent.Rect.Hi[a] {
-							p.pointData = false
-							break
-						}
-					}
-				}
-			} else {
-				p.child = append(p.child, nextChild)
-				nextChild++
-			}
-			e++
+			p.putEntry(ent.Rect.Lo, ent.Rect.Hi, n.isLeaf(), ent.ID)
 		}
 	}
-	p.start[len(nodes)] = e
-	p.leafBase = p.start[p.firstLeaf]
+	p.seal()
 	return p
+}
+
+// Unpack materializes the pointer tree a packed index describes — the
+// inverse of Pack, with no sorting: nodes, entries and rectangle coordinates
+// come from three allocations and are wired up in one pass over the arrays.
+// Search order and node-visit counts on the result equal the packed
+// index's; it is an ordinary Tree and may be mutated independently.
+func Unpack(p *Packed) *Tree {
+	dim := p.dim
+	nodes := make([]node, p.NumNodes())
+	entries := make([]Entry, p.start[len(nodes)])
+	coords := make([]float64, 2*dim*len(entries))
+	nodes[0].level = p.height - 1
+	for i := range nodes {
+		n := &nodes[i]
+		s, end := p.start[i], p.start[i+1]
+		n.entries = entries[s:end:end]
+		for e := s; e < end; e++ {
+			ent := &entries[e]
+			ent.Rect = geom.Rect{Lo: coords[:dim:dim], Hi: coords[dim : 2*dim : 2*dim]}
+			coords = coords[2*dim:]
+			for a := 0; a < dim; a++ {
+				ent.Rect.Lo[a], ent.Rect.Hi[a] = p.lo[a][e], p.hi[a][e]
+			}
+			if e < p.leafBase {
+				ent.child = &nodes[p.child[e]]
+				ent.child.parent, ent.child.level = n, n.level-1
+			} else {
+				ent.ID = p.ids[e-p.leafBase]
+			}
+		}
+	}
+	return &Tree{dim: dim, root: &nodes[0], size: p.size, maxFill: p.maxFill, minFill: p.minFill, height: p.height}
 }
 
 // Dim returns the dimensionality of packed rectangles.
@@ -159,6 +210,16 @@ func (p *Packed) NumNodes() int { return len(p.start) - 1 }
 // PointData reports whether every leaf entry is a degenerate (point)
 // rectangle, i.e. the flat leaf block holds the indexed points themselves.
 func (p *Packed) PointData() bool { return p.pointData }
+
+// EachPoint calls fn with every data entry's id and Lo corner (the indexed
+// point itself when PointData), in leaf order. Unlike a PointVisitor's, the
+// slice may be retained: it is a window on the packed point block, valid and
+// never written for the life of p, and the caller must not write it either.
+func (p *Packed) EachPoint(fn func(id int64, pt []float64)) {
+	for j, id := range p.ids {
+		fn(id, p.pts[j*p.dim:(j+1)*p.dim:(j+1)*p.dim])
+	}
+}
 
 // Bytes returns the mirror's approximate memory footprint, for build-cost
 // accounting in experiments.

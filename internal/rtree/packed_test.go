@@ -49,18 +49,21 @@ func packedRandRect(rng *rand.Rand, dim int) geom.Rect {
 	return r
 }
 
-// buildVariants returns trees built every way a base snapshot can come to
-// exist: STR bulk load, incremental R* insertion, post-delete shape, and a
-// clone of a mutated tree.
+// buildVariants returns trees built every way a tree can come to exist: STR
+// bulk load (unpacked from the flat build), incremental R* insertion,
+// post-delete shape, and a bulk-loaded tree deleted from and inserted into.
 func buildVariants(t *testing.T, rng *rand.Rand, pts []vecmat.Vector, dim int) map[string]*Tree {
 	t.Helper()
 	ids := make([]int64, len(pts))
 	for i := range ids {
 		ids[i] = int64(i)
 	}
-	bulk, err := BulkLoadPoints(pts, ids, dim, WithPageSize(256))
-	if err != nil {
-		t.Fatal(err)
+	bulkLoad := func() *Tree {
+		tr, err := BulkLoadPoints(pts, ids, dim, WithPageSize(256))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
 	}
 	ins, err := New(dim, WithPageSize(256))
 	if err != nil {
@@ -71,18 +74,19 @@ func buildVariants(t *testing.T, rng *rand.Rand, pts []vecmat.Vector, dim int) m
 			t.Fatal(err)
 		}
 	}
-	del := bulk.Clone()
+	del, reins := bulkLoad(), bulkLoad()
 	for i := 0; i < len(pts)/3; i++ {
 		j := rng.Intn(len(pts))
-		if _, err := del.DeletePoint(pts[j], ids[j]); err != nil {
-			t.Fatal(err)
+		for _, tr := range []*Tree{del, reins} {
+			if _, err := tr.DeletePoint(pts[j], ids[j]); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	cloned := del.Clone()
-	if err := cloned.InsertPoint(pts[0], int64(len(pts))); err != nil {
+	if err := reins.InsertPoint(pts[0], int64(len(pts))); err != nil {
 		t.Fatal(err)
 	}
-	return map[string]*Tree{"bulk": bulk, "insert": ins, "deleted": del, "cloned": cloned}
+	return map[string]*Tree{"bulk": bulkLoad(), "insert": ins, "deleted": del, "reinserted": reins}
 }
 
 // comparePackedRect runs one rect query against both representations and

@@ -102,25 +102,35 @@ func WithPageSize(bytes int) Option {
 	}
 }
 
-// New returns an empty tree for dim-dimensional data.
-func New(dim int, opts ...Option) (*Tree, error) {
+// nodeFill derives the node capacity M and minimum fill m for
+// dim-dimensional entries from the configured page size.
+func nodeFill(dim int, opts []Option) (maxFill, minFill int, err error) {
 	if dim <= 0 {
-		return nil, fmt.Errorf("rtree: invalid dimension %d", dim)
+		return 0, 0, fmt.Errorf("rtree: invalid dimension %d", dim)
 	}
 	cfg := config{pageSize: DefaultPageSize}
 	for _, o := range opts {
 		if err := o(&cfg); err != nil {
-			return nil, err
+			return 0, 0, err
 		}
 	}
 	entryBytes := 2*8*dim + 8
-	maxFill := cfg.pageSize / entryBytes
+	maxFill = cfg.pageSize / entryBytes
 	if maxFill < 4 {
 		maxFill = 4
 	}
-	minFill := int(minFillFraction * float64(maxFill))
+	minFill = int(minFillFraction * float64(maxFill))
 	if minFill < 2 {
 		minFill = 2
+	}
+	return maxFill, minFill, nil
+}
+
+// New returns an empty tree for dim-dimensional data.
+func New(dim int, opts ...Option) (*Tree, error) {
+	maxFill, minFill, err := nodeFill(dim, opts)
+	if err != nil {
+		return nil, err
 	}
 	return &Tree{
 		dim:     dim,

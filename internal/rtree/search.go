@@ -3,7 +3,6 @@ package rtree
 import (
 	"container/heap"
 	"fmt"
-	"sort"
 
 	"gaussrange/internal/geom"
 	"gaussrange/internal/vecmat"
@@ -268,16 +267,6 @@ func (t *Tree) ComputeStats() Stats {
 		s.AvgFill = float64(totalEntries) / float64(s.Nodes) / float64(t.maxFill)
 	}
 	return s
-}
-
-// sortEntriesByAxis sorts entries by center coordinate along axis (used by
-// STR bulk loading).
-func sortEntriesByAxis(es []Entry, axis int) {
-	sort.SliceStable(es, func(i, j int) bool {
-		ci := (es[i].Rect.Lo[axis] + es[i].Rect.Hi[axis]) / 2
-		cj := (es[j].Rect.Lo[axis] + es[j].Rect.Hi[axis]) / 2
-		return ci < cj
-	})
 }
 
 // CountRect returns the number of data entries intersecting query without

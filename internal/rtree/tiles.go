@@ -47,35 +47,40 @@ func PartitionSTR(points []vecmat.Vector, dim, k int) ([]PartitionTile, error) {
 	if k > len(points) {
 		return nil, fmt.Errorf("rtree: cannot partition %d points into %d tiles", len(points), k)
 	}
-	entries := make([]Entry, len(points))
-	for i, p := range points {
-		if p.Dim() != dim {
-			return nil, fmt.Errorf("%w: point %d has dim %d, want %d", ErrDimension, i, p.Dim(), dim)
-		}
-		if !p.IsFinite() {
-			return nil, fmt.Errorf("rtree: non-finite point %d: %v", i, p)
-		}
-		entries[i] = Entry{Rect: geom.PointRect(p), ID: int64(i)}
+	coords, err := flattenPoints(points, dim)
+	if err != nil {
+		return nil, err
 	}
-	all := infiniteRect(dim)
-	tiles := make([]PartitionTile, 0, k)
-	strTile(entries, all, 0, dim, k, &tiles)
+	b := tileBuilder{coords: coords, dim: dim, keys: make([]strKey, len(points)), tiles: make([]PartitionTile, 0, k)}
+	b.slice(identityPerm(len(points)), infiniteRect(dim), 0, k)
 	// Restore input order inside each tile (slicing sorted by coordinates).
-	for t := range tiles {
-		sort.Ints(tiles[t].Indices)
+	for t := range b.tiles {
+		sort.Ints(b.tiles[t].Indices)
 	}
-	return tiles, nil
+	return b.tiles, nil
 }
 
-// strTile recursively slices es (within region) along axis into slabs,
-// appending k finished tiles to out.
-func strTile(es []Entry, region geom.Rect, axis, dim, k int, out *[]PartitionTile) {
-	if k == 1 || axis >= dim {
-		*out = append(*out, makeTile(es, region))
+// tileBuilder carries what the recursive slicing shares: the flat point
+// coordinates, the sort scratch and the tiles finished so far.
+type tileBuilder struct {
+	coords []float64
+	dim    int
+	keys   []strKey
+	tiles  []PartitionTile
+}
+
+// point returns point i as a view into the flat coordinates.
+func (b *tileBuilder) point(i int32) vecmat.Vector { return b.coords[int(i)*b.dim:][:b.dim] }
+
+// slice recursively cuts the points in perm (within region) along axis into
+// slabs, appending k finished tiles.
+func (b *tileBuilder) slice(perm []int32, region geom.Rect, axis, k int) {
+	if k == 1 || axis >= b.dim {
+		b.tiles = append(b.tiles, b.makeTile(perm, region))
 		return
 	}
-	slabs := int(math.Ceil(math.Pow(float64(k), 1/float64(dim-axis))))
-	if axis == dim-1 {
+	slabs := int(math.Ceil(math.Pow(float64(k), 1/float64(b.dim-axis))))
+	if axis == b.dim-1 {
 		slabs = k
 	}
 	if slabs < 1 {
@@ -84,42 +89,43 @@ func strTile(es []Entry, region geom.Rect, axis, dim, k int, out *[]PartitionTil
 	if slabs > k {
 		slabs = k
 	}
-	sortEntriesByAxis(es, axis)
+	sortByCenter(perm, b.keys, b.coords, b.coords, b.dim, axis)
 	// Distribute the k tiles over the slabs as evenly as possible, then cut
-	// the sorted entries proportionally to each slab's tile share.
+	// the sorted points proportionally to each slab's tile share.
 	start, tileStart := 0, 0
 	prevHi := region.Lo[axis]
 	for s := 0; s < slabs; s++ {
 		tiles := (k - tileStart) / (slabs - s)
-		end := start + (len(es)-start)*tiles/(k-tileStart)
+		end := start + (len(perm)-start)*tiles/(k-tileStart)
 		if s == slabs-1 {
-			end = len(es)
+			end = len(perm)
 		}
 		sub := region.Clone()
 		sub.Lo[axis] = prevHi
 		if s < slabs-1 {
-			// Cut midway between the last entry of this slab and the first
+			// Cut midway between the last point of this slab and the first
 			// of the next; with equal coordinates the cut degenerates to the
 			// shared value and both closed regions contain it.
-			cut := midCut(es[end-1].Rect.Lo[axis], es[end].Rect.Lo[axis])
+			cut := midCut(b.point(perm[end-1])[axis], b.point(perm[end])[axis])
 			sub.Hi[axis] = cut
 			prevHi = cut
 		}
-		strTile(es[start:end], sub, axis+1, dim, tiles, out)
+		b.slice(perm[start:end], sub, axis+1, tiles)
 		start = end
 		tileStart += tiles
 	}
 }
 
-// makeTile finalizes one tile from its member entries.
-func makeTile(es []Entry, region geom.Rect) PartitionTile {
+// makeTile finalizes one tile from its member points.
+func (b *tileBuilder) makeTile(perm []int32, region geom.Rect) PartitionTile {
 	t := PartitionTile{Region: region}
-	if len(es) > 0 {
-		t.Indices = make([]int, len(es))
-		mbr := es[0].Rect.Clone()
-		for i := range es {
-			t.Indices[i] = int(es[i].ID)
-			mbr.UnionInPlace(es[i].Rect)
+	if len(perm) > 0 {
+		t.Indices = make([]int, len(perm))
+		mbr := geom.PointRect(b.point(perm[0]))
+		for i, pt := range perm {
+			t.Indices[i] = int(pt)
+			v := b.point(pt)
+			mbr.UnionInPlace(geom.Rect{Lo: v, Hi: v})
 		}
 		t.Bounds = mbr
 	}

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -342,6 +345,172 @@ func TestStrategyIdentityAfterFold(t *testing.T) {
 			res1.Stats.PrunedBF != res2.Stats.PrunedBF ||
 			res1.Stats.AcceptedBF != res2.Stats.AcceptedBF {
 			t.Fatalf("strategy %s: per-phase counters diverged post-fold\nfused:   %+v\npointer: %+v", s, res1.Stats, res2.Stats)
+		}
+	}
+}
+
+// TestLazyPointerTreeFirstTouch races eight readers onto each base
+// generation's lazily unpacked pointer tree — through DB.NearestNeighbors
+// and a WithPointerPhase1 query, with DB.RangeSearch reading the packed base
+// beside them — while a writer takes the index across two overlay folds,
+// each of which swaps in a base whose pointer tree nobody has asked for yet. On every epoch both arms observe,
+// the pointer arm must return the fused packed arm's ids in the same order.
+// It ends on the fold boundary, where the folded DB must answer exactly like
+// a fresh LoadWithIDs of its live points under their ids.
+func TestLazyPointerTreeFirstTouch(t *testing.T) {
+	seed := gridPoints(400, 5) // live=400 → fold threshold 128
+	// The writer works around (500, 500), far from the seed grid: the churn
+	// query's answer changes with every epoch, the seed-side answers never
+	// do. A throwaway DB supplies the latter, so nothing asks the DB under
+	// test for its pointer tree before the readers race for it.
+	churn := QuerySpec{Center: []float64{500, 500}, Cov: paperCov(4), Delta: 25, Theta: 0.01}
+	oracle, err := Load(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRange, err := oracle.RangeSearch([]float64{50, 50}, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(wantRange)
+	wantNN, err := oracle.NearestNeighbors([]float64{50, 50}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	db, err := Load(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A second handle on the same index, serving Phase 1 from the pointer tree.
+	ptr := &DB{idx: db.idx, dim: db.dim, options: db.options, plans: newPlanCache(DefaultPlanCacheSize)}
+	ptr.options.pointerPhase1 = true
+
+	var (
+		done     atomic.Bool
+		compared atomic.Int64
+		wg       sync.WaitGroup
+		errMu    sync.Mutex
+		firstErr error
+	)
+	fail := func(err error) {
+		errMu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		errMu.Unlock()
+		done.Store(true)
+	}
+	ctx := context.Background()
+	for r := 0; r < 8; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for !done.Load() {
+				switch r % 3 {
+				case 0:
+					nn, err := db.NearestNeighbors([]float64{50, 50}, 5)
+					if err != nil || !reflect.DeepEqual(nn, wantNN) {
+						fail(fmt.Errorf("NearestNeighbors = %v (%v), want %v", nn, err, wantNN))
+						return
+					}
+				case 1:
+					ids, err := db.RangeSearch([]float64{50, 50}, 12)
+					slices.Sort(ids)
+					if err != nil || !reflect.DeepEqual(ids, wantRange) {
+						fail(fmt.Errorf("RangeSearch = %v (%v), want %v", ids, err, wantRange))
+						return
+					}
+				}
+				fused, err := db.QueryCtx(ctx, churn)
+				if err != nil {
+					fail(err)
+					return
+				}
+				pointer, err := ptr.QueryCtx(ctx, churn)
+				if err != nil {
+					fail(err)
+					return
+				}
+				if pointer.Stats.NodesReadPacked != 0 || fused.Stats.NodesReadPacked == 0 {
+					fail(fmt.Errorf("arms crossed: pointer read %d packed nodes, fused %d",
+						pointer.Stats.NodesReadPacked, fused.Stats.NodesReadPacked))
+					return
+				}
+				if fused.Epoch != pointer.Epoch {
+					continue // the writer published in between
+				}
+				if !reflect.DeepEqual(fused.IDs, pointer.IDs) {
+					fail(fmt.Errorf("epoch %d: pointer arm %v, fused arm %v", fused.Epoch, pointer.IDs, fused.IDs))
+					return
+				}
+				compared.Add(1)
+			}
+		}(r)
+	}
+
+	// 8 inserts + 2 deletes per batch: the overlay crosses 128 on every 13th.
+	rng := rand.New(rand.NewSource(16))
+	var mine []int64
+	for folds := 0; folds < 2 && !done.Load(); {
+		var ins [][]float64
+		for i := 0; i < 8; i++ {
+			ins = append(ins, []float64{490 + rng.Float64()*20, 490 + rng.Float64()*20})
+		}
+		var dels []int64
+		if len(mine) >= 2 {
+			dels, mine = mine[:2], mine[2:]
+		}
+		ids, _, _, err := db.Apply(ins, dels)
+		if err != nil {
+			fail(err)
+			break
+		}
+		mine = append(mine, ids...)
+		if insd, deld := db.idx.Current().OverlaySize(); insd+deld == 0 {
+			folds++
+		}
+		// Let every generation be compared on before moving past it.
+		for mark := compared.Load(); compared.Load() < mark+8 && !done.Load(); {
+			runtime.Gosched()
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	if firstErr != nil {
+		t.Fatal(firstErr)
+	}
+
+	// On the fold boundary everything is in the base, so a fresh load of the
+	// live points under their ids is the same index.
+	snap := db.idx.Current()
+	if insd, deld := snap.OverlaySize(); insd+deld != 0 {
+		t.Fatalf("writer stopped off the fold boundary: overlay %d+%d", insd, deld)
+	}
+	var (
+		livePts [][]float64
+		liveIDs []int64
+	)
+	for id := int64(0); id < db.MaxID(); id++ {
+		if p, err := db.Point(id); err == nil {
+			livePts, liveIDs = append(livePts, p), append(liveIDs, id)
+		}
+	}
+	fresh, err := LoadWithIDs(livePts, liveIDs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []QuerySpec{churn, {Center: []float64{50, 50}, Cov: paperCov(4), Delta: 25, Theta: 0.01}} {
+		a, err := db.Query(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := fresh.Query(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a.IDs) == 0 || !reflect.DeepEqual(a.IDs, b.IDs) {
+			t.Fatalf("folded DB answers %v, fresh LoadWithIDs of its live points %v", a.IDs, b.IDs)
 		}
 	}
 }

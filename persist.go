@@ -230,7 +230,6 @@ func restoreDB(points []vecmat.Vector, epoch uint64, dim int, opts ...Option) (*
 	if err != nil {
 		return nil, err
 	}
-	idx.SetRebuildStrategy(core.RebuildStrategy(o.rebuild))
 	return &DB{idx: idx, dim: dim, options: o, plans: newPlanCache(o.planCacheSize)}, nil
 }
 

@@ -5,10 +5,10 @@
 #                      and tiered, incl. the tiered kernel's tier-mix counters
 #                      and tier_closure_rate)
 #   BENCH_churn.json   `prqbench churn`  — read latency under live mutations,
-#                      sweeping write fraction and both rebuild strategies,
-#                      plus the group-commit ingest section (sync vs grouped
-#                      wal insert throughput at 64 writers and the
-#                      sync/grouped/follower identity booleans)
+#                      sweeping write fraction, plus the group-commit ingest
+#                      section (sync vs grouped wal insert throughput at 64
+#                      writers and the sync/grouped/follower identity
+#                      booleans)
 #   BENCH_shard.json   `prqbench shard`  — sharded scatter-gather serving:
 #                      aggregate throughput at K ∈ {1,2,4} capacity-modelled
 #                      shards, mean fan-out, answer identity and the
@@ -16,7 +16,8 @@
 #   BENCH_phase1.json  `prqbench phase1` — packed+fused Phase-1/2 front half
 #                      vs the pointer tree: per-query front-half time,
 #                      certificate counters (f32 rechecks), answer and
-#                      counter identity, and the front-half speedup
+#                      counter identity, the front-half speedup, and the
+#                      build block (load/fold time, allocations, bytes)
 # Pass an output path as $1 to redirect the phase3 artifact (legacy usage);
 # the churn artifact always lands next to it as BENCH_churn.json.
 #
