@@ -26,16 +26,20 @@ fmt-check:
 
 # fuzz-smoke runs the R*-tree fuzzers briefly — enough to catch invariant
 # regressions in insert/delete/rebuild, packed-vs-pointer search parity, and
-# the flat STR build against its pointer-tree reference — and the
-# Ruben-kernel fuzzer, which checks the linear-time series (value, certified
-# bound, early decisions) against its O(K²) reference. `go test` accepts only
-# one -fuzz target per invocation, so the 15s budget is split across the four
-# fuzzers.
+# the flat STR build against its pointer-tree reference — the Ruben-kernel
+# fuzzer, which checks the linear-time series (value, certified bound, early
+# decisions) against its O(K²) reference, and the two wire-codec fuzzers,
+# which check that the single-pass /v1/query request and reply decoders agree
+# with encoding/json on arbitrary bytes (error or not, same value, same float
+# bits). `go test` accepts only one -fuzz target per invocation, so the 21s
+# budget is split across the six fuzzers.
 fuzz-smoke:
 	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzTreeOps -fuzztime 4s
 	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedSearch -fuzztime 4s
 	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedBuild -fuzztime 4s
 	$(GO) test ./internal/quadform -run '^$$' -fuzz FuzzRubenCDF -fuzztime 3s
+	$(GO) test ./server -run '^$$' -fuzz FuzzQueryResponseDecode -fuzztime 3s
+	$(GO) test ./server -run '^$$' -fuzz FuzzQueryRequestDecode -fuzztime 3s
 
 # verify is the pre-merge gate: formatting, static analysis, and the
 # race-enabled test suite (the storage engine, plan cache, worker pools,

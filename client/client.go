@@ -94,17 +94,43 @@ func WithRetryOn429(n int) Option {
 }
 
 // New returns a client for the server at baseURL (e.g. "http://127.0.0.1:8080").
+// Unless WithHTTPClient substitutes one, the Client owns its connection pool,
+// so it is meant to be long-lived: create one per server and reuse it. The
+// connections of a Client that is dropped close when they have idled out.
 func New(baseURL string, opts ...Option) *Client {
+	own := &http.Client{Timeout: 30 * time.Second}
 	c := &Client{
 		base:    strings.TrimRight(baseURL, "/"),
-		hc:      &http.Client{Timeout: 30 * time.Second},
+		hc:      own,
 		retries: 2,
 		backoff: 50 * time.Millisecond,
 	}
 	for _, fn := range opts {
 		fn(c)
 	}
+	if c.hc == own {
+		own.Transport = newTransport()
+	}
 	return c
+}
+
+// maxIdleConnsPerHost is how many idle connections a Client keeps to its one
+// server. http.DefaultTransport keeps 2, so a caller running more than two
+// requests at once — a shard router admits 2×GOMAXPROCS — would close and
+// re-dial a connection for every request past the second.
+const maxIdleConnsPerHost = 64
+
+// newTransport returns the Client's own transport: the default's settings
+// with the per-host idle limit raised. nil (the shared default) only if the
+// program replaced http.DefaultTransport with another implementation.
+func newTransport() http.RoundTripper {
+	def, ok := http.DefaultTransport.(*http.Transport)
+	if !ok {
+		return nil
+	}
+	t := def.Clone()
+	t.MaxIdleConnsPerHost = maxIdleConnsPerHost
+	return t
 }
 
 // APIError is a non-2xx reply from the server.
@@ -240,9 +266,15 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
+// maxResponseBytes bounds a response body.
+const maxResponseBytes = 64 << 20
+
+// decodeResponse consumes resp: a non-2xx reply becomes an *APIError, a 2xx
+// body is decoded into out (when non-nil).
 func decodeResponse(resp *http.Response, out any) error {
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	data, release, err := server.ReadBody(io.LimitReader(resp.Body, maxResponseBytes), resp.ContentLength)
+	defer release() // decoding copies what it keeps out of data
 	if err != nil {
 		return fmt.Errorf("client: reading response: %w", err)
 	}
@@ -261,7 +293,7 @@ func decodeResponse(resp *http.Response, out any) error {
 	if out == nil {
 		return nil
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	if err := server.Unmarshal(data, out); err != nil {
 		return fmt.Errorf("client: decoding response: %w", err)
 	}
 	return nil

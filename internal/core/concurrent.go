@@ -125,6 +125,7 @@ func (p *Plan) ExecuteWith(ctx context.Context, eval Evaluator, workers int) (*R
 
 	execCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	done := execCtx.Done()
 
 	var (
 		next     atomic.Int64
@@ -137,7 +138,7 @@ func (p *Plan) ExecuteWith(ctx context.Context, eval Evaluator, workers int) (*R
 		go func(w int) {
 			defer wg.Done()
 			for {
-				if execCtx.Err() != nil {
+				if stopped(done) {
 					return
 				}
 				i := int(next.Add(1)) - 1

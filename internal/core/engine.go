@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -367,6 +367,18 @@ func (e *Engine) bfAlpha(delta, tp float64, upper bool) (float64, error) {
 }
 
 // sortIDs sorts ascending in place.
-func sortIDs(ids []int64) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+func sortIDs(ids []int64) { slices.Sort(ids) }
+
+// stopped reports, without blocking, whether done — a context's Done channel,
+// hoisted out of the candidate loop by the caller — has been closed. It is
+// the per-candidate cancellation poll: a receive on a closed (or nil, for a
+// context that can never be cancelled) channel takes no lock, where
+// ctx.Err() on a cancelCtx locks and unlocks the context's mutex every call.
+func stopped(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }

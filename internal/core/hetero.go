@@ -125,9 +125,10 @@ func (h *HeteroIndex) SearchCtx(ctx context.Context, q Query) (*HeteroResult, er
 	}
 
 	res := &HeteroResult{Retrieved: len(candidates)}
+	done := ctx.Done()
 	for _, id := range candidates {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if stopped(done) {
+			return nil, ctx.Err()
 		}
 		p, err := h.Qualification(q, id)
 		if err != nil {

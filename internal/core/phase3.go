@@ -211,9 +211,10 @@ func (p *Plan) executeShared(ctx context.Context, snap *Snapshot, st *PhaseStats
 	st.SamplesDrawn = p.cloud.Len()
 	rel := make(vecmat.Vector, p.dist.Dim())
 	result := accepted
+	done := ctx.Done()
 	for _, id := range needEval {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if stopped(done) {
+			return nil, ctx.Err()
 		}
 		if p.sharedQualifies(snap.point(id), rel, st) {
 			result = append(result, id)
@@ -241,6 +242,7 @@ func (p *Plan) executeSharedParallel(ctx context.Context, snap *Snapshot, st *Ph
 
 	execCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	done := execCtx.Done()
 	var (
 		next  atomic.Int64
 		total sharedTotals
@@ -258,7 +260,7 @@ func (p *Plan) executeSharedParallel(ctx context.Context, snap *Snapshot, st *Ph
 			var local PhaseStats
 			defer func() { total.add(&local) }()
 			for {
-				if execCtx.Err() != nil {
+				if stopped(done) {
 					return
 				}
 				i := int(next.Add(1)) - 1

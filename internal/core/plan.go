@@ -455,9 +455,10 @@ func (p *Plan) executeSerial(ctx context.Context, eval Evaluator) (*Result, erro
 	st.Integrations = len(needEval)
 	result := accepted
 	qualifies := p.qualifier(eval)
+	done := ctx.Done()
 	for _, id := range needEval {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if stopped(done) {
+			return nil, ctx.Err()
 		}
 		qual, err := qualifies(snap.point(id))
 		if err != nil {

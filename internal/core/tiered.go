@@ -268,9 +268,10 @@ func (p *Plan) executeTiered(ctx context.Context, snap *Snapshot, st *PhaseStats
 	w := p.tier.newScratch(p.dist.Dim())
 	defer w.exact.Fold()
 	result := accepted
+	done := ctx.Done()
 	for _, id := range needEval {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if stopped(done) {
+			return nil, ctx.Err()
 		}
 		ok, err := p.tieredQualifies(snap.point(id), w, st)
 		if err != nil {
@@ -302,6 +303,7 @@ func (p *Plan) executeTieredParallel(ctx context.Context, snap *Snapshot, st *Ph
 
 	execCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	done := execCtx.Done()
 	var (
 		next     atomic.Int64
 		total    sharedTotals
@@ -323,7 +325,7 @@ func (p *Plan) executeTieredParallel(ctx context.Context, snap *Snapshot, st *Ph
 			defer func() { total.add(&local) }()
 			defer ws.exact.Fold()
 			for {
-				if execCtx.Err() != nil {
+				if stopped(done) {
 					return
 				}
 				i := int(next.Add(1)) - 1

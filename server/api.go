@@ -14,6 +14,9 @@
 //	GET    /statsz          plan-cache hit rates, per-phase candidate totals,
 //	                        admission counters, request latency histograms
 //
+// A POST body is exactly one JSON value (at most 16 MiB); anything but
+// whitespace after it is a 400. Replies are sent with Content-Length.
+//
 // Every query response carries the storage epoch its answer was computed
 // against; mutation responses carry the epoch they published, so a client
 // can await read-your-writes by comparing the two. A follower read replica

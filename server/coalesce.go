@@ -100,7 +100,7 @@ func (c *coalescer) do(ctx context.Context, spec gaussrange.QuerySpec) (*gaussra
 	}
 	defer c.s.adm.release()
 
-	gctx, cancel := c.s.queryContext(context.Background(), 0)
+	gctx, cancel := QueryContext(context.Background(), 0, c.s.cfg.DefaultTimeout)
 	defer cancel()
 	if c.s.preQuery != nil {
 		c.s.preQuery(gctx)

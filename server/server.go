@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -193,16 +192,16 @@ func (s *Server) refuseReadOnly(w http.ResponseWriter, status *int) bool {
 		return false
 	}
 	*status = http.StatusForbidden
-	writeError(w, *status, "read-only replica: mutations must go to the leader")
+	WriteError(w, *status, "read-only replica: mutations must go to the leader")
 	return true
 }
 
-// queryContext derives the execution context for one request: the request's
-// own timeout_ms when given, else the server default, else unbounded. The
-// parent is the HTTP request context, so a client disconnect cancels the
-// query either way.
-func (s *Server) queryContext(parent context.Context, timeoutMS int64) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultTimeout
+// QueryContext derives the execution context for one request: the request's
+// own timeout_ms when given, else deflt (the serving node's default), else
+// unbounded. The parent is the HTTP request context, so a client disconnect
+// cancels the query either way.
+func QueryContext(parent context.Context, timeoutMS int64, deflt time.Duration) (context.Context, context.CancelFunc) {
+	d := deflt
 	if timeoutMS > 0 {
 		d = time.Duration(timeoutMS) * time.Millisecond
 	}
@@ -212,14 +211,27 @@ func (s *Server) queryContext(parent context.Context, timeoutMS int64) (context.
 	return context.WithTimeout(parent, d)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON replies with status and v as the JSON body — byte for byte what
+// json.NewEncoder(w).Encode(v) would send — in one Write with an explicit
+// Content-Length (see AppendJSON for what is encoded without reflection).
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	bp := bodyBufs.Get().(*[]byte)
+	b, err := AppendJSON((*bp)[:0], v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		b, _ = AppendJSON(b[:0], ErrorResponse{Error: "encoding response: " + err.Error()}) // a string always encodes
+	}
+	b = append(b, '\n')
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(b) // a failed write means the client is gone; nothing to report it to
+	putBodyBuf(bp, b)
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
+// WriteError replies with status and an ErrorResponse body.
+func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
 // statusForQueryErr maps a query error to an HTTP status: deadline → 504,
@@ -235,10 +247,16 @@ func statusForQueryErr(err error) int {
 	}
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil {
+// DecodeBody reads the whole request body (at most 16 MiB) and decodes it
+// into v with Unmarshal. The body must be exactly one JSON value: anything
+// but whitespace after it is an error, not a second request to ignore.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	body, release, err := ReadBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), r.ContentLength)
+	defer release()
+	if err == nil {
+		err = Unmarshal(body, v)
+	}
+	if err != nil {
 		return fmt.Errorf("decoding request body: %w", err)
 	}
 	return nil
@@ -251,7 +269,7 @@ func (s *Server) admit(w http.ResponseWriter) bool {
 		return true
 	}
 	w.Header().Set("Retry-After", "1")
-	writeError(w, statusTooManyRequests,
+	WriteError(w, statusTooManyRequests,
 		"server overloaded: %d queries in flight (limit %d)", s.cfg.MaxInflight, s.cfg.MaxInflight)
 	return false
 }
@@ -264,13 +282,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	if r.Method != http.MethodPost {
 		status = http.StatusMethodNotAllowed
-		writeError(w, status, "use POST")
+		WriteError(w, status, "use POST")
 		return
 	}
 	var req QueryRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := DecodeBody(w, r, &req); err != nil {
 		status = http.StatusBadRequest
-		writeError(w, status, "%v", err)
+		WriteError(w, status, "%v", err)
 		return
 	}
 	if s.coal != nil {
@@ -283,7 +301,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.adm.release()
 
-	ctx, cancel := s.queryContext(r.Context(), req.TimeoutMS)
+	ctx, cancel := QueryContext(r.Context(), req.TimeoutMS, s.cfg.DefaultTimeout)
 	defer cancel()
 	if s.preQuery != nil {
 		s.preQuery(ctx)
@@ -291,34 +309,34 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	res, err := s.db.QueryCtx(ctx, req.Spec())
 	if err != nil {
 		status = statusForQueryErr(err)
-		writeError(w, status, "%v", err)
+		WriteError(w, status, "%v", err)
 		return
 	}
 	s.met.addQuery(res.Stats, len(res.IDs))
-	writeJSON(w, status, s.respond(res))
+	WriteJSON(w, status, s.respond(res))
 }
 
 // handleQueryCoalesced routes one /v1/query through the coalescer. The
 // request's own timeout bounds its wait for the group's answer; execution
 // itself runs under the group context (see coalescer).
 func (s *Server) handleQueryCoalesced(w http.ResponseWriter, r *http.Request, req QueryRequest, status *int) {
-	ctx, cancel := s.queryContext(r.Context(), req.TimeoutMS)
+	ctx, cancel := QueryContext(r.Context(), req.TimeoutMS, s.cfg.DefaultTimeout)
 	defer cancel()
 	res, err := s.coal.do(ctx, req.Spec())
 	if err != nil {
 		if errors.Is(err, errOverloaded) {
 			*status = statusTooManyRequests
 			w.Header().Set("Retry-After", "1")
-			writeError(w, *status,
+			WriteError(w, *status,
 				"server overloaded: %d queries in flight (limit %d)", s.cfg.MaxInflight, s.cfg.MaxInflight)
 			return
 		}
 		*status = statusForQueryErr(err)
-		writeError(w, *status, "%v", err)
+		WriteError(w, *status, "%v", err)
 		return
 	}
 	s.met.addQuery(res.Stats, len(res.IDs))
-	writeJSON(w, *status, s.respond(res))
+	WriteJSON(w, *status, s.respond(res))
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -329,18 +347,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	if r.Method != http.MethodPost {
 		status = http.StatusMethodNotAllowed
-		writeError(w, status, "use POST")
+		WriteError(w, status, "use POST")
 		return
 	}
 	var req BatchRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := DecodeBody(w, r, &req); err != nil {
 		status = http.StatusBadRequest
-		writeError(w, status, "%v", err)
+		WriteError(w, status, "%v", err)
 		return
 	}
 	if len(req.Queries) > s.cfg.MaxBatchSize {
 		status = http.StatusBadRequest
-		writeError(w, status, "batch of %d queries exceeds limit %d", len(req.Queries), s.cfg.MaxBatchSize)
+		WriteError(w, status, "batch of %d queries exceeds limit %d", len(req.Queries), s.cfg.MaxBatchSize)
 		return
 	}
 	workers := req.Workers
@@ -353,7 +371,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.adm.release()
 
-	ctx, cancel := s.queryContext(r.Context(), req.TimeoutMS)
+	ctx, cancel := QueryContext(r.Context(), req.TimeoutMS, s.cfg.DefaultTimeout)
 	defer cancel()
 	if s.preQuery != nil {
 		s.preQuery(ctx)
@@ -365,7 +383,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	results, err := s.db.QueryBatch(ctx, specs, workers)
 	if err != nil {
 		status = statusForQueryErr(err)
-		writeError(w, status, "%v", err)
+		WriteError(w, status, "%v", err)
 		return
 	}
 	resp := BatchResponse{Results: make([]QueryResponse, len(results))}
@@ -373,7 +391,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.met.addQuery(res.Stats, len(res.IDs))
 		resp.Results[i] = s.respond(res)
 	}
-	writeJSON(w, status, resp)
+	WriteJSON(w, status, resp)
 }
 
 func (s *Server) handleProb(w http.ResponseWriter, r *http.Request) {
@@ -384,18 +402,18 @@ func (s *Server) handleProb(w http.ResponseWriter, r *http.Request) {
 
 	if r.Method != http.MethodPost {
 		status = http.StatusMethodNotAllowed
-		writeError(w, status, "use POST")
+		WriteError(w, status, "use POST")
 		return
 	}
 	var req ProbRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := DecodeBody(w, r, &req); err != nil {
 		status = http.StatusBadRequest
-		writeError(w, status, "%v", err)
+		WriteError(w, status, "%v", err)
 		return
 	}
 	if req.ID < 0 || req.ID >= int64(s.db.Len()) {
 		status = http.StatusNotFound
-		writeError(w, status, "point id %d out of range [0, %d)", req.ID, s.db.Len())
+		WriteError(w, status, "point id %d out of range [0, %d)", req.ID, s.db.Len())
 		return
 	}
 	if !s.admit(w) {
@@ -407,10 +425,10 @@ func (s *Server) handleProb(w http.ResponseWriter, r *http.Request) {
 	p, err := s.db.QueryProb(req.Spec(), req.ID)
 	if err != nil {
 		status = http.StatusBadRequest
-		writeError(w, status, "%v", err)
+		WriteError(w, status, "%v", err)
 		return
 	}
-	writeJSON(w, status, ProbResponse{ID: req.ID, Probability: p})
+	WriteJSON(w, status, ProbResponse{ID: req.ID, Probability: p})
 }
 
 func (s *Server) handlePoints(w http.ResponseWriter, r *http.Request) {
@@ -427,13 +445,13 @@ func (s *Server) handlePoints(w http.ResponseWriter, r *http.Request) {
 		return
 	default:
 		status = http.StatusMethodNotAllowed
-		writeError(w, status, "use GET with ?id=…&id=…, or POST to insert")
+		WriteError(w, status, "use GET with ?id=…&id=…, or POST to insert")
 		return
 	}
 	raw := r.URL.Query()["id"]
 	if len(raw) == 0 {
 		status = http.StatusBadRequest
-		writeError(w, status, "at least one ?id= parameter is required")
+		WriteError(w, status, "at least one ?id= parameter is required")
 		return
 	}
 	resp := PointsResponse{Points: make([]Point, 0, len(raw))}
@@ -441,18 +459,18 @@ func (s *Server) handlePoints(w http.ResponseWriter, r *http.Request) {
 		id, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
 			status = http.StatusBadRequest
-			writeError(w, status, "invalid id %q: %v", v, err)
+			WriteError(w, status, "invalid id %q: %v", v, err)
 			return
 		}
 		coords, err := s.db.Point(id)
 		if err != nil {
 			status = http.StatusNotFound
-			writeError(w, status, "%v", err)
+			WriteError(w, status, "%v", err)
 			return
 		}
 		resp.Points = append(resp.Points, Point{ID: id, Coords: coords})
 	}
-	writeJSON(w, status, resp)
+	WriteJSON(w, status, resp)
 }
 
 // handleInsert serves POST /v1/points: one atomic insert batch publishing
@@ -463,14 +481,14 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request, status *in
 		return
 	}
 	var req InsertPointsRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := DecodeBody(w, r, &req); err != nil {
 		*status = http.StatusBadRequest
-		writeError(w, *status, "%v", err)
+		WriteError(w, *status, "%v", err)
 		return
 	}
 	if len(req.Points) == 0 {
 		*status = http.StatusBadRequest
-		writeError(w, *status, "points must not be empty")
+		WriteError(w, *status, "points must not be empty")
 		return
 	}
 	if !s.admit(w) {
@@ -493,10 +511,10 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request, status *in
 	}
 	if err != nil {
 		*status = http.StatusBadRequest
-		writeError(w, *status, "%v", err)
+		WriteError(w, *status, "%v", err)
 		return
 	}
-	writeJSON(w, *status, InsertPointsResponse{IDs: ids, Epoch: epoch})
+	WriteJSON(w, *status, InsertPointsResponse{IDs: ids, Epoch: epoch})
 }
 
 // handlePointByID serves DELETE /v1/points/{id}.
@@ -508,7 +526,7 @@ func (s *Server) handlePointByID(w http.ResponseWriter, r *http.Request) {
 
 	if r.Method != http.MethodDelete {
 		status = http.StatusMethodNotAllowed
-		writeError(w, status, "use DELETE /v1/points/{id}")
+		WriteError(w, status, "use DELETE /v1/points/{id}")
 		return
 	}
 	if s.refuseReadOnly(w, &status) {
@@ -517,7 +535,7 @@ func (s *Server) handlePointByID(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseInt(strings.TrimPrefix(r.URL.Path, "/v1/points/"), 10, 64)
 	if err != nil {
 		status = http.StatusBadRequest
-		writeError(w, status, "invalid point id in path: %v", err)
+		WriteError(w, status, "invalid point id in path: %v", err)
 		return
 	}
 	if !s.admit(w) {
@@ -529,10 +547,10 @@ func (s *Server) handlePointByID(w http.ResponseWriter, r *http.Request) {
 	_, deleted, epoch, err := s.db.Apply(nil, []int64{id})
 	if err != nil {
 		status = http.StatusBadRequest
-		writeError(w, status, "%v", err)
+		WriteError(w, status, "%v", err)
 		return
 	}
-	writeJSON(w, status, DeletePointResponse{ID: id, Deleted: deleted[0], Epoch: epoch})
+	WriteJSON(w, status, DeletePointResponse{ID: id, Deleted: deleted[0], Epoch: epoch})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -542,9 +560,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h.ReplicaEpoch = st.Epoch
 		h.ReplicaError = st.Err
 	}
-	writeJSON(w, http.StatusOK, h)
+	WriteJSON(w, http.StatusOK, h)
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.Stats())
 }

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -60,36 +59,6 @@ func (h *Handler) Mux() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, server.ErrorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, 16<<20)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		return fmt.Errorf("decoding request body: %w", err)
-	}
-	return nil
-}
-
-// queryContext derives one routed request's execution context.
-func (h *Handler) queryContext(parent context.Context, timeoutMS int64) (context.Context, context.CancelFunc) {
-	d := h.cfg.DefaultTimeout
-	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS) * time.Millisecond
-	}
-	if d <= 0 {
-		return context.WithCancel(parent)
-	}
-	return context.WithTimeout(parent, d)
-}
-
 // statusForRouteErr maps a routed-query error to HTTP: a lost shard is an
 // upstream failure (502), an expired deadline 504, a cancelled client 499,
 // anything else a spec problem (400).
@@ -111,51 +80,51 @@ func statusForRouteErr(err error) int {
 
 func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
+		server.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	var req server.QueryRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := server.DecodeBody(w, r, &req); err != nil {
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ctx, cancel := h.queryContext(r.Context(), req.TimeoutMS)
+	ctx, cancel := server.QueryContext(r.Context(), req.TimeoutMS, h.cfg.DefaultTimeout)
 	defer cancel()
 	resp, err := h.r.Query(ctx, req)
 	if err != nil {
-		writeError(w, statusForRouteErr(err), "%v", err)
+		server.WriteError(w, statusForRouteErr(err), "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
+		server.WriteError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
 	var req server.BatchRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := server.DecodeBody(w, r, &req); err != nil {
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if len(req.Queries) > h.cfg.MaxBatchSize {
-		writeError(w, http.StatusBadRequest, "batch of %d queries exceeds limit %d", len(req.Queries), h.cfg.MaxBatchSize)
+		server.WriteError(w, http.StatusBadRequest, "batch of %d queries exceeds limit %d", len(req.Queries), h.cfg.MaxBatchSize)
 		return
 	}
-	ctx, cancel := h.queryContext(r.Context(), req.TimeoutMS)
+	ctx, cancel := server.QueryContext(r.Context(), req.TimeoutMS, h.cfg.DefaultTimeout)
 	defer cancel()
 	resp := server.BatchResponse{Results: make([]server.QueryResponse, len(req.Queries))}
 	for i, q := range req.Queries {
 		q.TimeoutMS = 0 // the batch-wide deadline governs
 		res, err := h.r.Query(ctx, q)
 		if err != nil {
-			writeError(w, statusForRouteErr(err), "query %d: %v", i, err)
+			server.WriteError(w, statusForRouteErr(err), "query %d: %v", i, err)
 			return
 		}
 		resp.Results[i] = res
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (h *Handler) handlePoints(w http.ResponseWriter, r *http.Request) {
@@ -166,29 +135,29 @@ func (h *Handler) handlePoints(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		// fall through to the lookup below
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "use GET with ?id=…&id=…, or POST to insert")
+		server.WriteError(w, http.StatusMethodNotAllowed, "use GET with ?id=…&id=…, or POST to insert")
 		return
 	}
 	raw := r.URL.Query()["id"]
 	if len(raw) == 0 {
-		writeError(w, http.StatusBadRequest, "at least one ?id= parameter is required")
+		server.WriteError(w, http.StatusBadRequest, "at least one ?id= parameter is required")
 		return
 	}
 	resp := server.PointsResponse{Points: make([]server.Point, 0, len(raw))}
 	for _, v := range raw {
 		id, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid id %q: %v", v, err)
+			server.WriteError(w, http.StatusBadRequest, "invalid id %q: %v", v, err)
 			return
 		}
 		pt, status, err := h.lookupPoint(r.Context(), id)
 		if err != nil {
-			writeError(w, status, "%v", err)
+			server.WriteError(w, status, "%v", err)
 			return
 		}
 		resp.Points = append(resp.Points, pt)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp)
 }
 
 // lookupPoint resolves one id across the shards that may hold it.
@@ -243,46 +212,46 @@ func (r *Router) pointCandidates(id int64) []int {
 
 func (h *Handler) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req server.InsertPointsRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	if err := server.DecodeBody(w, r, &req); err != nil {
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if len(req.Points) == 0 {
-		writeError(w, http.StatusBadRequest, "points must not be empty")
+		server.WriteError(w, http.StatusBadRequest, "points must not be empty")
 		return
 	}
 	if len(req.IDs) > 0 {
-		writeError(w, http.StatusBadRequest, "the router owns the id space; omit ids")
+		server.WriteError(w, http.StatusBadRequest, "the router owns the id space; omit ids")
 		return
 	}
 	ids, epoch, err := h.r.Insert(r.Context(), req.Points)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "%v", err)
+		server.WriteError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, server.InsertPointsResponse{IDs: ids, Epoch: epoch})
+	server.WriteJSON(w, http.StatusOK, server.InsertPointsResponse{IDs: ids, Epoch: epoch})
 }
 
 func (h *Handler) handlePointByID(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodDelete {
-		writeError(w, http.StatusMethodNotAllowed, "use DELETE /v1/points/{id}")
+		server.WriteError(w, http.StatusMethodNotAllowed, "use DELETE /v1/points/{id}")
 		return
 	}
 	id, err := strconv.ParseInt(strings.TrimPrefix(r.URL.Path, "/v1/points/"), 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid point id in path: %v", err)
+		server.WriteError(w, http.StatusBadRequest, "invalid point id in path: %v", err)
 		return
 	}
 	deleted, epoch, err := h.r.Delete(r.Context(), id)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "%v", err)
+		server.WriteError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, server.DeletePointResponse{ID: id, Deleted: deleted, Epoch: epoch})
+	server.WriteJSON(w, http.StatusOK, server.DeletePointResponse{ID: id, Deleted: deleted, Epoch: epoch})
 }
 
 func (h *Handler) handleShardMap(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, h.r.Map())
+	server.WriteJSON(w, http.StatusOK, h.r.Map())
 }
 
 // handleHealthz aggregates the shards' health: points and epoch sum/max over
@@ -293,7 +262,7 @@ func (h *Handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		agg.Status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, agg)
+	server.WriteJSON(w, http.StatusOK, agg)
 }
 
 // aggregateHealth polls every shard's /healthz.
@@ -374,5 +343,5 @@ func (h *Handler) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			stats.Queries.Add(totals[all[i]])
 		}
 	}
-	writeJSON(w, http.StatusOK, stats)
+	server.WriteJSON(w, http.StatusOK, stats)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -251,14 +252,8 @@ func (r *Router) Query(ctx context.Context, req server.QueryRequest) (server.Que
 // mergeIDs sorts ids ascending and drops duplicates in place, so a routed
 // answer is byte-for-byte identical to the single-node answer.
 func mergeIDs(ids []int64) []int64 {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := ids[:0]
-	for i, id := range ids {
-		if i == 0 || id != ids[i-1] {
-			out = append(out, id)
-		}
-	}
-	return out
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // syncIDsLocked seeds the global allocator from the shards' live max ids the

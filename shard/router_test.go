@@ -1,10 +1,16 @@
 package shard
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"gaussrange"
@@ -344,5 +350,64 @@ func TestRouterHandlerEndpoints(t *testing.T) {
 	}
 	if hres.Points != len(pts) || hres.Dim != 2 {
 		t.Fatalf("aggregated health %+v", hres)
+	}
+}
+
+// TestRouterHandlerSharesServerHTTP: the router's HTTP face is the server's —
+// the same encoder (a routed reply, routing report included, is byte for byte
+// encoding/json's), the same framing, and the same one-value-per-body rule.
+func TestRouterHandlerSharesServerHTTP(t *testing.T) {
+	r := rand.New(rand.NewSource(15))
+	pts := clusterPoints(r, 300)
+	c := newCluster(t, pts, 2)
+	h, err := NewHandler(HandlerConfig{Router: c.router})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(h.Mux())
+	defer ts.Close()
+
+	post := func(path, body string) (int, http.Header, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header, data
+	}
+
+	reqJSON, err := json.Marshal(server.RequestFromSpec(testSpec(pts[7])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := string(reqJSON)
+	status, hdr, body := post("/v1/query", query)
+	if status != http.StatusOK || hdr.Get("Content-Length") != strconv.Itoa(len(body)) {
+		t.Fatalf("routed query: status %d, Content-Length %q for %d bytes", status, hdr.Get("Content-Length"), len(body))
+	}
+	var resp server.QueryResponse
+	if err := json.Unmarshal(body, &resp); err != nil || resp.Routing == nil || len(resp.Routing.ShardEpochs) == 0 {
+		t.Fatalf("routed reply %s: %v", body, err)
+	}
+	if want, _ := json.Marshal(resp); !bytes.Equal(body, append(want, '\n')) {
+		t.Errorf("routed reply is not encoding/json's bytes:\n got  %s\n want %s", body, want)
+	}
+
+	for path, good := range map[string]string{
+		"/v1/query":       query,
+		"/v1/query/batch": `{"queries":[` + query + `]}`,
+		"/v1/points":      `{"points":[[1,2]]}`,
+	} {
+		if status, _, body := post(path, good+good); status != http.StatusBadRequest {
+			t.Errorf("%s: a second JSON value got status %d (%s), want 400", path, status, body)
+		}
+		if status, _, body := post(path, good+"\n"); status != http.StatusOK {
+			t.Errorf("%s: a trailing newline got status %d (%s), want 200", path, status, body)
+		}
 	}
 }
