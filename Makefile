@@ -28,16 +28,19 @@ fmt-check:
 # regressions in insert/delete/rebuild, packed-vs-pointer search parity, and
 # the flat STR build against its pointer-tree reference — the Ruben-kernel
 # fuzzer, which checks the linear-time series (value, certified bound, early
-# decisions) against its O(K²) reference, and the two wire-codec fuzzers,
-# which check that the single-pass /v1/query request and reply decoders agree
-# with encoding/json on arbitrary bytes (error or not, same value, same float
-# bits). `go test` accepts only one -fuzz target per invocation, so the 21s
-# budget is split across the six fuzzers.
+# decisions) against its O(K²) reference, the answer-region hull fuzzer,
+# which checks every inside/outside verdict of a random query shape's hull
+# against the exact evaluator, and the two wire-codec fuzzers, which check
+# that the single-pass /v1/query request and reply decoders agree with
+# encoding/json on arbitrary bytes (error or not, same value, same float
+# bits). `go test` accepts only one -fuzz target per invocation, so the 24s
+# budget is split across the seven fuzzers.
 fuzz-smoke:
 	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzTreeOps -fuzztime 4s
 	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedSearch -fuzztime 4s
 	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedBuild -fuzztime 4s
 	$(GO) test ./internal/quadform -run '^$$' -fuzz FuzzRubenCDF -fuzztime 3s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzHullClassify -fuzztime 3s
 	$(GO) test ./server -run '^$$' -fuzz FuzzQueryResponseDecode -fuzztime 3s
 	$(GO) test ./server -run '^$$' -fuzz FuzzQueryRequestDecode -fuzztime 3s
 
@@ -78,10 +81,10 @@ bench-snapshot:
 # follower replay of the grouped log. The fourth run gates the packed+fused
 # Phase-1/2 front half on the committed BENCH_phase1.json: the fused arm's
 # answer ids and per-phase counters must stay identical to the pointer
-# baseline's (which now runs on the tree unpacked from the packed base), its
-# front-half (IndexTime+FilterTime) speedup over the pointer arm must stay
-# >=2x in the same run, and the build block must stay scale-free sane: an
-# index load in <=64 allocations that never materialises the pointer tree.
+# baseline's (which now runs on the tree unpacked from the packed base), and
+# the build block must stay scale-free sane: an index load in <=64 allocations
+# that never materialises the pointer tree. The front-half ratio is printed,
+# not gated: a floor on the timing of two ~20us loops is a gate on the box.
 BENCH_COMPARE_QUERIES ?= 8
 BENCH_COMPARE_SAMPLES ?= 50000
 SHARD_COMPARE_QUERIES ?= 1200

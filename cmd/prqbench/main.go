@@ -41,7 +41,7 @@
 //	           query, the speedup, node/recheck counters, and identity of
 //	           answer ids and per-phase prune counts; -json writes the report
 //	           (committed as BENCH_phase1.json) and -compare gates a fresh
-//	           run against it (≥2× fused speedup + identity; not in "all")
+//	           run against it (identity + build gates; not in "all")
 //	churn    — mixed read/write experiment: -workers goroutines run -queries
 //	           operations against one live DB per cell, sweeping the write
 //	           fraction (0–20%) and both overlay-rebuild strategies, and
@@ -64,8 +64,8 @@
 //	-queries N     queries per batch for the batch experiment (default 64)
 //	-json PATH     write the phase1/phase3/churn report as JSON to PATH
 //	-compare PATH  phase1/phase3/shard/churn: gate a fresh run against the
-//	               committed baseline report at PATH (phase1: fused speedup +
-//	               identity; phase3: samples_touched regression; churn:
+//	               committed baseline report at PATH (phase1: arm identity +
+//	               build allocations; phase3: samples_touched regression; churn:
 //	               group-commit ingest speedup + replay identity)
 //	-cpuprofile PATH  write a pprof CPU profile of the selected experiment
 //	-memprofile PATH  write a pprof heap profile at exit

@@ -70,9 +70,14 @@ func TestQueryLargeDeltaOverLambda(t *testing.T) {
 					t.Errorf("γ=%g centre %d object %d (r=%.3f): in answer = %v, want %v", gamma, c, id, r, got, want)
 				}
 			}
-			if shell == 0 || res.Stats.Integrations == 0 {
+			// The shape's first query runs a fresh plan — the paper's filter
+			// chain in front of the series; the later ones reuse it, and its
+			// answer-region hull leaves the series almost nothing.
+			if fresh := c == 10; shell == 0 || fresh && res.Stats.Integrations == 0 {
 				t.Errorf("γ=%g centre %d: %d shell objects, %d integrations — the series was not exercised",
 					gamma, c, shell, res.Stats.Integrations)
+			} else if !fresh && res.Stats.Integrations > 3 {
+				t.Errorf("γ=%g centre %d: reused plan integrated %d candidates, want ≤ 3", gamma, c, res.Stats.Integrations)
 			}
 		}
 	}
@@ -93,6 +98,16 @@ func TestExactPathsAgree(t *testing.T) {
 		for i := range specs {
 			specs[i] = QuerySpec{Center: rows[(i*4099+17)%len(rows)], Cov: paperCov(shape.gamma), Delta: shape.delta, Theta: 0.01}
 		}
+		// The shape's first query compiles a fresh plan and runs the paper's
+		// filter chain in front of the series; everything after it reuses the
+		// plan, whose answer-region hull leaves the series almost nothing.
+		first, err := db.Query(specs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Stats.Integrations == 0 {
+			t.Errorf("γ=%g: the first query did not reach Phase 3", shape.gamma)
+		}
 		batch, err := db.QueryBatch(context.Background(), specs, 3)
 		if err != nil {
 			t.Fatal(err)
@@ -102,6 +117,9 @@ func TestExactPathsAgree(t *testing.T) {
 			want, err := db.Query(spec)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if i == 0 && !slices.Equal(first.IDs, want.IDs) {
+				t.Errorf("γ=%g: the reused plan's ids differ from the fresh plan's", shape.gamma)
 			}
 			integrations += want.Stats.Integrations
 			if !slices.Equal(batch[i].IDs, want.IDs) {
@@ -121,8 +139,8 @@ func TestExactPathsAgree(t *testing.T) {
 				}
 			}
 		}
-		if integrations == 0 {
-			t.Errorf("γ=%g: no query reached Phase 3", shape.gamma)
+		if integrations > 3*len(specs) {
+			t.Errorf("γ=%g: reused plans integrated %d candidates over %d queries, want ≤ 3 a query", shape.gamma, integrations, len(specs))
 		}
 	}
 }

@@ -489,9 +489,9 @@ type QuerySpec struct {
 type Stats struct {
 	Retrieved    int           // Phase-1 candidates from the R*-tree
 	PrunedFringe int           // removed by the RR Minkowski fringe filter
-	PrunedOR     int           // removed by the oblique-region filter
+	PrunedOR     int           // removed by a certified outer bound: the oblique-region box, or a reused plan's answer-region hull
 	PrunedBF     int           // removed beyond the α∥ bound
-	AcceptedBF   int           // accepted within the α⊥ bound (no integration)
+	AcceptedBF   int           // accepted by a certified inner bound (no integration): the α⊥ sphere, or a reused plan's answer-region hull
 	Integrations int           // candidates that needed probability computation
 	NodesRead    int           // base-index nodes visited (either representation)
 	IndexTime    time.Duration // Phase 1
@@ -961,12 +961,18 @@ func (db *DB) compile(spec QuerySpec) (core.Query, core.Strategy, error) {
 
 // compileEngine returns the DB's long-lived plan-compilation engine. Its
 // evaluator is never used for execution — DB paths supply a fresh evaluator
-// per call (ExecuteEval/ExecuteWith), keeping cached plans shareable.
+// per call (ExecuteEval/ExecuteWith), keeping cached plans shareable — but it
+// is of the configured kind, which is how a plan knows whether the exact
+// evaluator's answer-region hull speaks for the executions it will see.
 func (db *DB) compileEngine() (*core.Engine, error) {
 	db.compileMu.Lock()
 	defer db.compileMu.Unlock()
 	if db.compileEng == nil {
-		eng, err := core.NewEngine(db.idx, core.NewExactEvaluator(),
+		eval, err := db.newEvaluator()
+		if err != nil {
+			return nil, err
+		}
+		eng, err := core.NewEngine(db.idx, eval,
 			core.Options{UseCatalogs: db.options.useCatalogs, Phase3: db.phase3Options(),
 				PointerPhase1: db.options.pointerPhase1})
 		if err != nil {

@@ -133,9 +133,9 @@ func (q Query) Validate(dim int) error {
 type PhaseStats struct {
 	Retrieved    int // Phase 1: candidates returned by the index search
 	PrunedFringe int // Phase 2: removed by the RR Minkowski fringe test
-	PrunedOR     int // Phase 2: removed by the oblique-region filter
+	PrunedOR     int // Phase 2: removed by a certified outer bound (the oblique-region box, or the plan's hull)
 	PrunedBF     int // Phase 2: removed by the α∥ distance bound
-	AcceptedBF   int // Phase 2: accepted outright by the α⊥ bound
+	AcceptedBF   int // Phase 2: accepted outright by a certified inner bound (the α⊥ sphere, or the plan's hull)
 	Integrations int // Phase 3: candidates requiring probability computation
 	Answers      int // final result size
 	NodesRead    int // base-index nodes visited during Phase 1 (either representation)

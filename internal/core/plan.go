@@ -21,9 +21,10 @@ import (
 // finding), so standing queries (Monitor), repeated queries (plan caches)
 // and batches pay it once.
 //
-// A Plan is immutable after compilation and safe for concurrent use as long
-// as each execution supplies its own evaluator (ExecuteWith) or the engine's
-// evaluator is not shared across goroutines.
+// A Plan's compiled fields are immutable and it is safe for concurrent use as
+// long as each execution supplies its own evaluator (ExecuteWith) or the
+// engine's evaluator is not shared across goroutines; what its Rebind copies
+// learn for each other lives behind atomics in shared.
 type Plan struct {
 	engine *Engine
 	dist   *gauss.Dist
@@ -61,6 +62,13 @@ type Plan struct {
 	// tier-3 cloud (if ever drawn) follows the moving query for free.
 	tier *TierEvaluator
 
+	// shared is the one piece of mutable state: what the Rebind copies of this
+	// compilation learn for each other (the answer-region hull, the Phase-2
+	// output sizes). hull is shared.hull as this copy saw it at Rebind — nil
+	// on a freshly compiled plan, which therefore runs the paper's chain.
+	shared *planShared
+	hull   *hull
+
 	// Mean-dependent geometry, rebuilt cheaply by Rebind.
 	searchBox geom.Rect
 	fringe    *geom.MinkowskiRegion
@@ -91,6 +99,7 @@ func (e *Engine) Compile(q Query, strat Strategy) (*Plan, error) {
 		theta:  q.Theta,
 		strat:  strat,
 		geo:    geo,
+		shared: new(planShared),
 	}
 	dim := e.idx.Dim()
 
@@ -181,6 +190,12 @@ func (p *Plan) bind() error {
 // differ. All compiled radii and half-widths are reused; only the O(d)
 // mean-dependent rectangles are rebuilt. Use gauss.Dist.WithMean to derive
 // the distribution without re-decomposing Σ.
+//
+// Rebind is what says a compilation is being reused, so the first Rebind of
+// an eligible plan (hullEligible) also tabulates its answer region — 50–90
+// exact evaluations, once — and every plan rebound after that decides its
+// candidates from the table and searches the table's tighter rectangle. The
+// ids are the ones the compiled plan itself would return.
 func (p *Plan) Rebind(dist *gauss.Dist) (*Plan, error) {
 	if dist == nil {
 		return nil, fmt.Errorf("core: Rebind with nil distribution")
@@ -193,6 +208,7 @@ func (p *Plan) Rebind(dist *gauss.Dist) (*Plan, error) {
 	}
 	out := *p
 	out.dist = dist
+	out.attachHull()
 	if err := out.bind(); err != nil {
 		return nil, err
 	}
@@ -254,25 +270,51 @@ type phase2State struct {
 }
 
 func (p *Plan) newPhase2State(st *PhaseStats, dim int) *phase2State {
-	return &phase2State{
-		st:       st,
-		accepted: make([]int64, 0),
-		needEval: make([]int64, 0),
-		scratch:  make(vecmat.Vector, dim),
-		yBuf:     make(vecmat.Vector, dim),
+	s := &phase2State{
+		st: st,
+		// accepted goes on to collect the Phase-3 survivors as well.
+		accepted: make([]int64, 0, p.shared.lastAccepted.Load()+p.shared.lastNeedEval.Load()),
+		needEval: make([]int64, 0, p.shared.lastNeedEval.Load()),
 		qCenter:  p.dist.Mean(),
 		auSq:     p.geo.alphaUpper * p.geo.alphaUpper,
 		alSq:     p.geo.alphaLower * p.geo.alphaLower,
 	}
+	if p.hull == nil && p.orBound != nil {
+		s.scratch, s.yBuf = make(vecmat.Vector, dim), make(vecmat.Vector, dim)
+	}
+	return s
 }
 
-// filterOne streams one candidate through the compiled fringe →
-// oblique-region → BF α∥/α⊥ chain, updating prune counters and routing the
-// survivor to accepted (α⊥) or needEval. The decision depends only on o's
+// finish hands the Phase-2 output over and leaves its sizes for the next
+// execution of this compilation to size its slices from.
+func (p *Plan) finish(s *phase2State) (accepted, needEval []int64) {
+	p.shared.lastAccepted.Store(int64(len(s.accepted)))
+	p.shared.lastNeedEval.Store(int64(len(s.needEval)))
+	return s.accepted, s.needEval
+}
+
+// filterOne decides one candidate without integration where it can, updating
+// the prune counters and routing the rest to accepted or needEval. A plan
+// with a hull asks the hull alone: inside counts into AcceptedBF, outside into
+// PrunedOR, and only the sliver between its polygons needs evaluation. Any
+// other plan streams the candidate through the compiled fringe →
+// oblique-region → BF α∥/α⊥ chain. The decision depends only on o's
 // float64 values, which are bit-identical whether o comes from the snapshot's
 // id-indexed slice or the packed leaf block (both are clones of the same
 // inserted point), so both front halves produce identical id sequences.
 func (p *Plan) filterOne(s *phase2State, id int64, o vecmat.Vector) {
+	if p.hull != nil {
+		switch p.hull.classify(o[0]-s.qCenter[0], o[1]-s.qCenter[1]) {
+		case hullInside:
+			s.st.AcceptedBF++
+			s.accepted = append(s.accepted, id)
+		case hullOutside:
+			s.st.PrunedOR++
+		default:
+			s.needEval = append(s.needEval, id)
+		}
+		return
+	}
 	if p.fringe != nil && !p.fringe.Contains(o) {
 		s.st.PrunedFringe++
 		return
@@ -349,12 +391,12 @@ func (p *Plan) filterPhasesPointer(snap *Snapshot, st PhaseStats) (*Snapshot, Ph
 	// ---- Phase 2: filtering ----------------------------------------------
 	t1 := time.Now()
 	s := p.newPhase2State(&st, snap.dim)
-	s.needEval = make([]int64, 0, len(candidates))
 	for _, id := range candidates {
 		p.filterOne(s, id, snap.point(id))
 	}
 	st.PhaseDurations[1] = time.Since(t1)
-	return snap, st, s.accepted, s.needEval, nil
+	accepted, needEval := p.finish(s)
+	return snap, st, accepted, needEval, nil
 }
 
 // filterPhasesFused is the packed front half: one pass over the cache-linear
@@ -397,7 +439,8 @@ func (p *Plan) filterPhasesFused(snap *Snapshot, st PhaseStats) (*Snapshot, Phas
 		p.filterOne(s, id, o)
 	}
 	st.PhaseDurations[1] = time.Since(t1)
-	return snap, st, s.accepted, s.needEval, nil
+	accepted, needEval := p.finish(s)
+	return snap, st, accepted, needEval, nil
 }
 
 // Execute runs the compiled plan serially with the engine's evaluator.
