@@ -45,6 +45,8 @@ import (
 type Client struct {
 	base     string
 	hc       *http.Client
+	direct   *direct // the read path; nil when reads go through hc
+	timeout  time.Duration
 	retries  int
 	backoff  time.Duration
 	retry429 int
@@ -54,14 +56,16 @@ type Client struct {
 type Option func(*Client)
 
 // WithHTTPClient substitutes the underlying HTTP client (default: a client
-// with a 30 s overall timeout).
+// with a 30 s overall timeout). Every request then goes through it.
 func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) { c.hc = hc }
 }
 
-// WithTimeout sets the per-attempt HTTP timeout (default 30 s; 0 disables).
+// WithTimeout sets the per-attempt timeout of the Client's own transport
+// (default 30 s; 0 disables). A client given to WithHTTPClient keeps its own
+// Timeout, whichever option comes first.
 func WithTimeout(d time.Duration) Option {
-	return func(c *Client) { c.hc.Timeout = d }
+	return func(c *Client) { c.timeout = d }
 }
 
 // WithRetries sets how many times a request is retried after a connection
@@ -94,14 +98,21 @@ func WithRetryOn429(n int) Option {
 }
 
 // New returns a client for the server at baseURL (e.g. "http://127.0.0.1:8080").
-// Unless WithHTTPClient substitutes one, the Client owns its connection pool,
+// Unless WithHTTPClient substitutes one, the Client owns its connection pools,
 // so it is meant to be long-lived: create one per server and reuse it. The
 // connections of a Client that is dropped close when they have idled out.
+//
+// A Client that owns its transport sends reads — every method but the
+// mutations — on connections it writes and reads on the caller's goroutine,
+// when baseURL is plain http and http.DefaultTransport's Proxy names no proxy
+// for it; those connections are dialled with its DialContext. Mutations, and
+// every request otherwise, go through net/http.
 func New(baseURL string, opts ...Option) *Client {
-	own := &http.Client{Timeout: 30 * time.Second}
+	own := &http.Client{}
 	c := &Client{
 		base:    strings.TrimRight(baseURL, "/"),
 		hc:      own,
+		timeout: 30 * time.Second,
 		retries: 2,
 		backoff: 50 * time.Millisecond,
 	}
@@ -109,7 +120,11 @@ func New(baseURL string, opts ...Option) *Client {
 		fn(c)
 	}
 	if c.hc == own {
+		own.Timeout = c.timeout
 		own.Transport = newTransport()
+		if t, ok := own.Transport.(*http.Transport); ok {
+			c.direct = newDirect(c.base, t)
+		}
 	}
 	return c
 }
@@ -214,20 +229,14 @@ func (c *Client) doRetry(ctx context.Context, method, path string, in, out any, 
 	}
 	connAttempts, overloads := 0, 0
 	for {
-		var body io.Reader
-		if payload != nil {
-			body = bytes.NewReader(payload)
+		var err error
+		if c.direct != nil && connRetry {
+			err = c.direct.roundTrip(ctx, method, path, payload, out, c.timeout)
+		} else {
+			err = c.roundTripHTTP(ctx, method, path, payload, out)
 		}
-		req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
-		if err != nil {
-			return fmt.Errorf("client: building request: %w", err)
-		}
-		if payload != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			if urlErr := new(url.Error); errors.As(err, &urlErr) && retryable(urlErr.Err) && connRetry {
+		if urlErr, ok := err.(*url.Error); ok { // no reply: a transport failure
+			if retryable(urlErr.Err) && connRetry {
 				connAttempts++
 				if connAttempts > c.retries {
 					return fmt.Errorf("client: giving up after %d attempts: %w", c.retries+1, err)
@@ -239,7 +248,6 @@ func (c *Client) doRetry(ctx context.Context, method, path string, in, out any, 
 			}
 			return fmt.Errorf("client: %w", err)
 		}
-		err = decodeResponse(resp, out)
 		var ae *APIError
 		if errors.As(err, &ae) && ae.Status == http.StatusTooManyRequests && overloads < c.retry429 {
 			overloads++
@@ -256,6 +264,27 @@ func (c *Client) doRetry(ctx context.Context, method, path string, in, out any, 
 	}
 }
 
+// roundTripHTTP is one attempt through the http.Client; a failure to get a
+// reply is the *url.Error Client.Do returns.
+func (c *Client) roundTripHTTP(ctx context.Context, method, path string, payload []byte, out any) error {
+	var body io.Reader
+	if payload != nil {
+		body = bytes.NewReader(payload)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	if err != nil {
+		return fmt.Errorf("client: building request: %w", err)
+	}
+	if payload != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return err
+	}
+	return decodeResponse(resp, out)
+}
+
 // sleepCtx waits for d or until ctx is done, whichever comes first.
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	select {
@@ -269,14 +298,23 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // maxResponseBytes bounds a response body.
 const maxResponseBytes = 64 << 20
 
+var errResponseTooLarge = fmt.Errorf("client: response body exceeds %d bytes", maxResponseBytes)
+
 // decodeResponse consumes resp: a non-2xx reply becomes an *APIError, a 2xx
-// body is decoded into out (when non-nil).
+// body is decoded into out (when non-nil). A body over maxResponseBytes is an
+// error, raised before reading when its length is declared.
 func decodeResponse(resp *http.Response, out any) error {
 	defer resp.Body.Close()
-	data, release, err := server.ReadBody(io.LimitReader(resp.Body, maxResponseBytes), resp.ContentLength)
+	if resp.ContentLength > maxResponseBytes {
+		return errResponseTooLarge
+	}
+	data, release, err := server.ReadBody(io.LimitReader(resp.Body, maxResponseBytes+1), resp.ContentLength)
 	defer release() // decoding copies what it keeps out of data
 	if err != nil {
 		return fmt.Errorf("client: reading response: %w", err)
+	}
+	if len(data) > maxResponseBytes {
+		return errResponseTooLarge
 	}
 	if resp.StatusCode/100 != 2 {
 		var er server.ErrorResponse

@@ -41,8 +41,8 @@ func (b *barrier) wait() {
 // are in flight together, and all eight replies are read before the next
 // round — so every round hands eight connections back at once. On
 // http.DefaultTransport (2 idle per host) six of them are closed and
-// re-dialled each round, ~300 connections in all; on the client's own
-// transport the eight opened in the first round carry all 400 queries.
+// re-dialled each round, ~300 connections in all; on the Client's own
+// connections the eight opened in the first round carry all 400 queries.
 func TestClientOwnsTransport(t *testing.T) {
 	const callers, each = 8, 50
 	var opened atomic.Int32

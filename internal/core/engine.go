@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -365,9 +364,6 @@ func (e *Engine) bfAlpha(delta, tp float64, upper bool) (float64, error) {
 	}
 	return e.opts.BFCatalog.LookupLower(delta, tp)
 }
-
-// sortIDs sorts ascending in place.
-func sortIDs(ids []int64) { slices.Sort(ids) }
 
 // stopped reports, without blocking, whether done — a context's Done channel,
 // hoisted out of the candidate loop by the caller — has been closed. It is

@@ -184,9 +184,6 @@ func (b *Batcher) run() {
 		}
 		b.flush(group)
 		elapsed := int64(time.Since(start))
-		for _, s := range group {
-			close(s.done)
-		}
 		b.statMu.Lock()
 		b.stats.Groups++
 		b.stats.Submissions += uint64(len(group))
@@ -198,6 +195,11 @@ func (b *Batcher) run() {
 		*why++
 		b.pending -= len(group)
 		b.statMu.Unlock()
+		// Woken only now, a writer that reads Stats after its Submit
+		// returned sees its group counted.
+		for _, s := range group {
+			close(s.done)
+		}
 		group = nil
 		bytes = 0
 	}

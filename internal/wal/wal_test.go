@@ -349,6 +349,25 @@ func TestCrashPrefixProperty(t *testing.T) {
 	}
 }
 
+// TestBatcherStatsCountAckedGroups: once Submit returns, Stats already counts
+// the submission's group, so a stats read after an acknowledged write never
+// shows the record without its group.
+func TestBatcherStatsCountAckedGroups(t *testing.T) {
+	b, err := NewBatcher(BatcherConfig{Dim: 1}, func([]*Submission) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for i := 1; i <= 200; i++ {
+		if err := b.Submit(&Submission{Inserts: [][]float64{{float64(i)}}}); err != nil {
+			t.Fatal(err)
+		}
+		if st := b.Stats(); st.Submissions != uint64(i) || st.Groups != uint64(i) || st.Pending != 0 {
+			t.Fatalf("after %d acknowledged submits: submissions %d, groups %d, pending %d", i, st.Submissions, st.Groups, st.Pending)
+		}
+	}
+}
+
 func TestBatcherGroupsConcurrentSubmits(t *testing.T) {
 	var mu sync.Mutex
 	var groups [][]*Submission

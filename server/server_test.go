@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -299,6 +300,53 @@ func TestServerDefaultTimeout(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504 from the default timeout", resp.StatusCode)
+	}
+}
+
+// TestClientCancelMidQuery: cancelling a query the server is executing
+// returns the client's call at once with context.Canceled — the client hangs
+// up, which also ends the server's query — and the client's next query works.
+func TestClientCancelMidQuery(t *testing.T) {
+	db := testDB(t)
+	s, _, cl := newTestServer(t, server.Config{DB: db})
+	spec := testSpec(db, "ALL")
+	if _, err := cl.Query(context.Background(), spec); err != nil {
+		t.Fatal(err) // leaves a pooled connection for the held query
+	}
+	entered, ended := make(chan struct{}, 1), make(chan struct{}, 1)
+	s.SetPreQuery(func(ctx context.Context) {
+		entered <- struct{}{}
+		<-ctx.Done()
+		ended <- struct{}{}
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := cl.Query(ctx, spec)
+		done <- err
+	}()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("query never reached execution")
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled query returned %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("cancelled query did not return")
+	}
+	select {
+	case <-ended:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the server kept executing the abandoned query")
+	}
+	s.SetPreQuery(nil)
+	if res, err := cl.Query(context.Background(), spec); err != nil || len(res.IDs) == 0 {
+		t.Fatalf("query after a cancel: %v", err)
 	}
 }
 
