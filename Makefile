@@ -83,8 +83,11 @@ bench-snapshot:
 # answer ids and per-phase counters must stay identical to the pointer
 # baseline's (which now runs on the tree unpacked from the packed base), and
 # the build block must stay scale-free sane: an index load in <=64 allocations
-# that never materialises the pointer tree. The front-half ratio is printed,
-# not gated: a floor on the timing of two ~20us loops is a gate on the box.
+# that never materialises the pointer tree, and packed_bytes/points <= 32 at
+# d=2, because a leaf stores its point once (16 B) with its id (8 B) and a
+# return of duplicated leaf copies (bounds and float32 mirrors) reads ~74.
+# The front-half ratio is printed, not gated: a floor on the timing of two
+# ~20us loops is a gate on the box.
 BENCH_COMPARE_QUERIES ?= 8
 BENCH_COMPARE_SAMPLES ?= 50000
 SHARD_COMPARE_QUERIES ?= 1200

@@ -52,6 +52,12 @@ type phase1Build struct {
 // allocations for the whole load; per-point cloning would be 50 000+.
 const buildAllocsCeiling = 64
 
+// packedBytesPerPointCeiling is the -compare gate on packed_bytes / points
+// (d = 2): a leaf holds a point once (16 B) and its id (8 B), and the node
+// levels add ≈ 2 B a point; leaves that carried bounds and float32 mirrors
+// too read ≈ 74.
+const packedBytesPerPointCeiling = 32
+
 // phase1Report is the JSON document written by -json and committed as
 // BENCH_phase1.json.
 type phase1Report struct {
@@ -298,8 +304,9 @@ func measureBuild(points []vecmat.Vector) (phase1Build, error) {
 // comparePhase1 gates a fresh phase1 run on what does not depend on the box:
 // answer-id and counter identity between the arms is non-negotiable (the
 // pointer arm runs on the tree unpacked from the packed base, so this is also
-// the Unpack identity gate), and the build must stay a few dozen allocations
-// and never materialise the pointer tree. The front-half ratio is printed
+// the Unpack identity gate), and the build must stay a few dozen allocations,
+// keep each point once (packed bytes per point) and never materialise the
+// pointer tree. The front-half ratio is printed
 // beside the baseline's without a floor: it is a timing of two ≈ 10–50 µs
 // loops on whatever box runs the gate (1.06–2.4× across the boxes and commits
 // that have run it), and the serving benchmark (bench/, `query_p50_ms`) is
@@ -322,11 +329,16 @@ func comparePhase1(report *phase1Report, baselinePath string) error {
 	if !base.IDsIdentical || !base.CountsIdentical {
 		return fmt.Errorf("baseline %s recorded an identity failure — refusing to gate against it", baselinePath)
 	}
-	fmt.Printf("bench-compare: build %d allocs (baseline %d, ceiling %d), %.1f ms (baseline %.1f ms); fold %.1f ms (baseline %.1f ms)\n",
+	bytesPerPoint := float64(report.Build.PackedBytes) / float64(report.Points)
+	fmt.Printf("bench-compare: build %d allocs (baseline %d, ceiling %d), %.1f ms (baseline %.1f ms); fold %.1f ms (baseline %.1f ms); packed %.1f B/point (baseline %.1f, ceiling %d)\n",
 		report.Build.BuildAllocs, base.Build.BuildAllocs, buildAllocsCeiling,
-		report.Build.BuildMS, base.Build.BuildMS, report.Build.FoldMS, base.Build.FoldMS)
+		report.Build.BuildMS, base.Build.BuildMS, report.Build.FoldMS, base.Build.FoldMS,
+		bytesPerPoint, float64(base.Build.PackedBytes)/float64(base.Points), packedBytesPerPointCeiling)
 	if report.Build.BuildAllocs > buildAllocsCeiling {
 		return fmt.Errorf("build made %d allocations, ceiling %d — per-point copying is back", report.Build.BuildAllocs, buildAllocsCeiling)
+	}
+	if bytesPerPoint > packedBytesPerPointCeiling {
+		return fmt.Errorf("packed index holds %.1f B/point, ceiling %d — duplicated leaf copies are back", bytesPerPoint, packedBytesPerPointCeiling)
 	}
 	if report.Build.PointerTreeMaterialised {
 		return fmt.Errorf("load or fold materialised the pointer tree")

@@ -18,6 +18,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -80,40 +81,52 @@ func RestoreIndex(points []vecmat.Vector, epoch uint64, dim int, opts ...rtree.O
 	if epoch == 0 {
 		epoch = 1
 	}
-	b, stored, live, err := newGeneration(points, nil, dim, opts)
+	b, slot, live, err := newGeneration(len(points), func(id int) vecmat.Vector { return points[id] }, dim, opts)
 	if err != nil {
 		return nil, err
 	}
 	ix := &Index{dim: dim, opts: opts}
-	ix.cur.Store(&Snapshot{base: b, points: stored, live: live, dim: dim, epoch: epoch})
+	ix.cur.Store(&Snapshot{base: b, slot: slot, live: live, dim: dim, epoch: epoch})
 	return ix, nil
 }
 
-// newGeneration STR-builds a base over the live entries of the id-addressed
-// points (nil = hole; ids in dead are dropped) and returns it with the
-// generation's own id-addressed slice, whose live entries are windows on the
-// packed leaf block: a generation keeps one copy of its coordinates, in one
-// allocation, and holds on to nothing of the generation before it.
-func newGeneration(points []vecmat.Vector, dead map[int64]struct{}, dim int, opts []rtree.Option) (*base, []vecmat.Vector, int, error) {
-	livePts := make([]vecmat.Vector, 0, len(points)-len(dead))
-	liveIDs := make([]int64, 0, len(points)-len(dead))
-	for id, p := range points {
-		if _, gone := dead[int64(id)]; p == nil || gone {
+// newGeneration STR-builds a base over the live points of ids 0 .. maxID-1
+// — at(id) is id's point, or nil for a hole or a deleted id — and returns it
+// with the generation's slot table, built from leaf order, and its live
+// count. A generation keeps one copy of its coordinates — the packed leaf
+// block — in one allocation, and holds on to nothing of the generation
+// before it. A slot is an int32, so a generation holds at most
+// math.MaxInt32 points.
+func newGeneration(maxID int, at func(id int) vecmat.Vector, dim int, opts []rtree.Option) (*base, []int32, int, error) {
+	pts := make([]vecmat.Vector, 0, maxID)
+	ids := make([]int64, 0, maxID)
+	for id := 0; id < maxID; id++ {
+		p := at(id)
+		if p == nil {
 			continue
 		}
 		if p.Dim() != dim {
 			return nil, nil, 0, fmt.Errorf("core: point %d has dim %d, want %d", id, p.Dim(), dim)
 		}
-		livePts = append(livePts, p)
-		liveIDs = append(liveIDs, int64(id))
+		pts = append(pts, p)
+		ids = append(ids, int64(id))
 	}
-	packed, err := rtree.BuildPacked(livePts, liveIDs, dim, opts...)
+	if len(pts) > math.MaxInt32 {
+		return nil, nil, 0, fmt.Errorf("core: %d points in one generation, at most %d", len(pts), math.MaxInt32)
+	}
+	packed, err := rtree.BuildPacked(pts, ids, dim, opts...)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	stored := make([]vecmat.Vector, len(points))
-	packed.EachPoint(func(id int64, pt []float64) { stored[id] = pt })
-	return &base{packed: packed}, stored, len(livePts), nil
+	slot := make([]int32, maxID)
+	for id := range slot {
+		slot[id] = -1
+	}
+	for j := 0; j < packed.Len(); j++ {
+		id, _ := packed.Leaf(j)
+		slot[id] = int32(j)
+	}
+	return &base{packed: packed}, slot, len(pts), nil
 }
 
 // Current pins the current snapshot: an immutable view of the latest
@@ -261,14 +274,20 @@ func (ix *Index) Stage(inserts []vecmat.Vector, insertIDs []int64, deletes []int
 	// Explicit ids are validated under the lock against the live MaxID so the
 	// whole batch is rejected before any state changes.
 	for i, id := range insertIDs {
-		if id < int64(len(cur.points)) {
+		if id < int64(len(cur.slot)) {
 			ix.mu.Unlock()
-			return nil, fmt.Errorf("core: insert id %d below max id %d (ids are never reused)", id, len(cur.points))
+			return nil, fmt.Errorf("core: insert id %d below max id %d (ids are never reused)", id, len(cur.slot))
 		}
 		if i > 0 && id <= insertIDs[i-1] {
 			ix.mu.Unlock()
 			return nil, fmt.Errorf("core: insert ids not strictly increasing: %d after %d", id, insertIDs[i-1])
 		}
+	}
+
+	// An overlay slot is the base length plus its ovl row, an int32.
+	if rows := cur.base.packed.Len() + len(cur.mem) + len(inserts); rows > math.MaxInt32 {
+		ix.mu.Unlock()
+		return nil, fmt.Errorf("core: %d points in one generation, at most %d", rows, math.MaxInt32)
 	}
 
 	deleted := make([]bool, len(deletes))
@@ -284,13 +303,14 @@ func (ix *Index) Stage(inserts []vecmat.Vector, insertIDs []int64, deletes []int
 	}
 
 	next := &Snapshot{
-		base:   cur.base,
-		points: cur.points,
-		mem:    cur.mem,
-		dead:   cur.dead,
-		live:   cur.live,
-		dim:    cur.dim,
-		epoch:  cur.epoch + 1,
+		base:  cur.base,
+		slot:  cur.slot,
+		ovl:   cur.ovl,
+		mem:   cur.mem,
+		dead:  cur.dead,
+		live:  cur.live,
+		dim:   cur.dim,
+		epoch: cur.epoch + 1,
 	}
 
 	if effective > 0 {
@@ -311,22 +331,23 @@ func (ix *Index) Stage(inserts []vecmat.Vector, insertIDs []int64, deletes []int
 
 	var ids []int64
 	if len(inserts) > 0 {
-		// points and mem are append-only between rebuilds: older snapshots
-		// hold shorter headers and never read past them, so appending under
-		// the writer mutex is safe without copying. Explicit ids pad nil
-		// holes up to their position. A Discarded stage's appends are
-		// harmlessly overwritten by the next Stage — no published snapshot
-		// reads past its own header length.
+		// slot, ovl and mem are append-only between rebuilds: older
+		// snapshots hold shorter headers and never read past them, so
+		// appending under the writer mutex is safe without copying. Explicit
+		// ids pad −1 holes up to their position. A Discarded stage's appends
+		// are harmlessly overwritten by the next Stage — no published
+		// snapshot reads past its own header length.
 		ids = make([]int64, len(inserts))
 		for i, p := range inserts {
-			id := int64(len(next.points))
+			id := int64(len(next.slot))
 			if insertIDs != nil {
 				id = insertIDs[i]
-				for int64(len(next.points)) < id {
-					next.points = append(next.points, nil)
+				for int64(len(next.slot)) < id {
+					next.slot = append(next.slot, -1)
 				}
 			}
-			next.points = append(next.points, p.Clone())
+			next.slot = append(next.slot, int32(next.base.packed.Len()+len(next.mem)))
+			next.ovl = append(next.ovl, p...)
 			next.mem = append(next.mem, id)
 			ids[i] = id
 		}
@@ -363,15 +384,22 @@ func (s *Staged) Discard() {
 }
 
 // rebuildSnapshot folds next's overlay into a freshly built base in place,
-// clearing the overlay. points becomes the new generation's slice, with
-// tombstoned ids nil and nothing shared with the retired epoch's.
+// clearing the overlay. The live points are gathered through the slots; the
+// new generation's slot table and (empty) overlay share nothing with the
+// retired epoch's.
 func (ix *Index) rebuildSnapshot(next *Snapshot) error {
-	b, points, _, err := newGeneration(next.points, next.dead, ix.dim, ix.opts)
+	b, slot, _, err := newGeneration(len(next.slot), func(id int) vecmat.Vector {
+		if !next.Alive(int64(id)) {
+			return nil
+		}
+		return next.point(int64(id))
+	}, ix.dim, ix.opts)
 	if err != nil {
 		return err
 	}
 	next.base = b
-	next.points = points
+	next.slot = slot
+	next.ovl = nil
 	next.mem = nil
 	next.dead = nil
 	return nil

@@ -426,13 +426,15 @@ func (p *Plan) filterPhasesFused(snap *Snapshot, st PhaseStats) (*Snapshot, Phas
 	st.PhaseDurations[0] = time.Since(t0)
 
 	t1 := time.Now()
-	for _, id := range snap.mem {
-		st.OverlayScanned++
-		if _, gone := snap.dead[id]; gone {
+	st.OverlayScanned += len(snap.mem)
+	for i, id := range snap.mem {
+		// The box test on the contiguous row first: most overlay inserts lie
+		// outside it, and they then cost no tombstone lookup.
+		o := snap.overlayPoint(i)
+		if !p.searchBox.Contains(o) {
 			continue
 		}
-		o := snap.points[id]
-		if !p.searchBox.Contains(o) {
+		if _, gone := snap.dead[id]; gone {
 			continue
 		}
 		st.Retrieved++

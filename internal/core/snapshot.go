@@ -38,21 +38,25 @@ func (b *base) pointerTree() *rtree.Tree {
 // modified after publication; queries pin one with Index.Current and read it
 // without any lock, while the writer builds the next epoch beside it.
 //
-// The points slice is shared structurally across epochs: it is append-only
-// between folds (older snapshots hold shorter slice headers over the same
-// backing array and never index past their own length), and a fold starts a
-// fresh array. A nil entry marks an id deleted before the last fold; ids are
-// never reused. A base's points are windows on its packed leaf block — the
-// one copy a generation keeps; overlay inserts are allocated singly until the
-// next fold moves them into the new base's block.
+// A generation keeps one copy of its coordinates. A base point lives only in
+// the packed leaf block; an overlay insert's coordinates are row i of ovl,
+// where mem[i] is its id. The id-indexed slot table says where each id's
+// point is: its leaf position j in the base (0 ≤ j < base length), the base
+// length plus its ovl row, or −1 for an id deleted before the last fold (or
+// skipped by an explicit-id insert). slot, ovl and mem are shared
+// structurally across epochs: they are append-only between folds (older
+// snapshots hold shorter slice headers over the same backing arrays and
+// never index past their own lengths), and a fold starts fresh ones. Ids are
+// never reused.
 type Snapshot struct {
-	base   *base
-	points []vecmat.Vector // id-indexed; nil = deleted before the base was built
-	mem    []int64         // ids inserted after the base was built (ascending)
-	dead   map[int64]struct{}
-	live   int
-	dim    int
-	epoch  uint64
+	base  *base
+	slot  []int32   // id-indexed: leaf position, base length + ovl row, or −1
+	ovl   []float64 // overlay insert coordinates, row-major; row i is mem[i]'s
+	mem   []int64   // ids inserted after the base was built (ascending)
+	dead  map[int64]struct{}
+	live  int
+	dim   int
+	epoch uint64
 }
 
 // Epoch returns the snapshot's version number. Epoch 1 is the initial load;
@@ -67,32 +71,46 @@ func (s *Snapshot) Dim() int { return s.dim }
 
 // MaxID returns the exclusive upper bound of identifiers ever assigned up to
 // this epoch (deleted ids remain burned).
-func (s *Snapshot) MaxID() int64 { return int64(len(s.points)) }
+func (s *Snapshot) MaxID() int64 { return int64(len(s.slot)) }
 
 // Alive reports whether id identifies a live point in this epoch.
 func (s *Snapshot) Alive(id int64) bool {
-	if id < 0 || id >= int64(len(s.points)) || s.points[id] == nil {
+	if id < 0 || id >= int64(len(s.slot)) || s.slot[id] < 0 {
 		return false
 	}
 	_, gone := s.dead[id]
 	return !gone
 }
 
-// Point returns the coordinates of the identified live point. The caller
-// must not mutate the result.
+// Point returns the coordinates of the identified live point: a window on
+// the generation's one copy, which is never written while any snapshot can
+// reach it. The caller must not mutate the result.
 func (s *Snapshot) Point(id int64) (vecmat.Vector, error) {
-	if id < 0 || id >= int64(len(s.points)) {
-		return nil, fmt.Errorf("core: point id %d out of range [0, %d)", id, len(s.points))
+	if id < 0 || id >= int64(len(s.slot)) {
+		return nil, fmt.Errorf("core: point id %d out of range [0, %d)", id, len(s.slot))
 	}
 	if !s.Alive(id) {
 		return nil, fmt.Errorf("core: point id %d is deleted", id)
 	}
-	return s.points[id], nil
+	return s.point(id), nil
 }
 
 // point returns the coordinates of id without liveness checks — for
 // executors iterating ids this snapshot itself produced.
-func (s *Snapshot) point(id int64) vecmat.Vector { return s.points[id] }
+func (s *Snapshot) point(id int64) vecmat.Vector {
+	j := int(s.slot[id])
+	if n := s.base.packed.Len(); j >= n {
+		return s.overlayPoint(j - n)
+	}
+	_, pt := s.base.packed.Leaf(j)
+	return pt
+}
+
+// overlayPoint returns ovl row i: the coordinates of overlay insert mem[i].
+func (s *Snapshot) overlayPoint(i int) vecmat.Vector {
+	o := i * s.dim
+	return s.ovl[o : o+s.dim : o+s.dim]
+}
 
 // Tree exposes the snapshot's base as a pointer R*-tree for diagnostics and
 // the node-I/O experiments. It is unpacked from the packed base on first
@@ -149,11 +167,11 @@ func (s *Snapshot) searchRect(r geom.Rect, pointer bool) ([]int64, error) {
 		}
 		ids = kept
 	}
-	for _, id := range s.mem {
+	for i, id := range s.mem {
 		if _, gone := s.dead[id]; gone {
 			continue
 		}
-		if r.Contains(s.points[id]) {
+		if r.Contains(s.overlayPoint(i)) {
 			ids = append(ids, id)
 		}
 	}
@@ -178,11 +196,11 @@ func (s *Snapshot) SearchSphere(center vecmat.Vector, radius float64, fn func(id
 		return err
 	}
 	r2 := radius * radius
-	for _, id := range s.mem {
+	for i, id := range s.mem {
 		if _, gone := s.dead[id]; gone {
 			continue
 		}
-		if s.points[id].Dist2(center) <= r2 {
+		if s.overlayPoint(i).Dist2(center) <= r2 {
 			if !fn(id) {
 				return nil
 			}
@@ -210,11 +228,11 @@ func (s *Snapshot) NearestNeighbors(p vecmat.Vector, k int) ([]rtree.Neighbor, e
 		}
 		out = append(out, n)
 	}
-	for _, id := range s.mem {
+	for i, id := range s.mem {
 		if _, gone := s.dead[id]; gone {
 			continue
 		}
-		pt := s.points[id]
+		pt := s.overlayPoint(i)
 		out = append(out, rtree.Neighbor{Rect: geom.PointRect(pt), ID: id, Dist2: pt.Dist2(p)})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -233,11 +251,11 @@ func (s *Snapshot) NearestNeighbors(p vecmat.Vector, k int) ([]rtree.Neighbor, e
 // when fn returns false. This is the iteration order the persistence layer
 // serializes.
 func (s *Snapshot) Range(fn func(id int64, p vecmat.Vector) bool) {
-	for id := int64(0); id < int64(len(s.points)); id++ {
+	for id := int64(0); id < int64(len(s.slot)); id++ {
 		if !s.Alive(id) {
 			continue
 		}
-		if !fn(id, s.points[id]) {
+		if !fn(id, s.point(id)) {
 			return
 		}
 	}

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"gaussrange/internal/geom"
@@ -328,4 +332,138 @@ func TestApplySemantics(t *testing.T) {
 	if id != 3 {
 		t.Fatalf("insert after delete got id %d, want 3", id)
 	}
+}
+
+// TestPointWindowsStable: Point and the packed PointVisitor hand out windows
+// on a generation's one copy of the coordinates instead of copies, so that
+// copy must never be written while a window on it can exist. Four readers
+// record windows from every snapshot they pin while a writer publishes
+// inserts, stages and discards batches with other coordinates for the same
+// ids and rows, deletes, and crosses two folds; every recorded window must
+// still hold the bits it held when it was handed out. Run under -race.
+func TestPointWindowsStable(t *testing.T) {
+	coords := func(id int64) vecmat.Vector { return vecmat.Vector{float64(id), -0.5 * float64(id)} }
+	same := func(a, b vecmat.Vector) bool {
+		return math.Float64bits(a[0]) == math.Float64bits(b[0]) && math.Float64bits(a[1]) == math.Float64bits(b[1])
+	}
+	seed := make([]vecmat.Vector, 300)
+	for i := range seed {
+		seed[i] = coords(int64(i))
+	}
+	ix, err := NewIndex(seed, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type window struct {
+		id int64
+		pt vecmat.Vector
+	}
+	type report struct {
+		kept []window
+		err  string
+	}
+	const readers = 4
+	var passes atomic.Int64
+	done := make(chan struct{})
+	reports := make(chan report, readers)
+	everything, _ := geom.NewRect(vecmat.Vector{-1e9, -1e9}, vecmat.Vector{1e9, 1e9})
+	for r := 0; r < readers; r++ {
+		go func() {
+			var (
+				rep  report
+				last uint64
+			)
+			check := func(id int64, pt vecmat.Vector) {
+				if !same(pt, coords(id)) && rep.err == "" {
+					rep.err = fmt.Sprintf("id %d read as %v, want %v", id, pt, coords(id))
+				}
+			}
+			for {
+				select {
+				case <-done:
+					reports <- rep
+					return
+				default:
+				}
+				// Every read is checked; from each epoch a reader pins it
+				// keeps the windows on the eight newest live ids — overlay
+				// rows whenever there is an overlay — and on the first four
+				// points the packed search visits.
+				snap := ix.Current()
+				fresh := snap.Epoch() != last
+				last = snap.Epoch()
+				keep := 0
+				if fresh {
+					keep = 8
+				}
+				for id := snap.MaxID() - 1; id >= 0; id-- {
+					if pt, err := snap.Point(id); err == nil {
+						check(id, pt)
+						if keep > 0 {
+							rep.kept = append(rep.kept, window{id, pt})
+							keep--
+						}
+					}
+				}
+				keep = 0
+				if fresh {
+					keep = 4
+				}
+				snap.Packed().SearchRect(everything, func(id int64, pt []float64) bool {
+					check(id, pt)
+					if keep > 0 {
+						rep.kept = append(rep.kept, window{id, pt})
+						keep--
+					}
+					return true
+				}, nil)
+				passes.Add(1)
+			}
+		}()
+	}
+
+	folds := 0
+	for next := int64(300); folds < 2 || passes.Load() < 400; next++ {
+		// A batch staged with other coordinates for the ids and overlay rows
+		// the next published insert takes, then discarded.
+		st, err := ix.Stage([]vecmat.Vector{{-7, -7}, {-8, -8}}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Discard()
+		// A delete every third step, so folds do not land where the
+		// overlay block's append happens to reallocate it.
+		var del []int64
+		if next%3 == 0 {
+			del = []int64{next - 250}
+		}
+		before, _ := ix.Current().OverlaySize()
+		st, err = ix.Stage([]vecmat.Vector{coords(next)}, nil, del)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.IDs[0] != next {
+			t.Fatalf("insert got id %d, want %d", st.IDs[0], next)
+		}
+		st.Publish()
+		if after, _ := ix.Current().OverlaySize(); after < before {
+			folds++
+		}
+		runtime.Gosched()
+	}
+	close(done)
+	windows := 0
+	for r := 0; r < readers; r++ {
+		rep := <-reports
+		if rep.err != "" {
+			t.Fatal(rep.err)
+		}
+		for _, w := range rep.kept {
+			if !same(w.pt, coords(w.id)) {
+				t.Fatalf("window on id %d now holds %v, handed out as %v", w.id, w.pt, coords(w.id))
+			}
+		}
+		windows += len(rep.kept)
+	}
+	t.Logf("%d folds, %d reader passes, %d windows rechecked", folds, passes.Load(), windows)
 }

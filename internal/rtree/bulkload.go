@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -27,7 +28,7 @@ func BuildPacked(points []vecmat.Vector, ids []int64, dim int, opts ...Option) (
 	if err != nil {
 		return nil, err
 	}
-	return buildPacked(coords, coords, ids, dim, maxFill, minFill), nil
+	return buildPacked(coords, ids, dim, maxFill, minFill), nil
 }
 
 // BulkLoadPoints is Unpack(BuildPacked(...)): the STR-packed pointer tree.
@@ -37,28 +38,6 @@ func BulkLoadPoints(points []vecmat.Vector, ids []int64, dim int, opts ...Option
 		return nil, err
 	}
 	return Unpack(p), nil
-}
-
-// BulkLoad builds a tree from arbitrary entries with STR packing. Entries
-// whose center (Lo+Hi)/2 is NaN on some axis sort in an unspecified order.
-func BulkLoad(entries []Entry, dim int, opts ...Option) (*Tree, error) {
-	maxFill, minFill, err := nodeFill(dim, opts)
-	if err != nil {
-		return nil, err
-	}
-	lo := make([]float64, len(entries)*dim)
-	hi := make([]float64, len(entries)*dim)
-	ids := make([]int64, len(entries))
-	for i := range entries {
-		r := entries[i].Rect
-		if r.Dim() != dim {
-			return nil, fmt.Errorf("%w: rect dim %d vs tree dim %d", ErrDimension, r.Dim(), dim)
-		}
-		copy(lo[i*dim:], r.Lo)
-		copy(hi[i*dim:], r.Hi)
-		ids[i] = entries[i].ID
-	}
-	return Unpack(buildPacked(lo, hi, ids, dim, maxFill, minFill)), nil
 }
 
 // flattenPoints validates the points and copies them into one row-major
@@ -77,35 +56,102 @@ func flattenPoints(points []vecmat.Vector, dim int) ([]float64, error) {
 	return coords, nil
 }
 
-// strKey is what STR actually sorts: an entry's center on the sort axis, the
-// entry's position before the sort, and its index. Ordering by (center, pos)
-// with an unstable sort reproduces a stable sort by center — STR needs that,
-// because slicing on axis a+1 must keep ties in their axis-a order — while
-// moving 16 pointer-free bytes per swap instead of a whole Entry.
+// strKey is what STR actually sorts: the order-preserving uint64 image of an
+// entry's center on the sort axis (centerKey), the entry's position before
+// the sort, and its index. STR needs a stable sort by center, because slicing
+// on axis a+1 must keep ties in their axis-a order: the radix pass is stable
+// by construction, and the comparison sort that short runs take orders by
+// (key, pos) to the same effect. 16 pointer-free bytes.
 type strKey struct {
-	center   float64
+	key      uint64
 	pos, idx int32
 }
 
+// centerKey maps a center to a uint64 whose unsigned order is the float
+// order: −0 folds into +0 (they compare equal), a non-negative value gets its
+// sign bit set, a negative one has every bit flipped. ±Inf — the center of a
+// coordinate beyond ±MaxFloat64/2 — sorts past every finite value. Centers
+// are never NaN: the build rejects non-finite points and bounds stay finite.
+func centerKey(c float64) uint64 {
+	if c == 0 {
+		return 1 << 63
+	}
+	b := math.Float64bits(c)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// The LSD radix pass sorts keys on radixBits-bit digits; runs shorter than
+// radixMinKeys take slices.SortFunc instead, where clearing and scanning the
+// digit histograms would cost more than the sort.
+const (
+	radixBits    = 11
+	radixDigits  = (64 + radixBits - 1) / radixBits
+	radixMinKeys = 256
+)
+
+// centerSorter is the STR key sort with its scratch, allocated once per
+// build: keys holds two runs of the longest sort, hist one histogram per
+// digit.
+type centerSorter struct {
+	keys []strKey
+	hist *[radixDigits][1 << radixBits]uint32
+}
+
+func newCenterSorter(n int) centerSorter {
+	return centerSorter{keys: make([]strKey, 2*n), hist: new([radixDigits][1 << radixBits]uint32)}
+}
+
 // sortByCenter stably reorders the entry indices in perm by the entries'
-// centers (lo+hi)/2 on axis. keys is scratch of at least len(perm).
-func sortByCenter(perm []int32, keys []strKey, lo, hi []float64, dim, axis int) {
-	keys = keys[:len(perm)]
+// centers (lo+hi)/2 on axis.
+func (cs *centerSorter) sortByCenter(perm []int32, lo, hi []float64, dim, axis int) {
+	n := len(perm)
+	src, dst := cs.keys[:n:n], cs.keys[n:2*n:2*n]
 	for k, i := range perm {
 		o := int(i)*dim + axis
-		keys[k] = strKey{center: (lo[o] + hi[o]) / 2, pos: int32(k), idx: i}
+		src[k] = strKey{key: centerKey((lo[o] + hi[o]) / 2), pos: int32(k), idx: i}
 	}
-	slices.SortFunc(keys, func(a, b strKey) int {
-		switch {
-		case a.center < b.center:
-			return -1
-		case a.center > b.center:
-			return 1
+	if n < radixMinKeys {
+		slices.SortFunc(src, func(a, b strKey) int {
+			if c := cmp.Compare(a.key, b.key); c != 0 {
+				return c
+			}
+			return int(a.pos) - int(b.pos)
+		})
+	} else {
+		// Every digit's histogram in one read of the keys; a digit whose
+		// histogram holds all n keys in one bucket is shared by every key
+		// and needs no pass.
+		h := cs.hist
+		*h = [radixDigits][1 << radixBits]uint32{}
+		for _, k := range src {
+			for d := range h {
+				h[d][k.key>>(d*radixBits)&(1<<radixBits-1)]++
+			}
 		}
-		return int(a.pos) - int(b.pos)
-	})
-	for k := range keys {
-		perm[k] = keys[k].idx
+		for d := range h {
+			at := &h[d]
+			shift := d * radixBits
+			if at[src[0].key>>shift&(1<<radixBits-1)] == uint32(n) {
+				continue
+			}
+			var sum uint32
+			for i, c := range at {
+				at[i] = sum
+				sum += c
+			}
+			for _, k := range src {
+				b := k.key >> shift & (1<<radixBits - 1)
+				dst[at[b]] = k
+				at[b]++
+			}
+			src, dst = dst, src
+		}
+	}
+	for k := range src {
+		perm[k] = src[k].idx
 	}
 }
 
@@ -130,8 +176,8 @@ type strLevel struct {
 // strBuilder carries what the recursive slicing of one level shares.
 type strBuilder struct {
 	strLevel
+	centerSorter
 	dim, maxFill int
-	keys         []strKey
 }
 
 // tile groups perm — the level's entries from position off on — into nodes
@@ -147,7 +193,7 @@ func (b *strBuilder) tile(perm []int32, off int32, axis int) {
 	if !last {
 		k = min(max(int(math.Ceil(math.Pow(float64(k), 1/float64(b.dim-axis)))), 1), len(perm))
 	}
-	sortByCenter(perm, b.keys, b.lo, b.hi, b.dim, axis)
+	b.sortByCenter(perm, b.lo, b.hi, b.dim, axis)
 	s := 0
 	for i := 0; i < k; i++ {
 		e := s + (len(perm)-s)/(k-i)
@@ -190,18 +236,20 @@ func (lv *strLevel) nodeBounds(dim int) (lo, hi []float64) {
 	return lo, hi
 }
 
-// buildPacked STR-packs the entries (lo, hi: flat bounds, aliased for point
-// data) level by level, then emits the levels top-down in level order. The
-// result equals Pack of the pointer tree the same STR would have built,
-// field for field: same node order, same entry order within nodes, same
-// bounds bits.
-func buildPacked(lo, hi []float64, ids []int64, dim, maxFill, minFill int) *Packed {
+// buildPacked STR-packs the points (coords: row-major, point i at
+// [i·dim, (i+1)·dim)) level by level, then emits the levels top-down in level
+// order. The result equals Pack of the pointer tree the same STR would have
+// built, field for field: same node order, same entry order within nodes,
+// same bounds bits.
+func buildPacked(coords []float64, ids []int64, dim, maxFill, minFill int) *Packed {
 	b := strBuilder{dim: dim, maxFill: maxFill}
 	if len(ids) > maxFill {
-		b.keys = make([]strKey, len(ids))
+		b.centerSorter = newCenterSorter(len(ids))
 	}
 	levels := make([]strLevel, 0, 8)
 	count := len(ids)
+	// The data level's entries are the points, their bounds the point twice.
+	lo, hi := coords, coords
 	for count > maxFill {
 		b.strLevel = strLevel{lo: lo, hi: hi, perm: identityPerm(count), starts: make([]int32, 1, 2*count/maxFill+1)}
 		b.tile(b.perm, 0, 0)
@@ -236,12 +284,12 @@ func buildPacked(lo, hi []float64, ids []int64, dim, maxFill, minFill int) *Pack
 			ents := lv.perm[lv.starts[j]:lv.starts[j+1]]
 			p.openNode(len(ents))
 			for _, i := range ents {
-				var id int64
-				if leaf {
-					id = ids[i]
-				}
 				o := int(i) * dim
-				p.putEntry(lv.lo[o:o+dim], lv.hi[o:o+dim], leaf, id)
+				if leaf {
+					p.putLeaf(ids[i], coords[o:o+dim])
+				} else {
+					p.putNode(lv.lo[o:o+dim], lv.hi[o:o+dim])
+				}
 			}
 			if !leaf {
 				below = append(below, ents...)

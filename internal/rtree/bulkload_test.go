@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"gaussrange/internal/data"
-	"gaussrange/internal/geom"
 	"gaussrange/internal/vecmat"
 )
 
@@ -30,7 +29,7 @@ func checkBuildMatchesReference(t *testing.T, pts []vecmat.Vector, dim int, opts
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Pack(ref)
+	want := mustPack(t, ref)
 	got, err := BuildPacked(pts, ids, dim, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -39,16 +38,19 @@ func checkBuildMatchesReference(t *testing.T, pts []vecmat.Vector, dim int, opts
 		t.Fatalf("d=%d n=%d: BuildPacked differs from Pack(referenceBulkLoad):\n got %s\nwant %s",
 			dim, len(pts), describePacked(got), describePacked(want))
 	}
-	// EachPoint hands every id out once, with the coordinates it came in with.
+	// The leaves hold every id once, with the coordinates it came in with.
 	byID := make(map[int64]vecmat.Vector, len(pts))
-	got.EachPoint(func(id int64, pt []float64) { byID[id] = pt })
+	for j := 0; j < got.Len(); j++ {
+		id, pt := got.Leaf(j)
+		byID[id] = pt
+	}
 	for i, p := range pts {
 		if !reflect.DeepEqual(byID[ids[i]], p) {
-			t.Fatalf("d=%d n=%d: EachPoint gave id %d = %v, want %v", dim, len(pts), ids[i], byID[ids[i]], p)
+			t.Fatalf("d=%d n=%d: Leaf gave id %d = %v, want %v", dim, len(pts), ids[i], byID[ids[i]], p)
 		}
 	}
 	if len(byID) != len(pts) {
-		t.Fatalf("d=%d n=%d: EachPoint visited %d ids", dim, len(pts), len(byID))
+		t.Fatalf("d=%d n=%d: the leaves hold %d ids", dim, len(pts), len(byID))
 	}
 	tr := Unpack(got)
 	if err := tr.CheckInvariants(); err != nil {
@@ -58,7 +60,7 @@ func checkBuildMatchesReference(t *testing.T, pts []vecmat.Vector, dim int, opts
 		t.Fatalf("d=%d n=%d: unpacked tree shape (%d, h=%d, M=%d, m=%d) vs reference (%d, h=%d, M=%d, m=%d)", dim, len(pts),
 			tr.Len(), tr.Height(), tr.MaxFill(), tr.MinFill(), ref.Len(), ref.Height(), ref.MaxFill(), ref.MinFill())
 	}
-	if back := Pack(tr); !reflect.DeepEqual(back, got) {
+	if back := mustPack(t, tr); !reflect.DeepEqual(back, got) {
 		t.Fatalf("d=%d n=%d: Pack(Unpack(p)) != p", dim, len(pts))
 	}
 }
@@ -108,47 +110,62 @@ func TestBuildPackedMatchesReference(t *testing.T) {
 		checkBuildMatchesReference(t, packedRandPoints(rng, 2000, dim), dim, WithPageSize(256))
 		checkBuildMatchesReference(t, packedRandPoints(rng, 3000, dim), dim, WithPageSize(4096))
 	}
+	// Inputs aimed at the radix key: signed zeros (−0 and +0 are equal
+	// centers, so only the stable order separates them), a few thousand
+	// points on a handful of centers, coordinates beyond ±MaxFloat64/2 (the
+	// center x+x overflows to ±Inf, so they all tie), and negative
+	// coordinates spanning many magnitudes.
+	for _, dim := range []int{1, 2, 3, 9} {
+		zeros, ties, huge, neg := make([]vecmat.Vector, 2000), make([]vecmat.Vector, 4000), make([]vecmat.Vector, 1500), make([]vecmat.Vector, 3000)
+		for i := range zeros {
+			zeros[i] = make(vecmat.Vector, dim)
+			for a := range zeros[i] {
+				switch rng.Intn(3) {
+				case 0:
+					zeros[i][a] = math.Copysign(0, -1)
+				case 1:
+					zeros[i][a] = 0
+				default:
+					zeros[i][a] = rng.NormFloat64() * 1e-300
+				}
+			}
+		}
+		for i := range ties {
+			ties[i] = make(vecmat.Vector, dim)
+			for a := range ties[i] {
+				ties[i][a] = float64(rng.Intn(4)) - 1.5
+			}
+		}
+		for i := range huge {
+			huge[i] = make(vecmat.Vector, dim)
+			for a := range huge[i] {
+				v := math.MaxFloat64 * (0.5 + rng.Float64()/2)
+				if rng.Intn(3) == 0 {
+					v = rng.NormFloat64() * 1e300
+				}
+				if rng.Intn(2) == 0 {
+					v = -v
+				}
+				huge[i][a] = v
+			}
+		}
+		for i := range neg {
+			neg[i] = make(vecmat.Vector, dim)
+			for a := range neg[i] {
+				neg[i][a] = -math.Abs(rng.NormFloat64()) * math.Pow(10, float64(rng.Intn(40)-20))
+			}
+		}
+		for _, pts := range [][]vecmat.Vector{zeros, ties, huge, neg} {
+			checkBuildMatchesReference(t, pts, dim)
+			checkBuildMatchesReference(t, pts, dim, WithPageSize(256))
+		}
+	}
 	// The paper's dataset at the paper's page size.
 	roads := data.LongBeach(1)
 	if len(roads) != 50747 {
 		t.Fatalf("LongBeach has %d points, want 50747", len(roads))
 	}
 	checkBuildMatchesReference(t, roads, 2)
-}
-
-// TestBulkLoadRectsMatchesReference covers the Entry form: proper rectangles
-// rather than points, so centers differ from corners and pointData is false.
-func TestBulkLoadRectsMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for _, dim := range []int{1, 2, 3} {
-		entries := make([]Entry, 1500)
-		for i := range entries {
-			lo, hi := make(vecmat.Vector, dim), make(vecmat.Vector, dim)
-			for a := 0; a < dim; a++ {
-				lo[a] = float64(rng.Intn(40))
-				hi[a] = lo[a] + float64(rng.Intn(4))
-			}
-			entries[i] = Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, ID: int64(i)}
-		}
-		ref, err := referenceBulkLoad(entries, dim, WithPageSize(256))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := BulkLoad(entries, dim, WithPageSize(256))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := got.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		gp, rp := Pack(got), Pack(ref)
-		if gp.PointData() {
-			t.Fatalf("d=%d: rectangles reported as point data", dim)
-		}
-		if !reflect.DeepEqual(gp, rp) {
-			t.Fatalf("d=%d: BulkLoad differs from the reference", dim)
-		}
-	}
 }
 
 func TestBuildPackedRejectsBadInput(t *testing.T) {

@@ -1,30 +1,30 @@
 package rtree
 
 import (
+	"fmt"
 	"math"
-	"slices"
 
 	"gaussrange/internal/geom"
 )
 
-// Packed is the immutable, cache-linear form of an R-tree and the structure
-// every base snapshot serves from: BuildPacked STR-builds it directly at
-// load, restore and overlay-fold time, and Pack derives it from a pointer
-// tree. Where the pointer tree stores one heap node per page with a slice of
-// entries, Packed stores every node's bounds in level-order contiguous
-// structure-of-arrays form, so a search walks flat arrays instead of chasing
-// pointers:
+// Packed is the immutable, cache-linear form of an R-tree over points and the
+// structure every base snapshot serves from: BuildPacked STR-builds it
+// directly at load, restore and overlay-fold time, and Pack derives it from a
+// pointer tree whose data entries are points. Where the pointer tree stores
+// one heap node per page with a slice of entries, Packed stores the tree in
+// level order as flat arrays, so a search walks arrays instead of chasing
+// pointers. Level order places every node entry (one per child node) before
+// every leaf entry (one per data point), and the two halves are stored
+// differently:
 //
-//   - per-axis Lo/Hi float64 bounds for every entry, plus a round-to-nearest
-//     float32 mirror of both and a per-axis worst-case rounding error — the
-//     certificate that lets searches decide most entries 8-wide in float32
-//     and recheck only the straddling band in float64 (see packed_search.go);
-//   - child node indices as int32 (internal entries occupy the array prefix,
-//     because level order places all leaves last);
-//   - leaf ids as int64 and leaf Lo corners in one flat []float64 block — for
-//     point data (degenerate rects) this is the point itself, letting the
-//     engine stream Phase-2 filters over leaf blocks without id→point
-//     lookups.
+//   - node entries, e < leafBase: per-axis Lo/Hi float64 bounds, a
+//     round-to-nearest float32 mirror of both and a per-axis worst-case
+//     rounding error — the certificate that lets searches decide most node
+//     entries 8-wide in float32 and recheck only the straddling band in
+//     float64 (see packed_search.go) — and the child node index as int32;
+//   - leaf entries, e ≥ leafBase: the data id as int64 and the point in one
+//     row-major []float64 block. A point is its own bounding box, so it is
+//     stored once and searches test it exactly in float64.
 //
 // A Packed never mutates and carries no counters, so any number of searches
 // may share it; per-search accounting is returned to the caller instead of
@@ -42,46 +42,43 @@ type Packed struct {
 	// start[i] .. start[i+1] is node i's entry span; len(start) = nodes+1.
 	start []int32
 
-	// Per-axis entry bounds: lo[a][e], hi[a][e] are the exact float64 bounds
-	// of entry e on axis a; lo32/hi32 are their round-to-nearest float32
-	// mirrors and errs[a] bounds |float64(float32(v)) − v| over every value
-	// stored on axis a.
+	// Per-axis node-entry bounds: lo[a][e], hi[a][e] are the exact float64
+	// bounds of node entry e < leafBase on axis a; lo32/hi32 are their
+	// round-to-nearest float32 mirrors and errs[a] bounds
+	// |float64(float32(v)) − v| over every value stored on axis a.
 	lo, hi     [][]float64
 	lo32, hi32 [][]float32
 	errs       []float64
 
-	// child[e] is the packed node index of internal entry e (e < leafBase).
+	// child[e] is the packed node index of node entry e.
 	child []int32
-	// ids[e-leafBase] is the data id of leaf entry e.
-	ids []int64
-	// pts holds leaf Lo corners: entry e's block is
+	// ids[e-leafBase] is the data id of leaf entry e, and its point is
 	// pts[(e-leafBase)*dim : (e-leafBase+1)*dim].
+	ids []int64
 	pts []float64
-	// pointData reports that every leaf rect is degenerate (Lo == Hi), i.e.
-	// pts holds the actual indexed points.
-	pointData bool
 }
 
 // newPacked allocates the arrays of a packed index with the given node,
 // entry and leaf-entry counts; the caller fills them in level order with
-// openNode and putEntry, then seals it.
+// openNode, putNode and putLeaf, then seals it.
 func newPacked(dim, nodes, total, leafTotal int) *Packed {
-	p := &Packed{dim: dim, size: leafTotal, pointData: true}
+	p := &Packed{dim: dim, size: leafTotal}
 	p.start = make([]int32, 0, nodes+1)
 	// One block per element type, carved into the per-axis arrays.
+	inner := total - leafTotal
 	axes64, axes32 := make([][]float64, 2*dim), make([][]float32, 2*dim)
 	p.lo, p.hi = axes64[:dim:dim], axes64[dim:]
 	p.lo32, p.hi32 = axes32[:dim:dim], axes32[dim:]
-	f64 := make([]float64, 2*dim*total)
-	f32 := make([]float32, 2*dim*total)
+	f64 := make([]float64, 2*dim*inner)
+	f32 := make([]float32, 2*dim*inner)
 	for a := 0; a < dim; a++ {
-		p.lo[a], f64 = f64[:total:total], f64[total:]
-		p.hi[a], f64 = f64[:total:total], f64[total:]
-		p.lo32[a], f32 = f32[:total:total], f32[total:]
-		p.hi32[a], f32 = f32[:total:total], f32[total:]
+		p.lo[a], f64 = f64[:inner:inner], f64[inner:]
+		p.hi[a], f64 = f64[:inner:inner], f64[inner:]
+		p.lo32[a], f32 = f32[:inner:inner], f32[inner:]
+		p.hi32[a], f32 = f32[:inner:inner], f32[inner:]
 	}
 	p.errs = make([]float64, dim)
-	p.child = make([]int32, 0, total-leafTotal)
+	p.child = make([]int32, 0, inner)
 	p.ids = make([]int64, 0, leafTotal)
 	p.pts = make([]float64, 0, leafTotal*dim)
 	return p
@@ -93,14 +90,13 @@ func (p *Packed) openNode(span int) {
 	p.maxSpan = max(p.maxSpan, span)
 }
 
-// putEntry appends one entry to the open node: its bounds with their float32
-// mirrors (widening the per-axis rounding-error bounds to cover them), and
-// either its id and Lo corner (leaf) or its child index. Level order
-// enumerates children in exactly the order parents enumerate their entries,
-// and internal entries occupy the array prefix, so child indices are simply
-// sequential from 1.
-func (p *Packed) putEntry(lo, hi []float64, leaf bool, id int64) {
-	e := len(p.child) + len(p.ids)
+// putNode appends a node entry to the open node: its bounds with their
+// float32 mirrors (widening the per-axis rounding-error bounds to cover them)
+// and its child index. Level order enumerates children in exactly the order
+// parents enumerate their entries, so child indices are simply sequential
+// from 1.
+func (p *Packed) putNode(lo, hi []float64) {
+	e := len(p.child)
 	for a := 0; a < p.dim; a++ {
 		l, h := lo[a], hi[a]
 		p.lo[a][e], p.hi[a][e] = l, h
@@ -113,13 +109,13 @@ func (p *Packed) putEntry(lo, hi []float64, leaf bool, id int64) {
 			p.errs[a] = d
 		}
 	}
-	if !leaf {
-		p.child = append(p.child, int32(len(p.child)+1))
-		return
-	}
+	p.child = append(p.child, int32(e+1))
+}
+
+// putLeaf appends a leaf entry to the open node: a data id and its point.
+func (p *Packed) putLeaf(id int64, pt []float64) {
 	p.ids = append(p.ids, id)
-	p.pts = append(p.pts, lo...)
-	p.pointData = p.pointData && slices.Equal(lo, hi)
+	p.pts = append(p.pts, pt...)
 }
 
 // seal closes the last node.
@@ -130,8 +126,10 @@ func (p *Packed) seal() {
 
 // Pack builds the packed form of a pointer tree — the inverse of Unpack, and
 // the way a tree shaped by R* insertion and deletion (rather than built by
-// BuildPacked) gets one. The tree must not mutate concurrently.
-func Pack(t *Tree) *Packed {
+// BuildPacked) gets one. Every data entry must be a point (Lo and Hi equal
+// bit for bit): Packed stores a leaf entry as its point alone. The tree must
+// not mutate concurrently.
+func Pack(t *Tree) (*Packed, error) {
 	// Level-order (BFS) node enumeration. The tree is height-balanced, so BFS
 	// order groups nodes by level and all leaves form a contiguous tail.
 	nodes := []*node{t.root}
@@ -142,6 +140,11 @@ func Pack(t *Tree) *Packed {
 		if n.isLeaf() {
 			if firstLeaf < 0 {
 				firstLeaf = i
+			}
+			for j := range n.entries {
+				if r := n.entries[j].Rect; !samePoint(r.Lo, r.Hi) {
+					return nil, fmt.Errorf("rtree: cannot pack data entry %d: rect %v is not a point", n.entries[j].ID, r)
+				}
 			}
 			continue
 		}
@@ -158,11 +161,25 @@ func Pack(t *Tree) *Packed {
 		p.openNode(len(n.entries))
 		for j := range n.entries {
 			ent := &n.entries[j]
-			p.putEntry(ent.Rect.Lo, ent.Rect.Hi, n.isLeaf(), ent.ID)
+			if n.isLeaf() {
+				p.putLeaf(ent.ID, ent.Rect.Lo)
+			} else {
+				p.putNode(ent.Rect.Lo, ent.Rect.Hi)
+			}
 		}
 	}
 	p.seal()
-	return p
+	return p, nil
+}
+
+// samePoint reports whether lo and hi hold the same bits on every axis.
+func samePoint(lo, hi []float64) bool {
+	for a := range lo {
+		if math.Float64bits(lo[a]) != math.Float64bits(hi[a]) {
+			return false
+		}
+	}
+	return true
 }
 
 // Unpack materializes the pointer tree a packed index describes — the
@@ -184,21 +201,25 @@ func Unpack(p *Packed) *Tree {
 			ent := &entries[e]
 			ent.Rect = geom.Rect{Lo: coords[:dim:dim], Hi: coords[dim : 2*dim : 2*dim]}
 			coords = coords[2*dim:]
-			for a := 0; a < dim; a++ {
-				ent.Rect.Lo[a], ent.Rect.Hi[a] = p.lo[a][e], p.hi[a][e]
-			}
 			if e < p.leafBase {
+				for a := 0; a < dim; a++ {
+					ent.Rect.Lo[a], ent.Rect.Hi[a] = p.lo[a][e], p.hi[a][e]
+				}
 				ent.child = &nodes[p.child[e]]
 				ent.child.parent, ent.child.level = n, n.level-1
 			} else {
-				ent.ID = p.ids[e-p.leafBase]
+				// A leaf entry is its point: a degenerate rect.
+				var pt []float64
+				ent.ID, pt = p.Leaf(int(e - p.leafBase))
+				copy(ent.Rect.Lo, pt)
+				copy(ent.Rect.Hi, pt)
 			}
 		}
 	}
 	return &Tree{dim: dim, root: &nodes[0], size: p.size, maxFill: p.maxFill, minFill: p.minFill, height: p.height}
 }
 
-// Dim returns the dimensionality of packed rectangles.
+// Dim returns the dimensionality of the packed points.
 func (p *Packed) Dim() int { return p.dim }
 
 // Len returns the number of packed data entries.
@@ -207,27 +228,23 @@ func (p *Packed) Len() int { return p.size }
 // NumNodes returns how many tree nodes the mirror packs.
 func (p *Packed) NumNodes() int { return len(p.start) - 1 }
 
-// PointData reports whether every leaf entry is a degenerate (point)
-// rectangle, i.e. the flat leaf block holds the indexed points themselves.
-func (p *Packed) PointData() bool { return p.pointData }
-
-// EachPoint calls fn with every data entry's id and Lo corner (the indexed
-// point itself when PointData), in leaf order. Unlike a PointVisitor's, the
-// slice may be retained: it is a window on the packed point block, valid and
-// never written for the life of p, and the caller must not write it either.
-func (p *Packed) EachPoint(fn func(id int64, pt []float64)) {
-	for j, id := range p.ids {
-		fn(id, p.pts[j*p.dim:(j+1)*p.dim:(j+1)*p.dim])
-	}
+// Leaf returns leaf entry j's data id and point, 0 ≤ j < Len(), in leaf
+// order. The point is a window on the packed point block: valid and never
+// written for the life of p, and the caller must not write it either.
+func (p *Packed) Leaf(j int) (id int64, pt []float64) {
+	o := j * p.dim
+	return p.ids[j], p.pts[o : o+p.dim : o+p.dim]
 }
 
-// Bytes returns the mirror's approximate memory footprint, for build-cost
-// accounting in experiments.
+// Bytes returns the size of every array the index holds, the per-axis
+// slice headers included, for build-cost accounting.
 func (p *Packed) Bytes() int {
-	total := len(p.start) * 4
+	const header = 24 // a slice header on 64-bit platforms
+	total := len(p.start)*4 + len(p.errs)*8
+	total += (len(p.lo) + len(p.hi) + len(p.lo32) + len(p.hi32)) * header
 	for a := 0; a < p.dim; a++ {
-		total += len(p.lo[a])*8*2 + len(p.lo32[a])*4*2
+		total += (len(p.lo[a])+len(p.hi[a]))*8 + (len(p.lo32[a])+len(p.hi32[a]))*4
 	}
-	total += len(p.child)*4 + len(p.ids)*8 + len(p.pts)*8 + len(p.errs)*8
+	total += len(p.child)*4 + len(p.ids)*8 + len(p.pts)*8
 	return total
 }

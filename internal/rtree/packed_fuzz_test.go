@@ -70,7 +70,7 @@ func FuzzPackedSearch(f *testing.F) {
 			nextID++
 		}
 
-		p := Pack(tr)
+		p := mustPack(t, tr)
 		if p.Len() != tr.Len() {
 			t.Fatalf("packed %d entries, tree %d", p.Len(), tr.Len())
 		}

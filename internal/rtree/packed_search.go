@@ -16,14 +16,15 @@ type SearchStats struct {
 	// Nodes is the number of packed nodes visited — the exact analogue of the
 	// pointer tree's NodesRead for the same query.
 	Nodes int64
-	// F32Rechecks counts entries whose float32 certificate straddled the
-	// query boundary and required an exact float64 recheck.
+	// F32Rechecks counts node entries whose float32 certificate straddled
+	// the query boundary and required an exact float64 recheck. Leaf points
+	// have no mirror: they are always tested exactly and never counted.
 	F32Rechecks int64
 }
 
-// PointVisitor receives a matching packed leaf entry: its data id and its Lo
-// corner as a slice into the packed point block (the point itself when
-// PointData; do not retain or mutate). Returning false stops the search.
+// PointVisitor receives a matching packed leaf entry: its data id and its
+// point as a window on the packed point block (valid for the life of the
+// Packed; do not mutate). Returning false stops the search.
 type PointVisitor func(id int64, pt []float64) bool
 
 // Entry classification bits produced by the float32 certificate.
@@ -53,7 +54,8 @@ func f32Up(v float64) float32 {
 
 // rectCtx holds the per-search float32 certificate constants for a rect
 // query. With E = errs[a] the per-axis worst-case |float64(float32(v)) − v|
-// over stored bounds, an entry's true bound b relates to its mirror b32 by
+// over stored node bounds, a node entry's true bound b relates to its mirror
+// b32 by
 // |float64(b32) − b| ≤ E, giving two one-sided certificates per axis:
 //
 //	reject:  hi32 < f32Down(q.Lo−E) ⇒ hi < q.Lo   (disjoint below)
@@ -151,12 +153,24 @@ func (p *Packed) classifyRect(s, e int32, ctx *rectCtx, cls []uint8) {
 	}
 }
 
-// rectIntersects is the exact float64 recheck, replicating
+// rectIntersects is the exact float64 recheck of node entry e, replicating
 // geom.Rect.Intersects semantics: disjoint iff on some axis
 // entry.Hi < q.Lo or entry.Lo > q.Hi.
 func (p *Packed) rectIntersects(e int32, q geom.Rect) bool {
 	for a := 0; a < p.dim; a++ {
 		if p.hi[a][e] < q.Lo[a] || p.lo[a][e] > q.Hi[a] {
+			return false
+		}
+	}
+	return true
+}
+
+// pointInRect is geom.Rect.Intersects on the degenerate rect of pt:
+// disjoint iff on some axis pt < q.Lo or pt > q.Hi, so a NaN query bound
+// rejects nothing, exactly as in the pointer tree.
+func pointInRect(pt, lo, hi []float64) bool {
+	for a, x := range pt {
+		if x < lo[a] || x > hi[a] {
 			return false
 		}
 	}
@@ -182,10 +196,20 @@ func (p *Packed) SearchRect(query geom.Rect, fn PointVisitor, st *SearchStats) e
 func (p *Packed) searchRectNode(ni int32, depth int, ctx *rectCtx, fn PointVisitor) bool {
 	ctx.st.Nodes++
 	s, e := p.start[ni], p.start[ni+1]
+	if ni >= p.firstLeaf {
+		d := p.dim
+		lo, hi := ctx.q.Lo[:d:d], ctx.q.Hi[:d:d]
+		for j := int(s - p.leafBase); j < int(e-p.leafBase); j++ {
+			pt := p.pts[j*d : (j+1)*d : (j+1)*d]
+			if pointInRect(pt, lo, hi) && !fn(p.ids[j], pt) {
+				return false
+			}
+		}
+		return true
+	}
 	// Recursion below reuses the scratch arena, so each depth owns its slice.
 	cls := ctx.cls[depth*p.maxSpan : depth*p.maxSpan+int(e-s)]
 	p.classifyRect(s, e, ctx, cls)
-	leaf := ni >= p.firstLeaf
 	for k := int32(0); k < e-s; k++ {
 		c := cls[k]
 		if c&clsReject != 0 {
@@ -198,12 +222,7 @@ func (p *Packed) searchRectNode(ni int32, depth int, ctx *rectCtx, fn PointVisit
 				continue
 			}
 		}
-		if leaf {
-			j := int(idx - p.leafBase)
-			if !fn(p.ids[j], p.pts[j*p.dim:(j+1)*p.dim:(j+1)*p.dim]) {
-				return false
-			}
-		} else if !p.searchRectNode(p.child[idx], depth+1, ctx, fn) {
+		if !p.searchRectNode(p.child[idx], depth+1, ctx, fn) {
 			return false
 		}
 	}
@@ -230,13 +249,14 @@ const (
 	sphereAbsMargin = 1e-300
 )
 
-// SearchSphere invokes fn for every data entry whose rectangle intersects the
-// ball around center, matching the pointer tree's SearchSphere decisions and
-// traversal order exactly. The float32 mirror yields a one-sided certificate:
-// a lower bound on Rect.Dist2 computed from bounds widened by the per-axis
-// mirror error; only entries whose lower bound cannot certify Dist2 > r² are
-// rechecked with the exact float64 computation (replicating geom.Rect.Dist2's
-// operation order, so the decision is bit-identical). st may be nil.
+// SearchSphere invokes fn for every data point inside the closed ball around
+// center, matching the pointer tree's SearchSphere decisions and traversal
+// order exactly. For node entries the float32 mirror yields a one-sided
+// certificate: a lower bound on Rect.Dist2 computed from bounds widened by
+// the per-axis mirror error; only entries whose lower bound cannot certify
+// Dist2 > r² are rechecked with the exact float64 computation (replicating
+// geom.Rect.Dist2's operation order, so the decision is bit-identical). Leaf
+// points are tested exactly. st may be nil.
 func (p *Packed) SearchSphere(center vecmat.Vector, radius float64, fn PointVisitor, st *SearchStats) error {
 	if center.Dim() != p.dim {
 		return fmt.Errorf("%w: point dim %d vs packed dim %d", ErrDimension, center.Dim(), p.dim)
@@ -254,7 +274,19 @@ func (p *Packed) SearchSphere(center vecmat.Vector, radius float64, fn PointVisi
 func (p *Packed) searchSphereNode(ni int32, center vecmat.Vector, r2 float64, fn PointVisitor, st *SearchStats) bool {
 	st.Nodes++
 	s, e := p.start[ni], p.start[ni+1]
-	leaf := ni >= p.firstLeaf
+	if ni >= p.firstLeaf {
+		d := p.dim
+		for j := int(s - p.leafBase); j < int(e-p.leafBase); j++ {
+			pt := p.pts[j*d : (j+1)*d : (j+1)*d]
+			if pointDist2(pt, center) > r2 { // not ≤: a NaN r² keeps the point, as in the pointer tree
+				continue
+			}
+			if !fn(p.ids[j], pt) {
+				return false
+			}
+		}
+		return true
+	}
 	for idx := s; idx < e; idx++ {
 		// Certified lower bound on Dist2 from the widened float32 mirror:
 		// true lo ≥ f64(lo32)−E and true hi ≤ f64(hi32)+E, so each axis
@@ -277,20 +309,16 @@ func (p *Packed) searchSphereNode(ni int32, center vecmat.Vector, r2 float64, fn
 		if p.rectDist2(idx, center) > r2 {
 			continue
 		}
-		if leaf {
-			j := int(idx - p.leafBase)
-			if !fn(p.ids[j], p.pts[j*p.dim:(j+1)*p.dim:(j+1)*p.dim]) {
-				return false
-			}
-		} else if !p.searchSphereNode(p.child[idx], center, r2, fn, st) {
+		if !p.searchSphereNode(p.child[idx], center, r2, fn, st) {
 			return false
 		}
 	}
 	return true
 }
 
-// rectDist2 replicates geom.Rect.Dist2's exact operation order over the
-// packed float64 bounds, so its result is bit-identical to the pointer path.
+// rectDist2 replicates geom.Rect.Dist2's exact operation order over node
+// entry e's float64 bounds, so its result is bit-identical to the pointer
+// path.
 func (p *Packed) rectDist2(e int32, pt vecmat.Vector) float64 {
 	s := 0.0
 	for a := 0; a < p.dim; a++ {
@@ -300,6 +328,22 @@ func (p *Packed) rectDist2(e int32, pt vecmat.Vector) float64 {
 			s += d * d
 		} else if hi := p.hi[a][e]; v > hi {
 			d := v - hi
+			s += d * d
+		}
+	}
+	return s
+}
+
+// pointDist2 is geom.Rect.Dist2 on the degenerate rect of pt, operation for
+// operation, so its result is bit-identical to the pointer path.
+func pointDist2(pt []float64, c vecmat.Vector) float64 {
+	s := 0.0
+	for a, x := range pt {
+		if v := c[a]; v < x {
+			d := x - v
+			s += d * d
+		} else if v > x {
+			d := v - x
 			s += d * d
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gaussrange/internal/data"
 	"gaussrange/internal/geom"
 	"gaussrange/internal/vecmat"
 )
@@ -47,6 +48,16 @@ func packedRandRect(rng *rand.Rand, dim int) geom.Rect {
 		panic(err)
 	}
 	return r
+}
+
+// mustPack is Pack for trees that hold points.
+func mustPack(t testing.TB, tr *Tree) *Packed {
+	t.Helper()
+	p, err := Pack(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // buildVariants returns trees built every way a tree can come to exist: STR
@@ -165,12 +176,9 @@ func TestPackedSearchParity(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(1000 + dim)))
 		pts := packedRandPoints(rng, 600, dim)
 		for name, tr := range buildVariants(t, rng, pts, dim) {
-			p := Pack(tr)
+			p := mustPack(t, tr)
 			if p.Len() != tr.Len() {
 				t.Fatalf("d=%d %s: packed %d entries, tree %d", dim, name, p.Len(), tr.Len())
-			}
-			if !p.PointData() {
-				t.Fatalf("d=%d %s: point tree not detected as point data", dim, name)
 			}
 			for trial := 0; trial < 24; trial++ {
 				q := packedRandRect(rng, dim)
@@ -211,7 +219,7 @@ func TestPackedBoundaryProbes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Pack(tr)
+	p := mustPack(t, tr)
 	var rechecks int64
 	for trial := 0; trial < 200; trial++ {
 		// Query rect with one corner exactly at a stored point.
@@ -236,6 +244,106 @@ func TestPackedBoundaryProbes(t *testing.T) {
 	if rechecks == 0 {
 		t.Fatal("boundary probes never triggered a float64 recheck; certificate band untested")
 	}
+
+	// Edges exactly on stored leaf coordinates, signed zeros among them: a
+	// leaf point is tested in float64 with no mirror, and must land on the
+	// same side of every edge as in the pointer tree. Each probe takes its
+	// Lo from one stored point and its Hi from another, axis by axis.
+	zpts := packedRandPoints(rng, 600, dim)
+	for i := range zpts {
+		for a := range zpts[i] {
+			switch rng.Intn(4) {
+			case 0:
+				zpts[i][a] = math.Copysign(0, -1)
+			case 1:
+				zpts[i][a] = 0
+			}
+		}
+	}
+	zids := make([]int64, len(zpts))
+	for i := range zids {
+		zids[i] = int64(i)
+	}
+	ztr, err := BulkLoadPoints(zpts, zids, dim, WithPageSize(256))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zp := mustPack(t, ztr)
+	for trial := 0; trial < 300; trial++ {
+		a, b := zpts[rng.Intn(len(zpts))], zpts[rng.Intn(len(zpts))]
+		lo, hi := make(vecmat.Vector, dim), make(vecmat.Vector, dim)
+		for ax := 0; ax < dim; ax++ {
+			lo[ax], hi[ax] = a[ax], b[ax]
+			if hi[ax] < lo[ax] {
+				lo[ax], hi[ax] = hi[ax], lo[ax]
+			}
+			if rng.Intn(4) == 0 {
+				lo[ax] = math.Copysign(0, -1) // −0 edges against +0 points
+			}
+			if rng.Intn(4) == 0 && lo[ax] <= 0 {
+				hi[ax] = 0
+			}
+		}
+		q, err := geom.NewRect(lo, hi)
+		if err != nil {
+			continue // a −0/+0 swap made lo > hi on some axis
+		}
+		comparePackedRect(t, ztr, zp, q)
+		comparePackedSphere(t, ztr, zp, a, math.Sqrt(b.Dist2(a)))
+	}
+}
+
+// TestPackedBytesPerPoint holds the resident index to what a point-native
+// leaf level costs: a point's coordinates once and its id, plus the node
+// levels' mirrored bounds. A return of per-point bounds or float32 mirrors
+// (five copies of every point) roughly triples these figures.
+func TestPackedBytesPerPoint(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		pts     []vecmat.Vector
+		dim     int
+		ceiling float64
+	}{
+		{"longbeach", data.LongBeach(1), 2, 28},
+		{"colormoments", data.ColorMoments(1), 9, 140},
+	} {
+		ids := make([]int64, len(c.pts))
+		for i := range ids {
+			ids[i] = int64(i)
+		}
+		p, err := BuildPacked(c.pts, ids, c.dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perPoint := float64(p.Bytes()) / float64(p.Len())
+		t.Logf("%s (d=%d, %d points): %d bytes, %.1f B/point", c.name, c.dim, p.Len(), p.Bytes(), perPoint)
+		if perPoint > c.ceiling {
+			t.Errorf("%s: %.1f B/point, ceiling %g", c.name, perPoint, c.ceiling)
+		}
+		// Bytes must cover the point block and the ids at the least.
+		if min := p.Len() * (8*c.dim + 8); p.Bytes() < min {
+			t.Errorf("%s: Bytes() = %d, below the %d the leaves alone hold", c.name, p.Bytes(), min)
+		}
+	}
+}
+
+// TestPackRejectsRectData: a packed leaf entry is a point, so a tree with a
+// proper rectangle as data has no packed form.
+func TestPackRejectsRectData(t *testing.T) {
+	tr, err := New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.InsertPoint(vecmat.Vector{1, 2}, 0); err != nil {
+		t.Fatal(err)
+	}
+	mustPack(t, tr)
+	if err := tr.Insert(geom.Rect{Lo: vecmat.Vector{0, 0}, Hi: vecmat.Vector{1, 1}}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Pack(tr); err == nil {
+		t.Fatal("Pack accepted a tree with rectangle data")
+	}
 }
 
 // TestPackedEmptyAndTiny covers the root-only shapes.
@@ -244,7 +352,7 @@ func TestPackedEmptyAndTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Pack(tr)
+	p := mustPack(t, tr)
 	if p.Len() != 0 || p.NumNodes() != 1 {
 		t.Fatalf("empty pack: len %d nodes %d", p.Len(), p.NumNodes())
 	}
@@ -256,7 +364,7 @@ func TestPackedEmptyAndTiny(t *testing.T) {
 	if err := tr.InsertPoint(vecmat.Vector{0.5, 0.5}, 42); err != nil {
 		t.Fatal(err)
 	}
-	p = Pack(tr)
+	p = mustPack(t, tr)
 	ids, err = p.CollectRect(q, nil)
 	if err != nil || len(ids) != 1 || ids[0] != 42 {
 		t.Fatalf("single-entry pack search: ids %v err %v", ids, err)
@@ -278,7 +386,7 @@ func TestPackedPointBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Pack(tr)
+	p := mustPack(t, tr)
 	lo, hi := make(vecmat.Vector, dim), make(vecmat.Vector, dim)
 	for a := range lo {
 		lo[a], hi[a] = -1e18, 1e18

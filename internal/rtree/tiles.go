@@ -29,7 +29,7 @@ type PartitionTile struct {
 }
 
 // PartitionSTR splits points into k spatial tiles using the same
-// Sort-Tile-Recursive slicing that BulkLoad uses to pack leaf nodes, lifted
+// Sort-Tile-Recursive slicing that BuildPacked uses to pack leaf nodes, lifted
 // from page granularity to an arbitrary tile count: along axis a the point
 // set is cut into ⌈k^(1/(d−a))⌉ slabs, tile counts are distributed evenly
 // across slabs, and each slab recurses on the next axis. Tile sizes differ by
@@ -51,7 +51,7 @@ func PartitionSTR(points []vecmat.Vector, dim, k int) ([]PartitionTile, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := tileBuilder{coords: coords, dim: dim, keys: make([]strKey, len(points)), tiles: make([]PartitionTile, 0, k)}
+	b := tileBuilder{coords: coords, dim: dim, centerSorter: newCenterSorter(len(points)), tiles: make([]PartitionTile, 0, k)}
 	b.slice(identityPerm(len(points)), infiniteRect(dim), 0, k)
 	// Restore input order inside each tile (slicing sorted by coordinates).
 	for t := range b.tiles {
@@ -63,9 +63,9 @@ func PartitionSTR(points []vecmat.Vector, dim, k int) ([]PartitionTile, error) {
 // tileBuilder carries what the recursive slicing shares: the flat point
 // coordinates, the sort scratch and the tiles finished so far.
 type tileBuilder struct {
+	centerSorter
 	coords []float64
 	dim    int
-	keys   []strKey
 	tiles  []PartitionTile
 }
 
@@ -89,7 +89,7 @@ func (b *tileBuilder) slice(perm []int32, region geom.Rect, axis, k int) {
 	if slabs > k {
 		slabs = k
 	}
-	sortByCenter(perm, b.keys, b.coords, b.coords, b.dim, axis)
+	b.sortByCenter(perm, b.coords, b.coords, b.dim, axis)
 	// Distribute the k tiles over the slabs as evenly as possible, then cut
 	// the sorted points proportionally to each slab's tile share.
 	start, tileStart := 0, 0
