@@ -51,34 +51,23 @@ verify: fmt-check vet race
 	@echo "verify: OK"
 
 # bench-snapshot regenerates the committed benchmark artifacts:
-# BENCH_phase3.json (Phase-3 kernel comparison), BENCH_churn.json (read
-# latency under live mutations), BENCH_shard.json (sharded scatter-gather
-# serving) and BENCH_phase1.json (packed+fused front half vs pointer tree,
-# plus the index build cost).
+# BENCH_churn.json (read latency under live mutations), BENCH_shard.json
+# (sharded scatter-gather serving) and BENCH_phase1.json (packed+fused front
+# half vs pointer tree, plus the index build cost).
 bench-snapshot:
 	GO="$(GO)" ./scripts/bench_snapshot.sh
 
-# bench-compare reruns the Phase-3 kernel comparison and gates on the
-# committed BENCH_phase3.json: it fails if the shared kernels' answers
-# diverge, if shared-early's samples_touched relative to shared-grid
-# regresses by more than 10% against the baseline ratio, if the tiered
-# kernel's answers stop matching shared-flat / stop being worker-count
-# deterministic, or if its tier-0–2 (sample-free) closure rate drops below
-# 70% of Phase-3 candidates, or if the shared-batch kernel's batch=16
-# amortized Phase-3 time stops being at least 2x better than shared-early's
-# per-query time (or its answers stop matching per-query execution).
-# QUERIES/SAMPLES can be lowered for CI; the gates are scale-invariant
-# (same-run ratios, and the batch row always runs at batch=16). The second run gates the sharded serving path
+# bench-compare runs three gates. The first gates the sharded serving path
 # on the committed BENCH_shard.json: routed answers must stay id-identical
 # to the unsharded DB, K=4 must keep its modelled >=3x speedup (2.7x with
 # CI jitter headroom), viewport fan-out must stay below K, and the router's
 # scatter overhead must not regress more than 25% against the baseline.
-# The third run gates the group-commit write pipeline on the committed
+# The second run gates the group-commit write pipeline on the committed
 # BENCH_churn.json ingest section: grouped commit must sustain >=5x the
 # synchronous per-batch-fsync insert rate at 64 concurrent writers in the
 # same run, and a deterministic mutation sequence must stay byte-identical
 # (epochs and answers) across synchronous commit, grouped commit, and
-# follower replay of the grouped log. The fourth run gates the packed+fused
+# follower replay of the grouped log. The third run gates the packed+fused
 # Phase-1/2 front half on the committed BENCH_phase1.json: the fused arm's
 # answer ids and per-phase counters must stay identical to the pointer
 # baseline's (which now runs on the tree unpacked from the packed base), and
@@ -88,14 +77,9 @@ bench-snapshot:
 # return of duplicated leaf copies (bounds and float32 mirrors) reads ~74.
 # The front-half ratio is printed, not gated: a floor on the timing of two
 # ~20us loops is a gate on the box.
-BENCH_COMPARE_QUERIES ?= 8
-BENCH_COMPARE_SAMPLES ?= 50000
 SHARD_COMPARE_QUERIES ?= 1200
 SHARD_COMPARE_WORKERS ?= 64
 bench-compare:
-	$(GO) run ./cmd/prqbench -queries $(BENCH_COMPARE_QUERIES) \
-		-samples $(BENCH_COMPARE_SAMPLES) -seed 1 \
-		-compare BENCH_phase3.json phase3
 	$(GO) run ./cmd/prqbench -queries $(SHARD_COMPARE_QUERIES) \
 		-workers $(SHARD_COMPARE_WORKERS) -seed 1 \
 		-compare BENCH_shard.json shard

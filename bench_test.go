@@ -675,48 +675,6 @@ func BenchmarkQueryRepeated(b *testing.B) {
 	}
 }
 
-// BenchmarkPhase3 compares the Phase-3 kernels on the paper's default 2-D
-// workload: per-candidate Monte Carlo (one stream per candidate) vs the
-// shared-sample cloud: flat, grid-indexed, and early-exit. 10 000 samples keep the naive
-// baseline short; speedups grow with the sample count since the shared
-// kernels draw the cloud once per plan.
-func BenchmarkPhase3(b *testing.B) {
-	specs := benchSpecs(b, 8)
-	raw := toRaw(lbPts)
-	for _, mode := range []struct {
-		name   string
-		kernel Phase3Kernel
-	}{
-		{"per-candidate", KernelPerCandidate},
-		{"shared-flat", KernelSharedFlat},
-		{"shared-grid", KernelSharedGrid},
-		{"shared-early", KernelSharedEarly},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			opts := []Option{WithMonteCarlo(10000), WithSeed(7)}
-			if mode.kernel != KernelPerCandidate {
-				opts = append(opts, WithPhase3Kernel(mode.kernel))
-			}
-			db, err := Load(raw, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			var integrations, touched int
-			for i := 0; i < b.N; i++ {
-				res, err := db.Query(specs[i%len(specs)])
-				if err != nil {
-					b.Fatal(err)
-				}
-				integrations = res.Stats.Integrations
-				touched = res.Stats.SamplesTouched
-			}
-			b.ReportMetric(float64(integrations), "integrations/query")
-			b.ReportMetric(float64(touched), "samples-touched/query")
-		})
-	}
-}
-
 // BenchmarkQueryBatch measures DB.QueryBatch throughput at several pool
 // sizes against the serial per-spec loop ("workers=1" is the pooled path
 // with one worker; "serial" is repeated QueryCtx).
@@ -741,33 +699,6 @@ func BenchmarkQueryBatch(b *testing.B) {
 		b.Run("workers="+trimFloat(float64(workers)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := db.QueryBatch(ctx, specs, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-
-	// Same-Σ workload under the shared-batch kernel: every spec shares one
-	// plan fingerprint, so QueryBatch coalesces the whole set into a single
-	// batched Phase-3 group sweeping one compiled cloud. "perquery" is the
-	// same DB answering each spec alone — the amortization denominator.
-	bdb, err := Load(toRaw(lbPts), WithMonteCarlo(20000), WithSeed(1), WithPhase3Kernel(KernelSharedBatch))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("shared-batch/perquery", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, spec := range specs {
-				if _, err := bdb.QueryCtx(ctx, spec); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	for _, workers := range []int{1, 4} {
-		b.Run("shared-batch/workers="+trimFloat(float64(workers)), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := bdb.QueryBatch(ctx, specs, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -22,12 +22,6 @@
 //	           loopback, drives it with -workers concurrent clients issuing
 //	           -queries queries, and reports throughput, latency quantiles,
 //	           plan-cache and admission statistics (not in "all")
-//	phase3   — Phase-3 kernel comparison: the same 2-D query set under the
-//	           per-candidate, shared-flat, shared-grid, shared-early and
-//	           tiered kernels, with Phase-3 time, sample accounting, tier-mix
-//	           breakdown, determinism checks and answer agreement; -json
-//	           writes the measurements as a JSON document and -compare gates
-//	           on a committed baseline (not in "all")
 //	shard    — sharded scatter-gather serving: the paper workload against
 //	           K ∈ {1, 2, 4} spatially-sharded in-process deployments behind
 //	           an explicit per-shard capacity model, reporting aggregate
@@ -62,11 +56,12 @@
 //	-samples N     MC samples per object (default 100000)
 //	-workers N     worker goroutines for the batch experiment (default NumCPU)
 //	-queries N     queries per batch for the batch experiment (default 64)
-//	-json PATH     write the phase1/phase3/churn report as JSON to PATH
-//	-compare PATH  phase1/phase3/shard/churn: gate a fresh run against the
+//	-json PATH     write the phase1/shard/churn report as JSON to PATH
+//	-compare PATH  phase1/shard/churn: gate a fresh run against the
 //	               committed baseline report at PATH (phase1: arm identity +
-//	               build allocations; phase3: samples_touched regression; churn:
-//	               group-commit ingest speedup + replay identity)
+//	               build allocations; shard: routed identity, K=4 speedup,
+//	               scatter overhead; churn: group-commit ingest speedup +
+//	               replay identity)
 //	-cpuprofile PATH  write a pprof CPU profile of the selected experiment
 //	-memprofile PATH  write a pprof heap profile at exit
 package main
@@ -100,12 +95,12 @@ func benchMain() int {
 	workers := flag.Int("workers", runtime.NumCPU(), "worker goroutines for the batch experiment")
 	queries := flag.Int("queries", 64, "queries per batch for the batch experiment")
 	svg := flag.String("svg", "", "write the region figure (fig13/15/16) as SVG to this path")
-	jsonPath := flag.String("json", "", "write the phase1/phase3/churn report as JSON to this path")
-	comparePath := flag.String("compare", "", "phase1/phase3/shard/churn: compare a fresh run against the committed baseline report at this path")
+	jsonPath := flag.String("json", "", "write the phase1/shard/churn report as JSON to this path")
+	comparePath := flag.String("compare", "", "phase1/shard/churn: compare a fresh run against the committed baseline report at this path")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment to this path")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: prqbench [flags] table1|table2|table3|fig13|fig14|fig15|fig16|fig17|sweep|iostats|catalog|batch|serve|shard|phase1|phase3|churn|all\n")
+		fmt.Fprintf(os.Stderr, "usage: prqbench [flags] table1|table2|table3|fig13|fig14|fig15|fig16|fig17|sweep|iostats|catalog|batch|serve|shard|phase1|churn|all\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -165,8 +160,6 @@ func benchMain() int {
 		err = runBatch(cfg, *workers, *queries)
 	case strings.EqualFold(flag.Arg(0), "phase1"):
 		err = runPhase1(cfg, *queries, *jsonPath, *comparePath)
-	case strings.EqualFold(flag.Arg(0), "phase3"):
-		err = runPhase3(cfg, *queries, *jsonPath, *comparePath)
 	case strings.EqualFold(flag.Arg(0), "churn"):
 		err = runChurn(cfg, *workers, *queries, *jsonPath, *comparePath)
 	case strings.EqualFold(flag.Arg(0), "shard"):

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -200,7 +201,7 @@ func runPhase1(cfg experiments.Config, queries int, jsonPath, comparePath string
 		return err
 	}
 
-	report.IDsIdentical = idsEqual(pointer.ids, fused.ids)
+	report.IDsIdentical = slices.EqualFunc(pointer.ids, fused.ids, slices.Equal[[]int64])
 	report.CountsIdentical = len(pointer.counts) == len(fused.counts)
 	if report.CountsIdentical {
 		for i := range pointer.counts {
@@ -232,7 +233,7 @@ func runPhase1(cfg experiments.Config, queries int, jsonPath, comparePath string
 		report.Build.PointerTreeMaterialised)
 	if !report.IDsIdentical {
 		for i := range pointer.ids {
-			if !idSliceEqual(pointer.ids[i], fused.ids[i]) {
+			if !slices.Equal(pointer.ids[i], fused.ids[i]) {
 				fmt.Printf("  first divergence: query %d differs by ids %v\n",
 					i, symmetricDiff(pointer.ids[i], fused.ids[i]))
 				break
@@ -346,4 +347,27 @@ func comparePhase1(report *phase1Report, baselinePath string) error {
 	fmt.Printf("bench-compare: packed-fused front half %.2fx faster than pointer (baseline %.2fx, not gated)\n",
 		report.Speedup, base.Speedup)
 	return nil
+}
+
+// symmetricDiff returns the ids present in exactly one of the two ascending
+// slices.
+func symmetricDiff(a, b []int64) []int64 {
+	var out []int64
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			i++
+			j++
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		default:
+			out = append(out, b[j])
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	out = append(out, b[j:]...)
+	return out
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,8 +71,6 @@ type shardReport struct {
 	Delta         float64      `json:"delta"`
 	Theta         float64      `json:"theta"`
 	Seed          uint64       `json:"seed"`
-	Kernel        string       `json:"kernel"`
-	Samples       int          `json:"samples"`
 	Workers       int          `json:"workers"`
 	CapacityModel string       `json:"capacity_model"`
 	Cells         []shardCell  `json:"cells"`
@@ -94,7 +93,7 @@ func capacityHandler(next http.Handler) http.Handler {
 }
 
 // shardCluster stands up K capacity-gated in-process shards plus a router.
-func shardCluster(raw [][]float64, k int, gated bool, opts []gaussrange.Option) (*shard.Router, func(), error) {
+func shardCluster(raw [][]float64, k int, gated bool) (*shard.Router, func(), error) {
 	m, parts, err := shard.Split(raw, k)
 	if err != nil {
 		return nil, nil, err
@@ -107,7 +106,7 @@ func shardCluster(raw [][]float64, k int, gated bool, opts []gaussrange.Option) 
 	}
 	endpoints := make([]string, k)
 	for i, part := range parts {
-		db, err := gaussrange.LoadWithIDs(part.Points, part.IDs, opts...)
+		db, err := gaussrange.LoadWithIDs(part.Points, part.IDs)
 		if err != nil {
 			closeAll()
 			return nil, nil, err
@@ -165,17 +164,9 @@ func runShard(cfg experiments.Config, workers, queries int, jsonPath, comparePat
 		theta = 0.01
 	)
 	// Every deployment — shards and the unsharded reference — runs the
-	// shared-early Phase-3 kernel with a fixed (samples, seed): the shared
-	// cloud makes each candidate's decision a pure function of its
-	// coordinates, so routed and unsharded answers stay id-identical, and
-	// the kernel is cheap enough that the capacity model, not this box's
-	// single CPU, bounds throughput.
-	const kernelSamples = 10000
-	dbOpts := []gaussrange.Option{
-		gaussrange.WithPhase3Kernel(gaussrange.KernelSharedEarly),
-		gaussrange.WithMonteCarlo(kernelSamples),
-		gaussrange.WithSeed(seed),
-	}
+	// default exact Phase-3 path, whose decision for a candidate depends on
+	// its coordinates alone, so routed and unsharded answers stay
+	// id-identical.
 	sigma := experiments.PaperSigmaBase().Scale(gamma)
 	covRows := [][]float64{
 		{sigma.At(0, 0), sigma.At(0, 1)},
@@ -191,7 +182,7 @@ func runShard(cfg experiments.Config, workers, queries int, jsonPath, comparePat
 		}
 	}
 
-	ref, err := gaussrange.Load(raw, dbOpts...)
+	ref, err := gaussrange.Load(raw)
 	if err != nil {
 		return err
 	}
@@ -202,8 +193,6 @@ func runShard(cfg experiments.Config, workers, queries int, jsonPath, comparePat
 		Delta:   delta,
 		Theta:   theta,
 		Seed:    seed,
-		Kernel:  gaussrange.KernelSharedEarly.String(),
-		Samples: kernelSamples,
 		Workers: workers,
 		CapacityModel: fmt.Sprintf("%d slots per shard, %v service-time floor (aggregate %d req/s per shard)",
 			capSlots, capFloor, int(float64(capSlots)/capFloor.Seconds())),
@@ -216,7 +205,7 @@ func runShard(cfg experiments.Config, workers, queries int, jsonPath, comparePat
 
 	ctx := context.Background()
 	for _, k := range []int{1, 2, 4} {
-		router, closeAll, err := shardCluster(raw, k, true, dbOpts)
+		router, closeAll, err := shardCluster(raw, k, true)
 		if err != nil {
 			return err
 		}
@@ -236,7 +225,7 @@ func runShard(cfg experiments.Config, workers, queries int, jsonPath, comparePat
 				closeAll()
 				return err
 			}
-			if !idSliceEqual(want.IDs, got.IDs) {
+			if !slices.Equal(want.IDs, got.IDs) {
 				cell.IDsMatch = false
 			}
 		}
@@ -283,7 +272,7 @@ func runShard(cfg experiments.Config, workers, queries int, jsonPath, comparePat
 	// Router overhead with the capacity model off: K=1 so the routed path
 	// does the same single upstream request as the direct path, plus the
 	// plan-region routing and merge.
-	if err := measureScatterOverhead(ctx, raw, dbOpts, spec, &report.Scatter); err != nil {
+	if err := measureScatterOverhead(ctx, raw, spec, &report.Scatter); err != nil {
 		return err
 	}
 	fmt.Printf("  scatter overhead: direct %.0fµs, routed %.0fµs -> %.2fx\n",
@@ -326,9 +315,9 @@ func allIDsMatch(cells []shardCell) bool {
 
 // measureScatterOverhead times the same query set against one ungated shard
 // directly (stock client) and through the router.
-func measureScatterOverhead(ctx context.Context, raw [][]float64, opts []gaussrange.Option, spec func(int) gaussrange.QuerySpec, out *shardScatter) error {
+func measureScatterOverhead(ctx context.Context, raw [][]float64, spec func(int) gaussrange.QuerySpec, out *shardScatter) error {
 	const n = 200
-	router, closeAll, err := shardCluster(raw, 1, false, opts)
+	router, closeAll, err := shardCluster(raw, 1, false)
 	if err != nil {
 		return err
 	}

@@ -15,8 +15,6 @@
 //	-theta T          probability threshold θ in (0, 1) (required)
 //	-strategy S       RR | BF | RR+BF | RR+OR | BF+OR | ALL (default ALL)
 //	-mc N             use Monte Carlo with N samples (default: exact)
-//	-phase3 NAME      Phase-3 kernel: per-candidate (default), shared-flat,
-//	                  shared-grid, shared-early, tiered or shared-batch
 //	                  (local mode only)
 //	-timeout D        abort the query after duration D (e.g. 500ms; 0 = none)
 //	-server URL       query a prqserved instance instead of loading a CSV
@@ -79,7 +77,6 @@ type runOpts struct {
 	theta     float64
 	strategy  string
 	mcSamples int
-	phase3    string
 	timeout   time.Duration
 	verbose   bool
 	topK      int
@@ -95,7 +92,6 @@ func main() {
 	flag.Float64Var(&o.theta, "theta", 0, "probability threshold θ")
 	flag.StringVar(&o.strategy, "strategy", "ALL", "filter strategy")
 	flag.IntVar(&o.mcSamples, "mc", 0, "Monte Carlo samples (0 = exact evaluator)")
-	flag.StringVar(&o.phase3, "phase3", "", `Phase-3 kernel: "per-candidate", "shared-flat", "shared-grid", "shared-early", "tiered" or "shared-batch"`)
 	flag.DurationVar(&o.timeout, "timeout", 0, "abort the query after this duration (0 = no limit)")
 	flag.StringVar(&o.serverURL, "server", "", "query a running prqserved at this base URL instead of loading a CSV")
 	flag.BoolVar(&o.jsonOut, "json", false, "print the result as JSON")
@@ -161,9 +157,6 @@ func run(o runOpts, out io.Writer) error {
 		if o.mcSamples > 0 {
 			return errors.New("-mc is not supported with -server (configure the evaluator on prqserved)")
 		}
-		if o.phase3 != "" {
-			return errors.New("-phase3 is not supported with -server (configure the kernel on prqserved)")
-		}
 		return runServer(o, spec, out)
 	}
 	return runLocal(o, spec, c, m, out)
@@ -219,15 +212,6 @@ func runLocal(o runOpts, spec gaussrange.QuerySpec, c []float64, m [][]float64, 
 	var opts []gaussrange.Option
 	if o.mcSamples > 0 {
 		opts = append(opts, gaussrange.WithMonteCarlo(o.mcSamples))
-	}
-	if o.phase3 != "" {
-		kernel, err := gaussrange.ParsePhase3Kernel(o.phase3)
-		if err != nil {
-			return err
-		}
-		if kernel != gaussrange.KernelPerCandidate {
-			opts = append(opts, gaussrange.WithPhase3Kernel(kernel))
-		}
 	}
 	db, err := gaussrange.Load(raw, opts...)
 	if err != nil {
@@ -333,17 +317,6 @@ func render(o runOpts, out io.Writer, points, dim int, res *gaussrange.Result, a
 	fmt.Fprintf(out, "phase 2: pruned fringe=%d or=%d bf=%d; accepted bf=%d (%v)\n",
 		st.PrunedFringe, st.PrunedOR, st.PrunedBF, st.AcceptedBF, st.FilterTime)
 	fmt.Fprintf(out, "phase 3: %d integrations (%v)\n", st.Integrations, st.ProbTime)
-	if bf, env, exact, mcc := st.TierMix(); bf+env+exact+mcc > 0 {
-		total := bf + env + exact + mcc
-		fmt.Fprintf(out, "tier mix: bf=%d envelope=%d exact=%d mc=%d (%.1f%% sample-free)\n",
-			bf, env, exact, mcc, 100*float64(st.SampleFreeDecisions())/float64(total))
-	}
-	if st.BatchQueries > 0 {
-		fmt.Fprintf(out, "batch: ran in a %d-query batched-kernel group\n", st.BatchQueries)
-	}
-	if st.GridFallback {
-		fmt.Fprintf(out, "note: grid fallback — cell directory could not be built for this δ\n")
-	}
 	for _, a := range answers {
 		fmt.Fprintf(out, "  id %-8d p=%.4f  %v\n", a.ID, a.Probability, a.Coords)
 	}

@@ -56,12 +56,6 @@
 //	-drain-timeout D    graceful-drain budget on SIGINT/SIGTERM (default 30s)
 //	-pprof ADDR         serve net/http/pprof on a separate loopback address
 //	                    (e.g. 127.0.0.1:6060; empty = disabled)
-//	-phase3 NAME        Phase-3 kernel: per-candidate (default), shared-flat,
-//	                    shared-grid, shared-early, tiered or shared-batch
-//	                    (incompatible with -adaptive)
-//	-coalesce           merge concurrent same-shape /v1/query requests into
-//	                    one batched execution per admission slot (pairs with
-//	                    -phase3 shared-batch)
 //	-router             run as a scatter-gather query router (no local data)
 //	-shard-map PATH     shard map JSON produced by prqshard (router mode)
 //	-shards URLS        comma-separated shard base URLs, one per shard id, in
@@ -128,8 +122,6 @@ type config struct {
 	batchWorkers   int
 	drainTimeout   time.Duration
 	pprofAddr      string
-	phase3         string
-	coalesce       bool
 	router         bool
 	shardMapPath   string
 	shards         string
@@ -162,8 +154,6 @@ func main() {
 	flag.IntVar(&cfg.batchWorkers, "batch-workers", runtime.GOMAXPROCS(0), "worker-pool cap for batch requests")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "graceful-drain budget on shutdown")
 	flag.StringVar(&cfg.pprofAddr, "pprof", "", "serve net/http/pprof on this loopback address (empty = disabled)")
-	flag.StringVar(&cfg.phase3, "phase3", "per-candidate", `Phase-3 kernel: "per-candidate", "shared-flat", "shared-grid", "shared-early", "tiered" or "shared-batch"`)
-	flag.BoolVar(&cfg.coalesce, "coalesce", false, "merge concurrent same-shape /v1/query requests into one batched execution")
 	flag.BoolVar(&cfg.router, "router", false, "run as a scatter-gather query router over existing shards")
 	flag.StringVar(&cfg.shardMapPath, "shard-map", "", "shard map JSON produced by prqshard (router mode)")
 	flag.StringVar(&cfg.shards, "shards", "", "comma-separated shard base URLs in shard-id order (router mode)")
@@ -193,19 +183,12 @@ func loadDB(cfg config) (*gaussrange.DB, error) {
 		if err != nil {
 			return nil, fmt.Errorf("-follow without -snapshot needs a wal with at least one segment: %w", err)
 		}
-		opts, err := loadOpts(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return gaussrange.Open(dim, opts...)
+		return gaussrange.Open(dim, loadOpts(cfg)...)
 	}
 	if (cfg.csvPath == "") == (cfg.snapshotPath == "") {
 		return nil, errors.New("exactly one of -csv and -snapshot is required")
 	}
-	opts, err := loadOpts(cfg)
-	if err != nil {
-		return nil, err
-	}
+	opts := loadOpts(cfg)
 
 	if cfg.snapshotPath != "" {
 		return gaussrange.RestoreFile(cfg.snapshotPath, opts...)
@@ -222,7 +205,7 @@ func loadDB(cfg config) (*gaussrange.DB, error) {
 }
 
 // loadOpts maps the evaluator/cache flags to DB options.
-func loadOpts(cfg config) ([]gaussrange.Option, error) {
+func loadOpts(cfg config) []gaussrange.Option {
 	var opts []gaussrange.Option
 	switch {
 	case cfg.adaptive > 0:
@@ -230,22 +213,7 @@ func loadOpts(cfg config) ([]gaussrange.Option, error) {
 	case cfg.mcSamples > 0:
 		opts = append(opts, gaussrange.WithMonteCarlo(cfg.mcSamples))
 	}
-	kernel, err := parsePhase3(cfg.phase3)
-	if err != nil {
-		return nil, err
-	}
-	if kernel != gaussrange.KernelPerCandidate {
-		opts = append(opts, gaussrange.WithPhase3Kernel(kernel))
-	}
-	return append(opts, gaussrange.WithSeed(cfg.seed), gaussrange.WithPlanCacheSize(cfg.planCache)), nil
-}
-
-// parsePhase3 maps the -phase3 flag to a kernel constant.
-func parsePhase3(name string) (gaussrange.Phase3Kernel, error) {
-	if name == "" {
-		return gaussrange.KernelPerCandidate, nil
-	}
-	return gaussrange.ParsePhase3Kernel(name)
+	return append(opts, gaussrange.WithSeed(cfg.seed), gaussrange.WithPlanCacheSize(cfg.planCache))
 }
 
 // pprofHandler builds a mux with the net/http/pprof endpoints. The handlers
@@ -283,7 +251,6 @@ func buildHandler(cfg config, logw io.Writer) (h http.Handler, banner string, cl
 		DefaultTimeout: cfg.defaultTimeout,
 		MaxBatchSize:   cfg.maxBatch,
 		BatchWorkers:   cfg.batchWorkers,
-		Coalesce:       cfg.coalesce,
 	}
 	switch {
 	case cfg.logPath != "":

@@ -76,7 +76,6 @@ type options struct {
 	seed          uint64
 	useCatalogs   bool
 	planCacheSize int
-	phase3Kernel  Phase3Kernel
 	pointerPhase1 bool
 }
 
@@ -124,86 +123,6 @@ func WithAdaptiveMonteCarlo(maxSamples int) Option {
 	}
 }
 
-// Phase3Kernel selects how Phase 3 (probability computation) evaluates the
-// candidates that survive filtering.
-type Phase3Kernel int
-
-const (
-	// KernelPerCandidate is the default: each candidate is evaluated
-	// independently by the configured evaluator (exact, Monte Carlo, or
-	// adaptive Monte Carlo) with its own sample stream.
-	KernelPerCandidate Phase3Kernel = Phase3Kernel(core.KernelPerCandidate)
-	// KernelSharedFlat draws one mean-free Gaussian sample cloud per
-	// compiled plan (common random numbers) and reduces each candidate to a
-	// flat squared-distance scan — no per-candidate Cholesky transforms.
-	KernelSharedFlat Phase3Kernel = Phase3Kernel(core.KernelSharedFlat)
-	// KernelSharedGrid additionally indexes the shared cloud with a uniform
-	// grid of cell side δ, so each candidate touches only the ≤3^d cells
-	// its δ-ball intersects instead of the whole cloud. Counts are exact
-	// (identical to KernelSharedFlat with the same seed).
-	KernelSharedGrid Phase3Kernel = Phase3Kernel(core.KernelSharedGrid)
-	// KernelSharedEarly decides each candidate instead of counting it:
-	// covered grid cells proven fully inside the δ-ball credit their
-	// samples with zero distance tests, fully-outside cells are skipped,
-	// and the boundary cells are scanned nearest-first under running
-	// accept/reject bounds that stop as soon as the θ comparison is
-	// settled. Answers are byte-identical to KernelSharedFlat and
-	// KernelSharedGrid with the same seed; only the work differs.
-	KernelSharedEarly Phase3Kernel = Phase3Kernel(core.KernelSharedEarly)
-	// KernelTiered decides each candidate analytically before it ever
-	// touches a sample: the compiled BF radii first, then a noncentral-χ²
-	// probability bracket from the eigenvalue extremes of Σ, then Ruben's
-	// exact series under a certified truncation bound — falling back to a
-	// lazily drawn shared cloud only when θ lands inside the certified
-	// error interval or Σ is too ill-conditioned for the series. Answers
-	// are deterministic and seed-independent whenever the exact tiers
-	// close every candidate (the typical case), and are always invariant
-	// under worker count and execution order.
-	KernelTiered Phase3Kernel = Phase3Kernel(core.KernelTiered)
-	// KernelSharedBatch is KernelSharedEarly restructured for many-query
-	// batches: QueryBatch groups specs by plan fingerprint (same Σ, δ, θ,
-	// strategy — centers may differ) and sweeps each group's shared cloud
-	// once, advancing every member's accept/reject bounds per block over
-	// float32 sample mirrors (SIMD rows on amd64). Answers are byte-identical
-	// to the other shared kernels with the same seed; Stats.BatchQueries and
-	// Stats.BatchGroups report the coalescing. Single queries (Query,
-	// QueryParallel) run the per-query early-exit path.
-	KernelSharedBatch Phase3Kernel = Phase3Kernel(core.KernelSharedBatch)
-)
-
-// String names the kernel as benchmarks and stats endpoints report it.
-func (k Phase3Kernel) String() string { return core.Phase3Kernel(k).String() }
-
-// ParsePhase3Kernel maps a kernel name — as printed by Phase3Kernel.String
-// and accepted by the CLI -phase3 flags — back to the kernel constant.
-func ParsePhase3Kernel(name string) (Phase3Kernel, error) {
-	for _, k := range []Phase3Kernel{
-		KernelPerCandidate, KernelSharedFlat, KernelSharedGrid, KernelSharedEarly, KernelTiered, KernelSharedBatch,
-	} {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("gaussrange: unknown Phase-3 kernel %q (want per-candidate, shared-flat, shared-grid, shared-early, tiered, or shared-batch)", name)
-}
-
-// WithPhase3Kernel selects the shared-sample Phase-3 kernel. The cloud size
-// is WithMonteCarlo's sample count when set, else mc.DefaultSamples
-// (100 000), and the cloud stream is seeded by WithSeed — with a shared
-// cloud the answer set is a pure function of (query shape, seed), invariant
-// under worker count and execution order. Incompatible with
-// WithAdaptiveMonteCarlo (the adaptive evaluator decides per candidate how
-// many samples to draw, which a shared cloud cannot express).
-func WithPhase3Kernel(k Phase3Kernel) Option {
-	return func(o *options) error {
-		if k < KernelPerCandidate || k > KernelSharedBatch {
-			return fmt.Errorf("gaussrange: unknown Phase-3 kernel %d", int(k))
-		}
-		o.phase3Kernel = k
-		return nil
-	}
-}
-
 // WithPointerPhase1 disables the packed flat-index Phase-1/2 kernel and runs
 // the original pointer-tree search plus the second-pass filter loop. Answers
 // and per-phase prune counts are identical either way; this is the baseline
@@ -245,9 +164,6 @@ func buildOptions(opts []Option) (options, error) {
 		if err := fn(&o); err != nil {
 			return o, err
 		}
-	}
-	if o.phase3Kernel != KernelPerCandidate && o.adaptiveMC {
-		return o, errors.New("gaussrange: WithPhase3Kernel cannot be combined with WithAdaptiveMonteCarlo")
 	}
 	return o, nil
 }
@@ -506,49 +422,15 @@ type Stats struct {
 	NodesReadPacked int
 	OverlayScanned  int
 	F32Rechecks     int
-	// SamplesDrawn and SamplesTouched account for the shared-sample Phase-3
-	// kernel (WithPhase3Kernel): Drawn is the plan's cloud size, Touched is
-	// the number of samples distance-tested across the query's candidates.
-	// Both are 0 under the default per-candidate kernel.
-	SamplesDrawn   int
+	// TierMC, SamplesTouched and SampleFreeDecisions are filled by nothing:
+	// they remain only for the bench ladder's core.sample_free_ratio, which
+	// reads 1.0 on the one exact Phase-3 path, until that metric is retired.
+	TierMC         int
 	SamplesTouched int
-	// Early-exit kernel accounting (KernelSharedEarly): covered grid cells
-	// proven fully outside / fully inside the δ-ball by corner distance,
-	// and candidates whose accept/reject bounds closed before the scan
-	// finished. All 0 under the other kernels.
-	CellsSkipped    int
-	CellsFullInside int
-	EarlyDecisions  int
-	// Tier-mix accounting (KernelTiered): how many Phase-3 candidates each
-	// tier of the pipeline decided — TierBF by the compiled BF radii,
-	// TierEnvelope by the noncentral-χ² bracket, TierExact by Ruben's
-	// series, TierMC by the sampling fallback. The four sum to
-	// Integrations; candidates closed before TierMC touch no samples. All 0
-	// under the other kernels.
-	TierBF       int
-	TierEnvelope int
-	TierExact    int
-	TierMC       int
-	// GridFallback reports that a grid-backed kernel could not build its
-	// cell directory for this query's δ and ran the flat scan instead.
-	GridFallback bool
-	// Batched-execution accounting (KernelSharedBatch): BatchQueries is how
-	// many queries shared this query's Phase-3 sweep (0 when the query ran a
-	// per-query executor); BatchGroups is 1 on exactly one member per sweep,
-	// so aggregated totals count each coalesced group once.
-	BatchQueries int
-	BatchGroups  int
 }
 
-// TierMix returns the tiered kernel's per-tier decision counts in pipeline
-// order. All zero unless the query ran under KernelTiered.
-func (s Stats) TierMix() (bf, envelope, exact, mc int) {
-	return s.TierBF, s.TierEnvelope, s.TierExact, s.TierMC
-}
-
-// SampleFreeDecisions returns how many Phase-3 candidates the tiered kernel
-// closed without touching a single sample (tiers 0–2).
-func (s Stats) SampleFreeDecisions() int { return s.TierBF + s.TierEnvelope + s.TierExact }
+// SampleFreeDecisions is always 0; see Stats.TierMC.
+func (s Stats) SampleFreeDecisions() int { return 0 }
 
 // Add accumulates other into s. Long-running services that track per-phase
 // totals across many queries (the server's /statsz endpoint, load
@@ -567,20 +449,6 @@ func (s *Stats) Add(other Stats) {
 	s.IndexTime += other.IndexTime
 	s.FilterTime += other.FilterTime
 	s.ProbTime += other.ProbTime
-	s.SamplesDrawn += other.SamplesDrawn
-	s.SamplesTouched += other.SamplesTouched
-	s.CellsSkipped += other.CellsSkipped
-	s.CellsFullInside += other.CellsFullInside
-	s.EarlyDecisions += other.EarlyDecisions
-	s.TierBF += other.TierBF
-	s.TierEnvelope += other.TierEnvelope
-	s.TierExact += other.TierExact
-	s.TierMC += other.TierMC
-	s.BatchQueries += other.BatchQueries
-	s.BatchGroups += other.BatchGroups
-	// A single degraded query marks the running total: totals answer "did
-	// any query fall back", per-query Stats answer "which".
-	s.GridFallback = s.GridFallback || other.GridFallback
 }
 
 // Result is a completed query.
@@ -621,20 +489,12 @@ func (db *DB) QueryCtx(ctx context.Context, spec QuerySpec) (*Result, error) {
 // and load-test patterns — compile once and amortize evaluator startup.
 // Results align with specs. The first error (or ctx cancellation) stops the
 // batch promptly.
-//
-// Under KernelSharedBatch the batch is instead grouped by plan fingerprint
-// (same Σ, δ, θ, strategy — centers may differ) and each group's Phase 3
-// runs as one batched sweep over the group's shared cloud; see
-// KernelSharedBatch for the identity guarantee and Stats accounting.
 func (db *DB) QueryBatch(ctx context.Context, specs []QuerySpec, workers int) ([]*Result, error) {
 	if len(specs) == 0 {
 		return nil, nil
 	}
 	if workers < 1 {
 		workers = 1
-	}
-	if db.options.phase3Kernel == KernelSharedBatch {
-		return db.queryBatchCoalesced(ctx, specs, workers)
 	}
 	if workers > len(specs) {
 		workers = len(specs)
@@ -712,63 +572,10 @@ func batchErr(i int, err error) error {
 	return fmt.Errorf("gaussrange: batch query %d: %w", i, err)
 }
 
-// queryBatchCoalesced is QueryBatch's KernelSharedBatch path: specs group by
-// plan fingerprint, each group's members rebind one cached compilation (so
-// they share its sample cloud), and core.ExecuteBatch sweeps the cloud once
-// per group with all members' bounds advancing per block. Groups execute in
-// first-appearance order; results align with specs.
-func (db *DB) queryBatchCoalesced(ctx context.Context, specs []QuerySpec, workers int) ([]*Result, error) {
-	var order []string
-	groups := make(map[string][]int)
-	for i := range specs {
-		key, err := db.planFingerprint(specs[i])
-		if err != nil {
-			return nil, batchErr(i, err)
-		}
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], i)
-	}
-	results := make([]*Result, len(specs))
-	for _, key := range order {
-		idxs := groups[key]
-		// Compile (or fetch) the group's base plan once, then rebind the
-		// remaining members from it directly — never via planFor, which with
-		// a disabled plan cache would compile per member and break the
-		// shared-cloud requirement.
-		base, err := db.planFor(specs[idxs[0]])
-		if err != nil {
-			return nil, batchErr(idxs[0], err)
-		}
-		plans := make([]*core.Plan, len(idxs))
-		plans[0] = base
-		for j, i := range idxs[1:] {
-			dist, err := base.Dist().WithMean(vecmat.Vector(specs[i].Center))
-			if err != nil {
-				return nil, batchErr(i, err)
-			}
-			plans[j+1], err = base.Rebind(dist)
-			if err != nil {
-				return nil, batchErr(i, err)
-			}
-		}
-		res, err := core.ExecuteBatch(ctx, plans, workers)
-		if err != nil {
-			return nil, batchErr(idxs[0], err)
-		}
-		for j, i := range idxs {
-			results[i] = convertResult(res[j])
-		}
-	}
-	return results, nil
-}
-
 // PlanFingerprint returns the opaque fingerprint of the spec's compiled
 // query shape — Σ (with TargetCov folded in), δ, θ and the normalized
-// strategy, excluding the center. It is the key under which plans cache and
-// under which QueryBatch coalesces queries into one batched Phase-3 sweep;
-// servers use it to group concurrent requests that can share an execution.
+// strategy, excluding the center. It is the key under which plans cache;
+// the shard router keys its compiled-rectangle cache by it.
 func (db *DB) PlanFingerprint(spec QuerySpec) (string, error) {
 	return db.planFingerprint(spec)
 }
@@ -973,7 +780,7 @@ func (db *DB) compileEngine() (*core.Engine, error) {
 			return nil, err
 		}
 		eng, err := core.NewEngine(db.idx, eval,
-			core.Options{UseCatalogs: db.options.useCatalogs, Phase3: db.phase3Options(),
+			core.Options{UseCatalogs: db.options.useCatalogs,
 				PointerPhase1: db.options.pointerPhase1})
 		if err != nil {
 			return nil, err
@@ -981,17 +788,6 @@ func (db *DB) compileEngine() (*core.Engine, error) {
 		db.compileEng = eng
 	}
 	return db.compileEng, nil
-}
-
-// phase3Options maps the DB options onto the engine's Phase-3 kernel
-// configuration: the shared-cloud size follows WithMonteCarlo when set
-// (mc.DefaultSamples otherwise) and the cloud stream is seeded by WithSeed.
-func (db *DB) phase3Options() core.Phase3Options {
-	return core.Phase3Options{
-		Kernel:  core.Phase3Kernel(db.options.phase3Kernel),
-		Samples: db.options.mcSamples,
-		Seed:    db.options.seed,
-	}
 }
 
 // newEvaluator builds a fresh Phase-3 evaluator per the DB options.
@@ -1048,18 +844,6 @@ func convertResult(res *core.Result) *Result {
 			IndexTime:       res.Stats.PhaseDurations[0],
 			FilterTime:      res.Stats.PhaseDurations[1],
 			ProbTime:        res.Stats.PhaseDurations[2],
-			SamplesDrawn:    res.Stats.SamplesDrawn,
-			SamplesTouched:  res.Stats.SamplesTouched,
-			CellsSkipped:    res.Stats.CellsSkipped,
-			CellsFullInside: res.Stats.CellsFullInside,
-			EarlyDecisions:  res.Stats.EarlyDecisions,
-			TierBF:          res.Stats.TierBF,
-			TierEnvelope:    res.Stats.TierEnvelope,
-			TierExact:       res.Stats.TierExact,
-			TierMC:          res.Stats.TierMC,
-			GridFallback:    res.Stats.GridFallback,
-			BatchQueries:    res.Stats.BatchQueries,
-			BatchGroups:     res.Stats.BatchGroups,
 		},
 	}
 }

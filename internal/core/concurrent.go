@@ -57,34 +57,6 @@ func (p *Plan) ExecuteWith(ctx context.Context, eval Evaluator, workers int) (*R
 	if workers < 1 {
 		workers = 1
 	}
-	if p.tier != nil {
-		// Tiered kernel: candidates are decided by analytic bounds and exact
-		// series before any sampling, against one shared lazy cloud — like the
-		// shared kernels there is no fork requirement, and the answer set is
-		// worker-count invariant because every tier is a pure function of the
-		// candidate.
-		snap, st, accepted, needEval, err := p.filterPhases(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if workers == 1 {
-			return p.executeTiered(ctx, snap, &st, accepted, needEval)
-		}
-		return p.executeTieredParallel(ctx, snap, &st, accepted, needEval, workers)
-	}
-	if p.cloud != nil {
-		// Shared-sample kernel: workers count hits against one read-only
-		// cloud+grid — no per-candidate streams, so no fork requirement and
-		// worker-count invariance by construction.
-		snap, st, accepted, needEval, err := p.filterPhases(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if workers == 1 {
-			return p.executeShared(ctx, snap, &st, accepted, needEval)
-		}
-		return p.executeSharedParallel(ctx, snap, &st, accepted, needEval, workers)
-	}
 	fe, ok := eval.(ForkableEvaluator)
 	if !ok {
 		if workers == 1 {

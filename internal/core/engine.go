@@ -49,10 +49,6 @@ type Options struct {
 	// nil they are built on demand with default grids.
 	RCatalog  *ucatalog.RCatalog
 	BFCatalog *ucatalog.BFCatalog
-	// Phase3 selects the Phase-3 kernel; the zero value keeps the paper's
-	// per-candidate evaluation. With a shared kernel, Compile draws one
-	// mean-free sample cloud per plan and execution bypasses the evaluator.
-	Phase3 Phase3Options
 	// PointerPhase1 disables the packed flat-index Phase-1/2 kernel and runs
 	// the original pointer-tree search plus the per-candidate filter loop.
 	// Answers and per-phase prune counts are identical either way; this
@@ -148,46 +144,7 @@ type PhaseStats struct {
 	F32Rechecks     int
 	// Epoch is the storage epoch the query pinned for all three phases: the
 	// whole answer is consistent with exactly this published snapshot.
-	Epoch uint64
-	// SamplesDrawn and SamplesTouched account for the shared-sample kernel:
-	// Drawn is the plan's cloud size (drawn once, reused per candidate),
-	// Touched is the number of samples distance-tested across all Phase-3
-	// candidates — the grid kernel's whole point is Touched ≪ Drawn ×
-	// Integrations. Both stay 0 under the per-candidate kernel.
-	SamplesDrawn   int
-	SamplesTouched int
-	// Early-exit kernel accounting (KernelSharedEarly only): CellsSkipped
-	// counts occupied covered cells proven fully outside the δ-ball by
-	// corner distance, CellsFullInside those proven fully inside (their
-	// samples credited with zero distance tests), and EarlyDecisions the
-	// Phase-3 candidates whose accept/reject bounds closed before every
-	// potentially qualifying sample was examined.
-	CellsSkipped    int
-	CellsFullInside int
-	EarlyDecisions  int
-	// Tier-mix accounting (KernelTiered only): how many Phase-3 candidates
-	// each tier decided — TierBF by the compiled BF α∥/α⊥ radii, TierEnvelope
-	// by the noncentral-χ² probability bracket, TierExact by Ruben's series
-	// under its certified truncation bound, TierMC by the shared-cloud
-	// sampling fallback. Candidates closed at the first three tiers touch no
-	// samples; the four counts sum to Integrations.
-	TierBF       int
-	TierEnvelope int
-	TierExact    int
-	TierMC       int
-	// GridFallback reports that a grid-backed kernel (shared-grid,
-	// shared-early, or the tiered kernel's MC fallback) could not build its
-	// cell directory — δ too small for the cloud extent — and silently ran
-	// the flat scan instead. Surfaced so operators can tell a degraded
-	// configuration from a fast one.
-	GridFallback bool
-	// Batched execution accounting (ExecuteBatch only): BatchQueries is how
-	// many queries shared this query's Phase-3 sweep (1 when a batch of one
-	// ran the batched path; 0 on the per-query executors), BatchGroups is 1
-	// on exactly one member per batch so aggregating Add calls count each
-	// batched sweep once.
-	BatchQueries   int
-	BatchGroups    int
+	Epoch          uint64
 	PhaseDurations [3]time.Duration
 	// AlphaUpper and AlphaLower are the BF radii used (0 when BF unused or
 	// the radius is undefined); RTheta is the θ-region radius (0 when RR and

@@ -35,6 +35,11 @@ const (
 	// point by a few ulps of its distance from q, so under this bound rounding
 	// moves p by less than 1e-10 — inside the spare half of hullGuard.
 	hullMaxReach = 1e5
+	// hullMaxCondition is the eigenvalue ratio λmax/λmin beyond which no hull
+	// is built: Ruben's series converges like (1 − λmin/λmax)^k per term, so
+	// past this ratio each of the build's evaluations would burn thousands of
+	// terms.
+	hullMaxCondition = 500.0
 	// hullRootTol ends a ray's secant once an iterate moves by less than this
 	// relative step.
 	hullRootTol = 1e-4
@@ -110,15 +115,14 @@ type planShared struct {
 }
 
 // hullEligible reports whether the plan's answers are the exact evaluator's
-// on the default Phase-3 path — the only configuration whose answer region the
-// hull certifies. Explicit sub-strategies, the sampled and tiered kernels and
-// engines with a sampling evaluator keep the paper's chain.
+// — the only configuration whose answer region the hull certifies. Explicit
+// sub-strategies and engines with a sampling evaluator keep the paper's chain,
+// as does a Σ more elongated than hullMaxCondition.
 func (p *Plan) hullEligible() bool {
 	_, exact := p.engine.eval.(*ExactEvaluator)
 	ev := p.dist.EigenValuesCov()
 	return exact && p.dist.Dim() == 2 && p.strat == StrategyAll &&
-		p.cloud == nil && p.tier == nil && !p.geo.empty &&
-		ev[1] <= tierMaxCondition*ev[0]
+		!p.geo.empty && ev[1] <= hullMaxCondition*ev[0]
 }
 
 // attachHull points the plan at its compilation's hull, building it when this

@@ -232,8 +232,8 @@ func TestHullFallbacks(t *testing.T) {
 		t.Error("θ = 0.95 under a wide ball: no hull")
 	}
 
-	// Not the default path: sub-strategies, sampled kernels, a sampling
-	// evaluator and d ≠ 2 never build one.
+	// Not the default path: sub-strategies, a sampling evaluator and d ≠ 2
+	// never build one.
 	ix := uniformIndex(t, rand.New(rand.NewSource(3)), 50, 2, 100)
 	q := paperQuery(t, vecmat.Vector{50, 50}, 10, 25, 0.01)
 	never := func(name string, e *Engine, q Query, strat Strategy) {
@@ -251,8 +251,6 @@ func TestHullFallbacks(t *testing.T) {
 		}
 	}
 	never("RR+BF", newExactEngine(t, ix, Options{}), q, StrategyRRBF)
-	never("tiered kernel", sharedEngine(t, ix, KernelTiered, 1000, 1), q, StrategyAll)
-	never("shared kernel", sharedEngine(t, ix, KernelSharedFlat, 1000, 1), q, StrategyAll)
 	integ, err := mc.NewIntegrator(1000, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 
 	"gaussrange/internal/gauss"
 	"gaussrange/internal/geom"
-	"gaussrange/internal/mc"
 	"gaussrange/internal/rtree"
 	"gaussrange/internal/vecmat"
 )
@@ -40,27 +39,6 @@ type Plan struct {
 	orBound  vecmat.Vector // OR per-axis bounds in the eigenbasis (nil when OR unused)
 
 	useFringe bool
-
-	// Shared-sample Phase-3 kernel state: one mean-free cloud (and optional
-	// fixed-radius count grid) drawn at compile time from the plan seed.
-	// Both are immutable and mean-independent, so Rebind's shallow copy
-	// shares them — a cached plan's cloud follows a moving query for free.
-	cloud *mc.SampleCloud
-	grid  *mc.CloudGrid
-	// p3kernel records which shared kernel the cloud was attached for;
-	// needHits is the early kernel's integer acceptance threshold
-	// (qualifyThreshold of θ and the cloud size); gridFallback remembers
-	// that a grid kernel could not build its grid and runs flat. All three
-	// are mean-independent, so Rebind shares them too.
-	p3kernel     Phase3Kernel
-	needHits     int
-	gridFallback bool
-
-	// Tiered Phase-3 kernel state (KernelTiered). The evaluator holds only
-	// mean-independent data — eigenvalue extremes, compiled radii, the lazy
-	// cloud holder — so Rebind's shallow copy shares it and a rebound plan's
-	// tier-3 cloud (if ever drawn) follows the moving query for free.
-	tier *TierEvaluator
 
 	// shared is the one piece of mutable state: what the Rebind copies of this
 	// compilation learn for each other (the answer-region hull, the Phase-2
@@ -157,9 +135,6 @@ func (e *Engine) Compile(q Query, strat Strategy) (*Plan, error) {
 	if err := p.bind(); err != nil {
 		return nil, err
 	}
-	if err := p.attachCloud(e.opts.Phase3); err != nil {
-		return nil, err
-	}
 	return p, nil
 }
 
@@ -254,7 +229,6 @@ func (p *Plan) baseStats() PhaseStats {
 		st.AlphaUpper = p.geo.alphaUpper
 	}
 	st.AlphaLower = p.geo.alphaLower
-	st.GridFallback = p.gridFallback
 	return st
 }
 
@@ -483,18 +457,6 @@ func (p *Plan) executeSerial(ctx context.Context, eval Evaluator) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	if p.tier != nil {
-		// Tiered kernel: the evaluator is bypassed — candidates are decided
-		// by the tier pipeline (analytic bounds, then exact series, then the
-		// lazy shared cloud).
-		return p.executeTiered(ctx, snap, &st, accepted, needEval)
-	}
-	if p.cloud != nil {
-		// Shared-sample kernel: the evaluator is bypassed — every candidate
-		// counts hits against the plan's cloud.
-		return p.executeShared(ctx, snap, &st, accepted, needEval)
-	}
-
 	// ---- Phase 3: probability computation --------------------------------
 	t2 := time.Now()
 	st.Integrations = len(needEval)

@@ -283,3 +283,111 @@ func TestExecuteEval(t *testing.T) {
 		t.Error("ExecuteEval IDs differ from Search")
 	}
 }
+
+// TestSharedKernelCancellation: a cancelled context aborts a rebound plan —
+// one that decides its candidates from the answer-region hull — on the
+// serial and pooled paths alike, and the same plan answers as brute force
+// once the context is live. The name is kept from the shared-sample kernel
+// this test first covered; the one remaining Phase 3 must honour ctx too.
+func TestSharedKernelCancellation(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	ix := uniformIndex(t, rng, 4000, 2, 1000)
+	e := newExactEngine(t, ix, Options{})
+	q := paperQuery(t, vecmat.Vector{500, 500}, 10, 25, 0.02)
+	plan, err := e.Compile(q, StrategyAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := plan.Rebind(q.Dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound.hull == nil {
+		t.Fatal("first Rebind built no hull; the hull path is not exercised")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := bound.Execute(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled serial execution error = %v, want context.Canceled", err)
+	}
+	if _, err := bound.ExecuteParallel(ctx, 4); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled parallel execution error = %v, want context.Canceled", err)
+	}
+	want, err := e.BruteForce(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := bound.Execute(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !idsEqual(got.IDs, want.IDs) {
+		t.Errorf("rebound plan after a cancelled run: %d ids, brute force %d", len(got.IDs), len(want.IDs))
+	}
+}
+
+// TestSharedKernelEmptyPlan: a plan proven empty at compile time (BF bound
+// below θ everywhere) answers empty on the serial and pooled paths without a
+// single integration. The name is kept from the shared-sample kernel this
+// test first covered, which also had to skip its cloud for such a plan.
+func TestSharedKernelEmptyPlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	ix := uniformIndex(t, rng, 500, 2, 1000)
+	e := newExactEngine(t, ix, Options{})
+	// γ=100 spreads the query mass so far that Pr(‖x−o‖ ≤ 1) ≪ 0.9 for
+	// every o: BF proves the result empty.
+	q := paperQuery(t, vecmat.Vector{500, 500}, 100, 1, 0.9)
+	plan, err := e.Compile(q, StrategyBF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plan.Empty() {
+		t.Fatal("plan not proven empty under these parameters")
+	}
+	serial, err := plan.Execute(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := plan.ExecuteParallel(context.Background(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, res := range map[string]*Result{"serial": serial, "parallel": parallel} {
+		if len(res.IDs) != 0 || res.Stats.Integrations != 0 {
+			t.Errorf("%s: empty plan returned %d ids after %d integrations",
+				name, len(res.IDs), res.Stats.Integrations)
+		}
+	}
+}
+
+// TestTieredEmptyPlan: rebinding a compile-time-empty plan builds no hull —
+// there is no answer region to tabulate — and the rebound plan answers
+// empty. The name is kept from the tiered kernel this test first covered,
+// which likewise had to build no state for such a plan.
+func TestTieredEmptyPlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(68))
+	ix := uniformIndex(t, rng, 500, 2, 1000)
+	e := newExactEngine(t, ix, Options{})
+	q := paperQuery(t, vecmat.Vector{500, 500}, 100, 1, 0.9)
+	plan, err := e.Compile(q, StrategyAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plan.Empty() {
+		t.Fatal("plan not proven empty under these parameters")
+	}
+	bound, err := plan.Rebind(q.Dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound.hull != nil || plan.shared.hullTried.Load() {
+		t.Error("rebinding an empty plan built a hull")
+	}
+	res, err := bound.Execute(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.IDs) != 0 || res.Stats.Integrations != 0 {
+		t.Errorf("rebound empty plan returned %d ids after %d integrations", len(res.IDs), res.Stats.Integrations)
+	}
+}

@@ -187,19 +187,6 @@ func (g *Dist) Sample(src NormalSource, scratch, dst vecmat.Vector) vecmat.Vecto
 	return dst
 }
 
-// SampleCentered draws x ~ N(0, Σ) into dst using src for standard normal
-// variates: x = L·z, without adding the mean. Shared-sample Phase-3 kernels
-// draw one mean-free cloud per covariance and shift candidates instead of
-// samples, so the cloud survives mean rebinds. dst and scratch must have
-// length d and must not alias. It returns dst.
-func (g *Dist) SampleCentered(src NormalSource, scratch, dst vecmat.Vector) vecmat.Vector {
-	for i := range scratch {
-		scratch[i] = src.NormFloat64()
-	}
-	g.chol.MulVecTo(scratch, dst)
-	return dst
-}
-
 // ThetaRegionRadius returns the exact rθ of Definition 3/5: the Mahalanobis
 // radius whose ellipsoid (x−q)ᵗΣ⁻¹(x−q) ≤ rθ² contains probability mass
 // 1−2θ. Requires 0 < θ < ½.

@@ -1,208 +1,15 @@
 package gaussrange
 
 import (
-	"context"
+	"slices"
 	"testing"
 )
 
-func TestPhase3KernelValidation(t *testing.T) {
-	pts := gridPoints(100, 10)
-	if _, err := Load(pts, WithPhase3Kernel(Phase3Kernel(99))); err == nil {
-		t.Error("unknown kernel accepted")
-	}
-	if _, err := Load(pts, WithPhase3Kernel(Phase3Kernel(-1))); err == nil {
-		t.Error("negative kernel accepted")
-	}
-	if _, err := Load(pts, WithAdaptiveMonteCarlo(1000), WithPhase3Kernel(KernelSharedGrid)); err == nil {
-		t.Error("shared kernel combined with adaptive MC accepted")
-	}
-	if _, err := Load(pts, WithAdaptiveMonteCarlo(1000), WithPhase3Kernel(KernelSharedEarly)); err == nil {
-		t.Error("early kernel combined with adaptive MC accepted")
-	}
-	if _, err := Load(pts, WithAdaptiveMonteCarlo(1000), WithPhase3Kernel(KernelTiered)); err == nil {
-		t.Error("tiered kernel combined with adaptive MC accepted")
-	}
-	if _, err := Load(pts, WithAdaptiveMonteCarlo(1000), WithPhase3Kernel(KernelSharedBatch)); err == nil {
-		t.Error("batch kernel combined with adaptive MC accepted")
-	}
-	if _, err := Load(pts, WithPhase3Kernel(KernelSharedEarly)); err != nil {
-		t.Errorf("early kernel rejected: %v", err)
-	}
-	// The explicit default combines with anything.
-	if _, err := Load(pts, WithAdaptiveMonteCarlo(1000), WithPhase3Kernel(KernelPerCandidate)); err != nil {
-		t.Errorf("per-candidate kernel with adaptive MC rejected: %v", err)
-	}
-}
-
-func TestPhase3KernelStrings(t *testing.T) {
-	for k, want := range map[Phase3Kernel]string{
-		KernelPerCandidate: "per-candidate",
-		KernelSharedFlat:   "shared-flat",
-		KernelSharedGrid:   "shared-grid",
-		KernelSharedEarly:  "shared-early",
-		KernelTiered:       "tiered",
-		KernelSharedBatch:  "shared-batch",
-	} {
-		if got := k.String(); got != want {
-			t.Errorf("kernel %d String() = %q, want %q", int(k), got, want)
-		}
-	}
-}
-
-// TestParsePhase3Kernel: every kernel round-trips through its String() name,
-// and unknown names are rejected with the valid set in the message.
-func TestParsePhase3Kernel(t *testing.T) {
-	for _, k := range []Phase3Kernel{
-		KernelPerCandidate, KernelSharedFlat, KernelSharedGrid, KernelSharedEarly, KernelTiered, KernelSharedBatch,
-	} {
-		got, err := ParsePhase3Kernel(k.String())
-		if err != nil {
-			t.Errorf("ParsePhase3Kernel(%q): %v", k.String(), err)
-		}
-		if got != k {
-			t.Errorf("ParsePhase3Kernel(%q) = %v, want %v", k.String(), got, k)
-		}
-	}
-	if _, err := ParsePhase3Kernel("bogus"); err == nil {
-		t.Error("unknown kernel name accepted")
-	}
-}
-
-// TestTieredKernelQuery drives the tiered kernel through the public API: on
-// the paper workload the analytic tiers close everything, so the answer must
-// be byte-identical to the exact evaluator's, the tier mix must account for
-// every integration, and no Monte Carlo samples may be drawn.
-func TestTieredKernelQuery(t *testing.T) {
-	pts := gridPoints(2500, 20)
-	spec := QuerySpec{Center: []float64{500, 500}, Cov: paperCov(10), Delta: 25, Theta: 0.01}
-
-	exactDB, err := Load(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exRes, err := exactDB.Query(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	db, err := Load(pts, WithMonteCarlo(20000), WithSeed(7), WithPhase3Kernel(KernelTiered))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := db.Query(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.IDs) != len(exRes.IDs) {
-		t.Fatalf("tiered %d answers vs exact %d", len(res.IDs), len(exRes.IDs))
-	}
-	for i := range res.IDs {
-		if res.IDs[i] != exRes.IDs[i] {
-			t.Fatalf("tiered and exact answers disagree at position %d", i)
-		}
-	}
-	st := res.Stats
-	bf, env, exact, mcc := st.TierMix()
-	if got := bf + env + exact + mcc; got != st.Integrations {
-		t.Errorf("tier mix sums to %d, want Integrations=%d", got, st.Integrations)
-	}
-	if st.SampleFreeDecisions() != bf+env+exact {
-		t.Errorf("SampleFreeDecisions() = %d, want %d", st.SampleFreeDecisions(), bf+env+exact)
-	}
-	if mcc == 0 && st.SamplesDrawn != 0 {
-		t.Errorf("no MC-tier decisions but SamplesDrawn = %d", st.SamplesDrawn)
-	}
-	if bf+env+exact == 0 && st.Integrations > 0 {
-		t.Error("tiered kernel closed nothing analytically on the paper workload")
-	}
-
-	// Determinism: re-running the same query and re-loading under a different
-	// seed must reproduce the answer bit-for-bit when no MC tier fired.
-	if mcc == 0 {
-		db2, err := Load(pts, WithMonteCarlo(20000), WithSeed(999), WithPhase3Kernel(KernelTiered))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res2, err := db2.Query(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res2.IDs) != len(res.IDs) {
-			t.Fatalf("seed changed tiered answer count: %d vs %d", len(res2.IDs), len(res.IDs))
-		}
-		for i := range res.IDs {
-			if res2.IDs[i] != res.IDs[i] {
-				t.Fatalf("seed changed tiered answers at position %d", i)
-			}
-		}
-	}
-}
-
-// TestPhase3KernelQuery drives the shared kernels through the public API:
-// flat and grid must answer identically for the same seed, report the cloud
-// accounting in Stats, and agree with the exact evaluator on a workload whose
-// probabilities sit far from θ.
-func TestPhase3KernelQuery(t *testing.T) {
-	pts := gridPoints(2500, 20)
-	spec := QuerySpec{Center: []float64{500, 500}, Cov: paperCov(10), Delta: 25, Theta: 0.01}
-
-	exactDB, err := Load(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exRes, err := exactDB.Query(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var flatIDs []int64
-	for _, kernel := range []Phase3Kernel{KernelSharedFlat, KernelSharedGrid, KernelSharedEarly} {
-		db, err := Load(pts, WithMonteCarlo(20000), WithSeed(7), WithPhase3Kernel(kernel))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := db.Query(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.SamplesDrawn != 20000 {
-			t.Errorf("%v: SamplesDrawn = %d, want 20000", kernel, res.Stats.SamplesDrawn)
-		}
-		if res.Stats.Integrations > 0 && res.Stats.SamplesTouched == 0 {
-			t.Errorf("%v: SamplesTouched = 0 with %d integrations", kernel, res.Stats.Integrations)
-		}
-		// Grid points sit far from the θ boundary at this spacing, so the
-		// sampled answer must match the exact one outright.
-		if len(res.IDs) != len(exRes.IDs) {
-			t.Errorf("%v: %d answers vs exact %d", kernel, len(res.IDs), len(exRes.IDs))
-		}
-		if res.Stats.GridFallback {
-			t.Errorf("%v: unexpected grid fallback at paper-scale δ", kernel)
-		}
-		if kernel == KernelSharedEarly && res.Stats.EarlyDecisions == 0 && res.Stats.Integrations > 0 {
-			t.Error("early kernel decided nothing early")
-		}
-		if kernel == KernelSharedFlat {
-			flatIDs = res.IDs
-			continue
-		}
-		if len(flatIDs) != len(res.IDs) {
-			t.Fatalf("flat %d answers vs %v %d", len(flatIDs), kernel, len(res.IDs))
-		}
-		for i := range flatIDs {
-			if flatIDs[i] != res.IDs[i] {
-				t.Fatalf("flat and %v kernels disagree at position %d", kernel, i)
-			}
-		}
-	}
-}
-
-// TestStrategyIdentityAcrossKernels is the acceptance bar for the early-exit
-// kernel: under all six strategy configurations from the paper's evaluation,
-// the three shared kernels return byte-identical answer IDs, and both they
-// and the per-candidate Monte Carlo kernel agree with the exact evaluator on
-// a workload whose probabilities sit far from θ (so MC noise cannot flip an
-// answer).
+// TestStrategyIdentityAcrossKernels checks the two Phase-3 evaluators against
+// each other: under all six strategy configurations from the paper's
+// evaluation, the per-candidate Monte Carlo integrator agrees with the exact
+// evaluator on a workload whose probabilities sit far from θ (so MC noise
+// cannot flip an answer).
 func TestStrategyIdentityAcrossKernels(t *testing.T) {
 	pts := gridPoints(2500, 20)
 	spec := func(strategy string) QuerySpec {
@@ -218,18 +25,9 @@ func TestStrategyIdentityAcrossKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perCandDB, err := Load(pts, WithMonteCarlo(30000), WithSeed(7))
+	mcDB, err := Load(pts, WithMonteCarlo(30000), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
-	}
-	sharedKernels := []Phase3Kernel{KernelSharedFlat, KernelSharedGrid, KernelSharedEarly, KernelTiered, KernelSharedBatch}
-	sharedDBs := make([]*DB, len(sharedKernels))
-	for i, kernel := range sharedKernels {
-		db, err := Load(pts, WithMonteCarlo(30000), WithSeed(7), WithPhase3Kernel(kernel))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharedDBs[i] = db
 	}
 
 	idsOf := func(db *DB, s string) []int64 {
@@ -240,79 +38,13 @@ func TestStrategyIdentityAcrossKernels(t *testing.T) {
 		}
 		return res.IDs
 	}
-	same := func(a, b []int64) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
-	}
 	for _, s := range liveStrategies {
 		exact := idsOf(exactDB, s)
 		if len(exact) == 0 {
 			t.Fatalf("strategy %s: empty exact answer makes the identity check vacuous", s)
 		}
-		if got := idsOf(perCandDB, s); !same(got, exact) {
+		if got := idsOf(mcDB, s); !slices.Equal(got, exact) {
 			t.Errorf("strategy %s: per-candidate MC %v != exact %v", s, got, exact)
-		}
-		flat := idsOf(sharedDBs[0], s)
-		for i, kernel := range sharedKernels {
-			got := idsOf(sharedDBs[i], s)
-			if !same(got, flat) {
-				t.Errorf("strategy %s: %v IDs %v != shared-flat %v", s, kernel, got, flat)
-			}
-			if !same(got, exact) {
-				t.Errorf("strategy %s: %v IDs %v != exact %v", s, kernel, got, exact)
-			}
-		}
-	}
-}
-
-// TestPhase3KernelDeterministicAcrossWorkers checks the public guarantee: one
-// DB with a shared kernel returns identical IDs whether a query runs alone or
-// inside a QueryBatch at any pool size.
-func TestPhase3KernelDeterministicAcrossWorkers(t *testing.T) {
-	pts := gridPoints(2500, 20)
-	db, err := Load(pts, WithMonteCarlo(20000), WithSeed(7), WithPhase3Kernel(KernelSharedGrid))
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := make([]QuerySpec, 8)
-	for i := range specs {
-		specs[i] = QuerySpec{
-			Center: []float64{200 + 50*float64(i), 500},
-			Cov:    paperCov(10),
-			Delta:  25,
-			Theta:  0.01,
-		}
-	}
-	ctx := context.Background()
-	want := make([][]int64, len(specs))
-	for i, spec := range specs {
-		res, err := db.QueryCtx(ctx, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res.IDs
-	}
-	for _, workers := range []int{1, 4, 8} {
-		results, err := db.QueryBatch(ctx, specs, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, res := range results {
-			if len(res.IDs) != len(want[i]) {
-				t.Fatalf("workers=%d query %d: %d answers, want %d", workers, i, len(res.IDs), len(want[i]))
-			}
-			for j := range want[i] {
-				if res.IDs[j] != want[i][j] {
-					t.Fatalf("workers=%d query %d: IDs diverge at %d", workers, i, j)
-				}
-			}
 		}
 	}
 }

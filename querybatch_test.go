@@ -3,6 +3,8 @@ package gaussrange
 import (
 	"context"
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -166,5 +168,52 @@ func TestPlanCacheStats(t *testing.T) {
 	}
 	if _, err := Load(gridPoints(100, 10), WithPlanCacheSize(-1)); err == nil {
 		t.Error("negative cache size accepted")
+	}
+}
+
+// TestSharedBatchCancellation: a batch whose specs all share one query shape
+// — one cached plan, rebound per spec across the workers — aborts with
+// ctx.Err() on a cancelled context, and a bad spec surfaces with its index.
+// The name is kept from the shared-batch kernel this test first covered;
+// the one remaining batch path must behave the same.
+func TestSharedBatchCancellation(t *testing.T) {
+	db := batchDB(t)
+	specs := make([]QuerySpec, 8)
+	for i := range specs {
+		specs[i] = QuerySpec{Center: []float64{100, 100}, Cov: paperCov(10), Delta: 25, Theta: 0.01}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		if _, err := db.QueryBatch(ctx, specs, workers); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: cancelled same-shape batch error = %v, want context.Canceled", workers, err)
+		}
+	}
+
+	bad := append([]QuerySpec(nil), specs...)
+	bad[3].Cov = [][]float64{{1, 0}, {0, -1}}
+	for _, workers := range []int{1, 4} {
+		_, err := db.QueryBatch(context.Background(), bad, workers)
+		if err == nil {
+			t.Fatalf("workers=%d: indefinite covariance accepted by same-shape batch", workers)
+		}
+		if !strings.Contains(err.Error(), "batch query 3") {
+			t.Errorf("workers=%d: error %q does not name spec 3", workers, err)
+		}
+	}
+
+	// The shared plan is not poisoned by either failure.
+	res, err := db.QueryBatch(context.Background(), specs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := db.Query(specs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if !slices.Equal(r.IDs, want.IDs) {
+			t.Errorf("spec %d after failed batches: %d ids, direct query %d", i, len(r.IDs), len(want.IDs))
+		}
 	}
 }

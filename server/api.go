@@ -103,28 +103,6 @@ type QueryStats struct {
 	NodesReadPacked int `json:"nodes_read_packed,omitempty"`
 	OverlayScanned  int `json:"overlay_scanned,omitempty"`
 	F32Rechecks     int `json:"f32_rechecks,omitempty"`
-	// SamplesDrawn/SamplesTouched report the shared-sample Phase-3 kernel's
-	// work (0 under the per-candidate kernel).
-	SamplesDrawn   int `json:"samples_drawn,omitempty"`
-	SamplesTouched int `json:"samples_touched,omitempty"`
-	// Early-exit kernel accounting (shared-early only): cells classified
-	// away without distance tests and candidates decided before their scan
-	// finished.
-	CellsSkipped    int `json:"cells_skipped,omitempty"`
-	CellsFullInside int `json:"cells_full_inside,omitempty"`
-	EarlyDecisions  int `json:"early_decisions,omitempty"`
-	// TierMix reports the tiered kernel's per-tier decision counts; nil
-	// unless the query ran under the tiered kernel. Together with
-	// grid_fallback it tells the whole Phase-3 story of one response.
-	TierMix *TierMix `json:"tier_mix,omitempty"`
-	// GridFallback marks a query whose grid-backed kernel ran the flat scan
-	// because the cell directory could not be built for its δ.
-	GridFallback bool `json:"grid_fallback,omitempty"`
-	// BatchQueries is the size of the batched-kernel group this query ran in
-	// (0 when it ran a per-query executor); BatchGroups marks the group
-	// leader. Sums of the two across a batch give groups and their sizes.
-	BatchQueries int `json:"batch_queries,omitempty"`
-	BatchGroups  int `json:"batch_groups,omitempty"`
 }
 
 // Add accumulates another response's stats into s — the wire-level analogue
@@ -144,47 +122,10 @@ func (s *QueryStats) Add(o QueryStats) {
 	s.IndexNS += o.IndexNS
 	s.FilterNS += o.FilterNS
 	s.ProbNS += o.ProbNS
-	s.SamplesDrawn += o.SamplesDrawn
-	s.SamplesTouched += o.SamplesTouched
-	s.CellsSkipped += o.CellsSkipped
-	s.CellsFullInside += o.CellsFullInside
-	s.EarlyDecisions += o.EarlyDecisions
-	s.BatchQueries += o.BatchQueries
-	s.BatchGroups += o.BatchGroups
-	if o.TierMix != nil {
-		if s.TierMix == nil {
-			s.TierMix = &TierMix{}
-		}
-		s.TierMix.BF += o.TierMix.BF
-		s.TierMix.Envelope += o.TierMix.Envelope
-		s.TierMix.Exact += o.TierMix.Exact
-		s.TierMix.MC += o.TierMix.MC
-	}
-	s.GridFallback = s.GridFallback || o.GridFallback
 }
-
-// TierMix is the wire form of the tiered Phase-3 kernel's decision
-// breakdown: how many candidates each tier closed, in pipeline order.
-type TierMix struct {
-	BF       int `json:"bf"`
-	Envelope int `json:"envelope"`
-	Exact    int `json:"exact"`
-	MC       int `json:"mc"`
-}
-
-// Total returns the number of tier-decided candidates.
-func (t TierMix) Total() int { return t.BF + t.Envelope + t.Exact + t.MC }
-
-// SampleFree returns the candidates decided without touching samples
-// (tiers 0–2).
-func (t TierMix) SampleFree() int { return t.BF + t.Envelope + t.Exact }
 
 // StatsFromResult converts library stats to the wire form.
 func StatsFromResult(st gaussrange.Stats) QueryStats {
-	var tm *TierMix
-	if st.TierBF != 0 || st.TierEnvelope != 0 || st.TierExact != 0 || st.TierMC != 0 {
-		tm = &TierMix{BF: st.TierBF, Envelope: st.TierEnvelope, Exact: st.TierExact, MC: st.TierMC}
-	}
 	return QueryStats{
 		Retrieved:       st.Retrieved,
 		PrunedFringe:    st.PrunedFringe,
@@ -199,24 +140,11 @@ func StatsFromResult(st gaussrange.Stats) QueryStats {
 		IndexNS:         st.IndexTime.Nanoseconds(),
 		FilterNS:        st.FilterTime.Nanoseconds(),
 		ProbNS:          st.ProbTime.Nanoseconds(),
-		SamplesDrawn:    st.SamplesDrawn,
-		SamplesTouched:  st.SamplesTouched,
-		CellsSkipped:    st.CellsSkipped,
-		CellsFullInside: st.CellsFullInside,
-		EarlyDecisions:  st.EarlyDecisions,
-		TierMix:         tm,
-		GridFallback:    st.GridFallback,
-		BatchQueries:    st.BatchQueries,
-		BatchGroups:     st.BatchGroups,
 	}
 }
 
 // Stats converts the wire form back to library stats.
 func (s QueryStats) Stats() gaussrange.Stats {
-	var bf, env, exact, mc int
-	if s.TierMix != nil {
-		bf, env, exact, mc = s.TierMix.BF, s.TierMix.Envelope, s.TierMix.Exact, s.TierMix.MC
-	}
 	return gaussrange.Stats{
 		Retrieved:       s.Retrieved,
 		PrunedFringe:    s.PrunedFringe,
@@ -231,18 +159,6 @@ func (s QueryStats) Stats() gaussrange.Stats {
 		IndexTime:       time.Duration(s.IndexNS),
 		FilterTime:      time.Duration(s.FilterNS),
 		ProbTime:        time.Duration(s.ProbNS),
-		SamplesDrawn:    s.SamplesDrawn,
-		SamplesTouched:  s.SamplesTouched,
-		CellsSkipped:    s.CellsSkipped,
-		CellsFullInside: s.CellsFullInside,
-		EarlyDecisions:  s.EarlyDecisions,
-		TierBF:          bf,
-		TierEnvelope:    env,
-		TierExact:       exact,
-		TierMC:          mc,
-		GridFallback:    s.GridFallback,
-		BatchQueries:    s.BatchQueries,
-		BatchGroups:     s.BatchGroups,
 	}
 }
 
@@ -427,28 +343,6 @@ type QueryTotals struct {
 	IndexNS         int64  `json:"index_ns"`
 	FilterNS        int64  `json:"filter_ns"`
 	ProbNS          int64  `json:"prob_ns"`
-	// Shared-sample Phase-3 kernel totals: samples drawn into plan clouds
-	// (counted once per query) vs. samples actually distance-tested.
-	SamplesDrawn   uint64 `json:"samples_drawn"`
-	SamplesTouched uint64 `json:"samples_touched"`
-	// Early-exit kernel totals (shared-early): cells classified away
-	// without distance tests and candidates decided before their scan
-	// finished.
-	CellsSkipped    uint64 `json:"cells_skipped"`
-	CellsFullInside uint64 `json:"cells_full_inside"`
-	EarlyDecisions  uint64 `json:"early_decisions"`
-	// TierMix accumulates the tiered kernel's per-tier decision counts over
-	// every query; all zero when the tiered kernel is never used.
-	TierMix TierMix `json:"tier_mix"`
-	// GridFallbacks counts queries whose grid-backed kernel ran the flat
-	// scan because the cell directory could not be built for their δ — a
-	// persistently non-zero rate means the configured δ defeats the grid.
-	GridFallbacks uint64 `json:"grid_fallbacks"`
-	// CoalescedQueries counts queries answered as part of a multi-query
-	// batched-kernel group (size ≥ 2) — via /v1/query/batch, or /v1/query
-	// coalescing when Config.Coalesce is on. BatchGroups counts the groups.
-	CoalescedQueries uint64 `json:"coalesced_queries"`
-	BatchGroups      uint64 `json:"batch_groups"`
 }
 
 // Add accumulates another server's totals into t — used by the shard router
@@ -469,18 +363,6 @@ func (t *QueryTotals) Add(o QueryTotals) {
 	t.IndexNS += o.IndexNS
 	t.FilterNS += o.FilterNS
 	t.ProbNS += o.ProbNS
-	t.SamplesDrawn += o.SamplesDrawn
-	t.SamplesTouched += o.SamplesTouched
-	t.CellsSkipped += o.CellsSkipped
-	t.CellsFullInside += o.CellsFullInside
-	t.EarlyDecisions += o.EarlyDecisions
-	t.TierMix.BF += o.TierMix.BF
-	t.TierMix.Envelope += o.TierMix.Envelope
-	t.TierMix.Exact += o.TierMix.Exact
-	t.TierMix.MC += o.TierMix.MC
-	t.GridFallbacks += o.GridFallbacks
-	t.CoalescedQueries += o.CoalescedQueries
-	t.BatchGroups += o.BatchGroups
 }
 
 // Histogram is a fixed-bucket latency histogram. Counts has one entry per

@@ -6,13 +6,3 @@ import "context"
 // requests in flight deterministically (admission saturation, deadline
 // expiry, graceful drain). Only compiled into test binaries.
 func (s *Server) SetPreQuery(fn func(ctx context.Context)) { s.preQuery = fn }
-
-// CoalesceWaiting reports the number of followers enqueued on open coalesce
-// groups — lets tests build a group deterministically before releasing the
-// leader. 0 when coalescing is off.
-func (s *Server) CoalesceWaiting() int {
-	if s.coal == nil {
-		return 0
-	}
-	return s.coal.waiting()
-}

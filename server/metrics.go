@@ -60,13 +60,6 @@ type metrics struct {
 	queries    uint64
 	answers    uint64
 	statTotals gaussrange.Stats
-	// gridFallbacks counts queries that reported a grid→flat fallback;
-	// Stats.Add only ORs the per-query flag, so the count lives here.
-	gridFallbacks uint64
-	// coalescedQueries counts queries that ran inside a multi-query
-	// batched-kernel group (BatchQueries ≥ 2): a solo batch shares nothing,
-	// so it does not count as coalesced.
-	coalescedQueries uint64
 }
 
 type endpointMetrics struct {
@@ -111,12 +104,6 @@ func (m *metrics) addQuery(st gaussrange.Stats, answers int) {
 	m.queries++
 	m.answers += uint64(answers)
 	m.statTotals.Add(st)
-	if st.GridFallback {
-		m.gridFallbacks++
-	}
-	if st.BatchQueries >= 2 {
-		m.coalescedQueries++
-	}
 }
 
 func (m *metrics) queryTotals() QueryTotals {
@@ -124,30 +111,21 @@ func (m *metrics) queryTotals() QueryTotals {
 	defer m.mu.Unlock()
 	st := m.statTotals
 	return QueryTotals{
-		Queries:          m.queries,
-		Answers:          m.answers,
-		Retrieved:        uint64(st.Retrieved),
-		PrunedFringe:     uint64(st.PrunedFringe),
-		PrunedOR:         uint64(st.PrunedOR),
-		PrunedBF:         uint64(st.PrunedBF),
-		AcceptedBF:       uint64(st.AcceptedBF),
-		Integrations:     uint64(st.Integrations),
-		NodesRead:        uint64(st.NodesRead),
-		NodesReadPacked:  uint64(st.NodesReadPacked),
-		OverlayScanned:   uint64(st.OverlayScanned),
-		F32Rechecks:      uint64(st.F32Rechecks),
-		IndexNS:          st.IndexTime.Nanoseconds(),
-		FilterNS:         st.FilterTime.Nanoseconds(),
-		ProbNS:           st.ProbTime.Nanoseconds(),
-		SamplesDrawn:     uint64(st.SamplesDrawn),
-		SamplesTouched:   uint64(st.SamplesTouched),
-		CellsSkipped:     uint64(st.CellsSkipped),
-		CellsFullInside:  uint64(st.CellsFullInside),
-		EarlyDecisions:   uint64(st.EarlyDecisions),
-		TierMix:          TierMix{BF: st.TierBF, Envelope: st.TierEnvelope, Exact: st.TierExact, MC: st.TierMC},
-		GridFallbacks:    m.gridFallbacks,
-		CoalescedQueries: m.coalescedQueries,
-		BatchGroups:      uint64(st.BatchGroups),
+		Queries:         m.queries,
+		Answers:         m.answers,
+		Retrieved:       uint64(st.Retrieved),
+		PrunedFringe:    uint64(st.PrunedFringe),
+		PrunedOR:        uint64(st.PrunedOR),
+		PrunedBF:        uint64(st.PrunedBF),
+		AcceptedBF:      uint64(st.AcceptedBF),
+		Integrations:    uint64(st.Integrations),
+		NodesRead:       uint64(st.NodesRead),
+		NodesReadPacked: uint64(st.NodesReadPacked),
+		OverlayScanned:  uint64(st.OverlayScanned),
+		F32Rechecks:     uint64(st.F32Rechecks),
+		IndexNS:         st.IndexTime.Nanoseconds(),
+		FilterNS:        st.FilterTime.Nanoseconds(),
+		ProbNS:          st.ProbTime.Nanoseconds(),
 	}
 }
 

@@ -46,14 +46,6 @@ type Config struct {
 	// (default GOMAXPROCS).
 	BatchWorkers int
 
-	// Coalesce merges concurrent /v1/query requests that share a plan
-	// fingerprint and storage epoch into one batched execution holding one
-	// admission slot (see coalescer). Most effective when the DB runs the
-	// shared-batch Phase-3 kernel, which sweeps the common sample cloud
-	// once for the whole group. Off by default: coalesced queries execute
-	// under the server's default timeout rather than their own timeout_ms.
-	Coalesce bool
-
 	// ReadOnly refuses every mutation endpoint with 403 — the mode follower
 	// read replicas serve in (writes must go to the leader).
 	ReadOnly bool
@@ -72,7 +64,6 @@ type Server struct {
 	cfg   Config
 	adm   *admission
 	met   *metrics
-	coal  *coalescer // non-nil when Config.Coalesce is on
 	start time.Time
 
 	// preQuery, when non-nil, runs after admission with the query context —
@@ -100,9 +91,6 @@ func New(cfg Config) (*Server, error) {
 		adm:   newAdmission(cfg.MaxInflight),
 		met:   newMetrics(),
 		start: time.Now(),
-	}
-	if cfg.Coalesce {
-		s.coal = newCoalescer(s)
 	}
 	return s, nil
 }
@@ -291,10 +279,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, status, "%v", err)
 		return
 	}
-	if s.coal != nil {
-		s.handleQueryCoalesced(w, r, req, &status)
-		return
-	}
 	if !s.admit(w) {
 		status = statusTooManyRequests
 		return
@@ -314,29 +298,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.addQuery(res.Stats, len(res.IDs))
 	WriteJSON(w, status, s.respond(res))
-}
-
-// handleQueryCoalesced routes one /v1/query through the coalescer. The
-// request's own timeout bounds its wait for the group's answer; execution
-// itself runs under the group context (see coalescer).
-func (s *Server) handleQueryCoalesced(w http.ResponseWriter, r *http.Request, req QueryRequest, status *int) {
-	ctx, cancel := QueryContext(r.Context(), req.TimeoutMS, s.cfg.DefaultTimeout)
-	defer cancel()
-	res, err := s.coal.do(ctx, req.Spec())
-	if err != nil {
-		if errors.Is(err, errOverloaded) {
-			*status = statusTooManyRequests
-			w.Header().Set("Retry-After", "1")
-			WriteError(w, *status,
-				"server overloaded: %d queries in flight (limit %d)", s.cfg.MaxInflight, s.cfg.MaxInflight)
-			return
-		}
-		*status = statusForQueryErr(err)
-		WriteError(w, *status, "%v", err)
-		return
-	}
-	s.met.addQuery(res.Stats, len(res.IDs))
-	WriteJSON(w, *status, s.respond(res))
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -461,146 +460,6 @@ func TestStatszAndHealthz(t *testing.T) {
 	}
 }
 
-// TestStatszEarlyKernelStats proves the early-exit kernel's accounting flows
-// end to end: core → Result → wire QueryStats → /statsz totals — including
-// the grid-fallback flag for a δ too small for the cell directory.
-func TestStatszEarlyKernelStats(t *testing.T) {
-	db := testDB(t, gaussrange.WithMonteCarlo(2000), gaussrange.WithSeed(7),
-		gaussrange.WithPhase3Kernel(gaussrange.KernelSharedEarly))
-	_, _, cl := newTestServer(t, server.Config{DB: db})
-	ctx := context.Background()
-
-	spec := testSpec(db, "ALL")
-	direct, err := db.Query(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	served, err := cl.Query(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if served.Stats.SamplesTouched != direct.Stats.SamplesTouched ||
-		served.Stats.CellsSkipped != direct.Stats.CellsSkipped ||
-		served.Stats.CellsFullInside != direct.Stats.CellsFullInside ||
-		served.Stats.EarlyDecisions != direct.Stats.EarlyDecisions ||
-		served.Stats.GridFallback != direct.Stats.GridFallback {
-		t.Errorf("served early-kernel stats differ:\n direct: %+v\n served: %+v",
-			direct.Stats, served.Stats)
-	}
-	if direct.Stats.Integrations > 0 && direct.Stats.EarlyDecisions == 0 {
-		t.Error("early kernel decided nothing early on the served workload")
-	}
-	if direct.Stats.GridFallback {
-		t.Error("unexpected grid fallback at paper-scale δ")
-	}
-
-	// δ=0.05 over a ~56-unit cloud extent wants ~800k directory cells, past
-	// the 64·samples cap: the plan must fall back to the flat decide scan and
-	// say so over the wire.
-	tiny := spec
-	tiny.Delta = 0.05
-	tiny.Theta = 1e-6
-	fb, err := cl.Query(ctx, tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fb.Stats.GridFallback {
-		t.Error("grid fallback not surfaced over the wire")
-	}
-
-	snap, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatalf("Stats: %v", err)
-	}
-	if snap.Queries.Queries != 2 {
-		t.Errorf("query total = %d, want 2", snap.Queries.Queries)
-	}
-	if snap.Queries.SamplesTouched == 0 || snap.Queries.SamplesDrawn == 0 {
-		t.Errorf("sample totals not accumulated: %+v", snap.Queries)
-	}
-	if snap.Queries.EarlyDecisions == 0 {
-		t.Errorf("early-decision total not accumulated: %+v", snap.Queries)
-	}
-	if snap.Queries.GridFallbacks != 1 {
-		t.Errorf("grid fallback count = %d, want 1", snap.Queries.GridFallbacks)
-	}
-}
-
-// TestStatszTieredKernelStats: the tiered kernel's per-tier decision counts
-// must survive the wire round-trip and accumulate into the /statsz totals.
-func TestStatszTieredKernelStats(t *testing.T) {
-	db := testDB(t, gaussrange.WithMonteCarlo(2000), gaussrange.WithSeed(7),
-		gaussrange.WithPhase3Kernel(gaussrange.KernelTiered))
-	_, ts, cl := newTestServer(t, server.Config{DB: db})
-	ctx := context.Background()
-
-	spec := testSpec(db, "ALL")
-	direct, err := db.Query(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	served, err := cl.Query(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(direct.IDs, served.IDs) {
-		t.Errorf("served tiered IDs differ from direct query")
-	}
-	// The client decodes wire stats back into library form; every tier count
-	// must survive the round-trip.
-	bf, env, exact, mcc := served.Stats.TierMix()
-	if bf != direct.Stats.TierBF || env != direct.Stats.TierEnvelope ||
-		exact != direct.Stats.TierExact || mcc != direct.Stats.TierMC {
-		t.Errorf("round-tripped tier mix (bf=%d env=%d exact=%d mc=%d) != direct (bf=%d env=%d exact=%d mc=%d)",
-			bf, env, exact, mcc, direct.Stats.TierBF, direct.Stats.TierEnvelope,
-			direct.Stats.TierExact, direct.Stats.TierMC)
-	}
-	if got := bf + env + exact + mcc; got != direct.Stats.Integrations {
-		t.Errorf("tier mix total %d != integrations %d", got, direct.Stats.Integrations)
-	}
-
-	// The raw wire JSON must carry the tier_mix object (not just the Go
-	// client's decoding of it) so non-Go consumers see it too.
-	body, err := json.Marshal(server.RequestFromSpec(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var decoded struct {
-		Stats struct {
-			TierMix *server.TierMix `json:"tier_mix"`
-		} `json:"stats"`
-	}
-	if err := json.Unmarshal(raw, &decoded); err != nil {
-		t.Fatalf("decoding raw response: %v", err)
-	}
-	if direct.Stats.Integrations > 0 && decoded.Stats.TierMix == nil {
-		t.Fatalf("tier_mix missing from raw wire JSON: %s", raw)
-	}
-	if tm := decoded.Stats.TierMix; tm != nil && tm.Total() != direct.Stats.Integrations {
-		t.Errorf("raw tier_mix %+v total != integrations %d", *tm, direct.Stats.Integrations)
-	}
-
-	snap, err := cl.Stats(ctx)
-	if err != nil {
-		t.Fatalf("Stats: %v", err)
-	}
-	// Two served queries ran the same spec (client + raw POST), so the
-	// accumulated tier mix is exactly double one query's integrations.
-	if snap.Queries.TierMix.Total() != 2*direct.Stats.Integrations {
-		t.Errorf("/statsz tier_mix total = %d, want %d",
-			snap.Queries.TierMix.Total(), 2*direct.Stats.Integrations)
-	}
-	if snap.Queries.TierMix.SampleFree() == 0 && direct.Stats.Integrations > 0 {
-		t.Error("tiered kernel closed nothing analytically on the served workload")
-	}
-}
-
 func TestRejectsMalformedRequests(t *testing.T) {
 	db := testDB(t)
 	_, ts, _ := newTestServer(t, server.Config{DB: db, MaxBatchSize: 2})
@@ -647,4 +506,150 @@ func ExampleServer() {
 	})
 	fmt.Println(res.IDs)
 	// Output: [0 1]
+}
+
+// TestCoalescedQueriesMatchSerial holds six same-shape queries with
+// different centers in execution at once — one plan fingerprint, so they
+// share one cached plan, each rebound to its own center — then releases
+// them together: every answer must equal a direct query's, and each request
+// must have taken its own admission slot. The name is kept from the
+// request-coalescing path this test first covered; same-shape requests now
+// share only the plan cache.
+func TestCoalescedQueriesMatchSerial(t *testing.T) {
+	db := testDB(t)
+	const n = 6
+	s, _, cl := newTestServer(t, server.Config{DB: db, MaxInflight: n})
+
+	gate := make(chan struct{})
+	entered := make(chan struct{}, n)
+	s.SetPreQuery(func(ctx context.Context) { entered <- struct{}{}; <-gate })
+
+	specs := make([]gaussrange.QuerySpec, n)
+	for i := range specs {
+		center, err := db.Point(int64(i * 50))
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs[i] = testSpec(db, "ALL")
+		specs[i].Center = center
+	}
+
+	ctx := context.Background()
+	results := make([]*gaussrange.Result, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range specs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = cl.Query(ctx, specs[i])
+		}(i)
+	}
+	for i := 0; i < n; i++ {
+		select {
+		case <-entered:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d queries reached execution", i, n)
+		}
+	}
+	close(gate)
+	wg.Wait()
+
+	for i := range specs {
+		if errs[i] != nil {
+			t.Fatalf("query %d: %v", i, errs[i])
+		}
+		want, err := db.Query(specs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(results[i].IDs, want.IDs) {
+			t.Errorf("query %d: served %d ids differ from the direct query's %d", i, len(results[i].IDs), len(want.IDs))
+		}
+	}
+	snap, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Admission.Admitted != n {
+		t.Errorf("admitted = %d, want %d (one slot per request)", snap.Admission.Admitted, n)
+	}
+}
+
+// TestCoalesceErrorIsolation: a malformed spec fails with 400 and leaves the
+// server answering — a healthy query returns the direct query's ids before
+// and after it. The name is kept from the request-coalescing path this test
+// first covered.
+func TestCoalesceErrorIsolation(t *testing.T) {
+	db := testDB(t)
+	_, _, cl := newTestServer(t, server.Config{DB: db})
+	ctx := context.Background()
+
+	good := testSpec(db, "ALL")
+	want, err := db.Query(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		res, err := cl.Query(ctx, good)
+		if err != nil {
+			t.Fatalf("healthy query %s: %v", when, err)
+		}
+		if !reflect.DeepEqual(res.IDs, want.IDs) {
+			t.Errorf("healthy query %s: %d ids, direct query %d", when, len(res.IDs), len(want.IDs))
+		}
+	}
+	check("before the failed one")
+	bad := good
+	bad.Cov = [][]float64{{1, 0}, {0, -1}}
+	_, err = cl.Query(ctx, bad)
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+		t.Fatalf("indefinite covariance: error %v, want a 400", err)
+	}
+	check("after the failed one")
+}
+
+// TestCoalesceOverload: a batch request and a single query draw on the same
+// admission slots — while a batch holds the only slot, a query is rejected
+// with 429. The name is kept from the request-coalescing path this test
+// first covered.
+func TestCoalesceOverload(t *testing.T) {
+	db := testDB(t)
+	s, ts, cl := newTestServer(t, server.Config{DB: db, MaxInflight: 1})
+
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 16)
+	s.SetPreQuery(func(ctx context.Context) { entered <- struct{}{}; <-gate })
+
+	// Occupy the only slot with a batch request parked in preQuery.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := cl.QueryBatch(context.Background(), []gaussrange.QuerySpec{testSpec(db, "ALL")}, 1); err != nil {
+			t.Errorf("batch holding the slot: %v", err)
+		}
+	}()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("batch never reached execution")
+	}
+
+	body, err := json.Marshal(server.RequestFromSpec(testSpec(db, "ALL")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("query while a batch holds the slot: status %d, want 429", resp.StatusCode)
+	}
+	close(gate)
+	wg.Wait()
 }

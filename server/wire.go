@@ -203,23 +203,6 @@ func appendQueryStats(b []byte, s *QueryStats) []byte {
 	b = appendIntOpt(b, `,"nodes_read_packed":`, s.NodesReadPacked)
 	b = appendIntOpt(b, `,"overlay_scanned":`, s.OverlayScanned)
 	b = appendIntOpt(b, `,"f32_rechecks":`, s.F32Rechecks)
-	b = appendIntOpt(b, `,"samples_drawn":`, s.SamplesDrawn)
-	b = appendIntOpt(b, `,"samples_touched":`, s.SamplesTouched)
-	b = appendIntOpt(b, `,"cells_skipped":`, s.CellsSkipped)
-	b = appendIntOpt(b, `,"cells_full_inside":`, s.CellsFullInside)
-	b = appendIntOpt(b, `,"early_decisions":`, s.EarlyDecisions)
-	if t := s.TierMix; t != nil {
-		b = appendInt(b, `,"tier_mix":{"bf":`, int64(t.BF))
-		b = appendInt(b, `,"envelope":`, int64(t.Envelope))
-		b = appendInt(b, `,"exact":`, int64(t.Exact))
-		b = appendInt(b, `,"mc":`, int64(t.MC))
-		b = append(b, '}')
-	}
-	if s.GridFallback {
-		b = append(b, `,"grid_fallback":true`...)
-	}
-	b = appendIntOpt(b, `,"batch_queries":`, s.BatchQueries)
-	b = appendIntOpt(b, `,"batch_groups":`, s.BatchGroups)
 	return append(b, '}')
 }
 
@@ -552,51 +535,16 @@ func (d *decoder) queryStats(s *QueryStats) bool {
 			bit, n = 8, &s.OverlayScanned
 		case "f32_rechecks":
 			bit, n = 9, &s.F32Rechecks
-		case "samples_drawn":
-			bit, n = 10, &s.SamplesDrawn
-		case "samples_touched":
-			bit, n = 11, &s.SamplesTouched
-		case "cells_skipped":
-			bit, n = 12, &s.CellsSkipped
-		case "cells_full_inside":
-			bit, n = 13, &s.CellsFullInside
-		case "early_decisions":
-			bit, n = 14, &s.EarlyDecisions
-		case "batch_queries":
-			bit, n = 15, &s.BatchQueries
-		case "batch_groups":
-			bit, n = 16, &s.BatchGroups
 		case "index_ns":
-			return 17, d.int64(&s.IndexNS)
+			return 10, d.int64(&s.IndexNS)
 		case "filter_ns":
-			return 18, d.int64(&s.FilterNS)
+			return 11, d.int64(&s.FilterNS)
 		case "prob_ns":
-			return 19, d.int64(&s.ProbNS)
-		case "grid_fallback":
-			return 20, d.bool(&s.GridFallback)
-		case "tier_mix":
-			s.TierMix = new(TierMix)
-			return 21, d.tierMix(s.TierMix)
+			return 12, d.int64(&s.ProbNS)
 		default:
 			return 0, false
 		}
 		return bit, d.int(n)
-	})
-}
-
-func (d *decoder) tierMix(t *TierMix) bool {
-	return d.object(func(name []byte) (uint, bool) {
-		switch string(name) {
-		case "bf":
-			return 0, d.int(&t.BF)
-		case "envelope":
-			return 1, d.int(&t.Envelope)
-		case "exact":
-			return 2, d.int(&t.Exact)
-		case "mc":
-			return 3, d.int(&t.MC)
-		}
-		return 0, false
 	})
 }
 

@@ -11,16 +11,12 @@ import (
 	"gaussrange/server"
 )
 
-// The sharded-correctness property: for random (Σ, δ, θ, seed) queries and
-// every shard count K ∈ {1, 2, 4, 8}, the routed answer is id-identical to
-// the unsharded DB built from the same points with the same options — for
-// every Phase-3 kernel, on datasets with tile-boundary ties, and across
-// interleaved insert/delete batches.
-//
-// KernelPerCandidate runs the exact evaluator; the shared-cloud kernels run
-// with a fixed (samples, seed) so the per-candidate decision is a pure
-// function of the candidate's coordinates, independent of which shard
-// evaluates it or in what order.
+// The sharded-correctness property: for random (Σ, δ, θ) queries and every
+// shard count K ∈ {1, 2, 4, 8}, the routed answer is id-identical to the
+// unsharded DB built from the same points — on datasets with tile-boundary
+// ties, and across interleaved insert/delete batches. The exact evaluator's
+// decision for a candidate is a pure function of its coordinates,
+// independent of which shard evaluates it or in what order.
 
 // boundaryPoints builds a lattice whose coordinates repeat across many
 // points (so STR cut hyperplanes land on shared values and exercise the
@@ -79,79 +75,67 @@ func assertSameAnswer(t *testing.T, tag string, ref *gaussrange.DB, router *Rout
 }
 
 func TestPropertyShardedMatchesUnsharded(t *testing.T) {
-	kernels := []struct {
-		name string
-		opts []gaussrange.Option
-	}{
-		{"per-candidate-exact", nil},
-		{"shared-flat", []gaussrange.Option{gaussrange.WithPhase3Kernel(gaussrange.KernelSharedFlat), gaussrange.WithMonteCarlo(3000), gaussrange.WithSeed(7)}},
-		{"shared-grid", []gaussrange.Option{gaussrange.WithPhase3Kernel(gaussrange.KernelSharedGrid), gaussrange.WithMonteCarlo(3000), gaussrange.WithSeed(7)}},
-		{"shared-early", []gaussrange.Option{gaussrange.WithPhase3Kernel(gaussrange.KernelSharedEarly), gaussrange.WithMonteCarlo(3000), gaussrange.WithSeed(7)}},
-		{"tiered", []gaussrange.Option{gaussrange.WithPhase3Kernel(gaussrange.KernelTiered), gaussrange.WithMonteCarlo(3000), gaussrange.WithSeed(7)}},
-	}
-	for _, kn := range kernels {
-		kn := kn
-		t.Run(kn.name, func(t *testing.T) {
-			for _, k := range []int{1, 2, 4, 8} {
-				k := k
-				t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-					r := rand.New(rand.NewSource(int64(1000*k) + int64(len(kn.name))))
-					pts := boundaryPoints(r, 12, 60)
-					c := newCluster(t, pts, k, kn.opts...)
-					span := 12.0 * 20
+	const name = "per-candidate-exact"
+	t.Run(name, func(t *testing.T) {
+		for _, k := range []int{1, 2, 4, 8} {
+			k := k
+			t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+				r := rand.New(rand.NewSource(int64(1000*k) + int64(len(name))))
+				pts := boundaryPoints(r, 12, 60)
+				c := newCluster(t, pts, k)
+				span := 12.0 * 20
 
-					matched := 0
-					for qi := 0; qi < 5; qi++ {
+				matched := 0
+				for qi := 0; qi < 5; qi++ {
+					spec := randomSpec(r, span)
+					matched += assertSameAnswer(t, fmt.Sprintf("pre-mutation q%d", qi), c.ref, c.router, spec)
+				}
+				if matched == 0 {
+					t.Fatal("all pre-mutation queries empty — property vacuous")
+				}
+
+				// Interleaved insert/delete batches through the router,
+				// mirrored onto the unsharded reference with the router's
+				// global ids.
+				ctx := context.Background()
+				var live []int64
+				for round := 0; round < 3; round++ {
+					batch := make([][]float64, 8)
+					for i := range batch {
+						// Half on lattice coordinates (boundary ties),
+						// half random.
+						if i%2 == 0 {
+							batch[i] = []float64{float64(r.Intn(12)) * 20, float64(r.Intn(12)) * 20}
+						} else {
+							batch[i] = []float64{r.Float64() * span, r.Float64() * span}
+						}
+					}
+					ids, _, err := c.router.Insert(ctx, batch)
+					if err != nil {
+						t.Fatalf("round %d insert: %v", round, err)
+					}
+					if _, _, err := c.ref.ApplyWithIDs(batch, ids, nil); err != nil {
+						t.Fatalf("round %d mirror insert: %v", round, err)
+					}
+					live = append(live, ids...)
+
+					// Delete a mix of initial-load and router-inserted ids.
+					dels := []int64{int64(r.Intn(len(pts))), live[r.Intn(len(live))]}
+					for _, id := range dels {
+						if _, _, err := c.router.Delete(ctx, id); err != nil {
+							t.Fatalf("round %d delete %d: %v", round, id, err)
+						}
+						if _, _, err := c.ref.ApplyWithIDs(nil, nil, []int64{id}); err != nil {
+							t.Fatalf("round %d mirror delete %d: %v", round, id, err)
+						}
+					}
+
+					for qi := 0; qi < 3; qi++ {
 						spec := randomSpec(r, span)
-						matched += assertSameAnswer(t, fmt.Sprintf("pre-mutation q%d", qi), c.ref, c.router, spec)
+						assertSameAnswer(t, fmt.Sprintf("round %d q%d", round, qi), c.ref, c.router, spec)
 					}
-					if matched == 0 {
-						t.Fatal("all pre-mutation queries empty — property vacuous")
-					}
-
-					// Interleaved insert/delete batches through the router,
-					// mirrored onto the unsharded reference with the router's
-					// global ids.
-					ctx := context.Background()
-					var live []int64
-					for round := 0; round < 3; round++ {
-						batch := make([][]float64, 8)
-						for i := range batch {
-							// Half on lattice coordinates (boundary ties),
-							// half random.
-							if i%2 == 0 {
-								batch[i] = []float64{float64(r.Intn(12)) * 20, float64(r.Intn(12)) * 20}
-							} else {
-								batch[i] = []float64{r.Float64() * span, r.Float64() * span}
-							}
-						}
-						ids, _, err := c.router.Insert(ctx, batch)
-						if err != nil {
-							t.Fatalf("round %d insert: %v", round, err)
-						}
-						if _, _, err := c.ref.ApplyWithIDs(batch, ids, nil); err != nil {
-							t.Fatalf("round %d mirror insert: %v", round, err)
-						}
-						live = append(live, ids...)
-
-						// Delete a mix of initial-load and router-inserted ids.
-						dels := []int64{int64(r.Intn(len(pts))), live[r.Intn(len(live))]}
-						for _, id := range dels {
-							if _, _, err := c.router.Delete(ctx, id); err != nil {
-								t.Fatalf("round %d delete %d: %v", round, id, err)
-							}
-							if _, _, err := c.ref.ApplyWithIDs(nil, nil, []int64{id}); err != nil {
-								t.Fatalf("round %d mirror delete %d: %v", round, id, err)
-							}
-						}
-
-						for qi := 0; qi < 3; qi++ {
-							spec := randomSpec(r, span)
-							assertSameAnswer(t, fmt.Sprintf("round %d q%d", round, qi), c.ref, c.router, spec)
-						}
-					}
-				})
-			}
-		})
-	}
+				}
+			})
+		}
+	})
 }

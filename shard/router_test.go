@@ -34,8 +34,8 @@ func (c *cluster) close() {
 }
 
 // newCluster splits pts into k in-process shards and builds the router and
-// the unsharded reference with identical options.
-func newCluster(t *testing.T, pts [][]float64, k int, opts ...gaussrange.Option) *cluster {
+// the unsharded reference.
+func newCluster(t *testing.T, pts [][]float64, k int) *cluster {
 	t.Helper()
 	m, parts, err := Split(pts, k)
 	if err != nil {
@@ -44,7 +44,7 @@ func newCluster(t *testing.T, pts [][]float64, k int, opts ...gaussrange.Option)
 	c := &cluster{}
 	endpoints := make([]string, k)
 	for i, part := range parts {
-		db, err := gaussrange.LoadWithIDs(part.Points, part.IDs, opts...)
+		db, err := gaussrange.LoadWithIDs(part.Points, part.IDs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func newCluster(t *testing.T, pts [][]float64, k int, opts ...gaussrange.Option)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.ref, err = gaussrange.Load(pts, opts...)
+	c.ref, err = gaussrange.Load(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
