@@ -45,8 +45,9 @@ fuzz-smoke:
 	$(GO) test ./server -run '^$$' -fuzz FuzzQueryRequestDecode -fuzztime 3s
 
 # verify is the pre-merge gate: formatting, static analysis, and the
-# race-enabled test suite (the storage engine, plan cache, worker pools,
-# QueryBatch and the query server are concurrency-heavy).
+# race-enabled test suite (the storage engine, the plan cache and its shared
+# hull, QueryBatch's worker pool, the wal pipeline and the query server are
+# concurrency-heavy).
 verify: fmt-check vet race
 	@echo "verify: OK"
 

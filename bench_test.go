@@ -479,43 +479,6 @@ func newBFCat() (*ucatalog.BFCatalog, error) { return ucatalog.NewBFCatalog(2, n
 // silence unused-import guards for stats (used in doc examples).
 var _ = stats.ErrDomain
 
-// BenchmarkAblationAdaptiveMC compares a full end-to-end query under the
-// fixed-budget Monte Carlo, the adaptive sequential Monte Carlo, and the
-// exact evaluator.
-func BenchmarkAblationAdaptiveMC(b *testing.B) {
-	ix := longBeachIndex(b)
-	q := paperQuery2D(b, ix, 10)
-	run := func(b *testing.B, eval core.Evaluator) {
-		engine, err := core.NewEngine(ix, eval, core.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Search(q, core.StrategyAll); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("mc-fixed-100k", func(b *testing.B) {
-		integ, err := mc.NewIntegrator(100000, 9)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, integ)
-	})
-	b.Run("mc-adaptive-100k", func(b *testing.B) {
-		a, err := mc.NewAdaptive(500, 100000, 4, 9)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, a)
-	})
-	b.Run("exact", func(b *testing.B) {
-		run(b, core.NewExactEvaluator())
-	})
-}
-
 // BenchmarkAblationBufferPool measures simulated page-I/O hit rates across
 // pool sizes on the Table II workload.
 func BenchmarkAblationBufferPool(b *testing.B) {

@@ -14,13 +14,15 @@
 //	-delta D          distance threshold δ (required, > 0)
 //	-theta T          probability threshold θ in (0, 1) (required)
 //	-strategy S       RR | BF | RR+BF | RR+OR | BF+OR | ALL (default ALL)
-//	-mc N             use Monte Carlo with N samples (default: exact)
-//	                  (local mode only)
 //	-timeout D        abort the query after duration D (e.g. 500ms; 0 = none)
 //	-server URL       query a prqserved instance instead of loading a CSV
 //	-json             print the result as JSON (scriptable; identical shape
 //	                  in local and server mode, so answers diff directly)
 //	-v                print per-object probabilities
+//	-topk K           report only the K most probable answers (local mode)
+//	-pnn              probabilistic nearest neighbors with p ≥ θ instead of
+//	                  a range query, from 20 000 sampled query locations
+//	                  (local mode)
 package main
 
 import (
@@ -76,7 +78,6 @@ type runOpts struct {
 	delta     float64
 	theta     float64
 	strategy  string
-	mcSamples int
 	timeout   time.Duration
 	verbose   bool
 	topK      int
@@ -91,7 +92,6 @@ func main() {
 	flag.Float64Var(&o.delta, "delta", 0, "distance threshold δ")
 	flag.Float64Var(&o.theta, "theta", 0, "probability threshold θ")
 	flag.StringVar(&o.strategy, "strategy", "ALL", "filter strategy")
-	flag.IntVar(&o.mcSamples, "mc", 0, "Monte Carlo samples (0 = exact evaluator)")
 	flag.DurationVar(&o.timeout, "timeout", 0, "abort the query after this duration (0 = no limit)")
 	flag.StringVar(&o.serverURL, "server", "", "query a running prqserved at this base URL instead of loading a CSV")
 	flag.BoolVar(&o.jsonOut, "json", false, "print the result as JSON")
@@ -139,6 +139,10 @@ type jsonOutput struct {
 	Answers []jsonAnswer       `json:"answers,omitempty"`
 }
 
+// pnnSamples is the number of query locations -pnn draws; the standard error
+// of a reported probability p is √(p(1−p)/20 000) ≤ 0.0036.
+const pnnSamples = 20000
+
 func run(o runOpts, out io.Writer) error {
 	c, err := parseVector(o.center)
 	if err != nil {
@@ -153,9 +157,6 @@ func run(o runOpts, out io.Writer) error {
 	if o.serverURL != "" {
 		if o.topK > 0 || o.pnn {
 			return errors.New("-topk and -pnn are not supported with -server")
-		}
-		if o.mcSamples > 0 {
-			return errors.New("-mc is not supported with -server (configure the evaluator on prqserved)")
 		}
 		return runServer(o, spec, out)
 	}
@@ -209,11 +210,7 @@ func runLocal(o runOpts, spec gaussrange.QuerySpec, c []float64, m [][]float64, 
 	for i, p := range pts {
 		raw[i] = p
 	}
-	var opts []gaussrange.Option
-	if o.mcSamples > 0 {
-		opts = append(opts, gaussrange.WithMonteCarlo(o.mcSamples))
-	}
-	db, err := gaussrange.Load(raw, opts...)
+	db, err := gaussrange.Load(raw)
 	if err != nil {
 		return err
 	}
@@ -222,11 +219,7 @@ func runLocal(o runOpts, spec gaussrange.QuerySpec, c []float64, m [][]float64, 
 		if o.jsonOut {
 			return errors.New("-json applies to range queries, not -pnn")
 		}
-		samples := o.mcSamples
-		if samples == 0 {
-			samples = 20000
-		}
-		results, err := db.PNN(c, m, o.theta, samples)
+		results, err := db.PNN(c, m, o.theta, pnnSamples)
 		if err != nil {
 			return err
 		}

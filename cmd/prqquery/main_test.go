@@ -70,12 +70,6 @@ func TestRunEndToEnd(t *testing.T) {
 	if err := run(o, &out); err != nil {
 		t.Fatal(err)
 	}
-	// Monte Carlo path.
-	o = baseOpts(path)
-	o.mcSamples = 5000
-	if err := run(o, &out); err != nil {
-		t.Fatal(err)
-	}
 	// Error paths.
 	o = baseOpts(filepath.Join(t.TempDir(), "missing.csv"))
 	if err := run(o, &out); err == nil {
@@ -109,7 +103,7 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatalf("topk: %v", err)
 	}
 	o = baseOpts(path)
-	o.cov, o.theta, o.mcSamples, o.pnn = "25,0;0,25", 0.05, 1000, true
+	o.cov, o.theta, o.pnn = "25,0;0,25", 0.05, true
 	if err := run(o, &out); err != nil {
 		t.Fatalf("pnn: %v", err)
 	}
@@ -199,7 +193,6 @@ func TestServerModeMatchesLocal(t *testing.T) {
 	for _, mod := range []func(*runOpts){
 		func(o *runOpts) { o.topK = 1 },
 		func(o *runOpts) { o.pnn = true },
-		func(o *runOpts) { o.mcSamples = 100 },
 	} {
 		o := baseOpts("")
 		o.serverURL = ts.URL

@@ -45,9 +45,6 @@
 //	                    which is correct only when the wal holds the full
 //	                    history
 //	-follow-interval D  follower tail poll interval (default 100ms)
-//	-mc N               Monte Carlo evaluator with N samples (default: exact)
-//	-adaptive N         adaptive Monte Carlo with budget N
-//	-seed N             evaluator seed (default 1)
 //	-plan-cache N       compiled-plan cache size (default 128)
 //	-max-inflight N     admission limit on concurrent queries (default 2×CPU)
 //	-default-timeout D  per-query deadline when the request has none (0 = none)
@@ -112,9 +109,6 @@ type config struct {
 	walSync        bool
 	followDir      string
 	followInterval time.Duration
-	mcSamples      int
-	adaptive       int
-	seed           uint64
 	planCache      int
 	maxInflight    int
 	defaultTimeout time.Duration
@@ -144,9 +138,6 @@ func main() {
 	flag.BoolVar(&cfg.walSync, "wal-sync", false, "synchronous wal: one fsync per mutation batch instead of per commit group")
 	flag.StringVar(&cfg.followDir, "follow", "", "run as a read-only follower tailing this wal segment directory")
 	flag.DurationVar(&cfg.followInterval, "follow-interval", 0, "follower tail poll interval (0 = default 100ms)")
-	flag.IntVar(&cfg.mcSamples, "mc", 0, "Monte Carlo samples per object (0 = exact evaluator)")
-	flag.IntVar(&cfg.adaptive, "adaptive", 0, "adaptive Monte Carlo budget (0 = off)")
-	flag.Uint64Var(&cfg.seed, "seed", 1, "evaluator seed")
 	flag.IntVar(&cfg.planCache, "plan-cache", gaussrange.DefaultPlanCacheSize, "compiled-plan cache size")
 	flag.IntVar(&cfg.maxInflight, "max-inflight", 2*runtime.GOMAXPROCS(0), "admission limit on concurrently executing queries")
 	flag.DurationVar(&cfg.defaultTimeout, "default-timeout", 0, "per-query deadline when the request carries none (0 = unbounded)")
@@ -204,16 +195,9 @@ func loadDB(cfg config) (*gaussrange.DB, error) {
 	return gaussrange.Load(raw, opts...)
 }
 
-// loadOpts maps the evaluator/cache flags to DB options.
+// loadOpts maps the cache flag to DB options.
 func loadOpts(cfg config) []gaussrange.Option {
-	var opts []gaussrange.Option
-	switch {
-	case cfg.adaptive > 0:
-		opts = append(opts, gaussrange.WithAdaptiveMonteCarlo(cfg.adaptive))
-	case cfg.mcSamples > 0:
-		opts = append(opts, gaussrange.WithMonteCarlo(cfg.mcSamples))
-	}
-	return append(opts, gaussrange.WithSeed(cfg.seed), gaussrange.WithPlanCacheSize(cfg.planCache))
+	return []gaussrange.Option{gaussrange.WithPlanCacheSize(cfg.planCache)}
 }
 
 // pprofHandler builds a mux with the net/http/pprof endpoints. The handlers

@@ -20,9 +20,16 @@ import (
 // paper query (δ=25, θ=0.01) has a rich candidate set.
 func writeTestCSV(t *testing.T, dir string) string {
 	t.Helper()
+	return writeGridCSV(t, dir, 20, 6, 440)
+}
+
+// writeGridCSV writes a side×side grid of the given step from (origin,
+// origin).
+func writeGridCSV(t *testing.T, dir string, side, step, origin int) string {
+	t.Helper()
 	var sb strings.Builder
-	for i := 0; i < 400; i++ {
-		fmt.Fprintf(&sb, "%d,%d\n", 440+(i%20)*6, 440+(i/20)*6)
+	for i := 0; i < side*side; i++ {
+		fmt.Fprintf(&sb, "%d,%d\n", origin+(i%side)*step, origin+(i/side)*step)
 	}
 	path := filepath.Join(dir, "points.csv")
 	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
@@ -36,7 +43,6 @@ func testConfig(dir, csvPath string) config {
 		addr:         "127.0.0.1:0",
 		addrFile:     filepath.Join(dir, "addr"),
 		csvPath:      csvPath,
-		seed:         1,
 		planCache:    gaussrange.DefaultPlanCacheSize,
 		maxInflight:  8,
 		maxBatch:     64,
@@ -74,14 +80,16 @@ func paperSpec() gaussrange.QuerySpec {
 }
 
 // TestServeQueryAndDrainOnSIGTERM boots prqserved's serve loop, answers
-// queries through the client, then delivers SIGTERM while Monte Carlo
-// queries are in flight and asserts they complete before serve returns.
+// queries through the client, then delivers SIGTERM while queries are in
+// flight and asserts that at least one was still running when the signal
+// was sent and that every one completes, with answers, before serve returns.
 func TestServeQueryAndDrainOnSIGTERM(t *testing.T) {
 	dir := t.TempDir()
-	cfg := testConfig(dir, writeTestCSV(t, dir))
-	// Slow Phase 3 so queries take long enough to overlap the SIGTERM, but
-	// not so slow that draining three of them busts the budget under -race.
-	cfg.mcSamples = 20000
+	// A dense 100×100 grid and γ = 0.01: each query's shell holds ~75
+	// candidates whose series run to δ²/λmin ≈ 6·10⁴, so one cold query takes
+	// ~0.2 s (~0.8 s under -race) on the exact path — long enough to be
+	// caught in flight, short enough to drain three within the budget.
+	cfg := testConfig(dir, writeGridCSV(t, dir, 100, 1, 450))
 	addr, sig, done := startServe(t, cfg)
 
 	cl := client.New("http://" + addr)
@@ -90,7 +98,7 @@ func TestServeQueryAndDrainOnSIGTERM(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Health: %v", err)
 	}
-	if h.Points != 400 || h.Dim != 2 {
+	if h.Points != 10000 || h.Dim != 2 {
 		t.Fatalf("Health = %+v", h)
 	}
 
@@ -102,37 +110,52 @@ func TestServeQueryAndDrainOnSIGTERM(t *testing.T) {
 		t.Fatal("query over the grid dataset returned no answers")
 	}
 
-	// Fire slow queries, wait until at least one is admitted, then SIGTERM.
+	// Fire slow queries — distinct shapes, so each compiles cold and none
+	// decides from a reused plan's hull — wait until one is admitted, then
+	// SIGTERM.
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
 	results := make([]*gaussrange.Result, 3)
+	finished := make([]time.Time, 3)
 	for i := range errs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			spec := paperSpec()
-			spec.Center = []float64{480 + float64(i)*20, 500}
+			spec.Cov = [][]float64{{0.07, 0.0346}, {0.0346, 0.03}}
+			spec.Theta = 0.01 + 0.001*float64(i)
 			results[i], errs[i] = cl.Query(ctx, spec)
+			finished[i] = time.Now()
 		}(i)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if snap, err := cl.Stats(ctx); err == nil && snap.Admission.Inflight > 0 {
-			break
-		}
+	admitted := false
+	for deadline := time.Now().Add(10 * time.Second); !admitted && time.Now().Before(deadline); {
+		snap, err := cl.Stats(ctx)
+		admitted = err == nil && snap.Admission.Inflight > 0
 	}
+	if !admitted {
+		t.Error("no query was admitted within 10 s")
+	}
+	signalled := time.Now()
 	sig <- syscall.SIGTERM
 
 	if err := <-done; err != nil {
 		t.Fatalf("serve returned %v after SIGTERM, want clean drain", err)
 	}
 	wg.Wait()
+	drained := 0
 	for i, err := range errs {
 		if err != nil {
 			t.Errorf("in-flight query %d failed during drain: %v", i, err)
 		} else if len(results[i].IDs) == 0 {
 			t.Errorf("in-flight query %d drained with no answers", i)
 		}
+		if finished[i].After(signalled) {
+			drained++
+		}
+	}
+	if drained == 0 {
+		t.Error("every query finished before SIGTERM was sent; the drain was not exercised")
 	}
 }
 

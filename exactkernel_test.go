@@ -2,6 +2,7 @@ package gaussrange
 
 import (
 	"context"
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -83,10 +84,9 @@ func TestQueryLargeDeltaOverLambda(t *testing.T) {
 	}
 }
 
-// TestExactPathsAgree: the serial executor, the parallel executor at several
-// worker counts and the batch executor all route the default exact evaluator
-// through the same decide entry, so their answers are identical on the three
-// read shapes of the serving benchmark.
+// TestExactPathsAgree: Query and QueryBatch run the same serial executor
+// with the exact evaluator's decide entry, so their answers are identical on
+// the three read shapes of the serving benchmark.
 func TestExactPathsAgree(t *testing.T) {
 	rows := longBeachRows(1)
 	db, err := Load(rows)
@@ -125,22 +125,73 @@ func TestExactPathsAgree(t *testing.T) {
 			if !slices.Equal(batch[i].IDs, want.IDs) {
 				t.Errorf("γ=%g query %d: QueryBatch ids differ from Query", shape.gamma, i)
 			}
-			for _, w := range []int{1, 2, 7} {
-				par, err := db.QueryParallel(spec, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !slices.Equal(par.IDs, want.IDs) {
-					t.Errorf("γ=%g query %d: QueryParallel(%d) ids differ from Query", shape.gamma, i, w)
-				}
-				if par.Stats.Integrations != want.Stats.Integrations {
-					t.Errorf("γ=%g query %d: QueryParallel(%d) integrated %d, Query %d",
-						shape.gamma, i, w, par.Stats.Integrations, want.Stats.Integrations)
-				}
-			}
 		}
 		if integrations > 3*len(specs) {
 			t.Errorf("γ=%g: reused plans integrated %d candidates over %d queries, want ≤ 3 a query", shape.gamma, integrations, len(specs))
 		}
+	}
+}
+
+// TestCachedQueryAllocs pins the allocations of the served hot path: a
+// query whose shape is cached and whose plan decides from its answer-region
+// hull (bench/'s paper_read shape on the Long Beach set). The plan rebind,
+// the Phase-2 slices, one exact evaluator and the result are most of it; a
+// closure or slice per query in the Phase-3 loop would show here.
+func TestCachedQueryAllocs(t *testing.T) {
+	rows := longBeachRows(1)
+	db, err := Load(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// At this centre the hull leaves two candidates to the series, so the
+	// evaluator's per-query spectral cache is paid too.
+	spec := QuerySpec{Center: rows[17], Cov: paperCov(10), Delta: 25, Theta: 0.01}
+	// The first query compiles the shape, the second rebinds it and builds
+	// the hull; from the third on every query is the cached, hull path.
+	for i := 0; i < 3; i++ {
+		if _, err := db.Query(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := db.Query(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.PrunedFringe+res.Stats.PrunedBF != 0 || res.Stats.AcceptedBF == 0 || res.Stats.Integrations == 0 {
+		t.Fatalf("the query did not run on the hull into Phase 3: %+v", res.Stats)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := db.Query(spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("cached hull query: %.0f allocations, %d answers, %d integrations", allocs, len(res.IDs), res.Stats.Integrations)
+	if allocs > 26 {
+		t.Errorf("cached hull query made %.0f allocations, want ≤ 26", allocs)
+	}
+}
+
+// TestQueryNotConvergedIsAnError pins the serving contract for a candidate
+// the certified series cannot settle: Σ = diag(1e-9, 1) puts δ²/λmin at 10⁹,
+// past quadform.MaxTerms, for the stored point at the mean. There is no
+// sampled fallback, so the query fails with an error wrapping
+// quadform.ErrNotConverged under every strategy — and the DB keeps answering
+// other shapes.
+func TestQueryNotConvergedIsAnError(t *testing.T) {
+	db, err := Load([][]float64{{0, 0}, {0.5, 0.2}, {3, 3}, {10, 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range liveStrategies {
+		spec := QuerySpec{Center: []float64{0, 0}, Cov: [][]float64{{1e-9, 0}, {0, 1}}, Delta: 1, Theta: 0.01, Strategy: s}
+		for _, round := range []string{"cold", "cached"} {
+			if _, err := db.QueryCtx(context.Background(), spec); !errors.Is(err, quadform.ErrNotConverged) {
+				t.Errorf("strategy %s, %s plan: got %v, want quadform.ErrNotConverged", s, round, err)
+			}
+		}
+	}
+	res, err := db.Query(QuerySpec{Center: []float64{0, 0}, Cov: paperCov(0.01), Delta: 1, Theta: 0.01})
+	if err != nil || !slices.Equal(res.IDs, []int64{0, 1}) {
+		t.Errorf("healthy query after the failures: %v, %v", res, err)
 	}
 }

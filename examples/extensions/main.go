@@ -1,7 +1,6 @@
 // Extensions tour: the features this library adds beyond the ICDE 2009
 // paper — probabilistic nearest neighbors, top-k answers with probabilities,
-// uncertain target objects, adaptive Monte Carlo, parallel Phase 3, and
-// database snapshots.
+// uncertain target objects, and database snapshots.
 package main
 
 import (
@@ -9,7 +8,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"time"
 
 	"gaussrange"
 )
@@ -75,40 +73,7 @@ func main() {
 	fmt.Printf("\nexact targets: %d answers; with ±5 m target noise: %d answers\n",
 		len(exactIDs.IDs), len(fuzzyIDs))
 
-	// --- 4. Adaptive Monte Carlo vs fixed budget --------------------------
-	fixedDB, err := gaussrange.Load(points, gaussrange.WithMonteCarlo(100000))
-	if err != nil {
-		log.Fatal(err)
-	}
-	adaptiveDB, err := gaussrange.Load(points, gaussrange.WithAdaptiveMonteCarlo(100000))
-	if err != nil {
-		log.Fatal(err)
-	}
-	t0 := time.Now()
-	rFixed, err := fixedDB.Query(spec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tFixed := time.Since(t0)
-	t0 = time.Now()
-	rAdaptive, err := adaptiveDB.Query(spec)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tAdaptive := time.Since(t0)
-	fmt.Printf("\nMonte Carlo Phase 3: fixed 100k budget %v, adaptive %v (%.0f× faster, %d vs %d answers)\n",
-		tFixed.Round(time.Millisecond), tAdaptive.Round(time.Millisecond),
-		float64(tFixed)/float64(tAdaptive), len(rFixed.IDs), len(rAdaptive.IDs))
-
-	// --- 5. Parallel Phase 3 ----------------------------------------------
-	par, err := db.QueryParallel(spec, 4)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nparallel query (4 workers): %d answers, identical to serial: %v\n",
-		len(par.IDs), len(par.IDs) == len(exactIDs.IDs))
-
-	// --- 6. Snapshots ------------------------------------------------------
+	// --- 4. Snapshots ------------------------------------------------------
 	var buf bytes.Buffer
 	if err := db.Save(&buf); err != nil {
 		log.Fatal(err)

@@ -18,9 +18,9 @@
 //
 // Query processing runs the paper's three-phase pipeline: R*-tree search
 // over a conservative rectangle, candidate filtering by the RR / OR / BF
-// strategies (configurable; default ALL), and qualification-probability
-// computation by Monte Carlo importance sampling (the paper's method) or an
-// exact Ruben-series evaluator (this library's extension, default).
+// strategies (configurable; default ALL), and qualification decided by an
+// exact Ruben-series evaluator with a certified error bound (this library's
+// extension; the paper estimates the probability by Monte Carlo sampling).
 package gaussrange
 
 import (
@@ -36,7 +36,6 @@ import (
 
 	"gaussrange/internal/core"
 	"gaussrange/internal/gauss"
-	"gaussrange/internal/mc"
 	"gaussrange/internal/rtree"
 	"gaussrange/internal/vecmat"
 )
@@ -71,10 +70,7 @@ type DB struct {
 
 type options struct {
 	pageSize      int
-	mcSamples     int // 0 selects the exact evaluator (unless adaptive is set)
-	adaptiveMC    bool
 	seed          uint64
-	useCatalogs   bool
 	planCacheSize int
 	pointerPhase1 bool
 }
@@ -94,35 +90,6 @@ func WithPageSize(bytes int) Option {
 	}
 }
 
-// WithMonteCarlo selects the paper's importance-sampling evaluator with the
-// given per-object sample count (the paper uses 100 000). Without this
-// option the exact Ruben-series evaluator is used.
-func WithMonteCarlo(samples int) Option {
-	return func(o *options) error {
-		if samples <= 0 {
-			return fmt.Errorf("gaussrange: sample count must be positive, got %d", samples)
-		}
-		o.mcSamples = samples
-		return nil
-	}
-}
-
-// WithAdaptiveMonteCarlo selects sequential Monte Carlo with early
-// stopping: candidates clearly above or below θ are decided with a few
-// hundred samples, and only borderline ones consume the full budget of
-// `maxSamples`. In the paper's workloads this cuts Phase-3 sampling by more
-// than an order of magnitude at equal answer quality.
-func WithAdaptiveMonteCarlo(maxSamples int) Option {
-	return func(o *options) error {
-		if maxSamples < 500 {
-			return fmt.Errorf("gaussrange: adaptive budget %d too small (min 500)", maxSamples)
-		}
-		o.mcSamples = maxSamples
-		o.adaptiveMC = true
-		return nil
-	}
-}
-
 // WithPointerPhase1 disables the packed flat-index Phase-1/2 kernel and runs
 // the original pointer-tree search plus the second-pass filter loop. Answers
 // and per-phase prune counts are identical either way; this is the baseline
@@ -134,15 +101,9 @@ func WithPointerPhase1() Option {
 	}
 }
 
-// WithSeed fixes the random stream of the Monte Carlo evaluator.
+// WithSeed fixes the random stream PNN samples query locations from.
 func WithSeed(seed uint64) Option {
 	return func(o *options) error { o.seed = seed; return nil }
-}
-
-// WithCatalogs switches rθ and BF-radius derivation from exact computation
-// to U-catalog lookup with the paper's conservative fallback rules.
-func WithCatalogs() Option {
-	return func(o *options) error { o.useCatalogs = true; return nil }
 }
 
 // WithPlanCacheSize sets how many compiled query plans the database retains
@@ -473,22 +434,32 @@ func (db *DB) Query(spec QuerySpec) (*Result, error) {
 // ctx.Err(). The query shape (Σ, δ, θ, strategy) is compiled into a plan at
 // most once — repeated queries with the same shape, at any center, reuse the
 // cached plan and skip the eigendecomposition and bounding-radius
-// derivation entirely.
+// derivation entirely. The plan runs serially with the exact evaluator.
+//
+// Every answer is certified: a candidate's membership is decided by the
+// Ruben series with a proven error bound, never estimated. A candidate whose
+// series would need more than quadform.MaxTerms terms (δ²/λmin ≳ 4·10⁶ — say
+// Σ = diag(1e-9, 1) at δ = 1, for a point near the mean) therefore fails the
+// query with an error wrapping quadform.ErrNotConverged rather than being
+// answered from a guess.
 func (db *DB) QueryCtx(ctx context.Context, spec QuerySpec) (*Result, error) {
-	eval, err := db.newEvaluator()
+	plan, err := db.planFor(spec)
 	if err != nil {
 		return nil, err
 	}
-	return db.execSpec(ctx, spec, eval)
+	res, err := plan.ExecuteEval(ctx, core.NewExactEvaluator())
+	if err != nil {
+		return nil, err
+	}
+	return convertResult(res), nil
 }
 
 // QueryBatch runs many queries, spreading them over a pool of worker
-// goroutines. Each worker builds one Phase-3 evaluator and reuses it across
-// every query it claims (work stealing over the spec list), and all workers
-// share the plan cache, so batches of same-shape queries — the standing-query
-// and load-test patterns — compile once and amortize evaluator startup.
-// Results align with specs. The first error (or ctx cancellation) stops the
-// batch promptly.
+// goroutines that claim the next spec in turn (work stealing over the spec
+// list) and run it through QueryCtx. All workers share the plan cache, so
+// batches of same-shape queries — the standing-query and load-test patterns —
+// compile once. Results align with specs. The first error (or ctx
+// cancellation) stops the batch promptly.
 func (db *DB) QueryBatch(ctx context.Context, specs []QuerySpec, workers int) ([]*Result, error) {
 	if len(specs) == 0 {
 		return nil, nil
@@ -500,22 +471,6 @@ func (db *DB) QueryBatch(ctx context.Context, specs []QuerySpec, workers int) ([
 		workers = len(specs)
 	}
 	results := make([]*Result, len(specs))
-
-	if workers == 1 {
-		eval, err := db.newEvaluator()
-		if err != nil {
-			return nil, err
-		}
-		for i := range specs {
-			res, err := db.execSpec(ctx, specs[i], eval)
-			if err != nil {
-				return nil, batchErr(i, err)
-			}
-			results[i] = res
-		}
-		return results, nil
-	}
-
 	execCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -536,20 +491,12 @@ func (db *DB) QueryBatch(ctx context.Context, specs []QuerySpec, workers int) ([
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eval, err := db.newEvaluator()
-			if err != nil {
-				fail(err)
-				return
-			}
-			for {
-				if execCtx.Err() != nil {
-					return
-				}
+			for execCtx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= len(specs) {
 					return
 				}
-				res, err := db.execSpec(execCtx, specs[i], eval)
+				res, err := db.QueryCtx(execCtx, specs[i])
 				if err != nil {
 					fail(batchErr(i, err))
 					return
@@ -593,20 +540,6 @@ func (db *DB) planFingerprint(spec QuerySpec) (string, error) {
 		stratName = "ALL"
 	}
 	return planKey(cov, spec.Delta, spec.Theta, stratName), nil
-}
-
-// execSpec resolves the plan for spec (cache-assisted) and executes it
-// serially with eval; the executor pins its own epoch snapshot.
-func (db *DB) execSpec(ctx context.Context, spec QuerySpec, eval core.Evaluator) (*Result, error) {
-	plan, err := db.planFor(spec)
-	if err != nil {
-		return nil, err
-	}
-	res, err := plan.ExecuteEval(ctx, eval)
-	if err != nil {
-		return nil, err
-	}
-	return convertResult(res), nil
 }
 
 // PlanCacheStats returns the cumulative plan-cache hit and miss counts —
@@ -672,18 +605,10 @@ func (db *DB) specCov(spec QuerySpec) (*vecmat.Symmetric, error) {
 // miss the full compilation (eigendecomposition, rθ, BF radii, regions)
 // runs once and the result is cached for every later same-shape query.
 func (db *DB) planFor(spec QuerySpec) (*core.Plan, error) {
-	if len(spec.Center) != db.dim {
-		return nil, fmt.Errorf("gaussrange: center dim %d vs db dim %d", len(spec.Center), db.dim)
-	}
-	cov, err := db.specCov(spec)
+	key, err := db.planFingerprint(spec)
 	if err != nil {
 		return nil, err
 	}
-	stratName := spec.Strategy
-	if stratName == "" {
-		stratName = "ALL"
-	}
-	key := planKey(cov, spec.Delta, spec.Theta, stratName)
 	if cached, ok := db.plans.get(key); ok {
 		dist, err := cached.Dist().WithMean(vecmat.Vector(spec.Center))
 		if err != nil {
@@ -691,25 +616,15 @@ func (db *DB) planFor(spec QuerySpec) (*core.Plan, error) {
 		}
 		return cached.Rebind(dist)
 	}
-
-	g, err := gauss.New(vecmat.Vector(spec.Center), cov)
+	q, strat, err := db.compile(spec)
 	if err != nil {
 		return nil, err
-	}
-	var strat core.Strategy
-	if strings.EqualFold(stratName, "AUTO") {
-		strat = core.ChooseStrategy(g)
-	} else {
-		strat, err = core.ParseStrategy(stratName)
-		if err != nil {
-			return nil, err
-		}
 	}
 	eng, err := db.compileEngine()
 	if err != nil {
 		return nil, err
 	}
-	plan, err := eng.Compile(core.Query{Dist: g, Delta: spec.Delta, Theta: spec.Theta}, strat)
+	plan, err := eng.Compile(q, strat)
 	if err != nil {
 		return nil, err
 	}
@@ -736,8 +651,8 @@ func (db *DB) PlanRegion(spec QuerySpec) (lo, hi []float64, empty bool, err erro
 	return r.Lo, r.Hi, false, nil
 }
 
-// compile converts the public spec to engine types (no plan caching — used
-// by introspection paths that need the raw query).
+// compile converts the public spec to engine types, with no plan caching:
+// planFor's compilation on a cache miss, and QueryProb's raw query.
 func (db *DB) compile(spec QuerySpec) (core.Query, core.Strategy, error) {
 	if len(spec.Center) != db.dim {
 		return core.Query{}, 0, fmt.Errorf("gaussrange: center dim %d vs db dim %d", len(spec.Center), db.dim)
@@ -767,63 +682,21 @@ func (db *DB) compile(spec QuerySpec) (core.Query, core.Strategy, error) {
 }
 
 // compileEngine returns the DB's long-lived plan-compilation engine. Its
-// evaluator is never used for execution — DB paths supply a fresh evaluator
-// per call (ExecuteEval/ExecuteWith), keeping cached plans shareable — but it
-// is of the configured kind, which is how a plan knows whether the exact
-// evaluator's answer-region hull speaks for the executions it will see.
+// exact evaluator is never used for execution — DB paths supply a fresh one
+// per call, keeping cached plans shareable — but it tells a plan that the
+// exact evaluator's answer-region hull speaks for its executions.
 func (db *DB) compileEngine() (*core.Engine, error) {
 	db.compileMu.Lock()
 	defer db.compileMu.Unlock()
 	if db.compileEng == nil {
-		eval, err := db.newEvaluator()
-		if err != nil {
-			return nil, err
-		}
-		eng, err := core.NewEngine(db.idx, eval,
-			core.Options{UseCatalogs: db.options.useCatalogs,
-				PointerPhase1: db.options.pointerPhase1})
+		eng, err := core.NewEngine(db.idx, core.NewExactEvaluator(),
+			core.Options{PointerPhase1: db.options.pointerPhase1})
 		if err != nil {
 			return nil, err
 		}
 		db.compileEng = eng
 	}
 	return db.compileEng, nil
-}
-
-// newEvaluator builds a fresh Phase-3 evaluator per the DB options.
-func (db *DB) newEvaluator() (core.Evaluator, error) {
-	switch {
-	case db.options.adaptiveMC:
-		return mc.NewAdaptive(500, db.options.mcSamples, 4, db.options.seed)
-	case db.options.mcSamples > 0:
-		return mc.NewIntegrator(db.options.mcSamples, db.options.seed)
-	default:
-		return core.NewExactEvaluator(), nil
-	}
-}
-
-// newParallelEvaluator builds a forkable evaluator for intra-query worker
-// pools. The adaptive evaluator cannot fork, so parallel paths fall back to
-// the fixed Monte Carlo budget, as before.
-func (db *DB) newParallelEvaluator() (core.Evaluator, error) {
-	if db.options.mcSamples > 0 {
-		integ, err := mc.NewIntegrator(db.options.mcSamples, db.options.seed)
-		if err != nil {
-			return nil, err
-		}
-		return core.MCEvaluator{Integrator: integ}, nil
-	}
-	return core.NewExactEvaluator(), nil
-}
-
-// engine builds a fresh engine bound to the configured evaluator.
-func (db *DB) engine() (*core.Engine, error) {
-	eval, err := db.newEvaluator()
-	if err != nil {
-		return nil, err
-	}
-	return core.NewEngine(db.idx, eval, core.Options{UseCatalogs: db.options.useCatalogs,
-		PointerPhase1: db.options.pointerPhase1})
 }
 
 func convertResult(res *core.Result) *Result {
@@ -887,7 +760,7 @@ func (db *DB) PNN(center []float64, cov [][]float64, theta float64, samples int)
 	if err != nil {
 		return nil, err
 	}
-	engine, err := db.engine()
+	engine, err := db.compileEngine()
 	if err != nil {
 		return nil, err
 	}
@@ -900,31 +773,4 @@ func (db *DB) PNN(center []float64, cov [][]float64, theta float64, samples int)
 		out[i] = PNNResult{ID: r.ID, Probability: r.Probability}
 	}
 	return out, nil
-}
-
-// QueryParallel runs Query with the probability-computation phase spread
-// over the given number of worker goroutines. Phase 3 dominates query cost,
-// so the speedup is near-linear while candidates remain plentiful.
-func (db *DB) QueryParallel(spec QuerySpec, workers int) (*Result, error) {
-	return db.QueryParallelCtx(context.Background(), spec, workers)
-}
-
-// QueryParallelCtx is QueryParallel with cancellation and deadline support:
-// a cancelled or expired ctx stops every Phase-3 worker promptly (no new
-// candidates are claimed once cancellation is observed) and returns
-// ctx.Err(), matching QueryCtx and QueryBatch semantics.
-func (db *DB) QueryParallelCtx(ctx context.Context, spec QuerySpec, workers int) (*Result, error) {
-	plan, err := db.planFor(spec)
-	if err != nil {
-		return nil, err
-	}
-	eval, err := db.newParallelEvaluator()
-	if err != nil {
-		return nil, err
-	}
-	res, err := plan.ExecuteWith(ctx, eval, workers)
-	if err != nil {
-		return nil, err
-	}
-	return convertResult(res), nil
 }

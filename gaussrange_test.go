@@ -6,9 +6,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"gaussrange/internal/core"
 	"gaussrange/internal/data"
+	"gaussrange/internal/mc"
 )
 
 func gridPoints(n int, spacing float64) [][]float64 {
@@ -39,9 +42,6 @@ func TestLoadValidation(t *testing.T) {
 	}
 	if _, err := Load(gridPoints(100, 10), WithPageSize(10)); err == nil {
 		t.Error("tiny page size accepted")
-	}
-	if _, err := Load(gridPoints(100, 10), WithMonteCarlo(0)); err == nil {
-		t.Error("zero MC samples accepted")
 	}
 	if _, err := Open(0); err == nil {
 		t.Error("Open(0) accepted")
@@ -141,51 +141,48 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
+// TestMonteCarloOption: the paper's Monte Carlo evaluator, driven through a
+// core engine on the DB's index, agrees with the DB's exact answer on a grid
+// whose points sit well away from the θ boundary. The name is kept from the
+// DB option that used to select it.
 func TestMonteCarloOption(t *testing.T) {
-	db, err := Load(gridPoints(2500, 20), WithMonteCarlo(20000), WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactDB, err := Load(gridPoints(2500, 20))
+	db, err := Load(gridPoints(2500, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := QuerySpec{Center: []float64{500, 500}, Cov: paperCov(10), Delta: 25, Theta: 0.01}
-	mcRes, err := db.Query(spec)
+	integ, err := mc.NewIntegrator(20000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exRes, err := exactDB.Query(spec)
+	mcRes := coreSearch(t, db, integ, core.Options{}, spec)
+	exRes, err := db.Query(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Grid points are well separated from the θ boundary at this spacing;
-	// MC and exact should agree exactly here.
-	if len(mcRes.IDs) != len(exRes.IDs) {
+	if !slices.Equal(mcRes.IDs, exRes.IDs) {
 		t.Errorf("MC answers %d vs exact %d", len(mcRes.IDs), len(exRes.IDs))
 	}
 }
 
+// TestCatalogOption: U-catalog radii, driven through a core engine on the
+// DB's index, give the DB's exact answer and are conservative — never fewer
+// integrations than the exact radii. The name is kept from the DB option
+// that used to select them.
 func TestCatalogOption(t *testing.T) {
-	db, err := Load(gridPoints(2500, 20), WithCatalogs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactDB, err := Load(gridPoints(2500, 20))
+	db, err := Load(gridPoints(2500, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := QuerySpec{Center: []float64{500, 500}, Cov: paperCov(10), Delta: 25, Theta: 0.01}
-	catRes, err := db.Query(spec)
+	catRes := coreSearch(t, db, core.NewExactEvaluator(), core.Options{UseCatalogs: true}, spec)
+	exRes := coreSearch(t, db, core.NewExactEvaluator(), core.Options{}, spec)
+	dbRes, err := db.Query(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exRes, err := exactDB.Query(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(catRes.IDs) != len(exRes.IDs) {
-		t.Errorf("catalog answers %d vs exact %d", len(catRes.IDs), len(exRes.IDs))
+	if !slices.Equal(catRes.IDs, dbRes.IDs) || !slices.Equal(exRes.IDs, dbRes.IDs) {
+		t.Errorf("catalog answers %d, exact-radii answers %d, DB %d", len(catRes.IDs), len(exRes.IDs), len(dbRes.IDs))
 	}
 	if catRes.Stats.Integrations < exRes.Stats.Integrations {
 		t.Errorf("catalog mode integrated fewer (%d) than exact (%d) — catalog must be conservative",
@@ -294,38 +291,42 @@ func TestPublicPNN(t *testing.T) {
 	}
 }
 
+// TestPublicQueryParallel: a QueryBatch at 4 workers answers every spec
+// exactly as serial Query does. The name is kept from DB.QueryParallel, the
+// intra-query pool this test first covered; QueryBatch is the one parallel
+// entry point left.
 func TestPublicQueryParallel(t *testing.T) {
 	db, err := Load(gridPoints(10000, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := QuerySpec{Center: []float64{500, 500}, Cov: paperCov(10), Delta: 25, Theta: 0.01}
-	serial, err := db.Query(spec)
+	var specs []QuerySpec
+	for i := 0; i < 12; i++ {
+		c := float64(200 + 50*i)
+		specs = append(specs, QuerySpec{Center: []float64{c, 1000 - c}, Cov: paperCov(float64(1 + i%3*9)), Delta: 25, Theta: 0.01})
+	}
+	batch, err := db.QueryBatch(context.Background(), specs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := db.QueryParallel(spec, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.IDs) != len(par.IDs) {
-		t.Fatalf("parallel %d vs serial %d", len(par.IDs), len(serial.IDs))
-	}
-	for i := range serial.IDs {
-		if serial.IDs[i] != par.IDs[i] {
-			t.Fatal("parallel ids differ")
+	for i, spec := range specs {
+		serial, err := db.Query(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// MC-backed parallel query exercises MCEvaluator forking.
-	mcDB, err := Load(gridPoints(2500, 20), WithMonteCarlo(5000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mcDB.QueryParallel(spec, 4); err != nil {
-		t.Fatal(err)
+		if len(serial.IDs) == 0 {
+			t.Fatalf("spec %d: empty answer makes the check vacuous", i)
+		}
+		if !slices.Equal(batch[i].IDs, serial.IDs) {
+			t.Errorf("spec %d: batch %d ids vs serial %d", i, len(batch[i].IDs), len(serial.IDs))
+		}
 	}
 }
 
+// TestQueryParallelCtxCancellation: a cancelled context fails QueryCtx with
+// context.Canceled, on a cold shape and on a cached one, and a live context
+// then answers as Query does. The name is kept from QueryParallelCtx, the
+// pooled entry point this test first covered.
 func TestQueryParallelCtxCancellation(t *testing.T) {
 	db, err := Load(gridPoints(10000, 10))
 	if err != nil {
@@ -334,10 +335,12 @@ func TestQueryParallelCtxCancellation(t *testing.T) {
 	spec := QuerySpec{Center: []float64{500, 500}, Cov: paperCov(10), Delta: 25, Theta: 0.01}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.QueryParallelCtx(ctx, spec, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled parallel query returned %v, want context.Canceled", err)
+	for _, shape := range []string{"cold", "cached"} {
+		if _, err := db.QueryCtx(ctx, spec); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s shape: cancelled query returned %v, want context.Canceled", shape, err)
+		}
 	}
-	res, err := db.QueryParallelCtx(context.Background(), spec, 4)
+	res, err := db.QueryCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,8 +348,8 @@ func TestQueryParallelCtxCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(serial.IDs, res.IDs) {
-		t.Fatal("parallel-with-context ids differ from serial")
+	if len(res.IDs) == 0 || !reflect.DeepEqual(serial.IDs, res.IDs) {
+		t.Fatal("query-with-context ids differ from Query's")
 	}
 }
 
@@ -486,32 +489,6 @@ func TestConcurrentInsertAndQuery(t *testing.T) {
 	}
 	if err := db.idx.Tree().CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAdaptiveMonteCarloOption(t *testing.T) {
-	db, err := Load(gridPoints(2500, 20), WithAdaptiveMonteCarlo(100000), WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactDB, err := Load(gridPoints(2500, 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := QuerySpec{Center: []float64{500, 500}, Cov: paperCov(10), Delta: 25, Theta: 0.01}
-	a, err := db.Query(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := exactDB.Query(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.IDs) != len(b.IDs) {
-		t.Errorf("adaptive answers %d vs exact %d", len(a.IDs), len(b.IDs))
-	}
-	if _, err := Load(gridPoints(100, 10), WithAdaptiveMonteCarlo(10)); err == nil {
-		t.Error("tiny adaptive budget accepted")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"gaussrange/internal/gauss"
@@ -46,7 +45,7 @@ type Options struct {
 	// fallback rules.
 	UseCatalogs bool
 	// RCatalog and BFCatalog supply the tables when UseCatalogs is set; when
-	// nil they are built on demand with default grids.
+	// nil NewEngine builds them with default grids.
 	RCatalog  *ucatalog.RCatalog
 	BFCatalog *ucatalog.BFCatalog
 	// PointerPhase1 disables the packed flat-index Phase-1/2 kernel and runs
@@ -61,15 +60,11 @@ type Engine struct {
 	idx  *Index
 	eval Evaluator
 	opts Options
-
-	// catMu guards lazy catalog construction so Compile is safe to call from
-	// concurrent goroutines sharing one engine.
-	catMu sync.Mutex
 }
 
 // NewEngine returns an engine over idx using eval for Phase 3. When
 // Options.UseCatalogs is set without supplying tables, the default catalogs
-// are built here, up front, so later compilations never mutate shared state.
+// are built here, up front, so compilations never mutate shared state.
 func NewEngine(idx *Index, eval Evaluator, opts Options) (*Engine, error) {
 	if idx == nil {
 		return nil, errors.New("core: nil index")
@@ -167,11 +162,11 @@ type queryGeometry struct {
 }
 
 // DecisionEvaluator is an optional Evaluator refinement that answers the
-// threshold question "is the probability at least theta?" directly —
-// sequential Monte Carlo (mc.Adaptive) decides most candidates with a small
-// fraction of the fixed budget. Search uses it when available.
+// threshold question "is the probability at least theta?" directly — the
+// exact evaluator's series stops as soon as the answer is settled. Phase 3
+// uses it when available.
 type DecisionEvaluator interface {
-	DecideQualifies(dist *gauss.Dist, o vecmat.Vector, delta, theta float64) (qualifies bool, samples int, err error)
+	DecideQualifies(dist *gauss.Dist, o vecmat.Vector, delta, theta float64) (qualifies bool, err error)
 }
 
 // Search executes the query with the given strategy combination. It is a
@@ -216,16 +211,6 @@ func (e *Engine) rTheta(dim int, theta float64) (float64, error) {
 	if !e.opts.UseCatalogs {
 		return stats.SphereRadiusForMass(dim, 1-2*theta)
 	}
-	e.catMu.Lock()
-	if e.opts.RCatalog == nil {
-		rc, err := ucatalog.NewRCatalog(dim, nil)
-		if err != nil {
-			e.catMu.Unlock()
-			return 0, err
-		}
-		e.opts.RCatalog = rc
-	}
-	e.catMu.Unlock()
 	r, err := e.opts.RCatalog.Lookup(theta)
 	if errors.Is(err, ucatalog.ErrNoEntry) {
 		// θ below the smallest table entry: fall back to the exact value,
@@ -306,16 +291,6 @@ func (e *Engine) bfAlpha(delta, tp float64, upper bool) (float64, error) {
 		}
 		return math.Sqrt(nc), nil
 	}
-	e.catMu.Lock()
-	if e.opts.BFCatalog == nil {
-		bc, err := ucatalog.NewBFCatalog(e.idx.Dim(), nil, nil)
-		if err != nil {
-			e.catMu.Unlock()
-			return 0, err
-		}
-		e.opts.BFCatalog = bc
-	}
-	e.catMu.Unlock()
 	if upper {
 		return e.opts.BFCatalog.LookupUpper(delta, tp)
 	}

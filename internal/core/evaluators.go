@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"gaussrange/internal/gauss"
-	"gaussrange/internal/mc"
 	"gaussrange/internal/quadform"
 	"gaussrange/internal/vecmat"
 )
@@ -30,10 +29,10 @@ func (e *ExactEvaluator) Qualification(dist *gauss.Dist, o vecmat.Vector, delta 
 
 // DecideQualifies implements DecisionEvaluator with the series' certified
 // early exit (quadform.RubenDecide): most candidates settle in a fraction of
-// the terms the 12-digit value needs. samples is always 0.
-func (e *ExactEvaluator) DecideQualifies(dist *gauss.Dist, o vecmat.Vector, delta, theta float64) (bool, int, error) {
+// the terms the 12-digit value needs.
+func (e *ExactEvaluator) DecideQualifies(dist *gauss.Dist, o vecmat.Vector, delta, theta float64) (bool, error) {
 	qual, _, err := e.inner.Decide(dist, o, delta, theta)
-	return qual, 0, err
+	return qual, err
 }
 
 // Evaluations returns the number of qualification computations performed.
@@ -75,15 +74,4 @@ func (e *Engine) BruteForce(q Query) (*Result, error) {
 	st.Answers = len(ids)
 	st.PhaseDurations[2] = time.Since(t0)
 	return &Result{IDs: ids, Stats: st}, nil
-}
-
-// MCEvaluator wraps the Monte Carlo integrator so it satisfies
-// ForkableEvaluator for SearchParallel.
-type MCEvaluator struct {
-	*mc.Integrator
-}
-
-// ForkEvaluator returns an integrator with a decorrelated random stream.
-func (m MCEvaluator) ForkEvaluator(streamID uint64) Evaluator {
-	return MCEvaluator{m.Integrator.Fork(streamID)}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"gaussrange/internal/gauss"
-	"gaussrange/internal/mc"
 	"gaussrange/internal/vecmat"
 )
 
@@ -123,120 +122,4 @@ func TestPNNSortedDescending(t *testing.T) {
 			t.Fatal("PNN results not sorted by probability")
 		}
 	}
-}
-
-func TestSearchParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	ix := uniformIndex(t, rng, 8000, 2, 1000)
-	e := newExactEngine(t, ix, Options{})
-	q := paperQuery(t, vecmat.Vector{500, 500}, 10, 25, 0.01)
-
-	serial, err := e.Search(q, StrategyAll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		par, err := e.SearchParallel(q, StrategyAll, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !idsEqual(serial.IDs, par.IDs) {
-			t.Fatalf("workers=%d: parallel answers differ (%d vs %d)", workers, len(par.IDs), len(serial.IDs))
-		}
-		if par.Stats.Integrations != serial.Stats.Integrations {
-			t.Errorf("workers=%d: integrations %d vs %d", workers, par.Stats.Integrations, serial.Stats.Integrations)
-		}
-	}
-	// workers=1 falls back to serial.
-	one, err := e.SearchParallel(q, StrategyAll, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !idsEqual(one.IDs, serial.IDs) {
-		t.Error("workers=1 differs from Search")
-	}
-}
-
-func TestSearchParallelWithMC(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	ix := uniformIndex(t, rng, 4000, 2, 1000)
-	integ, err := mc.NewIntegrator(20000, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(ix, MCEvaluator{integ}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactE := newExactEngine(t, ix, Options{})
-	q := paperQuery(t, vecmat.Vector{500, 500}, 10, 25, 0.01)
-
-	par, err := e.SearchParallel(q, StrategyAll, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := exactE.Search(q, StrategyAll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := removeBoundary(t, exactE, q, want.IDs, 0.0035)
-	b := removeBoundary(t, exactE, q, par.IDs, 0.0035)
-	if !idsEqual(a, b) {
-		t.Errorf("parallel MC differs beyond boundary band: %d vs %d", len(b), len(a))
-	}
-}
-
-func TestSearchParallelRequiresForkable(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	ix := uniformIndex(t, rng, 100, 2, 100)
-	// A bare mc.Integrator (not wrapped) is an Evaluator but not forkable.
-	integ, err := mc.NewIntegrator(1000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(ix, integ, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := paperQuery(t, vecmat.Vector{50, 50}, 1, 10, 0.1)
-	if _, err := e.SearchParallel(q, StrategyAll, 4); err == nil {
-		t.Error("non-forkable evaluator accepted for parallel search")
-	}
-}
-
-// Search with the adaptive sequential evaluator must match exact answers
-// away from the θ boundary while spending far fewer samples per candidate
-// than the fixed budget.
-func TestSearchWithAdaptiveEvaluator(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	ix := uniformIndex(t, rng, 5000, 2, 1000)
-	adaptive, err := mc.NewAdaptive(500, 100000, 4, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(ix, adaptive, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exactE := newExactEngine(t, ix, Options{})
-	q := paperQuery(t, vecmat.Vector{500, 500}, 10, 25, 0.01)
-
-	got, err := e.Search(q, StrategyAll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := exactE.Search(q, StrategyAll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := removeBoundary(t, exactE, q, want.IDs, 0.003)
-	b := removeBoundary(t, exactE, q, got.IDs, 0.003)
-	if !idsEqual(a, b) {
-		t.Errorf("adaptive answers differ beyond boundary band: %d vs %d", len(b), len(a))
-	}
-	avg := float64(adaptive.SamplesUsed()) / float64(adaptive.Evaluations())
-	if avg > 50000 {
-		t.Errorf("average adaptive budget %g not below fixed 100k", avg)
-	}
-	t.Logf("adaptive evaluator: %.0f samples/candidate on average (fixed budget: 100000)", avg)
 }

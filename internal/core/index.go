@@ -12,8 +12,8 @@
 //     eigenbasis of Σ⁻¹), BF (spherical bounding functions providing a
 //     pruning radius α∥ and an acceptance radius α⊥);
 //  3. Probability computation for the survivors by a pluggable evaluator
-//     (Monte Carlo importance sampling, as in the paper, or the exact
-//     Ruben-series evaluator).
+//     (the exact Ruben-series evaluator, or Monte Carlo importance sampling
+//     as in the paper, which the experiments still drive).
 package core
 
 import (

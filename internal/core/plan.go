@@ -21,9 +21,10 @@ import (
 // and batches pay it once.
 //
 // A Plan's compiled fields are immutable and it is safe for concurrent use as
-// long as each execution supplies its own evaluator (ExecuteWith) or the
-// engine's evaluator is not shared across goroutines; what its Rebind copies
-// learn for each other lives behind atomics in shared.
+// long as each execution supplies its own evaluator (ExecuteEval,
+// ExecuteFunc, SearchProbs) or the engine's evaluator is not shared across
+// goroutines; what its Rebind copies learn for each other lives behind
+// atomics in shared.
 type Plan struct {
 	engine *Engine
 	dist   *gauss.Dist
@@ -378,7 +379,7 @@ func (p *Plan) filterPhasesPointer(snap *Snapshot, st PhaseStats) (*Snapshot, Ph
 // per leaf block (PhaseDurations[0]), then the overlay inserts are merged
 // through the same filters (PhaseDurations[1]). Candidate order — base DFS
 // order minus tombstones, then overlay ascending — matches the pointer path
-// exactly, which the per-candidate evaluator forks in ExecuteWith rely on.
+// exactly, so ExecuteFunc streams the same ids in the same order on either.
 func (p *Plan) filterPhasesFused(snap *Snapshot, st PhaseStats) (*Snapshot, PhaseStats, []int64, []int64, error) {
 	t0 := time.Now()
 	s := p.newPhase2State(&st, snap.dim)
@@ -422,7 +423,7 @@ func (p *Plan) filterPhasesFused(snap *Snapshot, st PhaseStats) (*Snapshot, Phas
 // Execute runs the compiled plan serially with the engine's evaluator.
 // Cancelling ctx aborts Phase 3 between candidates and returns ctx.Err().
 func (p *Plan) Execute(ctx context.Context) (*Result, error) {
-	return p.executeSerial(ctx, p.engine.eval)
+	return p.ExecuteEval(ctx, p.engine.eval)
 }
 
 // ExecuteEval runs the compiled plan serially with an explicit evaluator —
@@ -432,52 +433,81 @@ func (p *Plan) ExecuteEval(ctx context.Context, eval Evaluator) (*Result, error)
 	if eval == nil {
 		return nil, fmt.Errorf("core: ExecuteEval with nil evaluator")
 	}
-	return p.executeSerial(ctx, eval)
+	snap, st, ids, needEval, err := p.filterPhases(ctx)
+	if err != nil {
+		return nil, err
+	}
+	// ids holds the Phase-2 accepts and has room for the Phase-3 survivors.
+	err = p.phase3(ctx, eval, snap, &st, needEval, func(id int64) bool {
+		ids = append(ids, id)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	st.Answers = len(ids)
+	sortIDs(ids)
+	return &Result{IDs: ids, Stats: st}, nil
 }
 
-// qualifier returns eval's threshold test for the plan's (dist, δ, θ): the
-// decide form when eval offers one — it stops as soon as the answer is
-// settled — else the qualification probability compared against θ.
-func (p *Plan) qualifier(eval Evaluator) func(o vecmat.Vector) (bool, error) {
-	if de, ok := eval.(DecisionEvaluator); ok {
-		return func(o vecmat.Vector) (bool, error) {
-			qual, _, err := de.DecideQualifies(p.dist, o, p.delta, p.theta)
-			return qual, err
-		}
-	}
-	return func(o vecmat.Vector) (bool, error) {
-		pr, err := eval.Qualification(p.dist, o, p.delta)
-		return pr >= p.theta, err
-	}
-}
-
-// executeSerial is the single-goroutine Phase-3 executor.
-func (p *Plan) executeSerial(ctx context.Context, eval Evaluator) (*Result, error) {
+// ExecuteFunc runs the compiled plan serially with eval and streams the
+// qualifying ids to fn instead of collecting them: the ids Phase 2 accepted
+// outright first, then each Phase-3 survivor as it is decided, so ids arrive
+// unsorted. Returning false from fn stops the query; the statistics then
+// count only the candidates evaluated and the ids delivered so far.
+func (p *Plan) ExecuteFunc(ctx context.Context, eval Evaluator, fn func(id int64) bool) (*PhaseStats, error) {
 	snap, st, accepted, needEval, err := p.filterPhases(ctx)
 	if err != nil {
 		return nil, err
 	}
-	// ---- Phase 3: probability computation --------------------------------
+	emit := func(id int64) bool {
+		st.Answers++
+		return fn(id)
+	}
+	for _, id := range accepted {
+		if !emit(id) {
+			return &st, nil
+		}
+	}
+	if err := p.phase3(ctx, eval, snap, &st, needEval, emit); err != nil {
+		return nil, err
+	}
+	return &st, nil
+}
+
+// phase3 is the one Phase-3 loop. It decides the needEval candidates in
+// order with eval — the decide form when eval offers one, which stops as soon
+// as the answer is settled, else the probability against θ — and hands each
+// qualifying id to emit; emit returning false ends the loop. Integrations
+// counts the candidates decided. Cancelling ctx stops the loop between
+// candidates with ctx.Err(); the first evaluator error stops it with an error
+// naming the object.
+func (p *Plan) phase3(ctx context.Context, eval Evaluator, snap *Snapshot, st *PhaseStats, needEval []int64, emit func(id int64) bool) error {
 	t2 := time.Now()
-	st.Integrations = len(needEval)
-	result := accepted
-	qualifies := p.qualifier(eval)
+	de, _ := eval.(DecisionEvaluator)
 	done := ctx.Done()
 	for _, id := range needEval {
 		if stopped(done) {
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
-		qual, err := qualifies(snap.point(id))
+		o := snap.point(id)
+		var qual bool
+		var err error
+		if de != nil {
+			qual, err = de.DecideQualifies(p.dist, o, p.delta, p.theta)
+		} else {
+			var pr float64
+			pr, err = eval.Qualification(p.dist, o, p.delta)
+			qual = pr >= p.theta
+		}
 		if err != nil {
-			return nil, fmt.Errorf("core: qualification of object %d: %w", id, err)
+			return fmt.Errorf("core: qualification of object %d: %w", id, err)
 		}
-		if qual {
-			result = append(result, id)
+		st.Integrations++
+		if qual && !emit(id) {
+			break
 		}
 	}
 	st.PhaseDurations[2] = time.Since(t2)
-	st.Answers = len(result)
-
-	sortIDs(result)
-	return &Result{IDs: result, Stats: st}, nil
+	return nil
 }

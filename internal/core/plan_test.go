@@ -3,12 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"gaussrange/internal/gauss"
-	"gaussrange/internal/mc"
 	"gaussrange/internal/vecmat"
 )
 
@@ -47,39 +48,9 @@ func TestCompileExecuteMatchesSearch(t *testing.T) {
 	}
 }
 
-// TestExecuteParallelWorkerCounts checks that the pooled executor returns the
-// serial answer set at every worker count, including workers > candidates.
-func TestExecuteParallelWorkerCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	ix := uniformIndex(t, rng, 4000, 2, 1000)
-	e := newExactEngine(t, ix, Options{})
-	q := paperQuery(t, vecmat.Vector{500, 500}, 10, 25, 0.02)
-
-	want, err := e.Search(q, StrategyAll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := e.Compile(q, StrategyAll)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8, 1 << 20} {
-		got, err := plan.ExecuteParallel(context.Background(), workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !idsEqual(got.IDs, want.IDs) {
-			t.Errorf("workers=%d: IDs differ from serial", workers)
-		}
-		if got.Stats.Integrations != want.Stats.Integrations {
-			t.Errorf("workers=%d: Integrations = %d, want %d",
-				workers, got.Stats.Integrations, want.Stats.Integrations)
-		}
-	}
-}
-
 // TestExecuteCancelledContext checks that a cancelled context aborts
-// execution with ctx.Err() on both the serial and pooled paths.
+// execution with ctx.Err(), whether it was cancelled before the query or
+// during Phase 3 — then the next candidate is never evaluated.
 func TestExecuteCancelledContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	ix := uniformIndex(t, rng, 500, 2, 1000)
@@ -93,15 +64,41 @@ func TestExecuteCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := plan.Execute(ctx); !errors.Is(err, context.Canceled) {
-		t.Errorf("serial Execute error = %v, want context.Canceled", err)
+		t.Errorf("Execute error = %v, want context.Canceled", err)
 	}
-	if _, err := plan.ExecuteParallel(ctx, 4); !errors.Is(err, context.Canceled) {
-		t.Errorf("parallel Execute error = %v, want context.Canceled", err)
+
+	// γ=100 with a low θ keeps thousands of Phase-3 candidates.
+	big := uniformIndex(t, rng, 5000, 2, 1000)
+	plan, err = newExactEngine(t, big, Options{}).Compile(paperQuery(t, vecmat.Vector{500, 500}, 100, 50, 0.001), StrategyRR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	var calls atomic.Int64
+	cancelling := cancelOnCall{calls: &calls, cancel: cancel}
+	if _, err := plan.ExecuteEval(ctx, cancelling); !errors.Is(err, context.Canceled) {
+		t.Errorf("ExecuteEval cancelled mid-Phase 3: error = %v, want context.Canceled", err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("evaluator ran %d times, want 1: the loop must stop at the next candidate", n)
 	}
 }
 
+// cancelOnCall cancels its context from inside the first qualification.
+type cancelOnCall struct {
+	calls  *atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (c cancelOnCall) Qualification(*gauss.Dist, vecmat.Vector, float64) (float64, error) {
+	c.calls.Add(1)
+	c.cancel()
+	return 1, nil
+}
+
 // countingFailEval fails every qualification and counts attempts, to verify
-// that the worker pool stops promptly after the first error.
+// that the executor stops at the first error.
 type countingFailEval struct {
 	calls *atomic.Int64
 }
@@ -111,12 +108,11 @@ func (f countingFailEval) Qualification(*gauss.Dist, vecmat.Vector, float64) (fl
 	return 0, errors.New("synthetic evaluator failure")
 }
 
-func (f countingFailEval) ForkEvaluator(uint64) Evaluator { return f }
-
-// TestSearchParallelAbortsOnError is the regression test for the old static
-// chunk split, where workers kept integrating their whole chunk after another
-// worker had already failed. The pool must stop claiming candidates once the
-// first error cancels the run, so only a small number of evaluations happen.
+// TestSearchParallelAbortsOnError: the executor stops at the first evaluator
+// error — exactly one evaluation among thousands of Phase-3 candidates — and
+// the error names the failing object and wraps the evaluator's. The name is
+// kept from the worker pool this test first covered, which had to stop every
+// worker promptly; the one serial executor must stop at once.
 func TestSearchParallelAbortsOnError(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	ix := uniformIndex(t, rng, 5000, 2, 1000)
@@ -140,16 +136,15 @@ func TestSearchParallelAbortsOnError(t *testing.T) {
 		t.Fatalf("test needs many candidates, got %d", len(needEval))
 	}
 
-	const workers = 4
-	if _, err := e.SearchParallel(q, StrategyRR, workers); err == nil {
-		t.Fatal("SearchParallel with failing evaluator returned no error")
+	_, err = plan.Execute(context.Background())
+	if err == nil {
+		t.Fatal("Execute with failing evaluator returned no error")
 	}
-	// Each worker may have one claim in flight when cancellation lands; any
-	// count near the worker count means the pool aborted promptly. The old
-	// chunked implementation evaluated all len(needEval) candidates.
-	if n := calls.Load(); n > int64(4*workers) {
-		t.Errorf("evaluator ran %d times after first error, want ≤ %d (of %d candidates)",
-			n, 4*workers, len(needEval))
+	if n := calls.Load(); n != 1 {
+		t.Errorf("evaluator ran %d times, want 1 (of %d candidates)", n, len(needEval))
+	}
+	if want := fmt.Sprintf("qualification of object %d: synthetic evaluator failure", needEval[0]); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name the first candidate (%q)", err, want)
 	}
 }
 
@@ -213,49 +208,6 @@ func TestRebindMatchesFreshCompile(t *testing.T) {
 	}
 }
 
-// TestMCParallelWorkerInvariance checks the satellite requirement that Monte
-// Carlo parallel results are independent of the worker count: the random
-// stream is forked per candidate (by candidate index), so any pool size
-// produces the same answer set as any other.
-func TestMCParallelWorkerInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
-	ix := uniformIndex(t, rng, 2000, 2, 1000)
-	q := paperQuery(t, vecmat.Vector{500, 500}, 10, 25, 0.05)
-
-	run := func(workers int) []int64 {
-		t.Helper()
-		// Fresh same-seed integrator per run: any divergence between runs can
-		// then only come from how the pool assigns streams.
-		integ, err := mc.NewIntegrator(2000, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := NewEngine(ix, MCEvaluator{integ}, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan, err := e.Compile(q, StrategyAll)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := plan.ExecuteParallel(context.Background(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.IDs
-	}
-
-	want := run(1)
-	if len(want) == 0 {
-		t.Fatal("test query returned no answers")
-	}
-	for _, workers := range []int{2, 3, 4, 8} {
-		if got := run(workers); !idsEqual(got, want) {
-			t.Errorf("workers=%d: MC answer set differs from workers=1", workers)
-		}
-	}
-}
-
 // TestExecuteEval checks the explicit-evaluator serial entry point used by
 // the public DB layer to share one immutable plan across executions.
 func TestExecuteEval(t *testing.T) {
@@ -285,9 +237,8 @@ func TestExecuteEval(t *testing.T) {
 }
 
 // TestSharedKernelCancellation: a cancelled context aborts a rebound plan —
-// one that decides its candidates from the answer-region hull — on the
-// serial and pooled paths alike, and the same plan answers as brute force
-// once the context is live. The name is kept from the shared-sample kernel
+// one that decides its candidates from the answer-region hull — and the same
+// plan answers as brute force once the context is live. The name is kept from the shared-sample kernel
 // this test first covered; the one remaining Phase 3 must honour ctx too.
 func TestSharedKernelCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
@@ -308,10 +259,7 @@ func TestSharedKernelCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := bound.Execute(ctx); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled serial execution error = %v, want context.Canceled", err)
-	}
-	if _, err := bound.ExecuteParallel(ctx, 4); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled parallel execution error = %v, want context.Canceled", err)
+		t.Errorf("cancelled execution error = %v, want context.Canceled", err)
 	}
 	want, err := e.BruteForce(q)
 	if err != nil {
@@ -327,8 +275,7 @@ func TestSharedKernelCancellation(t *testing.T) {
 }
 
 // TestSharedKernelEmptyPlan: a plan proven empty at compile time (BF bound
-// below θ everywhere) answers empty on the serial and pooled paths without a
-// single integration. The name is kept from the shared-sample kernel this
+// below θ everywhere) answers empty without a single integration. The name is kept from the shared-sample kernel this
 // test first covered, which also had to skip its cloud for such a plan.
 func TestSharedKernelEmptyPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
@@ -344,19 +291,12 @@ func TestSharedKernelEmptyPlan(t *testing.T) {
 	if !plan.Empty() {
 		t.Fatal("plan not proven empty under these parameters")
 	}
-	serial, err := plan.Execute(context.Background())
+	res, err := plan.Execute(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := plan.ExecuteParallel(context.Background(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, res := range map[string]*Result{"serial": serial, "parallel": parallel} {
-		if len(res.IDs) != 0 || res.Stats.Integrations != 0 {
-			t.Errorf("%s: empty plan returned %d ids after %d integrations",
-				name, len(res.IDs), res.Stats.Integrations)
-		}
+	if len(res.IDs) != 0 || res.Stats.Integrations != 0 {
+		t.Errorf("empty plan returned %d ids after %d integrations", len(res.IDs), res.Stats.Integrations)
 	}
 }
 

@@ -13,37 +13,35 @@ type Match struct {
 	Probability float64
 }
 
-// SearchProbs runs the query like Search but returns qualification
-// probabilities alongside the ids, sorted by descending probability.
+// SearchProbs runs the plan serially with eval like ExecuteEval but returns
+// qualification probabilities alongside the ids, sorted by descending
+// probability (ties by ascending id).
 //
-// BF-accepted candidates (within α⊥) are guaranteed to qualify without
-// integration; since the caller asked for their probabilities anyway, they
-// are evaluated too, so the Integrations statistic may exceed the plain
-// Search count by AcceptedBF.
-func (e *Engine) SearchProbs(q Query, strat Strategy) ([]Match, *PhaseStats, error) {
-	plan, err := e.Compile(q, strat)
-	if err != nil {
-		return nil, nil, err
-	}
-	snap, st, accepted, needEval, err := plan.filterPhases(context.Background())
+// Candidates Phase 2 accepts without integration are guaranteed to qualify;
+// since the caller asked for their probabilities anyway, they are evaluated
+// too, so the Integrations statistic exceeds ExecuteEval's by AcceptedBF.
+func (p *Plan) SearchProbs(ctx context.Context, eval Evaluator) ([]Match, *PhaseStats, error) {
+	snap, st, accepted, needEval, err := p.filterPhases(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	t2 := time.Now()
-	all := make([]int64, 0, len(accepted)+len(needEval))
-	all = append(all, accepted...)
-	all = append(all, needEval...)
+	all := append(accepted, needEval...)
 	st.Integrations = len(all)
 
 	matches := make([]Match, 0, len(all))
+	done := ctx.Done()
 	for _, id := range all {
-		p, err := e.eval.Qualification(q.Dist, snap.point(id), q.Delta)
+		if stopped(done) {
+			return nil, nil, ctx.Err()
+		}
+		pr, err := eval.Qualification(p.dist, snap.point(id), p.delta)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: qualification of object %d: %w", id, err)
 		}
-		if p >= q.Theta {
-			matches = append(matches, Match{ID: id, Probability: p})
+		if pr >= p.theta {
+			matches = append(matches, Match{ID: id, Probability: pr})
 		}
 	}
 	st.PhaseDurations[2] = time.Since(t2)
@@ -56,64 +54,4 @@ func (e *Engine) SearchProbs(q Query, strat Strategy) ([]Match, *PhaseStats, err
 		return matches[i].ID < matches[j].ID
 	})
 	return matches, &st, nil
-}
-
-// TopK returns the k stored points with the highest qualification
-// probability that still clear the floor probability, ordered best first.
-// The floor plays the role of θ for the filter phases, so it must be
-// positive; a small floor (e.g. 0.001) approximates an unconstrained top-k
-// while keeping the search indexable.
-func (e *Engine) TopK(q Query, strat Strategy, k int) ([]Match, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("core: TopK requires k > 0, got %d", k)
-	}
-	matches, _, err := e.SearchProbs(q, strat)
-	if err != nil {
-		return nil, err
-	}
-	if len(matches) > k {
-		matches = matches[:k]
-	}
-	return matches, nil
-}
-
-// SearchFunc streams qualifying ids to fn as Phase 3 discovers them,
-// avoiding result materialization for very large answer sets. Returning
-// false from fn stops the search early (remaining candidates are skipped).
-// BF-accepted candidates are streamed first, then integrator survivors in
-// candidate order; ids therefore arrive unsorted.
-func (e *Engine) SearchFunc(q Query, strat Strategy, fn func(id int64) bool) (*PhaseStats, error) {
-	plan, err := e.Compile(q, strat)
-	if err != nil {
-		return nil, err
-	}
-	snap, st, accepted, needEval, err := plan.filterPhases(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	t2 := time.Now()
-	st.Integrations = len(needEval)
-	for _, id := range accepted {
-		st.Answers++
-		if !fn(id) {
-			st.PhaseDurations[2] = time.Since(t2)
-			return &st, nil
-		}
-	}
-	for i, id := range needEval {
-		p, err := e.eval.Qualification(q.Dist, snap.point(id), q.Delta)
-		if err != nil {
-			return nil, fmt.Errorf("core: qualification of object %d: %w", id, err)
-		}
-		if p >= q.Theta {
-			st.Answers++
-			if !fn(id) {
-				st.Integrations = i + 1 // only these were actually evaluated
-				st.PhaseDurations[2] = time.Since(t2)
-				return &st, nil
-			}
-		}
-	}
-	st.PhaseDurations[2] = time.Since(t2)
-	return &st, nil
 }

@@ -20,8 +20,7 @@ const DefaultSamples = 100_000
 // especially for medium dimensionality, because every sample carries equal
 // weight under the query density itself.
 //
-// An Integrator is NOT safe for concurrent use; clone one per goroutine with
-// Fork.
+// An Integrator is NOT safe for concurrent use; build one per goroutine.
 type Integrator struct {
 	rng     *RNG
 	samples int
@@ -49,14 +48,6 @@ func NewIntegrator(samples int, seed uint64) (*Integrator, error) {
 		return nil, fmt.Errorf("mc: sample count must be positive, got %d", samples)
 	}
 	return &Integrator{rng: NewRNG(seed), samples: samples}, nil
-}
-
-// Fork returns an independent integrator with the same configuration and a
-// decorrelated stream, for use on another goroutine.
-func (in *Integrator) Fork(streamID uint64) *Integrator {
-	out := &Integrator{samples: in.samples, reuse: in.reuse}
-	out.rng = NewRNG(in.rng.Uint64() ^ (0x9e3779b97f4a7c15 * (streamID + 1)))
-	return out
 }
 
 // SetReuse toggles common-random-numbers mode: one sample set per

@@ -243,18 +243,6 @@ func TestQualificationReuseRebindInPlace(t *testing.T) {
 	}
 }
 
-func TestForkDecorrelated(t *testing.T) {
-	in, _ := NewIntegrator(1000, 5)
-	f1 := in.Fork(1)
-	f2 := in.Fork(2)
-	if f1.rng.Uint64() == f2.rng.Uint64() {
-		t.Error("forked streams start identically")
-	}
-	if f1.Samples() != 1000 {
-		t.Error("fork lost configuration")
-	}
-}
-
 func TestStandardErrorAndSamples(t *testing.T) {
 	if se := StandardError(0.5, 10000); math.Abs(se-0.005) > 1e-12 {
 		t.Errorf("SE = %g, want 0.005", se)

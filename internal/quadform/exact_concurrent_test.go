@@ -70,59 +70,64 @@ func TestRubenCDFBoundMatchesCDF(t *testing.T) {
 	}
 }
 
-// TestExactForkCounting: forks of one evaluator share a single family total.
-// Each goroutine works on its own fork (own caches, no locks) and folds at
-// exit; the parent must then see every evaluation. Run under -race this also
-// proves the scheme has no data races.
+// TestExactForkCounting: one instance counts every qualification its three
+// entry points perform — and only those: a rejected call counts nothing, and
+// a reset zeroes the count. Instances on separate goroutines count
+// independently (run under -race this also shows they share no state). The
+// name is kept from the forked counter families this test first covered.
 func TestExactForkCounting(t *testing.T) {
 	const (
 		workers = 8
 		perW    = 25
 	)
 	dist := paperDist(t, 10)
-	parent := NewExact()
-
-	// Two evaluations on the parent itself before any forks exist.
-	for i := 0; i < 2; i++ {
-		if _, err := parent.Qualification(dist, vecmat.Vector{505, 495}, 20); err != nil {
-			t.Fatal(err)
-		}
+	e := NewExact()
+	o := vecmat.Vector{505, 495}
+	if _, err := e.Qualification(dist, o, 20); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.QualificationBound(dist, o, 20); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.Decide(dist, o, 20, 0.01); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Qualification(dist, vecmat.Vector{1}, 20); err == nil {
+		t.Fatal("dimension mismatch accepted")
+	}
+	if _, err := e.Qualification(dist, o, 0); err == nil {
+		t.Fatal("zero delta accepted")
+	}
+	if got := e.Evaluations(); got != 3 {
+		t.Errorf("Evaluations() = %d after three evaluations and two rejected calls, want 3", got)
+	}
+	e.ResetEvaluations()
+	if got := e.Evaluations(); got != 0 {
+		t.Errorf("Evaluations() = %d after reset, want 0", got)
 	}
 
+	counts := make([]int, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			e := parent.Fork()
-			defer e.Fold()
-			for i := 0; i < perW; i++ {
+			e := NewExact()
+			for i := 0; i < perW+w; i++ {
 				o := vecmat.Vector{480 + float64(w), 490 + float64(i)}
 				if _, err := e.Qualification(dist, o, 25); err != nil {
 					t.Error(err)
 					return
 				}
 			}
+			counts[w] = e.Evaluations()
 		}(w)
 	}
 	wg.Wait()
-
-	if got, want := parent.Evaluations(), 2+workers*perW; got != want {
-		t.Errorf("Evaluations() = %d after concurrent forks, want %d", got, want)
-	}
-
-	parent.ResetEvaluations()
-	if got := parent.Evaluations(); got != 0 {
-		t.Errorf("Evaluations() = %d after reset, want 0", got)
-	}
-	// A fork created after the reset still feeds the shared family total.
-	f := parent.Fork()
-	if _, err := f.Qualification(dist, vecmat.Vector{500, 500}, 25); err != nil {
-		t.Fatal(err)
-	}
-	f.Fold()
-	if got := parent.Evaluations(); got != 1 {
-		t.Errorf("Evaluations() = %d after post-reset fork work, want 1", got)
+	for w, got := range counts {
+		if got != perW+w {
+			t.Errorf("goroutine %d: Evaluations() = %d, want %d", w, got, perW+w)
+		}
 	}
 }
 

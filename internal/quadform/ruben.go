@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"gaussrange/internal/stats"
 	"gaussrange/internal/vecmat"
@@ -271,17 +270,9 @@ func clamp01(p float64) float64 {
 // same query pay only the O(d²) offset transform plus the series, and
 // allocate nothing.
 //
-// An Exact instance is single-goroutine, but a family of instances created
-// with Fork shares one cumulative evaluation counter safely: each instance
-// counts locally and publishes with Fold (or transparently on Evaluations of
-// the instance itself), so parallel executors can give every worker its own
-// fork and still report one total.
+// An Exact instance is single-goroutine: give every goroutine its own.
 type Exact struct {
-	// evalLocal counts qualifications not yet folded into evalTotal. Only the
-	// owning goroutine touches it.
-	evalLocal int64
-	// evalTotal is shared by every fork in the family.
-	evalTotal *atomic.Int64
+	evals int // qualifications performed since construction or reset
 
 	// Cache keyed by distribution identity: the spectral form (β, γ_j,
 	// log(β/λ_j) and the series scratch) and the offset transform buffers.
@@ -305,36 +296,13 @@ type GaussDist interface {
 }
 
 // NewExact returns an exact evaluator.
-func NewExact() *Exact { return &Exact{evalTotal: new(atomic.Int64)} }
+func NewExact() *Exact { return &Exact{} }
 
-// Fork returns an evaluator with its own spectral cache and scratch buffers
-// that shares this evaluator's cumulative evaluation counter. It is the
-// per-worker instance for parallel executors: forks never contend on cache
-// state, and their counts surface in the family total once they Fold.
-func (e *Exact) Fork() *Exact { return &Exact{evalTotal: e.evalTotal} }
+// Evaluations returns the number of qualification computations performed.
+func (e *Exact) Evaluations() int { return e.evals }
 
-// Fold publishes this instance's pending evaluation count into the shared
-// family total with a single atomic add and zeroes the local counter.
-// Parallel executors defer it per worker — LIFO, before the worker signals
-// its WaitGroup — so the total is complete after Wait even when a query is
-// cancelled mid-flight.
-func (e *Exact) Fold() {
-	if e.evalLocal != 0 {
-		e.evalTotal.Add(e.evalLocal)
-		e.evalLocal = 0
-	}
-}
-
-// Evaluations returns the number of qualification computations performed by
-// this instance's family: the folded total plus this instance's unfolded
-// count. Counts pending in other un-Folded forks are not visible.
-func (e *Exact) Evaluations() int { return int(e.evalTotal.Load() + e.evalLocal) }
-
-// ResetEvaluations zeroes the family total and this instance's local count.
-func (e *Exact) ResetEvaluations() {
-	e.evalTotal.Store(0)
-	e.evalLocal = 0
-}
+// ResetEvaluations zeroes the evaluation count.
+func (e *Exact) ResetEvaluations() { e.evals = 0 }
 
 // Qualification returns the exact probability Pr(‖x − o‖ ≤ delta) for
 // x ~ dist.
@@ -373,7 +341,7 @@ func (e *Exact) offsets(dist GaussDist, o vecmat.Vector, delta float64) error {
 	if delta <= 0 {
 		return fmt.Errorf("quadform: delta must be positive, got %g", delta)
 	}
-	e.evalLocal++
+	e.evals++
 
 	if e.dist != dist || len(e.b) != d {
 		lambda := dist.EigenValuesCov()

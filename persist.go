@@ -2,6 +2,7 @@ package gaussrange
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -251,17 +252,14 @@ type Match struct {
 
 // QueryMatches runs the query and returns probability-annotated answers,
 // best first. Unlike Query, every answer's probability is computed (even
-// those the BF bound could accept outright).
+// those a certified bound could accept outright). The plan comes from the
+// plan cache, as Query's does.
 func (db *DB) QueryMatches(spec QuerySpec) ([]Match, error) {
-	q, strat, err := db.compile(spec)
+	plan, err := db.planFor(spec)
 	if err != nil {
 		return nil, err
 	}
-	engine, err := db.engine()
-	if err != nil {
-		return nil, err
-	}
-	res, _, err := engine.SearchProbs(q, strat)
+	res, _, err := plan.SearchProbs(context.Background(), core.NewExactEvaluator())
 	if err != nil {
 		return nil, err
 	}
@@ -290,16 +288,13 @@ func (db *DB) QueryTopK(spec QuerySpec, k int) ([]Match, error) {
 
 // QueryFunc streams qualifying point ids to fn as they are found, without
 // materializing the result slice — useful for very large answer sets.
-// Returning false from fn stops the query early. IDs arrive unsorted.
+// Returning false from fn stops the query early. IDs arrive unsorted. The
+// plan comes from the plan cache and runs like Query's.
 func (db *DB) QueryFunc(spec QuerySpec, fn func(id int64) bool) error {
-	q, strat, err := db.compile(spec)
+	plan, err := db.planFor(spec)
 	if err != nil {
 		return err
 	}
-	engine, err := db.engine()
-	if err != nil {
-		return err
-	}
-	_, err = engine.SearchFunc(q, strat, fn)
+	_, err = plan.ExecuteFunc(context.Background(), core.NewExactEvaluator(), fn)
 	return err
 }

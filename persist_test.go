@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -226,5 +227,50 @@ func TestQueryFunc(t *testing.T) {
 	bad.Theta = 0
 	if err := db.QueryFunc(bad, func(int64) bool { return true }); err == nil {
 		t.Error("bad spec accepted")
+	}
+}
+
+// TestDerivedQueriesUseThePlanCache: QueryMatches, QueryTopK and QueryFunc
+// resolve their plan through the plan cache like Query — a shape Query
+// compiled is a hit for each of them, never a recompilation — and on the
+// rebound plan (which decides from its answer-region hull) they return
+// Query's answer set.
+func TestDerivedQueriesUseThePlanCache(t *testing.T) {
+	db, err := Load(gridPoints(10000, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := QuerySpec{Center: []float64{500, 500}, Cov: paperCov(10), Delta: 25, Theta: 0.01}
+	want, err := db.Query(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Center = []float64{505, 495}
+	if want, err = db.Query(spec); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := db.PlanCacheStats()
+	matches, err := db.QueryMatches(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.QueryTopK(spec, 3); err != nil {
+		t.Fatal(err)
+	}
+	var streamed []int64
+	if err := db.QueryFunc(spec, func(id int64) bool { streamed = append(streamed, id); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if h, m := db.PlanCacheStats(); h != hits+3 || m != misses {
+		t.Errorf("plan cache hits %d → %d, misses %d → %d; want 3 more hits and no miss", hits, h, misses, m)
+	}
+	ids := make([]int64, len(matches))
+	for i, m := range matches {
+		ids[i] = m.ID
+	}
+	slices.Sort(ids)
+	slices.Sort(streamed)
+	if len(want.IDs) == 0 || !slices.Equal(ids, want.IDs) || !slices.Equal(streamed, want.IDs) {
+		t.Errorf("QueryMatches %d ids, QueryFunc %d, Query %d: not the same set", len(ids), len(streamed), len(want.IDs))
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // latencyBucketBoundsMS are the histogram bucket upper bounds, exponential
-// from sub-millisecond (cache-hit exact queries) to 10 s (cold Monte Carlo
-// batches); one overflow bucket follows.
+// from sub-millisecond (cache-hit queries) to 10 s (large cold batches); one
+// overflow bucket follows.
 var latencyBucketBoundsMS = []float64{
 	0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000,
 }

@@ -18,6 +18,7 @@ import (
 	"gaussrange"
 	"gaussrange/client"
 	"gaussrange/internal/data"
+	"gaussrange/internal/quadform"
 	"gaussrange/server"
 )
 
@@ -101,24 +102,82 @@ func TestServerMatchesDirectQuery(t *testing.T) {
 	}
 }
 
-// TestServerMatchesDirectQueryMonteCarlo repeats the identity check with the
-// paper's Monte Carlo evaluator: the per-candidate streams are deterministic
-// for a fixed seed, so served and direct answers must still agree exactly.
+// TestServerMatchesDirectQueryMonteCarlo: a series of distinct query
+// shapes, each compiled cold by the server (a plan-cache miss apiece), is
+// served identical — ids and per-phase counters — to the same shape run
+// cold on a twin DB. The other identity tests repeat one shape, so they run
+// reused plans after the first query. The name is kept from the Monte Carlo
+// evaluator this test first covered; the exact one is all the server runs.
 func TestServerMatchesDirectQueryMonteCarlo(t *testing.T) {
-	db := testDB(t, gaussrange.WithMonteCarlo(2000), gaussrange.WithSeed(7))
+	db, twin := testDB(t), testDB(t)
 	_, _, cl := newTestServer(t, server.Config{DB: db})
-	spec := testSpec(db, "ALL")
+	ctx := context.Background()
+	shapes := 0
+	for _, gamma := range []float64{0.1, 1, 10, 100} {
+		for _, strat := range []string{"ALL", "RR", "BF+OR"} {
+			spec := testSpec(db, strat)
+			s := 2 * 1.7320508075688772 * gamma
+			spec.Cov = [][]float64{{7 * gamma, s}, {s, 3 * gamma}}
+			spec.Delta = 5 + float64(shapes)
+			_, before := db.PlanCacheStats()
+			served, err := cl.Query(ctx, spec)
+			if err != nil {
+				t.Fatalf("γ=%g %s: %v", gamma, strat, err)
+			}
+			if _, after := db.PlanCacheStats(); after != before+1 {
+				t.Errorf("γ=%g %s: served query was not compiled cold (%d → %d misses)", gamma, strat, before, after)
+			}
+			direct, err := twin.Query(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(direct.IDs) == 0 {
+				t.Errorf("γ=%g %s: empty answer makes the check vacuous", gamma, strat)
+			}
+			if !reflect.DeepEqual(direct.IDs, served.IDs) {
+				t.Errorf("γ=%g %s: served %d ids, direct %d", gamma, strat, len(served.IDs), len(direct.IDs))
+			}
+			d, v := direct.Stats, served.Stats
+			if d.Retrieved != v.Retrieved || d.PrunedFringe != v.PrunedFringe || d.PrunedOR != v.PrunedOR ||
+				d.PrunedBF != v.PrunedBF || d.AcceptedBF != v.AcceptedBF || d.Integrations != v.Integrations {
+				t.Errorf("γ=%g %s: served stats differ: direct %+v served %+v", gamma, strat, d, v)
+			}
+			shapes++
+		}
+	}
+}
 
-	direct, err := db.Query(spec)
+// TestServerQueryNotConverged pins the serving contract for a candidate the
+// certified series cannot settle: Σ = diag(1e-9, 1) with a stored point at
+// the mean needs more than quadform.MaxTerms terms. /v1/query answers 400
+// with the series' error, and the next healthy query is unaffected.
+func TestServerQueryNotConverged(t *testing.T) {
+	db := testDB(t)
+	_, _, cl := newTestServer(t, server.Config{DB: db})
+	ctx := context.Background()
+	good := testSpec(db, "ALL")
+	want, err := db.Query(good)
 	if err != nil {
 		t.Fatal(err)
 	}
-	served, err := cl.Query(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
+	bad := testSpec(db, "ALL")
+	bad.Cov = [][]float64{{1e-9, 0}, {0, 1}}
+	bad.Delta = 1
+	if _, err := db.Query(bad); !errors.Is(err, quadform.ErrNotConverged) {
+		t.Fatalf("direct query: %v, want quadform.ErrNotConverged", err)
 	}
-	if !reflect.DeepEqual(direct.IDs, served.IDs) {
-		t.Errorf("MC answers differ:\n direct: %v\n served: %v", direct.IDs, served.IDs)
+	_, err = cl.Query(ctx, bad)
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest ||
+		!strings.Contains(apiErr.Message, quadform.ErrNotConverged.Error()) {
+		t.Fatalf("served query: %v, want a 400 carrying %q", err, quadform.ErrNotConverged)
+	}
+	res, err := cl.Query(ctx, good)
+	if err != nil {
+		t.Fatalf("healthy query after the failed one: %v", err)
+	}
+	if !reflect.DeepEqual(res.IDs, want.IDs) {
+		t.Errorf("healthy query after the failed one: %d ids, direct %d", len(res.IDs), len(want.IDs))
 	}
 }
 
