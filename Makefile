@@ -30,19 +30,23 @@ fmt-check:
 # fuzzer, which checks the linear-time series (value, certified bound, early
 # decisions) against its O(K²) reference, the answer-region hull fuzzer,
 # which checks every inside/outside verdict of a random query shape's hull
-# against the exact evaluator, and the two wire-codec fuzzers, which check
+# against the exact evaluator, the two wire-codec fuzzers, which check
 # that the single-pass /v1/query request and reply decoders agree with
 # encoding/json on arbitrary bytes (error or not, same value, same float
-# bits). `go test` accepts only one -fuzz target per invocation, so the 24s
-# budget is split across the seven fuzzers.
+# bits), and the id-block fuzzer, which checks that the block decoder agrees
+# with encoding/json on arbitrary block text and that any []int64 —
+# unsorted, repeated, extreme — round-trips through a block. `go test`
+# accepts only one -fuzz target per invocation, so the 24s budget is split
+# across the eight fuzzers.
 fuzz-smoke:
-	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzTreeOps -fuzztime 4s
-	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedSearch -fuzztime 4s
-	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedBuild -fuzztime 4s
+	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzTreeOps -fuzztime 3s
+	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedSearch -fuzztime 3s
+	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedBuild -fuzztime 3s
 	$(GO) test ./internal/quadform -run '^$$' -fuzz FuzzRubenCDF -fuzztime 3s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzHullClassify -fuzztime 3s
 	$(GO) test ./server -run '^$$' -fuzz FuzzQueryResponseDecode -fuzztime 3s
 	$(GO) test ./server -run '^$$' -fuzz FuzzQueryRequestDecode -fuzztime 3s
+	$(GO) test ./server -run '^$$' -fuzz FuzzIDBlock -fuzztime 3s
 
 # verify is the pre-merge gate: formatting, static analysis, and the
 # race-enabled test suite (the storage engine, the plan cache and its shared

@@ -371,10 +371,13 @@ func timeoutMS(ctx context.Context) int64 {
 }
 
 // Query runs one probabilistic range query on the server. A ctx deadline is
-// propagated into the server-side query context.
+// propagated into the server-side query context. The ids are asked for as
+// one block (ids_format "dv1"); a server that predates the block answers
+// with the decimal array, which reads the same.
 func (c *Client) Query(ctx context.Context, spec gaussrange.QuerySpec) (*gaussrange.Result, error) {
 	req := server.RequestFromSpec(spec)
 	req.TimeoutMS = timeoutMS(ctx)
+	req.IDsFormat = server.IDsFormatDV1
 	var resp server.QueryResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/query", req, &resp); err != nil {
 		return nil, err
@@ -383,10 +386,11 @@ func (c *Client) Query(ctx context.Context, spec gaussrange.QuerySpec) (*gaussra
 }
 
 // QueryRaw runs one query at the wire level: the request is sent verbatim
-// (the caller controls timeout_ms and allow_partial) and the response is
-// returned with every wire field intact — epoch, stats and, when the server
-// is a shard router, the routing report. Used by routers talking to shards
-// and by tools that need the full response.
+// (the caller controls timeout_ms, allow_partial and ids_format) and the
+// response is returned with every wire field intact — the ids in the form
+// the server sent (QueryResponse.AnswerIDs reads either), epoch, stats and,
+// when the server is a shard router, the routing report. Used by routers
+// talking to shards and by tools that need the full response.
 func (c *Client) QueryRaw(ctx context.Context, req server.QueryRequest) (server.QueryResponse, error) {
 	var resp server.QueryResponse
 	err := c.do(ctx, http.MethodPost, "/v1/query", req, &resp)
@@ -395,7 +399,7 @@ func (c *Client) QueryRaw(ctx context.Context, req server.QueryRequest) (server.
 
 // QueryBatch runs many queries through the server's pooled batch executor.
 // workers ≤ 0 lets the server pick its configured pool size. Results align
-// with specs.
+// with specs. Like Query, it asks for every answer as one id block.
 func (c *Client) QueryBatch(ctx context.Context, specs []gaussrange.QuerySpec, workers int) ([]*gaussrange.Result, error) {
 	req := server.BatchRequest{
 		Queries:   make([]server.QueryRequest, len(specs)),
@@ -404,6 +408,7 @@ func (c *Client) QueryBatch(ctx context.Context, specs []gaussrange.QuerySpec, w
 	}
 	for i, spec := range specs {
 		req.Queries[i] = server.RequestFromSpec(spec)
+		req.Queries[i].IDsFormat = server.IDsFormatDV1
 	}
 	var resp server.BatchResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/query/batch", req, &resp); err != nil {

@@ -109,9 +109,6 @@ type planShared struct {
 	hullTried atomic.Bool
 	hull      atomic.Pointer[hull]
 	hullEvals atomic.Int64
-	// The previous execution's Phase-2 output sizes, from which the next one
-	// sizes its slices.
-	lastAccepted, lastNeedEval atomic.Int64
 }
 
 // hullEligible reports whether the plan's answers are the exact evaluator's

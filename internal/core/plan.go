@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"gaussrange/internal/gauss"
@@ -233,10 +234,16 @@ func (p *Plan) baseStats() PhaseStats {
 	return st
 }
 
-// phase2State carries the per-execution Phase-2 scratch and output slices so
-// the pointer and fused front halves share one filter implementation.
+// phase2State is one execution's scratch: the statistics, Phase 2's output
+// (accepted goes on to collect the Phase-3 survivors as well) and the
+// filters' buffers. It comes from phase2Pool through getPhase2, and the
+// execution that took it puts it back with release on every path — error,
+// cancellation, an ExecuteFunc callback stopping early — so a served query
+// allocates its id slices only when they outgrow every earlier one. No slice
+// of it may outlive the execution: what a caller keeps is copied out.
 type phase2State struct {
-	st            *PhaseStats
+	st            PhaseStats
+	pst           rtree.SearchStats
 	accepted      []int64
 	needEval      []int64
 	scratch, yBuf vecmat.Vector
@@ -244,28 +251,35 @@ type phase2State struct {
 	auSq, alSq    float64
 }
 
-func (p *Plan) newPhase2State(st *PhaseStats, dim int) *phase2State {
-	s := &phase2State{
-		st: st,
-		// accepted goes on to collect the Phase-3 survivors as well.
-		accepted: make([]int64, 0, p.shared.lastAccepted.Load()+p.shared.lastNeedEval.Load()),
-		needEval: make([]int64, 0, p.shared.lastNeedEval.Load()),
-		qCenter:  p.dist.Mean(),
-		auSq:     p.geo.alphaUpper * p.geo.alphaUpper,
-		alSq:     p.geo.alphaLower * p.geo.alphaLower,
+var phase2Pool = sync.Pool{New: func() any { return new(phase2State) }}
+
+// maxPooledIDs keeps a one-off huge query from pinning its id slices in the
+// pool.
+const maxPooledIDs = 1 << 16
+
+func getPhase2() *phase2State { return phase2Pool.Get().(*phase2State) }
+
+func (s *phase2State) release() {
+	if cap(s.accepted) > maxPooledIDs || cap(s.needEval) > maxPooledIDs {
+		s.accepted, s.needEval = nil, nil
 	}
-	if p.hull == nil && p.orBound != nil {
-		s.scratch, s.yBuf = make(vecmat.Vector, dim), make(vecmat.Vector, dim)
-	}
-	return s
+	s.accepted, s.needEval = s.accepted[:0], s.needEval[:0]
+	s.qCenter = nil
+	phase2Pool.Put(s)
 }
 
-// finish hands the Phase-2 output over and leaves its sizes for the next
-// execution of this compilation to size its slices from.
-func (p *Plan) finish(s *phase2State) (accepted, needEval []int64) {
-	p.shared.lastAccepted.Store(int64(len(s.accepted)))
-	p.shared.lastNeedEval.Store(int64(len(s.needEval)))
-	return s.accepted, s.needEval
+// bindPhase2 readies s for filtering under p in dim dimensions.
+func (p *Plan) bindPhase2(s *phase2State, dim int) {
+	s.pst = rtree.SearchStats{}
+	s.qCenter = p.dist.Mean()
+	s.auSq = p.geo.alphaUpper * p.geo.alphaUpper
+	s.alSq = p.geo.alphaLower * p.geo.alphaLower
+	if p.hull == nil && p.orBound != nil {
+		if cap(s.scratch) < dim {
+			s.scratch, s.yBuf = make(vecmat.Vector, dim), make(vecmat.Vector, dim)
+		}
+		s.scratch, s.yBuf = s.scratch[:dim], s.yBuf[:dim]
+	}
 }
 
 // filterOne decides one candidate without integration where it can, updating
@@ -319,11 +333,11 @@ func (p *Plan) filterOne(s *phase2State, id int64, o vecmat.Vector) {
 }
 
 // filterPhases pins the index's current snapshot and executes Phases 1 and
-// 2 against it using the compiled geometry, returning the pinned snapshot
-// (which every later phase must resolve ids against, so a concurrent
-// mutation can never produce a torn answer), the statistics so far, the
-// directly-accepted ids (BF α⊥), and the candidates requiring probability
-// computation.
+// 2 against it using the compiled geometry into s: the statistics so far,
+// the directly-accepted ids (BF α⊥ or the hull) and the candidates requiring
+// probability computation. It returns the pinned snapshot, which every later
+// phase must resolve ids against, so a concurrent mutation can never produce
+// a torn answer.
 //
 // The default front half is fused: the packed mirror's leaf scan streams
 // point blocks straight through the Phase-2 filters with no materialized
@@ -331,32 +345,34 @@ func (p *Plan) filterOne(s *phase2State, id int64, o vecmat.Vector) {
 // exactly as the pointer path does. Options.PointerPhase1 selects the
 // original two-pass pointer-tree implementation; both produce identical ids,
 // id order, and per-phase prune counts.
-func (p *Plan) filterPhases(ctx context.Context) (*Snapshot, PhaseStats, []int64, []int64, error) {
+func (p *Plan) filterPhases(ctx context.Context, s *phase2State) (*Snapshot, error) {
 	snap := p.engine.idx.Current()
-	st := p.baseStats()
-	st.Epoch = snap.epoch
+	s.st = p.baseStats()
+	s.st.Epoch = snap.epoch
 	if p.geo.empty {
-		return snap, st, nil, nil, nil
+		return snap, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return snap, st, nil, nil, err
+		return snap, err
 	}
+	p.bindPhase2(s, snap.dim)
 	if p.engine.opts.PointerPhase1 {
-		return p.filterPhasesPointer(snap, st)
+		return snap, p.filterPhasesPointer(snap, s)
 	}
-	return p.filterPhasesFused(snap, st)
+	return snap, p.filterPhasesFused(snap, s)
 }
 
 // filterPhasesPointer is the baseline front half: Phase 1 materializes the
 // candidate ids via the pointer tree, Phase 2 filters them in a second pass.
-func (p *Plan) filterPhasesPointer(snap *Snapshot, st PhaseStats) (*Snapshot, PhaseStats, []int64, []int64, error) {
+func (p *Plan) filterPhasesPointer(snap *Snapshot, s *phase2State) error {
+	st := &s.st
 	// ---- Phase 1: index-based search -------------------------------------
 	t0 := time.Now()
 	tree := snap.Tree()
 	nodesBefore := tree.NodesRead()
 	candidates, err := snap.searchRect(p.searchBox, true)
 	if err != nil {
-		return snap, st, nil, nil, err
+		return err
 	}
 	st.Retrieved = len(candidates)
 	st.NodesRead = tree.NodesRead() - nodesBefore
@@ -365,13 +381,11 @@ func (p *Plan) filterPhasesPointer(snap *Snapshot, st PhaseStats) (*Snapshot, Ph
 
 	// ---- Phase 2: filtering ----------------------------------------------
 	t1 := time.Now()
-	s := p.newPhase2State(&st, snap.dim)
 	for _, id := range candidates {
 		p.filterOne(s, id, snap.point(id))
 	}
 	st.PhaseDurations[1] = time.Since(t1)
-	accepted, needEval := p.finish(s)
-	return snap, st, accepted, needEval, nil
+	return nil
 }
 
 // filterPhasesFused is the packed front half: one pass over the cache-linear
@@ -380,10 +394,9 @@ func (p *Plan) filterPhasesPointer(snap *Snapshot, st PhaseStats) (*Snapshot, Ph
 // through the same filters (PhaseDurations[1]). Candidate order — base DFS
 // order minus tombstones, then overlay ascending — matches the pointer path
 // exactly, so ExecuteFunc streams the same ids in the same order on either.
-func (p *Plan) filterPhasesFused(snap *Snapshot, st PhaseStats) (*Snapshot, PhaseStats, []int64, []int64, error) {
+func (p *Plan) filterPhasesFused(snap *Snapshot, s *phase2State) error {
+	st := &s.st
 	t0 := time.Now()
-	s := p.newPhase2State(&st, snap.dim)
-	var pst rtree.SearchStats
 	err := snap.base.packed.SearchRect(p.searchBox, func(id int64, pt []float64) bool {
 		if _, gone := snap.dead[id]; gone {
 			return true
@@ -391,13 +404,13 @@ func (p *Plan) filterPhasesFused(snap *Snapshot, st PhaseStats) (*Snapshot, Phas
 		st.Retrieved++
 		p.filterOne(s, id, vecmat.Vector(pt))
 		return true
-	}, &pst)
+	}, &s.pst)
 	if err != nil {
-		return snap, st, nil, nil, err
+		return err
 	}
-	st.NodesRead = int(pst.Nodes)
-	st.NodesReadPacked = int(pst.Nodes)
-	st.F32Rechecks = int(pst.F32Rechecks)
+	st.NodesRead = int(s.pst.Nodes)
+	st.NodesReadPacked = int(s.pst.Nodes)
+	st.F32Rechecks = int(s.pst.F32Rechecks)
 	st.PhaseDurations[0] = time.Since(t0)
 
 	t1 := time.Now()
@@ -416,8 +429,7 @@ func (p *Plan) filterPhasesFused(snap *Snapshot, st PhaseStats) (*Snapshot, Phas
 		p.filterOne(s, id, o)
 	}
 	st.PhaseDurations[1] = time.Since(t1)
-	accepted, needEval := p.finish(s)
-	return snap, st, accepted, needEval, nil
+	return nil
 }
 
 // Execute runs the compiled plan serially with the engine's evaluator.
@@ -428,26 +440,31 @@ func (p *Plan) Execute(ctx context.Context) (*Result, error) {
 
 // ExecuteEval runs the compiled plan serially with an explicit evaluator —
 // the entry point for callers that share one immutable plan across
-// goroutines, each with its own evaluator.
+// goroutines, each with its own evaluator. The answer's ids are one slice of
+// exactly their count, the caller's own.
 func (p *Plan) ExecuteEval(ctx context.Context, eval Evaluator) (*Result, error) {
 	if eval == nil {
 		return nil, fmt.Errorf("core: ExecuteEval with nil evaluator")
 	}
-	snap, st, ids, needEval, err := p.filterPhases(ctx)
+	s := getPhase2()
+	defer s.release()
+	snap, err := p.filterPhases(ctx, s)
 	if err != nil {
 		return nil, err
 	}
-	// ids holds the Phase-2 accepts and has room for the Phase-3 survivors.
-	err = p.phase3(ctx, eval, snap, &st, needEval, func(id int64) bool {
-		ids = append(ids, id)
+	err = p.phase3(ctx, eval, snap, &s.st, s.needEval, func(id int64) bool {
+		s.accepted = append(s.accepted, id)
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	st.Answers = len(ids)
+	ids := make([]int64, len(s.accepted))
+	copy(ids, s.accepted)
 	sortIDs(ids)
-	return &Result{IDs: ids, Stats: st}, nil
+	res := &Result{IDs: ids, Stats: s.st}
+	res.Stats.Answers = len(ids)
+	return res, nil
 }
 
 // ExecuteFunc runs the compiled plan serially with eval and streams the
@@ -456,20 +473,23 @@ func (p *Plan) ExecuteEval(ctx context.Context, eval Evaluator) (*Result, error)
 // unsorted. Returning false from fn stops the query; the statistics then
 // count only the candidates evaluated and the ids delivered so far.
 func (p *Plan) ExecuteFunc(ctx context.Context, eval Evaluator, fn func(id int64) bool) (*PhaseStats, error) {
-	snap, st, accepted, needEval, err := p.filterPhases(ctx)
+	s := getPhase2()
+	defer s.release()
+	snap, err := p.filterPhases(ctx, s)
 	if err != nil {
 		return nil, err
 	}
+	st := s.st
 	emit := func(id int64) bool {
 		st.Answers++
 		return fn(id)
 	}
-	for _, id := range accepted {
+	for _, id := range s.accepted {
 		if !emit(id) {
 			return &st, nil
 		}
 	}
-	if err := p.phase3(ctx, eval, snap, &st, needEval, emit); err != nil {
+	if err := p.phase3(ctx, eval, snap, &st, s.needEval, emit); err != nil {
 		return nil, err
 	}
 	return &st, nil

@@ -128,10 +128,12 @@ func TestSearchParallelAbortsOnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, needEval, err := plan.filterPhases(context.Background())
-	if err != nil {
+	s := getPhase2()
+	if _, err := plan.filterPhases(context.Background(), s); err != nil {
 		t.Fatal(err)
 	}
+	needEval := append([]int64(nil), s.needEval...)
+	s.release()
 	if len(needEval) < 100 {
 		t.Fatalf("test needs many candidates, got %d", len(needEval))
 	}

@@ -21,13 +21,17 @@ type Match struct {
 // since the caller asked for their probabilities anyway, they are evaluated
 // too, so the Integrations statistic exceeds ExecuteEval's by AcceptedBF.
 func (p *Plan) SearchProbs(ctx context.Context, eval Evaluator) ([]Match, *PhaseStats, error) {
-	snap, st, accepted, needEval, err := p.filterPhases(ctx)
+	s := getPhase2()
+	defer s.release()
+	snap, err := p.filterPhases(ctx, s)
 	if err != nil {
 		return nil, nil, err
 	}
+	st := s.st
 
 	t2 := time.Now()
-	all := append(accepted, needEval...)
+	s.accepted = append(s.accepted, s.needEval...)
+	all := s.accepted
 	st.Integrations = len(all)
 
 	matches := make([]Match, 0, len(all))

@@ -3,6 +3,7 @@ package rtree
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"gaussrange/internal/geom"
 	"gaussrange/internal/vecmat"
@@ -73,22 +74,34 @@ type rectCtx struct {
 	q                  geom.Rect
 	rejBelow, rejAbove []float32
 	accLo, accHi       []float32
-	cls                []uint8 // height × maxSpan, sliced per recursion depth
+	buf                []float32 // backs the four above
+	cls                []uint8   // height × maxSpan, sliced per recursion depth
 	st                 *SearchStats
 }
 
+// rectCtxPool recycles rect-search contexts, so a search allocates nothing
+// of its own once a context of its tree's size has been pooled.
+var rectCtxPool = sync.Pool{New: func() any { return new(rectCtx) }}
+
+// newRectCtx takes a context from rectCtxPool and sets it up for q; the
+// search puts it back.
 func (p *Packed) newRectCtx(q geom.Rect, st *SearchStats) *rectCtx {
 	d := p.dim
-	buf := make([]float32, 4*d)
-	ctx := &rectCtx{
-		q:        q,
-		rejBelow: buf[0*d : 1*d],
-		rejAbove: buf[1*d : 2*d],
-		accLo:    buf[2*d : 3*d],
-		accHi:    buf[3*d : 4*d],
-		cls:      make([]uint8, p.height*p.maxSpan),
-		st:       st,
+	ctx := rectCtxPool.Get().(*rectCtx)
+	if cap(ctx.buf) < 4*d {
+		ctx.buf = make([]float32, 4*d)
 	}
+	if n := p.height * p.maxSpan; cap(ctx.cls) < n {
+		ctx.cls = make([]uint8, n)
+	} else {
+		ctx.cls = ctx.cls[:n]
+	}
+	buf := ctx.buf
+	ctx.q, ctx.st = q, st
+	ctx.rejBelow = buf[0*d : 1*d]
+	ctx.rejAbove = buf[1*d : 2*d]
+	ctx.accLo = buf[2*d : 3*d]
+	ctx.accHi = buf[3*d : 4*d]
 	nan := float32(math.NaN())
 	for a := 0; a < d; a++ {
 		e := p.errs[a]
@@ -190,6 +203,8 @@ func (p *Packed) SearchRect(query geom.Rect, fn PointVisitor, st *SearchStats) e
 	}
 	ctx := p.newRectCtx(query, st)
 	p.searchRectNode(0, 0, ctx, fn)
+	ctx.q, ctx.st = geom.Rect{}, nil
+	rectCtxPool.Put(ctx)
 	return nil
 }
 

@@ -17,6 +17,12 @@
 // A POST body is exactly one JSON value (at most 16 MiB); anything but
 // whitespace after it is a 400. Replies are sent with Content-Length.
 //
+// A query's answer ids are a decimal JSON array ("ids"), never null in reply
+// to a plain request. A query that sets ids_format "dv1" — the typed client
+// always does — gets them instead as one IDBlock string ("ids_dv1"), with
+// "ids" null; a server that predates the field answers in decimal, so a
+// reader must take either (QueryResponse.AnswerIDs).
+//
 // Every query response carries the storage epoch its answer was computed
 // against; mutation responses carry the epoch they published, so a client
 // can await read-your-writes by comparing the two. A follower read replica
@@ -58,9 +64,15 @@ type QueryRequest struct {
 	// shards fail (the response then sets Routing.Partial). Routers default
 	// to fail-closed; a plain single-node server ignores the field.
 	AllowPartial bool `json:"allow_partial,omitempty"`
+	// IDsFormat asks for the answer in another form than the decimal "ids"
+	// array. IDsFormatDV1 asks for one IDBlock (QueryResponse.IDsDV1). Any
+	// other value gets decimal ids, as from a server that predates the field,
+	// so a reader must accept either form (QueryResponse.AnswerIDs does).
+	IDsFormat string `json:"ids_format,omitempty"`
 }
 
-// RequestFromSpec converts a QuerySpec to its wire form.
+// RequestFromSpec converts a QuerySpec to its wire form. It asks for
+// decimal ids: IDsFormat is the caller's to set.
 func RequestFromSpec(spec gaussrange.QuerySpec) QueryRequest {
 	return QueryRequest{
 		Center:    spec.Center,
@@ -162,13 +174,17 @@ func (s QueryStats) Stats() gaussrange.Stats {
 	}
 }
 
-// QueryResponse is one completed query. IDs is never null on the wire: an
-// empty answer set serializes as [], so responses diff cleanly against other
-// tools. Epoch is the storage epoch the answer is consistent with (for a
-// routed answer, the maximum epoch across the shards that contributed).
-// Routing is present only on responses from a shard router.
+// QueryResponse is one completed query. The answer is in exactly one of two
+// fields. IDs is the decimal array, never null in reply to a plain request:
+// an empty answer set serializes as [], so responses diff cleanly against
+// other tools. A request with ids_format "dv1" is answered with "ids":null
+// and the ids in IDsDV1, which is left out when the answer is empty. Epoch is
+// the storage epoch the answer is consistent with (for a routed answer, the
+// maximum epoch across the shards that contributed). Routing is present only
+// on responses from a shard router.
 type QueryResponse struct {
 	IDs     []int64      `json:"ids"`
+	IDsDV1  IDBlock      `json:"ids_dv1,omitempty"`
 	Epoch   uint64       `json:"epoch"`
 	Stats   QueryStats   `json:"stats"`
 	Routing *RoutingInfo `json:"routing,omitempty"`
@@ -214,9 +230,36 @@ func ResponseFromResult(res *gaussrange.Result) QueryResponse {
 	return QueryResponse{IDs: ids, Epoch: res.Epoch, Stats: StatsFromResult(res.Stats)}
 }
 
+// AnswerIDs returns the answer whichever field carries it, and an empty,
+// non-nil slice when neither does.
+func (r *QueryResponse) AnswerIDs() []int64 {
+	switch {
+	case r.IDsDV1 != nil:
+		return r.IDsDV1
+	case r.IDs != nil:
+		return r.IDs
+	}
+	return []int64{}
+}
+
+// InFormat returns r with its answer in the form a request's ids_format asks
+// for: in IDsDV1 for IDsFormatDV1 (nil, as on the wire, when it is empty),
+// in IDs for anything else.
+func (r QueryResponse) InFormat(idsFormat string) QueryResponse {
+	ids := r.AnswerIDs()
+	r.IDs, r.IDsDV1 = nil, nil
+	switch {
+	case idsFormat != IDsFormatDV1:
+		r.IDs = ids
+	case len(ids) > 0:
+		r.IDsDV1 = ids
+	}
+	return r
+}
+
 // Result converts the wire response back to a library result.
 func (r QueryResponse) Result() *gaussrange.Result {
-	return &gaussrange.Result{IDs: r.IDs, Epoch: r.Epoch, Stats: r.Stats.Stats()}
+	return &gaussrange.Result{IDs: r.AnswerIDs(), Epoch: r.Epoch, Stats: r.Stats.Stats()}
 }
 
 // BatchRequest runs many queries through the pooled batch executor.

@@ -164,10 +164,11 @@ func (s *Server) Stats() StatsSnapshot {
 	return snap
 }
 
-// respond converts a query result to its wire form, stamping replica
-// provenance when this server is a follower.
-func (s *Server) respond(res *gaussrange.Result) QueryResponse {
-	r := ResponseFromResult(res)
+// respond converts a query result to its wire form, with the ids in the
+// form idsFormat asks for, stamping replica provenance when this server is a
+// follower.
+func (s *Server) respond(res *gaussrange.Result, idsFormat string) QueryResponse {
+	r := ResponseFromResult(res).InFormat(idsFormat)
 	if s.cfg.Follower != nil {
 		r.ReplicaEpoch = res.Epoch
 	}
@@ -186,18 +187,24 @@ func (s *Server) refuseReadOnly(w http.ResponseWriter, status *int) bool {
 
 // QueryContext derives the execution context for one request: the request's
 // own timeout_ms when given, else deflt (the serving node's default), else
-// unbounded. The parent is the HTTP request context, so a client disconnect
-// cancels the query either way.
+// unbounded — and then it is parent itself, with a cancel that does nothing,
+// because a child context would only be cancelled with it. The parent is the
+// HTTP request context, so a client disconnect cancels the query either way.
 func QueryContext(parent context.Context, timeoutMS int64, deflt time.Duration) (context.Context, context.CancelFunc) {
 	d := deflt
 	if timeoutMS > 0 {
 		d = time.Duration(timeoutMS) * time.Millisecond
 	}
 	if d <= 0 {
-		return context.WithCancel(parent)
+		return parent, func() {}
 	}
 	return context.WithTimeout(parent, d)
 }
+
+// jsonContentType is the Content-Type every reply shares. Its len and cap
+// are both 1, so a handler that adds to the header copies it rather than
+// writing into it.
+var jsonContentType = []string{"application/json"}
 
 // WriteJSON replies with status and v as the JSON body — byte for byte what
 // json.NewEncoder(w).Encode(v) would send — in one Write with an explicit
@@ -210,8 +217,9 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 		b, _ = AppendJSON(b[:0], ErrorResponse{Error: "encoding response: " + err.Error()}) // a string always encodes
 	}
 	b = append(b, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
 	w.Write(b) // a failed write means the client is gone; nothing to report it to
 	putBodyBuf(bp, b)
@@ -297,7 +305,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.addQuery(res.Stats, len(res.IDs))
-	WriteJSON(w, status, s.respond(res))
+	WriteJSON(w, status, s.respond(res, req.IDsFormat))
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -350,7 +358,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	resp := BatchResponse{Results: make([]QueryResponse, len(results))}
 	for i, res := range results {
 		s.met.addQuery(res.Stats, len(res.IDs))
-		resp.Results[i] = s.respond(res)
+		resp.Results[i] = s.respond(res, req.Queries[i].IDsFormat)
 	}
 	WriteJSON(w, status, resp)
 }

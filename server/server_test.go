@@ -361,6 +361,33 @@ func TestServerDefaultTimeout(t *testing.T) {
 	}
 }
 
+// TestQueryContextUnbounded: with no deadline from the request or the server
+// the query runs on the request context itself — no child context and no
+// registration with the parent per request — and a deadline from either
+// still derives one.
+func TestQueryContextUnbounded(t *testing.T) {
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx, done := server.QueryContext(parent, 0, 0)
+	done()
+	if ctx != parent || ctx.Err() != nil {
+		t.Errorf("unbounded query context %v (err %v), want the parent itself, still live", ctx, ctx.Err())
+	}
+	for _, tc := range []struct {
+		ms    int64
+		deflt time.Duration
+	}{{50, 0}, {0, time.Second}, {50, time.Second}} {
+		ctx, done := server.QueryContext(parent, tc.ms, tc.deflt)
+		if _, ok := ctx.Deadline(); !ok || ctx == parent {
+			t.Errorf("timeout_ms %d, default %v: no deadline", tc.ms, tc.deflt)
+		}
+		done()
+		if ctx.Err() == nil {
+			t.Errorf("timeout_ms %d, default %v: cancel did not end the context", tc.ms, tc.deflt)
+		}
+	}
+}
+
 // TestClientCancelMidQuery: cancelling a query the server is executing
 // returns the client's call at once with context.Canceled — the client hangs
 // up, which also ends the server's query — and the client's next query works.

@@ -14,15 +14,19 @@ import (
 // QueryResponse (and BatchResponse, an array of them) is therefore encoded by
 // straight-line append code, and QueryResponse and QueryRequest are decoded by
 // a single-pass parser. The request is still encoded by json.Marshal: a
-// hand-written encoder for it measured no faster. Two contracts keep this
-// invisible:
+// hand-written encoder for it measured no faster. A client that asks for
+// ids_format "dv1" gets its ids as one IDBlock string instead of the decimal
+// array (idblock.go), which both halves write and read without a buffer of
+// their own. Two contracts keep this invisible:
 //
 //   - AppendJSON's output is byte-identical to json.Marshal's (field order,
-//     omitempty), so the JSON API stays the one wire format.
+//     omitempty, IDBlock.MarshalJSON), so the JSON API stays the one wire
+//     format.
 //   - Unmarshal accepts exactly json.Unmarshal's language with exactly its
 //     results and errors: the parser handles only the canonical grammar —
-//     known, unescaped, non-repeated keys; integers where integers belong; no
-//     null — and anything else is handed to json.Unmarshal on the same bytes.
+//     known, unescaped, non-repeated keys; integers where integers belong;
+//     null only for the two id fields; a well-formed block — and anything
+//     else is handed to json.Unmarshal on the same bytes.
 
 // AppendJSON appends the JSON encoding of v to dst, byte for byte what
 // json.Marshal(v) returns. QueryResponse and BatchResponse (by value or
@@ -56,7 +60,7 @@ func AppendJSON(dst []byte, v any) ([]byte, error) {
 func Unmarshal(data []byte, v any) error {
 	switch v := v.(type) {
 	case *QueryResponse:
-		if v != nil && v.IDs == nil && v.Routing == nil && v.Epoch == 0 && v.ReplicaEpoch == 0 && v.Stats == (QueryStats{}) {
+		if v != nil && v.IDs == nil && v.IDsDV1 == nil && v.Routing == nil && v.Epoch == 0 && v.ReplicaEpoch == 0 && v.Stats == (QueryStats{}) {
 			d := decoder{b: data}
 			var r QueryResponse
 			if d.queryResponse(&r) && d.end() {
@@ -66,7 +70,7 @@ func Unmarshal(data []byte, v any) error {
 		}
 	case *QueryRequest:
 		if v != nil && v.Center == nil && v.Cov == nil && v.TargetCov == nil &&
-			v.Delta == 0 && v.Theta == 0 && v.Strategy == "" && v.TimeoutMS == 0 && !v.AllowPartial {
+			v.Delta == 0 && v.Theta == 0 && v.Strategy == "" && v.TimeoutMS == 0 && !v.AllowPartial && v.IDsFormat == "" {
 			d := decoder{b: data}
 			var r QueryRequest
 			if d.queryRequest(&r) && d.end() {
@@ -162,6 +166,9 @@ func appendQueryResponse(b []byte, r *QueryResponse) []byte {
 			b = strconv.AppendInt(b, id, 10)
 		}
 		b = append(b, ']')
+	}
+	if len(r.IDsDV1) > 0 {
+		b = appendIDBlock(append(b, `,"ids_dv1":`...), r.IDsDV1)
 	}
 	b = appendUint(b, `,"epoch":`, r.Epoch)
 	b = appendQueryStats(append(b, `,"stats":`...), &r.Stats)
@@ -370,6 +377,32 @@ func (d *decoder) bool(v *bool) bool {
 	return true
 }
 
+// null consumes a null. Decoding it leaves a zero-valued destination as it
+// is, so the caller has nothing to set.
+func (d *decoder) null() bool {
+	d.peek()
+	if !bytes.HasPrefix(d.b[d.i:], []byte("null")) {
+		return false
+	}
+	d.i += 4
+	return true
+}
+
+// idBlock reads a block string without escapes (an escaped one falls back to
+// IDBlock.UnmarshalJSON) into *v.
+func (d *decoder) idBlock(v *IDBlock) bool {
+	if !d.eat('"') {
+		return false
+	}
+	n := bytes.IndexByte(d.b[d.i:], '"')
+	if n < 0 {
+		return false
+	}
+	ids, err := decodeIDBlock(d.b[d.i : d.i+n])
+	*v, d.i = ids, d.i+n+1
+	return err == nil
+}
+
 // digits returns the index just past the run of decimal digits starting at i.
 func (d *decoder) digits(i int) int {
 	for i < len(d.b) && d.b[i]-'0' <= 9 {
@@ -413,14 +446,19 @@ func (d *decoder) float64(v *float64) bool {
 }
 
 // string reads a string of printable ASCII; an escape, control character or
-// non-ASCII byte falls back.
+// non-ASCII byte falls back. The ids_format every typed client sends is
+// returned as the constant, which costs no allocation.
 func (d *decoder) string(v *string) bool {
 	if !d.eat('"') {
 		return false
 	}
 	for i := d.i; i < len(d.b); i++ {
 		if c := d.b[i]; c == '"' {
-			*v = string(d.b[d.i:i])
+			if s := d.b[d.i:i]; string(s) == IDsFormatDV1 {
+				*v = IDsFormatDV1
+			} else {
+				*v = string(s)
+			}
 			d.i = i + 1
 			return true
 		} else if c < 0x20 || c >= 0x7f || c == '\\' {
@@ -493,7 +531,9 @@ func (d *decoder) queryResponse(r *QueryResponse) bool {
 	return d.object(func(name []byte) (uint, bool) {
 		switch string(name) {
 		case "ids":
-			return 0, array(d, &r.IDs, (*decoder).int64)
+			return 0, d.null() || array(d, &r.IDs, (*decoder).int64)
+		case "ids_dv1":
+			return 5, d.null() || d.idBlock(&r.IDsDV1)
 		case "epoch":
 			return 1, d.uint64(&r.Epoch)
 		case "stats":
@@ -599,6 +639,8 @@ func (d *decoder) queryRequest(r *QueryRequest) bool {
 			return 6, d.int64(&r.TimeoutMS)
 		case "allow_partial":
 			return 7, d.bool(&r.AllowPartial)
+		case "ids_format":
+			return 8, d.string(&r.IDsFormat)
 		}
 		return 0, false
 	})

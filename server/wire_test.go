@@ -84,6 +84,9 @@ func randResponse(r *rand.Rand) server.QueryResponse {
 		}
 		resp.Routing = info
 	}
+	if r.Intn(3) == 0 {
+		resp = resp.InFormat(server.IDsFormatDV1)
+	}
 	return resp
 }
 
@@ -238,6 +241,9 @@ var responseSeeds = []string{
 	`{"routing":{"failed_shards":[],"shard_epochs":[]}}`, `{"routing":{"shard_epochs":[{"shard":0,"shard":1}]}}`,
 	`{"routing":{"shard_epochs":[null]}}`, `{"routing":{"shard_epochs":[{"shard":1,"epoch":2},{"shard":3},{}]}}`, `{"replica_epoch":3}`, `{"ids":[1]} x`, `{"ids":[1]}{"ids":[2]}`, `{"ids":[1]}` + "\x00",
 	`{"ids":[1],"epoch":2,"stats":{"retrieved":9}`, "\xef\xbb\xbf{}", `{"ids":[1]`, `{"ids":[`, `{"ids"`, `{"ids":`, `{"stats":{"index_ns":-5}}`,
+	`{"ids":null,"ids_dv1":"AwICAg==","epoch":9,"stats":{"retrieved":3}}`, `{"ids_dv1":null}`, `{"ids_dv1":"AA=="}`, `{"ids":nul}`,
+	`{"ids":[1],"ids_dv1":"AQI="}`, `{"ids_dv1":"AQI=","ids_dv1":"AQI="}`, `{"ids_dv1":"AQ\u0049="}`, `{"ids_dv1":"AQI"}`, `{"ids_dv1":"AQI=`,
+	`{"ids_dv1":"AQI=" }`, `{"ids_dv1":"A\"QI="}`, `{"ids_dv1":[1]}`, `{"ids_dv1":"AQJ="}`, `{"ids_dv1":"Ag=="}`, `{"IDS_DV1":"AQI="}`,
 }
 
 var requestSeeds = []string{
@@ -250,6 +256,8 @@ var requestSeeds = []string{
 	`{"strategy":"é"}`, "{\"strategy\":\"\xff\"}", `{"strategy":"<>&"}`, `{"strategy":"a"b"}`, `{"strategy":null}`, `{"strategy":5}`,
 	`{"timeout_ms":1.5}`, `{"timeout_ms":1e3}`, `{"timeout_ms":-7}`, `{"allow_partial":"true"}`, `{"Center":[1]}`, `{"queries":[]}`,
 	`{"center":[1,2]}{"center":[3]}`, `{"center":[1,2]} garbage`, `{"center":[[1]]}`, `{"cov":[1]}`, `{"cov":[[1],[2,3]],"cov":[[4]]}`, ``, `{`, `[1]`,
+	`{"center":[1,2],"cov":[[1,0],[0,1]],"delta":1,"theta":0.5,"ids_format":"dv1"}`, `{"ids_format":"DV1"}`, `{"ids_format":"dv2"}`, `{"ids_format":""}`,
+	`{"ids_format":null}`, `{"ids_format":1}`, `{"ids_format":"dv1","ids_format":"dv1"}`, `{"ids_format":"d\u00761"}`,
 }
 
 func TestUnmarshalAgreesWithEncodingJSON(t *testing.T) {
@@ -285,6 +293,7 @@ func FuzzQueryResponseDecode(f *testing.F) {
 	}
 	for _, resp := range goldenResponses() {
 		f.Add(mustMarshal(f, resp))
+		f.Add(mustMarshal(f, resp.InFormat(server.IDsFormatDV1)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecodeAgrees[server.QueryResponse](t, data, nil)
@@ -296,6 +305,8 @@ func FuzzQueryRequestDecode(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	for _, req := range goldenRequests() {
+		f.Add(mustMarshal(f, req))
+		req.IDsFormat = server.IDsFormatDV1
 		f.Add(mustMarshal(f, req))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -501,21 +512,42 @@ func responseWithIDs(n int) server.QueryResponse {
 
 // BenchmarkWireCodec measures one reply's trip through the codec at the two
 // answer sizes the serving benchmark sees (≈200 ids on coarse_read and
-// tight_read, ≈350 on paper_read), next to encoding/json on the same value. allocs/op is the
-// number to watch: the hand-written paths are 0 (encode into a reused buffer)
-// and 3 (decode: the ids slice, the parser's 32-byte cursor, and the
-// destination escaping to the heap).
+// tight_read, ≈350 on paper_read), next to encoding/json on the same value,
+// with the ids as the decimal array and (the dv1 arms) as one block.
+// allocs/op is the number to watch: the hand-written paths are 0 (encode into
+// a reused buffer) and 3 (decode: the ids slice, the parser's 32-byte cursor,
+// and the destination escaping to the heap).
 func BenchmarkWireCodec(b *testing.B) {
 	for _, n := range []int{200, 350} {
 		resp := responseWithIDs(n)
 		data := mustMarshal(b, resp)
 		name := strconv.Itoa(n) + "ids"
+		block := resp.InFormat(server.IDsFormatDV1)
+		blockData := mustMarshal(b, block)
 		b.Run("encode/"+name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(data)))
 			var buf []byte
 			for i := 0; i < b.N; i++ {
 				buf, _ = server.AppendJSON(buf[:0], &resp)
+			}
+		})
+		b.Run("encode-dv1/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(blockData)))
+			var buf []byte
+			for i := 0; i < b.N; i++ {
+				buf, _ = server.AppendJSON(buf[:0], &block)
+			}
+		})
+		b.Run("decode-dv1/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(blockData)))
+			for i := 0; i < b.N; i++ {
+				var out server.QueryResponse
+				if err := server.Unmarshal(blockData, &out); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 		b.Run("encode-json/"+name, func(b *testing.B) {
@@ -545,5 +577,22 @@ func BenchmarkWireCodec(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestWriteJSONSharedContentType: every reply's Content-Type is one shared
+// header value, so a handler adding to its own header must get a copy — two
+// replies that each add a value must not write into one shared array.
+func TestWriteJSONSharedContentType(t *testing.T) {
+	var recs [2]*httptest.ResponseRecorder
+	for i, extra := range []string{"text/plain", "text/html"} {
+		recs[i] = httptest.NewRecorder()
+		server.WriteJSON(recs[i], http.StatusOK, server.Health{Status: "ok"})
+		recs[i].Header().Add("Content-Type", extra)
+	}
+	for i, extra := range []string{"text/plain", "text/html"} {
+		if got := recs[i].Header()["Content-Type"]; !reflect.DeepEqual(got, []string{"application/json", extra}) {
+			t.Errorf("reply %d's Content-Type %q, want [application/json %s]", i, got, extra)
+		}
 	}
 }

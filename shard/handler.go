@@ -25,10 +25,10 @@ type HandlerConfig struct {
 }
 
 // Handler serves a Router over HTTP with the same wire protocol as a plain
-// prqserved shard, so existing clients and tools work unchanged — query
-// responses additionally carry a routing report, /v1/shardmap exposes the
-// map, and /statsz aggregates the shards' totals under the router's own
-// counters.
+// prqserved shard, so existing clients and tools work unchanged — each query
+// is answered in the ids_format it asked for, query responses additionally
+// carry a routing report, /v1/shardmap exposes the map, and /statsz
+// aggregates the shards' totals under the router's own counters.
 type Handler struct {
 	r       *Router
 	cfg     HandlerConfig
@@ -95,7 +95,7 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, statusForRouteErr(err), "%v", err)
 		return
 	}
-	server.WriteJSON(w, http.StatusOK, resp)
+	server.WriteJSON(w, http.StatusOK, resp.InFormat(req.IDsFormat))
 }
 
 func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -122,7 +122,7 @@ func (h *Handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 			server.WriteError(w, statusForRouteErr(err), "query %d: %v", i, err)
 			return
 		}
-		resp.Results[i] = res
+		resp.Results[i] = res.InFormat(q.IDsFormat)
 	}
 	server.WriteJSON(w, http.StatusOK, resp)
 }

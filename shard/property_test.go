@@ -4,10 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net/http/httptest"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gaussrange"
+	"gaussrange/client"
 	"gaussrange/server"
 )
 
@@ -138,4 +141,59 @@ func TestPropertyShardedMatchesUnsharded(t *testing.T) {
 			})
 		}
 	})
+}
+
+// TestPropertyIDsFormatThroughRouter: the router asks its shards for id
+// blocks and answers each caller in the form that caller asked for. A plain
+// caller gets the decimal array, an opted-in one the block, the typed client
+// (always opted in) and in-process Router.Query callers the expanded ids —
+// and all of them the unsharded answer.
+func TestPropertyIDsFormatThroughRouter(t *testing.T) {
+	r := rand.New(rand.NewSource(33))
+	pts := boundaryPoints(r, 12, 60)
+	c := newCluster(t, pts, 4)
+	h, err := NewHandler(HandlerConfig{Router: c.router})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(h.Mux())
+	defer ts.Close()
+	cl := client.New(ts.URL)
+	ctx := context.Background()
+
+	answered := 0
+	for qi := 0; qi < 12; qi++ {
+		spec := randomSpec(r, 12*20)
+		tag := fmt.Sprintf("q%d", qi)
+		want := assertSameAnswer(t, tag, c.ref, c.router, spec)
+		answered += want
+		ref, _ := c.ref.Query(spec)
+
+		plainReq := server.RequestFromSpec(spec)
+		plain, err := cl.QueryRaw(ctx, plainReq)
+		if err != nil {
+			t.Fatalf("%s: plain: %v", tag, err)
+		}
+		optReq := plainReq
+		optReq.IDsFormat = server.IDsFormatDV1
+		opted, err := cl.QueryRaw(ctx, optReq)
+		if err != nil {
+			t.Fatalf("%s: opted in: %v", tag, err)
+		}
+		typed, err := cl.Query(ctx, spec)
+		if err != nil {
+			t.Fatalf("%s: typed client: %v", tag, err)
+		}
+		if plain.IDs == nil || plain.IDsDV1 != nil || opted.IDs != nil || (want > 0) != (opted.IDsDV1 != nil) {
+			t.Fatalf("%s: plain reply ids %v / block %v, opted-in reply ids %v / block %v", tag, plain.IDs, plain.IDsDV1, opted.IDs, opted.IDsDV1)
+		}
+		for name, got := range map[string][]int64{"plain": plain.AnswerIDs(), "opted in": opted.AnswerIDs(), "typed client": typed.IDs} {
+			if !slices.Equal(got, ref.IDs) {
+				t.Fatalf("%s: %s caller got %v, unsharded %v", tag, name, got, ref.IDs)
+			}
+		}
+	}
+	if answered == 0 {
+		t.Fatal("all queries empty — property vacuous")
+	}
 }

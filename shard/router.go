@@ -158,6 +158,9 @@ func remainingMS(ctx context.Context) int64 {
 // decision. With neither the request's allow_partial nor the router's
 // AllowPartial set, any failed shard fails the whole query with ErrPartial;
 // otherwise the merged partial answer is returned with Routing.Partial set.
+// The shards are asked for their ids as blocks; the merged answer is always
+// in IDs, whatever req.IDsFormat asks for — the HTTP face applies the
+// caller's format (QueryResponse.InFormat).
 func (r *Router) Query(ctx context.Context, req server.QueryRequest) (server.QueryResponse, error) {
 	r.queries.Add(1)
 	var cacheKey string
@@ -187,6 +190,7 @@ func (r *Router) Query(ctx context.Context, req server.QueryRequest) (server.Que
 	shardReq := req
 	shardReq.AllowPartial = false
 	shardReq.TimeoutMS = remainingMS(ctx)
+	shardReq.IDsFormat = server.IDsFormatDV1
 	resps := make([]server.QueryResponse, len(targets))
 	errs := r.multi.Scatter(ctx, targets, r.fanout, func(ctx context.Context, shard int, c *client.Client) error {
 		resp, err := c.QueryRaw(ctx, shardReq)
@@ -232,7 +236,7 @@ func (r *Router) Query(ctx context.Context, req server.QueryRequest) (server.Que
 			continue
 		}
 		resp := resps[i]
-		out.IDs = append(out.IDs, resp.IDs...)
+		out.IDs = append(out.IDs, resp.AnswerIDs()...)
 		out.Stats.Add(resp.Stats)
 		if resp.Epoch > out.Epoch {
 			out.Epoch = resp.Epoch
