@@ -423,6 +423,49 @@ func BenchmarkRTreeInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkApplyInsertDelete measures one churn write pair on Long Beach —
+// insert a point, then delete it, each its own Apply — behind the overlay
+// the churn_mixed bench workload starts from: 1 536 prefilled pairs, so
+// 1 536 overlay inserts, all tombstoned. Every 512 timed pairs, just short
+// of the fold at 4 096 overlay entries, the set is reloaded and prefilled
+// again off the clock, so no fold is timed and MaxID stays ≈ 52 k. B/op is
+// the number to watch: about 6.6 KB of it is the per-delete copy of the
+// tombstone bitset (one bit per id below MaxID), so B/op back in the tens of
+// KB means that copy grew again.
+func BenchmarkApplyInsertDelete(b *testing.B) {
+	const prefill, timedPerLoad = 1536, 512
+	pts := data.LongBeach(1)
+	raw := toRaw(pts)
+	rng := mc.NewRNG(3)
+	var db *DB
+	pair := func() {
+		p := pts[rng.Intn(len(pts))]
+		ids, _, _, err := db.Apply([][]float64{{p[0] + rng.Float64(), p[1] + rng.Float64()}}, nil)
+		if err == nil {
+			_, _, _, err = db.Apply(nil, ids)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%timedPerLoad == 0 {
+			b.StopTimer()
+			var err error
+			if db, err = Load(raw); err != nil {
+				b.Fatal(err)
+			}
+			for j := 0; j < prefill; j++ {
+				pair()
+			}
+			b.StartTimer()
+		}
+		pair()
+	}
+}
+
 // BenchmarkKNN measures the best-first k-NN used by the 9-D pseudo-feedback
 // setup.
 func BenchmarkKNN(b *testing.B) {

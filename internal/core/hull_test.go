@@ -335,7 +335,7 @@ func TestHullPlanIdentity(t *testing.T) {
 	if _, _, _, err := ix.Apply(pts[5000:], dead); err != nil {
 		t.Fatal(err)
 	}
-	if snap := ix.Current(); len(snap.mem) == 0 || len(snap.dead) == 0 {
+	if snap := ix.Current(); len(snap.mem) == 0 || snap.ndead == 0 {
 		t.Fatal("snapshot has no overlay to merge")
 	}
 	e := newExactEngine(t, ix, Options{})

@@ -303,29 +303,35 @@ func (ix *Index) Stage(inserts []vecmat.Vector, insertIDs []int64, deletes []int
 	}
 
 	next := &Snapshot{
-		base:  cur.base,
-		slot:  cur.slot,
-		ovl:   cur.ovl,
-		mem:   cur.mem,
-		dead:  cur.dead,
-		live:  cur.live,
-		dim:   cur.dim,
-		epoch: cur.epoch + 1,
+		base:      cur.base,
+		slot:      cur.slot,
+		ovl:       cur.ovl,
+		mem:       cur.mem,
+		dead:      cur.dead,
+		ndead:     cur.ndead,
+		ndeadBase: cur.ndeadBase,
+		live:      cur.live,
+		dim:       cur.dim,
+		epoch:     cur.epoch + 1,
 	}
 
 	if effective > 0 {
-		// Copy-on-write of the tombstone set: bounded by the rebuild
-		// threshold, so older epochs keep their exact view.
-		dead := make(map[int64]struct{}, len(cur.dead)+effective)
-		for id := range cur.dead {
-			dead[id] = struct{}{}
-		}
+		// Copy-on-write of the tombstone bitset: one bit per id below MaxID
+		// (MaxID/8 bytes a delete batch), so older epochs keep their exact
+		// view and a discarded stage leaves nothing behind.
+		dead := make([]uint64, (len(cur.slot)+63)/64)
+		copy(dead, cur.dead)
+		n := int32(cur.base.packed.Len())
 		for i, id := range deletes {
 			if deleted[i] {
-				dead[id] = struct{}{}
+				dead[id>>6] |= 1 << (id & 63)
+				if cur.slot[id] < n {
+					next.ndeadBase++
+				}
 			}
 		}
 		next.dead = dead
+		next.ndead += effective
 		next.live -= effective
 	}
 
@@ -354,7 +360,7 @@ func (ix *Index) Stage(inserts []vecmat.Vector, insertIDs []int64, deletes []int
 		next.live += len(inserts)
 	}
 
-	if len(next.mem)+len(next.dead) > rebuildThreshold(next.live) {
+	if len(next.mem)+next.ndead > rebuildThreshold(next.live) {
 		if err := ix.rebuildSnapshot(next); err != nil {
 			ix.mu.Unlock()
 			return nil, err
@@ -401,7 +407,7 @@ func (ix *Index) rebuildSnapshot(next *Snapshot) error {
 	next.slot = slot
 	next.ovl = nil
 	next.mem = nil
-	next.dead = nil
+	next.dead, next.ndead, next.ndeadBase = nil, 0, 0
 	return nil
 }
 

@@ -397,8 +397,9 @@ func (p *Plan) filterPhasesPointer(snap *Snapshot, s *phase2State) error {
 func (p *Plan) filterPhasesFused(snap *Snapshot, s *phase2State) error {
 	st := &s.st
 	t0 := time.Now()
+	dead := snap.dead
 	err := snap.base.packed.SearchRect(p.searchBox, func(id int64, pt []float64) bool {
-		if _, gone := snap.dead[id]; gone {
+		if tombstoned(dead, id) {
 			return true
 		}
 		st.Retrieved++
@@ -415,14 +416,20 @@ func (p *Plan) filterPhasesFused(snap *Snapshot, s *phase2State) error {
 
 	t1 := time.Now()
 	st.OverlayScanned += len(snap.mem)
+	// One loop over the ovl rows against the box bounds, hoisted: most
+	// overlay inserts lie outside the box and then cost no tombstone test.
+	d := snap.dim
+	lo, hi := p.searchBox.Lo[:d], p.searchBox.Hi[:d]
+	ovl := snap.ovl[:len(snap.mem)*d]
+rows:
 	for i, id := range snap.mem {
-		// The box test on the contiguous row first: most overlay inserts lie
-		// outside it, and they then cost no tombstone lookup.
-		o := snap.overlayPoint(i)
-		if !p.searchBox.Contains(o) {
-			continue
+		o := ovl[i*d : i*d+d : i*d+d]
+		for k, x := range o {
+			if x < lo[k] || x > hi[k] {
+				continue rows
+			}
 		}
-		if _, gone := snap.dead[id]; gone {
+		if tombstoned(dead, id) {
 			continue
 		}
 		st.Retrieved++

@@ -32,11 +32,12 @@ func (b *base) pointerTree() *rtree.Tree {
 
 // Snapshot is one immutable epoch of the point collection: a packed R-tree
 // over the points present when the base was last built, plus a small overlay
-// of mutations applied since — recently inserted ids (mem) and tombstoned ids
-// (dead). Every search merges the base answer with the overlay, so a
-// Snapshot is always an exact view of its epoch. Snapshots are never
-// modified after publication; queries pin one with Index.Current and read it
-// without any lock, while the writer builds the next epoch beside it.
+// of mutations applied since — recently inserted ids (mem) and the tombstone
+// bitset of ids deleted since (dead). Every search merges the base answer
+// with the overlay, so a Snapshot is always an exact view of its epoch.
+// Snapshots are never modified after publication; queries pin one with
+// Index.Current and read it without any lock, while the writer builds the
+// next epoch beside it.
 //
 // A generation keeps one copy of its coordinates. A base point lives only in
 // the packed leaf block; an overlay insert's coordinates are row i of ovl,
@@ -48,15 +49,24 @@ func (b *base) pointerTree() *rtree.Tree {
 // snapshots hold shorter slice headers over the same backing arrays and
 // never index past their own lengths), and a fold starts fresh ones. Ids are
 // never reused.
+//
+// dead has one bit per id below the MaxID of the delete batch that made it
+// (an id past its end is not tombstoned) and is nil while the generation has
+// no deletes. Each delete batch publishes a fresh copy (Index.Stage), so a
+// published bitset never changes and readers need no atomics.
 type Snapshot struct {
 	base  *base
 	slot  []int32   // id-indexed: leaf position, base length + ovl row, or −1
 	ovl   []float64 // overlay insert coordinates, row-major; row i is mem[i]'s
 	mem   []int64   // ids inserted after the base was built (ascending)
-	dead  map[int64]struct{}
-	live  int
-	dim   int
-	epoch uint64
+	dead  []uint64  // tombstone bitset, see above
+	ndead int       // ids set in dead
+	// ndeadBase counts the tombstones whose slot is in the base: the only
+	// ones a base search can return.
+	ndeadBase int
+	live      int
+	dim       int
+	epoch     uint64
 }
 
 // Epoch returns the snapshot's version number. Epoch 1 is the initial load;
@@ -78,8 +88,13 @@ func (s *Snapshot) Alive(id int64) bool {
 	if id < 0 || id >= int64(len(s.slot)) || s.slot[id] < 0 {
 		return false
 	}
-	_, gone := s.dead[id]
-	return !gone
+	return !tombstoned(s.dead, id)
+}
+
+// tombstoned reports whether id's bit is set in the tombstone bitset dead.
+func tombstoned(dead []uint64, id int64) bool {
+	w := uint64(id) >> 6
+	return w < uint64(len(dead)) && dead[w]&(1<<(uint64(id)&63)) != 0
 }
 
 // Point returns the coordinates of the identified live point: a window on
@@ -133,7 +148,7 @@ func (s *Snapshot) Packed() *rtree.Packed { return s.base.packed }
 // OverlaySize reports the overlay's pending inserts and tombstones — the
 // extra per-query work this epoch pays until the next rebuild.
 func (s *Snapshot) OverlaySize() (inserted, deleted int) {
-	return len(s.mem), len(s.dead)
+	return len(s.mem), s.ndead
 }
 
 // SearchRect returns the identifiers of live points inside the rectangle:
@@ -158,17 +173,17 @@ func (s *Snapshot) searchRect(r geom.Rect, pointer bool) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(s.dead) > 0 {
+	if s.ndeadBase > 0 {
 		kept := ids[:0]
 		for _, id := range ids {
-			if _, gone := s.dead[id]; !gone {
+			if !tombstoned(s.dead, id) {
 				kept = append(kept, id)
 			}
 		}
 		ids = kept
 	}
 	for i, id := range s.mem {
-		if _, gone := s.dead[id]; gone {
+		if tombstoned(s.dead, id) {
 			continue
 		}
 		if r.Contains(s.overlayPoint(i)) {
@@ -183,7 +198,7 @@ func (s *Snapshot) searchRect(r geom.Rect, pointer bool) ([]int64, error) {
 func (s *Snapshot) SearchSphere(center vecmat.Vector, radius float64, fn func(id int64) bool) error {
 	stopped := false
 	err := s.base.packed.SearchSphere(center, radius, func(id int64, _ []float64) bool {
-		if _, gone := s.dead[id]; gone {
+		if tombstoned(s.dead, id) {
 			return true
 		}
 		if !fn(id) {
@@ -197,7 +212,7 @@ func (s *Snapshot) SearchSphere(center vecmat.Vector, radius float64, fn func(id
 	}
 	r2 := radius * radius
 	for i, id := range s.mem {
-		if _, gone := s.dead[id]; gone {
+		if tombstoned(s.dead, id) {
 			continue
 		}
 		if s.overlayPoint(i).Dist2(center) <= r2 {
@@ -210,26 +225,27 @@ func (s *Snapshot) SearchSphere(center vecmat.Vector, radius float64, fn func(id
 }
 
 // NearestNeighbors returns the k live points closest to p, nearest first.
-// Tombstoned base-tree entries are compensated for by over-fetching, and
-// overlay inserts are merged by distance.
+// The base tree is asked for k plus its own tombstones (overlay tombstones
+// are never in it), and overlay inserts are merged by distance; ties go to
+// the smaller id.
 func (s *Snapshot) NearestNeighbors(p vecmat.Vector, k int) ([]rtree.Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: k must be positive, got %d", k)
 	}
-	fetch := k + len(s.dead)
+	fetch := k + s.ndeadBase
 	base, err := s.Tree().NearestNeighbors(p, fetch)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]rtree.Neighbor, 0, k+len(s.mem))
 	for _, n := range base {
-		if _, gone := s.dead[n.ID]; gone {
+		if tombstoned(s.dead, n.ID) {
 			continue
 		}
 		out = append(out, n)
 	}
 	for i, id := range s.mem {
-		if _, gone := s.dead[id]; gone {
+		if tombstoned(s.dead, id) {
 			continue
 		}
 		pt := s.overlayPoint(i)

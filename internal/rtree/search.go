@@ -68,9 +68,23 @@ type nnItem struct {
 type nnQueue []nnItem
 
 func (q nnQueue) Len() int            { return len(q) }
-func (q nnQueue) Less(i, j int) bool  { return q[i].dist2 < q[j].dist2 }
 func (q nnQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
 func (q *nnQueue) Push(x interface{}) { *q = append(*q, x.(nnItem)) }
+
+// Less orders by distance, then nodes before entries, then entries by id: a
+// node pops before an entry at its own distance, so entries come out in
+// (distance, id) order and the k nearest break ties to the smaller ids.
+func (q nnQueue) Less(i, j int) bool {
+	a, b := &q[i], &q[j]
+	if a.dist2 != b.dist2 {
+		return a.dist2 < b.dist2
+	}
+	if (a.node == nil) != (b.node == nil) {
+		return a.node != nil
+	}
+	return a.id < b.id
+}
+
 func (q *nnQueue) Pop() interface{} {
 	old := *q
 	n := len(old)
@@ -80,10 +94,10 @@ func (q *nnQueue) Pop() interface{} {
 }
 
 // NearestNeighbors returns the k data entries closest to p in Euclidean
-// distance, ordered nearest first, using best-first (Hjaltason–Samet)
-// traversal. Fewer than k results are returned when the tree is smaller
-// than k. The paper's 9-D experiment uses k-NN with k=20 to build the
-// pseudo-feedback covariance (§VI-A).
+// distance, ordered nearest first (ties by ascending id), using best-first
+// (Hjaltason–Samet) traversal. Fewer than k results are returned when the
+// tree is smaller than k. The paper's 9-D experiment uses k-NN with k=20 to
+// build the pseudo-feedback covariance (§VI-A).
 func (t *Tree) NearestNeighbors(p vecmat.Vector, k int) ([]Neighbor, error) {
 	if p.Dim() != t.dim {
 		return nil, fmt.Errorf("%w: point dim %d vs tree dim %d", ErrDimension, p.Dim(), t.dim)

@@ -3,6 +3,7 @@ package gaussrange
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -519,6 +520,106 @@ func TestLazyPointerTreeFirstTouch(t *testing.T) {
 		}
 		if len(a.IDs) == 0 || !reflect.DeepEqual(a.IDs, b.IDs) {
 			t.Fatalf("folded DB answers %v, fresh LoadWithIDs of its live points %v", a.IDs, b.IDs)
+		}
+	}
+}
+
+// TestNearestNeighborsChurnedTies pins DB.NearestNeighbors on a churned DB —
+// base deletes, overlay inserts and overlay deletes, no fold — against a
+// brute-force (distance, id) ordering. The base is an integer grid loaded
+// twice, every overlay insert duplicates a grid point away from the centre
+// the queries probe, and the base deletes are the first copy's points around
+// that centre: at every k the k-th
+// neighbour ties with several others, and the base tree, asked for k plus
+// its own tombstones only, must still reach past every tombstone and hand
+// over the smaller ids of a tie.
+func TestNearestNeighborsChurnedTies(t *testing.T) {
+	grid := gridPoints(400, 1) // [0,19]²
+	seed := append(slices.Clone(grid), grid...)
+	db, err := Load(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := map[int64][]float64{}
+	for id, p := range seed {
+		live[int64(id)] = p
+	}
+	dist2 := func(p, q []float64) float64 {
+		dx, dy := p[0]-q[0], p[1]-q[1]
+		return dx*dx + dy*dy
+	}
+	centre := []float64{10, 10}
+	rng := rand.New(rand.NewSource(11))
+	var dels []int64
+	for id, p := range grid {
+		if dist2(p, centre) <= 8 {
+			dels = append(dels, int64(id))
+		}
+	}
+	ins := make([][]float64, 40)
+	for i := range ins {
+		for ins[i] = centre; dist2(ins[i], centre) <= 18; {
+			ins[i] = grid[rng.Intn(len(grid))]
+		}
+	}
+	ids, _, _, err := db.Apply(ins, dels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range dels {
+		delete(live, id)
+	}
+	for i, id := range ids {
+		live[id] = ins[i]
+	}
+	var overlayDels []int64
+	for i := 0; i < len(ids); i += 3 {
+		overlayDels = append(overlayDels, ids[i])
+		delete(live, ids[i])
+	}
+	if _, _, _, err := db.Apply(nil, overlayDels); err != nil {
+		t.Fatal(err)
+	}
+	if insd, deld := db.idx.Current().OverlaySize(); insd != len(ins) || deld != len(dels)+len(overlayDels) {
+		t.Fatalf("overlay %d+%d, want %d+%d (folded?)", insd, deld, len(ins), len(dels)+len(overlayDels))
+	}
+
+	type cand struct {
+		id int64
+		d2 float64
+	}
+	for trial := 0; trial < 40; trial++ {
+		q := centre // where the base needs every tombstone fetched
+		if trial > 0 {
+			q = []float64{float64(16+rng.Intn(9)) / 2, float64(16+rng.Intn(9)) / 2}
+		}
+		var all []cand
+		for id, p := range live {
+			all = append(all, cand{id, dist2(p, q)})
+		}
+		slices.SortFunc(all, func(a, b cand) int {
+			if a.d2 != b.d2 {
+				if a.d2 < b.d2 {
+					return -1
+				}
+				return 1
+			}
+			return int(a.id - b.id)
+		})
+		for k := 1; k <= 60; k++ {
+			got, err := db.NearestNeighbors(q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != k {
+				t.Fatalf("trial %d k=%d: %d neighbours", trial, k, len(got))
+			}
+			for i, n := range got {
+				if n.ID != all[i].id || n.Distance != math.Sqrt(all[i].d2) {
+					t.Fatalf("trial %d k=%d: neighbour %d is %d at %g, want %d at %g",
+						trial, k, i, n.ID, n.Distance, all[i].id, math.Sqrt(all[i].d2))
+				}
+			}
 		}
 	}
 }
