@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench verify race vet fmt-check fuzz-smoke serve-smoke bench-snapshot bench-compare
+.PHONY: build test bench verify race vet fmt-check deadcode fuzz-smoke serve-smoke bench-snapshot bench-compare
 
 build:
 	$(GO) build ./...
@@ -24,29 +24,33 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# fuzz-smoke runs the R*-tree fuzzers briefly — enough to catch invariant
-# regressions in insert/delete/rebuild, packed-vs-pointer search parity, and
-# the flat STR build against its pointer-tree reference — the Ruben-kernel
-# fuzzer, which checks the linear-time series (value, certified bound, early
-# decisions) against its O(K²) reference, the answer-region hull fuzzer,
-# which checks every inside/outside verdict of a random query shape's hull
-# against the exact evaluator, the two wire-codec fuzzers, which check
-# that the single-pass /v1/query request and reply decoders agree with
-# encoding/json on arbitrary bytes (error or not, same value, same float
-# bits), and the id-block fuzzer, which checks that the block decoder agrees
-# with encoding/json on arbitrary block text and that any []int64 —
-# unsorted, repeated, extreme — round-trips through a block. `go test`
-# accepts only one -fuzz target per invocation, so the 24s budget is split
-# across the eight fuzzers.
+# deadcode fails when a function declared outside the main packages is
+# linked into none of them (cmd/*, examples/*, bench) and is not on
+# scripts/deadcode/allow.txt, or when an allowlist entry is linked or gone.
+deadcode:
+	$(GO) run ./scripts/deadcode
+
+# fuzz-smoke runs the seven fuzzers briefly: the two R-tree fuzzers —
+# packed-vs-pointer search parity on STR-loaded trees, and the flat STR build
+# against its pointer-tree reference — the Ruben-kernel fuzzer, which checks
+# the linear-time series (value, certified bound, early decisions) against
+# its O(K²) reference, the answer-region hull fuzzer, which checks every
+# inside/outside verdict of a random query shape's hull against the exact
+# evaluator, the two wire-codec fuzzers, which check that the single-pass
+# /v1/query request and reply decoders agree with encoding/json on arbitrary
+# bytes (error or not, same value, same float bits), and the id-block fuzzer,
+# which checks that the block decoder agrees with encoding/json on arbitrary
+# block text and that any []int64 — unsorted, repeated, extreme —
+# round-trips through a block. `go test` accepts only one -fuzz target per
+# invocation, so the 24s budget is split across the seven fuzzers.
 fuzz-smoke:
-	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzTreeOps -fuzztime 3s
-	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedSearch -fuzztime 3s
-	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedBuild -fuzztime 3s
-	$(GO) test ./internal/quadform -run '^$$' -fuzz FuzzRubenCDF -fuzztime 3s
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzHullClassify -fuzztime 3s
-	$(GO) test ./server -run '^$$' -fuzz FuzzQueryResponseDecode -fuzztime 3s
-	$(GO) test ./server -run '^$$' -fuzz FuzzQueryRequestDecode -fuzztime 3s
-	$(GO) test ./server -run '^$$' -fuzz FuzzIDBlock -fuzztime 3s
+	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedSearch -fuzztime 3.4s
+	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedBuild -fuzztime 3.4s
+	$(GO) test ./internal/quadform -run '^$$' -fuzz FuzzRubenCDF -fuzztime 3.4s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzHullClassify -fuzztime 3.4s
+	$(GO) test ./server -run '^$$' -fuzz FuzzQueryResponseDecode -fuzztime 3.4s
+	$(GO) test ./server -run '^$$' -fuzz FuzzQueryRequestDecode -fuzztime 3.4s
+	$(GO) test ./server -run '^$$' -fuzz FuzzIDBlock -fuzztime 3.4s
 
 # verify is the pre-merge gate: formatting, static analysis, and the
 # race-enabled test suite (the storage engine, the plan cache and its shared

@@ -1,5 +1,5 @@
 // Command prqshard splits a point dataset into K spatial shards: it tiles
-// the points with the same STR partitioner the R*-tree uses for bulk
+// the points with the same STR partitioner the R-tree uses for bulk
 // loading, writes one id-addressed snapshot per shard (loadable with
 // prqserved -snapshot) and the shard map JSON that prqserved -router needs
 // to route queries and mutations.
@@ -14,7 +14,7 @@
 //	-k N        shard count (default 4)
 //	-out DIR    output directory (created if absent); receives
 //	            shardmap.json and shard-<id>.grdb
-//	-page N     R*-tree page size for the per-shard indexes (0 = default)
+//	-page N     R-tree page size for the per-shard indexes (0 = default)
 //
 // The global id of every point is its zero-based position in the input
 // file, so routed answers are comparable with an unsharded server loaded
@@ -36,7 +36,7 @@ func main() {
 	csvPath := flag.String("csv", "", "input points CSV")
 	k := flag.Int("k", 4, "shard count")
 	out := flag.String("out", "", "output directory")
-	page := flag.Int("page", 0, "R*-tree page size (0 = default)")
+	page := flag.Int("page", 0, "R-tree page size (0 = default)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: prqshard -csv points.csv -k N -out DIR\n")
 		flag.PrintDefaults()

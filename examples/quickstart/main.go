@@ -38,7 +38,7 @@ func main() {
 
 	fmt.Printf("%d of %d points are within δ=%.0f of the query object "+
 		"with probability ≥ %.0f%%\n", len(res.IDs), db.Len(), spec.Delta, spec.Theta*100)
-	fmt.Printf("R*-tree retrieved %d candidates; filters removed %d; "+
+	fmt.Printf("R-tree retrieved %d candidates; filters removed %d; "+
 		"only %d needed probability computation\n",
 		res.Stats.Retrieved,
 		res.Stats.PrunedFringe+res.Stats.PrunedOR+res.Stats.PrunedBF,

@@ -3,7 +3,7 @@
 // "Spatial Range Querying for Gaussian-Based Imprecise Query Objects"
 // (ICDE 2009).
 //
-// A database holds exact d-dimensional points in an R*-tree. A query object
+// A database holds exact d-dimensional points in an R-tree. A query object
 // has an uncertain location modeled as a Gaussian N(q, Σ); the query
 // PRQ(q, Σ, δ, θ) returns every point whose probability of lying within
 // distance δ of the query object is at least θ:
@@ -16,7 +16,7 @@
 //	    Theta:  0.01,
 //	})
 //
-// Query processing runs the paper's three-phase pipeline: R*-tree search
+// Query processing runs the paper's three-phase pipeline: R-tree search
 // over a conservative rectangle, candidate filtering by the RR / OR / BF
 // strategies (configurable; default ALL), and qualification decided by an
 // exact Ruben-series evaluator with a certified error bound (this library's
@@ -78,7 +78,7 @@ type options struct {
 // Option configures Open and Load.
 type Option func(*options) error
 
-// WithPageSize sets the simulated R*-tree page size in bytes (default 1024,
+// WithPageSize sets the simulated R-tree page size in bytes (default 1024,
 // the paper's setting).
 func WithPageSize(bytes int) Option {
 	return func(o *options) error {
@@ -364,7 +364,7 @@ type QuerySpec struct {
 
 // Stats mirrors the engine's per-phase accounting.
 type Stats struct {
-	Retrieved    int           // Phase-1 candidates from the R*-tree
+	Retrieved    int           // Phase-1 candidates from the R-tree
 	PrunedFringe int           // removed by the RR Minkowski fringe filter
 	PrunedOR     int           // removed by a certified outer bound: the oblique-region box, or a reused plan's answer-region hull
 	PrunedBF     int           // removed beyond the α∥ bound

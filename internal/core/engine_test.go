@@ -308,7 +308,14 @@ func TestBFRadiiSanity(t *testing.T) {
 	ev := NewExactEvaluator()
 	for _, angle := range []float64{0, 0.7, 1.3, 2.1, 3.0, 4.4, 5.5} {
 		dir := vecmat.Vector{math.Cos(angle), math.Sin(angle)}
-		oOut := q.Dist.Mean().Add(dir.Scale(au * 1.001))
+		along := func(r float64) vecmat.Vector { // mean + r·dir
+			o := dir.Scale(r)
+			for i, m := range q.Dist.Mean() {
+				o[i] += m
+			}
+			return o
+		}
+		oOut := along(au * 1.001)
 		p, err := ev.Qualification(q.Dist, oOut, q.Delta)
 		if err != nil {
 			t.Fatal(err)
@@ -316,7 +323,7 @@ func TestBFRadiiSanity(t *testing.T) {
 		if p >= q.Theta {
 			t.Errorf("object just beyond α∥ (angle %g) has p = %g ≥ θ", angle, p)
 		}
-		oIn := q.Dist.Mean().Add(dir.Scale(al * 0.999))
+		oIn := along(al * 0.999)
 		p, err = ev.Qualification(q.Dist, oIn, q.Delta)
 		if err != nil {
 			t.Fatal(err)

@@ -28,18 +28,12 @@ func (e *ExactEvaluator) Qualification(dist *gauss.Dist, o vecmat.Vector, delta 
 }
 
 // DecideQualifies implements DecisionEvaluator with the series' certified
-// early exit (quadform.RubenDecide): most candidates settle in a fraction of
+// early exit (quadform.Exact.Decide): most candidates settle in a fraction of
 // the terms the 12-digit value needs.
 func (e *ExactEvaluator) DecideQualifies(dist *gauss.Dist, o vecmat.Vector, delta, theta float64) (bool, error) {
 	qual, _, err := e.inner.Decide(dist, o, delta, theta)
 	return qual, err
 }
-
-// Evaluations returns the number of qualification computations performed.
-func (e *ExactEvaluator) Evaluations() int { return e.inner.Evaluations() }
-
-// ResetEvaluations zeroes the counter.
-func (e *ExactEvaluator) ResetEvaluations() { e.inner.ResetEvaluations() }
 
 // BruteForce answers the query by evaluating the qualification probability
 // of every indexed point — no index search, no filtering. It is the

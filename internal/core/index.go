@@ -6,7 +6,7 @@
 //
 // Query processing follows the paper's three phases (§III-B):
 //
-//  1. Index-based search over an R*-tree with a rectilinear search region;
+//  1. Index-based search over an R-tree with a rectilinear search region;
 //  2. Filtering by any combination of the three strategies — RR
 //     (rectilinear θ-region box + Minkowski fringe), OR (oblique box in the
 //     eigenbasis of Σ⁻¹), BF (spherical bounding functions providing a
@@ -149,7 +149,7 @@ func (ix *Index) Point(id int64) (vecmat.Vector, error) {
 	return ix.Current().Point(id)
 }
 
-// Tree exposes the current snapshot's base as a pointer R*-tree for
+// Tree exposes the current snapshot's base as a pointer R-tree for
 // diagnostics (see Snapshot.Tree). It does not see the mutation overlay; use
 // Snapshot search methods for exact answers.
 func (ix *Index) Tree() *rtree.Tree { return ix.Current().Tree() }
@@ -163,29 +163,6 @@ func (ix *Index) SearchRect(r geom.Rect) ([]int64, error) {
 // closest first, with squared distances.
 func (ix *Index) NearestNeighbors(p vecmat.Vector, k int) ([]rtree.Neighbor, error) {
 	return ix.Current().NearestNeighbors(p, k)
-}
-
-// Add appends a point and returns its identifier — kept as the historical
-// name for Insert.
-func (ix *Index) Add(p vecmat.Vector) (int64, error) { return ix.Insert(p) }
-
-// Insert adds one point as a new epoch and returns its identifier.
-func (ix *Index) Insert(p vecmat.Vector) (int64, error) {
-	ids, _, _, err := ix.Apply([]vecmat.Vector{p}, nil)
-	if err != nil {
-		return 0, err
-	}
-	return ids[0], nil
-}
-
-// Delete removes one point as a new epoch, reporting whether the id was
-// live. Deleting an unknown or already-deleted id is a no-op (false, nil).
-func (ix *Index) Delete(id int64) (bool, error) {
-	_, deleted, _, err := ix.Apply(nil, []int64{id})
-	if err != nil {
-		return false, err
-	}
-	return deleted[0], nil
 }
 
 // Apply atomically applies one mutation batch — deletes first, then inserts

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gaussrange/internal/gauss"
@@ -20,7 +21,7 @@ func TestIndexBasics(t *testing.T) {
 		t.Errorf("Len/Dim = %d/%d", ix.Len(), ix.Dim())
 	}
 	p, err := ix.Point(1)
-	if err != nil || !p.Equal(vecmat.Vector{2, 2}, 0) {
+	if err != nil || !slices.Equal(p, vecmat.Vector{2, 2}) {
 		t.Errorf("Point(1) = %v, %v", p, err)
 	}
 	if _, err := ix.Point(-1); err == nil {
@@ -54,25 +55,25 @@ func TestDynamicIndex(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 500; i++ {
-		id, err := ix.Add(vecmat.Vector{rng.Float64() * 100, rng.Float64() * 100})
+		ids, _, _, err := ix.Apply([]vecmat.Vector{{rng.Float64() * 100, rng.Float64() * 100}}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if id != int64(i) {
-			t.Fatalf("Add returned id %d, want %d", id, i)
+		if ids[0] != int64(i) {
+			t.Fatalf("Apply assigned id %d, want %d", ids[0], i)
 		}
 	}
 	if ix.Len() != 500 {
 		t.Errorf("Len = %d", ix.Len())
 	}
-	if _, err := ix.Add(vecmat.Vector{1}); err == nil {
+	if _, _, _, err := ix.Apply([]vecmat.Vector{{1}}, nil); err == nil {
 		t.Error("dim mismatch accepted")
 	}
 	if err := ix.Tree().CheckInvariants(); err != nil {
 		t.Error(err)
 	}
 	// Range search parity with a rect.
-	r, _ := geom.NewRect(vecmat.Vector{20, 20}, vecmat.Vector{50, 50})
+	r := geom.Rect{Lo: vecmat.Vector{20, 20}, Hi: vecmat.Vector{50, 50}}
 	ids, err := ix.SearchRect(r)
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +201,7 @@ func TestApplyWithIDs(t *testing.T) {
 		t.Error("skipped id 3 reported alive")
 	}
 	p, err := snap.Point(4)
-	if err != nil || !p.Equal(vecmat.Vector{4, 4}, 0) {
+	if err != nil || !slices.Equal(p, vecmat.Vector{4, 4}) {
 		t.Fatalf("Point(4) = %v, %v", p, err)
 	}
 
@@ -228,11 +229,11 @@ func TestApplyWithIDs(t *testing.T) {
 		t.Error("delete of live id 0 not reported")
 	}
 	for i := 0; i < 300; i++ { // push past the rebuild threshold
-		if _, err := ix.Add(vecmat.Vector{float64(i), float64(i)}); err != nil {
+		if _, _, _, err := ix.Apply([]vecmat.Vector{{float64(i), float64(i)}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	r, _ := geom.NewRect(vecmat.Vector{5.5, 5.5}, vecmat.Vector{6.5, 6.5})
+	r := geom.Rect{Lo: vecmat.Vector{5.5, 5.5}, Hi: vecmat.Vector{6.5, 6.5}}
 	ids, err := ix.SearchRect(r)
 	if err != nil {
 		t.Fatal(err)

@@ -18,8 +18,7 @@ import (
 // rectangle, the fringe geometry and the OR bounds — computed once by
 // Engine.Compile and reused across executions. Compilation is the expensive
 // part of a query after Phase 3 (eigendecomposition, noncentral-χ² root
-// finding), so standing queries (Monitor), repeated queries (plan caches)
-// and batches pay it once.
+// finding), so repeated queries (plan caches) and batches pay it once.
 //
 // A Plan's compiled fields are immutable and it is safe for concurrent use as
 // long as each execution supplies its own evaluator (ExecuteEval,
@@ -192,20 +191,8 @@ func (p *Plan) Rebind(dist *gauss.Dist) (*Plan, error) {
 	return &out, nil
 }
 
-// Strategy returns the compiled filter combination.
-func (p *Plan) Strategy() Strategy { return p.strat }
-
 // Dist returns the query distribution the plan is bound to.
 func (p *Plan) Dist() *gauss.Dist { return p.dist }
-
-// Delta returns the compiled distance threshold δ.
-func (p *Plan) Delta() float64 { return p.delta }
-
-// Theta returns the compiled probability threshold θ.
-func (p *Plan) Theta() float64 { return p.theta }
-
-// RTheta returns the compiled θ-region radius (0 when RR and OR are unused).
-func (p *Plan) RTheta() float64 { return p.geo.rTheta }
 
 // AlphaUpper returns the BF pruning radius α∥ (+Inf when unbounded).
 func (p *Plan) AlphaUpper() float64 { return p.geo.alphaUpper }

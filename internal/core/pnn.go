@@ -23,7 +23,7 @@ type PNNResult struct {
 // neighbor is at least theta.
 //
 // The estimator samples locations x ~ N(q, Σ), resolves the exact nearest
-// neighbor of each x with a best-first R*-tree search, and tallies win
+// neighbor of each x with a best-first R-tree search, and tallies win
 // frequencies. With n samples the standard error of a probability p is
 // √(p(1−p)/n); n = 10 000 resolves θ ≥ 0.01 reliably.
 //

@@ -127,7 +127,7 @@ func (s *Snapshot) overlayPoint(i int) vecmat.Vector {
 	return s.ovl[o : o+s.dim : o+s.dim]
 }
 
-// Tree exposes the snapshot's base as a pointer R*-tree for diagnostics and
+// Tree exposes the snapshot's base as a pointer R-tree for diagnostics and
 // the node-I/O experiments. It is unpacked from the packed base on first
 // request and shared by the epochs that share the base; nothing the query
 // path needs, so a process that never asks never pays for it. It does not

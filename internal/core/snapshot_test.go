@@ -60,7 +60,7 @@ func TestSnapshotSearchMatchesModel(t *testing.T) {
 			t.Fatalf("step %d: Len=%d, model has %d", step, snap.Len(), len(m))
 		}
 		lo := vecmat.Vector{rng.Float64() * 80, rng.Float64() * 80}
-		r, _ := geom.NewRect(lo, vecmat.Vector{lo[0] + 30, lo[1] + 30})
+		r := geom.Rect{Lo: lo, Hi: vecmat.Vector{lo[0] + 30, lo[1] + 30}}
 		got, err := snap.SearchRect(r)
 		if err != nil {
 			t.Fatal(err)
@@ -154,18 +154,18 @@ func TestNearestNeighborsWithTombstones(t *testing.T) {
 	}
 	// Delete a third of the base points, then insert a few overlay points.
 	for id := int64(0); id < 200; id += 3 {
-		if _, err := ix.Delete(id); err != nil {
+		if _, _, _, err := ix.Apply(nil, []int64{id}); err != nil {
 			t.Fatal(err)
 		}
 		delete(m, id)
 	}
 	for i := 0; i < 10; i++ {
 		p := vecmat.Vector{rng.Float64() * 100, rng.Float64() * 100}
-		id, err := ix.Insert(p)
+		ids, _, _, err := ix.Apply([]vecmat.Vector{p}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m[id] = p
+		m[ids[0]] = p
 	}
 
 	snap := ix.Current()
@@ -251,7 +251,7 @@ func TestRebuildThresholdCrossing(t *testing.T) {
 	}
 
 	// Current epoch answers match the oracle.
-	whole, _ := geom.NewRect(vecmat.Vector{-1, -1}, vecmat.Vector{101, 101})
+	whole := geom.Rect{Lo: vecmat.Vector{-1, -1}, Hi: vecmat.Vector{101, 101}}
 	got, err := ix.Current().SearchRect(whole)
 	if err != nil {
 		t.Fatal(err)
@@ -325,12 +325,12 @@ func TestApplySemantics(t *testing.T) {
 	}
 
 	// Ids are never reused: the next insert gets id 3 even though 1 is dead.
-	id, err := ix.Insert(vecmat.Vector{5, 5})
+	ids, _, _, err := ix.Apply([]vecmat.Vector{{5, 5}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != 3 {
-		t.Fatalf("insert after delete got id %d, want 3", id)
+	if ids[0] != 3 {
+		t.Fatalf("insert after delete got id %d, want 3", ids[0])
 	}
 }
 
@@ -366,7 +366,7 @@ func TestPointWindowsStable(t *testing.T) {
 	var passes atomic.Int64
 	done := make(chan struct{})
 	reports := make(chan report, readers)
-	everything, _ := geom.NewRect(vecmat.Vector{-1e9, -1e9}, vecmat.Vector{1e9, 1e9})
+	everything := geom.Rect{Lo: vecmat.Vector{-1e9, -1e9}, Hi: vecmat.Vector{1e9, 1e9}}
 	for r := 0; r < readers; r++ {
 		go func() {
 			var (

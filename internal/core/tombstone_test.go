@@ -150,7 +150,7 @@ func runTombstoneScript(t *testing.T, seed int64) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			everything, _ := geom.NewRect(vecmat.Vector{-1, -1}, vecmat.Vector{102, 102})
+			everything := geom.Rect{Lo: vecmat.Vector{-1, -1}, Hi: vecmat.Vector{102, 102}}
 			for {
 				select {
 				case <-done:
@@ -300,7 +300,7 @@ func checkTombSnapshot(t *testing.T, rng *rand.Rand, snap *Snapshot, m *tombMode
 	}
 
 	lo := vecmat.Vector{float64(rng.Intn(80)), float64(rng.Intn(80))}
-	r, _ := geom.NewRect(lo, vecmat.Vector{lo[0] + float64(rng.Intn(40)), lo[1] + float64(rng.Intn(40))})
+	r := geom.Rect{Lo: lo, Hi: vecmat.Vector{lo[0] + float64(rng.Intn(40)), lo[1] + float64(rng.Intn(40))}}
 	got, err := snap.SearchRect(r)
 	if err != nil {
 		t.Fatal(err)

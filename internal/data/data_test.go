@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"gaussrange/internal/mc"
@@ -29,14 +30,14 @@ func TestLongBeachDeterministic(t *testing.T) {
 	a := LongBeach(7)
 	b := LongBeach(7)
 	for i := range a {
-		if !a[i].Equal(b[i], 0) {
+		if !slices.Equal(a[i], b[i]) {
 			t.Fatal("same seed produced different datasets")
 		}
 	}
 	c := LongBeach(8)
 	diff := 0
 	for i := range a {
-		if !a[i].Equal(c[i], 0) {
+		if !slices.Equal(a[i], c[i]) {
 			diff++
 		}
 	}
@@ -196,7 +197,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Fatalf("round trip size %d", len(back))
 	}
 	for i := range pts {
-		if !pts[i].Equal(back[i], 0) {
+		if !slices.Equal(pts[i], back[i]) {
 			t.Errorf("row %d: %v != %v", i, back[i], pts[i])
 		}
 	}
@@ -226,7 +227,7 @@ func TestCSVFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 2 || !back[1].Equal(vecmat.Vector{3, 4}, 0) {
+	if len(back) != 2 || !slices.Equal(back[1], vecmat.Vector{3, 4}) {
 		t.Errorf("file round trip: %v", back)
 	}
 	if _, err := LoadCSV(filepath.Join(dir, "missing.csv")); err == nil {

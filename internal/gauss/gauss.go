@@ -5,7 +5,8 @@
 //
 // together with the derived quantities that drive the three filtering
 // strategies: the eigensystem of Σ⁻¹ (OR), per-axis standard deviations σᵢ
-// (RR), the spherical bounding functions p∥/p⊥ (BF, Definition 6), and exact
+// (RR), the coefficients λ∥/λ⊥ of the spherical bounding functions p∥/p⊥
+// (BF, Definition 6), and exact
 // θ-region radii (Definition 3/5).
 package gauss
 
@@ -30,14 +31,12 @@ type Dist struct {
 	mean vecmat.Vector
 	cov  *vecmat.Symmetric
 
-	inv        *vecmat.Symmetric // Σ⁻¹
-	det        float64           // |Σ|
-	logDet     float64           // log |Σ|
-	chol       *vecmat.Cholesky  // Σ = L·Lᵗ, for sampling
-	eigCov     *vecmat.Eigen     // eigensystem of Σ (ascending)
-	logNorm    float64           // log of (2π)^{−d/2}|Σ|^{−1/2}
-	lambdaPar  float64           // λ∥ = min eigenvalue of Σ⁻¹ (paper Eq. 9)
-	lambdaPerp float64           // λ⊥ = max eigenvalue of Σ⁻¹ (paper Eq. 10)
+	det        float64          // |Σ|
+	logDet     float64          // log |Σ|
+	chol       *vecmat.Cholesky // Σ = L·Lᵗ, for sampling
+	eigCov     *vecmat.Eigen    // eigensystem of Σ (ascending)
+	lambdaPar  float64          // λ∥ = min eigenvalue of Σ⁻¹ (paper Eq. 9)
+	lambdaPerp float64          // λ⊥ = max eigenvalue of Σ⁻¹ (paper Eq. 10)
 }
 
 // New constructs the Gaussian N(mean, cov). It returns an error unless cov is
@@ -54,7 +53,7 @@ func New(mean vecmat.Vector, cov *vecmat.Symmetric) (*Dist, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gauss: covariance must be positive definite: %w", err)
 	}
-	inv, det, err := cov.Inverse()
+	_, det, err := cov.Inverse() // |Σ| as the spectral inverse computes it, for String
 	if err != nil {
 		return nil, err
 	}
@@ -64,14 +63,12 @@ func New(mean vecmat.Vector, cov *vecmat.Symmetric) (*Dist, error) {
 	}
 	logDet := chol.LogDet()
 	g := &Dist{
-		mean:    mean.Clone(),
-		cov:     cov.Clone(),
-		inv:     inv,
-		det:     det,
-		logDet:  logDet,
-		chol:    chol,
-		eigCov:  eig,
-		logNorm: -0.5*float64(d)*math.Log(2*math.Pi) - 0.5*logDet,
+		mean:   mean.Clone(),
+		cov:    cov.Clone(),
+		det:    det,
+		logDet: logDet,
+		chol:   chol,
+		eigCov: eig,
 		// Eigenvalues of Σ⁻¹ are reciprocals of those of Σ:
 		// λ∥ = min λᵢ(Σ⁻¹) = 1/max λᵢ(Σ);  λ⊥ = max λᵢ(Σ⁻¹) = 1/min λᵢ(Σ).
 		lambdaPar:  1 / eig.MaxValue(),
@@ -81,7 +78,7 @@ func New(mean vecmat.Vector, cov *vecmat.Symmetric) (*Dist, error) {
 }
 
 // WithMean returns a distribution with the same covariance Σ but a new mean.
-// All Σ-derived factorizations (Cholesky, inverse, eigensystem) are shared
+// All Σ-derived factorizations (Cholesky, eigensystem) are shared
 // with the receiver, so rebinding a mean costs O(d) — this is what lets a
 // compiled query plan follow a moving query object without re-decomposing Σ.
 func (g *Dist) WithMean(mean vecmat.Vector) (*Dist, error) {
@@ -96,16 +93,6 @@ func (g *Dist) WithMean(mean vecmat.Vector) (*Dist, error) {
 	return &out, nil
 }
 
-// Normalized returns the d-dimensional standard Gaussian N(0, I) of
-// Definition 4.
-func Normalized(d int) *Dist {
-	g, err := New(vecmat.NewVector(d), vecmat.Identity(d))
-	if err != nil {
-		panic(err) // identity covariance cannot fail
-	}
-	return g
-}
-
 // Dim returns the dimensionality d.
 func (g *Dist) Dim() int { return g.mean.Dim() }
 
@@ -114,9 +101,6 @@ func (g *Dist) Mean() vecmat.Vector { return g.mean }
 
 // Cov returns the covariance Σ (caller must not mutate).
 func (g *Dist) Cov() *vecmat.Symmetric { return g.cov }
-
-// Det returns |Σ|.
-func (g *Dist) Det() float64 { return g.det }
 
 // LogDet returns log |Σ|.
 func (g *Dist) LogDet() float64 { return g.logDet }
@@ -143,36 +127,6 @@ func (g *Dist) EigenBasis() *vecmat.Dense { return g.eigCov.Vectors }
 // reciprocals.
 func (g *Dist) EigenValuesCov() []float64 { return g.eigCov.Values }
 
-// Mahalanobis2 returns (x−q)ᵗ Σ⁻¹ (x−q), the squared Mahalanobis distance.
-func (g *Dist) Mahalanobis2(x vecmat.Vector) float64 {
-	diff := x.Sub(g.mean)
-	return g.inv.QuadForm(diff)
-}
-
-// LogPDF returns log p_q(x).
-func (g *Dist) LogPDF(x vecmat.Vector) float64 {
-	return g.logNorm - 0.5*g.Mahalanobis2(x)
-}
-
-// PDF returns the density p_q(x) of Eq. (1).
-func (g *Dist) PDF(x vecmat.Vector) float64 {
-	return math.Exp(g.LogPDF(x))
-}
-
-// UpperBoundPDF evaluates p∥(x) of Eq. (24): the spherical upper bounding
-// function with exponent coefficient λ∥. For all x, p∥(x) ≥ p_q(x).
-func (g *Dist) UpperBoundPDF(x vecmat.Vector) float64 {
-	d2 := x.Dist2(g.mean)
-	return math.Exp(g.logNorm - 0.5*g.lambdaPar*d2)
-}
-
-// LowerBoundPDF evaluates p⊥(x) of Eq. (25): the spherical lower bounding
-// function with exponent coefficient λ⊥. For all x, p⊥(x) ≤ p_q(x).
-func (g *Dist) LowerBoundPDF(x vecmat.Vector) float64 {
-	d2 := x.Dist2(g.mean)
-	return math.Exp(g.logNorm - 0.5*g.lambdaPerp*d2)
-}
-
 // Sample draws x ~ N(q, Σ) into dst using src for standard normal variates:
 // x = q + L·z. dst must have length d; scratch must have length d and not
 // alias dst. It returns dst.
@@ -198,12 +152,6 @@ func (g *Dist) ThetaRegionRadius(theta float64) (float64, error) {
 		return 0, fmt.Errorf("gauss: θ-region requires 0 < θ < 1/2, got %g", theta)
 	}
 	return stats.SphereRadiusForMass(g.Dim(), 1-2*theta)
-}
-
-// InThetaRegion reports whether x lies inside the θ-region of radius r:
-// (x−q)ᵗΣ⁻¹(x−q) ≤ r².
-func (g *Dist) InThetaRegion(x vecmat.Vector, r float64) bool {
-	return g.Mahalanobis2(x) <= r*r
 }
 
 // TransformToEigen writes y = Eᵗ(x − q) into dst (Property 3's axis

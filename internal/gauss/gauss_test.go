@@ -3,6 +3,7 @@ package gauss
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gaussrange/internal/vecmat"
@@ -26,6 +27,24 @@ func paperDist(t testing.TB, gamma float64) *Dist {
 	return g
 }
 
+// mahalanobis2 is (x−q)ᵗΣ⁻¹(x−q) straight from the definition, the exponent
+// of p_q(x).
+func mahalanobis2(t testing.TB, g *Dist, x vecmat.Vector) float64 {
+	t.Helper()
+	inv, _, err := g.Cov().Inverse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	diff := x.Sub(g.Mean())
+	var m2 float64
+	for i := range diff {
+		for j := range diff {
+			m2 += diff[i] * inv.At(i, j) * diff[j]
+		}
+	}
+	return m2
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(vecmat.Vector{0, 0}, vecmat.Identity(3)); err == nil {
 		t.Error("dimension mismatch accepted")
@@ -38,38 +57,6 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestNormalizedPDF(t *testing.T) {
-	g := Normalized(2)
-	// At the origin: (2π)^{−1}.
-	want := 1 / (2 * math.Pi)
-	if got := g.PDF(vecmat.Vector{0, 0}); math.Abs(got-want) > 1e-15 {
-		t.Errorf("pnorm(0) = %g, want %g", got, want)
-	}
-	// At radius 1: (2π)^{−1}·e^{−1/2}.
-	want *= math.Exp(-0.5)
-	if got := g.PDF(vecmat.Vector{1, 0}); math.Abs(got-want) > 1e-15 {
-		t.Errorf("pnorm(e₁) = %g, want %g", got, want)
-	}
-}
-
-func TestPDFIntegratesToOne2D(t *testing.T) {
-	// Grid quadrature over a wide box for the paper's Σ (γ=1).
-	g, err := New(vecmat.Vector{0, 0}, paperSigma(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const h = 0.05
-	var sum float64
-	for x := -30.0; x <= 30; x += h {
-		for y := -30.0; y <= 30; y += h {
-			sum += g.PDF(vecmat.Vector{x, y}) * h * h
-		}
-	}
-	if math.Abs(sum-1) > 1e-3 {
-		t.Errorf("∫ pdf = %g, want 1", sum)
-	}
-}
-
 func TestLambdaParPerp(t *testing.T) {
 	g := paperDist(t, 10)
 	// Eigenvalues of Σ are 10 and 90 → λ∥ = 1/90, λ⊥ = 1/10.
@@ -79,8 +66,8 @@ func TestLambdaParPerp(t *testing.T) {
 	if math.Abs(g.LambdaPerp()-1.0/10) > 1e-12 {
 		t.Errorf("λ⊥ = %g, want 1/10", g.LambdaPerp())
 	}
-	if math.Abs(g.Det()-900) > 1e-8 {
-		t.Errorf("|Σ| = %g, want 900", g.Det())
+	if math.Abs(g.LogDet()-math.Log(900)) > 1e-12 {
+		t.Errorf("log |Σ| = %g, want log 900", g.LogDet())
 	}
 }
 
@@ -94,11 +81,17 @@ func TestSigmaAxis(t *testing.T) {
 	}
 }
 
-// Property 4: p⊥(x) ≤ p_q(x) ≤ p∥(x) everywhere.
+// Property 4: p⊥(x) ≤ p_q(x) ≤ p∥(x) everywhere. The three share the
+// normalizer, so this is λ∥‖x−q‖² ≥ (x−q)ᵗΣ⁻¹(x−q) ≥ λ⊥‖x−q‖² on exponents
+// that carry a minus sign.
 func TestBoundingFunctionsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
+	iso, err := New(vecmat.NewVector(2), vecmat.Identity(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	dists := []*Dist{
-		paperDist(t, 1), paperDist(t, 10), paperDist(t, 100), Normalized(2),
+		paperDist(t, 1), paperDist(t, 10), paperDist(t, 100), iso,
 	}
 	// Random higher-dimensional instance.
 	cov := vecmat.Diagonal(0.5, 2, 9, 1, 4)
@@ -115,14 +108,13 @@ func TestBoundingFunctionsProperty(t *testing.T) {
 			for j := range x {
 				x[j] = g.Mean()[j] + (rng.Float64()-0.5)*60
 			}
-			pdf := g.PDF(x)
-			up := g.UpperBoundPDF(x)
-			lo := g.LowerBoundPDF(x)
-			if pdf > up*(1+1e-12) {
-				t.Fatalf("dist %d: p(x)=%g exceeds upper bound %g at %v", di, pdf, up, x)
+			m2 := mahalanobis2(t, g, x)
+			d2 := x.Dist2(g.Mean())
+			if m2 < g.LambdaPar()*d2*(1-1e-12) {
+				t.Fatalf("dist %d: p(x) exceeds p∥(x) at %v: M² %g < λ∥·d² %g", di, x, m2, g.LambdaPar()*d2)
 			}
-			if pdf < lo*(1-1e-12) {
-				t.Fatalf("dist %d: p(x)=%g below lower bound %g at %v", di, pdf, lo, x)
+			if m2 > g.LambdaPerp()*d2*(1+1e-12) {
+				t.Fatalf("dist %d: p(x) below p⊥(x) at %v: M² %g > λ⊥·d² %g", di, x, m2, g.LambdaPerp()*d2)
 			}
 		}
 	}
@@ -130,27 +122,14 @@ func TestBoundingFunctionsProperty(t *testing.T) {
 
 // For the normalized Gaussian the bounds collapse onto the density.
 func TestBoundingFunctionsTightForSphere(t *testing.T) {
-	g := Normalized(3)
+	g, err := New(vecmat.NewVector(3), vecmat.Identity(3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	x := vecmat.Vector{0.3, -1.2, 0.7}
-	pdf := g.PDF(x)
-	if math.Abs(g.UpperBoundPDF(x)-pdf) > 1e-15 || math.Abs(g.LowerBoundPDF(x)-pdf) > 1e-15 {
+	m2, d2 := mahalanobis2(t, g, x), x.Norm2()
+	if math.Abs(g.LambdaPar()*d2-m2) > 1e-15 || math.Abs(g.LambdaPerp()*d2-m2) > 1e-15 {
 		t.Error("bounding functions differ from pdf for isotropic Gaussian")
-	}
-}
-
-func TestMahalanobis(t *testing.T) {
-	g := paperDist(t, 1)
-	q := g.Mean()
-	if got := g.Mahalanobis2(q); got != 0 {
-		t.Errorf("Mahalanobis²(q) = %g, want 0", got)
-	}
-	// Along the major eigenvector at Euclidean distance t, M² = t²/λmax(Σ).
-	e := g.EigenBasis().Col(1) // largest eigenvalue of Σ is index 1 ascending
-	lam := g.EigenValuesCov()[1]
-	x := q.Add(e.Scale(3))
-	want := 9 / lam
-	if got := g.Mahalanobis2(x); math.Abs(got-want) > 1e-9 {
-		t.Errorf("Mahalanobis² along major axis = %g, want %g", got, want)
 	}
 }
 
@@ -216,7 +195,7 @@ func TestThetaRegionMassProperty(t *testing.T) {
 		var in int
 		for i := 0; i < n; i++ {
 			g.Sample(rng, scratch, x)
-			if g.InThetaRegion(x, r) {
+			if mahalanobis2(t, g, x) <= r*r {
 				in++
 			}
 		}
@@ -242,8 +221,8 @@ func TestTransformToEigenProperty(t *testing.T) {
 		for j, ev := range g.EigenValuesCov() {
 			m2 += y[j] * y[j] / ev
 		}
-		if math.Abs(m2-g.Mahalanobis2(x)) > 1e-9*(1+m2) {
-			t.Fatalf("transform does not preserve Mahalanobis: %g vs %g", m2, g.Mahalanobis2(x))
+		if want := mahalanobis2(t, g, x); math.Abs(m2-want) > 1e-9*(1+m2) {
+			t.Fatalf("transform does not preserve Mahalanobis: %g vs %g", m2, want)
 		}
 		// Euclidean norm also preserved (E is orthonormal).
 		if math.Abs(y.Norm2()-x.Dist2(g.Mean())) > 1e-9*(1+y.Norm2()) {
@@ -278,15 +257,17 @@ func TestWithMean(t *testing.T) {
 		t.Errorf("WithMean mean = %v", m)
 	}
 	// The original is untouched and the covariance machinery is shared: the
-	// rebound distribution evaluates its PDF with the original Σ factors.
+	// rebound distribution transforms with the original Σ factors.
 	if m := g.Mean(); m[0] != 500 || m[1] != 500 {
 		t.Errorf("WithMean mutated the receiver: mean = %v", m)
 	}
-	at := func(d *Dist, x vecmat.Vector) float64 { return d.PDF(x) }
+	at := func(d *Dist, x vecmat.Vector) vecmat.Vector {
+		return d.TransformToEigen(x, make(vecmat.Vector, 2), make(vecmat.Vector, 2))
+	}
 	want := at(g, vecmat.Vector{510, 505})
 	got := at(moved, vecmat.Vector{110, -45}) // same offset from the new mean
-	if math.Abs(got-want) > 1e-18 {
-		t.Errorf("PDF at shifted point = %g, want %g", got, want)
+	if !slices.Equal(got, want) {
+		t.Errorf("eigen coordinates at shifted point = %v, want %v", got, want)
 	}
 	// The provided mean is copied, not aliased.
 	src := vecmat.Vector{1, 2}

@@ -1,6 +1,6 @@
 // Package geom provides the d-dimensional axis-aligned geometry used by the
 // query processing strategies: rectangles (R-tree node regions and search
-// boxes), spheres (distance ranges), and Minkowski-sum regions — a box
+// boxes) and Minkowski-sum regions — a box
 // expanded by a δ-ball, whose fringe (bounding-box corners outside the
 // rounded region, the black areas of the paper's Fig. 4) can be filtered
 // exactly in any dimension via clamped point-to-box distance.
@@ -14,23 +14,9 @@ import (
 )
 
 // Rect is a closed axis-aligned box [Lo, Hi] in d dimensions.
-// Lo[i] ≤ Hi[i] must hold for all i; NewRect enforces it.
+// Lo[i] ≤ Hi[i] must hold for all i.
 type Rect struct {
 	Lo, Hi vecmat.Vector
-}
-
-// NewRect returns the box [lo, hi]. It returns an error when dimensions
-// differ or any lo[i] > hi[i].
-func NewRect(lo, hi vecmat.Vector) (Rect, error) {
-	if lo.Dim() != hi.Dim() {
-		return Rect{}, fmt.Errorf("geom: rect corner dims %d vs %d: %w", lo.Dim(), hi.Dim(), vecmat.ErrDimensionMismatch)
-	}
-	for i := range lo {
-		if lo[i] > hi[i] {
-			return Rect{}, fmt.Errorf("geom: rect has lo[%d]=%g > hi[%d]=%g", i, lo[i], i, hi[i])
-		}
-	}
-	return Rect{Lo: lo.Clone(), Hi: hi.Clone()}, nil
 }
 
 // RectAround returns the box centered at c with the given half-widths.
@@ -97,36 +83,6 @@ func (r Rect) Volume() float64 {
 	return v
 }
 
-// Margin returns the sum of side lengths (the R*-tree split heuristic's
-// perimeter surrogate).
-func (r Rect) Margin() float64 {
-	var m float64
-	for i := range r.Lo {
-		m += r.Hi[i] - r.Lo[i]
-	}
-	return m
-}
-
-// Center returns the box midpoint.
-func (r Rect) Center() vecmat.Vector {
-	c := make(vecmat.Vector, r.Dim())
-	for i := range c {
-		c[i] = (r.Lo[i] + r.Hi[i]) / 2
-	}
-	return c
-}
-
-// Union returns the smallest box containing both r and other.
-func (r Rect) Union(other Rect) Rect {
-	lo := make(vecmat.Vector, r.Dim())
-	hi := make(vecmat.Vector, r.Dim())
-	for i := range lo {
-		lo[i] = math.Min(r.Lo[i], other.Lo[i])
-		hi[i] = math.Max(r.Hi[i], other.Hi[i])
-	}
-	return Rect{Lo: lo, Hi: hi}
-}
-
 // UnionInPlace grows r to cover other, avoiding allocation.
 func (r *Rect) UnionInPlace(other Rect) {
 	for i := range r.Lo {
@@ -137,46 +93,6 @@ func (r *Rect) UnionInPlace(other Rect) {
 			r.Hi[i] = other.Hi[i]
 		}
 	}
-}
-
-// Intersection returns the overlap box and true, or a zero Rect and false
-// when the boxes are disjoint.
-func (r Rect) Intersection(other Rect) (Rect, bool) {
-	lo := make(vecmat.Vector, r.Dim())
-	hi := make(vecmat.Vector, r.Dim())
-	for i := range lo {
-		lo[i] = math.Max(r.Lo[i], other.Lo[i])
-		hi[i] = math.Min(r.Hi[i], other.Hi[i])
-		if lo[i] > hi[i] {
-			return Rect{}, false
-		}
-	}
-	return Rect{Lo: lo, Hi: hi}, true
-}
-
-// OverlapVolume returns the volume of the intersection (0 when disjoint).
-func (r Rect) OverlapVolume(other Rect) float64 {
-	v := 1.0
-	for i := range r.Lo {
-		lo := math.Max(r.Lo[i], other.Lo[i])
-		hi := math.Min(r.Hi[i], other.Hi[i])
-		if lo >= hi {
-			return 0
-		}
-		v *= hi - lo
-	}
-	return v
-}
-
-// Enlargement returns the volume increase needed for r to cover other.
-func (r Rect) Enlargement(other Rect) float64 {
-	v := 1.0
-	for i := range r.Lo {
-		lo := math.Min(r.Lo[i], other.Lo[i])
-		hi := math.Max(r.Hi[i], other.Hi[i])
-		v *= hi - lo
-	}
-	return v - r.Volume()
 }
 
 // Expand returns the box grown by delta on every side (the Minkowski sum
@@ -213,51 +129,9 @@ func (r Rect) Clone() Rect {
 	return Rect{Lo: r.Lo.Clone(), Hi: r.Hi.Clone()}
 }
 
-// Equal reports componentwise equality within tol.
-func (r Rect) Equal(other Rect, tol float64) bool {
-	return r.Lo.Equal(other.Lo, tol) && r.Hi.Equal(other.Hi, tol)
-}
-
 // String renders the rect as "[lo; hi]".
 func (r Rect) String() string {
 	return fmt.Sprintf("[%v; %v]", r.Lo, r.Hi)
-}
-
-// Sphere is the closed ball of the given center and radius.
-type Sphere struct {
-	Center vecmat.Vector
-	Radius float64
-}
-
-// NewSphere validates and returns a sphere.
-func NewSphere(center vecmat.Vector, radius float64) (Sphere, error) {
-	if radius < 0 {
-		return Sphere{}, fmt.Errorf("geom: negative sphere radius %g", radius)
-	}
-	return Sphere{Center: center.Clone(), Radius: radius}, nil
-}
-
-// Contains reports whether p lies inside the closed ball.
-func (s Sphere) Contains(p vecmat.Vector) bool {
-	return s.Center.Dist2(p) <= s.Radius*s.Radius
-}
-
-// BoundingRect returns the smallest box containing the ball.
-func (s Sphere) BoundingRect() Rect {
-	lo := make(vecmat.Vector, s.Center.Dim())
-	hi := make(vecmat.Vector, s.Center.Dim())
-	for i := range lo {
-		lo[i] = s.Center[i] - s.Radius
-		hi[i] = s.Center[i] + s.Radius
-	}
-	return Rect{Lo: lo, Hi: hi}
-}
-
-// Volume returns the d-dimensional ball volume π^{d/2}·R^d / Γ(d/2+1).
-func (s Sphere) Volume() float64 {
-	d := float64(s.Center.Dim())
-	lg, _ := math.Lgamma(d/2 + 1)
-	return math.Exp(d/2*math.Log(math.Pi)+d*math.Log(s.Radius)) / math.Exp(lg)
 }
 
 // MinkowskiRegion is the Minkowski sum of a box and a δ-ball: the rounded
@@ -280,13 +154,6 @@ func NewMinkowskiRegion(box Rect, delta float64) (MinkowskiRegion, error) {
 // Contains reports whether p lies in box ⊕ ball(δ).
 func (m MinkowskiRegion) Contains(p vecmat.Vector) bool {
 	return m.Box.Dist2(p) <= m.Delta*m.Delta
-}
-
-// InFringe reports whether p lies in the bounding box of the region but
-// outside the region itself — the corner areas removed by Phase 2 of the RR
-// strategy (black regions of Fig. 4).
-func (m MinkowskiRegion) InFringe(p vecmat.Vector) bool {
-	return m.BoundingRect().Contains(p) && !m.Contains(p)
 }
 
 // BoundingRect returns the box expanded by δ.

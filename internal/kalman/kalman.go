@@ -17,7 +17,6 @@ package kalman
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"gaussrange/internal/vecmat"
 )
@@ -48,9 +47,6 @@ func New(mean vecmat.Vector, cov *vecmat.Symmetric) (*Filter, error) {
 	}
 	return &Filter{mean: mean.Clone(), cov: cov.Clone(), dim: mean.Dim()}, nil
 }
-
-// Dim returns the state dimensionality.
-func (f *Filter) Dim() int { return f.dim }
 
 // Mean returns the current belief mean (caller must not mutate).
 func (f *Filter) Mean() vecmat.Vector { return f.mean }
@@ -137,18 +133,4 @@ func (f *Filter) Update(z vecmat.Vector, r *vecmat.Symmetric) error {
 	}
 	f.cov = newCov
 	return nil
-}
-
-// Entropy2 returns log |P|, a scalar summary of the belief spread (twice the
-// differential entropy up to constants). Useful for deciding when the robot
-// should pay for a position fix.
-func (f *Filter) Entropy2() (float64, error) {
-	det, err := f.cov.Det()
-	if err != nil {
-		return 0, err
-	}
-	if det <= 0 {
-		return 0, errors.New("kalman: degenerate covariance")
-	}
-	return math.Log(det), nil
 }

@@ -3,7 +3,6 @@ package quadform
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"gaussrange/internal/stats"
@@ -66,67 +65,6 @@ func TestRubenCDFBoundMatchesCDF(t *testing.T) {
 		}
 		if bound < 0 || bound > 1e-6 {
 			t.Errorf("x=%g: implausible certified bound %g", x, bound)
-		}
-	}
-}
-
-// TestExactForkCounting: one instance counts every qualification its three
-// entry points perform — and only those: a rejected call counts nothing, and
-// a reset zeroes the count. Instances on separate goroutines count
-// independently (run under -race this also shows they share no state). The
-// name is kept from the forked counter families this test first covered.
-func TestExactForkCounting(t *testing.T) {
-	const (
-		workers = 8
-		perW    = 25
-	)
-	dist := paperDist(t, 10)
-	e := NewExact()
-	o := vecmat.Vector{505, 495}
-	if _, err := e.Qualification(dist, o, 20); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := e.QualificationBound(dist, o, 20); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := e.Decide(dist, o, 20, 0.01); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Qualification(dist, vecmat.Vector{1}, 20); err == nil {
-		t.Fatal("dimension mismatch accepted")
-	}
-	if _, err := e.Qualification(dist, o, 0); err == nil {
-		t.Fatal("zero delta accepted")
-	}
-	if got := e.Evaluations(); got != 3 {
-		t.Errorf("Evaluations() = %d after three evaluations and two rejected calls, want 3", got)
-	}
-	e.ResetEvaluations()
-	if got := e.Evaluations(); got != 0 {
-		t.Errorf("Evaluations() = %d after reset, want 0", got)
-	}
-
-	counts := make([]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			e := NewExact()
-			for i := 0; i < perW+w; i++ {
-				o := vecmat.Vector{480 + float64(w), 490 + float64(i)}
-				if _, err := e.Qualification(dist, o, 25); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-			counts[w] = e.Evaluations()
-		}(w)
-	}
-	wg.Wait()
-	for w, got := range counts {
-		if got != perW+w {
-			t.Errorf("goroutine %d: Evaluations() = %d, want %d", w, got, perW+w)
 		}
 	}
 }

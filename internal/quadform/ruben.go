@@ -36,7 +36,7 @@ const MaxTerms = 1 << 21
 // epsAbs is the absolute truncation error target of the series.
 const epsAbs = 1e-12
 
-// DecideGuard is the half-width of the band around θ in which RubenDecide
+// DecideGuard is the half-width of the band around θ in which the decide path
 // certifies nothing: it absorbs rounding in the inputs (eigenvalues, rotated
 // offsets) that the series' own error bound cannot see.
 const DecideGuard = 1e-9
@@ -64,19 +64,6 @@ func RubenCDFBound(lambda, b []float64, t float64) (p, bound float64, err error)
 	}
 	p, bound, _, err = f.run(b, t, math.Inf(-1), math.Inf(1))
 	return p, bound, err
-}
-
-// RubenDecide answers "is RubenCDF(lambda, b, t) ≥ theta?": after every term
-// the truth lies in [Σ aᵢFᵢ, Σ aᵢFᵢ + (1 − Σ aᵢ)·F_k], and the series stops
-// as soon as that bracket clears theta by DecideGuard on either side
-// (certified). Only a theta inside the guard band of the converged value runs
-// to the full tail and compares the midpoint (certified = false).
-func RubenDecide(lambda, b []float64, t, theta float64) (qualifies, certified bool, err error) {
-	var f form
-	if err := f.init(lambda); err != nil {
-		return false, false, err
-	}
-	return f.decide(b, t, theta)
 }
 
 // form is what Ruben's series needs of the eigenvalues, plus the scratch of
@@ -118,7 +105,12 @@ func (f *form) init(lambda []float64) error {
 	return nil
 }
 
-// decide is RubenDecide on a prepared form.
+// decide answers "is RubenCDF(lambda, b, t) ≥ theta?" on a prepared form:
+// after every term the truth lies in [Σ aᵢFᵢ, Σ aᵢFᵢ + (1 − Σ aᵢ)·F_k], and
+// the series stops as soon as that bracket clears theta by DecideGuard on
+// either side (certified). Only a theta inside the guard band of the
+// converged value runs to the full tail and compares the midpoint
+// (certified = false).
 func (f *form) decide(b []float64, t, theta float64) (qualifies, certified bool, err error) {
 	p, _, verdict, err := f.run(b, t, theta-DecideGuard, theta+DecideGuard)
 	if verdict != 0 || err != nil {
@@ -272,8 +264,6 @@ func clamp01(p float64) float64 {
 //
 // An Exact instance is single-goroutine: give every goroutine its own.
 type Exact struct {
-	evals int // qualifications performed since construction or reset
-
 	// Cache keyed by distribution identity: the spectral form (β, γ_j,
 	// log(β/λ_j) and the series scratch) and the offset transform buffers.
 	dist    interface{ Dim() int }
@@ -298,12 +288,6 @@ type GaussDist interface {
 // NewExact returns an exact evaluator.
 func NewExact() *Exact { return &Exact{} }
 
-// Evaluations returns the number of qualification computations performed.
-func (e *Exact) Evaluations() int { return e.evals }
-
-// ResetEvaluations zeroes the evaluation count.
-func (e *Exact) ResetEvaluations() { e.evals = 0 }
-
 // Qualification returns the exact probability Pr(‖x − o‖ ≤ delta) for
 // x ~ dist.
 func (e *Exact) Qualification(dist GaussDist, o vecmat.Vector, delta float64) (float64, error) {
@@ -321,7 +305,7 @@ func (e *Exact) QualificationBound(dist GaussDist, o vecmat.Vector, delta float6
 	return p, bound, err
 }
 
-// Decide answers "is Pr(‖x − o‖ ≤ delta) ≥ theta?" with RubenDecide's early
+// Decide answers "is Pr(‖x − o‖ ≤ delta) ≥ theta?" with the series' early
 // exit: most candidates are settled after a fraction of the series.
 func (e *Exact) Decide(dist GaussDist, o vecmat.Vector, delta, theta float64) (qualifies, certified bool, err error) {
 	if err := e.offsets(dist, o, delta); err != nil {
@@ -341,8 +325,6 @@ func (e *Exact) offsets(dist GaussDist, o vecmat.Vector, delta float64) error {
 	if delta <= 0 {
 		return fmt.Errorf("quadform: delta must be positive, got %g", delta)
 	}
-	e.evals++
-
 	if e.dist != dist || len(e.b) != d {
 		lambda := dist.EigenValuesCov()
 		if err := e.form.init(lambda); err != nil {

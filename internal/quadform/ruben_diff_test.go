@@ -35,9 +35,9 @@ func checkAgainstReference(t *testing.T, lambda, b []float64, tt float64) {
 			lambda, b, tt, p, ref, diff, bound, refBound)
 	}
 	for _, theta := range diffThetas {
-		qual, certified, err := RubenDecide(lambda, b, tt, theta)
+		qual, certified, err := rubenDecide(lambda, b, tt, theta)
 		if err != nil {
-			t.Fatalf("RubenDecide(λ=%v b=%v t=%g θ=%g): %v", lambda, b, tt, theta, err)
+			t.Fatalf("decide(λ=%v b=%v t=%g θ=%g): %v", lambda, b, tt, theta, err)
 		}
 		if math.Abs(ref-theta) > DecideGuard && qual != (ref >= theta) {
 			t.Errorf("λ=%v b=%v t=%g θ=%g: decided %v against reference %.16g", lambda, b, tt, theta, qual, ref)
@@ -51,6 +51,15 @@ func checkAgainstReference(t *testing.T, lambda, b []float64, tt float64) {
 // randomForm draws d eigenvalues spanning condition number cond (with the
 // extremes always present for d ≥ 2, and duplicates likely), offsets of the
 // given scale, and a radius t = x·λmin.
+// rubenDecide runs the series' decide path on a fresh form.
+func rubenDecide(lambda, b []float64, t, theta float64) (qualifies, certified bool, err error) {
+	var f form
+	if err := f.init(lambda); err != nil {
+		return false, false, err
+	}
+	return f.decide(b, t, theta)
+}
+
 func randomForm(rng *rand.Rand, d int, cond, bScale, x float64) (lambda, b []float64, t float64) {
 	scale := math.Exp(rng.Float64()*6 - 3)
 	lambda = make([]float64, d)
@@ -116,7 +125,7 @@ func TestRubenDegenerateInputs(t *testing.T) {
 		if err != nil || p != c.want || bound != 0 {
 			t.Errorf("b=%v t=%g: got (%g, %g, %v), want (%g, 0, nil)", c.b, c.t, p, bound, err, c.want)
 		}
-		qual, certified, err := RubenDecide(lambda, c.b, c.t, 0.5)
+		qual, certified, err := rubenDecide(lambda, c.b, c.t, 0.5)
 		if err != nil || !certified || qual != (c.want >= 0.5) {
 			t.Errorf("b=%v t=%g: decide gave (%v, %v, %v)", c.b, c.t, qual, certified, err)
 		}

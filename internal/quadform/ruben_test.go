@@ -208,13 +208,6 @@ func TestExactQualification(t *testing.T) {
 	if p > 1e-9 {
 		t.Errorf("distant object probability = %g, want ≈0", p)
 	}
-	if e.Evaluations() != 2 {
-		t.Errorf("Evaluations = %d, want 2", e.Evaluations())
-	}
-	e.ResetEvaluations()
-	if e.Evaluations() != 0 {
-		t.Error("ResetEvaluations failed")
-	}
 }
 
 func TestExactValidation(t *testing.T) {

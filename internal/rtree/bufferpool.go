@@ -82,6 +82,3 @@ func (bp *BufferPool) Reset() {
 // AttachBufferPool installs (or, with nil, removes) an I/O-simulation pool.
 // Not safe to call concurrently with searches.
 func (t *Tree) AttachBufferPool(bp *BufferPool) { t.pool = bp }
-
-// Pool returns the attached buffer pool, or nil.
-func (t *Tree) Pool() *BufferPool { return t.pool }

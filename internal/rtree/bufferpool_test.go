@@ -19,25 +19,14 @@ func TestNewBufferPoolValidation(t *testing.T) {
 
 func TestBufferPoolHitMiss(t *testing.T) {
 	rng := rand.New(rand.NewSource(331))
-	tr, err := New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5000; i++ {
-		if err := tr.InsertPoint(vecmat.Vector{rng.Float64() * 1000, rng.Float64() * 1000}, int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	tr := bulkLoad(t, randPoints(rng, 5000, 2, 1000), 2)
 	bp, err := NewBufferPool(10000) // larger than the tree: everything fits
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr.AttachBufferPool(bp)
-	if tr.Pool() != bp {
-		t.Fatal("Pool accessor wrong")
-	}
 
-	q, _ := geom.NewRect(vecmat.Vector{100, 100}, vecmat.Vector{300, 300})
+	q := geom.Rect{Lo: vecmat.Vector{100, 100}, Hi: vecmat.Vector{300, 300}}
 	if _, err := tr.CollectRect(q); err != nil {
 		t.Fatal(err)
 	}
@@ -71,15 +60,7 @@ func TestBufferPoolHitMiss(t *testing.T) {
 
 func TestBufferPoolEviction(t *testing.T) {
 	rng := rand.New(rand.NewSource(337))
-	tr, err := New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20000; i++ {
-		if err := tr.InsertPoint(vecmat.Vector{rng.Float64() * 1000, rng.Float64() * 1000}, int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	tr := bulkLoad(t, randPoints(rng, 20000, 2, 1000), 2)
 	// A pool much smaller than the tree forces evictions: scanning the whole
 	// tree twice should still miss on the second pass.
 	bp, err := NewBufferPool(8)
@@ -87,7 +68,7 @@ func TestBufferPoolEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.AttachBufferPool(bp)
-	whole, _ := geom.NewRect(vecmat.Vector{0, 0}, vecmat.Vector{1000, 1000})
+	whole := geom.Rect{Lo: vecmat.Vector{0, 0}, Hi: vecmat.Vector{1000, 1000}}
 	if _, err := tr.CollectRect(whole); err != nil {
 		t.Fatal(err)
 	}

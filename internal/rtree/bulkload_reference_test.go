@@ -35,10 +35,11 @@ func referenceBulkLoadPoints(points []vecmat.Vector, ids []int64, dim int, opts 
 }
 
 func referenceBulkLoad(entries []Entry, dim int, opts ...Option) (*Tree, error) {
-	t, err := New(dim, opts...)
+	maxFill, minFill, err := nodeFill(dim, opts)
 	if err != nil {
 		return nil, err
 	}
+	t := &Tree{dim: dim, root: &node{}, maxFill: maxFill, minFill: minFill, height: 1}
 	if len(entries) == 0 {
 		return t, nil
 	}
@@ -53,7 +54,7 @@ func referenceBulkLoad(entries []Entry, dim int, opts ...Option) (*Tree, error) 
 		nodes := t.referenceSTRPack(es, level)
 		es = es[:0]
 		for _, n := range nodes {
-			es = append(es, Entry{Rect: n.mbr(), child: n})
+			es = append(es, Entry{Rect: referenceMBR(n), child: n})
 		}
 		level++
 	}
@@ -66,6 +67,15 @@ func referenceBulkLoad(entries []Entry, dim int, opts ...Option) (*Tree, error) 
 	t.height = level + 1
 	t.size = len(entries)
 	return t, nil
+}
+
+// referenceMBR returns the bounding rectangle of all entries of n.
+func referenceMBR(n *node) geom.Rect {
+	r := n.entries[0].Rect.Clone()
+	for i := 1; i < len(n.entries); i++ {
+		r.UnionInPlace(n.entries[i].Rect)
+	}
+	return r
 }
 
 // referenceSTRPack groups entries into nodes of the given level using

@@ -56,9 +56,8 @@ func checkBuildMatchesReference(t *testing.T, pts []vecmat.Vector, dim int, opts
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("d=%d n=%d: unpacked tree: %v", dim, len(pts), err)
 	}
-	if tr.Len() != len(pts) || tr.Height() != ref.Height() || tr.MaxFill() != ref.MaxFill() || tr.MinFill() != ref.MinFill() {
-		t.Fatalf("d=%d n=%d: unpacked tree shape (%d, h=%d, M=%d, m=%d) vs reference (%d, h=%d, M=%d, m=%d)", dim, len(pts),
-			tr.Len(), tr.Height(), tr.MaxFill(), tr.MinFill(), ref.Len(), ref.Height(), ref.MaxFill(), ref.MinFill())
+	if got, want := tr.ComputeStats(), ref.ComputeStats(); got != want {
+		t.Fatalf("d=%d n=%d: unpacked tree shape %+v vs reference %+v", dim, len(pts), got, want)
 	}
 	if back := mustPack(t, tr); !reflect.DeepEqual(back, got) {
 		t.Fatalf("d=%d n=%d: Pack(Unpack(p)) != p", dim, len(pts))
@@ -77,11 +76,10 @@ func describePacked(p *Packed) string {
 func TestBuildPackedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for _, dim := range []int{1, 2, 3, 9} {
-		tr, err := New(dim)
+		M, _, err := nodeFill(dim, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		M := tr.MaxFill()
 		for _, n := range []int{0, 1, M, M + 1, M*M + 1} {
 			checkBuildMatchesReference(t, packedRandPoints(rng, n, dim), dim)
 		}

@@ -124,11 +124,9 @@ func (p *Packed) seal() {
 	p.leafBase = p.start[p.firstLeaf]
 }
 
-// Pack builds the packed form of a pointer tree — the inverse of Unpack, and
-// the way a tree shaped by R* insertion and deletion (rather than built by
-// BuildPacked) gets one. Every data entry must be a point (Lo and Hi equal
-// bit for bit): Packed stores a leaf entry as its point alone. The tree must
-// not mutate concurrently.
+// Pack builds the packed form of a pointer tree — the inverse of Unpack.
+// Every data entry must be a point (Lo and Hi equal bit for bit): Packed
+// stores a leaf entry as its point alone.
 func Pack(t *Tree) (*Packed, error) {
 	// Level-order (BFS) node enumeration. The tree is height-balanced, so BFS
 	// order groups nodes by level and all leaves form a contiguous tail.

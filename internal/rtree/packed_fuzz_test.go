@@ -8,11 +8,11 @@ import (
 	"gaussrange/internal/vecmat"
 )
 
-// FuzzPackedSearch builds a tree from a byte-encoded mutation history (the
-// same encoding as FuzzTreeOps, plus a dimension selector), packs it, and
-// checks rect and sphere search parity — ids, order, and node-visit counts —
-// between the packed mirror and the pointer tree, with the probe rect also
-// decoded from the input so the fuzzer can steer it onto entry boundaries.
+// FuzzPackedSearch STR-loads points decoded from the input (a dimension
+// selector, then dim bytes a point), packs the tree, and checks rect and
+// sphere search parity — ids, order, and node-visit counts — between the
+// packed mirror and the pointer tree, with the probe rect also decoded from
+// the input so the fuzzer can steer it onto entry boundaries.
 func FuzzPackedSearch(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{2, 255, 254, 0, 0, 0, 128, 7, 7, 7, 9, 9})
@@ -27,16 +27,6 @@ func FuzzPackedSearch(f *testing.F) {
 		if len(ops) > 512 {
 			ops = ops[:512]
 		}
-		tr, err := New(dim, WithPageSize(256))
-		if err != nil {
-			t.Fatal(err)
-		}
-		type stored struct {
-			p  vecmat.Vector
-			id int64
-		}
-		var live []stored
-		nextID := int64(0)
 		coord := func(b byte, axis int) float64 {
 			// Spread magnitudes so the float32 mirror loses bits.
 			v := float64(b)
@@ -48,27 +38,15 @@ func FuzzPackedSearch(f *testing.F) {
 			}
 			return v
 		}
-		for i := 0; i+dim < len(ops); i += dim + 1 {
-			op := ops[i]
-			if op%3 != 0 && len(live) > 0 {
-				idx := int(op) % len(live)
-				if _, err := tr.DeletePoint(live[idx].p, live[idx].id); err != nil {
-					t.Fatal(err)
-				}
-				live[idx] = live[len(live)-1]
-				live = live[:len(live)-1]
-				continue
-			}
+		var live []vecmat.Vector
+		for i := 0; i+dim <= len(ops); i += dim {
 			p := make(vecmat.Vector, dim)
-			for a := 0; a < dim; a++ {
-				p[a] = coord(ops[i+1+a], a)
+			for a := range p {
+				p[a] = coord(ops[i+a], a)
 			}
-			if err := tr.InsertPoint(p, nextID); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, stored{p: p, id: nextID})
-			nextID++
+			live = append(live, p)
 		}
+		tr := bulkLoad(t, live, dim, WithPageSize(256))
 
 		p := mustPack(t, tr)
 		if p.Len() != tr.Len() {
@@ -86,10 +64,7 @@ func FuzzPackedSearch(f *testing.F) {
 				lo[a], hi[a] = math.Min(x, y), math.Max(x, y)
 			}
 		}
-		q, err := geom.NewRect(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
+		q := geom.Rect{Lo: lo, Hi: hi}
 
 		nodesBefore := tr.NodesRead()
 		want, err := tr.CollectRect(q)
@@ -115,7 +90,7 @@ func FuzzPackedSearch(f *testing.F) {
 		}
 
 		if len(live) > 0 {
-			center := live[int(ops[0])%len(live)].p
+			center := live[int(ops[0])%len(live)]
 			radius := float64(ops[len(ops)-1]) * 1e3
 			nodesBefore = tr.NodesRead()
 			var wantS []int64

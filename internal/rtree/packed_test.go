@@ -43,10 +43,7 @@ func packedRandRect(rng *rand.Rand, dim int) geom.Rect {
 		w := math.Abs(rng.NormFloat64()) * 5e5
 		lo[a], hi[a] = c-w, c+w
 	}
-	r, err := geom.NewRect(lo, hi)
-	if err != nil {
-		panic(err)
-	}
+	r := geom.Rect{Lo: lo, Hi: hi}
 	return r
 }
 
@@ -60,44 +57,15 @@ func mustPack(t testing.TB, tr *Tree) *Packed {
 	return p
 }
 
-// buildVariants returns trees built every way a tree can come to exist: STR
-// bulk load (unpacked from the flat build), incremental R* insertion,
-// post-delete shape, and a bulk-loaded tree deleted from and inserted into.
-func buildVariants(t *testing.T, rng *rand.Rand, pts []vecmat.Vector, dim int) map[string]*Tree {
+// buildVariants returns STR trees over pts at two page sizes: the paper's
+// 1 KB page and a 256-byte one, whose small fan-out gives deeper trees and
+// more node boundaries for the float32 recheck band to straddle.
+func buildVariants(t *testing.T, pts []vecmat.Vector, dim int) map[string]*Tree {
 	t.Helper()
-	ids := make([]int64, len(pts))
-	for i := range ids {
-		ids[i] = int64(i)
+	return map[string]*Tree{
+		"page1024": bulkLoad(t, pts, dim),
+		"page256":  bulkLoad(t, pts, dim, WithPageSize(256)),
 	}
-	bulkLoad := func() *Tree {
-		tr, err := BulkLoadPoints(pts, ids, dim, WithPageSize(256))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	ins, err := New(dim, WithPageSize(256))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range pts {
-		if err := ins.InsertPoint(p, ids[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	del, reins := bulkLoad(), bulkLoad()
-	for i := 0; i < len(pts)/3; i++ {
-		j := rng.Intn(len(pts))
-		for _, tr := range []*Tree{del, reins} {
-			if _, err := tr.DeletePoint(pts[j], ids[j]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := reins.InsertPoint(pts[0], int64(len(pts))); err != nil {
-		t.Fatal(err)
-	}
-	return map[string]*Tree{"bulk": bulkLoad(), "insert": ins, "deleted": del, "reinserted": reins}
 }
 
 // comparePackedRect runs one rect query against both representations and
@@ -168,14 +136,14 @@ func comparePackedSphere(t *testing.T, tr *Tree, p *Packed, center vecmat.Vector
 }
 
 // TestPackedSearchParity is the core identity property: on random trees of
-// several dimensionalities and construction histories, packed rect and sphere
+// several dimensionalities and fan-outs, packed rect and sphere
 // searches return byte-identical id sequences and visit counts to the pointer
 // tree.
 func TestPackedSearchParity(t *testing.T) {
 	for _, dim := range []int{2, 3, 5, 9} {
 		rng := rand.New(rand.NewSource(int64(1000 + dim)))
 		pts := packedRandPoints(rng, 600, dim)
-		for name, tr := range buildVariants(t, rng, pts, dim) {
+		for name, tr := range buildVariants(t, pts, dim) {
 			p := mustPack(t, tr)
 			if p.Len() != tr.Len() {
 				t.Fatalf("d=%d %s: packed %d entries, tree %d", dim, name, p.Len(), tr.Len())
@@ -191,13 +159,13 @@ func TestPackedSearchParity(t *testing.T) {
 			for a := range far {
 				far[a] = 1e12
 			}
-			fr, _ := geom.NewRect(far, far)
+			fr := geom.Rect{Lo: far, Hi: far}
 			comparePackedRect(t, tr, p, fr)
 			lo, hi := make(vecmat.Vector, dim), make(vecmat.Vector, dim)
 			for a := range lo {
 				lo[a], hi[a] = -1e12, 1e12
 			}
-			all, _ := geom.NewRect(lo, hi)
+			all := geom.Rect{Lo: lo, Hi: hi}
 			comparePackedRect(t, tr, p, all)
 			comparePackedSphere(t, tr, p, pts[0], 0)
 		}
@@ -230,10 +198,7 @@ func TestPackedBoundaryProbes(t *testing.T) {
 			lo[a] = anchor[a]
 			hi[a] = anchor[a] + math.Abs(rng.NormFloat64())*1e4
 		}
-		q, err := geom.NewRect(lo, hi)
-		if err != nil {
-			t.Fatal(err)
-		}
+		q := geom.Rect{Lo: lo, Hi: hi}
 		comparePackedRect(t, tr, p, q)
 		var st SearchStats
 		if _, err := p.CollectRect(q, &st); err != nil {
@@ -284,10 +249,14 @@ func TestPackedBoundaryProbes(t *testing.T) {
 				hi[ax] = 0
 			}
 		}
-		q, err := geom.NewRect(lo, hi)
-		if err != nil {
-			continue // a −0/+0 swap made lo > hi on some axis
+		inverted := false
+		for ax := range lo {
+			inverted = inverted || lo[ax] > hi[ax] // a −0/+0 swap made lo > hi
 		}
+		if inverted {
+			continue
+		}
+		q := geom.Rect{Lo: lo, Hi: hi}
 		comparePackedRect(t, ztr, zp, q)
 		comparePackedSphere(t, ztr, zp, a, math.Sqrt(b.Dist2(a)))
 	}
@@ -330,17 +299,9 @@ func TestPackedBytesPerPoint(t *testing.T) {
 // TestPackRejectsRectData: a packed leaf entry is a point, so a tree with a
 // proper rectangle as data has no packed form.
 func TestPackRejectsRectData(t *testing.T) {
-	tr, err := New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.InsertPoint(vecmat.Vector{1, 2}, 0); err != nil {
-		t.Fatal(err)
-	}
+	tr := bulkLoad(t, []vecmat.Vector{{1, 2}, {3, 4}}, 2)
 	mustPack(t, tr)
-	if err := tr.Insert(geom.Rect{Lo: vecmat.Vector{0, 0}, Hi: vecmat.Vector{1, 1}}, 1); err != nil {
-		t.Fatal(err)
-	}
+	tr.root.entries[1].Rect = geom.Rect{Lo: vecmat.Vector{0, 0}, Hi: vecmat.Vector{1, 1}}
 	if _, err := Pack(tr); err == nil {
 		t.Fatal("Pack accepted a tree with rectangle data")
 	}
@@ -348,20 +309,18 @@ func TestPackRejectsRectData(t *testing.T) {
 
 // TestPackedEmptyAndTiny covers the root-only shapes.
 func TestPackedEmptyAndTiny(t *testing.T) {
-	tr, err := New(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := bulkLoad(t, nil, 2)
 	p := mustPack(t, tr)
 	if p.Len() != 0 || p.NumNodes() != 1 {
 		t.Fatalf("empty pack: len %d nodes %d", p.Len(), p.NumNodes())
 	}
-	q, _ := geom.NewRect(vecmat.Vector{-1, -1}, vecmat.Vector{1, 1})
+	q := geom.Rect{Lo: vecmat.Vector{-1, -1}, Hi: vecmat.Vector{1, 1}}
 	ids, err := p.CollectRect(q, nil)
 	if err != nil || len(ids) != 0 {
 		t.Fatalf("empty pack search: ids %v err %v", ids, err)
 	}
-	if err := tr.InsertPoint(vecmat.Vector{0.5, 0.5}, 42); err != nil {
+	tr, err = BulkLoadPoints([]vecmat.Vector{{0.5, 0.5}}, []int64{42}, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
 	p = mustPack(t, tr)
@@ -391,10 +350,7 @@ func TestPackedPointBitIdentity(t *testing.T) {
 	for a := range lo {
 		lo[a], hi[a] = -1e18, 1e18
 	}
-	q, err := geom.NewRect(lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := geom.Rect{Lo: lo, Hi: hi}
 	seen := 0
 	err = p.SearchRect(q, func(id int64, pt []float64) bool {
 		want := pts[id]

@@ -22,13 +22,18 @@ func randPoints(rng *rand.Rand, n, d int, scale float64) []vecmat.Vector {
 	return pts
 }
 
-func insertAll(t *testing.T, tr *Tree, pts []vecmat.Vector) {
+// bulkLoad STR-loads pts under the ids 0, 1, ….
+func bulkLoad(t testing.TB, pts []vecmat.Vector, dim int, opts ...Option) *Tree {
 	t.Helper()
-	for i, p := range pts {
-		if err := tr.InsertPoint(p, int64(i)); err != nil {
-			t.Fatal(err)
-		}
+	ids := make([]int64, len(pts))
+	for i := range ids {
+		ids[i] = int64(i)
 	}
+	tr, err := BulkLoadPoints(pts, ids, dim, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 // bruteRange returns ids of points inside rect.
@@ -57,52 +62,42 @@ func sortedEqual(a, b []int64) bool {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0); err == nil {
+	if _, err := BulkLoadPoints(nil, nil, 0); err == nil {
 		t.Error("d=0 accepted")
 	}
-	if _, err := New(2, WithPageSize(10)); err == nil {
+	if _, err := BulkLoadPoints(nil, nil, 2, WithPageSize(10)); err == nil {
 		t.Error("tiny page accepted")
 	}
 }
 
 func TestCapacityFromPageSize(t *testing.T) {
 	// Paper regime: d=2, 1 KB page, 40-byte entries → M=25.
-	tr, err := New(2, WithPageSize(1024))
+	maxFill, minFill, err := nodeFill(2, []Option{WithPageSize(1024)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.MaxFill() != 25 {
-		t.Errorf("d=2 M = %d, want 25", tr.MaxFill())
+	if maxFill != 25 {
+		t.Errorf("d=2 M = %d, want 25", maxFill)
 	}
-	if tr.MinFill() != 10 {
-		t.Errorf("d=2 m = %d, want 10", tr.MinFill())
+	if minFill != 10 {
+		t.Errorf("d=2 m = %d, want 10", minFill)
 	}
 	// d=9: entry = 152 B → M=6.
-	tr9, err := New(9, WithPageSize(1024))
+	maxFill, _, err = nodeFill(9, []Option{WithPageSize(1024)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr9.MaxFill() != 6 {
-		t.Errorf("d=9 M = %d, want 6", tr9.MaxFill())
-	}
-}
-
-func TestInsertValidation(t *testing.T) {
-	tr, _ := New(2)
-	if err := tr.InsertPoint(vecmat.Vector{1}, 0); err == nil {
-		t.Error("dim mismatch accepted")
-	}
-	if err := tr.InsertPoint(vecmat.Vector{math.NaN(), 0}, 0); err == nil {
-		t.Error("NaN point accepted")
+	if maxFill != 6 {
+		t.Errorf("d=9 M = %d, want 6", maxFill)
 	}
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr, _ := New(2)
-	if tr.Len() != 0 || tr.Height() != 1 {
-		t.Errorf("empty tree Len/Height = %d/%d", tr.Len(), tr.Height())
+	tr := bulkLoad(t, nil, 2)
+	if st := tr.ComputeStats(); tr.Len() != 0 || st.Height != 1 {
+		t.Errorf("empty tree Len/Height = %d/%d", tr.Len(), st.Height)
 	}
-	r, _ := geom.NewRect(vecmat.Vector{0, 0}, vecmat.Vector{1, 1})
+	r := geom.Rect{Lo: vecmat.Vector{0, 0}, Hi: vecmat.Vector{1, 1}}
 	ids, err := tr.CollectRect(r)
 	if err != nil || len(ids) != 0 {
 		t.Errorf("empty search = %v, %v", ids, err)
@@ -120,11 +115,7 @@ func TestRangeSearchAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(109))
 	for _, d := range []int{1, 2, 3, 9} {
 		pts := randPoints(rng, 3000, d, 1000)
-		tr, err := New(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		insertAll(t, tr, pts)
+		tr := bulkLoad(t, pts, d)
 		if err := tr.CheckInvariants(); err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
@@ -154,9 +145,8 @@ func TestRangeSearchAgainstBruteForce(t *testing.T) {
 func TestSearchEarlyTermination(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	pts := randPoints(rng, 500, 2, 100)
-	tr, _ := New(2)
-	insertAll(t, tr, pts)
-	r, _ := geom.NewRect(vecmat.Vector{0, 0}, vecmat.Vector{100, 100})
+	tr := bulkLoad(t, pts, 2)
+	r := geom.Rect{Lo: vecmat.Vector{0, 0}, Hi: vecmat.Vector{100, 100}}
 	count := 0
 	err := tr.SearchRect(r, func(_ geom.Rect, _ int64) bool {
 		count++
@@ -173,8 +163,7 @@ func TestSearchEarlyTermination(t *testing.T) {
 func TestSearchSphereAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(127))
 	pts := randPoints(rng, 2000, 2, 1000)
-	tr, _ := New(2)
-	insertAll(t, tr, pts)
+	tr := bulkLoad(t, pts, 2)
 	for trial := 0; trial < 20; trial++ {
 		c := vecmat.Vector{rng.Float64() * 1000, rng.Float64() * 1000}
 		radius := rng.Float64() * 200
@@ -187,7 +176,7 @@ func TestSearchSphereAgainstBruteForce(t *testing.T) {
 		}
 		var want []int64
 		for i, p := range pts {
-			if p.Dist(c) <= radius {
+			if p.Dist2(c) <= radius*radius {
 				want = append(want, int64(i))
 			}
 		}
@@ -207,8 +196,7 @@ func TestNearestNeighborsAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	for _, d := range []int{2, 9} {
 		pts := randPoints(rng, 2000, d, 1000)
-		tr, _ := New(d)
-		insertAll(t, tr, pts)
+		tr := bulkLoad(t, pts, d)
 		for trial := 0; trial < 15; trial++ {
 			q := make(vecmat.Vector, d)
 			for j := range q {
@@ -238,7 +226,7 @@ func TestNearestNeighborsAgainstBruteForce(t *testing.T) {
 			}
 		}
 	}
-	tr, _ := New(2)
+	tr := bulkLoad(t, randPoints(rng, 10, 2, 1000), 2)
 	if _, err := tr.NearestNeighbors(vecmat.Vector{0, 0}, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
@@ -248,124 +236,13 @@ func TestNearestNeighborsAgainstBruteForce(t *testing.T) {
 }
 
 func TestKNNSmallerThanK(t *testing.T) {
-	tr, _ := New(2)
-	insertAll(t, tr, randPoints(rand.New(rand.NewSource(1)), 5, 2, 10))
+	tr := bulkLoad(t, randPoints(rand.New(rand.NewSource(1)), 5, 2, 10), 2)
 	nn, err := tr.NearestNeighbors(vecmat.Vector{0, 0}, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(nn) != 5 {
 		t.Errorf("kNN on small tree returned %d, want 5", len(nn))
-	}
-}
-
-func TestDelete(t *testing.T) {
-	rng := rand.New(rand.NewSource(137))
-	pts := randPoints(rng, 2000, 2, 1000)
-	tr, _ := New(2)
-	insertAll(t, tr, pts)
-
-	// Delete half the points in random order.
-	perm := rng.Perm(len(pts))
-	removed := make(map[int64]bool)
-	for _, idx := range perm[:1000] {
-		ok, err := tr.DeletePoint(pts[idx], int64(idx))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatalf("DeletePoint(%d) found nothing", idx)
-		}
-		removed[int64(idx)] = true
-	}
-	if tr.Len() != 1000 {
-		t.Fatalf("Len after deletions = %d", tr.Len())
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Deleted points are gone; survivors remain.
-	whole, _ := geom.NewRect(vecmat.Vector{0, 0}, vecmat.Vector{1000, 1000})
-	ids, _ := tr.CollectRect(whole)
-	if len(ids) != 1000 {
-		t.Fatalf("survivors = %d", len(ids))
-	}
-	for _, id := range ids {
-		if removed[id] {
-			t.Fatalf("deleted id %d still present", id)
-		}
-	}
-	// Deleting a non-existent entry returns false.
-	ok, err := tr.DeletePoint(vecmat.Vector{-5, -5}, 99999)
-	if err != nil || ok {
-		t.Errorf("phantom delete = %v, %v", ok, err)
-	}
-	if _, err := tr.DeletePoint(vecmat.Vector{0}, 1); err == nil {
-		t.Error("dim mismatch accepted")
-	}
-}
-
-func TestDeleteAll(t *testing.T) {
-	rng := rand.New(rand.NewSource(139))
-	pts := randPoints(rng, 300, 2, 100)
-	tr, _ := New(2)
-	insertAll(t, tr, pts)
-	for i, p := range pts {
-		ok, err := tr.DeletePoint(p, int64(i))
-		if err != nil || !ok {
-			t.Fatalf("delete %d failed: %v %v", i, ok, err)
-		}
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("after deleting %d: %v", i, err)
-		}
-	}
-	if tr.Len() != 0 || tr.Height() != 1 {
-		t.Errorf("emptied tree Len/Height = %d/%d", tr.Len(), tr.Height())
-	}
-}
-
-func TestInsertDeleteInterleaved(t *testing.T) {
-	rng := rand.New(rand.NewSource(149))
-	tr, _ := New(3)
-	type stored struct {
-		p  vecmat.Vector
-		id int64
-	}
-	var live []stored
-	nextID := int64(0)
-	for step := 0; step < 5000; step++ {
-		if len(live) == 0 || rng.Float64() < 0.6 {
-			p := randPoints(rng, 1, 3, 500)[0]
-			if err := tr.InsertPoint(p, nextID); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, stored{p, nextID})
-			nextID++
-		} else {
-			i := rng.Intn(len(live))
-			ok, err := tr.DeletePoint(live[i].p, live[i].id)
-			if err != nil || !ok {
-				t.Fatalf("step %d: delete failed %v %v", step, ok, err)
-			}
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-	}
-	if tr.Len() != len(live) {
-		t.Fatalf("Len = %d, want %d", tr.Len(), len(live))
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Full contents check.
-	whole, _ := geom.NewRect(vecmat.Vector{0, 0, 0}, vecmat.Vector{500, 500, 500})
-	got, _ := tr.CollectRect(whole)
-	want := make([]int64, len(live))
-	for i, s := range live {
-		want[i] = s.id
-	}
-	if !sortedEqual(got, want) {
-		t.Fatal("tree contents diverged from reference set")
 	}
 }
 
@@ -436,44 +313,19 @@ func TestBulkLoad9D(t *testing.T) {
 	}
 }
 
-func TestAllVisitsEverything(t *testing.T) {
-	rng := rand.New(rand.NewSource(163))
-	pts := randPoints(rng, 777, 2, 100)
-	tr, _ := New(2)
-	insertAll(t, tr, pts)
-	seen := make(map[int64]bool)
-	tr.All(func(_ geom.Rect, id int64) bool {
-		seen[id] = true
-		return true
-	})
-	if len(seen) != 777 {
-		t.Errorf("All visited %d, want 777", len(seen))
-	}
-	// Early termination.
-	count := 0
-	tr.All(func(_ geom.Rect, _ int64) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Errorf("All early termination visited %d", count)
-	}
-}
-
 func TestStatsAndNodesRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(167))
 	pts := randPoints(rng, 5000, 2, 1000)
-	tr, _ := New(2)
-	insertAll(t, tr, pts)
+	tr := bulkLoad(t, pts, 2)
 	st := tr.ComputeStats()
-	if st.Size != 5000 || st.Nodes < st.Leaves || st.Height != tr.Height() {
+	if st.Size != 5000 || st.Nodes < st.Leaves || st.Height < 2 {
 		t.Errorf("stats inconsistent: %+v", st)
 	}
 	tr.ResetStats()
 	if tr.NodesRead() != 0 {
 		t.Error("ResetStats failed")
 	}
-	r, _ := geom.NewRect(vecmat.Vector{0, 0}, vecmat.Vector{50, 50})
+	r := geom.Rect{Lo: vecmat.Vector{0, 0}, Hi: vecmat.Vector{50, 50}}
 	_, _ = tr.CollectRect(r)
 	if tr.NodesRead() == 0 {
 		t.Error("NodesRead not counting")
@@ -481,106 +333,17 @@ func TestStatsAndNodesRead(t *testing.T) {
 }
 
 func TestDuplicatePoints(t *testing.T) {
-	tr, _ := New(2)
 	p := vecmat.Vector{5, 5}
-	for i := 0; i < 100; i++ {
-		if err := tr.InsertPoint(p, int64(i)); err != nil {
-			t.Fatal(err)
-		}
+	pts := make([]vecmat.Vector, 100)
+	for i := range pts {
+		pts[i] = p
 	}
+	tr := bulkLoad(t, pts, 2)
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	ids, _ := tr.CollectRect(geom.PointRect(p))
 	if len(ids) != 100 {
 		t.Errorf("duplicate point search found %d", len(ids))
-	}
-	// Delete them one by one.
-	for i := 0; i < 100; i++ {
-		ok, err := tr.DeletePoint(p, int64(i))
-		if err != nil || !ok {
-			t.Fatalf("delete duplicate %d: %v %v", i, ok, err)
-		}
-	}
-	if tr.Len() != 0 {
-		t.Errorf("Len = %d after deleting all duplicates", tr.Len())
-	}
-}
-
-func TestRectDataEntries(t *testing.T) {
-	// Non-degenerate rectangles as data.
-	tr, _ := New(2)
-	rects := []geom.Rect{}
-	rng := rand.New(rand.NewSource(173))
-	for i := 0; i < 500; i++ {
-		lo := vecmat.Vector{rng.Float64() * 100, rng.Float64() * 100}
-		hi := vecmat.Vector{lo[0] + rng.Float64()*10, lo[1] + rng.Float64()*10}
-		r := geom.Rect{Lo: lo, Hi: hi}
-		rects = append(rects, r)
-		if err := tr.Insert(r, int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	query, _ := geom.NewRect(vecmat.Vector{20, 20}, vecmat.Vector{60, 60})
-	got, _ := tr.CollectRect(query)
-	var want []int64
-	for i, r := range rects {
-		if r.Intersects(query) {
-			want = append(want, int64(i))
-		}
-	}
-	if !sortedEqual(got, want) {
-		t.Errorf("rect-data search: %d vs %d", len(got), len(want))
-	}
-}
-
-// Property: invariants hold continuously during random growth across page
-// sizes (exercises splits, reinserts, root growth).
-func TestInvariantsDuringGrowth(t *testing.T) {
-	rng := rand.New(rand.NewSource(179))
-	for _, page := range []int{256, 1024, 4096} {
-		tr, err := New(2, WithPageSize(page))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pts := randPoints(rng, 3000, 2, 1000)
-		for i, p := range pts {
-			if err := tr.InsertPoint(p, int64(i)); err != nil {
-				t.Fatal(err)
-			}
-			if i%397 == 0 {
-				if err := tr.CheckInvariants(); err != nil {
-					t.Fatalf("page %d after %d inserts: %v", page, i+1, err)
-				}
-			}
-		}
-		if err := tr.CheckInvariants(); err != nil {
-			t.Fatalf("page %d final: %v", page, err)
-		}
-	}
-}
-
-func TestCountRect(t *testing.T) {
-	rng := rand.New(rand.NewSource(191))
-	pts := randPoints(rng, 4000, 2, 1000)
-	tr, _ := New(2)
-	insertAll(t, tr, pts)
-	for trial := 0; trial < 20; trial++ {
-		lo := vecmat.Vector{rng.Float64() * 900, rng.Float64() * 900}
-		hi := vecmat.Vector{lo[0] + rng.Float64()*200, lo[1] + rng.Float64()*200}
-		r := geom.Rect{Lo: lo, Hi: hi}
-		got, err := tr.CountRect(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := len(bruteRange(pts, r)); got != want {
-			t.Fatalf("CountRect = %d, want %d", got, want)
-		}
-	}
-	if _, err := tr.CountRect(geom.Rect{Lo: vecmat.Vector{0}, Hi: vecmat.Vector{1}}); err == nil {
-		t.Error("dim mismatch accepted")
 	}
 }

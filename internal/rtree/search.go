@@ -163,25 +163,6 @@ func (t *Tree) searchSphereNode(n *node, center vecmat.Vector, r2 float64, fn Vi
 	return true
 }
 
-// All invokes fn for every stored data entry.
-func (t *Tree) All(fn Visitor) {
-	t.allNode(t.root, fn)
-}
-
-func (t *Tree) allNode(n *node, fn Visitor) bool {
-	for i := range n.entries {
-		e := &n.entries[i]
-		if n.isLeaf() {
-			if !fn(e.Rect, e.ID) {
-				return false
-			}
-		} else if !t.allNode(e.child, fn) {
-			return false
-		}
-	}
-	return true
-}
-
 // CheckInvariants verifies the structural invariants of the tree and returns
 // a descriptive error when one is violated. Intended for tests and
 // debugging; cost is O(n).
@@ -237,10 +218,6 @@ func (t *Tree) checkNode(n *node, parentRect *geom.Rect, count *int) error {
 		if e.child.level != n.level-1 {
 			return fmt.Errorf("rtree: child level %d under node level %d", e.child.level, n.level)
 		}
-		got := e.child.mbr()
-		if !e.Rect.ContainsRect(got) {
-			return fmt.Errorf("rtree: stored rect %v does not cover child mbr %v", e.Rect, got)
-		}
 		if err := t.checkNode(e.child, &e.Rect, count); err != nil {
 			return err
 		}
@@ -281,30 +258,4 @@ func (t *Tree) ComputeStats() Stats {
 		s.AvgFill = float64(totalEntries) / float64(s.Nodes) / float64(t.maxFill)
 	}
 	return s
-}
-
-// CountRect returns the number of data entries intersecting query without
-// materializing their ids.
-func (t *Tree) CountRect(query geom.Rect) (int, error) {
-	if err := t.checkRect(query); err != nil {
-		return 0, err
-	}
-	return t.countNode(t.root, query), nil
-}
-
-func (t *Tree) countNode(n *node, query geom.Rect) int {
-	t.visit(n)
-	count := 0
-	for i := range n.entries {
-		e := &n.entries[i]
-		if !query.Intersects(e.Rect) {
-			continue
-		}
-		if n.isLeaf() {
-			count++
-		} else {
-			count += t.countNode(e.child, query)
-		}
-	}
-	return count
 }

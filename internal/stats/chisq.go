@@ -17,18 +17,6 @@ func ChiSquareCDF(k float64, x float64) (float64, error) {
 	return GammaP(k/2, x/2)
 }
 
-// ChiSquareQuantile returns x such that Pr(X ≤ x) = p for X ~ χ²(k).
-func ChiSquareQuantile(k float64, p float64) (float64, error) {
-	if k <= 0 || p < 0 || p >= 1 {
-		return 0, ErrDomain
-	}
-	g, err := GammaPInv(k/2, p)
-	if err != nil {
-		return 0, err
-	}
-	return 2 * g, nil
-}
-
 // SphereMass returns the probability that a d-dimensional standard normal
 // vector has Euclidean norm at most r: Pr(‖x‖ ≤ r) = P(d/2, r²/2).
 // This is the curve family plotted in Fig. 17 of the paper.
@@ -54,49 +42,4 @@ func SphereRadiusForMass(d int, mass float64) (float64, error) {
 		return 0, err
 	}
 	return math.Sqrt(2 * g), nil
-}
-
-// NormalCDF returns the standard normal CDF Φ(x).
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
-// NormalQuantile returns Φ⁻¹(p) for 0 < p < 1 using the Acklam rational
-// approximation refined by one Halley step; absolute error < 1e-12.
-func NormalQuantile(p float64) (float64, error) {
-	if p <= 0 || p >= 1 || math.IsNaN(p) {
-		return 0, ErrDomain
-	}
-	// Acklam's coefficients.
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-		1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-		6.680131188771972e+01, -1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-		-2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
-	dd := [4]float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-		3.754408661907416e+00}
-
-	const plow = 0.02425
-	var x float64
-	switch {
-	case p < plow:
-		q := math.Sqrt(-2 * math.Log(p))
-		x = (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((dd[0]*q+dd[1])*q+dd[2])*q+dd[3])*q + 1)
-	case p <= 1-plow:
-		q := p - 0.5
-		r := q * q
-		x = (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		x = -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((dd[0]*q+dd[1])*q+dd[2])*q+dd[3])*q + 1)
-	}
-	// One Halley step: e = Φ(x) − p; u = e·√(2π)·exp(x²/2).
-	e := NormalCDF(x) - p
-	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
-	x = x - u/(1+x*u/2)
-	return x, nil
 }

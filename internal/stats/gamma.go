@@ -53,28 +53,6 @@ func GammaP(a, x float64) (float64, error) {
 	return 1 - q, nil
 }
 
-// GammaQ returns the regularized upper incomplete gamma function
-// Q(a, x) = 1 − P(a, x).
-func GammaQ(a, x float64) (float64, error) {
-	if a <= 0 || x < 0 || math.IsNaN(a) || math.IsNaN(x) {
-		return 0, ErrDomain
-	}
-	if x == 0 {
-		return 1, nil
-	}
-	if math.IsInf(x, 1) {
-		return 0, nil
-	}
-	if x < a+1 {
-		p, err := gammaPSeries(a, x)
-		if err != nil {
-			return 0, err
-		}
-		return 1 - p, nil
-	}
-	return gammaQContinuedFraction(a, x)
-}
-
 // gammaPSeries evaluates P(a,x) by its power series, accurate for x < a+1.
 func gammaPSeries(a, x float64) (float64, error) {
 	lg, _ := math.Lgamma(a)
@@ -219,10 +197,4 @@ func GammaPInv(a, p float64) (float64, error) {
 		}
 	}
 	return (lo + hi) / 2, nil
-}
-
-// LogGamma returns log Γ(x) for x > 0.
-func LogGamma(x float64) float64 {
-	lg, _ := math.Lgamma(x)
-	return lg
 }

@@ -168,18 +168,3 @@ func NoncentralityForCDF(k, x, p float64) (float64, error) {
 	}
 	return (lo + hi) / 2, nil
 }
-
-// PoissonPMF returns e^{−λ}·λ^k/k!, computed in log space for stability.
-func PoissonPMF(k int, lambda float64) float64 {
-	if k < 0 || lambda < 0 {
-		return 0
-	}
-	if lambda == 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	lg, _ := math.Lgamma(float64(k) + 1)
-	return math.Exp(-lambda + float64(k)*math.Log(lambda) - lg)
-}

@@ -164,28 +164,3 @@ func TestNoncentralityForCDFNoSolution(t *testing.T) {
 		t.Error("p=0 did not error")
 	}
 }
-
-func TestPoissonPMF(t *testing.T) {
-	if got := PoissonPMF(0, 0); got != 1 {
-		t.Errorf("PoissonPMF(0, 0) = %g, want 1", got)
-	}
-	if got := PoissonPMF(3, 0); got != 0 {
-		t.Errorf("PoissonPMF(3, 0) = %g, want 0", got)
-	}
-	if got := PoissonPMF(-1, 2); got != 0 {
-		t.Errorf("PoissonPMF(-1, 2) = %g, want 0", got)
-	}
-	// λ=2, k=2: e^{-2}·4/2.
-	want := math.Exp(-2) * 2
-	if got := PoissonPMF(2, 2); math.Abs(got-want) > 1e-14 {
-		t.Errorf("PoissonPMF(2, 2) = %g, want %g", got, want)
-	}
-	// PMF sums to ~1.
-	var sum float64
-	for k := 0; k < 100; k++ {
-		sum += PoissonPMF(k, 7.5)
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("Σ PMF = %g, want 1", sum)
-	}
-}

@@ -105,15 +105,6 @@ func (c *RCatalog) Lookup(theta float64) (float64, error) {
 	return c.radii[i-1], nil
 }
 
-// ExactRadius bypasses the table and returns the exact rθ. The experiments
-// use this to measure how much the table's conservatism costs.
-func (c *RCatalog) ExactRadius(theta float64) (float64, error) {
-	if theta <= 0 || theta >= 0.5 {
-		return 0, fmt.Errorf("ucatalog: θ = %g outside (0, 1/2)", theta)
-	}
-	return stats.SphereRadiusForMass(c.dim, 1-2*theta)
-}
-
 // BFEntry is one (δ, θ, α) row of the bounding-function catalog.
 type BFEntry struct {
 	Delta float64 // sphere radius in normalized space
@@ -248,20 +239,4 @@ func (c *BFCatalog) LookupLower(delta, theta float64) (float64, error) {
 		return 0, ErrNoEntry
 	}
 	return best, nil
-}
-
-// ExactAlpha bypasses the table: the offset α at which a δ-sphere captures
-// exactly mass theta of the d-dimensional normalized Gaussian, or
-// stats.ErrNoSolution when even a centered sphere captures less than theta.
-// The paper's experiments use this exact form ("we computed accurate β∥ and
-// β⊥ values … instead of approximate values", §V-A).
-func (c *BFCatalog) ExactAlpha(delta, theta float64) (float64, error) {
-	if delta <= 0 || theta <= 0 || theta >= 1 {
-		return 0, fmt.Errorf("ucatalog: invalid BF query (δ=%g, θ=%g)", delta, theta)
-	}
-	nc, err := stats.NoncentralityForCDF(float64(c.dim), delta*delta, theta)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(nc), nil
 }

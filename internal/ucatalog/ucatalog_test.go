@@ -63,7 +63,7 @@ func TestRCatalogConservativeFallback(t *testing.T) {
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("fallback radius %g, want θ*=0.05 radius %g", got, want)
 	}
-	exact, _ := c.ExactRadius(0.06)
+	exact, _ := stats.SphereRadiusForMass(2, 1-2*0.06)
 	if got < exact {
 		t.Errorf("catalog radius %g below exact %g: not conservative", got, exact)
 	}
@@ -84,9 +84,6 @@ func TestRCatalogLookupValidation(t *testing.T) {
 	for _, th := range []float64{0, 0.5, -1, 0.9} {
 		if _, err := c.Lookup(th); err == nil {
 			t.Errorf("Lookup(%g) accepted", th)
-		}
-		if _, err := c.ExactRadius(th); err == nil {
-			t.Errorf("ExactRadius(%g) accepted", th)
 		}
 	}
 }
@@ -112,7 +109,7 @@ func TestRCatalogConservativeProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			exact, err := c.ExactRadius(th)
+			exact, err := stats.SphereRadiusForMass(d, 1-2*th)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,36 +150,6 @@ func TestBFCatalogBuildSkipsInfeasible(t *testing.T) {
 	}
 }
 
-func TestBFCatalogExactAlpha(t *testing.T) {
-	c, err := NewBFCatalog(2, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// For d=2, mass of δ-sphere at offset α equals noncentral χ²; verify the
-	// round trip through the CDF.
-	alpha, err := c.ExactAlpha(2.0, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := stats.NoncentralChiSquareCDF(2, alpha*alpha, 4.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(p-0.1) > 1e-9 {
-		t.Errorf("mass at ExactAlpha = %g, want 0.1", p)
-	}
-	if _, err := c.ExactAlpha(0, 0.1); err == nil {
-		t.Error("δ=0 accepted")
-	}
-	if _, err := c.ExactAlpha(1, 0); err == nil {
-		t.Error("θ=0 accepted")
-	}
-	// Infeasible: θ greater than the centered mass.
-	if _, err := c.ExactAlpha(0.1, 0.99); !errors.Is(err, stats.ErrNoSolution) {
-		t.Errorf("want ErrNoSolution, got %v", err)
-	}
-}
-
 // Properties of the conservative lookups: LookupUpper ≥ exact α ≥ LookupLower.
 func TestBFCatalogConservativeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
@@ -197,7 +164,8 @@ func TestBFCatalogConservativeProperty(t *testing.T) {
 			if theta >= 1 {
 				continue
 			}
-			exact, errE := c.ExactAlpha(delta, theta)
+			nc, errE := stats.NoncentralityForCDF(float64(d), delta*delta, theta)
+			exact := math.Sqrt(nc)
 			up, errU := c.LookupUpper(delta, theta)
 			lo, errL := c.LookupLower(delta, theta)
 			if errE == nil && errU == nil && up < exact-1e-9 {

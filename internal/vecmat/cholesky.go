@@ -41,19 +41,6 @@ func CholeskyDecompose(m *Symmetric) (*Cholesky, error) {
 // Dim returns the matrix dimension.
 func (c *Cholesky) Dim() int { return c.d }
 
-// At returns entry (i, j) of the lower-triangular factor L.
-func (c *Cholesky) At(i, j int) float64 { return c.l[i*c.d+j] }
-
-// Det returns the determinant of the original matrix M = L·Lᵗ,
-// i.e. (∏ Lᵢᵢ)².
-func (c *Cholesky) Det() float64 {
-	p := 1.0
-	for i := 0; i < c.d; i++ {
-		p *= c.l[i*c.d+i]
-	}
-	return p * p
-}
-
 // LogDet returns log det M, numerically stable for small determinants that
 // arise with narrow high-dimensional Gaussians (cf. the paper's Eq. 36–37
 // discussion of tiny (λ∥)^{d/2}|Σ|^{1/2} values).
@@ -76,43 +63,4 @@ func (c *Cholesky) MulVecTo(z, dst Vector) Vector {
 		dst[i] = s
 	}
 	return dst
-}
-
-// SolveTo solves L·Lᵗ·x = b for x, writing the result into dst (dst may
-// alias b). This yields M⁻¹·b without forming the inverse.
-func (c *Cholesky) SolveTo(b, dst Vector) Vector {
-	d := c.d
-	// Forward substitution: L·y = b.
-	for i := 0; i < d; i++ {
-		s := b[i]
-		for j := 0; j < i; j++ {
-			s -= c.l[i*d+j] * dst[j]
-		}
-		dst[i] = s / c.l[i*d+i]
-	}
-	// Back substitution: Lᵗ·x = y.
-	for i := d - 1; i >= 0; i-- {
-		s := dst[i]
-		for j := i + 1; j < d; j++ {
-			s -= c.l[j*d+i] * dst[j]
-		}
-		dst[i] = s / c.l[i*d+i]
-	}
-	return dst
-}
-
-// QuadFormInv returns vᵗ·M⁻¹·v, the squared Mahalanobis norm of v under M,
-// using triangular solves (no explicit inverse).
-func (c *Cholesky) QuadFormInv(v Vector) float64 {
-	d := c.d
-	y := make(Vector, d)
-	// Solve L·y = v; then vᵗM⁻¹v = ‖y‖².
-	for i := 0; i < d; i++ {
-		s := v[i]
-		for j := 0; j < i; j++ {
-			s -= c.l[i*d+j] * y[j]
-		}
-		y[i] = s / c.l[i*d+i]
-	}
-	return y.Norm2()
 }

@@ -146,22 +146,6 @@ func (e *Eigen) IsPositiveDefinite(tol float64) bool {
 	return e.Values[0] > tol
 }
 
-// Reconstruct returns E·diag(Values)·Eᵗ, primarily for testing.
-func (e *Eigen) Reconstruct() *Symmetric {
-	d := len(e.Values)
-	m := NewSymmetric(d)
-	for i := 0; i < d; i++ {
-		for j := i; j < d; j++ {
-			var s float64
-			for k := 0; k < d; k++ {
-				s += e.Values[k] * e.Vectors.At(i, k) * e.Vectors.At(j, k)
-			}
-			m.Set(i, j, s)
-		}
-	}
-	return m
-}
-
 // Inverse returns m⁻¹ computed through the spectral decomposition, together
 // with the determinant of m. It returns an error if m is singular or not
 // positive definite (covariance matrices must be PD; Σ⁻¹ appears throughout

@@ -18,7 +18,7 @@ func TestEigenDiagonal(t *testing.T) {
 			t.Errorf("eigenvalue[%d] = %g, want %g", i, v, want[i])
 		}
 	}
-	if !eig.Vectors.IsOrthonormal(1e-12) {
+	if !isOrthonormal(eig.Vectors, 1e-12) {
 		t.Error("eigenvectors not orthonormal")
 	}
 }
@@ -63,11 +63,19 @@ func TestEigenReconstruct(t *testing.T) {
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
-		rec := eig.Reconstruct()
-		if !m.Equal(rec, 1e-8) {
-			t.Errorf("d=%d: reconstruction mismatch", d)
+		// E·diag(Values)·Eᵗ must give m back.
+		for i := 0; i < d; i++ {
+			for j := 0; j < d; j++ {
+				var rec float64
+				for k := 0; k < d; k++ {
+					rec += eig.Values[k] * eig.Vectors.At(i, k) * eig.Vectors.At(j, k)
+				}
+				if math.Abs(rec-m.At(i, j)) > 1e-8 {
+					t.Errorf("d=%d: reconstruction mismatch at (%d,%d): %g vs %g", d, i, j, rec, m.At(i, j))
+				}
+			}
 		}
-		if !eig.Vectors.IsOrthonormal(1e-10) {
+		if !isOrthonormal(eig.Vectors, 1e-10) {
 			t.Errorf("d=%d: eigenvectors not orthonormal", d)
 		}
 		for i := 1; i < d; i++ {
@@ -90,10 +98,15 @@ func TestEigenPairsProperty(t *testing.T) {
 		}
 		for k := 0; k < d; k++ {
 			v := eig.Vectors.Col(k)
-			mv := m.MulVec(v)
 			lv := v.Scale(eig.Values[k])
-			if !mv.Equal(lv, 1e-7*(1+math.Abs(eig.Values[k]))) {
-				t.Errorf("trial %d d=%d: eigenpair %d fails M·v=λ·v", trial, d, k)
+			for i := 0; i < d; i++ {
+				var mv float64
+				for j := 0; j < d; j++ {
+					mv += m.At(i, j) * v[j]
+				}
+				if math.Abs(mv-lv[i]) > 1e-7*(1+math.Abs(eig.Values[k])) {
+					t.Errorf("trial %d d=%d: eigenpair %d fails M·v=λ·v", trial, d, k)
+				}
 			}
 		}
 	}

@@ -132,40 +132,6 @@ func (m *Symmetric) Add(n *Symmetric) (*Symmetric, error) {
 	return out, nil
 }
 
-// MulVec returns m·v as a new vector.
-func (m *Symmetric) MulVec(v Vector) Vector {
-	out := make(Vector, m.d)
-	m.MulVecTo(v, out)
-	return out
-}
-
-// MulVecTo writes m·v into dst and returns dst. dst must not alias v.
-func (m *Symmetric) MulVecTo(v, dst Vector) Vector {
-	for i := 0; i < m.d; i++ {
-		row := m.data[i*m.d : (i+1)*m.d]
-		var s float64
-		for j, x := range v {
-			s += row[j] * x
-		}
-		dst[i] = s
-	}
-	return dst
-}
-
-// QuadForm returns vᵗ·m·v, the quadratic form of v under m.
-func (m *Symmetric) QuadForm(v Vector) float64 {
-	var s float64
-	for i := 0; i < m.d; i++ {
-		row := m.data[i*m.d : (i+1)*m.d]
-		var ri float64
-		for j, x := range v {
-			ri += row[j] * x
-		}
-		s += v[i] * ri
-	}
-	return s
-}
-
 // Trace returns the sum of diagonal entries.
 func (m *Symmetric) Trace() float64 {
 	var s float64
@@ -252,13 +218,6 @@ func (m *Dense) At(i, j int) float64 { return m.data[i*m.d+j] }
 // Set assigns entry (i, j).
 func (m *Dense) Set(i, j int, v float64) { m.data[i*m.d+j] = v }
 
-// Clone returns a deep copy.
-func (m *Dense) Clone() *Dense {
-	c := NewDense(m.d)
-	copy(c.data, m.data)
-	return c
-}
-
 // Col returns column j as a new vector.
 func (m *Dense) Col(j int) Vector {
 	v := make(Vector, m.d)
@@ -302,26 +261,6 @@ func (m *Dense) MulVecTransTo(v, dst Vector) Vector {
 		}
 	}
 	return dst
-}
-
-// IsOrthonormal reports whether mᵗ·m ≈ I within tol.
-func (m *Dense) IsOrthonormal(tol float64) bool {
-	for i := 0; i < m.d; i++ {
-		for j := i; j < m.d; j++ {
-			var s float64
-			for k := 0; k < m.d; k++ {
-				s += m.At(k, i) * m.At(k, j)
-			}
-			want := 0.0
-			if i == j {
-				want = 1.0
-			}
-			if math.Abs(s-want) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // SampleCovariance returns the (biased, 1/n) sample covariance matrix of the

@@ -42,24 +42,6 @@ func (v Vector) Clone() Vector {
 	return w
 }
 
-// CopyFrom copies the components of src into v. The dimensions must match.
-func (v Vector) CopyFrom(src Vector) error {
-	if len(v) != len(src) {
-		return fmt.Errorf("%w: copy %d into %d", ErrDimensionMismatch, len(src), len(v))
-	}
-	copy(v, src)
-	return nil
-}
-
-// Add returns v + w as a new vector.
-func (v Vector) Add(w Vector) Vector {
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] + w[i]
-	}
-	return out
-}
-
 // Sub returns v − w as a new vector.
 func (v Vector) Sub(w Vector) Vector {
 	out := make(Vector, len(v))
@@ -101,9 +83,6 @@ func (v Vector) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 // Norm2 returns the squared Euclidean length ‖v‖².
 func (v Vector) Norm2() float64 { return v.Dot(v) }
 
-// Dist returns the Euclidean distance ‖v − w‖.
-func (v Vector) Dist(w Vector) float64 { return math.Sqrt(v.Dist2(w)) }
-
 // Dist2 returns the squared Euclidean distance ‖v − w‖².
 func (v Vector) Dist2(w Vector) float64 {
 	var s float64
@@ -112,20 +91,6 @@ func (v Vector) Dist2(w Vector) float64 {
 		s += d * d
 	}
 	return s
-}
-
-// Equal reports whether v and w have the same dimension and all components
-// are within tol of each other.
-func (v Vector) Equal(w Vector, tol float64) bool {
-	if len(v) != len(w) {
-		return false
-	}
-	for i := range v {
-		if math.Abs(v[i]-w[i]) > tol {
-			return false
-		}
-	}
-	return true
 }
 
 // IsFinite reports whether every component is finite (no NaN or Inf).

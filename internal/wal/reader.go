@@ -234,9 +234,6 @@ func (r *Reader) advanceSegment() (bool, error) {
 	return r.enterSegment(name, prev, false)
 }
 
-// LastEpoch returns the epoch of the last record returned by Next.
-func (r *Reader) LastEpoch() uint64 { return r.last }
-
 // Stats returns the reader's progress counters.
 func (r *Reader) Stats() ReaderStats {
 	return ReaderStats{SegmentsVerified: r.nseg, Records: r.nrec, LastEpoch: r.last}

@@ -74,7 +74,7 @@ type Store struct {
 
 // OpenStore opens (creating if needed) the segment store in dir, verifying
 // every segment and truncating a torn tail on the final one. It returns the
-// store ready for appends at LastEpoch()+1.
+// store ready for appends at Stats().LastEpoch+1.
 func OpenStore(dir string, cfg StoreConfig) (*Store, error) {
 	if cfg.Dim <= 0 {
 		return nil, fmt.Errorf("wal: invalid store dimension %d", cfg.Dim)
@@ -224,7 +224,7 @@ func readBack(_ *bufio.Reader, f *os.File, off, n int64) []byte {
 
 // Append writes one record to the active segment, rolling first if the
 // segment crossed its size or age threshold. The record's epoch must be
-// exactly LastEpoch()+1 (any start epoch is accepted for an empty store).
+// exactly Stats().LastEpoch+1 (any start epoch is accepted for an empty store).
 // Appends reach the OS page cache only; call Sync to make them durable.
 func (st *Store) Append(rec Record) error {
 	st.mu.Lock()
@@ -341,14 +341,6 @@ func (st *Store) Close() error {
 	err := st.f.Close()
 	st.f = nil
 	return err
-}
-
-// LastEpoch returns the epoch of the newest record on disk (0 when the store
-// has never held a record).
-func (st *Store) LastEpoch() uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.last
 }
 
 // Dir returns the store's directory.

@@ -134,7 +134,7 @@ func TestStoreAppendReopenRoll(t *testing.T) {
 
 	// Reopen verifies every segment and resumes at 41.
 	st2 := mustStore(t, dir, cfg)
-	if got := st2.LastEpoch(); got != 40 {
+	if got := st2.Stats().LastEpoch; got != 40 {
 		t.Fatalf("reopened LastEpoch = %d, want 40", got)
 	}
 	if err := st2.Append(Record{Epoch: 41, Deletes: []int64{1}}); err != nil {
@@ -187,7 +187,7 @@ func TestStoreTornTailTruncated(t *testing.T) {
 			t.Fatal(err)
 		}
 		st2 := mustStore(t, dir, cfg)
-		if got := st2.LastEpoch(); got != 2 {
+		if got := st2.Stats().LastEpoch; got != 2 {
 			t.Fatalf("cut=%d: LastEpoch = %d, want 2 (torn record dropped)", cut, got)
 		}
 		// The store appends over the truncation point with epoch 3 again.
@@ -315,7 +315,7 @@ func TestCrashPrefixProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: reopen after crash: %v", trial, err)
 		}
-		lastEpoch := st2.LastEpoch()
+		lastEpoch := st2.Stats().LastEpoch
 		st2.Close()
 
 		r, err := OpenReader(dir, 2)

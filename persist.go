@@ -28,7 +28,7 @@ var persistMagicV2 = [6]byte{'G', 'R', 'D', 'B', 'v', '2'}
 
 // Save writes a snapshot of one pinned epoch to w: the epoch number, the id
 // space bound, every live (id, point) pair in ascending id order, and a CRC.
-// Restore rebuilds the R*-tree deterministically with STR bulk loading,
+// Restore rebuilds the R-tree deterministically with STR bulk loading,
 // which is faster than serializing tree pages and immune to structural
 // format drift. Save never blocks mutations (it reads an immutable
 // snapshot); batches published after the pin are not included — pair Save

@@ -7,7 +7,7 @@
 // The routing idea is the paper's filter-and-refine design lifted from the
 // index level to the cluster level: the compile-once plan already yields a
 // tight rectangle that every answer point must lie in, so the router prunes
-// whole shards exactly the way the R*-tree prunes subtrees — before any
+// whole shards exactly the way the R-tree prunes subtrees — before any
 // probability work runs.
 package shard
 

@@ -219,11 +219,11 @@ func (r *Router) Query(ctx context.Context, req server.QueryRequest) (server.Que
 	if len(failed) > 0 {
 		sort.Ints(failed)
 		if !req.AllowPartial && !r.allowPartial {
-			return server.QueryResponse{}, fmt.Errorf("%w: shard(s) %v failed: %v", ErrPartial, failed, firstErr)
+			return server.QueryResponse{}, fmt.Errorf("%w: shard(s) %v failed: %w", ErrPartial, failed, firstErr)
 		}
 		if len(failed) == len(targets) {
 			// Nothing contributed — a partial answer needs at least one shard.
-			return server.QueryResponse{}, fmt.Errorf("%w: all %d routed shards failed: %v", ErrPartial, len(failed), firstErr)
+			return server.QueryResponse{}, fmt.Errorf("%w: all %d routed shards failed: %w", ErrPartial, len(failed), firstErr)
 		}
 		info.Partial = true
 		info.FailedShards = failed

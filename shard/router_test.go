@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math/rand"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 
 	"gaussrange"
 	"gaussrange/client"
+	"gaussrange/internal/quadform"
 	"gaussrange/server"
 )
 
@@ -350,6 +352,36 @@ func TestRouterHandlerEndpoints(t *testing.T) {
 	}
 	if hres.Points != len(pts) || hres.Dim != 2 {
 		t.Fatalf("aggregated health %+v", hres)
+	}
+}
+
+// TestRouterRejectedSpecIs400: a spec the shards reject as invalid is the
+// client's fault through the router too. Σ = diag(1e-9, 1) with a stored
+// point at the mean needs more than quadform.MaxTerms series terms, which a
+// shard answers with 400; the router must pass on 400 and the series'
+// message, as an unsharded server does, not report a lost shard (502).
+func TestRouterRejectedSpecIs400(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	pts := clusterPoints(r, 300)
+	c := newCluster(t, pts, 4)
+	h, err := NewHandler(HandlerConfig{Router: c.router})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(h.Mux())
+	defer ts.Close()
+
+	bad := testSpec(pts[42])
+	bad.Cov = [][]float64{{1e-9, 0}, {0, 1}}
+	bad.Delta = 1
+	if _, err := c.ref.Query(bad); !errors.Is(err, quadform.ErrNotConverged) {
+		t.Fatalf("unsharded query: %v, want quadform.ErrNotConverged", err)
+	}
+	_, err = client.New(ts.URL).Query(context.Background(), bad)
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest ||
+		!strings.Contains(apiErr.Message, quadform.ErrNotConverged.Error()) {
+		t.Fatalf("routed query: %v, want a 400 carrying %q", err, quadform.ErrNotConverged)
 	}
 }
 

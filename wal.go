@@ -281,7 +281,7 @@ func (p *walPipeline) flushGroup(group []*wal.Submission) {
 
 	if !staged.NoOp {
 		rec := wal.Record{Epoch: staged.Epoch, Inserts: rawIns, InsertIDs: insIDs, Deletes: deletes}
-		if err := p.store.Append(rec); err == nil {
+		if err = p.store.Append(rec); err == nil {
 			err = p.store.Sync() // the durability point
 		} else {
 			p.store.Sync()

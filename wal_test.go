@@ -334,6 +334,37 @@ func TestWALBadSubmissionFailsAlone(t *testing.T) {
 	}
 }
 
+// TestWALAppendFailureNotPublished: a batch whose log record cannot be
+// appended was never made durable, so the writer gets the error and readers
+// never see the batch's epoch.
+func TestWALAppendFailureNotPublished(t *testing.T) {
+	for _, sync := range []bool{true, false} {
+		db, err := Open(2, walOpts()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.AttachWAL(WALConfig{Dir: t.TempDir(), Synchronous: sync}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Insert([]float64{1, 1}); err != nil {
+			t.Fatal(err)
+		}
+		// Take the next epoch in the log behind the database's back, so the
+		// pipeline's own append for it is refused.
+		epoch := db.Epoch()
+		if err := db.wal.Load().store.Append(wal.Record{Epoch: epoch + 1, Deletes: []int64{0}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Insert([]float64{2, 2}); err == nil {
+			t.Errorf("synchronous=%v: insert succeeded after its log append failed", sync)
+		}
+		if db.Epoch() != epoch || db.Len() != 1 {
+			t.Errorf("synchronous=%v: epoch %d len %d after a failed append, want %d and 1", sync, db.Epoch(), db.Len(), epoch)
+		}
+		db.DetachWAL()
+	}
+}
+
 // TestWALExplicitIDsThroughPipeline: the router path (ApplyWithIDs) rides the
 // pipeline and survives replay with the exact assignment.
 func TestWALExplicitIDsThroughPipeline(t *testing.T) {
