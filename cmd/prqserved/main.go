@@ -13,7 +13,14 @@
 // it routes each query to the shards whose regions overlap the query's
 // Phase-1 rectangle, scatters via the Go client, and merges the answers into
 // one deterministic sorted id list. Mutations are routed by point location
-// (inserts) or id ownership (deletes).
+// (inserts) or id ownership (deletes). The router is served by the same
+// server.Server as a shard, so -max-inflight (a saturated router answers
+// 429), -default-timeout, -max-batch, -batch-workers, -addr, -addr-file,
+// -drain-timeout and -pprof apply to it as to a shard; so do the router
+// flags -shard-map, -shards, -fanout, -allow-partial and -answer-cache.
+// -plan-cache, the data flags (-csv, -snapshot, -log, -wal, -follow) and
+// the flags that tune them do not. /v1/shardmap serves the map; /v1/prob
+// is a 404.
 //
 // Flags:
 //
@@ -84,10 +91,9 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 	"syscall"
 	"time"
-
-	"strings"
 
 	"gaussrange"
 	"gaussrange/internal/data"
@@ -214,13 +220,32 @@ func pprofHandler() http.Handler {
 	return mux
 }
 
-// buildHandler assembles the HTTP handler for the configured mode: a
-// single-node server over a local DB, or a scatter-gather router over
+// buildHandler assembles the HTTP handler for the configured mode: one
+// server.Server over a local DB, or over a scatter-gather router across
 // remote shards. cleanup (possibly nil) runs when serving ends.
 func buildHandler(cfg config, logw io.Writer) (h http.Handler, banner string, cleanup func(), err error) {
+	srvCfg := server.Config{
+		MaxInflight:    cfg.maxInflight,
+		DefaultTimeout: cfg.defaultTimeout,
+		MaxBatchSize:   cfg.maxBatch,
+		BatchWorkers:   cfg.batchWorkers,
+	}
 	if cfg.router {
-		h, banner, err = buildRouter(cfg)
-		return h, banner, nil, err
+		router, banner, err := buildRouter(cfg)
+		if err != nil {
+			return nil, "", nil, err
+		}
+		srvCfg.Backend = router
+		srv, err := server.New(srvCfg)
+		if err != nil {
+			return nil, "", nil, err
+		}
+		mux := http.NewServeMux()
+		mux.Handle("/", srv.Handler())
+		mux.HandleFunc("/v1/shardmap", func(w http.ResponseWriter, r *http.Request) {
+			server.WriteJSON(w, http.StatusOK, router.Map())
+		})
+		return mux, banner, nil, nil
 	}
 	if moreThanOne(cfg.logPath != "", cfg.walDir != "", cfg.followDir != "") {
 		return nil, "", nil, errors.New("-log, -wal and -follow are mutually exclusive")
@@ -229,13 +254,7 @@ func buildHandler(cfg config, logw io.Writer) (h http.Handler, banner string, cl
 	if err != nil {
 		return nil, "", nil, err
 	}
-	srvCfg := server.Config{
-		DB:             db,
-		MaxInflight:    cfg.maxInflight,
-		DefaultTimeout: cfg.defaultTimeout,
-		MaxBatchSize:   cfg.maxBatch,
-		BatchWorkers:   cfg.batchWorkers,
-	}
+	srvCfg.DB = db
 	switch {
 	case cfg.logPath != "":
 		replayed, err := db.AttachMutationLog(cfg.logPath)
@@ -313,8 +332,8 @@ func moreThanOne(modes ...bool) bool {
 	return n > 1
 }
 
-// buildRouter wires -shard-map and -shards into a shard.Router handler.
-func buildRouter(cfg config) (http.Handler, string, error) {
+// buildRouter wires -shard-map and -shards into a shard.Router.
+func buildRouter(cfg config) (*shard.Router, string, error) {
 	if cfg.csvPath != "" || cfg.snapshotPath != "" || cfg.logPath != "" || cfg.walDir != "" || cfg.followDir != "" {
 		return nil, "", errors.New("-router cannot be combined with -csv, -snapshot, -log, -wal or -follow")
 	}
@@ -343,17 +362,9 @@ func buildRouter(cfg config) (http.Handler, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	h, err := shard.NewHandler(shard.HandlerConfig{
-		Router:         router,
-		DefaultTimeout: cfg.defaultTimeout,
-		MaxBatchSize:   cfg.maxBatch,
-	})
-	if err != nil {
-		return nil, "", err
-	}
 	banner := fmt.Sprintf("routing over %d shards (routing epoch %d, fanout %s)",
 		len(m.Shards), m.RoutingEpoch, fanoutLabel(cfg.fanout))
-	return h.Mux(), banner, nil
+	return router, banner, nil
 }
 
 func fanoutLabel(n int) string {

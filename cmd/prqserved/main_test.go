@@ -2,10 +2,14 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"syscall"
@@ -14,6 +18,8 @@ import (
 
 	"gaussrange"
 	"gaussrange/client"
+	"gaussrange/server"
+	"gaussrange/shard"
 )
 
 // writeTestCSV writes a 400-point grid around (500, 500) so the standard
@@ -307,5 +313,107 @@ func TestServeLeaderFollower(t *testing.T) {
 	}
 	if err := <-ldone2; err != nil {
 		t.Fatalf("restarted leader drain: %v", err)
+	}
+}
+
+// TestRouterModeServesThroughServer builds router mode's handler over two
+// in-process shards and checks what it shares with a shard's server — the
+// -max-inflight admission limit, endpoint histograms and the /statsz schema,
+// with the router section — and its two router-only answers: /v1/shardmap
+// and a JSON 404 for /v1/prob.
+func TestRouterModeServesThroughServer(t *testing.T) {
+	var pts [][]float64
+	for i := 0; i < 400; i++ {
+		pts = append(pts, []float64{float64(440 + (i%20)*6), float64(440 + (i/20)*6)})
+	}
+	m, parts, err := shard.Split(pts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	urls := make([]string, len(parts))
+	for i, part := range parts {
+		db, err := gaussrange.LoadWithIDs(part.Points, part.IDs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := server.New(server.Config{DB: db})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		urls[i] = ts.URL
+	}
+	dir := t.TempDir()
+	data, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(dir, "")
+	cfg.router = true
+	cfg.maxInflight = 3
+	cfg.shardMapPath = filepath.Join(dir, "shardmap.json")
+	cfg.shards = strings.Join(urls, ",")
+	if err := os.WriteFile(cfg.shardMapPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h, _, cleanup, err := buildHandler(cfg, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cleanup != nil {
+		t.Fatal("router mode returned a cleanup")
+	}
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+
+	get := func(path string, v any) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+	}
+	var got shard.Map
+	get("/v1/shardmap", &got)
+	if !reflect.DeepEqual(&got, m) {
+		t.Fatalf("/v1/shardmap = %+v, want %+v", got, *m)
+	}
+
+	res, err := client.New(ts.URL).Query(context.Background(), paperSpec())
+	if err != nil || len(res.IDs) == 0 {
+		t.Fatalf("routed query: %d ids, %v", len(res.IDs), err)
+	}
+	var st server.StatsSnapshot
+	get("/statsz", &st)
+	if st.Admission.MaxInflight != cfg.maxInflight {
+		t.Errorf("admission.max_inflight = %d, want -max-inflight %d", st.Admission.MaxInflight, cfg.maxInflight)
+	}
+	if ep := st.Endpoints["/v1/query"]; ep.Requests != 1 || ep.Latency.Count != 1 {
+		t.Errorf("endpoints[/v1/query] = %+v, want one request in its histogram", ep)
+	}
+	if st.Router == nil || len(st.Router.PerShard) != len(parts) || st.Router.Queries != 1 {
+		t.Fatalf("router section %+v, want %d shards and one query", st.Router, len(parts))
+	}
+	if st.Points != len(pts) || st.Dim != 2 || st.Queries.Queries != 1 || st.Queries.Answers != uint64(len(res.IDs)) {
+		t.Errorf("statsz points %d dim %d queries %+v", st.Points, st.Dim, st.Queries)
+	}
+
+	body, _ := json.Marshal(server.ProbRequest{QueryRequest: server.RequestFromSpec(paperSpec()), ID: 1})
+	resp, err := http.Post(ts.URL+"/v1/prob", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e server.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); resp.StatusCode != http.StatusNotFound || err != nil || e.Error == "" {
+		t.Fatalf("/v1/prob: status %d, body %+v, %v; want a JSON 404", resp.StatusCode, e, err)
 	}
 }

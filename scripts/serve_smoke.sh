@@ -2,12 +2,13 @@
 # serve_smoke.sh — end-to-end smoke test of the network query service:
 # datagen → prqserved → one query through the client → graceful SIGTERM,
 # then the sharded path: prqshard splits the same dataset into 2 shards,
-# prqserved -router scatters over them, and the routed answer must be
-# byte-identical to the direct single-node answer. A final replication step
-# boots a leader with a group-commit wal and a read-only follower tailing
-# it: an insert on the leader must become readable on the follower at ≥ the
-# published epoch with id-identical query answers, and the follower must
-# refuse mutations.
+# prqserved -router scatters over them, the routed answer must be
+# byte-identical to the direct single-node answer, and the router must serve
+# the server's /statsz schema (with its router section) and /v1/shardmap. A
+# final replication step boots a leader with a group-commit wal and a
+# read-only follower tailing it: an insert on the leader must become
+# readable on the follower at ≥ the published epoch with id-identical query
+# answers, and the follower must refuse mutations.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -114,6 +115,17 @@ if ! diff "$tmp/direct.ids" "$tmp/routed.ids"; then
     exit 1
 fi
 echo "serve-smoke: routed answer matches direct answer: $(cat "$tmp/direct.ids")"
+
+echo "serve-smoke: checking the router's /statsz and /v1/shardmap"
+curl -sfS "http://$router_addr/statsz" > "$tmp/rstats.json"
+for key in admission router; do
+    grep -q "\"$key\":" "$tmp/rstats.json" || { echo "serve-smoke: router /statsz has no \"$key\" section: $(cat "$tmp/rstats.json")" >&2; exit 1; }
+done
+code="$(curl -s -o /dev/null -w '%{http_code}' "http://$router_addr/v1/shardmap")"
+if [ "$code" != "200" ]; then
+    echo "serve-smoke: router answered $code to /v1/shardmap, want 200" >&2
+    exit 1
+fi
 
 echo "serve-smoke: draining shard cluster with SIGTERM"
 for p in "${pids[@]}"; do

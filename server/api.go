@@ -2,6 +2,13 @@
 // of the library for deployments where one loaded dataset (and its warm plan
 // cache) is shared by many clients.
 //
+// A Server serves a Backend: Config.DB, a local database, or Config.Backend,
+// which is how a shard router (package shard) is served. The two share every
+// endpoint, the admission limit, the latency histograms, the /statsz schema
+// (a router's adds a "router" section) and one error→status map: an expired
+// deadline is 504, a cancelled client 499, a *StatusError its own status
+// (404 for an unknown point, 502 for a lost shard) and any other error 400.
+//
 // Endpoints:
 //
 //	POST   /v1/query        one PRQ(q, Σ, δ, θ); body QueryRequest, reply QueryResponse
@@ -13,6 +20,7 @@
 //	GET    /healthz         liveness + dataset summary + storage epoch
 //	GET    /statsz          plan-cache hit rates, per-phase candidate totals,
 //	                        admission counters, request latency histograms
+//	                        and, on a router, its routing counters
 //
 // A POST body is exactly one JSON value (at most 16 MiB); anything but
 // whitespace after it is a 400. Replies are sent with Content-Length.
@@ -119,7 +127,7 @@ type QueryStats struct {
 
 // Add accumulates another response's stats into s — the wire-level analogue
 // of gaussrange.Stats.Add, used by the shard router to aggregate per-shard
-// phase work into one merged response.
+// phase work into one merged response and by the server's query totals.
 func (s *QueryStats) Add(o QueryStats) {
 	s.Retrieved += o.Retrieved
 	s.PrunedFringe += o.PrunedFringe
@@ -219,15 +227,6 @@ type RoutingInfo struct {
 type ShardEpoch struct {
 	Shard int    `json:"shard"`
 	Epoch uint64 `json:"epoch"`
-}
-
-// ResponseFromResult converts a library result to the wire form.
-func ResponseFromResult(res *gaussrange.Result) QueryResponse {
-	ids := res.IDs
-	if ids == nil {
-		ids = []int64{}
-	}
-	return QueryResponse{IDs: ids, Epoch: res.Epoch, Stats: StatsFromResult(res.Stats)}
 }
 
 // AnswerIDs returns the answer whichever field carries it, and an empty,
@@ -388,26 +387,6 @@ type QueryTotals struct {
 	ProbNS          int64  `json:"prob_ns"`
 }
 
-// Add accumulates another server's totals into t — used by the shard router
-// to aggregate /statsz across shards.
-func (t *QueryTotals) Add(o QueryTotals) {
-	t.Queries += o.Queries
-	t.Answers += o.Answers
-	t.Retrieved += o.Retrieved
-	t.PrunedFringe += o.PrunedFringe
-	t.PrunedOR += o.PrunedOR
-	t.PrunedBF += o.PrunedBF
-	t.AcceptedBF += o.AcceptedBF
-	t.Integrations += o.Integrations
-	t.NodesRead += o.NodesRead
-	t.NodesReadPacked += o.NodesReadPacked
-	t.OverlayScanned += o.OverlayScanned
-	t.F32Rechecks += o.F32Rechecks
-	t.IndexNS += o.IndexNS
-	t.FilterNS += o.FilterNS
-	t.ProbNS += o.ProbNS
-}
-
 // Histogram is a fixed-bucket latency histogram. Counts has one entry per
 // upper bound in BoundsMS plus a final overflow bucket.
 type Histogram struct {
@@ -526,6 +505,38 @@ type StatsSnapshot struct {
 	WAL *WALStatsz `json:"wal,omitempty"`
 	// Replica is present on follower read replicas.
 	Replica *ReplicaStatsz `json:"replica,omitempty"`
+	// Router is present on shard routers.
+	Router *RouterStatsz `json:"router,omitempty"`
+}
+
+// RouterStatsz reports a shard router's routing state and its own counters
+// (routers only). On a router, the snapshot's points, dim and epoch are the
+// cluster's, from the shards' health, and its query totals count the merged
+// answers the router served.
+type RouterStatsz struct {
+	RoutingEpoch uint64 `json:"routing_epoch"`
+	Shards       int    `json:"shards"`
+	// Health aggregates the shards' /healthz ("degraded" when any is
+	// unreachable); PerShard is each shard's, in shard id order.
+	Health   Health   `json:"health"`
+	PerShard []Health `json:"per_shard"`
+	// Routed queries, the shards they fanned out to in total and on average,
+	// queries whose plan proved them empty or overlapped no shard, partial
+	// answers, failed shard requests, routed mutations, and ids dropped as
+	// duplicates when merging shard answers.
+	Queries      uint64  `json:"queries"`
+	FanoutTotal  uint64  `json:"fanout_total"`
+	MeanFanout   float64 `json:"mean_fanout"`
+	EmptyRoutes  uint64  `json:"empty_routes"`
+	Partials     uint64  `json:"partials"`
+	ShardErrors  uint64  `json:"shard_errors"`
+	Inserts      uint64  `json:"inserts"`
+	Deletes      uint64  `json:"deletes"`
+	DedupDropped uint64  `json:"dedup_dropped"`
+	// Answer-cache accounting; all zero when the cache is disabled.
+	AnswerCacheHits    uint64 `json:"answer_cache_hits"`
+	AnswerCacheMisses  uint64 `json:"answer_cache_misses"`
+	AnswerCacheEntries int    `json:"answer_cache_entries"`
 }
 
 // EndpointNames returns the snapshot's endpoint keys, sorted.

@@ -6,3 +6,6 @@ import "context"
 // requests in flight deterministically (admission saturation, deadline
 // expiry, graceful drain). Only compiled into test binaries.
 func (s *Server) SetPreQuery(fn func(ctx context.Context)) { s.preQuery = fn }
+
+// QueryContext exposes queryContext to the package's external tests.
+var QueryContext = queryContext

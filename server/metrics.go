@@ -3,8 +3,6 @@ package server
 import (
 	"sync"
 	"time"
-
-	"gaussrange"
 )
 
 // latencyBucketBoundsMS are the histogram bucket upper bounds, exponential
@@ -59,7 +57,7 @@ type metrics struct {
 
 	queries    uint64
 	answers    uint64
-	statTotals gaussrange.Stats
+	statTotals QueryStats
 }
 
 type endpointMetrics struct {
@@ -98,7 +96,7 @@ func (m *metrics) observe(name string, status int, d time.Duration) {
 }
 
 // addQuery folds one successful query's per-phase stats into the totals.
-func (m *metrics) addQuery(st gaussrange.Stats, answers int) {
+func (m *metrics) addQuery(st QueryStats, answers int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.queries++
@@ -123,9 +121,9 @@ func (m *metrics) queryTotals() QueryTotals {
 		NodesReadPacked: uint64(st.NodesReadPacked),
 		OverlayScanned:  uint64(st.OverlayScanned),
 		F32Rechecks:     uint64(st.F32Rechecks),
-		IndexNS:         st.IndexTime.Nanoseconds(),
-		FilterNS:        st.FilterTime.Nanoseconds(),
-		ProbNS:          st.ProbTime.Nanoseconds(),
+		IndexNS:         st.IndexNS,
+		FilterNS:        st.FilterNS,
+		ProbNS:          st.ProbNS,
 	}
 }
 

@@ -26,8 +26,11 @@ const maxRequestBytes = 16 << 20
 
 // Config configures a Server.
 type Config struct {
-	// DB is the loaded dataset to serve. Required.
+	// DB is a loaded dataset to serve. Exactly one of DB and Backend is set.
 	DB *gaussrange.DB
+
+	// Backend is what to serve instead of a DB — a shard router.
+	Backend Backend
 
 	// MaxInflight bounds the number of requests concurrently executing
 	// query work; requests beyond it receive 429 immediately.
@@ -52,15 +55,16 @@ type Config struct {
 
 	// Follower, when non-nil, marks this server a read replica fed by the
 	// given log tailer: query responses carry replica_epoch, /healthz and
-	// /statsz report replication state. Usually paired with ReadOnly.
+	// /statsz report replication state. Usually paired with ReadOnly; needs
+	// DB.
 	Follower *replica.Follower
 }
 
-// Server serves a gaussrange.DB over HTTP. Create one with New and mount
-// Handler on an http.Server. Handlers execute queries synchronously, so
+// Server serves a Backend over HTTP. Create one with New and mount Handler
+// on an http.Server. Handlers execute queries synchronously, so
 // http.Server.Shutdown drains in-flight queries before returning.
 type Server struct {
-	db    *gaussrange.DB
+	b     Backend
 	cfg   Config
 	adm   *admission
 	met   *metrics
@@ -73,8 +77,14 @@ type Server struct {
 
 // New validates cfg, applies defaults, and returns a Server.
 func New(cfg Config) (*Server, error) {
-	if cfg.DB == nil {
-		return nil, errors.New("server: Config.DB is required")
+	b := cfg.Backend
+	switch {
+	case (cfg.DB == nil) == (b == nil):
+		return nil, errors.New("server: set exactly one of Config.DB and Config.Backend")
+	case cfg.DB != nil:
+		b = dbBackend{db: cfg.DB, follower: cfg.Follower}
+	case cfg.Follower != nil:
+		return nil, errors.New("server: Config.Follower needs Config.DB")
 	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 2 * runtime.GOMAXPROCS(0)
@@ -86,7 +96,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.BatchWorkers = runtime.GOMAXPROCS(0)
 	}
 	s := &Server{
-		db:    cfg.DB,
+		b:     b,
 		cfg:   cfg,
 		adm:   newAdmission(cfg.MaxInflight),
 		met:   newMetrics(),
@@ -98,99 +108,47 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the HTTP handler serving all endpoints.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/query", s.handleQuery)
-	mux.HandleFunc("/v1/query/batch", s.handleBatch)
-	mux.HandleFunc("/v1/prob", s.handleProb)
-	mux.HandleFunc("/v1/points", s.handlePoints)
-	mux.HandleFunc("/v1/points/", s.handlePointByID)
+	mux.HandleFunc("/v1/query", s.endpoint("/v1/query", s.handleQuery))
+	mux.HandleFunc("/v1/query/batch", s.endpoint("/v1/query/batch", s.handleBatch))
+	mux.HandleFunc("/v1/prob", s.endpoint("/v1/prob", s.handleProb))
+	mux.HandleFunc("/v1/points", s.endpoint("/v1/points", s.handlePoints))
+	mux.HandleFunc("/v1/points/", s.endpoint("/v1/points/{id}", s.handlePointByID))
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/statsz", s.handleStatsz)
 	return mux
 }
 
+// endpoint wraps a handler that returns its reply's status, recording the
+// status and latency of each request under name.
+func (s *Server) endpoint(name string, h func(http.ResponseWriter, *http.Request) int) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		t0 := time.Now()
+		status := h(w, r)
+		s.met.observe(name, status, time.Since(t0))
+	}
+}
+
 // Stats assembles the current /statsz snapshot.
-func (s *Server) Stats() StatsSnapshot {
-	hits, misses := s.db.PlanCacheStats()
-	var rate float64
-	if hits+misses > 0 {
-		rate = float64(hits) / float64(hits+misses)
+func (s *Server) Stats() StatsSnapshot { return s.stats(context.Background()) }
+
+func (s *Server) stats(ctx context.Context) StatsSnapshot {
+	snap := s.b.Stats(ctx)
+	snap.UptimeSeconds = time.Since(s.start).Seconds()
+	if pc := &snap.PlanCache; pc.Hits+pc.Misses > 0 {
+		pc.HitRate = float64(pc.Hits) / float64(pc.Hits+pc.Misses)
 	}
-	snap := StatsSnapshot{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Points:        s.db.Len(),
-		Dim:           s.db.Dim(),
-		Epoch:         s.db.Epoch(),
-		PlanCache:     PlanCacheStats{Hits: hits, Misses: misses, HitRate: rate},
-		Admission:     s.adm.snapshot(),
-		Queries:       s.met.queryTotals(),
-		Endpoints:     s.met.endpointSnapshots(),
-	}
-	if w, ok := s.db.WALStats(); ok {
-		ws := &WALStatsz{
-			Synchronous:    w.Synchronous,
-			CommitWindowMS: float64(w.Batcher.MaxDelay) / 1e6,
-			CommitBytes:    w.Batcher.MaxBytes,
-			Groups:         w.Batcher.Groups,
-			Submissions:    w.Batcher.Submissions,
-			MaxGroup:       w.Batcher.MaxGroup,
-			Pending:        w.Batcher.Pending,
-			WindowTimer:    w.Batcher.WindowClosedBy.Timer,
-			WindowBytes:    w.Batcher.WindowClosedBy.Bytes,
-			WindowDrain:    w.Batcher.WindowClosedBy.Drain,
-			Segments:       w.Store.Segments,
-			SealedSegments: int(w.Store.SealedSegments),
-			Records:        w.Store.Records,
-			AppendedBytes:  int64(w.Store.AppendedBytes),
-			Fsyncs:         w.Store.Fsyncs,
-			LastEpoch:      w.Store.LastEpoch,
-		}
-		if n := w.Batcher.Submissions; n > 0 {
-			ws.QueueMeanUS = float64(w.Batcher.QueueNanos) / float64(n) / 1e3
-			ws.FlushMeanUS = float64(w.Batcher.FlushNanos) / float64(n) / 1e3
-		}
-		snap.WAL = ws
-	}
-	if s.cfg.Follower != nil {
-		r := s.cfg.Follower.Stats()
-		snap.Replica = &ReplicaStatsz{
-			Epoch:            r.Epoch,
-			Applied:          r.Applied,
-			Skipped:          r.Skipped,
-			SegmentsVerified: r.SegmentsVerified,
-			Polls:            r.Polls,
-			Error:            r.Err,
-		}
-	}
+	snap.Admission = s.adm.snapshot()
+	snap.Queries = s.met.queryTotals()
+	snap.Endpoints = s.met.endpointSnapshots()
 	return snap
 }
 
-// respond converts a query result to its wire form, with the ids in the
-// form idsFormat asks for, stamping replica provenance when this server is a
-// follower.
-func (s *Server) respond(res *gaussrange.Result, idsFormat string) QueryResponse {
-	r := ResponseFromResult(res).InFormat(idsFormat)
-	if s.cfg.Follower != nil {
-		r.ReplicaEpoch = res.Epoch
-	}
-	return r
-}
-
-// refuseReadOnly rejects a mutation on a read-only replica with 403.
-func (s *Server) refuseReadOnly(w http.ResponseWriter, status *int) bool {
-	if !s.cfg.ReadOnly {
-		return false
-	}
-	*status = http.StatusForbidden
-	WriteError(w, *status, "read-only replica: mutations must go to the leader")
-	return true
-}
-
-// QueryContext derives the execution context for one request: the request's
+// queryContext derives the execution context for one request: the request's
 // own timeout_ms when given, else deflt (the serving node's default), else
 // unbounded — and then it is parent itself, with a cancel that does nothing,
 // because a child context would only be cancelled with it. The parent is the
 // HTTP request context, so a client disconnect cancels the query either way.
-func QueryContext(parent context.Context, timeoutMS int64, deflt time.Duration) (context.Context, context.CancelFunc) {
+func queryContext(parent context.Context, timeoutMS int64, deflt time.Duration) (context.Context, context.CancelFunc) {
 	d := deflt
 	if timeoutMS > 0 {
 		d = time.Duration(timeoutMS) * time.Millisecond
@@ -230,17 +188,32 @@ func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 	WriteJSON(w, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// statusForQueryErr maps a query error to an HTTP status: deadline → 504,
-// client-cancelled → 499, anything else is a spec problem → 400.
-func statusForQueryErr(err error) int {
+// statusFor maps a Backend error to its HTTP status: deadline → 504,
+// client-cancelled → 499, a *StatusError → its own, anything else is a spec
+// problem → 400.
+func statusFor(err error) int {
+	var se *StatusError
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return statusClientClosedRequest
+	case errors.As(err, &se):
+		return se.Status
 	default:
 		return http.StatusBadRequest
 	}
+}
+
+// fail replies with status and an ErrorResponse body, and returns status.
+func fail(w http.ResponseWriter, status int, format string, args ...any) int {
+	WriteError(w, status, format, args...)
+	return status
+}
+
+// failErr replies with err under the status statusFor maps it to.
+func failErr(w http.ResponseWriter, err error) int {
+	return fail(w, statusFor(err), "%v", err)
 }
 
 // DecodeBody reads the whole request body (at most 16 MiB) and decodes it
@@ -258,6 +231,18 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
+// decode refuses any method but POST and decodes the body into v. A status
+// other than 200 is the reply it wrote.
+func decode(w http.ResponseWriter, r *http.Request, v any) int {
+	if r.Method != http.MethodPost {
+		return fail(w, http.StatusMethodNotAllowed, "use POST")
+	}
+	if err := DecodeBody(w, r, v); err != nil {
+		return fail(w, http.StatusBadRequest, "%v", err)
+	}
+	return http.StatusOK
+}
+
 // admit claims an execution slot or rejects with 429. The caller must
 // release() on true.
 func (s *Server) admit(w http.ResponseWriter) bool {
@@ -270,268 +255,178 @@ func (s *Server) admit(w http.ResponseWriter) bool {
 	return false
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	const ep = "/v1/query"
-	t0 := time.Now()
-	status := http.StatusOK
-	defer func() { s.met.observe(ep, status, time.Since(t0)) }()
-
-	if r.Method != http.MethodPost {
-		status = http.StatusMethodNotAllowed
-		WriteError(w, status, "use POST")
-		return
-	}
-	var req QueryRequest
-	if err := DecodeBody(w, r, &req); err != nil {
-		status = http.StatusBadRequest
-		WriteError(w, status, "%v", err)
-		return
-	}
-	if !s.admit(w) {
-		status = statusTooManyRequests
-		return
-	}
-	defer s.adm.release()
-
-	ctx, cancel := QueryContext(r.Context(), req.TimeoutMS, s.cfg.DefaultTimeout)
-	defer cancel()
+// queryCtx derives a query's execution context and runs the test hook on it.
+func (s *Server) queryCtx(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
+	ctx, cancel := queryContext(r.Context(), timeoutMS, s.cfg.DefaultTimeout)
 	if s.preQuery != nil {
 		s.preQuery(ctx)
 	}
-	res, err := s.db.QueryCtx(ctx, req.Spec())
-	if err != nil {
-		status = statusForQueryErr(err)
-		WriteError(w, status, "%v", err)
-		return
-	}
-	s.met.addQuery(res.Stats, len(res.IDs))
-	WriteJSON(w, status, s.respond(res, req.IDsFormat))
+	return ctx, cancel
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	const ep = "/v1/query/batch"
-	t0 := time.Now()
-	status := http.StatusOK
-	defer func() { s.met.observe(ep, status, time.Since(t0)) }()
+// refuseReadOnly rejects a mutation on a read-only replica with 403.
+func refuseReadOnly(w http.ResponseWriter) int {
+	return fail(w, http.StatusForbidden, "read-only replica: mutations must go to the leader")
+}
 
-	if r.Method != http.MethodPost {
-		status = http.StatusMethodNotAllowed
-		WriteError(w, status, "use POST")
-		return
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) int {
+	var req QueryRequest
+	if status := decode(w, r, &req); status != http.StatusOK {
+		return status
 	}
+	if !s.admit(w) {
+		return statusTooManyRequests
+	}
+	defer s.adm.release()
+
+	ctx, cancel := s.queryCtx(r, req.TimeoutMS)
+	defer cancel()
+	resp, err := s.b.Query(ctx, req)
+	if err != nil {
+		return failErr(w, err)
+	}
+	resp = resp.InFormat(req.IDsFormat)
+	s.met.addQuery(resp.Stats, len(resp.AnswerIDs()))
+	WriteJSON(w, http.StatusOK, resp)
+	return http.StatusOK
+}
+
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 	var req BatchRequest
-	if err := DecodeBody(w, r, &req); err != nil {
-		status = http.StatusBadRequest
-		WriteError(w, status, "%v", err)
-		return
+	if status := decode(w, r, &req); status != http.StatusOK {
+		return status
 	}
 	if len(req.Queries) > s.cfg.MaxBatchSize {
-		status = http.StatusBadRequest
-		WriteError(w, status, "batch of %d queries exceeds limit %d", len(req.Queries), s.cfg.MaxBatchSize)
-		return
+		return fail(w, http.StatusBadRequest, "batch of %d queries exceeds limit %d", len(req.Queries), s.cfg.MaxBatchSize)
 	}
 	workers := req.Workers
 	if workers <= 0 || workers > s.cfg.BatchWorkers {
 		workers = s.cfg.BatchWorkers
 	}
 	if !s.admit(w) {
-		status = statusTooManyRequests
-		return
+		return statusTooManyRequests
 	}
 	defer s.adm.release()
 
-	ctx, cancel := QueryContext(r.Context(), req.TimeoutMS, s.cfg.DefaultTimeout)
+	ctx, cancel := s.queryCtx(r, req.TimeoutMS)
 	defer cancel()
-	if s.preQuery != nil {
-		s.preQuery(ctx)
-	}
-	specs := make([]gaussrange.QuerySpec, len(req.Queries))
-	for i, q := range req.Queries {
-		specs[i] = q.Spec()
-	}
-	results, err := s.db.QueryBatch(ctx, specs, workers)
+	results, err := s.b.QueryBatch(ctx, req.Queries, workers)
 	if err != nil {
-		status = statusForQueryErr(err)
-		WriteError(w, status, "%v", err)
-		return
+		return failErr(w, err)
 	}
-	resp := BatchResponse{Results: make([]QueryResponse, len(results))}
-	for i, res := range results {
-		s.met.addQuery(res.Stats, len(res.IDs))
-		resp.Results[i] = s.respond(res, req.Queries[i].IDsFormat)
+	for i := range results {
+		results[i] = results[i].InFormat(req.Queries[i].IDsFormat)
+		s.met.addQuery(results[i].Stats, len(results[i].AnswerIDs()))
 	}
-	WriteJSON(w, status, resp)
+	WriteJSON(w, http.StatusOK, BatchResponse{Results: results})
+	return http.StatusOK
 }
 
-func (s *Server) handleProb(w http.ResponseWriter, r *http.Request) {
-	const ep = "/v1/prob"
-	t0 := time.Now()
-	status := http.StatusOK
-	defer func() { s.met.observe(ep, status, time.Since(t0)) }()
-
-	if r.Method != http.MethodPost {
-		status = http.StatusMethodNotAllowed
-		WriteError(w, status, "use POST")
-		return
-	}
+func (s *Server) handleProb(w http.ResponseWriter, r *http.Request) int {
 	var req ProbRequest
-	if err := DecodeBody(w, r, &req); err != nil {
-		status = http.StatusBadRequest
-		WriteError(w, status, "%v", err)
-		return
-	}
-	if req.ID < 0 || req.ID >= int64(s.db.Len()) {
-		status = http.StatusNotFound
-		WriteError(w, status, "point id %d out of range [0, %d)", req.ID, s.db.Len())
-		return
+	if status := decode(w, r, &req); status != http.StatusOK {
+		return status
 	}
 	if !s.admit(w) {
-		status = statusTooManyRequests
-		return
+		return statusTooManyRequests
 	}
 	defer s.adm.release()
 
-	p, err := s.db.QueryProb(req.Spec(), req.ID)
+	p, err := s.b.Prob(r.Context(), req)
 	if err != nil {
-		status = http.StatusBadRequest
-		WriteError(w, status, "%v", err)
-		return
+		return failErr(w, err)
 	}
-	WriteJSON(w, status, ProbResponse{ID: req.ID, Probability: p})
+	WriteJSON(w, http.StatusOK, ProbResponse{ID: req.ID, Probability: p})
+	return http.StatusOK
 }
 
-func (s *Server) handlePoints(w http.ResponseWriter, r *http.Request) {
-	const ep = "/v1/points"
-	t0 := time.Now()
-	status := http.StatusOK
-	defer func() { s.met.observe(ep, status, time.Since(t0)) }()
-
+func (s *Server) handlePoints(w http.ResponseWriter, r *http.Request) int {
 	switch r.Method {
 	case http.MethodGet:
 		// fall through to the lookup below
 	case http.MethodPost:
-		s.handleInsert(w, r, &status)
-		return
+		return s.handleInsert(w, r)
 	default:
-		status = http.StatusMethodNotAllowed
-		WriteError(w, status, "use GET with ?id=…&id=…, or POST to insert")
-		return
+		return fail(w, http.StatusMethodNotAllowed, "use GET with ?id=…&id=…, or POST to insert")
 	}
 	raw := r.URL.Query()["id"]
 	if len(raw) == 0 {
-		status = http.StatusBadRequest
-		WriteError(w, status, "at least one ?id= parameter is required")
-		return
+		return fail(w, http.StatusBadRequest, "at least one ?id= parameter is required")
 	}
-	resp := PointsResponse{Points: make([]Point, 0, len(raw))}
-	for _, v := range raw {
+	ids := make([]int64, len(raw))
+	for i, v := range raw {
 		id, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			status = http.StatusBadRequest
-			WriteError(w, status, "invalid id %q: %v", v, err)
-			return
+			return fail(w, http.StatusBadRequest, "invalid id %q: %v", v, err)
 		}
-		coords, err := s.db.Point(id)
-		if err != nil {
-			status = http.StatusNotFound
-			WriteError(w, status, "%v", err)
-			return
-		}
-		resp.Points = append(resp.Points, Point{ID: id, Coords: coords})
+		ids[i] = id
 	}
-	WriteJSON(w, status, resp)
+	points, err := s.b.Points(r.Context(), ids)
+	if err != nil {
+		return failErr(w, err)
+	}
+	WriteJSON(w, http.StatusOK, PointsResponse{Points: points})
+	return http.StatusOK
 }
 
 // handleInsert serves POST /v1/points: one atomic insert batch publishing
 // one epoch. Mutations go through admission like queries — an overlay
 // rebuild can cost O(n), so overload sheds writes too.
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request, status *int) {
-	if s.refuseReadOnly(w, status) {
-		return
+func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) int {
+	if s.cfg.ReadOnly {
+		return refuseReadOnly(w)
 	}
 	var req InsertPointsRequest
-	if err := DecodeBody(w, r, &req); err != nil {
-		*status = http.StatusBadRequest
-		WriteError(w, *status, "%v", err)
-		return
+	if status := decode(w, r, &req); status != http.StatusOK {
+		return status
 	}
 	if len(req.Points) == 0 {
-		*status = http.StatusBadRequest
-		WriteError(w, *status, "points must not be empty")
-		return
+		return fail(w, http.StatusBadRequest, "points must not be empty")
 	}
 	if !s.admit(w) {
-		*status = statusTooManyRequests
-		return
+		return statusTooManyRequests
 	}
 	defer s.adm.release()
 
-	var (
-		ids   []int64
-		epoch uint64
-		err   error
-	)
-	if len(req.IDs) > 0 {
-		// Explicit identifiers from an upstream allocator (shard router).
-		_, epoch, err = s.db.ApplyWithIDs(req.Points, req.IDs, nil)
-		ids = req.IDs
-	} else {
-		ids, _, epoch, err = s.db.Apply(req.Points, nil)
-	}
+	ids, epoch, err := s.b.Insert(r.Context(), req.Points, req.IDs)
 	if err != nil {
-		*status = http.StatusBadRequest
-		WriteError(w, *status, "%v", err)
-		return
+		return failErr(w, err)
 	}
-	WriteJSON(w, *status, InsertPointsResponse{IDs: ids, Epoch: epoch})
+	WriteJSON(w, http.StatusOK, InsertPointsResponse{IDs: ids, Epoch: epoch})
+	return http.StatusOK
 }
 
 // handlePointByID serves DELETE /v1/points/{id}.
-func (s *Server) handlePointByID(w http.ResponseWriter, r *http.Request) {
-	const ep = "/v1/points/{id}"
-	t0 := time.Now()
-	status := http.StatusOK
-	defer func() { s.met.observe(ep, status, time.Since(t0)) }()
-
+func (s *Server) handlePointByID(w http.ResponseWriter, r *http.Request) int {
 	if r.Method != http.MethodDelete {
-		status = http.StatusMethodNotAllowed
-		WriteError(w, status, "use DELETE /v1/points/{id}")
-		return
+		return fail(w, http.StatusMethodNotAllowed, "use DELETE /v1/points/{id}")
 	}
-	if s.refuseReadOnly(w, &status) {
-		return
+	if s.cfg.ReadOnly {
+		return refuseReadOnly(w)
 	}
 	id, err := strconv.ParseInt(strings.TrimPrefix(r.URL.Path, "/v1/points/"), 10, 64)
 	if err != nil {
-		status = http.StatusBadRequest
-		WriteError(w, status, "invalid point id in path: %v", err)
-		return
+		return fail(w, http.StatusBadRequest, "invalid point id in path: %v", err)
 	}
 	if !s.admit(w) {
-		status = statusTooManyRequests
-		return
+		return statusTooManyRequests
 	}
 	defer s.adm.release()
 
-	_, deleted, epoch, err := s.db.Apply(nil, []int64{id})
+	deleted, epoch, err := s.b.Delete(r.Context(), id)
 	if err != nil {
-		status = http.StatusBadRequest
-		WriteError(w, status, "%v", err)
-		return
+		return failErr(w, err)
 	}
-	WriteJSON(w, status, DeletePointResponse{ID: id, Deleted: deleted[0], Epoch: epoch})
+	WriteJSON(w, http.StatusOK, DeletePointResponse{ID: id, Deleted: deleted, Epoch: epoch})
+	return http.StatusOK
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := Health{Status: "ok", Points: s.db.Len(), Dim: s.db.Dim(), Epoch: s.db.Epoch(), MaxID: s.db.MaxID(), ReadOnly: s.cfg.ReadOnly}
-	if s.cfg.Follower != nil {
-		st := s.cfg.Follower.Stats()
-		h.ReplicaEpoch = st.Epoch
-		h.ReplicaError = st.Err
-	}
+	h := s.b.Health(r.Context())
+	h.ReadOnly = s.cfg.ReadOnly
 	WriteJSON(w, http.StatusOK, h)
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, s.Stats())
+	WriteJSON(w, http.StatusOK, s.stats(r.Context()))
 }

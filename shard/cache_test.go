@@ -90,7 +90,7 @@ func TestAnswerCacheInvalidatedByMutation(t *testing.T) {
 	}
 
 	// Insert a point at the query center — it must appear in the next answer.
-	ids, _, err := r.Insert(ctx, [][]float64{center})
+	ids, _, err := r.Insert(ctx, [][]float64{center}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

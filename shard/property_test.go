@@ -113,7 +113,7 @@ func TestPropertyShardedMatchesUnsharded(t *testing.T) {
 							batch[i] = []float64{r.Float64() * span, r.Float64() * span}
 						}
 					}
-					ids, _, err := c.router.Insert(ctx, batch)
+					ids, _, err := c.router.Insert(ctx, batch, nil)
 					if err != nil {
 						t.Fatalf("round %d insert: %v", round, err)
 					}
@@ -152,11 +152,11 @@ func TestPropertyIDsFormatThroughRouter(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	pts := boundaryPoints(r, 12, 60)
 	c := newCluster(t, pts, 4)
-	h, err := NewHandler(HandlerConfig{Router: c.router})
+	srv, err := server.New(server.Config{Backend: c.router})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(h.Mux())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	cl := client.New(ts.URL)
 	ctx := context.Background()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"slices"
 	"sort"
 	"strings"
@@ -47,8 +48,9 @@ type Config struct {
 // Router fans probabilistic range queries out to the shards whose routing
 // region overlaps the query plan's Phase-1 search rectangle, merges the
 // per-shard answers into one deterministic sorted id list, and routes
-// mutations by shard-map lookup under a global id allocator. Safe for
-// concurrent use.
+// mutations by shard-map lookup under a global id allocator. It is a
+// server.Backend: serve it with server.New(server.Config{Backend: router}).
+// Safe for concurrent use.
 type Router struct {
 	m            *Map
 	multi        *client.Multi
@@ -66,7 +68,7 @@ type Router struct {
 	nextID int64
 	owner  map[int64]int
 
-	// Counters for /statsz.
+	// Counters for /statsz's router section.
 	queries      atomic.Uint64
 	fanoutTotal  atomic.Uint64
 	emptyRoutes  atomic.Uint64
@@ -138,6 +140,51 @@ func (r *Router) Route(req server.QueryRequest) (targets []int, empty bool, err 
 // ErrPartial marks a fail-closed routed query that lost ≥1 shard.
 var ErrPartial = errors.New("shard: incomplete answer")
 
+// badGateway marks err as a shard failure, which the server answers with 502.
+func badGateway(err error) error {
+	return &server.StatusError{Status: http.StatusBadGateway, Err: err}
+}
+
+// shardsFailed is the error of a query that lost shards: a 502, unless the
+// first failure is a shard rejecting the query itself (its 400), which is
+// the caller's fault and stays a 400.
+func shardsFailed(first error, format string, args ...any) error {
+	err := fmt.Errorf(format, args...)
+	var ae *client.APIError
+	if errors.As(first, &ae) && ae.Status == http.StatusBadRequest {
+		return err
+	}
+	return badGateway(err)
+}
+
+// allShards returns every shard id.
+func (r *Router) allShards() []int {
+	all := make([]int, len(r.m.Shards))
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+// candidates returns the shards that may hold id: the one this router
+// placed it on, else the map's initial id intervals that cover it (a filter,
+// not a partition), else every shard — an id this router never saw, e.g.
+// one allocated before a restart.
+func (r *Router) candidates(id int64) []int {
+	r.idMu.Lock()
+	home, ok := r.owner[id]
+	r.idMu.Unlock()
+	if ok {
+		return []int{home}
+	}
+	if id >= 0 && id < r.m.NextID {
+		if c := r.m.DeleteCandidates(id); len(c) > 0 {
+			return c
+		}
+	}
+	return r.allShards()
+}
+
 // remainingMS converts a context deadline into a wire timeout_ms (0 when the
 // context has none), so every shard inherits the router's remaining budget.
 func remainingMS(ctx context.Context) int64 {
@@ -159,8 +206,8 @@ func remainingMS(ctx context.Context) int64 {
 // AllowPartial set, any failed shard fails the whole query with ErrPartial;
 // otherwise the merged partial answer is returned with Routing.Partial set.
 // The shards are asked for their ids as blocks; the merged answer is always
-// in IDs, whatever req.IDsFormat asks for — the HTTP face applies the
-// caller's format (QueryResponse.InFormat).
+// in IDs, whatever req.IDsFormat asks for — the server applies the caller's
+// format (QueryResponse.InFormat).
 func (r *Router) Query(ctx context.Context, req server.QueryRequest) (server.QueryResponse, error) {
 	r.queries.Add(1)
 	var cacheKey string
@@ -219,11 +266,11 @@ func (r *Router) Query(ctx context.Context, req server.QueryRequest) (server.Que
 	if len(failed) > 0 {
 		sort.Ints(failed)
 		if !req.AllowPartial && !r.allowPartial {
-			return server.QueryResponse{}, fmt.Errorf("%w: shard(s) %v failed: %w", ErrPartial, failed, firstErr)
+			return server.QueryResponse{}, shardsFailed(firstErr, "%w: shard(s) %v failed: %w", ErrPartial, failed, firstErr)
 		}
 		if len(failed) == len(targets) {
 			// Nothing contributed — a partial answer needs at least one shard.
-			return server.QueryResponse{}, fmt.Errorf("%w: all %d routed shards failed: %w", ErrPartial, len(failed), firstErr)
+			return server.QueryResponse{}, shardsFailed(firstErr, "%w: all %d routed shards failed: %w", ErrPartial, len(failed), firstErr)
 		}
 		info.Partial = true
 		info.FailedShards = failed
@@ -266,29 +313,13 @@ func (r *Router) syncIDsLocked(ctx context.Context) error {
 	if r.synced {
 		return nil
 	}
-	all := make([]int, len(r.m.Shards))
-	for i := range all {
-		all[i] = i
-	}
-	maxIDs := make([]int64, len(all))
-	errs := r.multi.Scatter(ctx, all, r.fanout, func(ctx context.Context, shard int, c *client.Client) error {
-		h, err := c.Health(ctx)
-		if err != nil {
-			return err
-		}
-		maxIDs[shard] = h.MaxID
-		return nil
-	})
+	agg, _, errs := r.health(ctx)
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("shard: syncing ids: shard %d: %w", all[i], err)
+			return badGateway(fmt.Errorf("shard: syncing ids: shard %d: %w", i, err))
 		}
 	}
-	for _, id := range maxIDs {
-		if id > r.nextID {
-			r.nextID = id
-		}
-	}
+	r.nextID = max(r.nextID, agg.MaxID)
 	r.synced = true
 	return nil
 }
@@ -297,14 +328,20 @@ func (r *Router) syncIDsLocked(ctx context.Context) error {
 // and sent to the shard whose region contains it (boundary ties go to the
 // lowest shard id), as one explicit-id sub-batch per shard. Returns the
 // global ids (aligned with points) and the maximum epoch the sub-batches
-// published. Inserts are fail-closed: if any shard fails, the error reports
-// which — sub-batches already applied on other shards stay applied (their
-// ids are burned), so a retry inserts the points again under fresh ids only
-// on the shards that missed them... callers that need exactly-once should
-// retry with the failing points only.
-func (r *Router) Insert(ctx context.Context, points [][]float64) (ids []int64, epoch uint64, err error) {
+// published. The router owns the id space, so explicit ids are refused. A
+// batch no shard can take (wrong dimension, outside every region) is
+// refused before any shard is contacted. Inserts are fail-closed: if any
+// shard fails, the error (a 502) reports which — sub-batches already
+// applied on other shards stay applied (their ids are burned), so a retry
+// inserts the points again under fresh ids only on the shards that missed
+// them... callers that need exactly-once should retry with the failing
+// points only.
+func (r *Router) Insert(ctx context.Context, points [][]float64, explicit []int64) (ids []int64, epoch uint64, err error) {
 	if len(points) == 0 {
 		return nil, 0, errors.New("shard: empty insert batch")
+	}
+	if len(explicit) > 0 {
+		return nil, 0, errors.New("shard: the router owns the id space; omit ids")
 	}
 	homes := make([]int, len(points))
 	for i, p := range points {
@@ -382,37 +419,17 @@ func (r *Router) Insert(ctx context.Context, points [][]float64) (ids []int64, e
 		r.cache.observeEpoch(epoch)
 	}
 	if len(failMsgs) > 0 {
-		return ids, epoch, fmt.Errorf("shard: insert incomplete: %s", strings.Join(failMsgs, "; "))
+		return ids, epoch, badGateway(fmt.Errorf("shard: insert incomplete: %s", strings.Join(failMsgs, "; ")))
 	}
 	r.inserts.Add(uint64(len(points)))
 	return ids, epoch, nil
 }
 
-// Delete routes one delete. Routing precedence: the router's own allocation
-// record (exactly one shard), then the map's initial id intervals (possibly
-// several — they are a filter, not a partition), then a broadcast for ids
-// this router never saw (e.g. allocated before a restart). Deletes are
-// idempotent on every shard, so the merged result is the OR of the per-shard
-// outcomes; any shard error fails the call (retry is safe).
+// Delete routes one delete to the shards that may hold id (candidates).
+// Deletes are idempotent on every shard, so the merged result is the OR of
+// the per-shard outcomes; any shard error fails the call (retry is safe).
 func (r *Router) Delete(ctx context.Context, id int64) (deleted bool, epoch uint64, err error) {
-	var targets []int
-	r.idMu.Lock()
-	if home, ok := r.owner[id]; ok {
-		targets = []int{home}
-	}
-	r.idMu.Unlock()
-	if targets == nil && id >= 0 && id < r.m.NextID {
-		targets = r.m.DeleteCandidates(id)
-	}
-	if targets == nil {
-		targets = make([]int, len(r.m.Shards))
-		for i := range targets {
-			targets[i] = i
-		}
-	}
-	if len(targets) == 0 {
-		return false, 0, nil
-	}
+	targets := r.candidates(id)
 
 	dels := make([]bool, len(targets))
 	epochs := make([]uint64, len(targets))
@@ -431,7 +448,7 @@ func (r *Router) Delete(ctx context.Context, id int64) (deleted bool, epoch uint
 	for i, err := range errs {
 		if err != nil {
 			r.shardErrors.Add(1)
-			return false, 0, fmt.Errorf("shard: delete %d on shard %d: %w", id, targets[i], err)
+			return false, 0, badGateway(fmt.Errorf("shard: delete %d on shard %d: %w", id, targets[i], err))
 		}
 		if dels[i] {
 			deleted = true
@@ -452,26 +469,12 @@ func (r *Router) Delete(ctx context.Context, id int64) (deleted bool, epoch uint
 	return deleted, epoch, nil
 }
 
-// Counters is the router's own accounting, served under /statsz.
-type Counters struct {
-	Queries      uint64  `json:"queries"`
-	FanoutTotal  uint64  `json:"fanout_total"`
-	MeanFanout   float64 `json:"mean_fanout"`
-	EmptyRoutes  uint64  `json:"empty_routes"`
-	Partials     uint64  `json:"partials"`
-	ShardErrors  uint64  `json:"shard_errors"`
-	Inserts      uint64  `json:"inserts"`
-	Deletes      uint64  `json:"deletes"`
-	DedupDropped uint64  `json:"dedup_dropped"`
-	// Answer-cache accounting; all zero when the cache is disabled.
-	AnswerCacheHits    uint64 `json:"answer_cache_hits"`
-	AnswerCacheMisses  uint64 `json:"answer_cache_misses"`
-	AnswerCacheEntries int    `json:"answer_cache_entries"`
-}
-
-// CountersSnapshot returns the router's counters.
-func (r *Router) CountersSnapshot() Counters {
-	c := Counters{
+// CountersSnapshot returns the router's counters, with its routing epoch
+// and shard count; Stats adds the shards' health.
+func (r *Router) CountersSnapshot() server.RouterStatsz {
+	c := server.RouterStatsz{
+		RoutingEpoch: r.m.RoutingEpoch,
+		Shards:       len(r.m.Shards),
 		Queries:      r.queries.Load(),
 		FanoutTotal:  r.fanoutTotal.Load(),
 		EmptyRoutes:  r.emptyRoutes.Load(),
@@ -488,4 +491,122 @@ func (r *Router) CountersSnapshot() Counters {
 		c.AnswerCacheHits, c.AnswerCacheMisses, c.AnswerCacheEntries = r.cache.stats()
 	}
 	return c
+}
+
+// QueryBatch routes reqs, up to workers at a time, under the batch-wide
+// deadline on ctx (a query's own timeout_ms is ignored). The lowest-indexed
+// failure fails the batch.
+func (r *Router) QueryBatch(ctx context.Context, reqs []server.QueryRequest, workers int) ([]server.QueryResponse, error) {
+	out := make([]server.QueryResponse, len(reqs))
+	errs := make([]error, len(reqs))
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < min(max(workers, 1), len(reqs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(reqs); i = int(next.Add(1) - 1) {
+				q := reqs[i]
+				q.TimeoutMS = 0
+				out[i], errs[i] = r.Query(ctx, q)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("query %d: %w", i, err)
+		}
+	}
+	return out, nil
+}
+
+// Prob is refused with 404: /v1/prob is not routed.
+func (r *Router) Prob(context.Context, server.ProbRequest) (float64, error) {
+	return 0, &server.StatusError{Status: http.StatusNotFound,
+		Err: errors.New("shard: the router does not serve /v1/prob; ask the shard that holds the point")}
+}
+
+// Points looks each id up on the shards that may hold it.
+func (r *Router) Points(ctx context.Context, ids []int64) ([]server.Point, error) {
+	out := make([]server.Point, len(ids))
+	for i, id := range ids {
+		var err error
+		if out[i], err = r.point(ctx, id); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// point asks the candidates for id in turn: 404 when none holds it, 502
+// when one that might failed.
+func (r *Router) point(ctx context.Context, id int64) (server.Point, error) {
+	var lost error
+	for _, s := range r.candidates(id) {
+		coords, err := r.multi.At(s).Point(ctx, id)
+		if err == nil {
+			return server.Point{ID: id, Coords: coords}, nil
+		}
+		var ae *client.APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusNotFound {
+			lost = err
+		}
+	}
+	if lost != nil {
+		return server.Point{}, badGateway(lost)
+	}
+	return server.Point{}, &server.StatusError{Status: http.StatusNotFound, Err: fmt.Errorf("core: point id %d is deleted", id)}
+}
+
+// Health aggregates the shards' /healthz.
+func (r *Router) Health(ctx context.Context) server.Health {
+	h, _, _ := r.health(ctx)
+	return h
+}
+
+// health polls every shard's /healthz and returns the cluster's: points
+// summed, epoch and max id the maximum over the reachable shards, status
+// "degraded" when any is unreachable. per is each shard's own, errs why a
+// shard is unreachable; both are in shard id order.
+func (r *Router) health(ctx context.Context) (agg server.Health, per []server.Health, errs []error) {
+	per = make([]server.Health, len(r.m.Shards))
+	errs = r.multi.Scatter(ctx, r.allShards(), r.fanout, func(ctx context.Context, shard int, c *client.Client) error {
+		h, err := c.Health(ctx)
+		if err != nil {
+			return err
+		}
+		per[shard] = h
+		return nil
+	})
+	agg = server.Health{Status: "ok", Dim: r.m.Dim}
+	for i, err := range errs {
+		if err != nil {
+			agg.Status = "degraded"
+			per[i].Status = "unreachable"
+			continue
+		}
+		agg.Points += per[i].Points
+		agg.Epoch = max(agg.Epoch, per[i].Epoch)
+		agg.MaxID = max(agg.MaxID, per[i].MaxID)
+	}
+	return agg, per, errs
+}
+
+// Stats is the router's part of /statsz: the cluster's points, dim and
+// epoch from the shards' health, the planner's plan cache, and the router
+// section.
+func (r *Router) Stats(ctx context.Context) server.StatsSnapshot {
+	rs := r.CountersSnapshot()
+	rs.Health, rs.PerShard, _ = r.health(ctx)
+	hits, misses := r.planner.PlanCacheStats()
+	return server.StatsSnapshot{
+		Points:    rs.Health.Points,
+		Dim:       rs.Health.Dim,
+		Epoch:     rs.Health.Epoch,
+		PlanCache: server.PlanCacheStats{Hits: hits, Misses: misses},
+		Router:    &rs,
+	}
 }

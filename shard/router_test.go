@@ -95,6 +95,8 @@ func TestRoutedAnswersMatchUnsharded(t *testing.T) {
 	ctx := context.Background()
 
 	nonEmpty := 0
+	var reqs []server.QueryRequest
+	var answers [][]int64
 	for i := 0; i < 12; i++ {
 		center := pts[(i*7919)%len(pts)]
 		spec := testSpec(center)
@@ -113,6 +115,7 @@ func TestRoutedAnswersMatchUnsharded(t *testing.T) {
 		if !reflect.DeepEqual(got.IDs, wantIDs) {
 			t.Fatalf("query %d: routed %v vs unsharded %v", i, got.IDs, wantIDs)
 		}
+		reqs, answers = append(reqs, server.RequestFromSpec(spec)), append(answers, wantIDs)
 		if len(want.IDs) > 0 {
 			nonEmpty++
 		}
@@ -132,6 +135,17 @@ func TestRoutedAnswersMatchUnsharded(t *testing.T) {
 	cs := c.router.CountersSnapshot()
 	if cs.MeanFanout >= 4 {
 		t.Fatalf("mean fanout %.2f — rectangle pruning never skipped a shard", cs.MeanFanout)
+	}
+
+	// A batch routes its queries on several workers, each answer in its slot.
+	batch, err := c.router.QueryBatch(ctx, reqs, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range batch {
+		if !reflect.DeepEqual(got.IDs, answers[i]) {
+			t.Fatalf("batch query %d: routed %v vs unsharded %v", i, got.IDs, answers[i])
+		}
 	}
 }
 
@@ -237,7 +251,7 @@ func TestMutationRouting(t *testing.T) {
 	// the same batch applied to the reference with those ids keeps the two
 	// deployments identical.
 	batch := [][]float64{{10, 10}, {390, 390}, {200, 200}, {10, 390}}
-	ids, _, err := c.router.Insert(ctx, batch)
+	ids, _, err := c.router.Insert(ctx, batch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,11 +311,11 @@ func TestRouterHandlerEndpoints(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	pts := clusterPoints(r, 300)
 	c := newCluster(t, pts, 2)
-	h, err := NewHandler(HandlerConfig{Router: c.router})
+	srv, err := server.New(server.Config{Backend: c.router})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(h.Mux())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	// The router speaks the plain server protocol: the stock client works
@@ -364,11 +378,11 @@ func TestRouterRejectedSpecIs400(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
 	pts := clusterPoints(r, 300)
 	c := newCluster(t, pts, 4)
-	h, err := NewHandler(HandlerConfig{Router: c.router})
+	srv, err := server.New(server.Config{Backend: c.router})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(h.Mux())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	bad := testSpec(pts[42])
@@ -385,6 +399,56 @@ func TestRouterRejectedSpecIs400(t *testing.T) {
 	}
 }
 
+// TestRouterRefusedInsertIs400: an insert the router refuses before it
+// contacts any shard — a point of the wrong dimension, or ids the caller
+// chose — is the caller's fault, a 400 as from an unsharded server; only a
+// failing shard makes a 502.
+func TestRouterRefusedInsertIs400(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	c := newCluster(t, clusterPoints(r, 100), 2)
+	srv, err := server.New(server.Config{Backend: c.router})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	epochs := make([]uint64, len(c.dbs))
+	for i, db := range c.dbs {
+		epochs[i] = db.Epoch()
+	}
+	for _, body := range []string{`{"points":[[1,2,3]]}`, `{"points":[[1,2]],"ids":[1000]}`} {
+		resp, err := http.Post(ts.URL+"/v1/points", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("insert %s: status %d (%s), want 400", body, resp.StatusCode, msg)
+		}
+	}
+	for i, db := range c.dbs {
+		if db.Epoch() != epochs[i] {
+			t.Errorf("shard %d took a refused insert: epoch %d → %d", i, epochs[i], db.Epoch())
+		}
+	}
+
+	c.shards[1].Close()
+	if _, _, err := c.router.Insert(context.Background(), [][]float64{{1, 1}, {399, 399}}, nil); statusOf(err) != http.StatusBadGateway {
+		t.Errorf("insert with a shard down: %v, want a 502", err)
+	}
+}
+
+// statusOf is the status a server.StatusError carries, 0 for other errors.
+func statusOf(err error) int {
+	var se *server.StatusError
+	if errors.As(err, &se) {
+		return se.Status
+	}
+	return 0
+}
+
 // TestRouterHandlerSharesServerHTTP: the router's HTTP face is the server's —
 // the same encoder (a routed reply, routing report included, is byte for byte
 // encoding/json's), the same framing, and the same one-value-per-body rule.
@@ -392,11 +456,11 @@ func TestRouterHandlerSharesServerHTTP(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
 	pts := clusterPoints(r, 300)
 	c := newCluster(t, pts, 2)
-	h, err := NewHandler(HandlerConfig{Router: c.router})
+	srv, err := server.New(server.Config{Backend: c.router})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(h.Mux())
+	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	post := func(path, body string) (int, http.Header, []byte) {
