@@ -467,6 +467,59 @@ func BenchmarkApplyInsertDelete(b *testing.B) {
 	}
 }
 
+// BenchmarkChurnedQuery measures a cached hull query of the coarse_read
+// bench workload's shape (Σ = 100·PaperSigmaBase, δ = 5, θ = 0.01, centred on
+// Long Beach points) behind the overlay churn_mixed reads through: 1 536
+// insert+delete pairs, so 1 536 tombstoned overlay inserts, plus 256 live
+// ones, jittered off the streets as the bench's writes are. A read merges
+// the overlay's axis-0 slab around its box, not all 3 328 rows: ns/op back
+// near twice coarse_read's means the per-query overlay scan returned.
+func BenchmarkChurnedQuery(b *testing.B) {
+	const pairs, live = 1536, 256
+	pts := data.LongBeach(1)
+	db, err := Load(toRaw(pts))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := mc.NewRNG(5)
+	write := func() [][]float64 {
+		p := pts[rng.Intn(len(pts))]
+		return [][]float64{{p[0] + 2*rng.NormFloat64(), p[1] + 2*rng.NormFloat64()}}
+	}
+	for i := 0; i < pairs+live; i++ {
+		ids, _, _, err := db.Apply(write(), nil)
+		if err == nil && i < pairs {
+			_, _, _, err = db.Apply(nil, ids)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	sigma := experiments.PaperSigmaBase().Scale(100)
+	cov := [][]float64{
+		{sigma.At(0, 0), sigma.At(0, 1)},
+		{sigma.At(1, 0), sigma.At(1, 1)},
+	}
+	specs := make([]QuerySpec, 64)
+	for i := range specs {
+		c := pts[rng.Intn(len(pts))]
+		specs[i] = QuerySpec{Center: []float64{c[0], c[1]}, Cov: cov, Delta: 5, Theta: 0.01}
+	}
+	// The shape's first query compiles, its second builds the hull.
+	for _, s := range specs[:2] {
+		if _, err := db.Query(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Query(specs[i%len(specs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkKNN measures the best-first k-NN used by the 9-D pseudo-feedback
 // setup.
 func BenchmarkKNN(b *testing.B) {

@@ -377,7 +377,7 @@ type Stats struct {
 	// Packed front-half accounting: NodesReadPacked is how many of the
 	// NodesRead visits were served by the cache-linear packed mirror (0 when
 	// the pointer-tree front half ran), OverlayScanned how many overlay
-	// inserts the Phase-1 merge examined, and F32Rechecks how many index
+	// inserts the query was merged against, and F32Rechecks how many index
 	// entries straddled the float32 certificate bands and were rechecked in
 	// float64.
 	NodesReadPacked int

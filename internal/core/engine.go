@@ -132,8 +132,8 @@ type PhaseStats struct {
 	// Packed front-half accounting: NodesReadPacked is how many of the
 	// NodesRead visits were served by the cache-linear packed mirror (0 on
 	// the pointer-tree path), OverlayScanned how many overlay inserts the
-	// Phase-1 merge examined, and F32Rechecks how many entries straddled the
-	// float32 certificate bands and needed an exact float64 recheck.
+	// query was merged against, and F32Rechecks how many entries straddled
+	// the float32 certificate bands and needed an exact float64 recheck.
 	NodesReadPacked int
 	OverlayScanned  int
 	F32Rechecks     int

@@ -284,6 +284,7 @@ func (ix *Index) Stage(inserts []vecmat.Vector, insertIDs []int64, deletes []int
 		slot:      cur.slot,
 		ovl:       cur.ovl,
 		mem:       cur.mem,
+		byX:       cur.byX,
 		dead:      cur.dead,
 		ndead:     cur.ndead,
 		ndeadBase: cur.ndeadBase,
@@ -342,6 +343,8 @@ func (ix *Index) Stage(inserts []vecmat.Vector, insertIDs []int64, deletes []int
 			ix.mu.Unlock()
 			return nil, err
 		}
+	} else if len(next.mem)-len(next.byX) >= overlayTail {
+		next.byX = next.mergeByX()
 	}
 	return &Staged{ix: ix, next: next, IDs: ids, Deleted: deleted, Epoch: next.epoch}, nil
 }
@@ -384,6 +387,7 @@ func (ix *Index) rebuildSnapshot(next *Snapshot) error {
 	next.slot = slot
 	next.ovl = nil
 	next.mem = nil
+	next.byX = nil
 	next.dead, next.ndead, next.ndeadBase = nil, 0, 0
 	return nil
 }

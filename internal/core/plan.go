@@ -222,17 +222,19 @@ func (p *Plan) baseStats() PhaseStats {
 }
 
 // phase2State is one execution's scratch: the statistics, Phase 2's output
-// (accepted goes on to collect the Phase-3 survivors as well) and the
-// filters' buffers. It comes from phase2Pool through getPhase2, and the
-// execution that took it puts it back with release on every path — error,
-// cancellation, an ExecuteFunc callback stopping early — so a served query
-// allocates its id slices only when they outgrow every earlier one. No slice
+// (accepted goes on to collect the Phase-3 survivors as well), the overlay
+// rows inside the search box and the filters' buffers. It comes from
+// phase2Pool through getPhase2, and the execution that took it puts it back
+// with release on every path — error, cancellation, an ExecuteFunc callback
+// stopping early — so a served query allocates its id slices only when they
+// outgrow every earlier one. No slice
 // of it may outlive the execution: what a caller keeps is copied out.
 type phase2State struct {
 	st            PhaseStats
 	pst           rtree.SearchStats
 	accepted      []int64
 	needEval      []int64
+	rows          []int32
 	scratch, yBuf vecmat.Vector
 	qCenter       vecmat.Vector
 	auSq, alSq    float64
@@ -247,10 +249,10 @@ const maxPooledIDs = 1 << 16
 func getPhase2() *phase2State { return phase2Pool.Get().(*phase2State) }
 
 func (s *phase2State) release() {
-	if cap(s.accepted) > maxPooledIDs || cap(s.needEval) > maxPooledIDs {
-		s.accepted, s.needEval = nil, nil
+	if cap(s.accepted) > maxPooledIDs || cap(s.needEval) > maxPooledIDs || cap(s.rows) > maxPooledIDs {
+		s.accepted, s.needEval, s.rows = nil, nil, nil
 	}
-	s.accepted, s.needEval = s.accepted[:0], s.needEval[:0]
+	s.accepted, s.needEval, s.rows = s.accepted[:0], s.needEval[:0], s.rows[:0]
 	s.qCenter = nil
 	phase2Pool.Put(s)
 }
@@ -280,15 +282,7 @@ func (p *Plan) bindPhase2(s *phase2State, dim int) {
 // inserted point), so both front halves produce identical id sequences.
 func (p *Plan) filterOne(s *phase2State, id int64, o vecmat.Vector) {
 	if p.hull != nil {
-		switch p.hull.classify(o[0]-s.qCenter[0], o[1]-s.qCenter[1]) {
-		case hullInside:
-			s.st.AcceptedBF++
-			s.accepted = append(s.accepted, id)
-		case hullOutside:
-			s.st.PrunedOR++
-		default:
-			s.needEval = append(s.needEval, id)
-		}
+		s.takeHull(id, p.hull.classify(o[0]-s.qCenter[0], o[1]-s.qCenter[1]))
 		return
 	}
 	if p.fringe != nil && !p.fringe.Contains(o) {
@@ -317,6 +311,19 @@ func (p *Plan) filterOne(s *phase2State, id int64, o vecmat.Vector) {
 		}
 	}
 	s.needEval = append(s.needEval, id)
+}
+
+// takeHull routes a candidate by the hull's verdict v.
+func (s *phase2State) takeHull(id int64, v int) {
+	switch v {
+	case hullInside:
+		s.st.AcceptedBF++
+		s.accepted = append(s.accepted, id)
+	case hullOutside:
+		s.st.PrunedOR++
+	default:
+		s.needEval = append(s.needEval, id)
+	}
 }
 
 // filterPhases pins the index's current snapshot and executes Phases 1 and
@@ -375,25 +382,31 @@ func (p *Plan) filterPhasesPointer(snap *Snapshot, s *phase2State) error {
 	return nil
 }
 
-// filterPhasesFused is the packed front half: one pass over the cache-linear
-// mirror runs the float32-certified rect test and the Phase-2 filter chain
-// per leaf block (PhaseDurations[0]), then the overlay inserts are merged
-// through the same filters (PhaseDurations[1]). Candidate order — base DFS
-// order minus tombstones, then overlay ascending — matches the pointer path
+// filterPhasesFused is the packed front half: the rect walk hands each leaf
+// block to the Phase-2 filters, run over it with no call per point
+// (PhaseDurations[0]), then the overlay rows in the box are merged through
+// the same filters (PhaseDurations[1]). Candidate order — base DFS order
+// minus tombstones, then overlay ascending — matches the pointer path
 // exactly, so ExecuteFunc streams the same ids in the same order on either.
 func (p *Plan) filterPhasesFused(snap *Snapshot, s *phase2State) error {
 	st := &s.st
 	t0 := time.Now()
-	dead := snap.dead
-	err := snap.base.packed.SearchRect(p.searchBox, func(id int64, pt []float64) bool {
-		if tombstoned(dead, id) {
+	d, dead, box := snap.dim, snap.dead, p.searchBox
+	leaf := func(ids []int64, pts []float64) bool {
+		if p.hull != nil {
+			p.hullLeaf(s, dead, ids, pts)
 			return true
 		}
-		st.Retrieved++
-		p.filterOne(s, id, vecmat.Vector(pt))
+		for j, id := range ids {
+			o := pts[j*d : j*d+d : j*d+d]
+			if box.Contains(o) && !tombstoned(dead, id) {
+				st.Retrieved++
+				p.filterOne(s, id, o)
+			}
+		}
 		return true
-	}, &s.pst)
-	if err != nil {
+	}
+	if err := snap.base.packed.SearchRectLeaves(p.searchBox, leaf, &s.pst); err != nil {
 		return err
 	}
 	st.NodesRead = int(s.pst.Nodes)
@@ -403,27 +416,34 @@ func (p *Plan) filterPhasesFused(snap *Snapshot, s *phase2State) error {
 
 	t1 := time.Now()
 	st.OverlayScanned += len(snap.mem)
-	// One loop over the ovl rows against the box bounds, hoisted: most
-	// overlay inserts lie outside the box and then cost no tombstone test.
-	d := snap.dim
-	lo, hi := p.searchBox.Lo[:d], p.searchBox.Hi[:d]
-	ovl := snap.ovl[:len(snap.mem)*d]
-rows:
-	for i, id := range snap.mem {
-		o := ovl[i*d : i*d+d : i*d+d]
-		for k, x := range o {
-			if x < lo[k] || x > hi[k] {
-				continue rows
-			}
+	s.rows = snap.overlayRows(box, s.rows[:0])
+	for _, row := range s.rows {
+		if id := snap.mem[row]; !tombstoned(dead, id) {
+			st.Retrieved++
+			p.filterOne(s, id, snap.overlayPoint(int(row)))
 		}
-		if tombstoned(dead, id) {
-			continue
-		}
-		st.Retrieved++
-		p.filterOne(s, id, o)
 	}
 	st.PhaseDurations[1] = time.Since(t1)
 	return nil
+}
+
+// hullLeaf is a hull plan's leaf loop (a hull is built for d = 2 only): the
+// rect test, the tombstone test and the hull's verdict inline over one
+// point block — Rect.Contains and filterOne's decisions, in their order.
+func (p *Plan) hullLeaf(s *phase2State, dead []uint64, ids []int64, pts []float64) {
+	h := p.hull
+	x0, x1 := p.searchBox.Lo[0], p.searchBox.Hi[0]
+	y0, y1 := p.searchBox.Lo[1], p.searchBox.Hi[1]
+	qx, qy := s.qCenter[0], s.qCenter[1]
+	pts = pts[:2*len(ids)]
+	for j, id := range ids {
+		x, y := pts[2*j], pts[2*j+1]
+		if x < x0 || x > x1 || y < y0 || y > y1 || tombstoned(dead, id) {
+			continue
+		}
+		s.st.Retrieved++
+		s.takeHull(id, h.classify(x-qx, y-qy))
+	}
 }
 
 // Execute runs the compiled plan serially with the engine's evaluator.

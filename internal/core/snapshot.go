@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,11 +56,16 @@ func (b *base) pointerTree() *rtree.Tree {
 // (an id past its end is not tombstoned) and is nil while the generation has
 // no deletes. Each delete batch publishes a fresh copy (Index.Stage), so a
 // published bitset never changes and readers need no atomics.
+//
+// byX orders the ovl rows [0, len(byX)) by (axis-0 coordinate, row) for
+// rect searches; the rows past it, fewer than overlayTail, are unsorted.
+// Like dead, a published byX never changes (mergeByX); a fold resets it.
 type Snapshot struct {
 	base  *base
 	slot  []int32   // id-indexed: leaf position, base length + ovl row, or −1
 	ovl   []float64 // overlay insert coordinates, row-major; row i is mem[i]'s
 	mem   []int64   // ids inserted after the base was built (ascending)
+	byX   []int32   // ovl rows ordered by axis 0, see above
 	dead  []uint64  // tombstone bitset, see above
 	ndead int       // ids set in dead
 	// ndeadBase counts the tombstones whose slot is in the base: the only
@@ -182,15 +189,76 @@ func (s *Snapshot) searchRect(r geom.Rect, pointer bool) ([]int64, error) {
 		}
 		ids = kept
 	}
-	for i, id := range s.mem {
-		if tombstoned(s.dead, id) {
-			continue
-		}
-		if r.Contains(s.overlayPoint(i)) {
+	for _, row := range s.overlayRows(r, nil) {
+		if id := s.mem[row]; !tombstoned(s.dead, id) {
 			ids = append(ids, id)
 		}
 	}
 	return ids, nil
+}
+
+// overlayTail is the tail length at which Stage merges the tail into byX.
+const overlayTail = 64
+
+// overlayRows appends to rows the ovl rows inside r (r.Contains), dead or
+// not, ascending — the order every rect reader merges the overlay in. The
+// binary searches make Contains' axis-0 comparisons, so the slab holds
+// exactly the ordered rows that pass them; the tail's rows are all higher.
+func (s *Snapshot) overlayRows(r geom.Rect, rows []int32) []int32 {
+	d, byX := s.dim, s.byX
+	ovl := s.ovl[:len(s.mem)*d]
+	lo0, hi0 := r.Lo[0], r.Hi[0]
+	rest := geom.Rect{Lo: r.Lo[1:d], Hi: r.Hi[1:d]}
+	from := sort.Search(len(byX), func(i int) bool { return !(ovl[int(byX[i])*d] < lo0) })
+	to := from + sort.Search(len(byX)-from, func(i int) bool { return ovl[int(byX[from+i])*d] > hi0 })
+	start := len(rows)
+	for _, row := range byX[from:to] {
+		o := int(row) * d
+		if rest.Contains(ovl[o+1 : o+d]) {
+			rows = append(rows, row)
+		}
+	}
+	slices.Sort(rows[start:])
+	for row := len(byX); row < len(s.mem); row++ {
+		o := row * d
+		if r.Contains(ovl[o : o+d]) {
+			rows = append(rows, int32(row))
+		}
+	}
+	return rows
+}
+
+// mergeByX returns byX with the tail rows merged in, as a fresh slice: the
+// snapshots sharing the old one keep their view, and a discarded stage
+// leaves nothing behind.
+func (s *Snapshot) mergeByX() []int32 {
+	d, old := s.dim, s.byX
+	x := func(row int32) float64 { return s.ovl[int(row)*d] }
+	out := make([]int32, len(s.mem))
+	// The sorted tail goes to the front of out and the merge writes from the
+	// back, so no unread tail row is overwritten. On equal x, the tail's
+	// higher rows go after the old ones.
+	tail := out[:len(out)-len(old)]
+	for i := range tail {
+		tail[i] = int32(len(old) + i)
+	}
+	slices.SortFunc(tail, func(a, b int32) int {
+		if c := cmp.Compare(x(a), x(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	i, j := len(old)-1, len(tail)-1
+	for w := len(out) - 1; i >= 0; w-- {
+		if j >= 0 && !(x(tail[j]) < x(old[i])) {
+			out[w] = tail[j]
+			j--
+		} else {
+			out[w] = old[i]
+			i--
+		}
+	}
+	return out
 }
 
 // SearchSphere invokes fn for every live point within Euclidean distance
@@ -226,8 +294,9 @@ func (s *Snapshot) SearchSphere(center vecmat.Vector, radius float64, fn func(id
 
 // NearestNeighbors returns the k live points closest to p, nearest first.
 // The base tree is asked for k plus its own tombstones (overlay tombstones
-// are never in it), and overlay inserts are merged by distance; ties go to
-// the smaller id.
+// are never in it), and the k nearest live overlay inserts are merged by
+// distance; ties go to the smaller id. Only the overlay inserts returned
+// get their rect built.
 func (s *Snapshot) NearestNeighbors(p vecmat.Vector, k int) ([]rtree.Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: k must be positive, got %d", k)
@@ -237,30 +306,69 @@ func (s *Snapshot) NearestNeighbors(p vecmat.Vector, k int) ([]rtree.Neighbor, e
 	if err != nil {
 		return nil, err
 	}
-	out := make([]rtree.Neighbor, 0, k+len(s.mem))
+	out := make([]rtree.Neighbor, 0, len(base)+min(k, len(s.mem)))
 	for _, n := range base {
 		if tombstoned(s.dead, n.ID) {
 			continue
 		}
 		out = append(out, n)
 	}
+	// out[nb:] holds the k nearest overlay inserts so far; once full, it is
+	// a max-heap with the farthest at its root.
+	nb := len(out)
 	for i, id := range s.mem {
 		if tombstoned(s.dead, id) {
 			continue
 		}
-		pt := s.overlayPoint(i)
-		out = append(out, rtree.Neighbor{Rect: geom.PointRect(pt), ID: id, Dist2: pt.Dist2(p)})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist2 != out[j].Dist2 {
-			return out[i].Dist2 < out[j].Dist2
+		c := rtree.Neighbor{ID: id, Dist2: s.overlayPoint(i).Dist2(p)}
+		if h := out[nb:]; len(h) < k {
+			if out = append(out, c); len(h)+1 == k {
+				for j := k/2 - 1; j >= 0; j-- {
+					siftDown(out[nb:], j)
+				}
+			}
+		} else if cmpNeighbor(c, h[0]) < 0 {
+			h[0] = c
+			siftDown(h, 0)
 		}
-		return out[i].ID < out[j].ID
-	})
+	}
+	slices.SortFunc(out, cmpNeighbor)
 	if len(out) > k {
 		out = out[:k]
 	}
+	for i := range out {
+		if out[i].Rect.Lo == nil {
+			out[i].Rect = geom.PointRect(s.point(out[i].ID))
+		}
+	}
 	return out, nil
+}
+
+// cmpNeighbor orders neighbours by distance, then id.
+func cmpNeighbor(a, b rtree.Neighbor) int {
+	if c := cmp.Compare(a.Dist2, b.Dist2); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// siftDown moves h[i] down until no child of it is farther (cmpNeighbor):
+// the max-heap order of h below i is then restored.
+func siftDown(h []rtree.Neighbor, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && cmpNeighbor(h[c], h[c+1]) < 0 {
+			c++
+		}
+		if cmpNeighbor(h[i], h[c]) >= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // Range calls fn for every live point in ascending id order, stopping early

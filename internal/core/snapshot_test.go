@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -199,6 +200,60 @@ func TestNearestNeighborsWithTombstones(t *testing.T) {
 				t.Fatalf("trial %d: neighbor %d is dead id %d", trial, i, got[i].ID)
 			}
 		}
+	}
+}
+
+// TestNearestNeighborsAllocsFlat holds NearestNeighbors' allocations
+// independent of the overlay's size: the overlay's k nearest are kept in
+// the answer's own slice, and a rect is built only for an overlay insert
+// returned. Overlay inserts far from the probe cost none; the one near it
+// comes back with its point as its rect.
+func TestNearestNeighborsAllocsFlat(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	pts := make([]vecmat.Vector, 5000)
+	for i := range pts {
+		pts[i] = vecmat.Vector{rng.Float64() * 100, rng.Float64() * 100}
+	}
+	ix, err := NewIndex(pts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := vecmat.Vector{50, 50}
+	const k = 5
+	var allocs []float64
+	for _, n := range []int{0, 256, 1024} {
+		far := make([]vecmat.Vector, n-len(ix.Current().mem))
+		for i := range far {
+			far[i] = vecmat.Vector{1000 + rng.Float64()*100, 1000 + rng.Float64()*100}
+		}
+		if _, _, _, err := ix.Apply(far, nil); err != nil {
+			t.Fatal(err)
+		}
+		snap := ix.Current()
+		if ins, _ := snap.OverlaySize(); ins != n {
+			t.Fatalf("overlay holds %d inserts, want %d", ins, n)
+		}
+		allocs = append(allocs, testing.AllocsPerRun(20, func() {
+			if _, err := snap.NearestNeighbors(q, k); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if allocs[1] != allocs[0] || allocs[2] != allocs[0] {
+		t.Fatalf("NearestNeighbors allocates %v with 0, 256 and 1024 overlay inserts; want one count", allocs)
+	}
+
+	near := vecmat.Vector{50, 50.001}
+	ids, _, _, err := ix.Apply([]vecmat.Vector{near}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ix.Current().NearestNeighbors(q, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].ID != ids[0] || !slices.Equal(got[0].Rect.Lo, near) || !slices.Equal(got[0].Rect.Hi, near) {
+		t.Fatalf("nearest is %d at %v, want the overlay insert %d at %v", got[0].ID, got[0].Rect, ids[0], near)
 	}
 }
 

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"gaussrange/internal/geom"
@@ -11,8 +12,9 @@ import (
 // FuzzPackedSearch STR-loads points decoded from the input (a dimension
 // selector, then dim bytes a point), packs the tree, and checks rect and
 // sphere search parity — ids, order, and node-visit counts — between the
-// packed mirror and the pointer tree, with the probe rect also decoded from
-// the input so the fuzzer can steer it onto entry boundaries.
+// packed mirror and the pointer tree, and the leaf walk against both, with
+// the probe rect also decoded from the input so the fuzzer can steer it onto
+// entry boundaries.
 func FuzzPackedSearch(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{2, 255, 254, 0, 0, 0, 128, 7, 7, 7, 9, 9})
@@ -87,6 +89,30 @@ func FuzzPackedSearch(f *testing.F) {
 		}
 		if int(st.Nodes) != wantNodes {
 			t.Fatalf("rect: packed visited %d nodes, pointer %d", st.Nodes, wantNodes)
+		}
+
+		// The leaf walk, with the point test applied by the caller, must
+		// give the same ids in the same order and the same counts.
+		var stL SearchStats
+		var gotL []int64
+		if err := p.SearchRectLeaves(q, func(ids []int64, pts []float64) bool {
+			if len(pts) != len(ids)*dim {
+				t.Fatalf("leaf: %d ids, %d coordinates", len(ids), len(pts))
+			}
+			for j, id := range ids {
+				if q.Contains(pts[j*dim : (j+1)*dim]) {
+					gotL = append(gotL, id)
+				}
+			}
+			return true
+		}, &stL); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(gotL, want) {
+			t.Fatalf("leaf walk: %d ids, pointer %d, or their order diverges", len(gotL), len(want))
+		}
+		if stL != st {
+			t.Fatalf("leaf walk: stats %+v, SearchRect %+v", stL, st)
 		}
 
 		if len(live) > 0 {

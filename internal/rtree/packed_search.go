@@ -178,23 +178,16 @@ func (p *Packed) rectIntersects(e int32, q geom.Rect) bool {
 	return true
 }
 
-// pointInRect is geom.Rect.Intersects on the degenerate rect of pt:
-// disjoint iff on some axis pt < q.Lo or pt > q.Hi, so a NaN query bound
-// rejects nothing, exactly as in the pointer tree.
-func pointInRect(pt, lo, hi []float64) bool {
-	for a, x := range pt {
-		if x < lo[a] || x > hi[a] {
-			return false
-		}
-	}
-	return true
-}
+// LeafVisitor receives one leaf the rect walk reached, its points untested:
+// its ids and their row-major point block, windows on the packed arrays
+// (valid for the life of the Packed; do not mutate). False stops the walk.
+type LeafVisitor func(ids []int64, pts []float64) bool
 
-// SearchRect invokes fn for every data entry whose rectangle intersects
-// query, visiting nodes and entries in exactly the pointer tree's DFS order,
-// so callback sequences — and therefore collected id slices — are identical.
-// st may be nil.
-func (p *Packed) SearchRect(query geom.Rect, fn PointVisitor, st *SearchStats) error {
+// SearchRectLeaves is the one rect walk: it descends into every node entry
+// whose rectangle intersects query, in exactly the pointer tree's DFS order,
+// and hands each leaf it reaches to fn whole, so the caller runs its own
+// point test over the block with no call per point. st may be nil.
+func (p *Packed) SearchRectLeaves(query geom.Rect, fn LeafVisitor, st *SearchStats) error {
 	if query.Dim() != p.dim {
 		return fmt.Errorf("%w: query dim %d vs packed dim %d", ErrDimension, query.Dim(), p.dim)
 	}
@@ -208,19 +201,13 @@ func (p *Packed) SearchRect(query geom.Rect, fn PointVisitor, st *SearchStats) e
 	return nil
 }
 
-func (p *Packed) searchRectNode(ni int32, depth int, ctx *rectCtx, fn PointVisitor) bool {
+func (p *Packed) searchRectNode(ni int32, depth int, ctx *rectCtx, fn LeafVisitor) bool {
 	ctx.st.Nodes++
 	s, e := p.start[ni], p.start[ni+1]
 	if ni >= p.firstLeaf {
-		d := p.dim
-		lo, hi := ctx.q.Lo[:d:d], ctx.q.Hi[:d:d]
-		for j := int(s - p.leafBase); j < int(e-p.leafBase); j++ {
-			pt := p.pts[j*d : (j+1)*d : (j+1)*d]
-			if pointInRect(pt, lo, hi) && !fn(p.ids[j], pt) {
-				return false
-			}
-		}
-		return true
+		s, e = s-p.leafBase, e-p.leafBase
+		d := int32(p.dim)
+		return fn(p.ids[s:e:e], p.pts[s*d:e*d:e*d])
 	}
 	// Recursion below reuses the scratch arena, so each depth owns its slice.
 	cls := ctx.cls[depth*p.maxSpan : depth*p.maxSpan+int(e-s)]
@@ -242,6 +229,25 @@ func (p *Packed) searchRectNode(ni int32, depth int, ctx *rectCtx, fn PointVisit
 		}
 	}
 	return true
+}
+
+// SearchRect invokes fn for every data entry whose rectangle intersects
+// query, visiting nodes and entries in exactly the pointer tree's DFS order,
+// so callback sequences — and therefore collected id slices — are identical.
+// It is SearchRectLeaves with query.Contains — geom.Rect.Intersects on a
+// point's degenerate rect, so a NaN bound rejects nothing — over each leaf.
+// st may be nil.
+func (p *Packed) SearchRect(query geom.Rect, fn PointVisitor, st *SearchStats) error {
+	d := p.dim
+	return p.SearchRectLeaves(query, func(ids []int64, pts []float64) bool {
+		for j, id := range ids {
+			pt := pts[j*d : (j+1)*d : (j+1)*d]
+			if query.Contains(pt) && !fn(id, pt) {
+				return false
+			}
+		}
+		return true
+	}, st)
 }
 
 // CollectRect returns the IDs of all data entries intersecting query, in the

@@ -118,7 +118,7 @@ type QueryStats struct {
 	ProbNS       int64 `json:"prob_ns"`
 	// Packed front-half accounting: node visits served by the cache-linear
 	// packed mirror (0 when the pointer-tree front half ran), overlay inserts
-	// examined by the Phase-1 merge, and float32-certificate straddles
+	// the query was merged against, and float32-certificate straddles
 	// rechecked in float64.
 	NodesReadPacked int `json:"nodes_read_packed,omitempty"`
 	OverlayScanned  int `json:"overlay_scanned,omitempty"`
@@ -377,8 +377,8 @@ type QueryTotals struct {
 	AcceptedBF   uint64 `json:"accepted_bf"`
 	Integrations uint64 `json:"integrations"`
 	NodesRead    uint64 `json:"nodes_read"`
-	// Packed front-half totals: mirror visits, overlay merge scans, and
-	// float32-certificate rechecks across all queries.
+	// Packed front-half totals: mirror visits, overlay inserts merged
+	// against, and float32-certificate rechecks across all queries.
 	NodesReadPacked uint64 `json:"nodes_read_packed"`
 	OverlayScanned  uint64 `json:"overlay_scanned"`
 	F32Rechecks     uint64 `json:"f32_rechecks"`
