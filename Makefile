@@ -30,7 +30,7 @@ fmt-check:
 deadcode:
 	$(GO) run ./scripts/deadcode
 
-# fuzz-smoke runs the seven fuzzers briefly: the two R-tree fuzzers —
+# fuzz-smoke runs the eight fuzzers briefly: the two R-tree fuzzers —
 # packed-vs-pointer search parity on STR-loaded trees, and the flat STR build
 # against its pointer-tree reference — the Ruben-kernel fuzzer, which checks
 # the linear-time series (value, certified bound, early decisions) against
@@ -41,16 +41,21 @@ deadcode:
 # bytes (error or not, same value, same float bits), and the id-block fuzzer,
 # which checks that the block decoder agrees with encoding/json on arbitrary
 # block text and that any []int64 — unsorted, repeated, extreme —
-# round-trips through a block. `go test` accepts only one -fuzz target per
-# invocation, so the 24s budget is split across the seven fuzzers.
+# round-trips through a block, and the query-stream fuzzer, which feeds
+# arbitrary bytes to the stream handler as a stream's body and checks that it
+# never panics, answers each complete well-formed frame exactly as /v1/query
+# answers its body, and ends the stream at a malformed or oversized length.
+# `go test` accepts only one -fuzz target per invocation, so the 24s budget
+# is split across the eight fuzzers.
 fuzz-smoke:
-	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedSearch -fuzztime 3.4s
-	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedBuild -fuzztime 3.4s
-	$(GO) test ./internal/quadform -run '^$$' -fuzz FuzzRubenCDF -fuzztime 3.4s
-	$(GO) test ./internal/core -run '^$$' -fuzz FuzzHullClassify -fuzztime 3.4s
-	$(GO) test ./server -run '^$$' -fuzz FuzzQueryResponseDecode -fuzztime 3.4s
-	$(GO) test ./server -run '^$$' -fuzz FuzzQueryRequestDecode -fuzztime 3.4s
-	$(GO) test ./server -run '^$$' -fuzz FuzzIDBlock -fuzztime 3.4s
+	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedSearch -fuzztime 3s
+	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedBuild -fuzztime 3s
+	$(GO) test ./internal/quadform -run '^$$' -fuzz FuzzRubenCDF -fuzztime 3s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzHullClassify -fuzztime 3s
+	$(GO) test ./server -run '^$$' -fuzz FuzzQueryResponseDecode -fuzztime 3s
+	$(GO) test ./server -run '^$$' -fuzz FuzzQueryRequestDecode -fuzztime 3s
+	$(GO) test ./server -run '^$$' -fuzz FuzzIDBlock -fuzztime 3s
+	$(GO) test ./server -run '^$$' -fuzz FuzzQueryStream -fuzztime 3s
 
 # verify is the pre-merge gate: formatting, static analysis, and the
 # race-enabled test suite (the storage engine, the plan cache and its shared

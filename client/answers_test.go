@@ -32,14 +32,14 @@ func TestClientReadsParentReplies(t *testing.T) {
 	lines := bytes.SplitAfter(bytes.TrimSuffix(raw, []byte("\n")), []byte("\n"))
 	for i, line := range lines {
 		var asked string
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ts := httptest.NewServer(withoutStream(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			var req server.QueryRequest
 			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 				t.Errorf("line %d: decoding request: %v", i, err)
 			}
 			asked = req.IDsFormat
 			w.Write(line)
-		}))
+		})))
 		got, err := New(ts.URL).Query(context.Background(), testQuerySpec())
 		ts.Close()
 		if err != nil {

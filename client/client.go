@@ -222,7 +222,7 @@ func (c *Client) doRetry(ctx context.Context, method, path string, in, out any, 
 	var payload []byte
 	if in != nil {
 		var err error
-		payload, err = json.Marshal(in)
+		payload, err = server.AppendJSON(make([]byte, 0, 256), in)
 		if err != nil {
 			return fmt.Errorf("client: encoding request: %w", err)
 		}
@@ -300,9 +300,9 @@ const maxResponseBytes = 64 << 20
 
 var errResponseTooLarge = fmt.Errorf("client: response body exceeds %d bytes", maxResponseBytes)
 
-// decodeResponse consumes resp: a non-2xx reply becomes an *APIError, a 2xx
-// body is decoded into out (when non-nil). A body over maxResponseBytes is an
-// error, raised before reading when its length is declared.
+// decodeResponse consumes resp and decodes its body with decodeReply. A body
+// over maxResponseBytes is an error, raised before reading when its length is
+// declared.
 func decodeResponse(resp *http.Response, out any) error {
 	defer resp.Body.Close()
 	if resp.ContentLength > maxResponseBytes {
@@ -316,16 +316,22 @@ func decodeResponse(resp *http.Response, out any) error {
 	if len(data) > maxResponseBytes {
 		return errResponseTooLarge
 	}
-	if resp.StatusCode/100 != 2 {
+	return decodeReply(resp.StatusCode, data, resp.Header.Get("Retry-After"), out)
+}
+
+// decodeReply decodes a reply body: under a non-2xx status an *APIError,
+// under a 2xx one into out (when non-nil).
+func decodeReply(status int, data []byte, retryAfter string, out any) error {
+	if status/100 != 2 {
 		var er server.ErrorResponse
 		msg := strings.TrimSpace(string(data))
 		if json.Unmarshal(data, &er) == nil && er.Error != "" {
 			msg = er.Error
 		}
 		return &APIError{
-			Status:     resp.StatusCode,
+			Status:     status,
 			Message:    msg,
-			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
+			RetryAfter: parseRetryAfter(retryAfter),
 		}
 	}
 	if out == nil {

@@ -15,6 +15,26 @@ import (
 	"gaussrange/server"
 )
 
+// withoutStream serves h as a server that predates the query stream: its
+// endpoint is unknown there (404), so queries go per request.
+func withoutStream(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == streamPath {
+			http.NotFound(w, r)
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// perRequest puts cl on the per-request exchange from its first query, as a
+// refused stream leaves it: a test that counts the exchange's connections
+// then does not count the one the refusal closes.
+func perRequest(cl *Client) *Client {
+	cl.direct.noStream.Store(true)
+	return cl
+}
+
 func okHandler(t *testing.T, check func(req server.QueryRequest)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req server.QueryRequest
@@ -56,7 +76,7 @@ func (f *flakyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 // TestRetriesConnectionErrors proves a request that fails twice with a
 // connection error succeeds on the third attempt.
 func TestRetriesConnectionErrors(t *testing.T) {
-	ts := httptest.NewServer(okHandler(t, nil))
+	ts := httptest.NewServer(withoutStream(okHandler(t, nil)))
 	defer ts.Close()
 
 	ft := &flakyTransport{
@@ -104,12 +124,12 @@ func TestRetriesExhausted(t *testing.T) {
 // as APIError without any retry.
 func TestNoRetryOnHTTPError(t *testing.T) {
 	var calls atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(withoutStream(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusTooManyRequests)
 		json.NewEncoder(w).Encode(server.ErrorResponse{Error: "server overloaded"})
-	}))
+	})))
 	defer ts.Close()
 
 	cl := New(ts.URL, WithRetries(3), WithRetryBackoff(time.Millisecond))
@@ -139,9 +159,9 @@ func asAPIError(err error, target **APIError) bool {
 // timeout_ms, so the server-side query context expires with the caller's.
 func TestDeadlinePropagation(t *testing.T) {
 	var gotTimeout atomic.Int64
-	ts := httptest.NewServer(okHandler(t, func(req server.QueryRequest) {
+	ts := httptest.NewServer(withoutStream(okHandler(t, func(req server.QueryRequest) {
 		gotTimeout.Store(req.TimeoutMS)
-	}))
+	})))
 	defer ts.Close()
 
 	cl := New(ts.URL)

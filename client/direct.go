@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -22,7 +23,9 @@ import (
 // reply across them, which on loopback costs more CPU than the request's
 // syscalls. The reply is still parsed by http.ReadResponse, so the framing
 // (Content-Length, chunked, Connection: close) is the standard library's.
-// Mutations never come here; DESIGN.md "Client read path" says why.
+// Queries go as frames on a pooled query stream instead (stream.go), unless
+// the server refused one. Mutations never come here; DESIGN.md "Client read
+// path" says why.
 type direct struct {
 	addr   string // host:port to dial
 	host   string // Host header
@@ -30,8 +33,11 @@ type direct struct {
 	idle   time.Duration
 	dial   func(ctx context.Context, network, addr string) (net.Conn, error)
 
-	mu    sync.Mutex
-	conns []*conn // idle, most recently used last
+	noStream atomic.Bool // the server refused a query stream: queries go per request
+
+	mu      sync.Mutex
+	conns   []*conn // idle, most recently used last
+	streams []*conn // idle query streams, most recently used last
 }
 
 // newDirect returns the read path for baseURL, dialling and idling as t —
@@ -70,23 +76,29 @@ func newDirect(baseURL string, t *http.Transport) *direct {
 type conn struct {
 	net.Conn
 	abort  func()      // closes the connection; run by a cancelled ctx
-	timer  *time.Timer // closes the connection once it has idled out
+	timer  *time.Timer // ends the connection's stream, or closes it, once it has idled out
 	idleAt time.Time
+
+	// A query stream open on the connection holds its readers: frames reads
+	// the reply's body, through br.
+	br, frames *bufio.Reader
 }
 
 // exchangeBufs are what one request and its reply are read and written
 // through. They are lent to a connection for one exchange only, so an idle
-// connection — or a dropped Client's — holds no buffer.
+// connection — or a dropped Client's — holds no buffer; an idle stream holds
+// its readers until it ends, streamIdle later.
 type exchangeBufs struct {
-	br   *bufio.Reader
-	wbuf []byte
-	body replyBody
+	br    *bufio.Reader
+	wbuf  []byte
+	body  replyBody
+	frame []byte // a reply frame's body
 }
 
 var exchangeBufPool = sync.Pool{New: func() any { return &exchangeBufs{br: bufio.NewReader(nil)} }}
 
-// maxPooledWrite keeps a one-off large request (a batch) from pinning its
-// buffer in the pool.
+// maxPooledWrite keeps a one-off large request (a batch) or reply from
+// pinning its buffer in the pool.
 const maxPooledWrite = 64 << 10
 
 // replyBody records whether the reply's body was read to its end: only then
@@ -113,7 +125,8 @@ func (b *replyBody) Close() error { return nil }
 // decodeResponse's. A reused connection that fails before any reply byte
 // arrives was most likely closed by the server while it idled, so the request
 // goes once more, at once and uncounted, on a fresh connection — safe only
-// because every request on this path is a read.
+// because every request on this path is a read. A query goes as a frame on a
+// stream, under the same rule.
 func (d *direct) roundTrip(ctx context.Context, method, path string, payload []byte, out any, timeout time.Duration) error {
 	if err := ctx.Err(); err != nil {
 		return d.fail(ctx, method, path, time.Time{}, err, true)
@@ -125,7 +138,9 @@ func (d *direct) roundTrip(ctx context.Context, method, path string, payload []b
 	if dl, ok := ctx.Deadline(); ok && (deadline.IsZero() || dl.Before(deadline)) {
 		deadline = dl
 	}
-	for pc := d.get(); ; pc = nil {
+	stream := path == queryPath && !d.noStream.Load()
+	pc := d.get(stream)
+	for {
 		reused := pc != nil
 		if !reused {
 			var err error
@@ -133,9 +148,22 @@ func (d *direct) roundTrip(ctx context.Context, method, path string, payload []b
 				return d.fail(ctx, method, path, deadline, err, true)
 			}
 		}
-		replied, err := d.exchange(ctx, pc, method, path, payload, out, deadline)
-		if err == nil || replied || !reused || ctx.Err() != nil || isTimeout(err) {
+		var (
+			replied bool
+			err     error
+		)
+		if stream {
+			replied, err = d.query(ctx, pc, payload, out, deadline)
+		} else {
+			replied, err = d.exchange(ctx, pc, method, path, payload, out, deadline)
+		}
+		switch {
+		case err == errNoStream: // the query goes per request
+			stream, pc = false, d.get(false)
+		case err == nil || replied || !reused || ctx.Err() != nil || isTimeout(err):
 			return err
+		default:
+			pc = nil
 		}
 	}
 }
@@ -210,52 +238,78 @@ func (d *direct) send(pc *conn, b *exchangeBufs, method, path string, payload []
 	return err
 }
 
-// get takes the most recently used idle connection, or returns nil.
-func (d *direct) get() *conn {
+// get takes the most recently used idle stream when stream is set, else —
+// or when there is none — the most recently used idle connection, or
+// returns nil.
+func (d *direct) get(stream bool) *conn {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := len(d.conns)
+	if stream {
+		if pc := pop(&d.streams); pc != nil {
+			return pc
+		}
+	}
+	return pop(&d.conns)
+}
+
+func pop(pool *[]*conn) *conn {
+	n := len(*pool)
 	if n == 0 {
 		return nil
 	}
-	pc := d.conns[n-1]
-	d.conns[n-1] = nil
-	d.conns = d.conns[:n-1]
+	pc := (*pool)[n-1]
+	(*pool)[n-1] = nil
+	*pool = (*pool)[:n-1]
 	return pc
 }
 
-// put pools pc, or closes it when maxIdleConnsPerHost are idle already.
+// put pools pc, or closes it when maxIdleConnsPerHost are idle already. A
+// stream idles for streamIdle, a connection for the transport's timeout.
 func (d *direct) put(pc *conn) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.conns) >= maxIdleConnsPerHost {
+	pool, idle := &d.conns, d.idle
+	if pc.frames != nil {
+		pool, idle = &d.streams, streamIdle
+	}
+	if len(*pool) >= maxIdleConnsPerHost {
 		pc.Close()
 		return
 	}
-	d.conns = append(d.conns, pc)
-	if d.idle <= 0 {
+	*pool = append(*pool, pc)
+	if idle <= 0 {
 		return
 	}
 	pc.idleAt = time.Now()
 	if pc.timer == nil {
-		pc.timer = time.AfterFunc(d.idle, func() { d.expire(pc) })
+		pc.timer = time.AfterFunc(idle, func() { d.expire(pc) })
 	} else {
-		pc.timer.Reset(d.idle)
+		pc.timer.Reset(idle)
 	}
 }
 
-// expire closes pc if it has idled for the whole timeout. A timer that fired
-// while pc was out of the pool finds it in use, or back with a later idleAt
-// and its timer re-armed, and leaves it alone.
+// expire ends pc's stream, pooling the connection, or closes pc, if it has
+// idled for the whole timeout. A timer that fired while pc was out of the
+// pool finds it in use, or back with a later idleAt and its timer re-armed,
+// and leaves it alone.
 func (d *direct) expire(pc *conn) {
 	d.mu.Lock()
+	pool, idle := &d.conns, d.idle
 	i := slices.Index(d.conns, pc)
-	if i < 0 || time.Since(pc.idleAt) < d.idle {
+	if i < 0 {
+		pool, idle = &d.streams, streamIdle
+		i = slices.Index(d.streams, pc)
+	}
+	if i < 0 || time.Since(pc.idleAt) < idle {
 		d.mu.Unlock()
 		return
 	}
-	d.conns = slices.Delete(d.conns, i, i+1)
+	*pool = slices.Delete(*pool, i, i+1)
 	d.mu.Unlock()
+	if pc.frames != nil && finish(pc) {
+		d.put(pc)
+		return
+	}
 	pc.Close()
 }
 

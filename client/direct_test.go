@@ -115,7 +115,7 @@ func TestDirectMatchesNetHTTP(t *testing.T) {
 // both paths — status, message (JSON or plain text) and Retry-After.
 func TestDirectAPIErrorsMatchNetHTTP(t *testing.T) {
 	for _, status := range []int{400, 404, 405, 429, 504} {
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ts := httptest.NewServer(withoutStream(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			switch status {
 			case 405:
 				http.Error(w, "method not allowed", status)
@@ -125,7 +125,7 @@ func TestDirectAPIErrorsMatchNetHTTP(t *testing.T) {
 			default:
 				server.WriteError(w, status, "refused with %d", status)
 			}
-		}))
+		})))
 		var errs [2]*APIError
 		for i, cl := range []*Client{New(ts.URL), viaNetHTTP(ts.URL)} {
 			_, err := cl.Query(context.Background(), testQuerySpec())
@@ -149,7 +149,7 @@ func TestDirectAPIErrorsMatchNetHTTP(t *testing.T) {
 func TestDirectPoolsAfterErrorReplies(t *testing.T) {
 	var hits atomic.Int32
 	ok := okHandler(t, nil)
-	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewUnstartedServer(withoutStream(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch hits.Add(1) % 3 {
 		case 1:
 			w.Header().Set("Retry-After", "0")
@@ -159,10 +159,10 @@ func TestDirectPoolsAfterErrorReplies(t *testing.T) {
 		default:
 			server.WriteError(w, http.StatusGatewayTimeout, "deadline")
 		}
-	}))
+	})))
 	opened := countConns(ts)
 	defer ts.Close()
-	cl := New(ts.URL, WithRetryOn429(1), WithRetryBackoff(time.Millisecond))
+	cl := perRequest(New(ts.URL, WithRetryOn429(1), WithRetryBackoff(time.Millisecond)))
 	for round := 0; round < 5; round++ {
 		if _, err := cl.Query(context.Background(), testQuerySpec()); err != nil {
 			t.Fatalf("round %d: the 429 retry failed: %v", round, err)
@@ -184,7 +184,7 @@ func TestDirectPoolsAfterErrorReplies(t *testing.T) {
 // Connection: close decode — the latter's connection is not pooled.
 func TestDirectReusesOneConnection(t *testing.T) {
 	var closeNext, chunk atomic.Bool
-	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewUnstartedServer(withoutStream(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if closeNext.Load() {
 			w.Header().Set("Connection", "close")
 		}
@@ -195,10 +195,10 @@ func TestDirectReusesOneConnection(t *testing.T) {
 			return
 		}
 		server.WriteJSON(w, http.StatusOK, &server.QueryResponse{IDs: []int64{1, 2}, Epoch: 3})
-	}))
+	})))
 	opened := countConns(ts)
 	defer ts.Close()
-	cl := New(ts.URL)
+	cl := perRequest(New(ts.URL))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	query := func() {
@@ -240,13 +240,13 @@ func TestDirectReusesOneConnection(t *testing.T) {
 func TestDirectStaleConnectionRetry(t *testing.T) {
 	var hits atomic.Int32
 	ok := okHandler(t, nil)
-	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewUnstartedServer(withoutStream(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
 		ok(w, r)
-	}))
+	})))
 	opened := countConns(ts)
 	defer ts.Close()
-	cl := New(ts.URL, WithRetries(0), WithRetryBackoff(time.Minute))
+	cl := perRequest(New(ts.URL, WithRetries(0), WithRetryBackoff(time.Minute)))
 	for round := 1; round <= 3; round++ {
 		start := time.Now()
 		if _, err := cl.Query(context.Background(), testQuerySpec()); err != nil {
@@ -270,14 +270,14 @@ func TestDirectStaleConnectionRetry(t *testing.T) {
 func TestDirectDeadlines(t *testing.T) {
 	var hold atomic.Bool
 	ok := okHandler(t, nil)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(withoutStream(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if hold.Load() {
 			io.Copy(io.Discard, r.Body) // the server watches for a hang-up once the body is read
 			<-r.Context().Done()        // until the client hangs up
 			return
 		}
 		ok(w, r)
-	}))
+	})))
 	defer ts.Close()
 
 	for _, tc := range []struct {
@@ -321,10 +321,10 @@ func TestDirectDeadlines(t *testing.T) {
 // TestOversizedReplyNotAllocated: a reply declaring more than
 // maxResponseBytes fails before its body is read or allocated, on both paths.
 func TestOversizedReplyNotAllocated(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(withoutStream(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", "1099511627776") // 1 TiB
 		w.Write([]byte(`{"ids":[`))
-	}))
+	})))
 	defer ts.Close()
 	for _, cl := range []*Client{New(ts.URL), viaNetHTTP(ts.URL)} {
 		var before, after runtime.MemStats
@@ -356,13 +356,13 @@ func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 // WithHTTPClient every request goes through the caller's client.
 func TestMutationsStayOnNetHTTP(t *testing.T) {
 	mutate := overloadedMutationHandler(0, new(atomic.Int32))
-	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewUnstartedServer(withoutStream(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodGet {
 			server.WriteJSON(w, http.StatusOK, server.Health{Status: "ok"})
 			return
 		}
 		mutate(w, r)
-	}))
+	})))
 	opened := countConns(ts)
 	defer ts.Close()
 	ctx := context.Background()
@@ -448,7 +448,7 @@ func TestDirectPathSelection(t *testing.T) {
 // TestDirectUsesTransportSettings: the read path takes its proxy decision and
 // its dialer from the transport it is built from, as net/http would.
 func TestDirectUsesTransportSettings(t *testing.T) {
-	ts := httptest.NewServer(okHandler(t, nil))
+	ts := httptest.NewServer(withoutStream(okHandler(t, nil)))
 	defer ts.Close()
 	tr := newTransport().(*http.Transport)
 	tr.Proxy = http.ProxyURL(&url.URL{Scheme: "http", Host: "proxy.invalid:3128"})
@@ -465,6 +465,7 @@ func TestDirectUsesTransportSettings(t *testing.T) {
 	if cl.direct = newDirect(ts.URL, tr); cl.direct == nil {
 		t.Fatal("a transport without a proxy lost the direct read path")
 	}
+	perRequest(cl)
 	for i := 0; i < 3; i++ {
 		if _, err := cl.Query(context.Background(), testQuerySpec()); err != nil {
 			t.Fatal(err)
@@ -475,16 +476,45 @@ func TestDirectUsesTransportSettings(t *testing.T) {
 	}
 }
 
-// loopback200 serves a fixed 200-id query reply, in the ids_format the
-// request asks for, through the server's helpers.
-func loopback200(t testing.TB) *httptest.Server {
+// reply200 is a fixed 200-id query reply.
+func reply200() server.QueryResponse {
 	ids := make([]int64, 200)
 	for i := range ids {
 		ids[i] = int64(i * 251)
 	}
-	want := server.QueryResponse{IDs: ids, Epoch: 4, Stats: server.QueryStats{Retrieved: 353, Integrations: 221, ProbNS: 61000}}
+	return server.QueryResponse{IDs: ids, Epoch: 4, Stats: server.QueryStats{Retrieved: 353, Integrations: 221, ProbNS: 61000}}
+}
+
+// fixedBackend answers every query with resp; nothing else is called.
+type fixedBackend struct {
+	server.Backend
+	resp server.QueryResponse
+}
+
+func (b fixedBackend) Query(context.Context, server.QueryRequest) (server.QueryResponse, error) {
+	return b.resp, nil
+}
+
+// serve200 is a server.Server answering every query with reply200, so a
+// Client's queries to it stream.
+func serve200(t testing.TB) http.Handler {
+	srv, err := server.New(server.Config{Backend: fixedBackend{resp: reply200()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv.Handler()
+}
+
+func stream200(t testing.TB) *httptest.Server { return httptest.NewServer(serve200(t)) }
+
+func loopback200(t testing.TB) *httptest.Server { return httptest.NewServer(handler200()) }
+
+// handler200 serves reply200, in the ids_format the request asks for,
+// through the server's helpers, as a server without the query stream.
+func handler200() http.Handler {
+	want := reply200()
 	wantDV1 := want.InFormat(server.IDsFormatDV1)
-	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return withoutStream(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var req server.QueryRequest
 		if err := server.DecodeBody(w, r, &req); err != nil {
 			server.WriteError(w, http.StatusBadRequest, "%v", err)
@@ -500,7 +530,8 @@ func loopback200(t testing.TB) *httptest.Server {
 
 // TestDirectRoundTripAllocs puts a ceiling on a 200-id Query over loopback,
 // client and server together: everything the process allocates per request,
-// with the ids sent as one block. Measured 55, the ceiling; the same request
+// with the ids sent as one block. Its server lacks the query stream, so this
+// is the per-request exchange. Measured 55, the ceiling; the same request
 // through net/http's Transport measures ≈ 105, so the test fails when its
 // goroutine plumbing comes back, and also when a per-reply header value, a
 // decoded ids_format string or a second id slice does.
@@ -529,16 +560,47 @@ func TestDirectRoundTripAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkClientRoundTrip times a 200-id Query over loopback on each read
-// path; allocs/op counts client and server.
-func BenchmarkClientRoundTrip(b *testing.B) {
-	ts := loopback200(b)
+// TestStreamRoundTripAllocs puts a ceiling on a 200-id Query streamed to a
+// server.Server over loopback, client and server together. Measured 15, the
+// ceiling: a new reply frame, request frame or per-frame goroutine shows
+// here.
+func TestStreamRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation ceilings do not hold under -race")
+	}
+	ts := stream200(t)
 	defer ts.Close()
+	cl, spec, ctx := New(ts.URL), testQuerySpec(), context.Background()
+	if res, err := cl.Query(ctx, spec); err != nil || len(res.IDs) != 200 {
+		t.Fatalf("query: %v", err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := cl.Query(ctx, spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if cl.direct.noStream.Load() || len(cl.direct.streams) != 1 {
+		t.Fatalf("the queries did not stream: refused %v, %d pooled streams", cl.direct.noStream.Load(), len(cl.direct.streams))
+	}
+	const ceiling = 15
+	t.Logf("allocs per streamed 200-id loopback round trip: %.0f (ceiling %d)", allocs, ceiling)
+	if allocs > ceiling {
+		t.Errorf("%.0f allocs per streamed 200-id round trip, ceiling %d", allocs, ceiling)
+	}
+}
+
+// BenchmarkClientRoundTrip times a 200-id Query over loopback on each read
+// path; allocs/op counts client and server. The stream arm's server is a
+// server.Server, the others' a handler without the stream.
+func BenchmarkClientRoundTrip(b *testing.B) {
+	ts, st := loopback200(b), stream200(b)
+	defer ts.Close()
+	defer st.Close()
 	spec, ctx := testQuerySpec(), context.Background()
 	for _, arm := range []struct {
 		name string
 		cl   *Client
-	}{{"direct", New(ts.URL)}, {"net-http", viaNetHTTP(ts.URL)}} {
+	}{{"stream", New(st.URL)}, {"direct", New(ts.URL)}, {"net-http", viaNetHTTP(ts.URL)}} {
 		b.Run(arm.name, func(b *testing.B) {
 			if _, err := arm.cl.Query(ctx, spec); err != nil {
 				b.Fatal(err) // dials: the timed loop runs on a pooled connection

@@ -14,16 +14,28 @@ import (
 	"gaussrange/client"
 )
 
+// withoutStream serves h as a server that predates the query stream: its
+// endpoint is unknown there (404), so queries go per request.
+func withoutStream(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/query/stream" {
+			http.NotFound(w, r)
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
 func TestMultiEndpointsAndAt(t *testing.T) {
 	var hits [3]atomic.Int64
 	var servers []*httptest.Server
 	var urls []string
 	for i := 0; i < 3; i++ {
 		i := i
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ts := httptest.NewServer(withoutStream(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			hits[i].Add(1)
 			fmt.Fprint(w, `{"status":"ok","points":0,"dim":2,"epoch":1,"max_id":0}`)
-		}))
+		})))
 		defer ts.Close()
 		servers = append(servers, ts)
 		urls = append(urls, ts.URL)
@@ -126,19 +138,19 @@ func TestMultiRetrySemanticsPerShard(t *testing.T) {
 	// Reads conn-retry per shard; a flaky shard that fails once then recovers
 	// succeeds through the Multi with WithRetries, without touching peers.
 	var flakyCalls, peerCalls atomic.Int64
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	flaky := httptest.NewServer(withoutStream(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if flakyCalls.Add(1) == 1 {
 			conn, _, _ := w.(http.Hijacker).Hijack()
 			conn.Close() // connection error → retryable for reads
 			return
 		}
 		fmt.Fprint(w, `{"status":"ok","points":0,"dim":2,"epoch":1,"max_id":0}`)
-	}))
+	})))
 	defer flaky.Close()
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	peer := httptest.NewServer(withoutStream(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		peerCalls.Add(1)
 		fmt.Fprint(w, `{"status":"ok","points":0,"dim":2,"epoch":1,"max_id":0}`)
-	}))
+	})))
 	defer peer.Close()
 
 	m, err := client.NewMulti([]string{flaky.URL, peer.URL},

@@ -34,7 +34,7 @@ func overloadedHandler(rejections int32, retryAfter string, hits *atomic.Int32) 
 // client surfaces the 429 immediately.
 func TestRetryOn429(t *testing.T) {
 	var hits atomic.Int32
-	ts := httptest.NewServer(overloadedHandler(2, "0", &hits))
+	ts := httptest.NewServer(withoutStream(overloadedHandler(2, "0", &hits)))
 	defer ts.Close()
 
 	cl := New(ts.URL, WithRetryOn429(3), WithRetryBackoff(time.Millisecond))
@@ -54,7 +54,7 @@ func TestRetryOn429(t *testing.T) {
 // second attempt.
 func TestNo429RetryByDefault(t *testing.T) {
 	var hits atomic.Int32
-	ts := httptest.NewServer(overloadedHandler(1000, "1", &hits))
+	ts := httptest.NewServer(withoutStream(overloadedHandler(1000, "1", &hits)))
 	defer ts.Close()
 
 	cl := New(ts.URL)
@@ -78,7 +78,7 @@ func TestNo429RetryByDefault(t *testing.T) {
 // n+1 attempts, then the 429 is surfaced.
 func TestRetryOn429Exhausted(t *testing.T) {
 	var hits atomic.Int32
-	ts := httptest.NewServer(overloadedHandler(1000, "0", &hits))
+	ts := httptest.NewServer(withoutStream(overloadedHandler(1000, "0", &hits)))
 	defer ts.Close()
 
 	cl := New(ts.URL, WithRetryOn429(2), WithRetryBackoff(time.Millisecond))
@@ -95,7 +95,7 @@ func TestRetryOn429Exhausted(t *testing.T) {
 // immediately instead of sleeping out a long Retry-After.
 func TestRetryOn429ContextCancel(t *testing.T) {
 	var hits atomic.Int32
-	ts := httptest.NewServer(overloadedHandler(1000, "30", &hits))
+	ts := httptest.NewServer(withoutStream(overloadedHandler(1000, "30", &hits)))
 	defer ts.Close()
 
 	cl := New(ts.URL, WithRetryOn429(5))
@@ -159,7 +159,7 @@ func overloadedMutationHandler(rejections int32, hits *atomic.Int32) http.Handle
 // opt-in retry is duplicate-safe for writes too.
 func TestMutation429Retry(t *testing.T) {
 	var hits atomic.Int32
-	ts := httptest.NewServer(overloadedMutationHandler(2, &hits))
+	ts := httptest.NewServer(withoutStream(overloadedMutationHandler(2, &hits)))
 	defer ts.Close()
 
 	cl := New(ts.URL, WithRetryOn429(3), WithRetryBackoff(time.Millisecond))
@@ -188,7 +188,7 @@ func TestMutation429Retry(t *testing.T) {
 // the 429 (with its Retry-After hint) after exactly one attempt.
 func TestMutationNo429RetryByDefault(t *testing.T) {
 	var hits atomic.Int32
-	ts := httptest.NewServer(overloadedHandler(1000, "1", &hits))
+	ts := httptest.NewServer(withoutStream(overloadedHandler(1000, "1", &hits)))
 	defer ts.Close()
 
 	_, _, err := New(ts.URL).InsertPoints(context.Background(), [][]float64{{1, 2}})
@@ -209,14 +209,14 @@ func TestMutationNo429RetryByDefault(t *testing.T) {
 // twice. The same failure on the read path IS retried.
 func TestMutationNoConnectionRetry(t *testing.T) {
 	var hits atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(withoutStream(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if hits.Add(1) == 1 {
 			conn, _, _ := w.(http.Hijacker).Hijack()
 			conn.Close()
 			return
 		}
 		json.NewEncoder(w).Encode(server.QueryResponse{IDs: []int64{}})
-	}))
+	})))
 	defer ts.Close()
 
 	cl := New(ts.URL, WithRetryBackoff(time.Millisecond))
@@ -241,10 +241,10 @@ func TestMutationNoConnectionRetry(t *testing.T) {
 func TestWaitForEpoch(t *testing.T) {
 	var epoch atomic.Uint64
 	epoch.Store(3)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewServer(withoutStream(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		e := epoch.Add(1) // advances one epoch per poll
 		json.NewEncoder(w).Encode(server.Health{Status: "ok", Epoch: e})
-	}))
+	})))
 	defer ts.Close()
 
 	got, err := New(ts.URL).WaitForEpoch(context.Background(), 7, time.Millisecond)
@@ -252,9 +252,9 @@ func TestWaitForEpoch(t *testing.T) {
 		t.Fatalf("WaitForEpoch = %d, %v", got, err)
 	}
 
-	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	stalled := httptest.NewServer(withoutStream(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(server.Health{Status: "ok", Epoch: 5, ReplicaError: "lineage break"})
-	}))
+	})))
 	defer stalled.Close()
 	if _, err := New(stalled.URL).WaitForEpoch(context.Background(), 9, time.Millisecond); err == nil {
 		t.Fatal("stalled replica did not fail the wait")

@@ -48,10 +48,10 @@ func TestClientOwnsTransport(t *testing.T) {
 	var opened atomic.Int32
 	inFlight, roundDone := newBarrier(callers), newBarrier(callers)
 	ok := okHandler(t, nil)
-	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ts := httptest.NewUnstartedServer(withoutStream(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		inFlight.wait()
 		ok(w, r)
-	}))
+	})))
 	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
 		if st == http.StateNew {
 			opened.Add(1)
@@ -60,7 +60,7 @@ func TestClientOwnsTransport(t *testing.T) {
 	ts.Start()
 	defer ts.Close()
 
-	cl := New(ts.URL)
+	cl := perRequest(New(ts.URL))
 	var wg sync.WaitGroup
 	for g := 0; g < callers; g++ {
 		wg.Add(1)

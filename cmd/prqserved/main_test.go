@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -162,6 +164,60 @@ func TestServeQueryAndDrainOnSIGTERM(t *testing.T) {
 	}
 	if drained == 0 {
 		t.Error("every query finished before SIGTERM was sent; the drain was not exercised")
+	}
+}
+
+// TestServeDrainsIdleStream: SIGTERM with a query stream open and idle —
+// one whose client answers a query on it and then neither sends nor ends
+// anything — still drains well inside -drain-timeout, because the server's
+// shutdown hook ends the stream; and a typed client's pooled stream goes
+// with it.
+func TestServeDrainsIdleStream(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig(dir, writeTestCSV(t, dir))
+	cfg.drainTimeout = 10 * time.Second
+	addr, sig, done := startServe(t, cfg)
+	if _, err := client.New("http://"+addr).Query(context.Background(), paperSpec()); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	io.WriteString(c, "POST /v1/query/stream HTTP/1.1\r\nHost: prqserved\r\nTransfer-Encoding: chunked\r\n\r\n")
+	resp, err := http.ReadResponse(bufio.NewReader(c), nil)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("opening a stream: %v, %v", resp, err)
+	}
+	body, _ := json.Marshal(server.RequestFromSpec(paperSpec()))
+	frame := fmt.Sprintf("%d\n%s", len(body), body)
+	fmt.Fprintf(c, "%x\r\n%s\r\n", len(frame), frame)
+	reply := bufio.NewReader(resp.Body)
+	var status, n int
+	if _, err := fmt.Fscanf(reply, "%d %d\n", &status, &n); err != nil || status != http.StatusOK {
+		t.Fatalf("reply frame head: %d, %v", status, err)
+	}
+	if _, err := io.ReadFull(reply, make([]byte, n)); err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	sig <- syscall.SIGTERM
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("serve returned %v after SIGTERM, want a clean drain", err)
+		}
+	case <-time.After(cfg.drainTimeout + 5*time.Second):
+		t.Fatal("serve did not return after SIGTERM")
+	}
+	if d := time.Since(start); d > cfg.drainTimeout/2 {
+		t.Errorf("drain took %v with an idle stream open", d)
+	}
+	if rest, err := io.ReadAll(reply); err != nil || len(rest) > 0 {
+		t.Errorf("the idle stream did not end cleanly: %q, %v", rest, err)
 	}
 }
 

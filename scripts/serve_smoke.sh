@@ -8,7 +8,10 @@
 # final replication step boots a leader with a group-commit wal and a
 # read-only follower tailing it: an insert on the leader must become
 # readable on the follower at ≥ the published epoch with id-identical query
-# answers, and the follower must refuse mutations.
+# answers, and the follower must refuse mutations. On the single node, on a
+# shard and through the router, prqquery's answer (the client streams its
+# queries over /v1/query/stream) must hold the ids a plain curl /v1/query
+# gets.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,6 +42,19 @@ wait_addr() {
         sleep 0.1
     done
     [ -s "$file" ] || { echo "serve-smoke: no address file $file" >&2; return 1; }
+}
+
+smoke_query='{"center":[500,500],"cov":[[70,34.6],[34.6,30]],"delta":25,"theta":0.01}'
+
+# same_ids URL JSON — JSON, prqquery's answer from URL, must hold the same
+# ids as a plain curl /v1/query to URL; they are left in $tmp/plain.ids.
+same_ids() {
+    grep -o '"ids":\[[0-9,]*\]' "$2" > "$tmp/streamed.ids"
+    curl -sfS -X POST "$1/v1/query" -d "$smoke_query" | grep -o '"ids":\[[0-9,]*\]' > "$tmp/plain.ids"
+    if ! diff "$tmp/streamed.ids" "$tmp/plain.ids"; then
+        echo "serve-smoke: prqquery and curl answers from $1 differ" >&2
+        exit 1
+    fi
 }
 
 echo "serve-smoke: building binaries"
@@ -73,6 +89,8 @@ echo "serve-smoke: querying direct answer for the router diff"
 "$tmp/bin/prqquery" -server "http://$addr" -json \
     -center 500,500 -cov "70,34.6;34.6,30" -delta 25 -theta 0.01 \
     > "$tmp/direct.json"
+same_ids "http://$addr" "$tmp/direct.json"
+grep -q '[0-9]' "$tmp/plain.ids" || { echo "serve-smoke: direct answer empty — diff proves nothing" >&2; exit 1; }
 
 echo "serve-smoke: draining with SIGTERM"
 kill -TERM "$pid"
@@ -93,6 +111,17 @@ for i in 0 1; do
 done
 shard_urls="${shard_urls#,}"
 
+echo "serve-smoke: querying each shard through the client and with curl"
+answered=0
+for i in 0 1; do
+    "$tmp/bin/prqquery" -server "http://$(cat "$tmp/shard$i.addr")" -json \
+        -center 500,500 -cov "70,34.6;34.6,30" -delta 25 -theta 0.01 \
+        > "$tmp/shard$i.json"
+    same_ids "http://$(cat "$tmp/shard$i.addr")" "$tmp/shard$i.json"
+    if grep -q '[0-9]' "$tmp/plain.ids"; then answered=$((answered + 1)); fi
+done
+[ "$answered" -gt 0 ] || { echo "serve-smoke: no shard answered — the shard diffs prove nothing" >&2; exit 1; }
+
 echo "serve-smoke: starting the router over $shard_urls"
 "$tmp/bin/prqserved" -router -shard-map "$tmp/shards/shardmap.json" \
     -shards "$shard_urls" -addr 127.0.0.1:0 -addr-file "$tmp/router.addr" &
@@ -104,6 +133,7 @@ echo "serve-smoke: querying through the router"
 "$tmp/bin/prqquery" -server "http://$router_addr" -json \
     -center 500,500 -cov "70,34.6;34.6,30" -delta 25 -theta 0.01 \
     > "$tmp/routed.json"
+same_ids "http://$router_addr" "$tmp/routed.json"
 
 # The routed answer ids must be non-empty and byte-identical to the direct
 # single-node ids.

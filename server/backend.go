@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 
 	"gaussrange"
@@ -91,11 +90,17 @@ func (b dbBackend) respond(res *gaussrange.Result) QueryResponse {
 	return r
 }
 
+// Prob answers a 404 for an id that is unknown or deleted, as /v1/points
+// does; the id is looked up, because Len counts live points, not the id
+// space. Looking it up after a failure also covers a delete racing the query.
 func (b dbBackend) Prob(_ context.Context, req ProbRequest) (float64, error) {
-	if n := int64(b.db.Len()); req.ID < 0 || req.ID >= n {
-		return 0, &StatusError{http.StatusNotFound, fmt.Errorf("point id %d out of range [0, %d)", req.ID, n)}
+	p, err := b.db.QueryProb(req.Spec(), req.ID)
+	if err != nil {
+		if _, lookup := b.db.Point(req.ID); lookup != nil {
+			return 0, &StatusError{http.StatusNotFound, lookup}
+		}
 	}
-	return b.db.QueryProb(req.Spec(), req.ID)
+	return p, err
 }
 
 func (b dbBackend) Points(_ context.Context, ids []int64) ([]Point, error) {

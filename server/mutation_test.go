@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"testing"
 
+	"gaussrange"
+	"gaussrange/client"
 	"gaussrange/server"
 )
 
@@ -138,5 +141,43 @@ func TestMutationEndpointValidation(t *testing.T) {
 
 	if db.Epoch() != epoch0 {
 		t.Fatalf("rejected requests advanced the epoch %d -> %d", epoch0, db.Epoch())
+	}
+}
+
+// TestProbAfterChurn: /v1/prob finds a point by id, not by the live count.
+// After 10 of 100 points are deleted and one inserted (id 100, Len 91), the
+// new point answers as DB.QueryProb does, and a deleted or unknown id is a
+// 404, as on /v1/points.
+func TestProbAfterChurn(t *testing.T) {
+	raw := make([][]float64, 100)
+	for i := range raw {
+		raw[i] = []float64{float64(i % 10), float64(i / 10)}
+	}
+	db, err := gaussrange.Load(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, cl := newTestServer(t, server.Config{DB: db})
+	ctx := context.Background()
+	if _, _, _, err := db.Apply(nil, []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}); err != nil {
+		t.Fatal(err)
+	}
+	ids, _, err := cl.InsertPoints(ctx, [][]float64{{4.5, 4.5}})
+	if err != nil || ids[0] != 100 || db.Len() != 91 {
+		t.Fatalf("insert: ids %v, Len %d, err %v; want id 100 and Len 91", ids, db.Len(), err)
+	}
+	spec := gaussrange.QuerySpec{Center: []float64{4, 4}, Cov: [][]float64{{1, 0.3}, {0.3, 1}}, Delta: 1.5, Theta: 0.01}
+	want, err := db.QueryProb(spec, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := cl.QueryProb(ctx, spec, 100); err != nil || got != want {
+		t.Errorf("prob(100) = %v, %v; want %v", got, err, want)
+	}
+	for _, id := range []int64{3, 101, -1} {
+		var ae *client.APIError
+		if _, err := cl.QueryProb(ctx, spec, id); !errors.As(err, &ae) || ae.Status != http.StatusNotFound {
+			t.Errorf("prob(%d): %v, want a 404", id, err)
+		}
 	}
 }

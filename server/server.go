@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"gaussrange"
@@ -73,6 +74,10 @@ type Server struct {
 	// preQuery, when non-nil, runs after admission with the query context —
 	// a test seam for holding requests in flight deterministically.
 	preQuery func(ctx context.Context)
+
+	mu      sync.Mutex
+	streams map[*stream]*http.Server // open query streams, by server
+	down    map[*http.Server]bool    // servers hooked for Shutdown: has it begun
 }
 
 // New validates cfg, applies defaults, and returns a Server.
@@ -109,6 +114,7 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/query", s.endpoint("/v1/query", s.handleQuery))
+	mux.HandleFunc(streamPath, s.handleStream)
 	mux.HandleFunc("/v1/query/batch", s.endpoint("/v1/query/batch", s.handleBatch))
 	mux.HandleFunc("/v1/prob", s.endpoint("/v1/prob", s.handleProb))
 	mux.HandleFunc("/v1/points", s.endpoint("/v1/points", s.handlePoints))
@@ -164,23 +170,44 @@ func queryContext(parent context.Context, timeoutMS int64, deflt time.Duration) 
 // writing into it.
 var jsonContentType = []string{"application/json"}
 
+// retryAfter is the Retry-After every 429 carries: one second. Shared like
+// jsonContentType.
+var retryAfter = []string{"1"}
+
 // WriteJSON replies with status and v as the JSON body — byte for byte what
 // json.NewEncoder(w).Encode(v) would send — in one Write with an explicit
 // Content-Length (see AppendJSON for what is encoded without reflection).
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	bp := bodyBufs.Get().(*[]byte)
-	b, err := AppendJSON((*bp)[:0], v)
+	status, b := appendReply((*bp)[:0], status, v)
+	writeReply(w, status, b)
+	putBodyBuf(bp, b)
+}
+
+// appendReply appends the body WriteJSON sends for v to dst and returns it
+// with its status: 500 and an error body when v does not encode.
+func appendReply(dst []byte, status int, v any) (int, []byte) {
+	b, err := AppendJSON(dst, v)
 	if err != nil {
 		status = http.StatusInternalServerError
-		b, _ = AppendJSON(b[:0], ErrorResponse{Error: "encoding response: " + err.Error()}) // a string always encodes
+		b, _ = AppendJSON(dst, ErrorResponse{Error: "encoding response: " + err.Error()}) // a string always encodes
 	}
-	b = append(b, '\n')
+	return status, append(b, '\n')
+}
+
+// appendError is appendReply of an ErrorResponse.
+func appendError(dst []byte, status int, format string, args ...any) (int, []byte) {
+	return appendReply(dst, status, ErrorResponse{Error: fmt.Sprintf(format, args...)})
+}
+
+// writeReply sends a JSON body with status, in one Write with an explicit
+// Content-Length.
+func writeReply(w http.ResponseWriter, status int, body []byte) {
 	h := w.Header()
 	h["Content-Type"] = jsonContentType
-	h.Set("Content-Length", strconv.Itoa(len(b)))
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	w.Write(b) // a failed write means the client is gone; nothing to report it to
-	putBodyBuf(bp, b)
+	w.Write(body) // a failed write means the client is gone; nothing to report it to
 }
 
 // WriteError replies with status and an ErrorResponse body.
@@ -249,15 +276,21 @@ func (s *Server) admit(w http.ResponseWriter) bool {
 	if s.adm.tryAcquire() {
 		return true
 	}
-	w.Header().Set("Retry-After", "1")
-	WriteError(w, statusTooManyRequests,
-		"server overloaded: %d queries in flight (limit %d)", s.cfg.MaxInflight, s.cfg.MaxInflight)
+	status, b := s.overloaded(nil)
+	w.Header()["Retry-After"] = retryAfter
+	writeReply(w, status, b)
 	return false
 }
 
+// overloaded appends the 429 reply to dst.
+func (s *Server) overloaded(dst []byte) (int, []byte) {
+	return appendError(dst, statusTooManyRequests,
+		"server overloaded: %d queries in flight (limit %d)", s.cfg.MaxInflight, s.cfg.MaxInflight)
+}
+
 // queryCtx derives a query's execution context and runs the test hook on it.
-func (s *Server) queryCtx(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
-	ctx, cancel := queryContext(r.Context(), timeoutMS, s.cfg.DefaultTimeout)
+func (s *Server) queryCtx(parent context.Context, timeoutMS int64) (context.Context, context.CancelFunc) {
+	ctx, cancel := queryContext(parent, timeoutMS, s.cfg.DefaultTimeout)
 	if s.preQuery != nil {
 		s.preQuery(ctx)
 	}
@@ -270,25 +303,48 @@ func refuseReadOnly(w http.ResponseWriter) int {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) int {
-	var req QueryRequest
-	if status := decode(w, r, &req); status != http.StatusOK {
-		return status
+	if r.Method != http.MethodPost {
+		return fail(w, http.StatusMethodNotAllowed, "use POST")
 	}
-	if !s.admit(w) {
-		return statusTooManyRequests
+	body, release, err := ReadBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), r.ContentLength)
+	defer release()
+	if err != nil {
+		return fail(w, http.StatusBadRequest, "decoding request body: %v", err)
+	}
+	bp := bodyBufs.Get().(*[]byte)
+	status, reply := s.query(r.Context(), body, (*bp)[:0])
+	if status == statusTooManyRequests {
+		w.Header()["Retry-After"] = retryAfter
+	}
+	writeReply(w, status, reply)
+	putBodyBuf(bp, reply)
+	return status
+}
+
+// query answers one /v1/query request body — decode, admission, the
+// deadline, the backend, the answer's ids_format and the query totals — and
+// appends the reply body to out, returning it with its status; the caller
+// sends retryAfter with a 429. /v1/query and every query-stream frame run it,
+// so the two paths answer alike.
+func (s *Server) query(ctx context.Context, body, out []byte) (int, []byte) {
+	var req QueryRequest
+	if err := Unmarshal(body, &req); err != nil {
+		return appendError(out, http.StatusBadRequest, "decoding request body: %v", err)
+	}
+	if !s.adm.tryAcquire() {
+		return s.overloaded(out)
 	}
 	defer s.adm.release()
 
-	ctx, cancel := s.queryCtx(r, req.TimeoutMS)
+	ctx, cancel := s.queryCtx(ctx, req.TimeoutMS)
 	defer cancel()
 	resp, err := s.b.Query(ctx, req)
 	if err != nil {
-		return failErr(w, err)
+		return appendError(out, statusFor(err), "%v", err)
 	}
 	resp = resp.InFormat(req.IDsFormat)
 	s.met.addQuery(resp.Stats, len(resp.AnswerIDs()))
-	WriteJSON(w, http.StatusOK, resp)
-	return http.StatusOK
+	return appendReply(out, http.StatusOK, &resp)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
@@ -308,7 +364,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 	}
 	defer s.adm.release()
 
-	ctx, cancel := s.queryCtx(r, req.TimeoutMS)
+	ctx, cancel := s.queryCtx(r.Context(), req.TimeoutMS)
 	defer cancel()
 	results, err := s.b.QueryBatch(ctx, req.Queries, workers)
 	if err != nil {

@@ -11,10 +11,9 @@ import (
 
 // The wire path. A /v1/query reply is ~200 integers in a fixed frame; moving
 // it through encoding/json's reflection cost more CPU than computing it.
-// QueryResponse (and BatchResponse, an array of them) is therefore encoded by
-// straight-line append code, and QueryResponse and QueryRequest are decoded by
-// a single-pass parser. The request is still encoded by json.Marshal: a
-// hand-written encoder for it measured no faster. A client that asks for
+// QueryResponse (and BatchResponse, an array of them) and QueryRequest are
+// therefore encoded by straight-line append code, and QueryResponse and
+// QueryRequest are decoded by a single-pass parser. A client that asks for
 // ids_format "dv1" gets its ids as one IDBlock string instead of the decimal
 // array (idblock.go), which both halves write and read without a buffer of
 // their own. Two contracts keep this invisible:
@@ -29,11 +28,22 @@ import (
 //     else is handed to json.Unmarshal on the same bytes.
 
 // AppendJSON appends the JSON encoding of v to dst, byte for byte what
-// json.Marshal(v) returns. QueryResponse and BatchResponse (by value or
-// pointer) are encoded without reflection; every other type goes through
-// json.Marshal.
+// json.Marshal(v) returns. QueryResponse, BatchResponse and QueryRequest (by
+// value or pointer) are encoded without reflection; every other type goes
+// through json.Marshal, and so does a QueryRequest holding a NaN, an infinity
+// or a string json.Marshal would escape, so that it fails or escapes alike.
 func AppendJSON(dst []byte, v any) ([]byte, error) {
 	switch v := v.(type) {
+	case QueryRequest:
+		if b, ok := appendQueryRequest(dst, &v); ok {
+			return b, nil
+		}
+	case *QueryRequest:
+		if v != nil {
+			if b, ok := appendQueryRequest(dst, v); ok {
+				return b, nil
+			}
+		}
 	case QueryResponse:
 		return appendQueryResponse(dst, &v), nil
 	case *QueryResponse:
@@ -243,6 +253,93 @@ func appendRoutingInfo(b []byte, r *RoutingInfo) []byte {
 		b = append(b, ']')
 	}
 	return append(b, '}')
+}
+
+// appendQueryRequest encodes r as json.Marshal does. It reports false, having
+// appended an unfinished text, when r holds what json.Marshal fails on or
+// escapes.
+func appendQueryRequest(b []byte, r *QueryRequest) ([]byte, bool) {
+	ok := true
+	b = appendFloats(append(b, `{"center":`...), r.Center, &ok)
+	b = appendMatrix(append(b, `,"cov":`...), r.Cov, &ok)
+	b = appendFloat(append(b, `,"delta":`...), r.Delta, &ok)
+	b = appendFloat(append(b, `,"theta":`...), r.Theta, &ok)
+	if r.Strategy != "" {
+		b = appendString(append(b, `,"strategy":`...), r.Strategy, &ok)
+	}
+	if len(r.TargetCov) > 0 {
+		b = appendMatrix(append(b, `,"target_cov":`...), r.TargetCov, &ok)
+	}
+	if r.TimeoutMS != 0 {
+		b = appendInt(b, `,"timeout_ms":`, r.TimeoutMS)
+	}
+	if r.AllowPartial {
+		b = append(b, `,"allow_partial":true`...)
+	}
+	if r.IDsFormat != "" {
+		b = appendString(append(b, `,"ids_format":`...), r.IDsFormat, &ok)
+	}
+	return append(b, '}'), ok
+}
+
+// appendFloat is encoding/json's float64 format: the shortest round-trip
+// digits, with an exponent (its leading zero dropped) below 1e-6 or from
+// 1e21 on. A NaN or an infinity clears *ok.
+func appendFloat(b []byte, f float64, ok *bool) []byte {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		*ok = false
+		return b
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+func appendFloats(b []byte, v []float64, ok *bool) []byte {
+	if v == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, f := range v {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendFloat(b, f, ok)
+	}
+	return append(b, ']')
+}
+
+func appendMatrix(b []byte, m [][]float64, ok *bool) []byte {
+	if m == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, row := range m {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendFloats(b, row, ok)
+	}
+	return append(b, ']')
+}
+
+// appendString quotes s, which must be printable ASCII that json.Marshal
+// does not escape (it escapes '"', '\', '<', '>' and '&'); anything else
+// clears *ok.
+func appendString(b []byte, s string, ok *bool) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			*ok = false
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
 }
 
 // ---- decoder ---------------------------------------------------------------

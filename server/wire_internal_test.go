@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -128,5 +131,37 @@ func TestDecodePresizeIsCapped(t *testing.T) {
 	var back QueryResponse
 	if d := (decoder{b: appendQueryResponse(nil, &QueryResponse{IDs: ids})}); !d.queryResponse(&back) || !d.end() || !reflect.DeepEqual(back.IDs, ids) {
 		t.Errorf("the single-pass parser does not read %d ids", len(ids))
+	}
+}
+
+// TestStreamFrameSizing: a stream frame's length line, like a Content-Length,
+// is a hint — a bare maximum-length line with no body reserves at most
+// maxPresize and ends in io.ErrUnexpectedEOF; a whole frame reads exactly
+// its bytes and leaves the next frame's.
+func TestStreamFrameSizing(t *testing.T) {
+	bare := &stream{br: bufio.NewReader(strings.NewReader(strconv.Itoa(maxRequestBytes) + "\n"))}
+	n, err := bare.frameLen()
+	if err != nil || n != maxRequestBytes {
+		t.Fatalf("frameLen = %d, %v; want %d", n, err, maxRequestBytes)
+	}
+	fp := new([]byte)
+	if err := bare.frameBody(fp, n); err != io.ErrUnexpectedEOF || cap(*fp) > maxPresize+1 {
+		t.Errorf("bare maximum-length line: %v with cap %d, want io.ErrUnexpectedEOF and cap ≤ %d", err, cap(*fp), maxPresize+1)
+	}
+
+	body := bytes.Repeat([]byte("x"), 3*maxPresize/2)
+	two := &stream{br: bufio.NewReader(io.MultiReader(
+		strings.NewReader(strconv.Itoa(len(body))+"\n"), bytes.NewReader(body), strings.NewReader("2\n{}")))}
+	for i, want := range [][]byte{body, []byte("{}")} {
+		n, err := two.frameLen()
+		if err == nil {
+			err = two.frameBody(fp, n)
+		}
+		if err != nil || !bytes.Equal(*fp, want) {
+			t.Fatalf("frame %d: %d bytes, %v; want %d", i, len(*fp), err, len(want))
+		}
+	}
+	if _, err := two.frameLen(); err != io.EOF {
+		t.Errorf("after the last frame: %v, want io.EOF", err)
 	}
 }

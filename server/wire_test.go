@@ -151,6 +151,77 @@ func TestQueryResponseAppendMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// TestQueryRequestAppendMatchesEncodingJSON: the request encoder writes
+// json.Marshal's bytes, by value and by pointer, over random float64 bit
+// patterns, the float format's edges (1e-7, 1e-6, 1e21, −0, subnormals,
+// MaxFloat64), nil and empty slices and strings json.Marshal escapes; a NaN
+// or an infinity anywhere fails with json.Marshal's error.
+func TestQueryRequestAppendMatchesEncodingJSON(t *testing.T) {
+	r := rand.New(rand.NewSource(40))
+	edges := []float64{0, math.Copysign(0, -1), 1e-7, -1e-7, 1e-6, 9.999999999999999e-7, 1e21, -1e21, 9.999999999999999e20,
+		5e-324, -5e-324, 2.225073858507201e-308, math.MaxFloat64, -math.MaxFloat64, 1, 0.01, 25, 1e-10, 123456789.125}
+	float := func() float64 {
+		if r.Intn(3) == 0 {
+			return edges[r.Intn(len(edges))]
+		}
+		for {
+			if f := math.Float64frombits(r.Uint64()); !math.IsNaN(f) && !math.IsInf(f, 0) {
+				return f
+			}
+		}
+	}
+	vec := func(n int) []float64 {
+		switch r.Intn(8) {
+		case 0:
+			return nil
+		case 1:
+			return []float64{}
+		}
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float()
+		}
+		return v
+	}
+	mat := func(n int) [][]float64 {
+		switch r.Intn(6) {
+		case 0:
+			return nil
+		case 1:
+			return [][]float64{}
+		}
+		m := make([][]float64, n)
+		for i := range m {
+			m[i] = vec(n)
+		}
+		return m
+	}
+	strs := []string{"", "", "ALL", "RR+BF", server.IDsFormatDV1, "a<b", "x&y", `"q"`, `back\slash`, "tab\t", "é", "\x7f", "\xff"}
+	for i := 0; i < 3000; i++ {
+		d := 1 + r.Intn(3)
+		req := server.QueryRequest{
+			Center: vec(d), Cov: mat(d), Delta: float(), Theta: float(),
+			Strategy: strs[r.Intn(len(strs))], TargetCov: mat(d), TimeoutMS: r.Int63n(3) * r.Int63(),
+			AllowPartial: r.Intn(2) == 0, IDsFormat: strs[r.Intn(len(strs))],
+		}
+		want := mustMarshal(t, req)
+		if got := mustAppend(t, req); !bytes.Equal(got, want) {
+			t.Fatalf("case %d: value\n got  %s\n want %s", i, got, want)
+		}
+		if got := mustAppend(t, &req); !bytes.Equal(got, want) {
+			t.Fatalf("case %d: pointer\n got  %s\n want %s", i, got, want)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for i, req := range []server.QueryRequest{{Delta: bad}, {Center: []float64{1, bad}}, {Cov: [][]float64{{1}, {2, bad}}}, {TargetCov: [][]float64{{bad}}, Strategy: "a<b"}} {
+			_, want := json.Marshal(req)
+			if b, err := server.AppendJSON([]byte("x="), &req); err == nil || err.Error() != want.Error() || string(b) != "x=" {
+				t.Fatalf("%v in request %d: got %q, %v; want the prefix and %v", bad, i, b, err, want)
+			}
+		}
+	}
+}
+
 // TestWriteJSONFraming checks the reply framing: one Write carrying the whole
 // body, and a Content-Length that matches it.
 func TestWriteJSONFraming(t *testing.T) {
@@ -308,6 +379,8 @@ func FuzzQueryRequestDecode(f *testing.F) {
 		f.Add(mustMarshal(f, req))
 		req.IDsFormat = server.IDsFormatDV1
 		f.Add(mustMarshal(f, req))
+		req.TimeoutMS = 30000 // what a client with a deadline sends
+		f.Add(mustAppend(f, req))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecodeAgrees(t, data, floatBits)
