@@ -30,7 +30,7 @@ fmt-check:
 deadcode:
 	$(GO) run ./scripts/deadcode
 
-# fuzz-smoke runs the eight fuzzers briefly: the two R-tree fuzzers —
+# fuzz-smoke runs the nine fuzzers briefly: the two R-tree fuzzers —
 # packed-vs-pointer search parity on STR-loaded trees, and the flat STR build
 # against its pointer-tree reference — the Ruben-kernel fuzzer, which checks
 # the linear-time series (value, certified bound, early decisions) against
@@ -41,12 +41,15 @@ deadcode:
 # bytes (error or not, same value, same float bits), and the id-block fuzzer,
 # which checks that the block decoder agrees with encoding/json on arbitrary
 # block text and that any []int64 — unsorted, repeated, extreme —
-# round-trips through a block, and the query-stream fuzzer, which feeds
+# round-trips through a block, the query-stream fuzzer, which feeds
 # arbitrary bytes to the stream handler as a stream's body and checks that it
 # never panics, answers each complete well-formed frame exactly as /v1/query
-# answers its body, and ends the stream at a malformed or oversized length.
-# `go test` accepts only one -fuzz target per invocation, so the 24s budget
-# is split across the eight fuzzers.
+# answers its body, and ends the stream at a malformed or oversized length,
+# and the snapshot fuzzer, which feeds arbitrary bytes to Restore and checks
+# that it never panics or sizes memory from an unverified header, and that a
+# snapshot it accepts saves back to the bytes it read.
+# `go test` accepts only one -fuzz target per invocation, so the 27s budget
+# is split across the nine fuzzers.
 fuzz-smoke:
 	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedSearch -fuzztime 3s
 	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedBuild -fuzztime 3s
@@ -56,6 +59,7 @@ fuzz-smoke:
 	$(GO) test ./server -run '^$$' -fuzz FuzzQueryRequestDecode -fuzztime 3s
 	$(GO) test ./server -run '^$$' -fuzz FuzzIDBlock -fuzztime 3s
 	$(GO) test ./server -run '^$$' -fuzz FuzzQueryStream -fuzztime 3s
+	$(GO) test . -run '^$$' -fuzz FuzzRestore -fuzztime 3s
 
 # verify is the pre-merge gate: formatting, static analysis, and the
 # race-enabled test suite (the storage engine, the plan cache and its shared

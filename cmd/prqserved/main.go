@@ -18,7 +18,7 @@
 // 429), -default-timeout, -max-batch, -batch-workers, -addr, -addr-file,
 // -drain-timeout and -pprof apply to it as to a shard; so do the router
 // flags -shard-map, -shards, -fanout, -allow-partial and -answer-cache.
-// -plan-cache, the data flags (-csv, -snapshot, -log, -wal, -follow) and
+// -plan-cache, the data flags (-csv, -snapshot, -wal, -follow) and
 // the flags that tune them do not. /v1/shardmap serves the map; /v1/prob
 // is a 404.
 //
@@ -29,14 +29,13 @@
 //	-addr-file PATH     write the bound address to PATH once listening
 //	-csv PATH           load points from a CSV file
 //	-snapshot PATH      restore a gaussrange snapshot (Save/SaveFile)
-//	-log PATH           append-only mutation log: replayed past the snapshot's
-//	                    epoch on startup (created if absent), then every
-//	                    insert/delete appends to it, so a restart reproduces
-//	                    the latest epoch
-//	-wal DIR            group-commit write-ahead log (leader mode; excludes
-//	                    -log): mutations ride a commit window, one fsync per
-//	                    group, segments roll and chain lineage roots so a
-//	                    follower can verify the shipped history
+//	-wal DIR            group-commit write-ahead log (leader mode), the
+//	                    only journal: replayed past the snapshot's epoch on
+//	                    startup (created if absent), so a restart reproduces
+//	                    the latest epoch; mutations ride a commit window, one
+//	                    fsync per group, segments roll and chain lineage roots
+//	                    so a follower can verify the shipped history. Without
+//	                    it mutations are not journaled
 //	-commit-window D    longest a mutation waits for its group (default 2ms)
 //	-commit-bytes N     flush a group early at this encoded size (default 4MiB)
 //	-segment-bytes N    roll wal segments at this size (default 64MiB)
@@ -75,8 +74,7 @@
 // On SIGINT/SIGTERM the server stops accepting connections, drains every
 // in-flight query, and exits 0; queries still running after -drain-timeout
 // are aborted. With -wal the batcher is then drained (queued mutations reach
-// their fsync durability point) and the segment store closed; with -log the
-// mutation log is synced to stable storage before it closes.
+// their fsync durability point) and the segment store closed.
 package main
 
 import (
@@ -107,7 +105,6 @@ type config struct {
 	addrFile       string
 	csvPath        string
 	snapshotPath   string
-	logPath        string
 	walDir         string
 	commitWindow   time.Duration
 	commitBytes    int64
@@ -136,8 +133,7 @@ func main() {
 	flag.StringVar(&cfg.addrFile, "addr-file", "", "write the bound address to this file once listening")
 	flag.StringVar(&cfg.csvPath, "csv", "", "load points from this CSV file")
 	flag.StringVar(&cfg.snapshotPath, "snapshot", "", "restore a gaussrange snapshot from this file")
-	flag.StringVar(&cfg.logPath, "log", "", "replay and append to this mutation log (empty = mutations are not journaled)")
-	flag.StringVar(&cfg.walDir, "wal", "", "group-commit write-ahead log: segment store directory (leader mode; excludes -log)")
+	flag.StringVar(&cfg.walDir, "wal", "", "group-commit write-ahead log: segment store directory (leader mode; empty = mutations are not journaled)")
 	flag.DurationVar(&cfg.commitWindow, "commit-window", 0, "group-commit window: longest a mutation waits for its group's fsync (0 = default 2ms)")
 	flag.Int64Var(&cfg.commitBytes, "commit-bytes", 0, "flush a commit group early at this encoded size (0 = default 4MiB)")
 	flag.Int64Var(&cfg.segmentBytes, "segment-bytes", 0, "roll wal segments at this size (0 = default 64MiB)")
@@ -247,8 +243,8 @@ func buildHandler(cfg config, logw io.Writer) (h http.Handler, banner string, cl
 		})
 		return mux, banner, nil, nil
 	}
-	if moreThanOne(cfg.logPath != "", cfg.walDir != "", cfg.followDir != "") {
-		return nil, "", nil, errors.New("-log, -wal and -follow are mutually exclusive")
+	if cfg.walDir != "" && cfg.followDir != "" {
+		return nil, "", nil, errors.New("-wal and -follow are mutually exclusive")
 	}
 	db, err := loadDB(cfg)
 	if err != nil {
@@ -256,20 +252,6 @@ func buildHandler(cfg config, logw io.Writer) (h http.Handler, banner string, cl
 	}
 	srvCfg.DB = db
 	switch {
-	case cfg.logPath != "":
-		replayed, err := db.AttachMutationLog(cfg.logPath)
-		if err != nil {
-			return nil, "", nil, fmt.Errorf("attaching mutation log: %w", err)
-		}
-		// Shutdown ordering: the listener has already drained every in-flight
-		// mutation, so Sync flushes the last appended records to stable
-		// storage before the log closes — a clean SIGTERM loses nothing.
-		cleanup = func() {
-			db.SyncLog()
-			db.DetachMutationLog()
-		}
-		fmt.Fprintf(logw, "prqserved: mutation log %s: replayed %d batches, now at epoch %d\n",
-			cfg.logPath, replayed, db.Epoch())
 	case cfg.walDir != "":
 		replayed, err := db.AttachWAL(gaussrange.WALConfig{
 			Dir:          cfg.walDir,
@@ -321,21 +303,10 @@ func buildHandler(cfg config, logw io.Writer) (h http.Handler, banner string, cl
 	return srv.Handler(), banner, cleanup, nil
 }
 
-// moreThanOne reports whether two or more of the given modes are set.
-func moreThanOne(modes ...bool) bool {
-	n := 0
-	for _, m := range modes {
-		if m {
-			n++
-		}
-	}
-	return n > 1
-}
-
 // buildRouter wires -shard-map and -shards into a shard.Router.
 func buildRouter(cfg config) (*shard.Router, string, error) {
-	if cfg.csvPath != "" || cfg.snapshotPath != "" || cfg.logPath != "" || cfg.walDir != "" || cfg.followDir != "" {
-		return nil, "", errors.New("-router cannot be combined with -csv, -snapshot, -log, -wal or -follow")
+	if cfg.csvPath != "" || cfg.snapshotPath != "" || cfg.walDir != "" || cfg.followDir != "" {
+		return nil, "", errors.New("-router cannot be combined with -csv, -snapshot, -wal or -follow")
 	}
 	if cfg.shardMapPath == "" || cfg.shards == "" {
 		return nil, "", errors.New("-router requires -shard-map and -shards")

@@ -52,12 +52,10 @@ type DB struct {
 	dim     int
 	options options
 
-	// writeMu serializes the mutation path: the epoch transition in idx and
-	// the matching mutation-log append happen as one unit, so the log's
-	// record order always equals the epoch order. With a wal attached the
-	// group-commit flusher is the only writer that takes it per group.
+	// writeMu serializes the mutation path's epoch transitions. With a wal
+	// attached the group-commit flusher is the only writer that takes it per
+	// group, so the log's record order always equals the epoch order.
 	writeMu sync.Mutex
-	mlog    *MutationLog
 	wal     atomic.Pointer[walPipeline]
 
 	// plans caches compiled query plans by query shape; compileEng is the
@@ -246,10 +244,8 @@ func (db *DB) Delete(id int64) (bool, error) {
 // either all of the batch or none of it. It returns the identifiers assigned
 // to the inserts (in order), a per-delete liveness report, and the published
 // epoch (a no-op batch publishes nothing and returns the current epoch).
-// When a mutation log is attached, the batch is appended to it before Apply
-// returns; when a wal is attached (AttachWAL), the batch rides the
-// group-commit pipeline and Apply returns only after its group's fsync
-// durability point.
+// When a wal is attached (AttachWAL), the batch rides the group-commit
+// pipeline and Apply returns only after its group's fsync durability point.
 func (db *DB) Apply(inserts [][]float64, deletes []int64) (ids []int64, deleted []bool, epoch uint64, err error) {
 	if p := db.wal.Load(); p != nil {
 		return p.apply(inserts, nil, deletes)
@@ -260,26 +256,15 @@ func (db *DB) Apply(inserts [][]float64, deletes []int64) (ids []int64, deleted 
 	}
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	before := db.idx.Epoch()
-	ids, deleted, epoch, err = db.idx.Apply(vecs, deletes)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if db.mlog != nil && epoch != before {
-		if err := db.mlog.append(epoch, inserts, nil, deletes, deleted); err != nil {
-			return nil, nil, 0, fmt.Errorf("gaussrange: mutation log: %w", err)
-		}
-	}
-	return ids, deleted, epoch, nil
+	return db.idx.Apply(vecs, deletes)
 }
 
 // ApplyWithIDs is Apply with caller-assigned insert identifiers, for when an
 // external allocator — typically a shard router that owns a global id space —
 // decides what each inserted point is called. insertIDs must be strictly
 // increasing and at least MaxID; skipped identifiers become permanent holes.
-// When a mutation log is attached the ids are journaled with the batch, so
-// replay reproduces the exact assignment. With a wal attached the batch rides
-// the group-commit pipeline like Apply.
+// With a wal attached the batch rides the group-commit pipeline like Apply,
+// and its record carries the ids, so replay reproduces the exact assignment.
 func (db *DB) ApplyWithIDs(inserts [][]float64, insertIDs []int64, deletes []int64) (deleted []bool, epoch uint64, err error) {
 	if p := db.wal.Load(); p != nil {
 		if insertIDs != nil && len(insertIDs) != len(inserts) {
@@ -295,22 +280,9 @@ func (db *DB) ApplyWithIDs(inserts [][]float64, insertIDs []int64, deletes []int
 	for i, p := range inserts {
 		vecs[i] = vecmat.Vector(p)
 	}
-	if insertIDs == nil {
-		insertIDs = []int64{}
-	}
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	before := db.idx.Epoch()
-	deleted, epoch, err = db.idx.ApplyWithIDs(vecs, insertIDs, deletes)
-	if err != nil {
-		return nil, 0, err
-	}
-	if db.mlog != nil && epoch != before {
-		if err := db.mlog.append(epoch, inserts, insertIDs, deletes, deleted); err != nil {
-			return nil, 0, fmt.Errorf("gaussrange: mutation log: %w", err)
-		}
-	}
-	return deleted, epoch, nil
+	return db.idx.ApplyWithIDs(vecs, insertIDs, deletes)
 }
 
 // MaxID returns the exclusive upper bound of identifiers ever assigned

@@ -46,7 +46,7 @@ func OpenReader(dir string, dim int) (*Reader, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("wal: invalid reader dimension %d", dim)
 	}
-	return &Reader{dir: dir, codec: Codec{Dim: dim, Chained: true}}, nil
+	return &Reader{dir: dir, codec: Codec{Dim: dim}}, nil
 }
 
 // Next returns the next intact record, or ok=false when the store has no
@@ -247,4 +247,38 @@ func (r *Reader) Close() error {
 	err := r.f.Close()
 	r.f = nil
 	return err
+}
+
+// Replay hands apply every intact record r yields that is newer than the
+// caller's current epoch, in order, and enforces the lineage rule every
+// replay shares (a restart over a restored snapshot and a follower alike):
+// a record at or below epoch() is already in the base state and is skipped;
+// the first applicable record must be epoch()+1; and apply must publish
+// exactly the record's epoch. A gap or a divergence is an error — the base
+// state is not the one the log extends. apply returns the epoch it
+// published. Replay stops at the first error or when r has no further intact
+// record, and reports how many records it applied and skipped.
+func Replay(r *Reader, epoch func() uint64, apply func(Record) (uint64, error)) (applied, skipped int, err error) {
+	for {
+		rec, ok, err := r.Next()
+		if err != nil || !ok {
+			return applied, skipped, err
+		}
+		cur := epoch()
+		if rec.Epoch <= cur {
+			skipped++
+			continue
+		}
+		if rec.Epoch != cur+1 {
+			return applied, skipped, fmt.Errorf("wal: gap: at epoch %d, next record is epoch %d", cur, rec.Epoch)
+		}
+		got, err := apply(rec)
+		if err != nil {
+			return applied, skipped, fmt.Errorf("wal: replaying epoch %d: %w", rec.Epoch, err)
+		}
+		if got != rec.Epoch {
+			return applied, skipped, fmt.Errorf("wal: replay diverged: record epoch %d produced epoch %d (snapshot/log lineage mismatch)", rec.Epoch, got)
+		}
+		applied++
+	}
 }

@@ -1,15 +1,16 @@
-// Package wal is the durable write pipeline under gaussrange's mutation
-// path: a record codec shared with the legacy single-file mutation log, a
-// size/age-rolled segment store whose segments carry CRC-chained records and
-// a rolling-hash lineage root (tamper-evident, shippable to followers), a
-// tailing Reader that verifies that lineage while replaying, and a Batcher
-// that group-commits concurrent mutation batches into one fsync per commit
-// window.
+// Package wal is gaussrange's only journal, the durable write pipeline under
+// its mutation path: a record codec, a size/age-rolled segment store whose
+// segments carry CRC-chained records and a rolling-hash lineage root
+// (tamper-evident, shippable to followers), a tailing Reader that verifies
+// that lineage while replaying, the one replay rule (Replay) that restart and
+// followers share, and a Batcher that group-commits concurrent mutation
+// batches into one fsync per commit window.
 //
 // Layering: this package knows nothing about snapshots, epoch publication or
-// query execution — it moves validated records to disk and back. The DB layer
-// (gaussrange.AttachWAL) owns epoch assignment and visibility ordering; the
-// replica layer replays Reader output into a follower database.
+// query execution — it moves validated records to disk and back, and Replay
+// hands them to a caller-supplied apply. The DB layer (gaussrange.AttachWAL)
+// owns epoch assignment and visibility ordering; the replica layer replays
+// Reader output into a follower database.
 package wal
 
 import (
@@ -32,7 +33,7 @@ const MaxBatch = 1 << 24
 
 // Record is one durable mutation group: the epoch it published (or will
 // publish), the inserted points, the identifiers assigned to them (nil for
-// legacy sequential-assignment records), and the deleted ids.
+// sequential assignment), and the deleted ids.
 type Record struct {
 	Epoch     uint64
 	Inserts   [][]float64
@@ -55,14 +56,11 @@ var ErrCorrupt = fmt.Errorf("wal: record checksum mismatch")
 //	epoch uint64 | nIns uint32 | nDel uint32 |
 //	nIns·dim float64 | nDel int64 | [nIns int64 ids] | crc uint32
 //
-// With Chained false the CRC covers the record's own bytes (the legacy
-// GRLGv1 mutation-log format). With Chained true the CRC additionally covers
-// the previous record's CRC (the segment header's CRC for the first record),
-// so records form a tamper-evident chain: rewriting any record breaks every
-// CRC after it.
+// The CRC covers the previous record's CRC (the segment header's CRC for the
+// first record) and then the record's own bytes, so records form a
+// tamper-evident chain: rewriting any record breaks every CRC after it.
 type Codec struct {
-	Dim     int
-	Chained bool
+	Dim int
 }
 
 // EncodedSize returns the exact on-disk size of a record with the given
@@ -76,7 +74,7 @@ func (c Codec) EncodedSize(nIns, nDel int, explicit bool) int64 {
 }
 
 // Append encodes rec onto dst and returns the extended buffer plus the
-// record's CRC (the next link of the chain when Chained).
+// record's CRC (the next link of the chain).
 func (c Codec) Append(dst []byte, rec Record, chain uint32) ([]byte, uint32, error) {
 	if len(rec.Inserts) > MaxBatch || len(rec.Deletes) > MaxBatch {
 		return dst, 0, fmt.Errorf("wal: batch too large: %d inserts / %d deletes", len(rec.Inserts), len(rec.Deletes))
@@ -115,10 +113,8 @@ func (c Codec) Append(dst []byte, rec Record, chain uint32) ([]byte, uint32, err
 		dst = append(dst, b8[:]...)
 	}
 	crc := crc32.NewIEEE()
-	if c.Chained {
-		binary.LittleEndian.PutUint32(b4[:], chain)
-		crc.Write(b4[:])
-	}
+	binary.LittleEndian.PutUint32(b4[:], chain)
+	crc.Write(b4[:])
 	crc.Write(dst[start:])
 	sum := crc.Sum32()
 	binary.LittleEndian.PutUint32(b4[:], sum)
@@ -126,7 +122,7 @@ func (c Codec) Append(dst []byte, rec Record, chain uint32) ([]byte, uint32, err
 	return dst, sum, nil
 }
 
-// Read decodes one record from br, verifying its (possibly chained) CRC.
+// Read decodes one record from br, verifying its chained CRC.
 // It returns the record, the bytes consumed, and the record's CRC (the next
 // chain value). Errors: io.EOF at a clean record boundary, ErrTorn for an
 // incomplete record, ErrCorrupt for a checksum mismatch, and a plain error
@@ -159,11 +155,9 @@ func (c Codec) Read(br *bufio.Reader, chain uint32) (Record, int64, uint32, erro
 		return Record{}, 0, 0, ErrTorn
 	}
 	crc := crc32.NewIEEE()
-	if c.Chained {
-		var b4 [4]byte
-		binary.LittleEndian.PutUint32(b4[:], chain)
-		crc.Write(b4[:])
-	}
+	var b4 [4]byte
+	binary.LittleEndian.PutUint32(b4[:], chain)
+	crc.Write(b4[:])
 	crc.Write(head)
 	crc.Write(payload)
 	sum := crc.Sum32()

@@ -15,8 +15,8 @@ import (
 // segMagic identifies one segment file of the shippable write-ahead log,
 // version 1.
 //
-// A segment is a fixed header followed by CRC-chained records (Codec with
-// Chained true, chain seeded by the header CRC):
+// A segment is a fixed header followed by CRC-chained records (Codec, chain
+// seeded by the header CRC):
 //
 //	header: magic[6] | dim uint32 | baseEpoch uint64 | prevRoot [32]byte | crc uint32
 //

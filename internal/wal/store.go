@@ -85,7 +85,7 @@ func OpenStore(dir string, cfg StoreConfig) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	st := &Store{dir: dir, cfg: cfg, codec: Codec{Dim: cfg.Dim, Chained: true}}
+	st := &Store{dir: dir, cfg: cfg, codec: Codec{Dim: cfg.Dim}}
 	names, err := listSegments(dir)
 	if err != nil {
 		return nil, err

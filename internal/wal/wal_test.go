@@ -37,39 +37,37 @@ func testRecord(rng *rand.Rand, dim int, epoch uint64) Record {
 
 func TestCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, chained := range []bool{false, true} {
-		c := Codec{Dim: 3, Chained: chained}
-		var buf []byte
-		chain := uint32(12345)
-		var want []Record
-		ch := chain
-		for e := uint64(1); e <= 20; e++ {
-			rec := testRecord(rng, 3, e)
-			var err error
-			buf, ch, err = c.Append(buf, rec, ch)
-			if err != nil {
-				t.Fatalf("append: %v", err)
-			}
-			want = append(want, rec)
+	c := Codec{Dim: 3}
+	var buf []byte
+	chain := uint32(12345)
+	var want []Record
+	ch := chain
+	for e := uint64(1); e <= 20; e++ {
+		rec := testRecord(rng, 3, e)
+		var err error
+		buf, ch, err = c.Append(buf, rec, ch)
+		if err != nil {
+			t.Fatalf("append: %v", err)
 		}
-		br := bufio.NewReader(bytes.NewReader(buf))
-		ch = chain
-		for i, w := range want {
-			got, n, newChain, err := c.Read(br, ch)
-			if err != nil {
-				t.Fatalf("chained=%v record %d: %v", chained, i, err)
-			}
-			if n != c.EncodedSize(len(w.Inserts), len(w.Deletes), w.InsertIDs != nil) {
-				t.Fatalf("record %d: size %d vs EncodedSize", i, n)
-			}
-			if !reflect.DeepEqual(normRec(got), normRec(w)) {
-				t.Fatalf("chained=%v record %d mismatch:\n got %+v\nwant %+v", chained, i, got, w)
-			}
-			ch = newChain
+		want = append(want, rec)
+	}
+	br := bufio.NewReader(bytes.NewReader(buf))
+	ch = chain
+	for i, w := range want {
+		got, n, newChain, err := c.Read(br, ch)
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
 		}
-		if _, _, _, err := c.Read(br, ch); err != io.EOF {
-			t.Fatalf("want clean EOF, got %v", err)
+		if n != c.EncodedSize(len(w.Inserts), len(w.Deletes), w.InsertIDs != nil) {
+			t.Fatalf("record %d: size %d vs EncodedSize", i, n)
 		}
+		if !reflect.DeepEqual(normRec(got), normRec(w)) {
+			t.Fatalf("record %d mismatch:\n got %+v\nwant %+v", i, got, w)
+		}
+		ch = newChain
+	}
+	if _, _, _, err := c.Read(br, ch); err != io.EOF {
+		t.Fatalf("want clean EOF, got %v", err)
 	}
 }
 
@@ -84,7 +82,7 @@ func normRec(r Record) Record {
 }
 
 func TestCodecChainDetectsReorder(t *testing.T) {
-	c := Codec{Dim: 1, Chained: true}
+	c := Codec{Dim: 1}
 	var a, b []byte
 	a, chA, _ := c.Append(nil, Record{Epoch: 1, Inserts: [][]float64{{1}}}, 99)
 	b, _, _ = c.Append(nil, Record{Epoch: 2, Inserts: [][]float64{{2}}}, chA)
@@ -492,7 +490,7 @@ func TestStoreLineageAcrossSegments(t *testing.T) {
 	// the defining property of the hash-chained roots.
 	path := segPath(dir, names[0])
 	data, _ := os.ReadFile(path)
-	c := Codec{Dim: 1, Chained: true}
+	c := Codec{Dim: 1}
 	// Re-encode a forged first record (same epoch, different payload) with a
 	// valid chained CRC so only the lineage/root machinery can catch it...
 	_, _, _, chain, _, err := decodeSegHeader(data[:segHeaderSize])
@@ -554,7 +552,7 @@ func TestReaderSurvivesLeaderRestartTruncation(t *testing.T) {
 	names, _ := listSegments(dir)
 	path := segPath(dir, names[0])
 	// Append half of a record by hand: a torn tail.
-	c := Codec{Dim: 1, Chained: true}
+	c := Codec{Dim: 1}
 	torn, _, _ := c.Append(nil, Record{Epoch: 4, Inserts: [][]float64{{4}}}, 0)
 	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	f.Write(torn[:len(torn)/2])

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -131,19 +130,19 @@ func TestLiveMutationStress(t *testing.T) {
 
 // TestStrategyIdentityAcrossReplay checks the acceptance bar for the mutation
 // path: after an insert+delete cycle, a second database built by restoring
-// the same seed data and replaying the mutation log reaches the same epoch
+// the same seed data and replaying the wal reaches the same epoch
 // and returns identical answers — ids and probabilities — under all six
 // strategy configurations.
 func TestStrategyIdentityAcrossReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	seed := gridPoints(400, 5)
-	logPath := filepath.Join(t.TempDir(), "mut.grlg")
+	walDir := t.TempDir()
 
 	db1, err := Load(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db1.AttachMutationLog(logPath); err != nil {
+	if _, err := db1.AttachWAL(WALConfig{Dir: walDir, Synchronous: true}); err != nil {
 		t.Fatal(err)
 	}
 	// A few batches of churn around the query site.
@@ -161,10 +160,7 @@ func TestStrategyIdentityAcrossReplay(t *testing.T) {
 		}
 	}
 	epoch := db1.Epoch()
-	if err := db1.SyncLog(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db1.DetachMutationLog(); err != nil {
+	if err := db1.DetachWAL(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -196,16 +192,16 @@ func TestStrategyIdentityAcrossReplay(t *testing.T) {
 		before[s] = fmt.Sprintf("%v|%v", res.IDs, matches)
 	}
 
-	// Same lineage: load the same seed data, replay the log.
+	// Same lineage: load the same seed data, replay the wal.
 	db2, err := Load(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := db2.AttachMutationLog(logPath)
+	replayed, err := db2.AttachWAL(WALConfig{Dir: walDir, Synchronous: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db2.DetachMutationLog()
+	defer db2.DetachWAL()
 	if replayed != 5 {
 		t.Fatalf("replayed %d batches, want 5", replayed)
 	}
@@ -236,18 +232,18 @@ func TestStrategyIdentityAcrossReplay(t *testing.T) {
 // packed base view is freshly rebuilt from the folded tree. The fused
 // packed-kernel front half (the default) and the pointer-tree arm
 // (WithPointerPhase1) answer from the same mutation lineage — seed data plus
-// a replayed log — so any divergence in ids or probabilities is a packed
+// a replayed wal — so any divergence in ids or probabilities is a packed
 // certificate or fusion bug, not workload noise.
 func TestStrategyIdentityAfterFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	seed := gridPoints(400, 5) // live=400 → fold threshold 128
-	logPath := filepath.Join(t.TempDir(), "fold.grlg")
+	walDir := t.TempDir()
 
 	db1, err := Load(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db1.AttachMutationLog(logPath); err != nil {
+	if _, err := db1.AttachWAL(WALConfig{Dir: walDir, Synchronous: true}); err != nil {
 		t.Fatal(err)
 	}
 	// 13 batches of 8 inserts + 2 deletes put 130 entries in the overlay;
@@ -266,10 +262,7 @@ func TestStrategyIdentityAfterFold(t *testing.T) {
 		}
 		batches++
 	}
-	if err := db1.SyncLog(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db1.DetachMutationLog(); err != nil {
+	if err := db1.DetachWAL(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -295,16 +288,16 @@ func TestStrategyIdentityAfterFold(t *testing.T) {
 		t.Fatal("post-fold query did not use the packed mirror")
 	}
 
-	// Pointer arm: same seed, same mutation lineage via log replay.
+	// Pointer arm: same seed, same mutation lineage via wal replay.
 	db2, err := Load(seed, WithPointerPhase1())
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := db2.AttachMutationLog(logPath)
+	replayed, err := db2.AttachWAL(WALConfig{Dir: walDir, Synchronous: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db2.DetachMutationLog()
+	defer db2.DetachWAL()
 	if replayed != batches {
 		t.Fatalf("replayed %d batches, want %d", replayed, batches)
 	}

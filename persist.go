@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"math"
@@ -17,13 +16,10 @@ import (
 	"gaussrange/internal/vecmat"
 )
 
-// persistMagicV1 identifies snapshot format version 1: dense ids 0..n−1, no
-// epoch. Still readable; restored databases start at epoch 1.
-var persistMagicV1 = [6]byte{'G', 'R', 'D', 'B', 'v', '1'}
-
-// persistMagicV2 identifies snapshot format version 2: epoch-stamped, with
-// explicit (id, point) pairs so deleted ids survive a save/restore cycle as
-// holes and identifiers stay stable across restarts.
+// persistMagicV2 identifies the snapshot format, version 2 (the only one
+// Restore reads): epoch-stamped, with explicit (id, point) pairs so deleted
+// ids survive a save/restore cycle as holes and identifiers stay stable
+// across restarts.
 var persistMagicV2 = [6]byte{'G', 'R', 'D', 'B', 'v', '2'}
 
 // Save writes a snapshot of one pinned epoch to w: the epoch number, the id
@@ -31,8 +27,9 @@ var persistMagicV2 = [6]byte{'G', 'R', 'D', 'B', 'v', '2'}
 // Restore rebuilds the R-tree deterministically with STR bulk loading,
 // which is faster than serializing tree pages and immune to structural
 // format drift. Save never blocks mutations (it reads an immutable
-// snapshot); batches published after the pin are not included — pair Save
-// with a mutation log to cover them.
+// snapshot); batches published after the pin are not included — the wal
+// covers them: a restart is RestoreFile, then AttachWAL on the directory
+// that was attached when Save ran.
 func (db *DB) Save(w io.Writer) error {
 	snap := db.idx.Current()
 	bw := bufio.NewWriter(w)
@@ -93,8 +90,8 @@ func (db *DB) SaveFile(path string) error {
 	return f.Close()
 }
 
-// Restore reads a snapshot produced by Save (either format version) and
-// rebuilds the database at the stored epoch. Options apply as in Load.
+// Restore reads a snapshot produced by Save and rebuilds the database at the
+// stored epoch. Options apply as in Load.
 func Restore(r io.Reader, opts ...Option) (*DB, error) {
 	br := bufio.NewReader(r)
 	crc := crc32.NewIEEE()
@@ -104,60 +101,9 @@ func Restore(r io.Reader, opts ...Option) (*DB, error) {
 	if _, err := io.ReadFull(in, magic[:]); err != nil {
 		return nil, fmt.Errorf("gaussrange: reading snapshot header: %w", err)
 	}
-	switch magic {
-	case persistMagicV1:
-		return restoreV1(br, in, crc, opts...)
-	case persistMagicV2:
-		return restoreV2(br, in, crc, opts...)
-	default:
+	if magic != persistMagicV2 {
 		return nil, errors.New("gaussrange: not a gaussrange snapshot (bad magic)")
 	}
-}
-
-// restoreV1 reads the legacy dense format: dim, count, count·dim floats, CRC.
-func restoreV1(br *bufio.Reader, in io.Reader, crc hash.Hash32, opts ...Option) (*DB, error) {
-	var dim uint32
-	if err := binary.Read(in, binary.LittleEndian, &dim); err != nil {
-		return nil, err
-	}
-	var count uint64
-	if err := binary.Read(in, binary.LittleEndian, &count); err != nil {
-		return nil, err
-	}
-	if dim == 0 || dim > 1<<16 {
-		return nil, fmt.Errorf("gaussrange: snapshot dimension %d out of range", dim)
-	}
-	const maxPoints = 1 << 33
-	if count > maxPoints {
-		return nil, fmt.Errorf("gaussrange: snapshot claims %d points (limit %d)", count, int64(maxPoints))
-	}
-
-	points := make([][]float64, count)
-	buf := make([]byte, 8)
-	for i := range points {
-		p := make([]float64, dim)
-		for j := range p {
-			if _, err := io.ReadFull(in, buf); err != nil {
-				return nil, fmt.Errorf("gaussrange: truncated snapshot at point %d: %w", i, err)
-			}
-			p[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
-		}
-		points[i] = p
-	}
-	if err := checkSnapshotCRC(br, crc); err != nil {
-		return nil, err
-	}
-	if count == 0 {
-		return Open(int(dim), opts...)
-	}
-	return Load(points, opts...)
-}
-
-// restoreV2 reads the epoch-stamped format: dim, epoch, id-space bound, live
-// count, live (id, point) pairs in ascending id order, CRC. Deleted ids come
-// back as holes, so identifiers assigned after the restore never collide
-// with ids from before the save.
-func restoreV2(br *bufio.Reader, in io.Reader, crc hash.Hash32, opts ...Option) (*DB, error) {
 	var dim uint32
 	if err := binary.Read(in, binary.LittleEndian, &dim); err != nil {
 		return nil, err
@@ -175,13 +121,22 @@ func restoreV2(br *bufio.Reader, in io.Reader, crc hash.Hash32, opts ...Option) 
 	if dim == 0 || dim > 1<<16 {
 		return nil, fmt.Errorf("gaussrange: snapshot dimension %d out of range", dim)
 	}
+	if epoch == 0 {
+		return nil, errors.New("gaussrange: snapshot epoch 0 (epochs start at 1)")
+	}
 	const maxPoints = 1 << 33
 	if slots > maxPoints || live > slots {
 		return nil, fmt.Errorf("gaussrange: snapshot claims %d live of %d ids (limit %d)", live, slots, int64(maxPoints))
 	}
 
-	points := make([]vecmat.Vector, slots)
-	buf := make([]byte, 8)
+	// The header's counts are trusted only once the checksum is: the live
+	// (id, point) pairs grow as their bytes arrive, and the id table is
+	// sized from the header after the CRC matches.
+	var (
+		ids    []int64
+		coords []float64
+	)
+	buf := make([]byte, 8*(1+int(dim)))
 	prev := int64(-1)
 	for i := uint64(0); i < live; i++ {
 		if _, err := io.ReadFull(in, buf); err != nil {
@@ -192,46 +147,34 @@ func restoreV2(br *bufio.Reader, in io.Reader, crc hash.Hash32, opts ...Option) 
 			return nil, fmt.Errorf("gaussrange: snapshot id %d out of order or range", id)
 		}
 		prev = id
-		p := make(vecmat.Vector, dim)
-		for j := range p {
-			if _, err := io.ReadFull(in, buf); err != nil {
-				return nil, fmt.Errorf("gaussrange: truncated snapshot at record %d: %w", i, err)
-			}
-			p[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf))
+		ids = append(ids, id)
+		for j := 8; j < len(buf); j += 8 {
+			coords = append(coords, math.Float64frombits(binary.LittleEndian.Uint64(buf[j:])))
 		}
-		points[id] = p
 	}
-	if err := checkSnapshotCRC(br, crc); err != nil {
-		return nil, err
-	}
-	return restoreDB(points, epoch, int(dim), opts...)
-}
-
-// checkSnapshotCRC verifies the trailing checksum against the bytes read.
-func checkSnapshotCRC(br *bufio.Reader, crc hash.Hash32) error {
 	sum := crc.Sum32()
 	var stored uint32
 	if err := binary.Read(br, binary.LittleEndian, &stored); err != nil {
-		return fmt.Errorf("gaussrange: reading snapshot checksum: %w", err)
+		return nil, fmt.Errorf("gaussrange: reading snapshot checksum: %w", err)
 	}
 	if stored != sum {
-		return fmt.Errorf("gaussrange: snapshot checksum mismatch (stored %08x, computed %08x)", stored, sum)
+		return nil, fmt.Errorf("gaussrange: snapshot checksum mismatch (stored %08x, computed %08x)", stored, sum)
 	}
-	return nil
-}
 
-// restoreDB builds a DB from an id-addressed point slice (nil = deleted) at
-// the given epoch.
-func restoreDB(points []vecmat.Vector, epoch uint64, dim int, opts ...Option) (*DB, error) {
+	d := int(dim)
+	points := make([]vecmat.Vector, slots)
+	for i, id := range ids {
+		points[id] = coords[i*d : (i+1)*d : (i+1)*d]
+	}
 	o, err := buildOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	idx, err := core.RestoreIndex(points, epoch, dim, rtree.WithPageSize(o.pageSize))
+	idx, err := core.RestoreIndex(points, epoch, d, rtree.WithPageSize(o.pageSize))
 	if err != nil {
 		return nil, err
 	}
-	return &DB{idx: idx, dim: dim, options: o, plans: newPlanCache(o.planCacheSize)}, nil
+	return &DB{idx: idx, dim: d, options: o, plans: newPlanCache(o.planCacheSize)}, nil
 }
 
 // RestoreFile reads a snapshot from the given path.

@@ -2,6 +2,8 @@ package gaussrange
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -55,6 +57,80 @@ func TestSaveRestoreRoundTrip(t *testing.T) {
 		if p1[0] != p2[0] || p1[1] != p2[1] {
 			t.Fatalf("point %d differs after restore", id)
 		}
+	}
+}
+
+// TestPersistRoundTripWithDeletions journals a history in a wal, takes a
+// snapshot partway through it, then rebuilds the database with RestoreFile +
+// AttachWAL: the records at or below the snapshot's epoch are skipped, the
+// later ones replay, and the full id space — liveness, coordinates, holes
+// and epoch — matches the original.
+func TestPersistRoundTripWithDeletions(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	points := make([][]float64, 200)
+	for i := range points {
+		points[i] = []float64{rng.Float64() * 1000, rng.Float64() * 1000}
+	}
+	dir := t.TempDir()
+	snapPath := filepath.Join(dir, "db.grdb")
+	walDir := filepath.Join(dir, "wal")
+
+	db, err := Load(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.AttachWAL(WALConfig{Dir: walDir, Synchronous: true}); err != nil {
+		t.Fatal(err)
+	}
+	// Pre-snapshot churn, journaled too: holes must survive the save, and
+	// replay must skip these records.
+	for id := int64(0); id < 60; id += 2 {
+		if _, err := db.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, _, err := db.Apply([][]float64{{1, 1}, {2, 2}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	snapEpoch := db.Epoch()
+	if err := db.SaveFile(snapPath); err != nil {
+		t.Fatal(err)
+	}
+	// Post-snapshot churn: only the wal covers these batches.
+	if _, _, _, err := db.Apply([][]float64{{3, 3}}, []int64{1, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Insert([]float64{4, 4}); err != nil {
+		t.Fatal(err)
+	}
+	finalEpoch := db.Epoch()
+	if err := db.DetachWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Restore the snapshot alone: the post-snapshot batches are missing.
+	mid, err := RestoreFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mid.Epoch() != snapEpoch {
+		t.Fatalf("restored epoch %d, want %d", mid.Epoch(), snapEpoch)
+	}
+
+	// Replaying the wal brings it to the final epoch.
+	replayed, err := mid.AttachWAL(WALConfig{Dir: walDir, Synchronous: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mid.DetachWAL()
+	if replayed != 2 {
+		t.Fatalf("replayed %d batches, want 2", replayed)
+	}
+	if mid.Epoch() != finalEpoch {
+		t.Fatalf("replayed epoch %d, want %d", mid.Epoch(), finalEpoch)
+	}
+	if got, want := dbFingerprint(t, mid), dbFingerprint(t, db); got != want {
+		t.Fatalf("replayed id space diverged:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -273,4 +349,59 @@ func TestDerivedQueriesUseThePlanCache(t *testing.T) {
 	if len(want.IDs) == 0 || !slices.Equal(ids, want.IDs) || !slices.Equal(streamed, want.IDs) {
 		t.Errorf("QueryMatches %d ids, QueryFunc %d, Query %d: not the same set", len(ids), len(streamed), len(want.IDs))
 	}
+}
+
+// FuzzRestore feeds arbitrary bytes to Restore. It must never panic nor size
+// anything from a header whose checksum it has not verified, and a snapshot
+// it accepts must Save back to exactly the bytes it read.
+func FuzzRestore(f *testing.F) {
+	db, err := Load(gridPoints(40, 3))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for id := int64(0); id < 40; id += 3 {
+		if _, err := db.Delete(id); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if _, _, _, err := db.Apply([][]float64{{-0.0, 7}, {1e300, -1e-300}}, []int64{1}); err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := db.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	good := buf.Bytes()
+	if _, err := Restore(bytes.NewReader(good)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	for _, n := range []int{0, 6, 10, 33, 34, 42, len(good) / 2, len(good) - 4, len(good) - 1} {
+		f.Add(good[:n])
+	}
+	// A bare 34-byte header claiming 2^33 ids and no live points: nothing may
+	// be sized from it before the (missing) checksum is read.
+	hdr := append([]byte(nil), good[:34]...)
+	binary.LittleEndian.PutUint64(hdr[18:], 1<<33)
+	binary.LittleEndian.PutUint64(hdr[26:], 0)
+	f.Add(hdr)
+	// A checksum-valid snapshot at epoch 0, which Save never writes.
+	zero := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(zero[10:], 0)
+	binary.LittleEndian.PutUint32(zero[len(zero)-4:], crc32.ChecksumIEEE(zero[:len(zero)-4]))
+	f.Add(zero)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		db, err := Restore(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := db.Save(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, out.Bytes()) {
+			t.Fatalf("restored snapshot saves as %x, read %x", out.Bytes(), data)
+		}
+	})
 }

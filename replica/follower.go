@@ -8,16 +8,19 @@
 // The replication unit is the log record: one record per commit group, one
 // epoch per record, with the exact insert ids the leader assigned — so a
 // follower's id space, epochs and answers are byte-identical to the
-// leader's at the same epoch. The follower must begin from the same base
-// state the leader's log begins after: the leader's epoch-stamped snapshot,
-// the same initial dataset, or an empty database when the leader journaled
-// its whole history. The log itself only certifies epoch continuity, so a
-// mismatched base surfaces as a replay error on the first delete of an
-// unknown id — or, for insert-only histories, as a diverging point count in
-// health checks rather than an in-band error. Lineage is verified end-to-end: the follower
-// refuses a segment whose header does not extend the rolling root it
-// finished the previous segment with, which makes a rewritten or spliced
-// history detectable rather than silently divergent.
+// leader's at the same epoch. A follower replays by the same rule a leader's
+// restart replays its own wal (wal.Replay), so the two cannot drift apart.
+// The follower must begin from the same base state the leader's log begins
+// after: the leader's epoch-stamped snapshot, the same initial dataset, or
+// an empty database when the leader journaled its whole history. The log
+// itself only certifies epoch continuity, so a mismatched base surfaces as
+// a gap error when the log starts past the base's next epoch, as a replay
+// error on the first delete of an unknown id, or, for insert-only
+// histories, as a diverging point count in health checks rather than an
+// in-band error. Lineage is verified end-to-end: the follower refuses a
+// segment whose header does not extend the rolling root it finished the
+// previous segment with, which makes a rewritten or spliced history
+// detectable rather than silently divergent.
 package replica
 
 import (
@@ -62,8 +65,8 @@ type Stats struct {
 
 // Follower tails a segment store and replays committed groups into db.
 // Create with New, drive with CatchUp (synchronous) or Start/Stop
-// (background). The db must not have its own wal or mutation log attached:
-// a follower replays the leader's journal, it does not keep one.
+// (background). The db must not have its own wal attached: a follower
+// replays the leader's journal, it does not keep one.
 type Follower struct {
 	db       *gaussrange.DB
 	interval time.Duration
@@ -107,9 +110,12 @@ func New(db *gaussrange.DB, cfg Config) (*Follower, error) {
 }
 
 // CatchUp replays every record currently readable and returns how many it
-// applied. A torn or in-progress record at the live tail is not an error —
-// the next CatchUp retries it. A lineage or replay error is sticky: the
-// follower stops applying and every later CatchUp returns the same error.
+// applied, by the same rule a leader's restart replays its own wal
+// (wal.Replay): records at or below the DB's epoch are skipped, and a gap or
+// a diverging epoch is an error. A torn or in-progress record at the live
+// tail is not an error — the next CatchUp retries it. A lineage or replay
+// error is sticky: the follower stops applying and every later CatchUp
+// returns the same error.
 func (f *Follower) CatchUp() (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -121,52 +127,24 @@ func (f *Follower) catchUpLocked() (int, error) {
 	if f.err != nil {
 		return 0, f.err
 	}
-	applied := 0
-	for {
-		rec, ok, err := f.r.Next()
-		if err != nil {
-			f.err = fmt.Errorf("replica: %w", err)
-			return applied, f.err
-		}
-		if !ok {
-			return applied, nil
-		}
-		if err := f.apply(rec); err != nil {
-			f.err = err
-			return applied, f.err
-		}
-		applied++
+	applied, skipped, err := wal.Replay(f.r, f.db.Epoch, f.apply)
+	f.applied += uint64(applied)
+	f.skipped += uint64(skipped)
+	if err != nil {
+		f.err = fmt.Errorf("replica: %w", err)
 	}
+	return applied, f.err
 }
 
-// apply replays one committed group, verifying the epoch lineage exactly
-// like the leader's own restart replay does.
-func (f *Follower) apply(rec wal.Record) error {
-	cur := f.db.Epoch()
-	if rec.Epoch <= cur {
-		f.skipped++
-		return nil // already folded into the restored snapshot
-	}
-	if rec.Epoch != cur+1 {
-		return fmt.Errorf("replica: log gap: at epoch %d, next record is epoch %d", cur, rec.Epoch)
-	}
-	var (
-		got uint64
-		err error
-	)
+// apply replays one committed group into the follower's DB and returns the
+// epoch it published.
+func (f *Follower) apply(rec wal.Record) (uint64, error) {
 	if rec.InsertIDs != nil {
-		_, got, err = f.db.ApplyWithIDs(rec.Inserts, rec.InsertIDs, rec.Deletes)
-	} else {
-		_, _, got, err = f.db.Apply(rec.Inserts, rec.Deletes)
+		_, epoch, err := f.db.ApplyWithIDs(rec.Inserts, rec.InsertIDs, rec.Deletes)
+		return epoch, err
 	}
-	if err != nil {
-		return fmt.Errorf("replica: replaying epoch %d: %w", rec.Epoch, err)
-	}
-	if got != rec.Epoch {
-		return fmt.Errorf("replica: replay diverged: record epoch %d produced epoch %d (snapshot/log lineage mismatch)", rec.Epoch, got)
-	}
-	f.applied++
-	return nil
+	_, _, epoch, err := f.db.Apply(rec.Inserts, rec.Deletes)
+	return epoch, err
 }
 
 // Start launches the background tailer: one CatchUp per interval until Stop.

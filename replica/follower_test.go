@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -141,6 +142,49 @@ func TestFollowerRefusesRewrittenHistory(t *testing.T) {
 		t.Fatalf("stats hide the error: %+v", st)
 	}
 	f.Stop()
+}
+
+// TestFollowerRefusesGap: a follower whose base state is older than the
+// leader's first journaled record cannot replay the log. The gap error is
+// sticky and nothing is applied.
+func TestFollowerRefusesGap(t *testing.T) {
+	dir := t.TempDir()
+	leader, err := gaussrange.Open(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two unjournaled batches, then the wal: its first record is epoch 4.
+	for i := 0; i < 2; i++ {
+		if _, err := leader.Insert([]float64{float64(i), 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := leader.AttachWAL(gaussrange.WALConfig{Dir: dir, Synchronous: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := leader.Insert([]float64{5, 5}); err != nil {
+		t.Fatal(err)
+	}
+	leader.DetachWAL()
+
+	fdb, err := gaussrange.Open(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(fdb, Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Stop()
+	if _, err := f.CatchUp(); err == nil || !strings.Contains(err.Error(), "gap") {
+		t.Fatalf("epoch gap not detected: %v", err)
+	}
+	if _, err := f.CatchUp(); err == nil {
+		t.Fatal("gap error did not stick")
+	}
+	if st := f.Stats(); st.Applied != 0 || st.Err == "" || fdb.Epoch() != 1 {
+		t.Fatalf("after a gap: stats %+v, epoch %d", st, fdb.Epoch())
+	}
 }
 
 func TestFollowerRejectsJournalingDB(t *testing.T) {

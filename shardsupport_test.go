@@ -1,7 +1,6 @@
 package gaussrange
 
 import (
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -83,11 +82,12 @@ func TestLoadWithIDsSparse(t *testing.T) {
 	}
 }
 
-// TestApplyWithIDsLogReplay journals explicit-id batches and checks replay
-// reproduces the exact id assignment, including holes.
+// TestApplyWithIDsLogReplay journals explicit-id batches in a wal and checks
+// that RestoreFile + AttachWAL reproduces the exact id assignment, including
+// holes.
 func TestApplyWithIDsLogReplay(t *testing.T) {
 	dir := t.TempDir()
-	logPath := filepath.Join(dir, "mut.log")
+	walDir := filepath.Join(dir, "wal")
 	snapPath := filepath.Join(dir, "snap.grdb")
 
 	db, err := Load(gridPoints(16, 10))
@@ -97,7 +97,7 @@ func TestApplyWithIDsLogReplay(t *testing.T) {
 	if err := db.SaveFile(snapPath); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.AttachMutationLog(logPath); err != nil {
+	if _, err := db.AttachWAL(WALConfig{Dir: walDir, Synchronous: true}); err != nil {
 		t.Fatal(err)
 	}
 	// Mixed history: sequential batch, explicit-id batch with a hole,
@@ -112,7 +112,7 @@ func TestApplyWithIDsLogReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantEpoch := db.Epoch()
-	if err := db.DetachMutationLog(); err != nil {
+	if err := db.DetachWAL(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -120,10 +120,11 @@ func TestApplyWithIDsLogReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := re.AttachMutationLog(logPath)
+	replayed, err := re.AttachWAL(WALConfig{Dir: walDir, Synchronous: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer re.DetachWAL()
 	if replayed != 3 {
 		t.Fatalf("replayed %d batches, want 3", replayed)
 	}
@@ -145,7 +146,6 @@ func TestApplyWithIDsLogReplay(t *testing.T) {
 			t.Errorf("id %d live after replay", id)
 		}
 	}
-	os.Remove(logPath)
 }
 
 // TestPlanRegion checks the exposed Phase-1 rectangle contains every answer

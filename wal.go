@@ -29,9 +29,6 @@ type WALConfig struct {
 	// mode tests and benchmarks compare against; identical epoch and id
 	// assignment to grouped mode for any single-writer sequence.
 	Synchronous bool
-	// NoSync skips fsync at the durability point — benchmarks that isolate
-	// pipeline overhead from disk flush cost only.
-	NoSync bool
 }
 
 // WALStats reports the attached write pipeline's counters.
@@ -56,15 +53,14 @@ type walPipeline struct {
 // fsync and one published epoch per group. It returns the number of batches
 // replayed.
 //
-// The intended restart sequence is RestoreFile (epoch-stamped snapshot)
-// followed by AttachWAL with the directory that was attached when the
-// snapshot was saved. AttachWAL and AttachMutationLog are mutually exclusive.
+// The wal is the database's only journal, and the restart sequence is
+// RestoreFile (epoch-stamped snapshot) followed by AttachWAL with the
+// directory that was attached when the snapshot was saved: records at or
+// below the snapshot's epoch are skipped, and a gap or a replay that does
+// not reproduce the logged epochs is an error (wal.Replay).
 func (db *DB) AttachWAL(cfg WALConfig) (replayed int, err error) {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	if db.mlog != nil {
-		return 0, fmt.Errorf("gaussrange: a mutation log is already attached")
-	}
 	if db.wal.Load() != nil {
 		return 0, fmt.Errorf("gaussrange: a wal is already attached")
 	}
@@ -72,7 +68,6 @@ func (db *DB) AttachWAL(cfg WALConfig) (replayed int, err error) {
 		Dim:          db.dim,
 		SegmentBytes: cfg.SegmentBytes,
 		SegmentAge:   cfg.SegmentAge,
-		NoSync:       cfg.NoSync,
 	})
 	if err != nil {
 		return 0, err
@@ -100,49 +95,30 @@ func (db *DB) AttachWAL(cfg WALConfig) (replayed int, err error) {
 	return replayed, nil
 }
 
-// replayWAL replays intact log records newer than the current epoch, exactly
-// like AttachMutationLog's replay: records at or below the restored epoch are
-// skipped, the first applicable record must be epoch+1, and the replayed
-// epoch must reproduce the logged one. Called with writeMu held.
+// replayWAL replays the intact records in dir newer than the current epoch
+// into the index. Called with writeMu held.
 func (db *DB) replayWAL(dir string) (replayed int, err error) {
 	r, err := wal.OpenReader(dir, db.dim)
 	if err != nil {
 		return 0, err
 	}
 	defer r.Close()
-	for {
-		rec, ok, err := r.Next()
-		if err != nil {
-			return replayed, fmt.Errorf("gaussrange: wal replay: %w", err)
-		}
-		if !ok {
-			return replayed, nil
-		}
-		cur := db.idx.Epoch()
-		if rec.Epoch <= cur {
-			continue // already folded into the restored snapshot
-		}
-		if rec.Epoch != cur+1 {
-			return replayed, fmt.Errorf("gaussrange: wal gap: at epoch %d, next record is epoch %d", cur, rec.Epoch)
-		}
+	replayed, _, err = wal.Replay(r, db.idx.Epoch, func(rec wal.Record) (uint64, error) {
 		vecs := make([]vecmat.Vector, len(rec.Inserts))
 		for i, p := range rec.Inserts {
 			vecs[i] = vecmat.Vector(p)
 		}
-		var got uint64
 		if rec.InsertIDs != nil {
-			_, got, err = db.idx.ApplyWithIDs(vecs, rec.InsertIDs, rec.Deletes)
-		} else {
-			_, _, got, err = db.idx.Apply(vecs, rec.Deletes)
+			_, epoch, err := db.idx.ApplyWithIDs(vecs, rec.InsertIDs, rec.Deletes)
+			return epoch, err
 		}
-		if err != nil {
-			return replayed, fmt.Errorf("gaussrange: replaying epoch %d: %w", rec.Epoch, err)
-		}
-		if got != rec.Epoch {
-			return replayed, fmt.Errorf("gaussrange: wal replay diverged: record epoch %d produced epoch %d (snapshot/log lineage mismatch)", rec.Epoch, got)
-		}
-		replayed++
+		_, _, epoch, err := db.idx.Apply(vecs, rec.Deletes)
+		return epoch, err
+	})
+	if err != nil {
+		return replayed, fmt.Errorf("gaussrange: %w", err)
 	}
+	return replayed, nil
 }
 
 // DetachWAL drains the batcher (every queued submission commits), syncs and

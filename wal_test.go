@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -402,30 +403,95 @@ func TestWALExplicitIDsThroughPipeline(t *testing.T) {
 	}
 }
 
-func TestWALMutuallyExclusiveWithMutationLog(t *testing.T) {
+// TestWALLineageErrors covers AttachWAL's lineage refusals: a wal whose first
+// record lies past the database's next epoch (a gap between the base state
+// and the log), and a segment store of another dimensionality.
+func TestWALLineageErrors(t *testing.T) {
+	dir := t.TempDir()
+	seed := gridPoints(100, 10)
+
+	// The log starts at epoch 5: three unjournaled batches came first.
+	gapDir := filepath.Join(dir, "gap")
+	db, err := Load(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := db.Insert([]float64{float64(i), 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.AttachWAL(WALConfig{Dir: gapDir, Synchronous: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Insert([]float64{9, 9}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DetachWAL(); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Load(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.AttachWAL(WALConfig{Dir: gapDir}); err == nil || !strings.Contains(err.Error(), "gap") {
+		t.Fatalf("epoch gap not detected: %v", err)
+	}
+	if fresh.Epoch() != 1 || fresh.WALDir() != "" {
+		t.Fatalf("refused wal left epoch %d, dir %q", fresh.Epoch(), fresh.WALDir())
+	}
+
+	// A 3-D store cannot journal a 2-D database.
+	dimDir := filepath.Join(dir, "dim3")
+	db3, err := Open(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db3.AttachWAL(WALConfig{Dir: dimDir}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db3.Insert([]float64{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db3.DetachWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.AttachWAL(WALConfig{Dir: dimDir}); err == nil || !strings.Contains(err.Error(), "dim") {
+		t.Fatalf("dimension mismatch not detected: %v", err)
+	}
+	if fresh.WALDir() != "" {
+		t.Fatalf("refused wal left dir %q", fresh.WALDir())
+	}
+}
+
+// TestWALSecondAttachRefused: a database journals to one wal at a time. A
+// second AttachWAL is refused while one is attached, and succeeds once the
+// first is detached.
+func TestWALSecondAttachRefused(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.AttachWAL(WALConfig{Dir: filepath.Join(dir, "wal")}); err != nil {
+	first := filepath.Join(dir, "wal")
+	if _, err := db.AttachWAL(WALConfig{Dir: first}); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := db.AttachMutationLog(filepath.Join(dir, "mut.log")); err == nil {
-		t.Fatal("mutation log attached over a wal")
 	}
 	if _, err := db.AttachWAL(WALConfig{Dir: filepath.Join(dir, "wal2")}); err == nil {
 		t.Fatal("second wal attached")
 	}
-	db.DetachWAL()
-
-	if _, err := db.AttachMutationLog(filepath.Join(dir, "mut.log")); err != nil {
+	if db.WALDir() != first {
+		t.Fatalf("refused attach replaced the wal: dir %q, want %q", db.WALDir(), first)
+	}
+	if err := db.DetachWAL(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.AttachWAL(WALConfig{Dir: filepath.Join(dir, "wal3")}); err == nil {
-		t.Fatal("wal attached over a mutation log")
+	if _, err := db.AttachWAL(WALConfig{Dir: filepath.Join(dir, "wal3")}); err != nil {
+		t.Fatalf("attach after detach: %v", err)
 	}
-	db.DetachMutationLog()
+	if err := db.DetachWAL(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestWALDetachDrains: DetachWAL must commit every queued submission before
