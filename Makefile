@@ -30,9 +30,10 @@ fmt-check:
 deadcode:
 	$(GO) run ./scripts/deadcode
 
-# fuzz-smoke runs the nine fuzzers briefly: the two R-tree fuzzers —
-# packed-vs-pointer search parity on STR-loaded trees, and the flat STR build
-# against its pointer-tree reference — the Ruben-kernel fuzzer, which checks
+# fuzz-smoke runs the ten fuzzers briefly: the three R-tree fuzzers —
+# packed-vs-pointer search parity on STR-loaded trees, the flat STR build
+# against its pointer-tree reference, and the packed k-NN walk against a
+# brute-force (distance, id) sort — the Ruben-kernel fuzzer, which checks
 # the linear-time series (value, certified bound, early decisions) against
 # its O(K²) reference, the answer-region hull fuzzer, which checks every
 # inside/outside verdict of a random query shape's hull against the exact
@@ -48,11 +49,12 @@ deadcode:
 # and the snapshot fuzzer, which feeds arbitrary bytes to Restore and checks
 # that it never panics or sizes memory from an unverified header, and that a
 # snapshot it accepts saves back to the bytes it read.
-# `go test` accepts only one -fuzz target per invocation, so the 27s budget
-# is split across the nine fuzzers.
+# `go test` accepts only one -fuzz target per invocation, so the 30s budget
+# is split across the ten fuzzers.
 fuzz-smoke:
 	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedSearch -fuzztime 3s
 	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedBuild -fuzztime 3s
+	$(GO) test ./internal/rtree -run '^$$' -fuzz FuzzPackedKNN -fuzztime 3s
 	$(GO) test ./internal/quadform -run '^$$' -fuzz FuzzRubenCDF -fuzztime 3s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzHullClassify -fuzztime 3s
 	$(GO) test ./server -run '^$$' -fuzz FuzzQueryResponseDecode -fuzztime 3s
@@ -70,8 +72,8 @@ verify: fmt-check vet race
 
 # bench-snapshot regenerates the committed benchmark artifacts:
 # BENCH_churn.json (read latency under live mutations), BENCH_shard.json
-# (sharded scatter-gather serving) and BENCH_phase1.json (packed+fused front
-# half vs pointer tree, plus the index build cost).
+# (sharded scatter-gather serving) and BENCH_phase1.json (the packed front
+# half's counters and answer hash, plus the index build cost).
 bench-snapshot:
 	GO="$(GO)" ./scripts/bench_snapshot.sh
 
@@ -85,16 +87,16 @@ bench-snapshot:
 # synchronous per-batch-fsync insert rate at 64 concurrent writers in the
 # same run, and a deterministic mutation sequence must stay byte-identical
 # (epochs and answers) across synchronous commit, grouped commit, and
-# follower replay of the grouped log. The third run gates the packed+fused
-# Phase-1/2 front half on the committed BENCH_phase1.json: the fused arm's
-# answer ids and per-phase counters must stay identical to the pointer
-# baseline's (which now runs on the tree unpacked from the packed base), and
-# the build block must stay scale-free sane: an index load in <=64 allocations
-# that never materialises the pointer tree, and packed_bytes/points <= 32 at
-# d=2, because a leaf stores its point once (16 B) with its id (8 B) and a
-# return of duplicated leaf copies (bounds and float32 mirrors) reads ~74.
-# The front-half ratio is printed, not gated: a floor on the timing of two
-# ~20us loops is a gate on the box.
+# follower replay of the grouped log. The third run gates the packed
+# Phase-1/2 front half on the committed BENCH_phase1.json: its summed
+# counters and the FNV-64a hash of its answer ids (ids_fnv64) must equal the
+# baseline's, so a change that moves one answer or one node visit fails
+# across commits, and the build block must stay scale-free sane: an index
+# load in <=64 allocations, and packed_bytes/points <= 32 at d=2, because a
+# leaf stores its point once (16 B) with its id (8 B) and a return of
+# duplicated leaf copies (bounds and float32 mirrors) reads ~74. The
+# front-half time is printed, not gated: a floor on the timing of a ~20us
+# loop is a gate on the box.
 SHARD_COMPARE_QUERIES ?= 1200
 SHARD_COMPARE_WORKERS ?= 64
 bench-compare:

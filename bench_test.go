@@ -20,6 +20,7 @@ import (
 	"gaussrange/internal/data"
 	"gaussrange/internal/experiments"
 	"gaussrange/internal/gauss"
+	"gaussrange/internal/geom"
 	"gaussrange/internal/mc"
 	"gaussrange/internal/quadform"
 	"gaussrange/internal/rtree"
@@ -577,25 +578,31 @@ func newBFCat() (*ucatalog.BFCatalog, error) { return ucatalog.NewBFCatalog(2, n
 var _ = stats.ErrDomain
 
 // BenchmarkAblationBufferPool measures simulated page-I/O hit rates across
-// pool sizes on the Table II workload.
+// pool sizes on the Table II workload: Phase 1's rect walk for one ALL plan
+// over the pointer form of the index (rtree.Unpack), the paged structure
+// the pool models.
 func BenchmarkAblationBufferPool(b *testing.B) {
 	ix := longBeachIndex(b)
+	engine, err := core.NewEngine(ix, core.NewExactEvaluator(), core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := engine.Compile(paperQuery2D(b, ix, 10), core.StrategyAll)
+	if err != nil {
+		b.Fatal(err)
+	}
+	box := plan.SearchRect()
 	for _, pages := range []int{16, 128, 1024} {
 		b.Run(trimFloat(float64(pages))+"pages", func(b *testing.B) {
 			bp, err := rtree.NewBufferPool(pages)
 			if err != nil {
 				b.Fatal(err)
 			}
-			ix.Tree().AttachBufferPool(bp)
-			defer ix.Tree().AttachBufferPool(nil)
-			engine, err := core.NewEngine(ix, core.NewExactEvaluator(), core.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			q := paperQuery2D(b, ix, 10)
+			tree := rtree.Unpack(ix.Current().Packed())
+			tree.AttachBufferPool(bp)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.Search(q, core.StrategyAll); err != nil {
+				if err := tree.SearchRect(box, func(geom.Rect, int64) bool { return true }); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -30,12 +30,12 @@
 //	           (committed as BENCH_shard.json) and -compare gates a fresh
 //	           run against it (not in "all")
 //	phase1   — packed flat-index front half: the Table-I workload (2-D road
-//	           data, γ=1, δ=25, θ=0.01) under the pointer-tree Phase-1/2 path
-//	           vs the packed+fused kernel, reporting front-half time per
-//	           query, the speedup, node/recheck counters, and identity of
-//	           answer ids and per-phase prune counts; -json writes the report
-//	           (committed as BENCH_phase1.json) and -compare gates a fresh
-//	           run against it (identity + build gates; not in "all")
+//	           data, γ=1, δ=25, θ=0.01), reporting front-half time per
+//	           query, the summed node/recheck/prune counters, an FNV-64a
+//	           hash of the answer ids and the index build cost; -json writes
+//	           the report (committed as BENCH_phase1.json) and -compare gates
+//	           a fresh run against it (counters, hash and build gates; not
+//	           in "all")
 //	churn    — mixed read/write experiment: -workers goroutines run -queries
 //	           operations against one live DB per cell, sweeping the write
 //	           fraction (0–20%) and both overlay-rebuild strategies, and
@@ -58,8 +58,8 @@
 //	-queries N     queries per batch for the batch experiment (default 64)
 //	-json PATH     write the phase1/shard/churn report as JSON to PATH
 //	-compare PATH  phase1/shard/churn: gate a fresh run against the
-//	               committed baseline report at PATH (phase1: arm identity +
-//	               build allocations; shard: routed identity, K=4 speedup,
+//	               committed baseline report at PATH (phase1: counters and
+//	               answer hash equal the baseline's + build allocations; shard: routed identity, K=4 speedup,
 //	               scatter overhead; churn: group-commit ingest speedup +
 //	               replay identity)
 //	-cpuprofile PATH  write a pprof CPU profile of the selected experiment

@@ -303,9 +303,8 @@ func render(o runOpts, out io.Writer, points, dim int, res *gaussrange.Result, a
 	fmt.Fprintf(out, "dataset: %d points (%d-D)\n", points, dim)
 	fmt.Fprintf(out, "answers: %d\n", len(res.IDs))
 	fmt.Fprintf(out, "phase 1: retrieved %d candidates (%d node reads, %v)\n", st.Retrieved, st.NodesRead, st.IndexTime)
-	if st.NodesReadPacked > 0 || st.OverlayScanned > 0 || st.F32Rechecks > 0 {
-		fmt.Fprintf(out, "packed:  %d mirror node reads, %d overlay scans, %d f32 rechecks\n",
-			st.NodesReadPacked, st.OverlayScanned, st.F32Rechecks)
+	if st.OverlayScanned > 0 || st.F32Rechecks > 0 {
+		fmt.Fprintf(out, "packed:  %d overlay scans, %d f32 rechecks\n", st.OverlayScanned, st.F32Rechecks)
 	}
 	fmt.Fprintf(out, "phase 2: pruned fringe=%d or=%d bf=%d; accepted bf=%d (%v)\n",
 		st.PrunedFringe, st.PrunedOR, st.PrunedBF, st.AcceptedBF, st.FilterTime)

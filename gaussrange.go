@@ -70,7 +70,6 @@ type options struct {
 	pageSize      int
 	seed          uint64
 	planCacheSize int
-	pointerPhase1 bool
 }
 
 // Option configures Open and Load.
@@ -84,17 +83,6 @@ func WithPageSize(bytes int) Option {
 			return fmt.Errorf("gaussrange: page size %d too small", bytes)
 		}
 		o.pageSize = bytes
-		return nil
-	}
-}
-
-// WithPointerPhase1 disables the packed flat-index Phase-1/2 kernel and runs
-// the original pointer-tree search plus the second-pass filter loop. Answers
-// and per-phase prune counts are identical either way; this is the baseline
-// arm for benchmarks (prqbench phase1) and identity tests.
-func WithPointerPhase1() Option {
-	return func(o *options) error {
-		o.pointerPhase1 = true
 		return nil
 	}
 }
@@ -342,19 +330,15 @@ type Stats struct {
 	PrunedBF     int           // removed beyond the α∥ bound
 	AcceptedBF   int           // accepted by a certified inner bound (no integration): the α⊥ sphere, or a reused plan's answer-region hull
 	Integrations int           // candidates that needed probability computation
-	NodesRead    int           // base-index nodes visited (either representation)
+	NodesRead    int           // packed base nodes visited
 	IndexTime    time.Duration // Phase 1
 	FilterTime   time.Duration // Phase 2
 	ProbTime     time.Duration // Phase 3
-	// Packed front-half accounting: NodesReadPacked is how many of the
-	// NodesRead visits were served by the cache-linear packed mirror (0 when
-	// the pointer-tree front half ran), OverlayScanned how many overlay
-	// inserts the query was merged against, and F32Rechecks how many index
-	// entries straddled the float32 certificate bands and were rechecked in
-	// float64.
-	NodesReadPacked int
-	OverlayScanned  int
-	F32Rechecks     int
+	// OverlayScanned is how many overlay inserts the query was merged
+	// against, and F32Rechecks how many index entries straddled the float32
+	// certificate bands and were rechecked in float64.
+	OverlayScanned int
+	F32Rechecks    int
 	// TierMC, SamplesTouched and SampleFreeDecisions are filled by nothing:
 	// they remain only for the bench ladder's core.sample_free_ratio, which
 	// reads 1.0 on the one exact Phase-3 path, until that metric is retired.
@@ -376,7 +360,6 @@ func (s *Stats) Add(other Stats) {
 	s.AcceptedBF += other.AcceptedBF
 	s.Integrations += other.Integrations
 	s.NodesRead += other.NodesRead
-	s.NodesReadPacked += other.NodesReadPacked
 	s.OverlayScanned += other.OverlayScanned
 	s.F32Rechecks += other.F32Rechecks
 	s.IndexTime += other.IndexTime
@@ -661,8 +644,7 @@ func (db *DB) compileEngine() (*core.Engine, error) {
 	db.compileMu.Lock()
 	defer db.compileMu.Unlock()
 	if db.compileEng == nil {
-		eng, err := core.NewEngine(db.idx, core.NewExactEvaluator(),
-			core.Options{PointerPhase1: db.options.pointerPhase1})
+		eng, err := core.NewEngine(db.idx, core.NewExactEvaluator(), core.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -676,19 +658,18 @@ func convertResult(res *core.Result) *Result {
 		IDs:   res.IDs,
 		Epoch: res.Stats.Epoch,
 		Stats: Stats{
-			Retrieved:       res.Stats.Retrieved,
-			PrunedFringe:    res.Stats.PrunedFringe,
-			PrunedOR:        res.Stats.PrunedOR,
-			PrunedBF:        res.Stats.PrunedBF,
-			AcceptedBF:      res.Stats.AcceptedBF,
-			Integrations:    res.Stats.Integrations,
-			NodesRead:       res.Stats.NodesRead,
-			NodesReadPacked: res.Stats.NodesReadPacked,
-			OverlayScanned:  res.Stats.OverlayScanned,
-			F32Rechecks:     res.Stats.F32Rechecks,
-			IndexTime:       res.Stats.PhaseDurations[0],
-			FilterTime:      res.Stats.PhaseDurations[1],
-			ProbTime:        res.Stats.PhaseDurations[2],
+			Retrieved:      res.Stats.Retrieved,
+			PrunedFringe:   res.Stats.PrunedFringe,
+			PrunedOR:       res.Stats.PrunedOR,
+			PrunedBF:       res.Stats.PrunedBF,
+			AcceptedBF:     res.Stats.AcceptedBF,
+			Integrations:   res.Stats.Integrations,
+			NodesRead:      res.Stats.NodesRead,
+			OverlayScanned: res.Stats.OverlayScanned,
+			F32Rechecks:    res.Stats.F32Rechecks,
+			IndexTime:      res.Stats.PhaseDurations[0],
+			FilterTime:     res.Stats.PhaseDurations[1],
+			ProbTime:       res.Stats.PhaseDurations[2],
 		},
 	}
 }

@@ -48,11 +48,6 @@ type Options struct {
 	// nil NewEngine builds them with default grids.
 	RCatalog  *ucatalog.RCatalog
 	BFCatalog *ucatalog.BFCatalog
-	// PointerPhase1 disables the packed flat-index Phase-1/2 kernel and runs
-	// the original pointer-tree search plus the per-candidate filter loop.
-	// Answers and per-phase prune counts are identical either way; this
-	// exists as the baseline arm for benchmarks and identity tests.
-	PointerPhase1 bool
 }
 
 // Engine compiles and executes probabilistic range queries against an Index.
@@ -128,15 +123,12 @@ type PhaseStats struct {
 	AcceptedBF   int // Phase 2: accepted outright by a certified inner bound (the α⊥ sphere, or the plan's hull)
 	Integrations int // Phase 3: candidates requiring probability computation
 	Answers      int // final result size
-	NodesRead    int // base-index nodes visited during Phase 1 (either representation)
-	// Packed front-half accounting: NodesReadPacked is how many of the
-	// NodesRead visits were served by the cache-linear packed mirror (0 on
-	// the pointer-tree path), OverlayScanned how many overlay inserts the
-	// query was merged against, and F32Rechecks how many entries straddled
-	// the float32 certificate bands and needed an exact float64 recheck.
-	NodesReadPacked int
-	OverlayScanned  int
-	F32Rechecks     int
+	NodesRead    int // packed base nodes visited during Phase 1
+	// OverlayScanned is how many overlay inserts the query was merged
+	// against, and F32Rechecks how many node entries straddled the float32
+	// certificate bands and needed an exact float64 recheck.
+	OverlayScanned int
+	F32Rechecks    int
 	// Epoch is the storage epoch the query pinned for all three phases: the
 	// whole answer is consistent with exactly this published snapshot.
 	Epoch          uint64

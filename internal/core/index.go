@@ -97,7 +97,7 @@ func RestoreIndex(points []vecmat.Vector, epoch uint64, dim int, opts ...rtree.O
 // block — in one allocation, and holds on to nothing of the generation
 // before it. A slot is an int32, so a generation holds at most
 // math.MaxInt32 points.
-func newGeneration(maxID int, at func(id int) vecmat.Vector, dim int, opts []rtree.Option) (*base, []int32, int, error) {
+func newGeneration(maxID int, at func(id int) vecmat.Vector, dim int, opts []rtree.Option) (*rtree.Packed, []int32, int, error) {
 	pts := make([]vecmat.Vector, 0, maxID)
 	ids := make([]int64, 0, maxID)
 	for id := 0; id < maxID; id++ {
@@ -126,7 +126,7 @@ func newGeneration(maxID int, at func(id int) vecmat.Vector, dim int, opts []rtr
 		id, _ := packed.Leaf(j)
 		slot[id] = int32(j)
 	}
-	return &base{packed: packed}, slot, len(pts), nil
+	return packed, slot, len(pts), nil
 }
 
 // Current pins the current snapshot: an immutable view of the latest
@@ -148,11 +148,6 @@ func (ix *Index) Dim() int { return ix.dim }
 func (ix *Index) Point(id int64) (vecmat.Vector, error) {
 	return ix.Current().Point(id)
 }
-
-// Tree exposes the current snapshot's base as a pointer R-tree for
-// diagnostics (see Snapshot.Tree). It does not see the mutation overlay; use
-// Snapshot search methods for exact answers.
-func (ix *Index) Tree() *rtree.Tree { return ix.Current().Tree() }
 
 // SearchRect returns the identifiers of live points inside the rectangle.
 func (ix *Index) SearchRect(r geom.Rect) ([]int64, error) {
@@ -262,7 +257,7 @@ func (ix *Index) Stage(inserts []vecmat.Vector, insertIDs []int64, deletes []int
 	}
 
 	// An overlay slot is the base length plus its ovl row, an int32.
-	if rows := cur.base.packed.Len() + len(cur.mem) + len(inserts); rows > math.MaxInt32 {
+	if rows := cur.base.Len() + len(cur.mem) + len(inserts); rows > math.MaxInt32 {
 		ix.mu.Unlock()
 		return nil, fmt.Errorf("core: %d points in one generation, at most %d", rows, math.MaxInt32)
 	}
@@ -299,7 +294,7 @@ func (ix *Index) Stage(inserts []vecmat.Vector, insertIDs []int64, deletes []int
 		// view and a discarded stage leaves nothing behind.
 		dead := make([]uint64, (len(cur.slot)+63)/64)
 		copy(dead, cur.dead)
-		n := int32(cur.base.packed.Len())
+		n := int32(cur.base.Len())
 		for i, id := range deletes {
 			if deleted[i] {
 				dead[id>>6] |= 1 << (id & 63)
@@ -330,7 +325,7 @@ func (ix *Index) Stage(inserts []vecmat.Vector, insertIDs []int64, deletes []int
 					next.slot = append(next.slot, -1)
 				}
 			}
-			next.slot = append(next.slot, int32(next.base.packed.Len()+len(next.mem)))
+			next.slot = append(next.slot, int32(next.base.Len()+len(next.mem)))
 			next.ovl = append(next.ovl, p...)
 			next.mem = append(next.mem, id)
 			ids[i] = id

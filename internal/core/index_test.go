@@ -8,6 +8,7 @@ import (
 	"gaussrange/internal/gauss"
 
 	"gaussrange/internal/geom"
+	"gaussrange/internal/rtree"
 	"gaussrange/internal/vecmat"
 )
 
@@ -30,8 +31,8 @@ func TestIndexBasics(t *testing.T) {
 	if _, err := ix.Point(3); err == nil {
 		t.Error("out-of-range id accepted")
 	}
-	if ix.Tree() == nil {
-		t.Error("Tree() returned nil")
+	if ix.Current().Packed().Len() != 3 {
+		t.Errorf("packed base holds %d points, want 3", ix.Current().Packed().Len())
 	}
 }
 
@@ -69,7 +70,7 @@ func TestDynamicIndex(t *testing.T) {
 	if _, _, _, err := ix.Apply([]vecmat.Vector{{1}}, nil); err == nil {
 		t.Error("dim mismatch accepted")
 	}
-	if err := ix.Tree().CheckInvariants(); err != nil {
+	if err := rtree.Unpack(ix.Current().Packed()).CheckInvariants(); err != nil {
 		t.Error(err)
 	}
 	// Range search parity with a rect.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gaussrange/internal/geom"
+	"gaussrange/internal/rtree"
 	"gaussrange/internal/vecmat"
 )
 
@@ -32,7 +33,7 @@ func fusedOn(t *testing.T, p *Plan, snap *Snapshot) frontHalf {
 	return frontHalf{s.st, s.accepted, s.needEval}
 }
 
-// linearOn is the reference front half: the base through the pointer tree,
+// linearOn is the reference front half: the base's ids collected first,
 // then every overlay row in order against the box, each candidate through
 // filterOne.
 func linearOn(t *testing.T, p *Plan, snap *Snapshot) frontHalf {
@@ -41,22 +42,22 @@ func linearOn(t *testing.T, p *Plan, snap *Snapshot) frontHalf {
 	s.st = p.baseStats()
 	s.st.Epoch = snap.epoch
 	p.bindPhase2(s, snap.dim)
-	nodes := snap.Tree().NodesRead()
-	for _, id := range linearRect(t, snap, p.searchBox) {
+	var pst rtree.SearchStats
+	for _, id := range linearRect(t, snap, p.searchBox, &pst) {
 		s.st.Retrieved++
 		p.filterOne(s, id, snap.point(id))
 	}
-	s.st.NodesRead = snap.Tree().NodesRead() - nodes
+	s.st.NodesRead = int(pst.Nodes)
 	s.st.OverlayScanned = len(snap.mem)
 	return frontHalf{s.st, s.accepted, s.needEval}
 }
 
-// linearRect is the reference rect search: the pointer tree's ids minus
-// tombstones, then each live overlay row inside r (no bound below or above
-// on any axis: a NaN bound rejects nothing), ascending.
-func linearRect(t *testing.T, snap *Snapshot, r geom.Rect) []int64 {
+// linearRect is the reference rect search: the packed base's collected ids
+// minus tombstones, then each live overlay row inside r (no bound below or
+// above on any axis: a NaN bound rejects nothing), ascending.
+func linearRect(t *testing.T, snap *Snapshot, r geom.Rect, st *rtree.SearchStats) []int64 {
 	t.Helper()
-	base, err := snap.Tree().CollectRect(r)
+	base, err := snap.Packed().CollectRect(r, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,14 +196,14 @@ func runOverlayScript(t *testing.T, seed int64) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := linearRect(t, snap, box); !slices.Equal(got, want) {
+			if want := linearRect(t, snap, box, nil); !slices.Equal(got, want) {
 				t.Fatalf("seed %d step %d %s: SearchRect(%v) = %v, linear %v", seed, step, which, box, got, want)
 			}
 			for _, base := range []*Plan{chain, hullPlan} {
 				p := *base
 				p.searchBox = box
 				got, want := fusedOn(t, &p, snap), linearOn(t, &p, snap)
-				got.st.PhaseDurations, got.st.NodesReadPacked, got.st.F32Rechecks = [3]time.Duration{}, 0, 0
+				got.st.PhaseDurations, got.st.F32Rechecks = [3]time.Duration{}, 0
 				if got.st != want.st || !slices.Equal(got.accepted, want.accepted) || !slices.Equal(got.needEval, want.needEval) {
 					t.Fatalf("seed %d step %d %s hull %v box %v: front half %+v %v %v, linear %+v %v %v", seed, step, which,
 						p.hull != nil, box, got.st, got.accepted, got.needEval, want.st, want.accepted, want.needEval)

@@ -333,12 +333,7 @@ func (s *phase2State) takeHull(id int64, v int) {
 // phase must resolve ids against, so a concurrent mutation can never produce
 // a torn answer.
 //
-// The default front half is fused: the packed mirror's leaf scan streams
-// point blocks straight through the Phase-2 filters with no materialized
-// candidate slice and no id→point lookups, then the overlay is merged
-// exactly as the pointer path does. Options.PointerPhase1 selects the
-// original two-pass pointer-tree implementation; both produce identical ids,
-// id order, and per-phase prune counts.
+// Phases 1 and 2 run fused, in filterPhasesFused.
 func (p *Plan) filterPhases(ctx context.Context, s *phase2State) (*Snapshot, error) {
 	snap := p.engine.idx.Current()
 	s.st = p.baseStats()
@@ -350,44 +345,15 @@ func (p *Plan) filterPhases(ctx context.Context, s *phase2State) (*Snapshot, err
 		return snap, err
 	}
 	p.bindPhase2(s, snap.dim)
-	if p.engine.opts.PointerPhase1 {
-		return snap, p.filterPhasesPointer(snap, s)
-	}
 	return snap, p.filterPhasesFused(snap, s)
 }
 
-// filterPhasesPointer is the baseline front half: Phase 1 materializes the
-// candidate ids via the pointer tree, Phase 2 filters them in a second pass.
-func (p *Plan) filterPhasesPointer(snap *Snapshot, s *phase2State) error {
-	st := &s.st
-	// ---- Phase 1: index-based search -------------------------------------
-	t0 := time.Now()
-	tree := snap.Tree()
-	nodesBefore := tree.NodesRead()
-	candidates, err := snap.searchRect(p.searchBox, true)
-	if err != nil {
-		return err
-	}
-	st.Retrieved = len(candidates)
-	st.NodesRead = tree.NodesRead() - nodesBefore
-	st.OverlayScanned = len(snap.mem)
-	st.PhaseDurations[0] = time.Since(t0)
-
-	// ---- Phase 2: filtering ----------------------------------------------
-	t1 := time.Now()
-	for _, id := range candidates {
-		p.filterOne(s, id, snap.point(id))
-	}
-	st.PhaseDurations[1] = time.Since(t1)
-	return nil
-}
-
-// filterPhasesFused is the packed front half: the rect walk hands each leaf
-// block to the Phase-2 filters, run over it with no call per point
-// (PhaseDurations[0]), then the overlay rows in the box are merged through
-// the same filters (PhaseDurations[1]). Candidate order — base DFS order
-// minus tombstones, then overlay ascending — matches the pointer path
-// exactly, so ExecuteFunc streams the same ids in the same order on either.
+// filterPhasesFused is the front half: the packed rect walk hands each leaf
+// block to the Phase-2 filters, run over it with no call per point and no
+// materialized candidate slice (PhaseDurations[0]), then the overlay rows in
+// the box are merged through the same filters (PhaseDurations[1]).
+// Candidates come in base DFS order minus tombstones, then overlay rows
+// ascending, so ExecuteFunc streams ids in a fixed order.
 func (p *Plan) filterPhasesFused(snap *Snapshot, s *phase2State) error {
 	st := &s.st
 	t0 := time.Now()
@@ -406,11 +372,10 @@ func (p *Plan) filterPhasesFused(snap *Snapshot, s *phase2State) error {
 		}
 		return true
 	}
-	if err := snap.base.packed.SearchRectLeaves(p.searchBox, leaf, &s.pst); err != nil {
+	if err := snap.base.SearchRectLeaves(p.searchBox, leaf, &s.pst); err != nil {
 		return err
 	}
 	st.NodesRead = int(s.pst.Nodes)
-	st.NodesReadPacked = int(s.pst.Nodes)
 	st.F32Rechecks = int(s.pst.F32Rechecks)
 	st.PhaseDurations[0] = time.Since(t0)
 

@@ -5,35 +5,15 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"gaussrange/internal/geom"
 	"gaussrange/internal/rtree"
 	"gaussrange/internal/vecmat"
 )
 
-// base is one generation of the immutable base structure: the packed R-tree
-// STR-built over the points live at load, restore or the last overlay fold.
-// Every epoch between two folds shares one base. Queries run on the packed
-// arrays alone; the pointer-tree form is a derived view, unpacked on first
-// request (once, for all the epochs sharing the base) for the few consumers
-// that still walk nodes — Snapshot.NearestNeighbors, the
-// Options.PointerPhase1 arm, and Snapshot.Tree's diagnostics.
-type base struct {
-	packed *rtree.Packed
-	once   sync.Once
-	tree   atomic.Pointer[rtree.Tree] // stored by once; atomic so TreeBuilt can look without unpacking
-}
-
-// pointerTree returns the derived pointer tree, unpacking it on first use.
-func (b *base) pointerTree() *rtree.Tree {
-	b.once.Do(func() { b.tree.Store(rtree.Unpack(b.packed)) })
-	return b.tree.Load()
-}
-
 // Snapshot is one immutable epoch of the point collection: a packed R-tree
-// over the points present when the base was last built, plus a small overlay
+// over the points present when the base was last built (load, restore or
+// the last fold; every epoch between two folds shares it), plus a small overlay
 // of mutations applied since — recently inserted ids (mem) and the tombstone
 // bitset of ids deleted since (dead). Every search merges the base answer
 // with the overlay, so a Snapshot is always an exact view of its epoch.
@@ -61,7 +41,7 @@ func (b *base) pointerTree() *rtree.Tree {
 // rect searches; the rows past it, fewer than overlayTail, are unsorted.
 // Like dead, a published byX never changes (mergeByX); a fold resets it.
 type Snapshot struct {
-	base  *base
+	base  *rtree.Packed
 	slot  []int32   // id-indexed: leaf position, base length + ovl row, or −1
 	ovl   []float64 // overlay insert coordinates, row-major; row i is mem[i]'s
 	mem   []int64   // ids inserted after the base was built (ascending)
@@ -121,10 +101,10 @@ func (s *Snapshot) Point(id int64) (vecmat.Vector, error) {
 // executors iterating ids this snapshot itself produced.
 func (s *Snapshot) point(id int64) vecmat.Vector {
 	j := int(s.slot[id])
-	if n := s.base.packed.Len(); j >= n {
+	if n := s.base.Len(); j >= n {
 		return s.overlayPoint(j - n)
 	}
-	_, pt := s.base.packed.Leaf(j)
+	_, pt := s.base.Leaf(j)
 	return pt
 }
 
@@ -134,23 +114,11 @@ func (s *Snapshot) overlayPoint(i int) vecmat.Vector {
 	return s.ovl[o : o+s.dim : o+s.dim]
 }
 
-// Tree exposes the snapshot's base as a pointer R-tree for diagnostics and
-// the node-I/O experiments. It is unpacked from the packed base on first
-// request and shared by the epochs that share the base; nothing the query
-// path needs, so a process that never asks never pays for it. It does not
-// see the overlay; use the Snapshot search methods for exact answers.
-func (s *Snapshot) Tree() *rtree.Tree { return s.base.pointerTree() }
-
-// TreeBuilt reports whether anything has asked this snapshot's base for its
-// pointer tree yet — build-cost accounting: false means the process is
-// serving from the packed arrays alone.
-func (s *Snapshot) TreeBuilt() bool { return s.base.tree.Load() != nil }
-
 // Packed exposes the packed base. It is never mutated (mutations land in the
 // overlay and the base is only replaced wholesale at fold time), so it is
 // valid for the snapshot's entire lifetime and shared across the epochs
 // between two folds.
-func (s *Snapshot) Packed() *rtree.Packed { return s.base.packed }
+func (s *Snapshot) Packed() *rtree.Packed { return s.base }
 
 // OverlaySize reports the overlay's pending inserts and tombstones — the
 // extra per-query work this epoch pays until the next rebuild.
@@ -161,22 +129,7 @@ func (s *Snapshot) OverlaySize() (inserted, deleted int) {
 // SearchRect returns the identifiers of live points inside the rectangle:
 // the packed base's answer minus tombstones, plus matching overlay inserts.
 func (s *Snapshot) SearchRect(r geom.Rect) ([]int64, error) {
-	return s.searchRect(r, false)
-}
-
-// searchRect is SearchRect with the base half run on the packed arrays or,
-// for the Options.PointerPhase1 arm, on the derived pointer tree; both
-// return the same ids in the same order.
-func (s *Snapshot) searchRect(r geom.Rect, pointer bool) ([]int64, error) {
-	var (
-		ids []int64
-		err error
-	)
-	if pointer {
-		ids, err = s.Tree().CollectRect(r)
-	} else {
-		ids, err = s.base.packed.CollectRect(r, nil)
-	}
+	ids, err := s.base.CollectRect(r, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +218,7 @@ func (s *Snapshot) mergeByX() []int32 {
 // radius of center. Returning false stops the search early.
 func (s *Snapshot) SearchSphere(center vecmat.Vector, radius float64, fn func(id int64) bool) error {
 	stopped := false
-	err := s.base.packed.SearchSphere(center, radius, func(id int64, _ []float64) bool {
+	err := s.base.SearchSphere(center, radius, func(id int64, _ []float64) bool {
 		if tombstoned(s.dead, id) {
 			return true
 		}
@@ -293,16 +246,15 @@ func (s *Snapshot) SearchSphere(center vecmat.Vector, radius float64, fn func(id
 }
 
 // NearestNeighbors returns the k live points closest to p, nearest first.
-// The base tree is asked for k plus its own tombstones (overlay tombstones
-// are never in it), and the k nearest live overlay inserts are merged by
-// distance; ties go to the smaller id. Only the overlay inserts returned
-// get their rect built.
+// The packed base is asked for k plus its own tombstones (overlay
+// tombstones are never in it), and the k nearest live overlay inserts are
+// merged by distance; ties go to the smaller id.
 func (s *Snapshot) NearestNeighbors(p vecmat.Vector, k int) ([]rtree.Neighbor, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: k must be positive, got %d", k)
 	}
 	fetch := k + s.ndeadBase
-	base, err := s.Tree().NearestNeighbors(p, fetch)
+	base, err := s.base.NearestNeighbors(p, fetch)
 	if err != nil {
 		return nil, err
 	}
@@ -335,11 +287,6 @@ func (s *Snapshot) NearestNeighbors(p vecmat.Vector, k int) ([]rtree.Neighbor, e
 	slices.SortFunc(out, cmpNeighbor)
 	if len(out) > k {
 		out = out[:k]
-	}
-	for i := range out {
-		if out[i].Rect.Lo == nil {
-			out[i].Rect = geom.PointRect(s.point(out[i].ID))
-		}
 	}
 	return out, nil
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -252,8 +251,8 @@ func TestNearestNeighborsAllocsFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0].ID != ids[0] || !slices.Equal(got[0].Rect.Lo, near) || !slices.Equal(got[0].Rect.Hi, near) {
-		t.Fatalf("nearest is %d at %v, want the overlay insert %d at %v", got[0].ID, got[0].Rect, ids[0], near)
+	if got[0].ID != ids[0] || got[0].Dist2 != near.Dist2(q) {
+		t.Fatalf("nearest is %d at squared distance %g, want the overlay insert %d at %g", got[0].ID, got[0].Dist2, ids[0], near.Dist2(q))
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"gaussrange/internal/core"
 	"gaussrange/internal/data"
 	"gaussrange/internal/gauss"
+	"gaussrange/internal/geom"
 	"gaussrange/internal/mc"
 	"gaussrange/internal/rtree"
 	"gaussrange/internal/vecmat"
@@ -26,7 +27,11 @@ type IOStatsResult struct {
 	Config    Config
 }
 
-// RunIOStats executes the Table I/II query mix over several pool sizes.
+// RunIOStats executes the Table I/II query mix over several pool sizes. The
+// paged structure being modelled is a pointer R-tree STR-built over the
+// same points, ids and page size as the engine's packed index; each query's
+// Phase 1 is that tree's rect search over the compiled plan's search box,
+// so it visits the nodes the engine's packed walk visits, in its order.
 func RunIOStats(cfg Config, points []vecmat.Vector) (*IOStatsResult, error) {
 	cfg = cfg.withDefaults(5)
 	if points == nil {
@@ -36,10 +41,15 @@ func RunIOStats(cfg Config, points []vecmat.Vector) (*IOStatsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The simulated buffer pool instruments the pointer tree, so this
-	// experiment pins the pointer-tree Phase 1 (the packed front half never
-	// touches the paged structure being modelled).
-	engine, err := core.NewEngine(ix, core.NewExactEvaluator(), core.Options{PointerPhase1: true})
+	engine, err := core.NewEngine(ix, core.NewExactEvaluator(), core.Options{})
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]int64, len(points))
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	tree, err := rtree.BulkLoadPoints(points, ids, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -52,50 +62,58 @@ func RunIOStats(cfg Config, points []vecmat.Vector) (*IOStatsResult, error) {
 
 	res := &IOStatsResult{
 		PoolSizes: []int{8, 32, 128, 512, 4096},
-		TreeNodes: ix.Tree().ComputeStats().Nodes,
+		TreeNodes: tree.ComputeStats().Nodes,
 		Config:    cfg,
 	}
+	// An empty plan (a θ no point can reach) runs no Phase 1, as in the
+	// engine; it still counts as a query.
+	var boxes []geom.Rect
 	queries := 0
-	runAll := func() error {
-		for _, c := range centers {
-			g, err := gauss.New(c, cov)
+	for _, c := range centers {
+		g, err := gauss.New(c, cov)
+		if err != nil {
+			return nil, err
+		}
+		q := core.Query{Dist: g, Delta: 25, Theta: 0.01}
+		for _, strat := range core.PaperStrategies {
+			plan, err := engine.Compile(q, strat)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			q := core.Query{Dist: g, Delta: 25, Theta: 0.01}
-			for _, strat := range core.PaperStrategies {
-				if _, err := engine.Search(q, strat); err != nil {
-					return err
-				}
-				queries++
+			if !plan.Empty() {
+				boxes = append(boxes, plan.SearchRect())
+			}
+			queries++
+		}
+	}
+	runAll := func() error {
+		for _, box := range boxes {
+			if err := tree.SearchRect(box, func(geom.Rect, int64) bool { return true }); err != nil {
+				return err
 			}
 		}
 		return nil
 	}
 
 	// Pool-independent node accesses.
-	ix.Tree().ResetStats()
 	if err := runAll(); err != nil {
 		return nil, err
 	}
-	res.NodeReads = float64(ix.Tree().NodesRead()) / float64(queries)
+	res.NodeReads = float64(tree.NodesRead()) / float64(queries)
 
 	for _, size := range res.PoolSizes {
 		bp, err := rtree.NewBufferPool(size)
 		if err != nil {
 			return nil, err
 		}
-		ix.Tree().AttachBufferPool(bp)
-		queries = 0
+		tree.AttachBufferPool(bp)
 		if err := runAll(); err != nil {
-			ix.Tree().AttachBufferPool(nil)
 			return nil, err
 		}
 		_, misses := bp.Stats()
 		res.HitRates = append(res.HitRates, bp.HitRate())
 		res.Misses = append(res.Misses, float64(misses)/float64(queries))
 	}
-	ix.Tree().AttachBufferPool(nil)
 	return res, nil
 }
 

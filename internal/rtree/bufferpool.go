@@ -70,15 +70,6 @@ func (bp *BufferPool) HitRate() float64 {
 	return float64(h) / float64(h+m)
 }
 
-// Reset zeroes the counters and empties the pool.
-func (bp *BufferPool) Reset() {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	bp.hits, bp.misses = 0, 0
-	bp.lru.Init()
-	bp.pages = make(map[*node]*list.Element)
-}
-
 // AttachBufferPool installs (or, with nil, removes) an I/O-simulation pool.
 // Not safe to call concurrently with searches.
 func (t *Tree) AttachBufferPool(bp *BufferPool) { t.pool = bp }

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"testing"
@@ -145,6 +146,80 @@ func FuzzPackedSearch(f *testing.F) {
 			}
 			if int(stS.Nodes) != wantNodes {
 				t.Fatalf("sphere: packed visited %d nodes, pointer %d", stS.Nodes, wantNodes)
+			}
+		}
+	})
+}
+
+// FuzzPackedKNN STR-builds points decoded from the input (a dimension
+// selector, a k selector, then dim bytes a point on a coarse lattice that
+// holds ±0 and many duplicates; the last point is also the query) and checks
+// Packed.NearestNeighbors against a brute-force sort of every point by
+// (pointDist2, id): the same ids, in order, with the same distance bits.
+// Ids run opposite to input order, so a tie broken by position fails.
+func FuzzPackedKNN(f *testing.F) {
+	f.Add([]byte{0, 0, 10, 10, 10, 10, 10, 10, 129, 129, 128, 128})                                                                          // d=2, k=1, duplicates, ±0
+	f.Add([]byte{0, 200, 1, 2, 3, 4, 5, 6, 7, 8, 128, 129})                                                                                  // d=2, k > n
+	f.Add([]byte{1, 3, 128, 129, 128, 129, 128, 129, 128, 129, 128, 0, 0, 0, 0, 0, 0, 0, 0, 0, 128, 129, 128, 129, 128, 129, 128, 129, 128}) // d=9, ±0
+	f.Add([]byte{1, 0, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 9, 9, 9, 9, 9, 9, 9, 9, 9})                                     // d=9, k=1, duplicates
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) < 2 {
+			return
+		}
+		dim := []int{2, 9}[ops[0]&1]
+		kSel := int(ops[1])
+		ops = ops[2:]
+		if len(ops) > 1024 {
+			ops = ops[:1024]
+		}
+		coord := func(b byte) float64 {
+			v := float64(int(b>>1)-64) / 4
+			if b&1 == 1 {
+				v = -v
+			}
+			return v
+		}
+		var pts []vecmat.Vector
+		for i := 0; i+dim <= len(ops); i += dim {
+			p := make(vecmat.Vector, dim)
+			for a := range p {
+				p[a] = coord(ops[i+a])
+			}
+			pts = append(pts, p)
+		}
+		n := len(pts)
+		if n == 0 {
+			return
+		}
+		ids := make([]int64, n)
+		for i := range ids {
+			ids[i] = int64(n - 1 - i)
+		}
+		p, err := BuildPacked(pts, ids, dim, WithPageSize(256))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, k := pts[n-1], kSel%(n+3)+1
+
+		want := make([]Neighbor, n)
+		for i, pt := range pts {
+			want[i] = Neighbor{ID: ids[i], Dist2: pointDist2(pt, q)}
+		}
+		slices.SortFunc(want, func(a, b Neighbor) int {
+			return cmp.Or(cmp.Compare(a.Dist2, b.Dist2), cmp.Compare(a.ID, b.ID))
+		})
+		want = want[:min(k, n)]
+
+		got, err := p.NearestNeighbors(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("k=%d over %d points: %d neighbours, want %d", k, n, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].ID != want[i].ID || math.Float64bits(got[i].Dist2) != math.Float64bits(want[i].Dist2) {
+				t.Fatalf("k=%d over %d points: neighbour %d is %+v, want %+v", k, n, i, got[i], want[i])
 			}
 		}
 	})

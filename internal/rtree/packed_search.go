@@ -370,3 +370,107 @@ func pointDist2(pt []float64, c vecmat.Vector) float64 {
 	}
 	return s
 }
+
+// Neighbor is one k-NN result: a data id and its squared distance from the
+// query point.
+type Neighbor struct {
+	ID    int64
+	Dist2 float64
+}
+
+// nnItem is a best-first queue element: a node (node ≥ 0, its entry's
+// rectDist2) or a data point (node < 0, its pointDist2).
+type nnItem struct {
+	dist2 float64
+	id    int64
+	node  int32
+}
+
+// before orders by distance, then nodes before points, then points by id: a
+// node pops before a point at its own distance, so points come out in
+// (distance, id) order and the k nearest break ties to the smaller ids.
+func (a *nnItem) before(b *nnItem) bool {
+	if a.dist2 != b.dist2 {
+		return a.dist2 < b.dist2
+	}
+	if (a.node < 0) != (b.node < 0) {
+		return a.node >= 0
+	}
+	return a.id < b.id
+}
+
+// nnQueue is a binary min-heap of nnItems under before.
+type nnQueue []nnItem
+
+func (q *nnQueue) push(it nnItem) {
+	*q = append(*q, it)
+	h := *q
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h[j].before(&h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *nnQueue) pop() nnItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	*q = h[:n]
+	return h[n]
+}
+
+// NearestNeighbors returns the k data points closest to pt in Euclidean
+// distance, nearest first with ties by ascending id — the k smallest
+// (Dist2, id) pairs — by best-first (Hjaltason–Samet) traversal. Fewer than
+// k are returned when the index holds fewer. The paper's 9-D experiment
+// uses k-NN with k=20 to build the pseudo-feedback covariance (§VI-A).
+func (p *Packed) NearestNeighbors(pt vecmat.Vector, k int) ([]Neighbor, error) {
+	if pt.Dim() != p.dim {
+		return nil, fmt.Errorf("%w: point dim %d vs packed dim %d", ErrDimension, pt.Dim(), p.dim)
+	}
+	if k <= 0 {
+		return nil, fmt.Errorf("rtree: k must be positive, got %d", k)
+	}
+	if p.size == 0 {
+		return nil, nil
+	}
+	d := int32(p.dim)
+	q := make(nnQueue, 1, 4*p.maxSpan)
+	out := make([]Neighbor, 0, min(k, p.size))
+	for len(q) > 0 && len(out) < k {
+		it := q.pop()
+		if it.node < 0 {
+			out = append(out, Neighbor{ID: it.id, Dist2: it.dist2})
+			continue
+		}
+		s, e := p.start[it.node], p.start[it.node+1]
+		if it.node >= p.firstLeaf {
+			for j := s - p.leafBase; j < e-p.leafBase; j++ {
+				q.push(nnItem{dist2: pointDist2(p.pts[j*d:(j+1)*d:(j+1)*d], pt), id: p.ids[j], node: -1})
+			}
+			continue
+		}
+		for idx := s; idx < e; idx++ {
+			q.push(nnItem{dist2: p.rectDist2(idx, pt), node: p.child[idx]})
+		}
+	}
+	return out, nil
+}

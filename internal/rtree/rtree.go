@@ -9,9 +9,11 @@
 // fan-out regime while remaining an in-memory structure.
 //
 // The index every query runs on is Packed, built by STR bulk loading
-// (BuildPacked) with rectangle and sphere range search. Tree is the pointer
-// form of the same nodes (Unpack), with best-first k-NN search; it is never
-// mutated after it is built.
+// (BuildPacked), with rectangle and sphere range search and best-first k-NN
+// search. Tree is the pointer form of the same nodes (Unpack), kept as the
+// paged structure the I/O experiment and the bench ladder measure and as the
+// reference the packed searches are tested against; it is never mutated
+// after it is built.
 package rtree
 
 import (
@@ -100,20 +102,11 @@ func nodeFill(dim int, opts []Option) (maxFill, minFill int, err error) {
 	return maxFill, minFill, nil
 }
 
-// Dim returns the dimensionality of indexed rectangles.
-func (t *Tree) Dim() int { return t.dim }
-
-// Len returns the number of stored data entries.
-func (t *Tree) Len() int { return t.size }
-
 // NodesRead returns the cumulative number of node visits — the in-memory
 // surrogate for page I/O in the experiments. Concurrent searches update it
 // atomically; callers measuring a single operation should difference two
 // readings.
 func (t *Tree) NodesRead() int { return int(t.nodesRead.Load()) }
-
-// ResetStats zeroes the node-visit counter.
-func (t *Tree) ResetStats() { t.nodesRead.Store(0) }
 
 // visit records one node access for statistics and the optional buffer
 // pool.

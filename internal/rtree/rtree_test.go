@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"container/list"
 	"math"
 	"math/rand"
 	"sort"
@@ -9,6 +10,35 @@ import (
 	"gaussrange/internal/geom"
 	"gaussrange/internal/vecmat"
 )
+
+// Len, ResetStats, CollectRect and BufferPool.Reset are Tree and pool
+// methods only the tests call.
+
+// Len returns the number of stored data entries.
+func (t *Tree) Len() int { return t.size }
+
+// ResetStats zeroes the node-visit counter.
+func (t *Tree) ResetStats() { t.nodesRead.Store(0) }
+
+// CollectRect returns the IDs of all data entries intersecting query, in
+// the walk's order.
+func (t *Tree) CollectRect(query geom.Rect) ([]int64, error) {
+	var ids []int64
+	err := t.SearchRect(query, func(_ geom.Rect, id int64) bool {
+		ids = append(ids, id)
+		return true
+	})
+	return ids, err
+}
+
+// Reset zeroes the counters and empties the pool.
+func (bp *BufferPool) Reset() {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	bp.hits, bp.misses = 0, 0
+	bp.lru.Init()
+	bp.pages = make(map[*node]*list.Element)
+}
 
 func randPoints(rng *rand.Rand, n, d int, scale float64) []vecmat.Vector {
 	pts := make([]vecmat.Vector, n)
@@ -102,7 +132,7 @@ func TestEmptyTree(t *testing.T) {
 	if err != nil || len(ids) != 0 {
 		t.Errorf("empty search = %v, %v", ids, err)
 	}
-	nn, err := tr.NearestNeighbors(vecmat.Vector{0, 0}, 3)
+	nn, err := mustPack(t, tr).NearestNeighbors(vecmat.Vector{0, 0}, 3)
 	if err != nil || nn != nil {
 		t.Errorf("empty kNN = %v, %v", nn, err)
 	}
@@ -203,7 +233,7 @@ func TestNearestNeighborsAgainstBruteForce(t *testing.T) {
 				q[j] = rng.Float64() * 1000
 			}
 			const k = 20
-			got, err := tr.NearestNeighbors(q, k)
+			got, err := mustPack(t, tr).NearestNeighbors(q, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,17 +257,17 @@ func TestNearestNeighborsAgainstBruteForce(t *testing.T) {
 		}
 	}
 	tr := bulkLoad(t, randPoints(rng, 10, 2, 1000), 2)
-	if _, err := tr.NearestNeighbors(vecmat.Vector{0, 0}, 0); err == nil {
+	if _, err := mustPack(t, tr).NearestNeighbors(vecmat.Vector{0, 0}, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := tr.NearestNeighbors(vecmat.Vector{0}, 2); err == nil {
+	if _, err := mustPack(t, tr).NearestNeighbors(vecmat.Vector{0}, 2); err == nil {
 		t.Error("dim mismatch accepted")
 	}
 }
 
 func TestKNNSmallerThanK(t *testing.T) {
 	tr := bulkLoad(t, randPoints(rand.New(rand.NewSource(1)), 5, 2, 10), 2)
-	nn, err := tr.NearestNeighbors(vecmat.Vector{0, 0}, 20)
+	nn, err := mustPack(t, tr).NearestNeighbors(vecmat.Vector{0, 0}, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +334,7 @@ func TestBulkLoad9D(t *testing.T) {
 	}
 	// kNN on the bulk-loaded tree.
 	q := pts[42]
-	nn, err := tr.NearestNeighbors(q, 1)
+	nn, err := mustPack(t, tr).NearestNeighbors(q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"container/heap"
 	"fmt"
 
 	"gaussrange/internal/geom"
@@ -37,97 +36,6 @@ func (t *Tree) searchNode(n *node, query geom.Rect, fn Visitor) bool {
 		}
 	}
 	return true
-}
-
-// CollectRect returns the IDs of all data entries intersecting query.
-func (t *Tree) CollectRect(query geom.Rect) ([]int64, error) {
-	var ids []int64
-	err := t.SearchRect(query, func(_ geom.Rect, id int64) bool {
-		ids = append(ids, id)
-		return true
-	})
-	return ids, err
-}
-
-// Neighbor is one k-NN result: a data entry and its squared distance from
-// the query point.
-type Neighbor struct {
-	Rect  geom.Rect
-	ID    int64
-	Dist2 float64
-}
-
-// nnItem is a priority-queue element for best-first k-NN traversal.
-type nnItem struct {
-	dist2 float64
-	node  *node // nil for data entries
-	rect  geom.Rect
-	id    int64
-}
-
-type nnQueue []nnItem
-
-func (q nnQueue) Len() int            { return len(q) }
-func (q nnQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *nnQueue) Push(x interface{}) { *q = append(*q, x.(nnItem)) }
-
-// Less orders by distance, then nodes before entries, then entries by id: a
-// node pops before an entry at its own distance, so entries come out in
-// (distance, id) order and the k nearest break ties to the smaller ids.
-func (q nnQueue) Less(i, j int) bool {
-	a, b := &q[i], &q[j]
-	if a.dist2 != b.dist2 {
-		return a.dist2 < b.dist2
-	}
-	if (a.node == nil) != (b.node == nil) {
-		return a.node != nil
-	}
-	return a.id < b.id
-}
-
-func (q *nnQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
-// NearestNeighbors returns the k data entries closest to p in Euclidean
-// distance, ordered nearest first (ties by ascending id), using best-first
-// (Hjaltason–Samet) traversal. Fewer than k results are returned when the
-// tree is smaller than k. The paper's 9-D experiment uses k-NN with k=20 to
-// build the pseudo-feedback covariance (§VI-A).
-func (t *Tree) NearestNeighbors(p vecmat.Vector, k int) ([]Neighbor, error) {
-	if p.Dim() != t.dim {
-		return nil, fmt.Errorf("%w: point dim %d vs tree dim %d", ErrDimension, p.Dim(), t.dim)
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("rtree: k must be positive, got %d", k)
-	}
-	if t.size == 0 {
-		return nil, nil
-	}
-	q := &nnQueue{{dist2: 0, node: t.root}}
-	out := make([]Neighbor, 0, k)
-	for q.Len() > 0 && len(out) < k {
-		it := heap.Pop(q).(nnItem)
-		if it.node == nil {
-			out = append(out, Neighbor{Rect: it.rect, ID: it.id, Dist2: it.dist2})
-			continue
-		}
-		t.visit(it.node)
-		for i := range it.node.entries {
-			e := &it.node.entries[i]
-			d2 := e.Rect.Dist2(p)
-			if e.child != nil {
-				heap.Push(q, nnItem{dist2: d2, node: e.child})
-			} else {
-				heap.Push(q, nnItem{dist2: d2, rect: e.Rect, id: e.ID})
-			}
-		}
-	}
-	return out, nil
 }
 
 // SearchSphere invokes fn for every data entry whose rectangle intersects

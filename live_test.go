@@ -11,6 +11,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"gaussrange/internal/core"
+	"gaussrange/internal/geom"
 )
 
 // liveStrategies are the six filter combinations from the paper's evaluation.
@@ -227,29 +230,24 @@ func TestStrategyIdentityAcrossReplay(t *testing.T) {
 	}
 }
 
-// TestStrategyIdentityAfterFold runs the six-strategy identity matrix against
-// a snapshot that has just crossed the overlay-fold threshold, where the
-// packed base view is freshly rebuilt from the folded tree. The fused
-// packed-kernel front half (the default) and the pointer-tree arm
-// (WithPointerPhase1) answer from the same mutation lineage — seed data plus
-// a replayed wal — so any divergence in ids or probabilities is a packed
-// certificate or fusion bug, not workload noise.
+// TestStrategyIdentityAfterFold runs the six-strategy matrix against a
+// snapshot that has just crossed the overlay-fold threshold, where the
+// packed base is freshly rebuilt from the folded overlay. Every strategy's
+// ids, first query and reused plan alike, and QueryMatches' ids must be
+// brute force's, and Phase 1 must retrieve exactly the live points of the
+// plan's box, so any divergence is a packed certificate or fusion bug, not
+// workload noise.
 func TestStrategyIdentityAfterFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	seed := gridPoints(400, 5) // live=400 → fold threshold 128
-	walDir := t.TempDir()
 
-	db1, err := Load(seed)
+	db, err := Load(seed)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db1.AttachWAL(WALConfig{Dir: walDir, Synchronous: true}); err != nil {
 		t.Fatal(err)
 	}
 	// 13 batches of 8 inserts + 2 deletes put 130 entries in the overlay;
 	// the threshold at this size is 128, so the 13th Apply folds the overlay
-	// into a fresh base tree (and a fresh packed mirror).
-	batches := 0
+	// into a fresh packed base.
 	for b := 0; b < 13; b++ {
 		var ins [][]float64
 		for i := 0; i < 8; i++ {
@@ -257,13 +255,9 @@ func TestStrategyIdentityAfterFold(t *testing.T) {
 		}
 		dels := []int64{int64(rng.Intn(len(seed)))}
 		dels = append(dels, int64(rng.Intn(len(seed))))
-		if _, _, _, err := db1.Apply(ins, dels); err != nil {
+		if _, _, _, err := db.Apply(ins, dels); err != nil {
 			t.Fatal(err)
 		}
-		batches++
-	}
-	if err := db1.DetachWAL(); err != nil {
-		t.Fatal(err)
 	}
 
 	spec := func(strategy string) QuerySpec {
@@ -275,96 +269,83 @@ func TestStrategyIdentityAfterFold(t *testing.T) {
 			Strategy: strategy,
 		}
 	}
-	// Prove the snapshot really is post-fold and served by the packed
-	// kernel: no overlay left to scan, and the mirror was read.
-	probe, err := db1.QueryCtx(context.Background(), spec("ALL"))
+	// Prove the snapshot really is post-fold: no overlay left to scan, and
+	// the packed base was read.
+	probe, err := db.QueryCtx(context.Background(), spec("ALL"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if probe.Stats.OverlayScanned != 0 {
 		t.Fatalf("overlay not folded: %d overlay entries scanned", probe.Stats.OverlayScanned)
 	}
-	if probe.Stats.NodesReadPacked == 0 {
-		t.Fatal("post-fold query did not use the packed mirror")
+	if probe.Stats.NodesRead == 0 {
+		t.Fatal("post-fold query read no node of the packed base")
 	}
 
-	// Pointer arm: same seed, same mutation lineage via wal replay.
-	db2, err := Load(seed, WithPointerPhase1())
+	eng, err := core.NewEngine(db.idx, core.NewExactEvaluator(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := db2.AttachWAL(WALConfig{Dir: walDir, Synchronous: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.DetachWAL()
-	if replayed != batches {
-		t.Fatalf("replayed %d batches, want %d", replayed, batches)
-	}
-	if db2.Epoch() != db1.Epoch() {
-		t.Fatalf("pointer-arm epoch %d, want %d", db2.Epoch(), db1.Epoch())
-	}
-
 	for _, s := range liveStrategies {
-		// The counters are compared on a reused plan on both arms: a shape's
-		// first query runs the paper's filter chain, later ones may decide
-		// from the answer-region hull, and the probe above was db1's first.
-		for _, db := range []*DB{db1, db2} {
-			if _, err := db.QueryCtx(context.Background(), spec(s)); err != nil {
-				t.Fatalf("strategy %s (priming): %v", s, err)
-			}
-		}
-		res1, err := db1.QueryCtx(context.Background(), spec(s))
+		q, _, err := db.compile(spec(s))
 		if err != nil {
-			t.Fatalf("strategy %s (fused): %v", s, err)
+			t.Fatal(err)
 		}
-		if len(res1.IDs) == 0 {
+		brute, err := eng.BruteForce(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(brute.IDs) == 0 {
 			t.Fatalf("strategy %s: empty answer makes the identity check vacuous", s)
 		}
-		res2, err := db2.QueryCtx(context.Background(), spec(s))
-		if err != nil {
-			t.Fatalf("strategy %s (pointer): %v", s, err)
-		}
-		if res2.Stats.NodesReadPacked != 0 {
-			t.Fatalf("strategy %s: pointer arm read %d packed nodes", s, res2.Stats.NodesReadPacked)
-		}
-		m1, err := db1.QueryMatches(spec(s))
+		lo, hi, _, err := db.PlanRegion(spec(s))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m2, err := db2.QueryMatches(spec(s))
+		inBox, err := db.idx.Current().SearchRect(geom.Rect{Lo: lo, Hi: hi})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fused := fmt.Sprintf("%v|%v", res1.IDs, m1)
-		pointer := fmt.Sprintf("%v|%v", res2.IDs, m2)
-		if fused != pointer {
-			t.Fatalf("strategy %s: fused and pointer answers diverged post-fold\nfused:   %s\npointer: %s", s, fused, pointer)
+		// A shape's first query runs the paper's filter chain, later ones
+		// may decide from the answer-region hull: both must agree.
+		for _, run := range []string{"first", "reused"} {
+			res, err := db.QueryCtx(context.Background(), spec(s))
+			if err != nil {
+				t.Fatalf("strategy %s (%s): %v", s, run, err)
+			}
+			if !slices.Equal(res.IDs, brute.IDs) {
+				t.Fatalf("strategy %s (%s): answers diverged from brute force post-fold\nquery: %v\nbrute: %v", s, run, res.IDs, brute.IDs)
+			}
+			if res.Stats.Retrieved != len(inBox) {
+				t.Fatalf("strategy %s (%s): retrieved %d, the box holds %d live points", s, run, res.Stats.Retrieved, len(inBox))
+			}
 		}
-		if res1.Stats.Retrieved != res2.Stats.Retrieved ||
-			res1.Stats.PrunedFringe != res2.Stats.PrunedFringe ||
-			res1.Stats.PrunedOR != res2.Stats.PrunedOR ||
-			res1.Stats.PrunedBF != res2.Stats.PrunedBF ||
-			res1.Stats.AcceptedBF != res2.Stats.AcceptedBF {
-			t.Fatalf("strategy %s: per-phase counters diverged post-fold\nfused:   %+v\npointer: %+v", s, res1.Stats, res2.Stats)
+		m, err := db.QueryMatches(spec(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mIDs := make([]int64, len(m))
+		for i := range m {
+			mIDs[i] = m[i].ID
+		}
+		slices.Sort(mIDs)
+		if !slices.Equal(mIDs, brute.IDs) {
+			t.Fatalf("strategy %s: QueryMatches ids %v, brute force %v", s, mIDs, brute.IDs)
 		}
 	}
 }
 
-// TestLazyPointerTreeFirstTouch races eight readers onto each base
-// generation's lazily unpacked pointer tree — through DB.NearestNeighbors
-// and a WithPointerPhase1 query, with DB.RangeSearch reading the packed base
-// beside them — while a writer takes the index across two overlay folds,
-// each of which swaps in a base whose pointer tree nobody has asked for yet. On every epoch both arms observe,
-// the pointer arm must return the fused packed arm's ids in the same order.
-// It ends on the fold boundary, where the folded DB must answer exactly like
-// a fresh LoadWithIDs of its live points under their ids.
+// TestLazyPointerTreeFirstTouch races eight readers — DB.NearestNeighbors,
+// DB.RangeSearch and queries, all on the packed base — against a writer that
+// takes the index across two overlay folds, each of which swaps in a fresh
+// base. Every epoch a query observes must answer as brute force does on
+// that epoch. It ends on the fold boundary, where the folded DB must answer
+// exactly like a fresh LoadWithIDs of its live points under their ids.
 func TestLazyPointerTreeFirstTouch(t *testing.T) {
 	seed := gridPoints(400, 5) // live=400 → fold threshold 128
 	// The writer works around (500, 500), far from the seed grid: the churn
 	// query's answer changes with every epoch, the seed-side answers never
-	// do. A throwaway DB supplies the latter, so nothing asks the DB under
-	// test for its pointer tree before the readers race for it.
+	// do. A throwaway DB supplies the latter.
 	churn := QuerySpec{Center: []float64{500, 500}, Cov: paperCov(4), Delta: 25, Theta: 0.01}
 	oracle, err := Load(seed)
 	if err != nil {
@@ -384,9 +365,10 @@ func TestLazyPointerTreeFirstTouch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A second handle on the same index, serving Phase 1 from the pointer tree.
-	ptr := &DB{idx: db.idx, dim: db.dim, options: db.options, plans: newPlanCache(DefaultPlanCacheSize)}
-	ptr.options.pointerPhase1 = true
+	churnQ, _, err := db.compile(churn)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var (
 		done     atomic.Bool
@@ -408,6 +390,12 @@ func TestLazyPointerTreeFirstTouch(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			// An evaluator is one goroutine's: each reader brings its own.
+			eng, err := core.NewEngine(db.idx, core.NewExactEvaluator(), core.Options{})
+			if err != nil {
+				fail(err)
+				return
+			}
 			for !done.Load() {
 				switch r % 3 {
 				case 0:
@@ -424,26 +412,21 @@ func TestLazyPointerTreeFirstTouch(t *testing.T) {
 						return
 					}
 				}
-				fused, err := db.QueryCtx(ctx, churn)
+				got, err := db.QueryCtx(ctx, churn)
 				if err != nil {
 					fail(err)
 					return
 				}
-				pointer, err := ptr.QueryCtx(ctx, churn)
+				brute, err := eng.BruteForce(churnQ)
 				if err != nil {
 					fail(err)
 					return
 				}
-				if pointer.Stats.NodesReadPacked != 0 || fused.Stats.NodesReadPacked == 0 {
-					fail(fmt.Errorf("arms crossed: pointer read %d packed nodes, fused %d",
-						pointer.Stats.NodesReadPacked, fused.Stats.NodesReadPacked))
-					return
-				}
-				if fused.Epoch != pointer.Epoch {
+				if got.Epoch != brute.Stats.Epoch {
 					continue // the writer published in between
 				}
-				if !reflect.DeepEqual(fused.IDs, pointer.IDs) {
-					fail(fmt.Errorf("epoch %d: pointer arm %v, fused arm %v", fused.Epoch, pointer.IDs, fused.IDs))
+				if !slices.Equal(got.IDs, brute.IDs) {
+					fail(fmt.Errorf("epoch %d: query %v, brute force %v", got.Epoch, got.IDs, brute.IDs))
 					return
 				}
 				compared.Add(1)

@@ -9,11 +9,11 @@
 #                      aggregate throughput at K ∈ {1,2,4} capacity-modelled
 #                      shards, mean fan-out, answer identity and the
 #                      router's scatter overhead
-#   BENCH_phase1.json  `prqbench phase1` — packed+fused Phase-1/2 front half
-#                      vs the pointer tree: per-query front-half time,
-#                      certificate counters (f32 rechecks), answer and
-#                      counter identity, the front-half speedup, and the
-#                      build block (load/fold time, allocations, bytes)
+#   BENCH_phase1.json  `prqbench phase1` — the packed Phase-1/2 front half:
+#                      per-query front-half time, the summed node, recheck
+#                      and prune counters, the FNV-64a hash of the answer
+#                      ids, and the build block (load/fold time,
+#                      allocations, bytes)
 #
 # Environment:
 #   GO         go binary (default: go)
@@ -22,7 +22,7 @@
 #   WORKERS    concurrent workers for churn (default: 8)
 #   SHARD_QUERIES  queries per shard-count cell (default: 1200)
 #   SHARD_WORKERS  concurrent clients driving the router (default: 64)
-#   PHASE1_QUERIES queries per front-half arm for phase1 (default: 64)
+#   PHASE1_QUERIES queries per timed pass for phase1 (default: 64)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -116,13 +116,10 @@ type QueryStats struct {
 	IndexNS      int64 `json:"index_ns"`
 	FilterNS     int64 `json:"filter_ns"`
 	ProbNS       int64 `json:"prob_ns"`
-	// Packed front-half accounting: node visits served by the cache-linear
-	// packed mirror (0 when the pointer-tree front half ran), overlay inserts
-	// the query was merged against, and float32-certificate straddles
-	// rechecked in float64.
-	NodesReadPacked int `json:"nodes_read_packed,omitempty"`
-	OverlayScanned  int `json:"overlay_scanned,omitempty"`
-	F32Rechecks     int `json:"f32_rechecks,omitempty"`
+	// Overlay inserts the query was merged against, and float32-certificate
+	// straddles rechecked in float64.
+	OverlayScanned int `json:"overlay_scanned,omitempty"`
+	F32Rechecks    int `json:"f32_rechecks,omitempty"`
 }
 
 // Add accumulates another response's stats into s — the wire-level analogue
@@ -136,7 +133,6 @@ func (s *QueryStats) Add(o QueryStats) {
 	s.AcceptedBF += o.AcceptedBF
 	s.Integrations += o.Integrations
 	s.NodesRead += o.NodesRead
-	s.NodesReadPacked += o.NodesReadPacked
 	s.OverlayScanned += o.OverlayScanned
 	s.F32Rechecks += o.F32Rechecks
 	s.IndexNS += o.IndexNS
@@ -147,38 +143,36 @@ func (s *QueryStats) Add(o QueryStats) {
 // StatsFromResult converts library stats to the wire form.
 func StatsFromResult(st gaussrange.Stats) QueryStats {
 	return QueryStats{
-		Retrieved:       st.Retrieved,
-		PrunedFringe:    st.PrunedFringe,
-		PrunedOR:        st.PrunedOR,
-		PrunedBF:        st.PrunedBF,
-		AcceptedBF:      st.AcceptedBF,
-		Integrations:    st.Integrations,
-		NodesRead:       st.NodesRead,
-		NodesReadPacked: st.NodesReadPacked,
-		OverlayScanned:  st.OverlayScanned,
-		F32Rechecks:     st.F32Rechecks,
-		IndexNS:         st.IndexTime.Nanoseconds(),
-		FilterNS:        st.FilterTime.Nanoseconds(),
-		ProbNS:          st.ProbTime.Nanoseconds(),
+		Retrieved:      st.Retrieved,
+		PrunedFringe:   st.PrunedFringe,
+		PrunedOR:       st.PrunedOR,
+		PrunedBF:       st.PrunedBF,
+		AcceptedBF:     st.AcceptedBF,
+		Integrations:   st.Integrations,
+		NodesRead:      st.NodesRead,
+		OverlayScanned: st.OverlayScanned,
+		F32Rechecks:    st.F32Rechecks,
+		IndexNS:        st.IndexTime.Nanoseconds(),
+		FilterNS:       st.FilterTime.Nanoseconds(),
+		ProbNS:         st.ProbTime.Nanoseconds(),
 	}
 }
 
 // Stats converts the wire form back to library stats.
 func (s QueryStats) Stats() gaussrange.Stats {
 	return gaussrange.Stats{
-		Retrieved:       s.Retrieved,
-		PrunedFringe:    s.PrunedFringe,
-		PrunedOR:        s.PrunedOR,
-		PrunedBF:        s.PrunedBF,
-		AcceptedBF:      s.AcceptedBF,
-		Integrations:    s.Integrations,
-		NodesRead:       s.NodesRead,
-		NodesReadPacked: s.NodesReadPacked,
-		OverlayScanned:  s.OverlayScanned,
-		F32Rechecks:     s.F32Rechecks,
-		IndexTime:       time.Duration(s.IndexNS),
-		FilterTime:      time.Duration(s.FilterNS),
-		ProbTime:        time.Duration(s.ProbNS),
+		Retrieved:      s.Retrieved,
+		PrunedFringe:   s.PrunedFringe,
+		PrunedOR:       s.PrunedOR,
+		PrunedBF:       s.PrunedBF,
+		AcceptedBF:     s.AcceptedBF,
+		Integrations:   s.Integrations,
+		NodesRead:      s.NodesRead,
+		OverlayScanned: s.OverlayScanned,
+		F32Rechecks:    s.F32Rechecks,
+		IndexTime:      time.Duration(s.IndexNS),
+		FilterTime:     time.Duration(s.FilterNS),
+		ProbTime:       time.Duration(s.ProbNS),
 	}
 }
 
@@ -377,14 +371,13 @@ type QueryTotals struct {
 	AcceptedBF   uint64 `json:"accepted_bf"`
 	Integrations uint64 `json:"integrations"`
 	NodesRead    uint64 `json:"nodes_read"`
-	// Packed front-half totals: mirror visits, overlay inserts merged
-	// against, and float32-certificate rechecks across all queries.
-	NodesReadPacked uint64 `json:"nodes_read_packed"`
-	OverlayScanned  uint64 `json:"overlay_scanned"`
-	F32Rechecks     uint64 `json:"f32_rechecks"`
-	IndexNS         int64  `json:"index_ns"`
-	FilterNS        int64  `json:"filter_ns"`
-	ProbNS          int64  `json:"prob_ns"`
+	// Overlay inserts merged against, and float32-certificate rechecks,
+	// across all queries.
+	OverlayScanned uint64 `json:"overlay_scanned"`
+	F32Rechecks    uint64 `json:"f32_rechecks"`
+	IndexNS        int64  `json:"index_ns"`
+	FilterNS       int64  `json:"filter_ns"`
+	ProbNS         int64  `json:"prob_ns"`
 }
 
 // Histogram is a fixed-bucket latency histogram. Counts has one entry per

@@ -109,21 +109,20 @@ func (m *metrics) queryTotals() QueryTotals {
 	defer m.mu.Unlock()
 	st := m.statTotals
 	return QueryTotals{
-		Queries:         m.queries,
-		Answers:         m.answers,
-		Retrieved:       uint64(st.Retrieved),
-		PrunedFringe:    uint64(st.PrunedFringe),
-		PrunedOR:        uint64(st.PrunedOR),
-		PrunedBF:        uint64(st.PrunedBF),
-		AcceptedBF:      uint64(st.AcceptedBF),
-		Integrations:    uint64(st.Integrations),
-		NodesRead:       uint64(st.NodesRead),
-		NodesReadPacked: uint64(st.NodesReadPacked),
-		OverlayScanned:  uint64(st.OverlayScanned),
-		F32Rechecks:     uint64(st.F32Rechecks),
-		IndexNS:         st.IndexNS,
-		FilterNS:        st.FilterNS,
-		ProbNS:          st.ProbNS,
+		Queries:        m.queries,
+		Answers:        m.answers,
+		Retrieved:      uint64(st.Retrieved),
+		PrunedFringe:   uint64(st.PrunedFringe),
+		PrunedOR:       uint64(st.PrunedOR),
+		PrunedBF:       uint64(st.PrunedBF),
+		AcceptedBF:     uint64(st.AcceptedBF),
+		Integrations:   uint64(st.Integrations),
+		NodesRead:      uint64(st.NodesRead),
+		OverlayScanned: uint64(st.OverlayScanned),
+		F32Rechecks:    uint64(st.F32Rechecks),
+		IndexNS:        st.IndexNS,
+		FilterNS:       st.FilterNS,
+		ProbNS:         st.ProbNS,
 	}
 }
 

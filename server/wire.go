@@ -217,7 +217,6 @@ func appendQueryStats(b []byte, s *QueryStats) []byte {
 	b = appendInt(b, `,"index_ns":`, s.IndexNS)
 	b = appendInt(b, `,"filter_ns":`, s.FilterNS)
 	b = appendInt(b, `,"prob_ns":`, s.ProbNS)
-	b = appendIntOpt(b, `,"nodes_read_packed":`, s.NodesReadPacked)
 	b = appendIntOpt(b, `,"overlay_scanned":`, s.OverlayScanned)
 	b = appendIntOpt(b, `,"f32_rechecks":`, s.F32Rechecks)
 	return append(b, '}')
@@ -666,8 +665,6 @@ func (d *decoder) queryStats(s *QueryStats) bool {
 			bit, n = 5, &s.Integrations
 		case "nodes_read":
 			bit, n = 6, &s.NodesRead
-		case "nodes_read_packed":
-			bit, n = 7, &s.NodesReadPacked
 		case "overlay_scanned":
 			bit, n = 8, &s.OverlayScanned
 		case "f32_rechecks":

@@ -23,6 +23,7 @@ import (
 var removedStatsKeys = []string{
 	`"samples_drawn"`, `"samples_touched"`, `"cells_skipped"`, `"cells_full_inside"`,
 	`"early_decisions"`, `"tier_mix"`, `"grid_fallback"`, `"batch_queries"`, `"batch_groups"`,
+	`"nodes_read_packed"`,
 }
 
 // carriesRemovedKey reports whether golden bytes hold a removed QueryStats key.
@@ -45,7 +46,7 @@ func goldenResponses() []server.QueryResponse {
 			Stats: server.QueryStats{
 				Retrieved: 353, PrunedFringe: 71, PrunedOR: 12, PrunedBF: 40, AcceptedBF: 9,
 				Integrations: 221, NodesRead: 17, IndexNS: 41250, FilterNS: 9120, ProbNS: 318000,
-				NodesReadPacked: 17, OverlayScanned: 64, F32Rechecks: 2,
+				OverlayScanned: 64, F32Rechecks: 2,
 			},
 		},
 		{

@@ -66,7 +66,7 @@ func randResponse(r *rand.Rand) server.QueryResponse {
 	resp.Stats = server.QueryStats{
 		Retrieved: num(), PrunedFringe: num(), PrunedOR: num(), PrunedBF: num(), AcceptedBF: num(),
 		Integrations: num(), NodesRead: num(), IndexNS: int64(num()), FilterNS: int64(num()), ProbNS: int64(num()),
-		NodesReadPacked: num(), OverlayScanned: num(), F32Rechecks: num(),
+		OverlayScanned: num(), F32Rechecks: num(),
 	}
 	if r.Intn(2) == 0 {
 		info := &server.RoutingInfo{RoutingEpoch: uint64(num()), Shards: num(), Fanout: num(), Partial: r.Intn(2) == 0}
@@ -579,7 +579,7 @@ func responseWithIDs(n int) server.QueryResponse {
 	}
 	return server.QueryResponse{IDs: ids, Epoch: 1, Stats: server.QueryStats{
 		Retrieved: 2 * n, PrunedFringe: n / 2, PrunedBF: n / 3, AcceptedBF: n / 4, Integrations: n, NodesRead: 21,
-		IndexNS: 18400, FilterNS: 9100, ProbNS: 61000, NodesReadPacked: 21,
+		IndexNS: 18400, FilterNS: 9100, ProbNS: 61000,
 	}}
 }
 
