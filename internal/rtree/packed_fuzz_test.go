@@ -158,10 +158,17 @@ func FuzzPackedSearch(f *testing.F) {
 // (pointDist2, id): the same ids, in order, with the same distance bits.
 // Ids run opposite to input order, so a tie broken by position fails.
 func FuzzPackedKNN(f *testing.F) {
-	f.Add([]byte{0, 0, 10, 10, 10, 10, 10, 10, 129, 129, 128, 128})                                                                          // d=2, k=1, duplicates, ±0
-	f.Add([]byte{0, 200, 1, 2, 3, 4, 5, 6, 7, 8, 128, 129})                                                                                  // d=2, k > n
-	f.Add([]byte{1, 3, 128, 129, 128, 129, 128, 129, 128, 129, 128, 0, 0, 0, 0, 0, 0, 0, 0, 0, 128, 129, 128, 129, 128, 129, 128, 129, 128}) // d=9, ±0
-	f.Add([]byte{1, 0, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 9, 9, 9, 9, 9, 9, 9, 9, 9})                                     // d=9, k=1, duplicates
+	// d=2, k=1, duplicates, ±0.
+	f.Add([]byte{0, 0, 10, 10, 10, 10, 10, 10, 129, 129, 128, 128})
+	// d=2, k > n.
+	f.Add([]byte{0, 200, 1, 2, 3, 4, 5, 6, 7, 8, 128, 129})
+	// d=9, ±0.
+	f.Add([]byte{1, 3, 128, 129, 128, 129, 128, 129, 128, 129, 128, 0, 0, 0, 0, 0, 0, 0, 0, 0, 128, 129, 128, 129, 128, 129, 128, 129, 128})
+	// d=9, k=1, duplicates.
+	f.Add([]byte{1, 0, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 9, 9, 9, 9, 9, 9, 9, 9, 9})
+	// d=2: a point ties the distance of a node not yet opened, which holds
+	// a smaller id at that distance.
+	f.Add([]byte("0000\n000\n0000\n\n\n"))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) < 2 {
 			return
