@@ -453,7 +453,7 @@ func (p *Packed) NearestNeighbors(pt vecmat.Vector, k int) ([]Neighbor, error) {
 		return nil, nil
 	}
 	d := int32(p.dim)
-	q := make(nnQueue, 1, 4*p.maxSpan)
+	q := make(nnQueue, 1, 4*p.maxSpan) // q[0], the zero item, is the root: node 0 at distance 0
 	out := make([]Neighbor, 0, min(k, p.size))
 	for len(q) > 0 && len(out) < k {
 		it := q.pop()
