@@ -114,7 +114,7 @@ func TestPooledAnswersNeverCross(t *testing.T) {
 	go func() { // batches over the wire
 		defer wg.Done()
 		for r := 0; r < rounds; r++ {
-			res, err := cl.QueryBatch(ctx, specs, 2)
+			res, err := cl.QueryBatch(ctx, specs)
 			if err != nil {
 				t.Error(err)
 				return

@@ -403,13 +403,12 @@ func (c *Client) QueryRaw(ctx context.Context, req server.QueryRequest) (server.
 	return resp, err
 }
 
-// QueryBatch runs many queries through the server's pooled batch executor.
-// workers ≤ 0 lets the server pick its configured pool size. Results align
-// with specs. Like Query, it asks for every answer as one id block.
-func (c *Client) QueryBatch(ctx context.Context, specs []gaussrange.QuerySpec, workers int) ([]*gaussrange.Result, error) {
+// QueryBatch runs many queries in one request, under one admission slot and
+// the ctx deadline. Results align with specs. Like Query, it asks for every
+// answer as one id block.
+func (c *Client) QueryBatch(ctx context.Context, specs []gaussrange.QuerySpec) ([]*gaussrange.Result, error) {
 	req := server.BatchRequest{
 		Queries:   make([]server.QueryRequest, len(specs)),
-		Workers:   workers,
 		TimeoutMS: timeoutMS(ctx),
 	}
 	for i, spec := range specs {

@@ -15,9 +15,9 @@
 // one deterministic sorted id list. Mutations are routed by point location
 // (inserts) or id ownership (deletes). The router is served by the same
 // server.Server as a shard, so -max-inflight (a saturated router answers
-// 429), -default-timeout, -max-batch, -batch-workers, -addr, -addr-file,
-// -drain-timeout and -pprof apply to it as to a shard; so do the router
-// flags -shard-map, -shards, -fanout, -allow-partial and -answer-cache.
+// 429), -default-timeout, -max-batch, -addr, -addr-file, -drain-timeout and
+// -pprof apply to it as to a shard; so do the router flags -shard-map,
+// -shards, -fanout, -allow-partial and -answer-cache.
 // -plan-cache, the data flags (-csv, -snapshot, -wal, -follow) and
 // the flags that tune them do not. /v1/shardmap serves the map; /v1/prob
 // is a 404.
@@ -55,7 +55,6 @@
 //	-max-inflight N     admission limit on concurrent queries (default 2×CPU)
 //	-default-timeout D  per-query deadline when the request has none (0 = none)
 //	-max-batch N        largest accepted batch (default 1024)
-//	-batch-workers N    worker-pool cap for batch requests (default CPU)
 //	-drain-timeout D    graceful-drain budget on SIGINT/SIGTERM (default 30s)
 //	-pprof ADDR         serve net/http/pprof on a separate loopback address
 //	                    (e.g. 127.0.0.1:6060; empty = disabled)
@@ -116,7 +115,6 @@ type config struct {
 	maxInflight    int
 	defaultTimeout time.Duration
 	maxBatch       int
-	batchWorkers   int
 	drainTimeout   time.Duration
 	pprofAddr      string
 	router         bool
@@ -144,7 +142,6 @@ func main() {
 	flag.IntVar(&cfg.maxInflight, "max-inflight", 2*runtime.GOMAXPROCS(0), "admission limit on concurrently executing queries")
 	flag.DurationVar(&cfg.defaultTimeout, "default-timeout", 0, "per-query deadline when the request carries none (0 = unbounded)")
 	flag.IntVar(&cfg.maxBatch, "max-batch", 1024, "largest accepted batch request")
-	flag.IntVar(&cfg.batchWorkers, "batch-workers", runtime.GOMAXPROCS(0), "worker-pool cap for batch requests")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "graceful-drain budget on shutdown")
 	flag.StringVar(&cfg.pprofAddr, "pprof", "", "serve net/http/pprof on this loopback address (empty = disabled)")
 	flag.BoolVar(&cfg.router, "router", false, "run as a scatter-gather query router over existing shards")
@@ -224,7 +221,6 @@ func buildHandler(cfg config, logw io.Writer) (h http.Handler, banner string, cl
 		MaxInflight:    cfg.maxInflight,
 		DefaultTimeout: cfg.defaultTimeout,
 		MaxBatchSize:   cfg.maxBatch,
-		BatchWorkers:   cfg.batchWorkers,
 	}
 	if cfg.router {
 		router, banner, err := buildRouter(cfg)

@@ -54,7 +54,6 @@ func testConfig(dir, csvPath string) config {
 		planCache:    gaussrange.DefaultPlanCacheSize,
 		maxInflight:  8,
 		maxBatch:     64,
-		batchWorkers: 2,
 		drainTimeout: 30 * time.Second,
 	}
 }

@@ -255,12 +255,9 @@ func (r QueryResponse) Result() *gaussrange.Result {
 	return &gaussrange.Result{IDs: r.AnswerIDs(), Epoch: r.Epoch, Stats: r.Stats.Stats()}
 }
 
-// BatchRequest runs many queries through the pooled batch executor.
+// BatchRequest runs many queries under one admission slot and one deadline.
 type BatchRequest struct {
 	Queries []QueryRequest `json:"queries"`
-	// Workers requests a worker-pool size; the server clamps it to
-	// [1, Config.BatchWorkers]. 0 selects the server's cap.
-	Workers int `json:"workers,omitempty"`
 	// TimeoutMS bounds the whole batch; 0 defers to the server default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }

@@ -17,8 +17,6 @@ import (
 type Backend interface {
 	// Query answers one query; the ids may be in either answer field.
 	Query(ctx context.Context, req QueryRequest) (QueryResponse, error)
-	// QueryBatch answers reqs, up to workers at a time, aligned with reqs.
-	QueryBatch(ctx context.Context, reqs []QueryRequest, workers int) ([]QueryResponse, error)
 	// Prob is the exact qualification probability of stored point req.ID.
 	Prob(ctx context.Context, req ProbRequest) (float64, error)
 	// Points returns the coordinates of ids, aligned with ids.
@@ -52,33 +50,13 @@ type dbBackend struct {
 	follower *replica.Follower
 }
 
+// Query answers in wire form, stamping replica provenance when the DB is a
+// follower's.
 func (b dbBackend) Query(ctx context.Context, req QueryRequest) (QueryResponse, error) {
 	res, err := b.db.QueryCtx(ctx, req.Spec())
 	if err != nil {
 		return QueryResponse{}, err
 	}
-	return b.respond(res), nil
-}
-
-func (b dbBackend) QueryBatch(ctx context.Context, reqs []QueryRequest, workers int) ([]QueryResponse, error) {
-	specs := make([]gaussrange.QuerySpec, len(reqs))
-	for i, q := range reqs {
-		specs[i] = q.Spec()
-	}
-	results, err := b.db.QueryBatch(ctx, specs, workers)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]QueryResponse, len(results))
-	for i, res := range results {
-		out[i] = b.respond(res)
-	}
-	return out, nil
-}
-
-// respond converts a result to its wire form, stamping replica provenance
-// when the DB is a follower's.
-func (b dbBackend) respond(res *gaussrange.Result) QueryResponse {
 	ids := res.IDs
 	if ids == nil {
 		ids = []int64{}
@@ -87,7 +65,7 @@ func (b dbBackend) respond(res *gaussrange.Result) QueryResponse {
 	if b.follower != nil {
 		r.ReplicaEpoch = res.Epoch
 	}
-	return r
+	return r, nil
 }
 
 // Prob answers a 404 for an id that is unknown or deleted, as /v1/points

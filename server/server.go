@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gaussrange"
@@ -45,10 +46,6 @@ type Config struct {
 	// MaxBatchSize caps the number of queries in one batch request
 	// (default 1024).
 	MaxBatchSize int
-
-	// BatchWorkers caps the worker-pool size a batch request may ask for
-	// (default GOMAXPROCS).
-	BatchWorkers int
 
 	// ReadOnly refuses every mutation endpoint with 403 — the mode follower
 	// read replicas serve in (writes must go to the leader).
@@ -96,9 +93,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxBatchSize <= 0 {
 		cfg.MaxBatchSize = 1024
-	}
-	if cfg.BatchWorkers <= 0 {
-		cfg.BatchWorkers = runtime.GOMAXPROCS(0)
 	}
 	s := &Server{
 		b:     b,
@@ -355,10 +349,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 	if len(req.Queries) > s.cfg.MaxBatchSize {
 		return fail(w, http.StatusBadRequest, "batch of %d queries exceeds limit %d", len(req.Queries), s.cfg.MaxBatchSize)
 	}
-	workers := req.Workers
-	if workers <= 0 || workers > s.cfg.BatchWorkers {
-		workers = s.cfg.BatchWorkers
-	}
 	if !s.admit(w) {
 		return statusTooManyRequests
 	}
@@ -366,7 +356,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 
 	ctx, cancel := s.queryCtx(r.Context(), req.TimeoutMS)
 	defer cancel()
-	results, err := s.b.QueryBatch(ctx, req.Queries, workers)
+	results, err := s.batch(ctx, req.Queries)
 	if err != nil {
 		return failErr(w, err)
 	}
@@ -376,6 +366,49 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 	}
 	WriteJSON(w, http.StatusOK, BatchResponse{Results: results})
 	return http.StatusOK
+}
+
+// batch answers queries through the backend's Query, as /v1/query does, on
+// up to GOMAXPROCS goroutines that claim the next query in turn, all under
+// ctx: a query's own timeout_ms is ignored, and one claimed after ctx is
+// done fails with ctx's error. No goroutine claims a query after a failure
+// and those running finish, so every query below the first failing one has
+// run, and the lowest-indexed failure fails the batch.
+func (s *Server) batch(ctx context.Context, queries []QueryRequest) ([]QueryResponse, error) {
+	out := make([]QueryResponse, len(queries))
+	errs := make([]error, len(queries))
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	for range min(runtime.GOMAXPROCS(0), len(queries)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= len(queries) {
+					return
+				}
+				q := queries[i]
+				q.TimeoutMS = 0
+				if errs[i] = ctx.Err(); errs[i] == nil {
+					out[i], errs[i] = s.b.Query(ctx, q)
+				}
+				if errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("query %d: %w", i, err)
+		}
+	}
+	return out, nil
 }
 
 func (s *Server) handleProb(w http.ResponseWriter, r *http.Request) int {

@@ -196,7 +196,7 @@ func TestBatchMatchesDirectQueries(t *testing.T) {
 		spec.Center = center
 		specs = append(specs, spec)
 	}
-	served, err := cl.QueryBatch(ctx, specs, 4)
+	served, err := cl.QueryBatch(ctx, specs)
 	if err != nil {
 		t.Fatalf("QueryBatch: %v", err)
 	}
@@ -714,7 +714,7 @@ func TestCoalesceOverload(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := cl.QueryBatch(context.Background(), []gaussrange.QuerySpec{testSpec(db, "ALL")}, 1); err != nil {
+		if _, err := cl.QueryBatch(context.Background(), []gaussrange.QuerySpec{testSpec(db, "ALL")}); err != nil {
 			t.Errorf("batch holding the slot: %v", err)
 		}
 	}()

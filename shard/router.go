@@ -493,36 +493,6 @@ func (r *Router) CountersSnapshot() server.RouterStatsz {
 	return c
 }
 
-// QueryBatch routes reqs, up to workers at a time, under the batch-wide
-// deadline on ctx (a query's own timeout_ms is ignored). The lowest-indexed
-// failure fails the batch.
-func (r *Router) QueryBatch(ctx context.Context, reqs []server.QueryRequest, workers int) ([]server.QueryResponse, error) {
-	out := make([]server.QueryResponse, len(reqs))
-	errs := make([]error, len(reqs))
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < min(max(workers, 1), len(reqs)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < len(reqs); i = int(next.Add(1) - 1) {
-				q := reqs[i]
-				q.TimeoutMS = 0
-				out[i], errs[i] = r.Query(ctx, q)
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("query %d: %w", i, err)
-		}
-	}
-	return out, nil
-}
-
 // Prob is refused with 404: /v1/prob is not routed.
 func (r *Router) Prob(context.Context, server.ProbRequest) (float64, error) {
 	return 0, &server.StatusError{Status: http.StatusNotFound,

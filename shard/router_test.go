@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -95,7 +96,7 @@ func TestRoutedAnswersMatchUnsharded(t *testing.T) {
 	ctx := context.Background()
 
 	nonEmpty := 0
-	var reqs []server.QueryRequest
+	var specs []gaussrange.QuerySpec
 	var answers [][]int64
 	for i := 0; i < 12; i++ {
 		center := pts[(i*7919)%len(pts)]
@@ -115,7 +116,7 @@ func TestRoutedAnswersMatchUnsharded(t *testing.T) {
 		if !reflect.DeepEqual(got.IDs, wantIDs) {
 			t.Fatalf("query %d: routed %v vs unsharded %v", i, got.IDs, wantIDs)
 		}
-		reqs, answers = append(reqs, server.RequestFromSpec(spec)), append(answers, wantIDs)
+		specs, answers = append(specs, spec), append(answers, wantIDs)
 		if len(want.IDs) > 0 {
 			nonEmpty++
 		}
@@ -137,13 +138,23 @@ func TestRoutedAnswersMatchUnsharded(t *testing.T) {
 		t.Fatalf("mean fanout %.2f — rectangle pruning never skipped a shard", cs.MeanFanout)
 	}
 
-	// A batch routes its queries on several workers, each answer in its slot.
-	batch, err := c.router.QueryBatch(ctx, reqs, 4)
+	// A batch sent to a router-backed server routes its queries on several
+	// goroutines, each answer in its slot.
+	srv, err := server.New(server.Config{Backend: c.router})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	batch, err := client.New(ts.URL).QueryBatch(ctx, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch) != len(specs) {
+		t.Fatalf("batch answered %d queries, want %d", len(batch), len(specs))
+	}
 	for i, got := range batch {
-		if !reflect.DeepEqual(got.IDs, answers[i]) {
+		if !slices.Equal(got.IDs, answers[i]) {
 			t.Fatalf("batch query %d: routed %v vs unsharded %v", i, got.IDs, answers[i])
 		}
 	}
