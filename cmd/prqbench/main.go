@@ -16,8 +16,6 @@
 //	fig17    — Pr(‖x‖≤r) curves for d ∈ {2,3,5,9,15}
 //	sweep    — §V-B.3 parameter sensitivity (δ, θ, Σ shape)
 //	all      — everything above
-//	batch    — batched query throughput: serial vs pooled QueryBatch, with
-//	           plan-cache statistics (uses -workers and -queries; not in "all")
 //	serve    — network query service: starts an in-process prqserved on
 //	           loopback, drives it with -workers concurrent clients issuing
 //	           -queries queries, and reports throughput, latency quantiles,
@@ -38,15 +36,14 @@
 //	           in "all")
 //	churn    — mixed read/write experiment: -workers goroutines run -queries
 //	           operations against one live DB per cell, sweeping the write
-//	           fraction (0–20%) and both overlay-rebuild strategies, and
-//	           reporting read-latency quantiles vs write rate; an ingest
-//	           section then measures sustained insert throughput at 64
-//	           concurrent writers under synchronous (per-batch fsync) vs
-//	           grouped wal commit and checks sync/grouped/follower answer
-//	           and epoch identity; -json writes the measurements as a JSON
-//	           document and -compare reruns only the ingest section, gating
-//	           on the ≥5× group-commit speedup and the identity booleans
-//	           (not in "all")
+//	           fraction (0–20%) and reporting read-latency quantiles vs
+//	           write rate; an ingest section then measures sustained insert
+//	           throughput at 64 concurrent writers under synchronous
+//	           (per-batch fsync) vs grouped wal commit and checks
+//	           sync/grouped/follower answer and epoch identity; -json writes
+//	           the measurements as a JSON document and -compare reruns only
+//	           the ingest section, gating on the ≥5× group-commit speedup and
+//	           the identity booleans (not in "all")
 //
 // Flags:
 //
@@ -54,8 +51,8 @@
 //	-trials N      query centers per cell (default: paper settings)
 //	-eval NAME     "mc" (paper) or "exact" (Ruben series; default)
 //	-samples N     MC samples per object (default 100000)
-//	-workers N     worker goroutines for the batch experiment (default NumCPU)
-//	-queries N     queries per batch for the batch experiment (default 64)
+//	-workers N     clients (serve) or goroutines (shard, churn) (default NumCPU)
+//	-queries N     queries (serve, phase1; shard ≥ 600) or ops/cell (churn) (default 64)
 //	-json PATH     write the phase1/shard/churn report as JSON to PATH
 //	-compare PATH  phase1/shard/churn: gate a fresh run against the
 //	               committed baseline report at PATH (phase1: counters and
@@ -67,17 +64,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
-	"gaussrange"
-	"gaussrange/internal/data"
 	"gaussrange/internal/experiments"
 )
 
@@ -92,15 +85,15 @@ func benchMain() int {
 	trials := flag.Int("trials", 0, "query centers per cell (0 = paper defaults)")
 	evalName := flag.String("eval", "exact", `evaluator: "mc" (paper) or "exact"`)
 	samples := flag.Int("samples", 100000, "Monte Carlo samples per object")
-	workers := flag.Int("workers", runtime.NumCPU(), "worker goroutines for the batch experiment")
-	queries := flag.Int("queries", 64, "queries per batch for the batch experiment")
+	workers := flag.Int("workers", runtime.NumCPU(), "concurrent clients (serve) or goroutines (shard, churn)")
+	queries := flag.Int("queries", 64, "queries per run (serve, shard, phase1) or operations per cell (churn)")
 	svg := flag.String("svg", "", "write the region figure (fig13/15/16) as SVG to this path")
 	jsonPath := flag.String("json", "", "write the phase1/shard/churn report as JSON to this path")
 	comparePath := flag.String("compare", "", "phase1/shard/churn: compare a fresh run against the committed baseline report at this path")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment to this path")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this path")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: prqbench [flags] table1|table2|table3|fig13|fig14|fig15|fig16|fig17|sweep|iostats|catalog|batch|serve|shard|phase1|churn|all\n")
+		fmt.Fprintf(os.Stderr, "usage: prqbench [flags] table1|table2|table3|fig13|fig14|fig15|fig16|fig17|sweep|iostats|catalog|serve|shard|phase1|churn|all\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -156,8 +149,6 @@ func benchMain() int {
 	switch {
 	case *svg != "":
 		err = writeSVG(flag.Arg(0), *svg)
-	case strings.EqualFold(flag.Arg(0), "batch"):
-		err = runBatch(cfg, *workers, *queries)
 	case strings.EqualFold(flag.Arg(0), "phase1"):
 		err = runPhase1(cfg, *queries, *jsonPath, *comparePath)
 	case strings.EqualFold(flag.Arg(0), "churn"):
@@ -174,79 +165,6 @@ func benchMain() int {
 		return 1
 	}
 	return 0
-}
-
-// runBatch measures batched query throughput through the public API: the
-// same query set is answered serially (one QueryCtx per spec) and through
-// the pooled DB.QueryBatch, and the plan cache's hit counters are reported.
-// Every spec shares the paper's Σ = 10·Σ₀ shape, so after the first compile
-// all remaining queries are cache hits rebound to new centers.
-func runBatch(cfg experiments.Config, workers, queries int) error {
-	if queries < 1 {
-		return fmt.Errorf("-queries must be at least 1, got %d", queries)
-	}
-	if workers < 1 {
-		return fmt.Errorf("-workers must be at least 1, got %d", workers)
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	points := data.LongBeach(seed)
-	raw := make([][]float64, len(points))
-	for i, p := range points {
-		raw[i] = p
-	}
-	db, err := gaussrange.Load(raw)
-	if err != nil {
-		return err
-	}
-
-	sigma := experiments.PaperSigmaBase().Scale(10)
-	covRows := [][]float64{
-		{sigma.At(0, 0), sigma.At(0, 1)},
-		{sigma.At(1, 0), sigma.At(1, 1)},
-	}
-	specs := make([]gaussrange.QuerySpec, queries)
-	for i := range specs {
-		c := points[(i*7919)%len(points)]
-		specs[i] = gaussrange.QuerySpec{
-			Center: []float64{c[0], c[1]},
-			Cov:    covRows,
-			Delta:  25,
-			Theta:  0.01,
-		}
-	}
-	ctx := context.Background()
-
-	t0 := time.Now()
-	for _, spec := range specs {
-		if _, err := db.QueryCtx(ctx, spec); err != nil {
-			return err
-		}
-	}
-	serial := time.Since(t0)
-
-	t1 := time.Now()
-	results, err := db.QueryBatch(ctx, specs, workers)
-	if err != nil {
-		return err
-	}
-	batched := time.Since(t1)
-
-	answers := 0
-	for _, r := range results {
-		answers += len(r.IDs)
-	}
-	hits, misses := db.PlanCacheStats()
-	fmt.Printf("batch throughput (%d points, %d queries, δ=25, θ=0.01, γ=10)\n",
-		db.Len(), queries)
-	fmt.Printf("  serial     : %10v  (%.1f queries/s)\n", serial, float64(queries)/serial.Seconds())
-	fmt.Printf("  batch x%-3d : %10v  (%.1f queries/s, %.2fx speedup)\n",
-		workers, batched, float64(queries)/batched.Seconds(), serial.Seconds()/batched.Seconds())
-	fmt.Printf("  answers    : %d total across the batch\n", answers)
-	fmt.Printf("  plan cache : %d hits, %d misses\n", hits, misses)
-	return nil
 }
 
 // writeSVG renders a region figure to an SVG file.

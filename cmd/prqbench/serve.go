@@ -18,9 +18,9 @@ import (
 
 // runServe measures the network query service end-to-end: an in-process
 // server on a loopback listener is driven by `workers` concurrent clients
-// issuing `queries` paper-shaped queries (same workload as the batch
-// experiment), then /statsz is read back for latency quantiles, plan-cache
-// hit rates and admission counters. The loopback round-trip bounds the
+// issuing `queries` paper-shaped queries (γ=10, δ=25, θ=0.01), then
+// /statsz is read back for latency quantiles, plan-cache hit rates and
+// admission counters. The loopback round-trip bounds the
 // protocol overhead a remote deployment adds on top of direct library calls.
 func runServe(cfg experiments.Config, workers, queries int) error {
 	if queries < 1 {

@@ -145,8 +145,8 @@ func runShard(cfg experiments.Config, workers, queries int, jsonPath, comparePat
 	if seed == 0 {
 		seed = 1
 	}
-	// The default -queries (64) is sized for batch cells; a throughput ratio
-	// needs enough work to amortize ramp-up against the 2ms service floor.
+	// The default -queries (64) is too few here: a throughput ratio needs
+	// enough work to amortize ramp-up against the 2ms service floor.
 	if queries < 600 {
 		queries = 600
 	}

@@ -51,6 +51,13 @@ type Options struct {
 }
 
 // Engine compiles and executes probabilistic range queries against an Index.
+//
+// An Engine holds one Evaluator, and both are single-goroutine (quadform.Exact
+// caches per-distribution state, mc.Integrator owns its random stream): eight
+// goroutines sharing one engine's BruteForce got a wrong answer. So Search,
+// BruteForce and Plan.Execute are single-goroutine per engine; Compile may be
+// shared. Concurrent callers run Plan.ExecuteEval, each with its own
+// evaluator (NewExactEvaluator), as gaussrange.DB does.
 type Engine struct {
 	idx  *Index
 	eval Evaluator
@@ -59,7 +66,8 @@ type Engine struct {
 
 // NewEngine returns an engine over idx using eval for Phase 3. When
 // Options.UseCatalogs is set without supplying tables, the default catalogs
-// are built here, up front, so compilations never mutate shared state.
+// are built here, up front, so compilations never mutate shared state. eval
+// is used by one goroutine at a time (see Engine).
 func NewEngine(idx *Index, eval Evaluator, opts Options) (*Engine, error) {
 	if idx == nil {
 		return nil, errors.New("core: nil index")
@@ -164,6 +172,7 @@ type DecisionEvaluator interface {
 // Search executes the query with the given strategy combination. It is a
 // compatibility wrapper over the compile/plan/execute path: Compile derives
 // the per-query geometry once and Execute runs the three phases.
+// Single-goroutine per engine (see Engine): concurrent callers use ExecuteEval.
 func (e *Engine) Search(q Query, strat Strategy) (*Result, error) {
 	plan, err := e.Compile(q, strat)
 	if err != nil {

@@ -38,7 +38,8 @@ func (e *ExactEvaluator) DecideQualifies(dist *gauss.Dist, o vecmat.Vector, delt
 // BruteForce answers the query by evaluating the qualification probability
 // of every indexed point — no index search, no filtering. It is the
 // reference implementation the strategy combinations are validated against,
-// and the "no filtering" baseline of the benchmark harness.
+// and the "no filtering" baseline of the benchmark harness. Single-goroutine
+// per engine (see Engine): concurrent callers build an engine each.
 func (e *Engine) BruteForce(q Query) (*Result, error) {
 	if err := q.Validate(e.idx.Dim()); err != nil {
 		return nil, err

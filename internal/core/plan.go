@@ -413,6 +413,7 @@ func (p *Plan) hullLeaf(s *phase2State, dead []uint64, ids []int64, pts []float6
 
 // Execute runs the compiled plan serially with the engine's evaluator.
 // Cancelling ctx aborts Phase 3 between candidates and returns ctx.Err().
+// Single-goroutine per engine (see Engine): concurrent callers use ExecuteEval.
 func (p *Plan) Execute(ctx context.Context) (*Result, error) {
 	return p.ExecuteEval(ctx, p.engine.eval)
 }

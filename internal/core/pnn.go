@@ -27,7 +27,8 @@ type PNNResult struct {
 // frequencies. With n samples the standard error of a probability p is
 // √(p(1−p)/n); n = 10 000 resolves θ ≥ 0.01 reliably.
 //
-// Results are sorted by descending probability.
+// Results are sorted by descending probability. PNN never runs the engine's
+// single-goroutine evaluator (see Engine), so goroutines may share an engine.
 func (e *Engine) PNN(dist *gauss.Dist, theta float64, samples int, seed uint64) ([]PNNResult, error) {
 	if dist == nil {
 		return nil, fmt.Errorf("core: PNN without distribution")
