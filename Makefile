@@ -79,9 +79,12 @@ bench-snapshot:
 
 # bench-compare runs three gates. The first gates the sharded serving path
 # on the committed BENCH_shard.json: routed answers must stay id-identical
-# to the unsharded DB, K=4 must keep its modelled >=3x speedup (2.7x with
-# CI jitter headroom), viewport fan-out must stay below K, and the router's
-# scatter overhead must not regress more than 25% against the baseline.
+# to the unsharded DB, the capacity model (on each shard's Backend.Query)
+# must bind, so K=1 reads no more than one shard's 100 queries/s, K=4 must
+# keep its modelled >=3x speedup (2.7x with CI jitter headroom), viewport
+# fan-out must stay below K, and the router's scatter overhead (the median
+# of 9 blocks of interleaved direct and routed queries) must not regress
+# more than 25% against the baseline.
 # The second run gates the group-commit write pipeline on the committed
 # BENCH_churn.json ingest section: grouped commit must sustain >=5x the
 # synchronous per-batch-fsync insert rate at 64 concurrent writers in the

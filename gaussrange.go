@@ -145,14 +145,15 @@ func Load(points [][]float64, opts ...Option) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	vecs := make([]vecmat.Vector, len(points))
+	// The points go straight into the one block the build reads.
+	coords := make([]float64, 0, len(points)*dim)
 	for i, p := range points {
 		if len(p) != dim {
 			return nil, fmt.Errorf("gaussrange: point %d has dim %d, want %d", i, len(p), dim)
 		}
-		vecs[i] = p // NewIndex copies
+		coords = append(coords, p...)
 	}
-	idx, err := core.NewIndex(vecs, dim, rtree.WithPageSize(o.pageSize))
+	idx, err := core.RestoreIndex(nil, coords, len(points), 1, dim, rtree.WithPageSize(o.pageSize))
 	if err != nil {
 		return nil, err
 	}
@@ -189,17 +190,30 @@ func LoadWithIDs(points [][]float64, ids []int64, opts ...Option) (*DB, error) {
 			maxID = id
 		}
 	}
-	addressed := make([]vecmat.Vector, maxID+1)
+	// at[id] is 1 + the input index of id's point; the points go into the
+	// build's block in id order.
+	if len(points) > math.MaxInt32 {
+		return nil, fmt.Errorf("gaussrange: %d points, at most %d", len(points), math.MaxInt32)
+	}
+	at := make([]int32, maxID+1)
 	for i, p := range points {
 		if len(p) != dim {
 			return nil, fmt.Errorf("gaussrange: point %d has dim %d, want %d", i, len(p), dim)
 		}
-		if addressed[ids[i]] != nil {
+		if at[ids[i]] != 0 {
 			return nil, fmt.Errorf("gaussrange: duplicate point id %d", ids[i])
 		}
-		addressed[ids[i]] = p // RestoreIndex copies
+		at[ids[i]] = int32(i + 1)
 	}
-	idx, err := core.RestoreIndex(addressed, 1, dim, rtree.WithPageSize(o.pageSize))
+	sorted := make([]int64, 0, len(points))
+	coords := make([]float64, 0, len(points)*dim)
+	for id, i := range at {
+		if i != 0 {
+			sorted = append(sorted, int64(id))
+			coords = append(coords, points[i-1]...)
+		}
+	}
+	idx, err := core.RestoreIndex(sorted, coords, len(at), 1, dim, rtree.WithPageSize(o.pageSize))
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -536,5 +537,36 @@ func TestLoadAllocs(t *testing.T) {
 	})
 	if allocs > 64 {
 		t.Fatalf("Load of %d points made %.0f allocations, want ≤ 64", len(pts), allocs)
+	}
+}
+
+// TestLoadAllocBytes gates the copies between Load's input and the packed
+// index at two workers: Load writes its rows once, into the flat block the
+// STR build sorts and packs from, and the build's scratch is two key runs,
+// a permutation and one set of digit histograms per worker. The
+// []vecmat.Vector views of the input, the build's own flattened copy and a
+// gathered copy per generation took it to 7.24 MB before.
+func TestLoadAllocBytes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	pts := toRaw(data.LongBeach(1))
+	// The least of three loads: anything else the runtime allocates
+	// meanwhile only adds.
+	bytes, allocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Load(pts); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		allocs = min(allocs, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("Load of %d points at GOMAXPROCS 2: %d B in %d allocations", len(pts), bytes, allocs)
+	if bytes > 5e6 {
+		t.Errorf("Load allocated %d B, want ≤ 5 MB", bytes)
+	}
+	if allocs > 64 {
+		t.Errorf("Load made %d allocations, want ≤ 64", allocs)
 	}
 }

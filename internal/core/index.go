@@ -56,32 +56,53 @@ func rebuildThreshold(live int) int {
 	return t
 }
 
-// NewIndex bulk-loads the given points (STR packing) as epoch 1. All points
-// must have dimension dim. The points are copied.
+// NewIndex bulk-loads the given points (STR packing) as epoch 1, point i
+// under id i. All points must have dimension dim. The points are copied.
 func NewIndex(points []vecmat.Vector, dim int, opts ...rtree.Option) (*Index, error) {
+	coords := make([]float64, 0, len(points)*max(dim, 0))
 	for i, p := range points {
 		if p == nil {
 			return nil, fmt.Errorf("core: point %d is nil", i)
 		}
+		if p.Dim() != dim {
+			return nil, fmt.Errorf("core: point %d has dim %d, want %d", i, p.Dim(), dim)
+		}
+		coords = append(coords, p...)
 	}
-	return RestoreIndex(points, 1, dim, opts...)
+	return RestoreIndex(nil, coords, len(points), 1, dim, opts...)
 }
 
 // NewDynamicIndex returns an empty epoch-1 index that accepts incremental
 // mutations.
 func NewDynamicIndex(dim int, opts ...rtree.Option) (*Index, error) {
-	return RestoreIndex(nil, 1, dim, opts...)
+	return RestoreIndex(nil, nil, 0, 1, dim, opts...)
 }
 
-// RestoreIndex rebuilds an index from an id-addressed point slice (nil
-// entries are deleted ids, preserved as holes so identifiers stay stable)
-// at the given epoch — the persistence layer's entry point. The points are
-// copied.
-func RestoreIndex(points []vecmat.Vector, epoch uint64, dim int, opts ...rtree.Option) (*Index, error) {
+// RestoreIndex builds an index at the given epoch from its live points — the
+// persistence layer's and the bulk loaders' entry point. Point i is
+// coords[i·dim:(i+1)·dim], stored under ids[i], or under i when ids is nil;
+// ids must be strictly increasing and below maxID. Ids below maxID that are
+// not listed are deleted ids, preserved as holes so identifiers stay
+// stable. coords is read, not retained.
+func RestoreIndex(ids []int64, coords []float64, maxID int, epoch uint64, dim int, opts ...rtree.Option) (*Index, error) {
 	if epoch == 0 {
 		epoch = 1
 	}
-	b, slot, live, err := newGeneration(len(points), func(id int) vecmat.Vector { return points[id] }, dim, opts)
+	live, prev := len(ids), int64(-1)
+	if ids == nil && dim > 0 {
+		live = len(coords) / dim
+		prev = int64(live - 1)
+	}
+	if prev >= int64(maxID) {
+		return nil, fmt.Errorf("core: %d points but max id %d", live, maxID)
+	}
+	for _, id := range ids {
+		if id <= prev || id >= int64(maxID) {
+			return nil, fmt.Errorf("core: point id %d out of order or not below max id %d", id, maxID)
+		}
+		prev = id
+	}
+	b, slot, err := newGeneration(ids, coords, maxID, dim, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -90,33 +111,20 @@ func RestoreIndex(points []vecmat.Vector, epoch uint64, dim int, opts ...rtree.O
 	return ix, nil
 }
 
-// newGeneration STR-builds a base over the live points of ids 0 .. maxID-1
-// — at(id) is id's point, or nil for a hole or a deleted id — and returns it
-// with the generation's slot table, built from leaf order, and its live
-// count. A generation keeps one copy of its coordinates — the packed leaf
-// block — in one allocation, and holds on to nothing of the generation
-// before it. A slot is an int32, so a generation holds at most
+// newGeneration STR-builds a base over the live points — point i at
+// coords[i·dim:(i+1)·dim] under ids[i] (or i), ids strictly increasing and
+// below maxID — and returns it with the generation's slot table, built from
+// leaf order. A generation keeps one copy of its coordinates — the packed
+// leaf block — in one allocation, and holds on to nothing of the generation
+// before it or of coords. A slot is an int32, so a generation holds at most
 // math.MaxInt32 points.
-func newGeneration(maxID int, at func(id int) vecmat.Vector, dim int, opts []rtree.Option) (*rtree.Packed, []int32, int, error) {
-	pts := make([]vecmat.Vector, 0, maxID)
-	ids := make([]int64, 0, maxID)
-	for id := 0; id < maxID; id++ {
-		p := at(id)
-		if p == nil {
-			continue
-		}
-		if p.Dim() != dim {
-			return nil, nil, 0, fmt.Errorf("core: point %d has dim %d, want %d", id, p.Dim(), dim)
-		}
-		pts = append(pts, p)
-		ids = append(ids, int64(id))
+func newGeneration(ids []int64, coords []float64, maxID, dim int, opts []rtree.Option) (*rtree.Packed, []int32, error) {
+	if n := len(coords) / max(dim, 1); n > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("core: %d points in one generation, at most %d", n, math.MaxInt32)
 	}
-	if len(pts) > math.MaxInt32 {
-		return nil, nil, 0, fmt.Errorf("core: %d points in one generation, at most %d", len(pts), math.MaxInt32)
-	}
-	packed, err := rtree.BuildPacked(pts, ids, dim, opts...)
+	packed, err := rtree.BuildPackedFlat(coords, ids, dim, opts...)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	slot := make([]int32, maxID)
 	for id := range slot {
@@ -126,7 +134,7 @@ func newGeneration(maxID int, at func(id int) vecmat.Vector, dim int, opts []rtr
 		id, _ := packed.Leaf(j)
 		slot[id] = int32(j)
 	}
-	return packed, slot, len(pts), nil
+	return packed, slot, nil
 }
 
 // Current pins the current snapshot: an immutable view of the latest
@@ -365,16 +373,19 @@ func (s *Staged) Discard() {
 }
 
 // rebuildSnapshot folds next's overlay into a freshly built base in place,
-// clearing the overlay. The live points are gathered through the slots; the
-// new generation's slot table and (empty) overlay share nothing with the
-// retired epoch's.
+// clearing the overlay. The live points are gathered through the slots, in
+// id order, into the one block the build reads; the new generation's slot
+// table and (empty) overlay share nothing with the retired epoch's.
 func (ix *Index) rebuildSnapshot(next *Snapshot) error {
-	b, slot, _, err := newGeneration(len(next.slot), func(id int) vecmat.Vector {
-		if !next.Alive(int64(id)) {
-			return nil
+	ids := make([]int64, 0, next.live)
+	coords := make([]float64, 0, next.live*ix.dim)
+	for id := range int64(len(next.slot)) {
+		if next.Alive(id) {
+			ids = append(ids, id)
+			coords = append(coords, next.point(id)...)
 		}
-		return next.point(int64(id))
-	}, ix.dim, ix.opts)
+	}
+	b, slot, err := newGeneration(ids, coords, len(next.slot), ix.dim, ix.opts)
 	if err != nil {
 		return err
 	}

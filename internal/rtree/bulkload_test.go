@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"gaussrange/internal/data"
@@ -19,10 +20,33 @@ func seqIDs(n int) []int64 {
 	return ids
 }
 
-// checkBuildMatchesReference holds BuildPacked to the old pipeline — STR
-// pointer tree by reflective stable sort, then Pack — field for field, and
-// checks that Unpack inverts Pack on the result.
-func checkBuildMatchesReference(t *testing.T, pts []vecmat.Vector, dim int, opts ...Option) {
+// buildWorkers are the worker counts every build check runs the STR build
+// at, each with the real least part and with testGrain, so that inputs of a
+// few hundred points already split into several parts: the result must not
+// depend on either.
+var buildWorkers = []int{1, 2, 3, 8}
+
+const testGrain = 256
+
+// buildAt is BuildPacked on the given worker count and least part.
+func buildAt(t testing.TB, pts []vecmat.Vector, ids []int64, dim, workers, grain int, opts ...Option) *Packed {
+	t.Helper()
+	coords, err := flattenPoints(pts, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxFill, minFill, err := nodeFill(dim, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buildPacked(coords, ids, dim, maxFill, minFill, workers, grain)
+}
+
+// checkBuildMatchesReference holds BuildPacked, and the build at every
+// worker count of buildWorkers, to the old pipeline — STR pointer tree by
+// reflective stable sort, then Pack — field for field, and checks that
+// Unpack inverts Pack on the result, which it returns.
+func checkBuildMatchesReference(t *testing.T, pts []vecmat.Vector, dim int, opts ...Option) *Packed {
 	t.Helper()
 	ids := seqIDs(len(pts))
 	ref, err := referenceBulkLoadPoints(pts, ids, dim, opts...)
@@ -37,6 +61,14 @@ func checkBuildMatchesReference(t *testing.T, pts []vecmat.Vector, dim int, opts
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("d=%d n=%d: BuildPacked differs from Pack(referenceBulkLoad):\n got %s\nwant %s",
 			dim, len(pts), describePacked(got), describePacked(want))
+	}
+	for _, w := range buildWorkers {
+		for _, grain := range []int{parallelGrain, testGrain} {
+			if p := buildAt(t, pts, ids, dim, w, grain, opts...); !reflect.DeepEqual(p, want) {
+				t.Fatalf("d=%d n=%d: the build on %d workers (least part %d) differs from Pack(referenceBulkLoad):\n got %s\nwant %s",
+					dim, len(pts), w, grain, describePacked(p), describePacked(want))
+			}
+		}
 	}
 	// The leaves hold every id once, with the coordinates it came in with.
 	byID := make(map[int64]vecmat.Vector, len(pts))
@@ -62,6 +94,7 @@ func checkBuildMatchesReference(t *testing.T, pts []vecmat.Vector, dim int, opts
 	if back := mustPack(t, tr); !reflect.DeepEqual(back, got) {
 		t.Fatalf("d=%d n=%d: Pack(Unpack(p)) != p", dim, len(pts))
 	}
+	return want
 }
 
 // describePacked summarizes the scalar fields and the first few array
@@ -158,6 +191,32 @@ func TestBuildPackedMatchesReference(t *testing.T) {
 			checkBuildMatchesReference(t, pts, dim, WithPageSize(256))
 		}
 	}
+	// Around the size a build first splits at (two least parts), at d = 2
+	// and 9: duplicate centres and ±0 on every axis, so runs of equal keys
+	// straddle the parts' chunks, the key ranges and the slabs, and only a
+	// stable order separates them.
+	for _, dim := range []int{2, 9} {
+		for _, n := range []int{2*parallelGrain - 1, 2 * parallelGrain, 4*parallelGrain + 3} {
+			if dim == 9 && n > 2*parallelGrain {
+				continue
+			}
+			pts := make([]vecmat.Vector, n)
+			for i := range pts {
+				pts[i] = make(vecmat.Vector, dim)
+				for a := range pts[i] {
+					switch rng.Intn(4) {
+					case 0:
+						pts[i][a] = math.Copysign(0, -1)
+					case 1:
+						pts[i][a] = 0
+					default:
+						pts[i][a] = float64(rng.Intn(50)) - 7.5
+					}
+				}
+			}
+			checkBuildMatchesReference(t, pts, dim)
+		}
+	}
 	// The paper's dataset at the paper's page size.
 	roads := data.LongBeach(1)
 	if len(roads) != 50747 {
@@ -213,20 +272,28 @@ func TestPartitionSTRMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzPackedBuild decodes a dimension, a page size and a point set with many
-// forced ties from the input and holds BuildPacked to the reference pipeline.
+// FuzzPackedBuild decodes a dimension, a page size, a worker count and a
+// point set with many forced ties from the input and holds the build on that
+// many workers (least part testGrain) and BuildPacked to the reference
+// pipeline.
 func FuzzPackedBuild(f *testing.F) {
-	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
-	f.Add([]byte{1, 1, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7})
-	f.Add([]byte{3, 2})
+	f.Add([]byte{0, 0, 1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	f.Add([]byte{1, 1, 2, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7})
+	f.Add([]byte{3, 2, 0})
+	seq := make([]byte, 3, 3+600)
+	seq[0], seq[1], seq[2] = 1, 2, 7
+	for i := 0; i < 600; i++ {
+		seq = append(seq, byte(i*37))
+	}
+	f.Add(seq)
 	f.Fuzz(func(t *testing.T, in []byte) {
-		if len(in) < 2 {
+		if len(in) < 3 {
 			return
 		}
 		dims := []int{1, 2, 3, 9}
 		pages := []int{128, 256, 1024}
-		dim, page := dims[int(in[0])%len(dims)], pages[int(in[1])%len(pages)]
-		in = in[2:]
+		dim, page, workers := dims[int(in[0])%len(dims)], pages[int(in[1])%len(pages)], 1+int(in[2])%8
+		in = in[3:]
 		if len(in) > 4096 {
 			in = in[:4096]
 		}
@@ -247,6 +314,45 @@ func FuzzPackedBuild(f *testing.F) {
 				pts = append(pts, p)
 			}
 		}
-		checkBuildMatchesReference(t, pts, dim, WithPageSize(page))
+		want := checkBuildMatchesReference(t, pts, dim, WithPageSize(page))
+		if got := buildAt(t, pts, seqIDs(len(pts)), dim, workers, testGrain, WithPageSize(page)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("d=%d n=%d page=%d: the build on %d workers differs from Pack(referenceBulkLoad):\n got %s\nwant %s",
+				dim, len(pts), page, workers, describePacked(got), describePacked(want))
+		}
 	})
+}
+
+// BenchmarkBuildParts times the STR build of uniform 2-D sets, Long Beach
+// and the 9-D color moments in one part and in as many as GOMAXPROCS allows
+// (least part 1), each build right after a forced GC, as a load's is: the
+// measurement behind parallelGrain.
+func BenchmarkBuildParts(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	sets := map[string][]vecmat.Vector{"longbeach": data.LongBeach(1), "colormoments": data.ColorMoments(1)}
+	for _, n := range []int{2000, 8000, 16000, 50000} {
+		sets[fmt.Sprint(n)] = packedRandPoints(rng, n, 2)
+	}
+	for _, name := range []string{"2000", "8000", "16000", "50000", "longbeach", "colormoments"} {
+		pts := sets[name]
+		dim := pts[0].Dim()
+		coords, err := flattenPoints(pts, dim)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids := seqIDs(len(pts))
+		maxFill, minFill, err := nodeFill(dim, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
+			b.Run(fmt.Sprintf("n=%s/parts=%d", name, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					runtime.GC()
+					b.StartTimer()
+					buildPacked(coords, ids, dim, maxFill, minFill, w, 1)
+				}
+			})
+		}
+	}
 }

@@ -59,13 +59,13 @@ type Packed struct {
 }
 
 // newPacked allocates the arrays of a packed index with the given node,
-// entry and leaf-entry counts; the caller fills them in level order with
-// openNode, putNode and putLeaf, then seals it.
+// entry and leaf-entry counts at their full lengths; the caller fills start,
+// maxSpan and firstLeaf and writes every entry with setNode or setLeaf.
 func newPacked(dim, nodes, total, leafTotal int) *Packed {
-	p := &Packed{dim: dim, size: leafTotal}
-	p.start = make([]int32, 0, nodes+1)
-	// One block per element type, carved into the per-axis arrays.
 	inner := total - leafTotal
+	p := &Packed{dim: dim, size: leafTotal, leafBase: int32(inner)}
+	p.start = make([]int32, nodes+1)
+	// One block per element type, carved into the per-axis arrays.
 	axes64, axes32 := make([][]float64, 2*dim), make([][]float32, 2*dim)
 	p.lo, p.hi = axes64[:dim:dim], axes64[dim:]
 	p.lo32, p.hi32 = axes32[:dim:dim], axes32[dim:]
@@ -78,50 +78,32 @@ func newPacked(dim, nodes, total, leafTotal int) *Packed {
 		p.hi32[a], f32 = f32[:inner:inner], f32[inner:]
 	}
 	p.errs = make([]float64, dim)
-	p.child = make([]int32, 0, inner)
-	p.ids = make([]int64, 0, leafTotal)
-	p.pts = make([]float64, 0, leafTotal*dim)
+	p.child = make([]int32, inner)
+	p.ids = make([]int64, leafTotal)
+	p.pts = make([]float64, leafTotal*dim)
 	return p
 }
 
-// openNode starts the next node in level order, span entries wide.
-func (p *Packed) openNode(span int) {
-	p.start = append(p.start, int32(len(p.child)+len(p.ids)))
-	p.maxSpan = max(p.maxSpan, span)
-}
-
-// putNode appends a node entry to the open node: its bounds with their
-// float32 mirrors (widening the per-axis rounding-error bounds to cover them)
-// and its child index. Level order enumerates children in exactly the order
-// parents enumerate their entries, so child indices are simply sequential
-// from 1.
-func (p *Packed) putNode(lo, hi []float64) {
-	e := len(p.child)
+// setNode writes node entry e: its bounds with their float32 mirrors, and
+// its child index. errs (one per axis) is widened to cover the mirrors'
+// rounding errors; the caller folds it into p.errs. Level order enumerates
+// children in exactly the order parents enumerate their entries, so node
+// entry e's child is node e+1.
+func (p *Packed) setNode(e int, lo, hi, errs []float64) {
 	for a := 0; a < p.dim; a++ {
 		l, h := lo[a], hi[a]
 		p.lo[a][e], p.hi[a][e] = l, h
 		l32, h32 := float32(l), float32(h)
 		p.lo32[a][e], p.hi32[a][e] = l32, h32
-		if d := math.Abs(float64(l32) - l); d > p.errs[a] {
-			p.errs[a] = d
-		}
-		if d := math.Abs(float64(h32) - h); d > p.errs[a] {
-			p.errs[a] = d
-		}
+		errs[a] = max(errs[a], math.Abs(float64(l32)-l), math.Abs(float64(h32)-h))
 	}
-	p.child = append(p.child, int32(e+1))
+	p.child[e] = int32(e + 1)
 }
 
-// putLeaf appends a leaf entry to the open node: a data id and its point.
-func (p *Packed) putLeaf(id int64, pt []float64) {
-	p.ids = append(p.ids, id)
-	p.pts = append(p.pts, pt...)
-}
-
-// seal closes the last node.
-func (p *Packed) seal() {
-	p.start = append(p.start, int32(len(p.child)+len(p.ids)))
-	p.leafBase = p.start[p.firstLeaf]
+// setLeaf writes leaf entry j (entry leafBase+j): a data id and its point.
+func (p *Packed) setLeaf(j int, id int64, pt []float64) {
+	p.ids[j] = id
+	copy(p.pts[j*p.dim:(j+1)*p.dim], pt)
 }
 
 // Pack builds the packed form of a pointer tree — the inverse of Unpack.
@@ -155,18 +137,21 @@ func Pack(t *Tree) (*Packed, error) {
 	p.height = t.height
 	p.maxFill, p.minFill = t.maxFill, t.minFill
 	p.firstLeaf = int32(firstLeaf)
-	for _, n := range nodes {
-		p.openNode(len(n.entries))
+	e := 0
+	for i, n := range nodes {
+		p.start[i] = int32(e)
+		p.maxSpan = max(p.maxSpan, len(n.entries))
 		for j := range n.entries {
 			ent := &n.entries[j]
 			if n.isLeaf() {
-				p.putLeaf(ent.ID, ent.Rect.Lo)
+				p.setLeaf(e-int(p.leafBase), ent.ID, ent.Rect.Lo)
 			} else {
-				p.putNode(ent.Rect.Lo, ent.Rect.Hi)
+				p.setNode(e, ent.Rect.Lo, ent.Rect.Hi, p.errs)
 			}
+			e++
 		}
 	}
-	p.seal()
+	p.start[len(nodes)] = int32(e)
 	return p, nil
 }
 

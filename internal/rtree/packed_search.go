@@ -437,11 +437,60 @@ func (q *nnQueue) pop() nnItem {
 	return h[n]
 }
 
+// nnBest holds the k best points seen so far as a max-heap under before:
+// once it is full, best[0] is the k-th best, and nothing behind it can be
+// among the k nearest.
+type nnBest []nnItem
+
+// offer keeps point it if it is among the k best seen so far, dropping
+// the k-th best to make room, and reports whether it did.
+func (b *nnBest) offer(it nnItem, k int) bool {
+	h := *b
+	if len(h) < k {
+		h = append(h, it)
+		for j := len(h) - 1; j > 0; {
+			i := (j - 1) / 2
+			if !h[i].before(&h[j]) {
+				break
+			}
+			h[i], h[j] = h[j], h[i]
+			j = i
+		}
+		*b = h
+		return true
+	}
+	if !it.before(&h[0]) {
+		return false
+	}
+	h[0] = it
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c].before(&h[c+1]) {
+			c++
+		}
+		if !h[i].before(&h[c]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	return true
+}
+
 // NearestNeighbors returns the k data points closest to pt in Euclidean
 // distance, nearest first with ties by ascending id — the k smallest
 // (Dist2, id) pairs — by best-first (Hjaltason–Samet) traversal. Fewer than
 // k are returned when the index holds fewer. The paper's 9-D experiment
 // uses k-NN with k=20 to build the pseudo-feedback covariance (§VI-A).
+//
+// The queue is bounded by the k best points seen so far: a point that would
+// not be among them is never queued, and neither is a node farther than the
+// k-th best (one at its distance may still hold a point with a smaller id).
+// A point that drops out of the k best stays queued, behind the k that
+// pushed it out, so it never reaches the answer.
 func (p *Packed) NearestNeighbors(pt vecmat.Vector, k int) ([]Neighbor, error) {
 	if pt.Dim() != p.dim {
 		return nil, fmt.Errorf("%w: point dim %d vs packed dim %d", ErrDimension, pt.Dim(), p.dim)
@@ -453,8 +502,11 @@ func (p *Packed) NearestNeighbors(pt vecmat.Vector, k int) ([]Neighbor, error) {
 		return nil, nil
 	}
 	d := int32(p.dim)
-	q := make(nnQueue, 1, 4*p.maxSpan) // q[0], the zero item, is the root: node 0 at distance 0
-	out := make([]Neighbor, 0, min(k, p.size))
+	kk := min(k, p.size)
+	buf := make([]nnItem, kk+4*p.maxSpan)
+	best := nnBest(buf[:0:kk])
+	q := nnQueue(buf[kk : kk+1]) // q[0], the zero item, is the root: node 0 at distance 0
+	out := make([]Neighbor, 0, kk)
 	for len(q) > 0 && len(out) < k {
 		it := q.pop()
 		if it.node < 0 {
@@ -464,12 +516,17 @@ func (p *Packed) NearestNeighbors(pt vecmat.Vector, k int) ([]Neighbor, error) {
 		s, e := p.start[it.node], p.start[it.node+1]
 		if it.node >= p.firstLeaf {
 			for j := s - p.leafBase; j < e-p.leafBase; j++ {
-				q.push(nnItem{dist2: pointDist2(p.pts[j*d:(j+1)*d:(j+1)*d], pt), id: p.ids[j], node: -1})
+				pi := nnItem{dist2: pointDist2(p.pts[j*d:(j+1)*d:(j+1)*d], pt), id: p.ids[j], node: -1}
+				if best.offer(pi, kk) {
+					q.push(pi)
+				}
 			}
 			continue
 		}
 		for idx := s; idx < e; idx++ {
-			q.push(nnItem{dist2: p.rectDist2(idx, pt), node: p.child[idx]})
+			if d2 := p.rectDist2(idx, pt); len(best) < kk || d2 <= best[0].dist2 {
+				q.push(nnItem{dist2: d2, node: p.child[idx]})
+			}
 		}
 	}
 	return out, nil

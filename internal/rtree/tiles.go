@@ -51,7 +51,7 @@ func PartitionSTR(points []vecmat.Vector, dim, k int) ([]PartitionTile, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := tileBuilder{coords: coords, dim: dim, centerSorter: newCenterSorter(len(points)), tiles: make([]PartitionTile, 0, k)}
+	b := tileBuilder{coords: coords, dim: dim, centerSorter: newCenterSorter(len(points), 1, nil), tiles: make([]PartitionTile, 0, k)}
 	b.slice(identityPerm(len(points)), infiniteRect(dim), 0, k)
 	// Restore input order inside each tile (slicing sorted by coordinates).
 	for t := range b.tiles {

@@ -162,15 +162,11 @@ func Restore(r io.Reader, opts ...Option) (*DB, error) {
 	}
 
 	d := int(dim)
-	points := make([]vecmat.Vector, slots)
-	for i, id := range ids {
-		points[id] = coords[i*d : (i+1)*d : (i+1)*d]
-	}
 	o, err := buildOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	idx, err := core.RestoreIndex(points, epoch, d, rtree.WithPageSize(o.pageSize))
+	idx, err := core.RestoreIndex(ids, coords, int(slots), epoch, d, rtree.WithPageSize(o.pageSize))
 	if err != nil {
 		return nil, err
 	}

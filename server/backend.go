@@ -43,6 +43,11 @@ func (e *StatusError) Error() string { return e.Err.Error() }
 
 func (e *StatusError) Unwrap() error { return e.Err }
 
+// DBBackend returns the Backend that a Server made with Config{DB: db}
+// serves, for a caller that wraps it and serves the wrapper as
+// Config.Backend.
+func DBBackend(db *gaussrange.DB) Backend { return dbBackend{db: db} }
+
 // dbBackend serves a local DB; follower, when set, is the log tailer that
 // feeds it.
 type dbBackend struct {
