@@ -468,6 +468,34 @@ func BenchmarkApplyInsertDelete(b *testing.B) {
 	}
 }
 
+// BenchmarkDurableInsert times one writer's single-point Insert with a wal
+// attached in the default grouped mode. A writer alone is a commit group of
+// one — stage, append, fsync, publish — and waits for nothing but its own
+// fsync, so ns/op is the disk's fsync plus tens of µs, and queue-us/op (the
+// batcher's wait from Submit to flush start) is a few µs. ns/op near or above
+// 2 ms, with queue-us/op near 2 000, means a commit timer is back on a lone
+// writer's path.
+func BenchmarkDurableInsert(b *testing.B) {
+	db, err := Open(2, WithSeed(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := db.AttachWAL(WALConfig{Dir: b.TempDir()}); err != nil {
+		b.Fatal(err)
+	}
+	defer db.DetachWAL()
+	rng := mc.NewRNG(5)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Insert([]float64{1000 * rng.Float64(), 1000 * rng.Float64()}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	st, _ := db.WALStats()
+	b.ReportMetric(float64(st.Batcher.QueueNanos)/1e3/float64(b.N), "queue-us/op")
+}
+
 // BenchmarkChurnedQuery measures a cached hull query of the coarse_read
 // bench workload's shape (Σ = 100·PaperSigmaBase, δ = 5, θ = 0.01, centred on
 // Long Beach points) behind the overlay churn_mixed reads through: 1 536

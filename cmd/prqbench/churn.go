@@ -61,7 +61,7 @@ type ChurnReport struct {
 // ChurnIngest is the group-commit ingest section: sustained insert
 // throughput at ingestWriters concurrent writers under the synchronous wal
 // (one fsync per batch — the pre-pipeline behaviour) versus the grouped wal
-// (one fsync per commit window), plus the determinism booleans the
+// (one fsync per commit group), plus the determinism booleans the
 // bench-compare gate enforces.
 type ChurnIngest struct {
 	Writers          int         `json:"writers"`
@@ -387,12 +387,7 @@ func ingestRow(mode string, synchronous bool, seed uint64) (IngestRow, error) {
 	if err != nil {
 		return IngestRow{}, err
 	}
-	// The commit window is the grouped pipeline's latency/throughput knob and
-	// is sized to the disk: writers block for window + flush per round, so on
-	// a fast disk a short window keeps the pipeline fsync-bound (what group
-	// commit amortizes) instead of timer-bound. The synchronous row ignores it.
-	cfg := gaussrange.WALConfig{Dir: dir, Synchronous: synchronous, CommitWindow: 50 * time.Microsecond}
-	if _, err := db.AttachWAL(cfg); err != nil {
+	if _, err := db.AttachWAL(gaussrange.WALConfig{Dir: dir, Synchronous: synchronous}); err != nil {
 		return IngestRow{}, err
 	}
 
@@ -605,7 +600,7 @@ func compareChurn(baselinePath string, seed uint64) error {
 	}
 	sync, grouped := ing.Rows[0], ing.Rows[1]
 	if grouped.Fsyncs >= sync.Fsyncs {
-		return fmt.Errorf("grouped mode issued %d fsyncs, synchronous mode %d — commit windows are not grouping",
+		return fmt.Errorf("grouped mode issued %d fsyncs, synchronous mode %d — commit groups are not grouping",
 			grouped.Fsyncs, sync.Fsyncs)
 	}
 	fmt.Println("churn ingest gate: OK")

@@ -32,12 +32,12 @@
 //	-wal DIR            group-commit write-ahead log (leader mode), the
 //	                    only journal: replayed past the snapshot's epoch on
 //	                    startup (created if absent), so a restart reproduces
-//	                    the latest epoch; mutations ride a commit window, one
-//	                    fsync per group, segments roll and chain lineage roots
-//	                    so a follower can verify the shipped history. Without
+//	                    the latest epoch; mutations queued during one fsync
+//	                    commit together as the next group, one fsync per
+//	                    group; segments roll and chain lineage roots so a
+//	                    follower can verify the shipped history. Without
 //	                    it mutations are not journaled
-//	-commit-window D    longest a mutation waits for its group (default 2ms)
-//	-commit-bytes N     flush a group early at this encoded size (default 4MiB)
+//	-commit-bytes N     close a group at this encoded size (default 4MiB)
 //	-segment-bytes N    roll wal segments at this size (default 64MiB)
 //	-wal-sync           synchronous wal: one fsync per mutation batch (the
 //	                    baseline group commit is measured against)
@@ -105,7 +105,6 @@ type config struct {
 	csvPath        string
 	snapshotPath   string
 	walDir         string
-	commitWindow   time.Duration
 	commitBytes    int64
 	segmentBytes   int64
 	walSync        bool
@@ -132,8 +131,7 @@ func main() {
 	flag.StringVar(&cfg.csvPath, "csv", "", "load points from this CSV file")
 	flag.StringVar(&cfg.snapshotPath, "snapshot", "", "restore a gaussrange snapshot from this file")
 	flag.StringVar(&cfg.walDir, "wal", "", "group-commit write-ahead log: segment store directory (leader mode; empty = mutations are not journaled)")
-	flag.DurationVar(&cfg.commitWindow, "commit-window", 0, "group-commit window: longest a mutation waits for its group's fsync (0 = default 2ms)")
-	flag.Int64Var(&cfg.commitBytes, "commit-bytes", 0, "flush a commit group early at this encoded size (0 = default 4MiB)")
+	flag.Int64Var(&cfg.commitBytes, "commit-bytes", 0, "close a commit group at this encoded size; the rest of the queue waits for the next group (0 = default 4MiB)")
 	flag.Int64Var(&cfg.segmentBytes, "segment-bytes", 0, "roll wal segments at this size (0 = default 64MiB)")
 	flag.BoolVar(&cfg.walSync, "wal-sync", false, "synchronous wal: one fsync per mutation batch instead of per commit group")
 	flag.StringVar(&cfg.followDir, "follow", "", "run as a read-only follower tailing this wal segment directory")
@@ -251,7 +249,6 @@ func buildHandler(cfg config, logw io.Writer) (h http.Handler, banner string, cl
 	case cfg.walDir != "":
 		replayed, err := db.AttachWAL(gaussrange.WALConfig{
 			Dir:          cfg.walDir,
-			CommitWindow: cfg.commitWindow,
 			CommitBytes:  cfg.commitBytes,
 			SegmentBytes: cfg.segmentBytes,
 			Synchronous:  cfg.walSync,

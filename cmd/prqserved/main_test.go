@@ -291,7 +291,6 @@ func TestServeLeaderFollower(t *testing.T) {
 	walDir := filepath.Join(dir, "wal")
 	lcfg := testConfig(dir, writeTestCSV(t, dir))
 	lcfg.walDir = walDir
-	lcfg.commitWindow = time.Millisecond
 	laddr, lsig, ldone := startServe(t, lcfg)
 
 	ctx := context.Background()

@@ -395,12 +395,29 @@ func TestApplySemantics(t *testing.T) {
 // inserts, stages and discards batches with other coordinates for the same
 // ids and rows, deletes, and crosses two folds; every recorded window must
 // still hold the bits it held when it was handed out. Run under -race.
-func TestPointWindowsStable(t *testing.T) {
+func TestPointWindowsStable(t *testing.T) { pointWindowsStable(t, 300, 1, 400) }
+
+// TestPointWindowsStableMultiPart is TestPointWindowsStable on a generation
+// of 20 000 points, above the 16 384 (two rtree parallelGrains) at which an
+// STR build splits into parts on a crew of goroutines, so every fold the
+// readers run beside is a multi-part build. The writer publishes 128 inserts
+// a step to reach the 4 096-row fold threshold in a few dozen steps.
+func TestPointWindowsStableMultiPart(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	pointWindowsStable(t, 20_000, 128, 40)
+}
+
+// pointWindowsStable runs the readers and the writer over a generation of n
+// points, the writer publishing batch inserts a step, until the index has
+// crossed two folds and the readers have made minPasses passes.
+func pointWindowsStable(t *testing.T, n, batch int, minPasses int64) {
 	coords := func(id int64) vecmat.Vector { return vecmat.Vector{float64(id), -0.5 * float64(id)} }
 	same := func(a, b vecmat.Vector) bool {
 		return math.Float64bits(a[0]) == math.Float64bits(b[0]) && math.Float64bits(a[1]) == math.Float64bits(b[1])
 	}
-	seed := make([]vecmat.Vector, 300)
+	seed := make([]vecmat.Vector, n)
 	for i := range seed {
 		seed[i] = coords(int64(i))
 	}
@@ -477,10 +494,18 @@ func TestPointWindowsStable(t *testing.T) {
 	}
 
 	folds := 0
-	for next := int64(300); folds < 2 || passes.Load() < 400; next++ {
+	for next := int64(n); folds < 2 || passes.Load() < minPasses; next += int64(batch) {
 		// A batch staged with other coordinates for the ids and overlay rows
-		// the next published insert takes, then discarded.
-		st, err := ix.Stage([]vecmat.Vector{{-7, -7}, {-8, -8}}, nil, nil)
+		// the next published inserts take, then discarded.
+		other := make([]vecmat.Vector, batch+1)
+		for i := range other {
+			other[i] = vecmat.Vector{-7 - float64(i), -7 - float64(i)}
+		}
+		ins := make([]vecmat.Vector, batch)
+		for i := range ins {
+			ins[i] = coords(next + int64(i))
+		}
+		st, err := ix.Stage(other, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -488,11 +513,11 @@ func TestPointWindowsStable(t *testing.T) {
 		// A delete every third step, so folds do not land where the
 		// overlay block's append happens to reallocate it.
 		var del []int64
-		if next%3 == 0 {
+		if (next/int64(batch))%3 == 0 {
 			del = []int64{next - 250}
 		}
 		before, _ := ix.Current().OverlaySize()
-		st, err = ix.Stage([]vecmat.Vector{coords(next)}, nil, del)
+		st, err = ix.Stage(ins, nil, del)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,21 +6,15 @@ import (
 	"time"
 )
 
-// BatcherConfig bounds the group-commit window.
+// BatcherConfig bounds a commit group.
 type BatcherConfig struct {
 	// Dim is the database dimensionality, used to estimate each
 	// submission's encoded size. Required.
 	Dim int
-	// MaxDelay is the commit window: the longest a submission waits in the
-	// accumulating group before a flush starts (default 2ms). Latency bound.
-	MaxDelay time.Duration
-	// MaxBytes flushes the group early once its estimated encoded size
-	// crosses this (default 4 MiB). Memory/throughput bound.
+	// MaxBytes closes a group once its estimated encoded size crosses this
+	// (default 4 MiB). Memory bound.
 	MaxBytes int64
 }
-
-// DefaultMaxDelay is the default commit window.
-const DefaultMaxDelay = 2 * time.Millisecond
 
 // DefaultMaxBytes is the default group-size flush threshold.
 const DefaultMaxBytes = 4 << 20
@@ -50,29 +44,30 @@ type Submission struct {
 
 // BatcherStats summarises pipeline activity since the batcher started.
 type BatcherStats struct {
-	Groups         uint64        // flushed commit groups (≤ one fsync each)
-	Submissions    uint64        // submissions flushed
-	MaxGroup       int           // largest group flushed
-	QueueNanos     int64         // total per-item wait from Submit to flush start
-	FlushNanos     int64         // total per-item wait from flush start to ack
-	Pending        int           // submissions accumulating right now
-	WindowClosedBy WindowCloses  // why windows closed
-	MaxDelay       time.Duration // configured commit window
-	MaxBytes       int64         // configured group byte bound
+	Groups      uint64      // flushed commit groups (≤ one fsync each)
+	Submissions uint64      // submissions flushed
+	MaxGroup    int         // largest group flushed
+	QueueNanos  int64       // total per-item wait from Submit to flush start
+	FlushNanos  int64       // total per-item wait from flush start to ack
+	Pending     int         // submissions not yet acknowledged: in the running flush or queued behind it
+	ClosedBy    GroupCloses // why groups closed
+	MaxBytes    int64       // configured group byte bound
 }
 
-// WindowCloses counts why commit windows closed.
-type WindowCloses struct {
-	Timer uint64 // the MaxDelay window elapsed
+// GroupCloses counts why commit groups closed.
+type GroupCloses struct {
+	Empty uint64 // the flusher had taken every queued submission
 	Bytes uint64 // the group hit MaxBytes
-	Drain uint64 // Close drained a final partial group
+	Drain uint64 // Close had begun, and the group took the last queued submissions
 }
 
-// Batcher accumulates concurrent mutation submissions and hands them to a
-// flush function as one group per commit window — the DB layer's flush stages
-// one combined snapshot, appends ONE log record, fsyncs ONCE, then publishes.
-// Callers block in Submit until their group's flush returns, i.e. until their
-// mutation is durable.
+// Batcher hands concurrent mutation submissions to a flush function in
+// groups — the DB layer's flush stages one combined snapshot, appends ONE log
+// record, fsyncs ONCE, then publishes. Callers block in Submit until their
+// group's flush returns, i.e. until their mutation is durable. A group is
+// every submission that queued while the previous flush ran (up to MaxBytes),
+// so a lone writer waits for its own fsync only and, under load, groups grow
+// with the fsync time; no timer sizes them.
 type Batcher struct {
 	cfg   BatcherConfig
 	codec Codec
@@ -83,9 +78,9 @@ type Batcher struct {
 	closed  bool
 	wg      sync.WaitGroup
 
-	statMu  sync.Mutex
-	stats   BatcherStats
-	pending int
+	statMu   sync.Mutex
+	stats    BatcherStats
+	flushing int // submissions in the running flush
 }
 
 // NewBatcher starts a batcher whose groups are flushed by fn. fn is called
@@ -94,9 +89,6 @@ type Batcher struct {
 func NewBatcher(cfg BatcherConfig, fn func([]*Submission)) (*Batcher, error) {
 	if cfg.Dim <= 0 {
 		return nil, fmt.Errorf("wal: invalid batcher dimension %d", cfg.Dim)
-	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = DefaultMaxDelay
 	}
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = DefaultMaxBytes
@@ -107,7 +99,6 @@ func NewBatcher(cfg BatcherConfig, fn func([]*Submission)) (*Batcher, error) {
 		flush: fn,
 		ch:    make(chan *Submission, 256),
 	}
-	b.stats.MaxDelay = cfg.MaxDelay
 	b.stats.MaxBytes = cfg.MaxBytes
 	b.wg.Add(1)
 	go b.run()
@@ -151,81 +142,68 @@ func (b *Batcher) Stats() BatcherStats {
 	b.statMu.Lock()
 	defer b.statMu.Unlock()
 	s := b.stats
-	s.Pending = b.pending
+	s.Pending = b.flushing + len(b.ch)
 	return s
 }
 
-// run is the single flusher goroutine: accumulate a group until the commit
-// window elapses or the byte bound is hit, then flush.
+// run is the single flusher goroutine: block for one submission, take every
+// submission already queued behind it up to MaxBytes, flush, repeat.
 func (b *Batcher) run() {
 	defer b.wg.Done()
-	var (
-		group []*Submission
-		bytes int64
-		timer *time.Timer
-		tch   <-chan time.Time
-	)
-	stopTimer := func() {
-		if timer != nil {
-			timer.Stop()
-			timer = nil
-			tch = nil
-		}
-	}
-	doFlush := func(why *uint64) {
-		stopTimer()
-		if len(group) == 0 {
+	for {
+		s, ok := <-b.ch
+		if !ok {
 			return
 		}
-		start := time.Now()
-		var queued int64
-		for _, s := range group {
-			queued += int64(start.Sub(s.enq))
-		}
-		b.flush(group)
-		elapsed := int64(time.Since(start))
-		b.statMu.Lock()
-		b.stats.Groups++
-		b.stats.Submissions += uint64(len(group))
-		if len(group) > b.stats.MaxGroup {
-			b.stats.MaxGroup = len(group)
-		}
-		b.stats.QueueNanos += queued
-		b.stats.FlushNanos += elapsed * int64(len(group))
-		*why++
-		b.pending -= len(group)
-		b.statMu.Unlock()
-		// Woken only now, a writer that reads Stats after its Submit
-		// returned sees its group counted.
-		for _, s := range group {
-			close(s.done)
-		}
-		group = nil
-		bytes = 0
-	}
-	for {
-		select {
-		case s, ok := <-b.ch:
-			if !ok {
-				doFlush(&b.stats.WindowClosedBy.Drain)
-				return
-			}
-			b.statMu.Lock()
-			b.pending++
-			b.statMu.Unlock()
-			group = append(group, s)
-			bytes += s.bytes
-			if timer == nil {
-				timer = time.NewTimer(b.cfg.MaxDelay)
-				tch = timer.C
-			}
+		group, bytes := []*Submission{s}, s.bytes
+		why := &b.stats.ClosedBy.Empty
+	gather:
+		for {
 			if bytes >= b.cfg.MaxBytes {
-				doFlush(&b.stats.WindowClosedBy.Bytes)
+				why = &b.stats.ClosedBy.Bytes
+				break
 			}
-		case <-tch:
-			timer = nil
-			tch = nil
-			doFlush(&b.stats.WindowClosedBy.Timer)
+			select {
+			case s, ok := <-b.ch:
+				if !ok {
+					why = &b.stats.ClosedBy.Drain
+					break gather
+				}
+				group = append(group, s)
+				bytes += s.bytes
+			default:
+				break gather
+			}
 		}
+		b.flushGroup(group, why)
+	}
+}
+
+// flushGroup hands one group to the flush function, counts it under why and
+// acknowledges its submitters.
+func (b *Batcher) flushGroup(group []*Submission, why *uint64) {
+	start := time.Now()
+	var queued int64
+	for _, s := range group {
+		queued += int64(start.Sub(s.enq))
+	}
+	b.statMu.Lock()
+	b.flushing = len(group)
+	b.statMu.Unlock()
+	b.flush(group)
+	elapsed := int64(time.Since(start))
+	b.statMu.Lock()
+	b.stats.Groups++
+	b.stats.Submissions += uint64(len(group))
+	b.stats.MaxGroup = max(b.stats.MaxGroup, len(group))
+	b.stats.QueueNanos += queued
+	b.stats.FlushNanos += elapsed * int64(len(group))
+	*why++
+	b.flushing = 0
+	b.statMu.Unlock()
+	// Woken only now, a writer that reads Stats after its Submit returned
+	// sees its group counted.
+	for _, s := range group {
+		close(s.done)
 	}
 }

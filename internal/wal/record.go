@@ -4,7 +4,7 @@
 // (tamper-evident, shippable to followers), a tailing Reader that verifies
 // that lineage while replaying, the one replay rule (Replay) that restart and
 // followers share, and a Batcher that group-commits concurrent mutation
-// batches into one fsync per commit window.
+// batches into one fsync per group of what queued during the previous fsync.
 //
 // Layering: this package knows nothing about snapshots, epoch publication or
 // query execution — it moves validated records to disk and back, and Replay
@@ -146,8 +146,8 @@ func (c Codec) Read(br *bufio.Reader, chain uint32) (Record, int64, uint32, erro
 	if explicit {
 		nIDs = int(nIns)
 	}
-	payload := make([]byte, 8*int(nIns)*c.Dim+8*int(nDel)+8*nIDs)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	payload, err := readPayload(br, 8*int(nIns)*c.Dim+8*int(nDel)+8*nIDs)
+	if err != nil {
 		return Record{}, 0, 0, ErrTorn
 	}
 	var crcBuf [4]byte
@@ -193,4 +193,29 @@ func (c Codec) Read(br *bufio.Reader, chain uint32) (Record, int64, uint32, erro
 		}
 	}
 	return rec, int64(len(head) + len(payload) + len(crcBuf)), sum, nil
+}
+
+// payloadChunk is the most readPayload allocates before a byte has arrived.
+const payloadChunk = 64 << 10
+
+// readPayload reads an n-byte record payload. The header's counts are not
+// trusted until the CRC is, so the buffer starts at one chunk and doubles
+// only once full: a header that claims more than the input holds allocates
+// less than four times the bytes actually there plus a chunk, not the
+// claimed size.
+func readPayload(br *bufio.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, payloadChunk))
+	for got := 0; ; {
+		m, err := io.ReadFull(br, buf[got:])
+		got += m
+		if err != nil {
+			return nil, err
+		}
+		if got == n {
+			return buf, nil
+		}
+		next := make([]byte, got+min(got, n-got))
+		copy(next, buf)
+		buf = next
+	}
 }

@@ -3,10 +3,12 @@ package wal
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -90,6 +92,39 @@ func TestCodecChainDetectsReorder(t *testing.T) {
 	br := bufio.NewReader(bytes.NewReader(append(append([]byte{}, b...), a...)))
 	if _, _, _, err := c.Read(br, 99); err != ErrCorrupt {
 		t.Fatalf("want ErrCorrupt on reordered chain, got %v", err)
+	}
+}
+
+// TestCodecReadAllocBounded: a header's counts are unverified until the CRC
+// is, so Read must not size memory from them. A 16-byte header claiming
+// MaxBatch explicit-id inserts and MaxBatch deletes at d = 2 (a 536.9 MB
+// payload), alone and followed by 1 MiB of payload, must read as torn while
+// allocating at most allocPerByte·len(input) + allocSlack.
+func TestCodecReadAllocBounded(t *testing.T) {
+	const (
+		allocPerByte = 4
+		allocSlack   = 128 << 10
+	)
+	c := Codec{Dim: 2}
+	head := make([]byte, 16)
+	binary.LittleEndian.PutUint64(head, 1)
+	binary.LittleEndian.PutUint32(head[8:], MaxBatch|ExplicitIDFlag)
+	binary.LittleEndian.PutUint32(head[12:], MaxBatch)
+	for _, body := range []int{0, 1 << 20} {
+		in := append(append([]byte{}, head...), make([]byte, body)...)
+		br := bufio.NewReader(bytes.NewReader(in))
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, _, _, err := c.Read(br, 0)
+		runtime.ReadMemStats(&after)
+		if err != ErrTorn {
+			t.Fatalf("%d-byte input: want ErrTorn, got %v", len(in), err)
+		}
+		got, bound := after.TotalAlloc-before.TotalAlloc, uint64(allocPerByte*len(in)+allocSlack)
+		if got > bound {
+			t.Fatalf("%d-byte input: Read allocated %d bytes, bound %d", len(in), got, bound)
+		}
 	}
 }
 
@@ -366,92 +401,198 @@ func TestBatcherStatsCountAckedGroups(t *testing.T) {
 	}
 }
 
-func TestBatcherGroupsConcurrentSubmits(t *testing.T) {
-	var mu sync.Mutex
-	var groups [][]*Submission
-	epoch := uint64(0)
-	b, err := NewBatcher(BatcherConfig{Dim: 1, MaxDelay: 20 * time.Millisecond}, func(group []*Submission) {
-		mu.Lock()
-		epoch++
-		for _, s := range group {
-			s.Epoch = epoch
+// TestBatcherLoneWriter: a writer alone never waits for company — each of
+// its sequential submissions is a group of one, closed because the queue
+// behind it was empty.
+func TestBatcherLoneWriter(t *testing.T) {
+	b, gl := newLoggedBatcher(t, BatcherConfig{Dim: 1})
+	defer b.Close()
+	const n = 50
+	for i := 1; i <= n; i++ {
+		s := &Submission{Inserts: [][]float64{{float64(i)}}}
+		if err := b.Submit(s); err != nil {
+			t.Fatal(err)
 		}
-		groups = append(groups, group)
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const writers = 32
-	var wg sync.WaitGroup
-	errs := make([]error, writers)
-	epochs := make([]uint64, writers)
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s := &Submission{Inserts: [][]float64{{float64(i)}}}
-			errs[i] = b.Submit(s)
-			epochs[i] = s.Epoch
-		}(i)
-	}
-	wg.Wait()
-	b.Close()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("writer %d: %v", i, err)
-		}
-		if epochs[i] == 0 {
-			t.Fatalf("writer %d: no epoch assigned", i)
+		if s.Epoch != uint64(i) {
+			t.Fatalf("submission %d flushed at epoch %d", i, s.Epoch)
 		}
 	}
 	st := b.Stats()
-	if st.Submissions != writers {
-		t.Fatalf("Submissions = %d, want %d", st.Submissions, writers)
+	if st.Groups != n || st.MaxGroup != 1 || st.ClosedBy != (GroupCloses{Empty: n}) {
+		t.Fatalf("%d sequential submits: %d groups, max group %d, closed by %+v; want %d groups of one, each closed by the empty queue",
+			n, st.Groups, st.MaxGroup, st.ClosedBy, n)
 	}
-	if st.Groups >= writers {
-		t.Fatalf("no grouping happened: %d groups for %d submissions", st.Groups, writers)
+	if got := gl.sizes(); len(got) != n {
+		t.Fatalf("flush saw %d groups, want %d", len(got), n)
 	}
-	if st.QueueNanos < 0 || st.FlushNanos <= 0 {
+}
+
+// TestBatcherGroupsConcurrentSubmits: the writers queued behind a running
+// flush form the next group, all of them and nothing else.
+func TestBatcherGroupsConcurrentSubmits(t *testing.T) {
+	b, gl := newLoggedBatcher(t, BatcherConfig{Dim: 1})
+	const writers = 31
+	epochs := make([]uint64, writers)
+	wait := holdFlusher(t, b, gl, writers, func(i int) *Submission {
+		return &Submission{Inserts: [][]float64{{float64(i)}}}
+	}, epochs, nil)
+	wait()
+	b.Close()
+	for i, e := range epochs {
+		if e != 2 {
+			t.Fatalf("writer %d flushed at epoch %d, want 2 (the group after the plug)", i, e)
+		}
+	}
+	if got := gl.sizes(); !reflect.DeepEqual(got, []int{1, writers}) {
+		t.Fatalf("group sizes %v, want [1 %d]", got, writers)
+	}
+	st := b.Stats()
+	if st.Submissions != writers+1 || st.Groups != 2 || st.MaxGroup != writers || st.Pending != 0 {
+		t.Fatalf("stats %+v, want %d submissions in 2 groups, max %d, none pending", st, writers+1, writers)
+	}
+	if st.ClosedBy != (GroupCloses{Empty: 2}) {
+		t.Fatalf("closed by %+v, want both groups closed by the empty queue", st.ClosedBy)
+	}
+	if st.QueueNanos <= 0 || st.FlushNanos <= 0 {
 		t.Fatalf("latency accounting missing: queue=%d flush=%d", st.QueueNanos, st.FlushNanos)
 	}
-	if _, ok := func() (uint64, bool) {
-		total := st.WindowClosedBy.Timer + st.WindowClosedBy.Bytes + st.WindowClosedBy.Drain
-		return total, total == st.Groups
-	}(); !ok {
-		t.Fatalf("window-close reasons don't sum to groups: %+v vs %d", st.WindowClosedBy, st.Groups)
+}
+
+// TestBatcherCloseDrains: Close flushes every submission queued when it
+// began, as one final group counted as a drain, and refuses later ones.
+func TestBatcherCloseDrains(t *testing.T) {
+	b, gl := newLoggedBatcher(t, BatcherConfig{Dim: 1})
+	const writers = 31
+	epochs := make([]uint64, writers)
+	closed := make(chan struct{})
+	wait := holdFlusher(t, b, gl, writers, func(i int) *Submission {
+		return &Submission{Inserts: [][]float64{{float64(i)}}}
+	}, epochs, func() {
+		go func() { b.Close(); close(closed) }()
+		for {
+			b.closeMu.RLock()
+			c := b.closed
+			b.closeMu.RUnlock()
+			if c {
+				return
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	})
+	wait()
+	<-closed
+	for i, e := range epochs {
+		if e != 2 {
+			t.Fatalf("writer %d flushed at epoch %d, want 2", i, e)
+		}
+	}
+	if got := gl.sizes(); !reflect.DeepEqual(got, []int{1, writers}) {
+		t.Fatalf("group sizes %v, want [1 %d]", got, writers)
+	}
+	if st := b.Stats(); st.ClosedBy != (GroupCloses{Empty: 1, Drain: 1}) {
+		t.Fatalf("closed by %+v, want the plug closed by the empty queue and the queue drained by Close", st.ClosedBy)
 	}
 	if err := b.Submit(&Submission{}); err != ErrBatcherClosed {
 		t.Fatalf("submit after close: %v", err)
 	}
 }
 
+// TestBatcherByteBoundFlushes: a queue whose submissions overrun MaxBytes is
+// cut into groups at the bound. Each 3-point submission is 68 bytes, so a
+// 100-byte bound takes two at a time.
 func TestBatcherByteBoundFlushes(t *testing.T) {
-	flushed := make(chan int, 16)
-	b, err := NewBatcher(BatcherConfig{Dim: 1, MaxDelay: time.Hour, MaxBytes: 64}, func(group []*Submission) {
-		flushed <- len(group)
+	b, gl := newLoggedBatcher(t, BatcherConfig{Dim: 1, MaxBytes: 100})
+	defer b.Close()
+	if got := b.codec.EncodedSize(3, 0, true); got != 68 {
+		t.Fatalf("3-point submission estimated at %d bytes, want 68", got)
+	}
+	const writers = 4
+	wait := holdFlusher(t, b, gl, writers, func(int) *Submission {
+		return &Submission{Inserts: [][]float64{{1}, {2}, {3}}}
+	}, make([]uint64, writers), nil)
+	wait()
+	if got := gl.sizes(); !reflect.DeepEqual(got, []int{1, 2, 2}) {
+		t.Fatalf("group sizes %v, want [1 2 2]", got)
+	}
+	if st := b.Stats(); st.ClosedBy != (GroupCloses{Empty: 1, Bytes: 2}) {
+		t.Fatalf("closed by %+v, want the plug by the empty queue and two groups by the byte bound", st.ClosedBy)
+	}
+}
+
+// groupLog is a test flush function's record: it numbers groups as epochs,
+// keeps their sizes, and parks in hold (when set) on the next flush.
+type groupLog struct {
+	mu         sync.Mutex
+	groupSizes []int
+	hold       func() // read and cleared by the flusher only
+}
+
+func (gl *groupLog) sizes() []int {
+	gl.mu.Lock()
+	defer gl.mu.Unlock()
+	return append([]int(nil), gl.groupSizes...)
+}
+
+func newLoggedBatcher(t *testing.T, cfg BatcherConfig) (*Batcher, *groupLog) {
+	t.Helper()
+	gl := &groupLog{}
+	b, err := NewBatcher(cfg, func(group []*Submission) {
+		if h := gl.hold; h != nil {
+			gl.hold = nil
+			h()
+		}
+		gl.mu.Lock()
+		defer gl.mu.Unlock()
+		gl.groupSizes = append(gl.groupSizes, len(group))
+		for _, s := range group {
+			s.Epoch = uint64(len(gl.groupSizes))
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b.Submit(&Submission{Inserts: [][]float64{{1}, {2}, {3}}})
-		}()
+	return b, gl
+}
+
+// holdFlusher makes the groups after a plug form from a known queue: it
+// submits an empty plug, parks the flusher in the plug's flush, starts n
+// writers (writer i submits sub(i) and stores its epoch in epochs[i]), waits
+// until all n are queued behind the plug, runs whileHeld, and releases the
+// flusher. The returned wait blocks until every writer is acknowledged and
+// fails the test on any submission error.
+func holdFlusher(t *testing.T, b *Batcher, gl *groupLog, n int, sub func(int) *Submission, epochs []uint64, whileHeld func()) (wait func()) {
+	t.Helper()
+	entered, release := make(chan struct{}), make(chan struct{})
+	gl.hold = func() { close(entered); <-release }
+	errs := make(chan error, n+1)
+	go func() { errs <- b.Submit(&Submission{}) }()
+	<-entered
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			s := sub(i)
+			err := b.Submit(s)
+			epochs[i] = s.Epoch
+			errs <- err
+		}(i)
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("byte-bound flush never fired (timer was 1h)")
+	deadline := time.Now().Add(10 * time.Second)
+	for b.Stats().Pending < n+1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d submissions pending after 10s", b.Stats().Pending, n+1)
+		}
+		time.Sleep(50 * time.Microsecond)
 	}
-	if b.Stats().WindowClosedBy.Bytes == 0 {
-		t.Fatalf("want at least one byte-closed window: %+v", b.Stats().WindowClosedBy)
+	if whileHeld != nil {
+		whileHeld()
+	}
+	close(release)
+	return func() {
+		t.Helper()
+		for i := 0; i <= n; i++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ func leaderAndFollower(t *testing.T, dir string) (*gaussrange.DB, *gaussrange.DB
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := leader.AttachWAL(gaussrange.WALConfig{Dir: dir, CommitWindow: time.Millisecond, SegmentBytes: 512}); err != nil {
+	if _, err := leader.AttachWAL(gaussrange.WALConfig{Dir: dir, SegmentBytes: 512}); err != nil {
 		t.Fatal(err)
 	}
 	fdb, err := gaussrange.Open(2, gaussrange.WithSeed(7))

@@ -167,7 +167,7 @@ done
 pids=()
 
 echo "serve-smoke: starting a leader with a group-commit wal"
-"$tmp/bin/prqserved" -csv "$tmp/points.csv" -wal "$tmp/wal" -commit-window 2ms \
+"$tmp/bin/prqserved" -csv "$tmp/points.csv" -wal "$tmp/wal" \
     -addr 127.0.0.1:0 -addr-file "$tmp/leader.addr" &
 pids+=($!)
 wait_addr "$tmp/leader.addr" "${pids[-1]}"

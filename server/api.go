@@ -445,21 +445,21 @@ type EndpointStats struct {
 // (leaders with -wal only).
 type WALStatsz struct {
 	Synchronous bool `json:"synchronous,omitempty"`
-	// Commit window configuration.
-	CommitWindowMS float64 `json:"commit_window_ms"`
-	CommitBytes    int64   `json:"commit_bytes"`
+	// The group byte bound.
+	CommitBytes int64 `json:"commit_bytes"`
 	// Group-commit activity: flushed groups (≤ one fsync each), submissions
-	// they carried, the largest group, and submissions accumulating now.
+	// they carried, the largest group, and submissions not yet acknowledged.
 	Groups      uint64 `json:"groups"`
 	Submissions uint64 `json:"submissions"`
 	MaxGroup    int    `json:"max_group"`
 	Pending     int    `json:"pending"`
-	// Why commit windows closed.
-	WindowTimer uint64 `json:"window_timer"`
+	// Why commit groups closed: the flusher had taken every queued
+	// submission, the group hit the byte bound, or a drain on shutdown.
+	WindowEmpty uint64 `json:"window_empty"`
 	WindowBytes uint64 `json:"window_bytes"`
 	WindowDrain uint64 `json:"window_drain"`
-	// Mean per-submission latency split: time queued waiting for the window
-	// vs. time inside the flush (stage+append+fsync+publish).
+	// Mean per-submission latency split: time queued behind the running
+	// flush vs. time inside the flush (stage+append+fsync+publish).
 	QueueMeanUS float64 `json:"queue_mean_us"`
 	FlushMeanUS float64 `json:"flush_mean_us"`
 	// Segment store counters.

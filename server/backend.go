@@ -136,15 +136,14 @@ func (b dbBackend) Stats(context.Context) StatsSnapshot {
 	if w, ok := b.db.WALStats(); ok {
 		ws := &WALStatsz{
 			Synchronous:    w.Synchronous,
-			CommitWindowMS: float64(w.Batcher.MaxDelay) / 1e6,
 			CommitBytes:    w.Batcher.MaxBytes,
 			Groups:         w.Batcher.Groups,
 			Submissions:    w.Batcher.Submissions,
 			MaxGroup:       w.Batcher.MaxGroup,
 			Pending:        w.Batcher.Pending,
-			WindowTimer:    w.Batcher.WindowClosedBy.Timer,
-			WindowBytes:    w.Batcher.WindowClosedBy.Bytes,
-			WindowDrain:    w.Batcher.WindowClosedBy.Drain,
+			WindowEmpty:    w.Batcher.ClosedBy.Empty,
+			WindowBytes:    w.Batcher.ClosedBy.Bytes,
+			WindowDrain:    w.Batcher.ClosedBy.Drain,
 			Segments:       w.Store.Segments,
 			SealedSegments: int(w.Store.SealedSegments),
 			Records:        w.Store.Records,

@@ -22,7 +22,7 @@ func newLeaderFollowerPair(t *testing.T) (leaderDB *gaussrange.DB, lc, fc *clien
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := leaderDB.AttachWAL(gaussrange.WALConfig{Dir: dir, CommitWindow: time.Millisecond}); err != nil {
+	if _, err := leaderDB.AttachWAL(gaussrange.WALConfig{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { leaderDB.DetachWAL() })

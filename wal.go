@@ -12,11 +12,9 @@ import (
 type WALConfig struct {
 	// Dir is the segment store directory. Required.
 	Dir string
-	// CommitWindow bounds how long a submission waits for its commit group
-	// (default wal.DefaultMaxDelay). Zero keeps the default.
-	CommitWindow time.Duration
-	// CommitBytes flushes a commit group early once its encoded size crosses
-	// this bound (default wal.DefaultMaxBytes).
+	// CommitBytes closes a commit group once its encoded size crosses this
+	// bound (default wal.DefaultMaxBytes); the rest of the queue waits for
+	// the next group.
 	CommitBytes int64
 	// SegmentBytes rolls the active segment at this size (default
 	// wal.DefaultSegmentBytes).
@@ -43,6 +41,10 @@ type walPipeline struct {
 	db      *DB
 	store   *wal.Store
 	batcher *wal.Batcher // nil in synchronous mode
+
+	// preFlush, when set, runs at the start of every flush — a seam for
+	// tests that must hold the flusher while submissions queue behind it.
+	preFlush func()
 }
 
 // AttachWAL opens (creating if needed) the segmented write-ahead log in
@@ -50,8 +52,9 @@ type walPipeline struct {
 // then routes all later mutations through the group-commit pipeline: Apply,
 // ApplyWithIDs, Insert and Delete become submissions that block until their
 // commit group's fsync durability point has passed, with one log record, one
-// fsync and one published epoch per group. It returns the number of batches
-// replayed.
+// fsync and one published epoch per group. A group is every submission that
+// queued while the previous group's fsync ran, so a lone writer waits for its
+// own fsync only. It returns the number of batches replayed.
 //
 // The wal is the database's only journal, and the restart sequence is
 // RestoreFile (epoch-stamped snapshot) followed by AttachWAL with the
@@ -80,11 +83,7 @@ func (db *DB) AttachWAL(cfg WALConfig) (replayed int, err error) {
 
 	p := &walPipeline{db: db, store: store}
 	if !cfg.Synchronous {
-		b, err := wal.NewBatcher(wal.BatcherConfig{
-			Dim:      db.dim,
-			MaxDelay: cfg.CommitWindow,
-			MaxBytes: cfg.CommitBytes,
-		}, p.flushGroup)
+		b, err := wal.NewBatcher(wal.BatcherConfig{Dim: db.dim, MaxBytes: cfg.CommitBytes}, p.flushGroup)
 		if err != nil {
 			store.Close()
 			return 0, err
@@ -191,6 +190,9 @@ type subPlan struct {
 // record is durable before the epoch is visible, so recovery replays to a
 // prefix of committed groups and never exposes an epoch the log lacks.
 func (p *walPipeline) flushGroup(group []*wal.Submission) {
+	if p.preFlush != nil {
+		p.preFlush()
+	}
 	db := p.db
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()

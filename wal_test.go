@@ -80,7 +80,7 @@ func TestWALGroupedCommitAndReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.AttachWAL(WALConfig{Dir: dir, CommitWindow: time.Millisecond}); err != nil {
+	if _, err := db.AttachWAL(WALConfig{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	const writers = 16
@@ -300,24 +300,26 @@ func TestWALBadSubmissionFailsAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A long window so concurrent submissions land in one group.
-	if _, err := db.AttachWAL(WALConfig{Dir: dir, CommitWindow: 50 * time.Millisecond}); err != nil {
+	if _, err := db.AttachWAL(WALConfig{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	defer db.DetachWAL()
+	const writers = 8
+	errs := make([]error, writers)
 	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if i == 3 {
-				_, errs[i] = db.Insert([]float64{1}) // wrong dim
-				return
-			}
-			_, errs[i] = db.Insert([]float64{float64(i), 0})
-		}(i)
-	}
+	holdFlusher(t, db, writers, func() {
+		for i := 0; i < writers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if i == 3 {
+					_, errs[i] = db.Insert([]float64{1}) // wrong dim
+					return
+				}
+				_, errs[i] = db.Insert([]float64{float64(i), 0})
+			}(i)
+		}
+	}, nil)
 	wg.Wait()
 	for i, err := range errs {
 		if i == 3 {
@@ -330,8 +332,44 @@ func TestWALBadSubmissionFailsAlone(t *testing.T) {
 			t.Fatalf("good submission %d failed: %v", i, err)
 		}
 	}
-	if db.Len() != 7 {
-		t.Fatalf("Len = %d, want 7", db.Len())
+	if db.Len() != writers-1 {
+		t.Fatalf("Len = %d, want %d", db.Len(), writers-1)
+	}
+	st, _ := db.WALStats()
+	if st.Batcher.Groups != 2 || st.Batcher.MaxGroup != writers || st.Store.Records != 1 {
+		t.Fatalf("%d groups (max %d) and %d records, want the plug and one group of all %d writers in one record",
+			st.Batcher.Groups, st.Batcher.MaxGroup, st.Store.Records, writers)
+	}
+}
+
+// holdFlusher makes db's next commit group a known one: it parks the flusher
+// in the flush of an empty plug Apply, runs start (which launches n
+// submitters), waits until all n are queued behind the plug, runs whileHeld,
+// and releases the flusher, so the n submissions flush as one group. It
+// returns once the plug is acknowledged.
+func holdFlusher(t *testing.T, db *DB, n int, start, whileHeld func()) {
+	t.Helper()
+	p := db.wal.Load()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	p.preFlush = func() { once.Do(func() { close(entered); <-release }) }
+	plug := make(chan error, 1)
+	go func() { _, _, _, err := db.Apply(nil, nil); plug <- err }()
+	<-entered
+	start()
+	deadline := time.Now().Add(10 * time.Second)
+	for p.batcher.Stats().Pending < n+1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d submissions pending after 10s", p.batcher.Stats().Pending, n+1)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	if whileHeld != nil {
+		whileHeld()
+	}
+	close(release)
+	if err := <-plug; err != nil {
+		t.Fatalf("plug: %v", err)
 	}
 }
 
@@ -496,46 +534,52 @@ func TestWALSecondAttachRefused(t *testing.T) {
 
 // TestWALDetachDrains: DetachWAL must commit every queued submission before
 // returning — the graceful-drain contract prqserved's SIGTERM path relies on.
-// The durability contract, stated race-immune: an Insert acked at epoch E
-// while the wal was attached must be present after a fresh replay that
-// reaches epoch ≥ E. (A racing writer that lands after the detach runs
-// unjournaled and acks at an epoch beyond the log, which the check skips.)
+// Every writer is queued behind a held flush when the detach begins, so each
+// must be acked at an epoch the log holds, and a fresh replay must return its
+// point.
 func TestWALDetachDrains(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(2, walOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.AttachWAL(WALConfig{Dir: dir, CommitWindow: 20 * time.Millisecond}); err != nil {
+	if _, err := db.AttachWAL(WALConfig{Dir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	type ack struct {
 		id    int64
 		epoch uint64
 		val   []float64
+		err   error
 	}
-	var wg sync.WaitGroup
 	const n = 24
 	acks := make(chan ack, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			val := []float64{float64(i), 1}
-			ids, _, epoch, err := db.Apply([][]float64{val}, nil)
-			if err == nil {
-				acks <- ack{id: ids[0], epoch: epoch, val: val}
-			}
-		}(i)
-	}
-	// Detach while writers are in flight: each Apply either committed
-	// durably or returned an error — never a silent loss.
-	time.Sleep(5 * time.Millisecond)
-	if err := db.DetachWAL(); err != nil {
+	p := db.wal.Load()
+	detached := make(chan error, 1)
+	holdFlusher(t, db, n, func() {
+		for i := 0; i < n; i++ {
+			go func(i int) {
+				val := []float64{float64(i), 1}
+				ids, _, epoch, err := db.Apply([][]float64{val}, nil)
+				a := ack{epoch: epoch, val: val, err: err}
+				if err == nil {
+					a.id = ids[0]
+				}
+				acks <- a
+			}(i)
+		}
+	}, func() {
+		go func() { detached <- db.DetachWAL() }()
+		for db.wal.Load() != nil {
+			time.Sleep(50 * time.Microsecond)
+		}
+	})
+	if err := <-detached; err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
-	close(acks)
+	if st := p.batcher.Stats(); st.Groups != 2 || st.MaxGroup != n {
+		t.Fatalf("%d groups (max %d), want the plug and one group of all %d writers", st.Groups, st.MaxGroup, n)
+	}
 
 	db2, err := Open(2, walOpts()...)
 	if err != nil {
@@ -545,10 +589,13 @@ func TestWALDetachDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.DetachWAL()
-	checked := 0
-	for a := range acks {
+	for i := 0; i < n; i++ {
+		a := <-acks
+		if a.err != nil {
+			t.Fatalf("writer queued before the detach failed: %v", a.err)
+		}
 		if a.epoch > db2.Epoch() {
-			continue // acked after detach, outside the log by construction
+			t.Fatalf("insert id %d acked at epoch %d, beyond the replayed log's %d", a.id, a.epoch, db2.Epoch())
 		}
 		p, err := db2.Point(a.id)
 		if err != nil {
@@ -557,9 +604,5 @@ func TestWALDetachDrains(t *testing.T) {
 		if !reflect.DeepEqual(p, a.val) {
 			t.Fatalf("acked insert id %d replayed as %v, want %v", a.id, p, a.val)
 		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("no acked insert fell inside the replayed log; drain untested")
 	}
 }
