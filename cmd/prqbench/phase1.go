@@ -47,10 +47,10 @@ type phase1Build struct {
 const buildAllocsCeiling = 64
 
 // packedBytesPerPointCeiling is the -compare gate on packed_bytes / points
-// (d = 2): a leaf holds a point once (16 B) and its id (8 B), and the node
-// levels add ≈ 2 B a point; leaves that carried bounds and float32 mirrors
-// too read ≈ 74.
-const packedBytesPerPointCeiling = 32
+// (d = 2): a leaf holds a point once (16 B) and its id (4 B), and the node
+// levels add ≈ 2 B a point; eight-byte ids read 26.4, and leaves that
+// carried bounds and float32 mirrors too read ≈ 74.
+const packedBytesPerPointCeiling = 24
 
 // phase1Report is the JSON document written by -json and committed as
 // BENCH_phase1.json.

@@ -160,6 +160,12 @@ func Load(points [][]float64, opts ...Option) (*DB, error) {
 	return &DB{idx: idx, dim: dim, options: o, plans: newPlanCache(o.planCacheSize)}, nil
 }
 
+// ErrIDLimit is the error a point id at or above 2³¹−1 is refused with.
+// LoadWithIDs, ApplyWithIDs, Apply's id assignment, wal replay and Restore
+// check it before anything is sized from the id; the server answers it
+// with a 400.
+var ErrIDLimit = core.ErrIDLimit
+
 // LoadWithIDs bulk-loads points under caller-assigned identifiers: points[i]
 // is stored as id ids[i], and unused identifiers below the maximum become
 // permanent holes. This is how a shard loads its slice of a globally
@@ -186,15 +192,16 @@ func LoadWithIDs(points [][]float64, ids []int64, opts ...Option) (*DB, error) {
 		if id < 0 {
 			return nil, fmt.Errorf("gaussrange: negative point id %d", id)
 		}
+		if id >= core.IDLimit {
+			return nil, fmt.Errorf("gaussrange: point id %d: %w", id, ErrIDLimit)
+		}
 		if id > maxID {
 			maxID = id
 		}
 	}
 	// at[id] is 1 + the input index of id's point; the points go into the
-	// build's block in id order.
-	if len(points) > math.MaxInt32 {
-		return nil, fmt.Errorf("gaussrange: %d points, at most %d", len(points), math.MaxInt32)
-	}
+	// build's block in id order. Unique ids below IDLimit number at most
+	// that many, so every index fits the int32.
 	at := make([]int32, maxID+1)
 	for i, p := range points {
 		if len(p) != dim {

@@ -17,6 +17,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -40,6 +41,16 @@ type Index struct {
 	mu  sync.Mutex // serializes writers; readers never take it
 	cur atomic.Pointer[Snapshot]
 }
+
+// IDLimit bounds the id space: every point id is below it, so an id fits the
+// int32 the packed index and the overlay store it in, and every row of a
+// generation fits its int32 slot. LoadWithIDs, RestoreIndex (Load and
+// Restore) and Stage (Apply, ApplyWithIDs, wal replay) refuse an id at or
+// above it with ErrIDLimit before anything is sized from the id.
+const IDLimit = math.MaxInt32
+
+// ErrIDLimit is the error an id at or above IDLimit is refused with.
+var ErrIDLimit = errors.New("point id not below the id limit 2147483647")
 
 // rebuildThreshold bounds the overlay an epoch may carry before the writer
 // folds it into a fresh base: large enough to amortize the O(n log n) rebuild
@@ -93,6 +104,9 @@ func RestoreIndex(ids []int64, coords []float64, maxID int, epoch uint64, dim in
 		live = len(coords) / dim
 		prev = int64(live - 1)
 	}
+	if maxID > IDLimit {
+		return nil, fmt.Errorf("core: max id %d: %w", maxID, ErrIDLimit)
+	}
 	if prev >= int64(maxID) {
 		return nil, fmt.Errorf("core: %d points but max id %d", live, maxID)
 	}
@@ -116,12 +130,8 @@ func RestoreIndex(ids []int64, coords []float64, maxID int, epoch uint64, dim in
 // below maxID — and returns it with the generation's slot table, built from
 // leaf order. A generation keeps one copy of its coordinates — the packed
 // leaf block — in one allocation, and holds on to nothing of the generation
-// before it or of coords. A slot is an int32, so a generation holds at most
-// math.MaxInt32 points.
+// before it or of coords. maxID ≤ IDLimit, so every slot fits its int32.
 func newGeneration(ids []int64, coords []float64, maxID, dim int, opts []rtree.Option) (*rtree.Packed, []int32, error) {
-	if n := len(coords) / max(dim, 1); n > math.MaxInt32 {
-		return nil, nil, fmt.Errorf("core: %d points in one generation, at most %d", n, math.MaxInt32)
-	}
 	packed, err := rtree.BuildPackedFlat(coords, ids, dim, opts...)
 	if err != nil {
 		return nil, nil, err
@@ -252,8 +262,17 @@ func (ix *Index) Stage(inserts []vecmat.Vector, insertIDs []int64, deletes []int
 	cur := ix.cur.Load()
 
 	// Explicit ids are validated under the lock against the live MaxID so the
-	// whole batch is rejected before any state changes.
+	// whole batch is rejected before any state changes; sequential ones run
+	// from MaxID. Every id stays below IDLimit, and so does every row.
+	if insertIDs == nil && len(cur.slot)+len(inserts) > IDLimit {
+		ix.mu.Unlock()
+		return nil, fmt.Errorf("core: %d inserts from max id %d: %w", len(inserts), len(cur.slot), ErrIDLimit)
+	}
 	for i, id := range insertIDs {
+		if id >= IDLimit {
+			ix.mu.Unlock()
+			return nil, fmt.Errorf("core: insert id %d: %w", id, ErrIDLimit)
+		}
 		if id < int64(len(cur.slot)) {
 			ix.mu.Unlock()
 			return nil, fmt.Errorf("core: insert id %d below max id %d (ids are never reused)", id, len(cur.slot))
@@ -262,12 +281,6 @@ func (ix *Index) Stage(inserts []vecmat.Vector, insertIDs []int64, deletes []int
 			ix.mu.Unlock()
 			return nil, fmt.Errorf("core: insert ids not strictly increasing: %d after %d", id, insertIDs[i-1])
 		}
-	}
-
-	// An overlay slot is the base length plus its ovl row, an int32.
-	if rows := cur.base.Len() + len(cur.mem) + len(inserts); rows > math.MaxInt32 {
-		ix.mu.Unlock()
-		return nil, fmt.Errorf("core: %d points in one generation, at most %d", rows, math.MaxInt32)
 	}
 
 	deleted := make([]bool, len(deletes))
@@ -335,7 +348,7 @@ func (ix *Index) Stage(inserts []vecmat.Vector, insertIDs []int64, deletes []int
 			}
 			next.slot = append(next.slot, int32(next.base.Len()+len(next.mem)))
 			next.ovl = append(next.ovl, p...)
-			next.mem = append(next.mem, id)
+			next.mem = append(next.mem, int32(id))
 			ids[i] = id
 		}
 		next.live += len(inserts)

@@ -74,8 +74,8 @@ rows:
 				continue rows
 			}
 		}
-		if !tombstoned(snap.dead, id) {
-			ids = append(ids, id)
+		if !tombstoned(snap.dead, int64(id)) {
+			ids = append(ids, int64(id))
 		}
 	}
 	return ids

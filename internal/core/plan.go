@@ -358,16 +358,16 @@ func (p *Plan) filterPhasesFused(snap *Snapshot, s *phase2State) error {
 	st := &s.st
 	t0 := time.Now()
 	d, dead, box := snap.dim, snap.dead, p.searchBox
-	leaf := func(ids []int64, pts []float64) bool {
+	leaf := func(ids []int32, pts []float64) bool {
 		if p.hull != nil {
 			p.hullLeaf(s, dead, ids, pts)
 			return true
 		}
 		for j, id := range ids {
 			o := pts[j*d : j*d+d : j*d+d]
-			if box.Contains(o) && !tombstoned(dead, id) {
+			if box.Contains(o) && !tombstoned(dead, int64(id)) {
 				st.Retrieved++
-				p.filterOne(s, id, o)
+				p.filterOne(s, int64(id), o)
 			}
 		}
 		return true
@@ -383,7 +383,7 @@ func (p *Plan) filterPhasesFused(snap *Snapshot, s *phase2State) error {
 	st.OverlayScanned += len(snap.mem)
 	s.rows = snap.overlayRows(box, s.rows[:0])
 	for _, row := range s.rows {
-		if id := snap.mem[row]; !tombstoned(dead, id) {
+		if id := int64(snap.mem[row]); !tombstoned(dead, id) {
 			st.Retrieved++
 			p.filterOne(s, id, snap.overlayPoint(int(row)))
 		}
@@ -395,7 +395,7 @@ func (p *Plan) filterPhasesFused(snap *Snapshot, s *phase2State) error {
 // hullLeaf is a hull plan's leaf loop (a hull is built for d = 2 only): the
 // rect test, the tombstone test and the hull's verdict inline over one
 // point block — Rect.Contains and filterOne's decisions, in their order.
-func (p *Plan) hullLeaf(s *phase2State, dead []uint64, ids []int64, pts []float64) {
+func (p *Plan) hullLeaf(s *phase2State, dead []uint64, ids []int32, pts []float64) {
 	h := p.hull
 	x0, x1 := p.searchBox.Lo[0], p.searchBox.Hi[0]
 	y0, y1 := p.searchBox.Lo[1], p.searchBox.Hi[1]
@@ -403,11 +403,11 @@ func (p *Plan) hullLeaf(s *phase2State, dead []uint64, ids []int64, pts []float6
 	pts = pts[:2*len(ids)]
 	for j, id := range ids {
 		x, y := pts[2*j], pts[2*j+1]
-		if x < x0 || x > x1 || y < y0 || y > y1 || tombstoned(dead, id) {
+		if x < x0 || x > x1 || y < y0 || y > y1 || tombstoned(dead, int64(id)) {
 			continue
 		}
 		s.st.Retrieved++
-		s.takeHull(id, h.classify(x-qx, y-qy))
+		s.takeHull(int64(id), h.classify(x-qx, y-qy))
 	}
 }
 

@@ -44,7 +44,7 @@ type Snapshot struct {
 	base  *rtree.Packed
 	slot  []int32   // id-indexed: leaf position, base length + ovl row, or −1
 	ovl   []float64 // overlay insert coordinates, row-major; row i is mem[i]'s
-	mem   []int64   // ids inserted after the base was built (ascending)
+	mem   []int32   // ids inserted after the base was built (ascending)
 	byX   []int32   // ovl rows ordered by axis 0, see above
 	dead  []uint64  // tombstone bitset, see above
 	ndead int       // ids set in dead
@@ -143,7 +143,7 @@ func (s *Snapshot) SearchRect(r geom.Rect) ([]int64, error) {
 		ids = kept
 	}
 	for _, row := range s.overlayRows(r, nil) {
-		if id := s.mem[row]; !tombstoned(s.dead, id) {
+		if id := int64(s.mem[row]); !tombstoned(s.dead, id) {
 			ids = append(ids, id)
 		}
 	}
@@ -232,7 +232,8 @@ func (s *Snapshot) SearchSphere(center vecmat.Vector, radius float64, fn func(id
 		return err
 	}
 	r2 := radius * radius
-	for i, id := range s.mem {
+	for i, id32 := range s.mem {
+		id := int64(id32)
 		if tombstoned(s.dead, id) {
 			continue
 		}
@@ -268,7 +269,8 @@ func (s *Snapshot) NearestNeighbors(p vecmat.Vector, k int) ([]rtree.Neighbor, e
 	// out[nb:] holds the k nearest overlay inserts so far; once full, it is
 	// a max-heap with the farthest at its root.
 	nb := len(out)
-	for i, id := range s.mem {
+	for i, id32 := range s.mem {
+		id := int64(id32)
 		if tombstoned(s.dead, id) {
 			continue
 		}

@@ -30,7 +30,8 @@ func BuildPacked(points []vecmat.Vector, ids []int64, dim int, opts ...Option) (
 // square leaf regions, the standard way to materialize a dataset like the
 // experiments' TIGER point set before issuing queries. coords holds the
 // points row-major — point i at [i·dim, (i+1)·dim) — and is read, not
-// retained; point i's id is ids[i], or i when ids is nil. The build works on
+// retained; point i's id is ids[i], or i when ids is nil, and must fit an
+// int32: the index stores its ids in four bytes. The build works on
 // the flat coordinates and an int32 permutation and fills the level-order
 // arrays directly — no pointer tree is made; Unpack derives one for the
 // callers that still want it. It runs on up to runtime.GOMAXPROCS(0)
@@ -42,6 +43,11 @@ func BuildPackedFlat(coords []float64, ids []int64, dim int, opts ...Option) (*P
 	}
 	if len(coords)%dim != 0 || ids != nil && len(coords) != len(ids)*dim {
 		return nil, fmt.Errorf("%w: %d coordinates for %d ids of dim %d", ErrDimension, len(coords), len(ids), dim)
+	}
+	for i, id := range ids {
+		if id != int64(int32(id)) {
+			return nil, fmt.Errorf("rtree: point %d's id %d does not fit an int32", i, id)
+		}
 	}
 	for o, v := range coords {
 		if v-v != 0 { // NaN or ±Inf

@@ -242,6 +242,11 @@ func TestBuildPackedRejectsBadInput(t *testing.T) {
 	if _, err := BuildPacked(ok, []int64{0, 1}, 2, WithPageSize(8)); err == nil {
 		t.Error("page size 8 accepted")
 	}
+	for _, id := range []int64{math.MaxInt32 + 1, math.MinInt32 - 1} {
+		if _, err := BuildPacked(ok, []int64{0, id}, 2); err == nil {
+			t.Errorf("id %d, which does not fit the int32 leaf id, accepted", id)
+		}
+	}
 }
 
 // TestPartitionSTRMatchesReference: the typed key sort must cut the same

@@ -21,10 +21,13 @@ import (
 //     round-to-nearest float32 mirror of both and a per-axis worst-case
 //     rounding error — the certificate that lets searches decide most node
 //     entries 8-wide in float32 and recheck only the straddling band in
-//     float64 (see packed_search.go) — and the child node index as int32;
-//   - leaf entries, e ≥ leafBase: the data id as int64 and the point in one
-//     row-major []float64 block. A point is its own bounding box, so it is
-//     stored once and searches test it exactly in float64.
+//     float64 (see packed_search.go). No child index is stored: level order
+//     enumerates children in exactly the order parents enumerate their
+//     entries, so node entry e's child is node e+1;
+//   - leaf entries, e ≥ leafBase: the data id as int32 (BuildPackedFlat
+//     refuses one that does not fit) and the point in one row-major
+//     []float64 block. A point is its own bounding box, so it is stored once
+//     and searches test it exactly in float64.
 //
 // A Packed never mutates and carries no counters, so any number of searches
 // may share it; per-search accounting is returned to the caller instead of
@@ -50,11 +53,9 @@ type Packed struct {
 	lo32, hi32 [][]float32
 	errs       []float64
 
-	// child[e] is the packed node index of node entry e.
-	child []int32
 	// ids[e-leafBase] is the data id of leaf entry e, and its point is
 	// pts[(e-leafBase)*dim : (e-leafBase+1)*dim].
-	ids []int64
+	ids []int32
 	pts []float64
 }
 
@@ -78,17 +79,14 @@ func newPacked(dim, nodes, total, leafTotal int) *Packed {
 		p.hi32[a], f32 = f32[:inner:inner], f32[inner:]
 	}
 	p.errs = make([]float64, dim)
-	p.child = make([]int32, inner)
-	p.ids = make([]int64, leafTotal)
+	p.ids = make([]int32, leafTotal)
 	p.pts = make([]float64, leafTotal*dim)
 	return p
 }
 
-// setNode writes node entry e: its bounds with their float32 mirrors, and
-// its child index. errs (one per axis) is widened to cover the mirrors'
-// rounding errors; the caller folds it into p.errs. Level order enumerates
-// children in exactly the order parents enumerate their entries, so node
-// entry e's child is node e+1.
+// setNode writes node entry e: its bounds with their float32 mirrors. errs
+// (one per axis) is widened to cover the mirrors' rounding errors; the
+// caller folds it into p.errs.
 func (p *Packed) setNode(e int, lo, hi, errs []float64) {
 	for a := 0; a < p.dim; a++ {
 		l, h := lo[a], hi[a]
@@ -97,12 +95,12 @@ func (p *Packed) setNode(e int, lo, hi, errs []float64) {
 		p.lo32[a][e], p.hi32[a][e] = l32, h32
 		errs[a] = max(errs[a], math.Abs(float64(l32)-l), math.Abs(float64(h32)-h))
 	}
-	p.child[e] = int32(e + 1)
 }
 
-// setLeaf writes leaf entry j (entry leafBase+j): a data id and its point.
+// setLeaf writes leaf entry j (entry leafBase+j): a data id, which the
+// caller has checked fits an int32, and its point.
 func (p *Packed) setLeaf(j int, id int64, pt []float64) {
-	p.ids[j] = id
+	p.ids[j] = int32(id)
 	copy(p.pts[j*p.dim:(j+1)*p.dim], pt)
 }
 
@@ -188,7 +186,7 @@ func Unpack(p *Packed) *Tree {
 				for a := 0; a < dim; a++ {
 					ent.Rect.Lo[a], ent.Rect.Hi[a] = p.lo[a][e], p.hi[a][e]
 				}
-				ent.child = &nodes[p.child[e]]
+				ent.child = &nodes[e+1]
 				ent.child.parent, ent.child.level = n, n.level-1
 			} else {
 				// A leaf entry is its point: a degenerate rect.
@@ -216,7 +214,7 @@ func (p *Packed) NumNodes() int { return len(p.start) - 1 }
 // written for the life of p, and the caller must not write it either.
 func (p *Packed) Leaf(j int) (id int64, pt []float64) {
 	o := j * p.dim
-	return p.ids[j], p.pts[o : o+p.dim : o+p.dim]
+	return int64(p.ids[j]), p.pts[o : o+p.dim : o+p.dim]
 }
 
 // Bytes returns the size of every array the index holds, the per-axis
@@ -228,6 +226,6 @@ func (p *Packed) Bytes() int {
 	for a := 0; a < p.dim; a++ {
 		total += (len(p.lo[a])+len(p.hi[a]))*8 + (len(p.lo32[a])+len(p.hi32[a]))*4
 	}
-	total += len(p.child)*4 + len(p.ids)*8 + len(p.pts)*8
+	total += len(p.ids)*4 + len(p.pts)*8
 	return total
 }

@@ -96,13 +96,13 @@ func FuzzPackedSearch(f *testing.F) {
 		// give the same ids in the same order and the same counts.
 		var stL SearchStats
 		var gotL []int64
-		if err := p.SearchRectLeaves(q, func(ids []int64, pts []float64) bool {
+		if err := p.SearchRectLeaves(q, func(ids []int32, pts []float64) bool {
 			if len(pts) != len(ids)*dim {
 				t.Fatalf("leaf: %d ids, %d coordinates", len(ids), len(pts))
 			}
 			for j, id := range ids {
 				if q.Contains(pts[j*dim : (j+1)*dim]) {
-					gotL = append(gotL, id)
+					gotL = append(gotL, int64(id))
 				}
 			}
 			return true

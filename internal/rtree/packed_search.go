@@ -179,9 +179,10 @@ func (p *Packed) rectIntersects(e int32, q geom.Rect) bool {
 }
 
 // LeafVisitor receives one leaf the rect walk reached, its points untested:
-// its ids and their row-major point block, windows on the packed arrays
-// (valid for the life of the Packed; do not mutate). False stops the walk.
-type LeafVisitor func(ids []int64, pts []float64) bool
+// its ids, as the index stores them, and their row-major point block,
+// windows on the packed arrays (valid for the life of the Packed; do not
+// mutate). False stops the walk.
+type LeafVisitor func(ids []int32, pts []float64) bool
 
 // SearchRectLeaves is the one rect walk: it descends into every node entry
 // whose rectangle intersects query, in exactly the pointer tree's DFS order,
@@ -224,7 +225,7 @@ func (p *Packed) searchRectNode(ni int32, depth int, ctx *rectCtx, fn LeafVisito
 				continue
 			}
 		}
-		if !p.searchRectNode(p.child[idx], depth+1, ctx, fn) {
+		if !p.searchRectNode(idx+1, depth+1, ctx, fn) {
 			return false
 		}
 	}
@@ -239,10 +240,10 @@ func (p *Packed) searchRectNode(ni int32, depth int, ctx *rectCtx, fn LeafVisito
 // st may be nil.
 func (p *Packed) SearchRect(query geom.Rect, fn PointVisitor, st *SearchStats) error {
 	d := p.dim
-	return p.SearchRectLeaves(query, func(ids []int64, pts []float64) bool {
+	return p.SearchRectLeaves(query, func(ids []int32, pts []float64) bool {
 		for j, id := range ids {
 			pt := pts[j*d : (j+1)*d : (j+1)*d]
-			if query.Contains(pt) && !fn(id, pt) {
+			if query.Contains(pt) && !fn(int64(id), pt) {
 				return false
 			}
 		}
@@ -302,7 +303,7 @@ func (p *Packed) searchSphereNode(ni int32, center vecmat.Vector, r2 float64, fn
 			if pointDist2(pt, center) > r2 { // not ≤: a NaN r² keeps the point, as in the pointer tree
 				continue
 			}
-			if !fn(p.ids[j], pt) {
+			if !fn(int64(p.ids[j]), pt) {
 				return false
 			}
 		}
@@ -330,7 +331,7 @@ func (p *Packed) searchSphereNode(ni int32, center vecmat.Vector, r2 float64, fn
 		if p.rectDist2(idx, center) > r2 {
 			continue
 		}
-		if !p.searchSphereNode(p.child[idx], center, r2, fn, st) {
+		if !p.searchSphereNode(idx+1, center, r2, fn, st) {
 			return false
 		}
 	}
@@ -382,7 +383,7 @@ type Neighbor struct {
 // rectDist2) or a data point (node < 0, its pointDist2).
 type nnItem struct {
 	dist2 float64
-	id    int64
+	id    int32
 	node  int32
 }
 
@@ -510,7 +511,7 @@ func (p *Packed) NearestNeighbors(pt vecmat.Vector, k int) ([]Neighbor, error) {
 	for len(q) > 0 && len(out) < k {
 		it := q.pop()
 		if it.node < 0 {
-			out = append(out, Neighbor{ID: it.id, Dist2: it.dist2})
+			out = append(out, Neighbor{ID: int64(it.id), Dist2: it.dist2})
 			continue
 		}
 		s, e := p.start[it.node], p.start[it.node+1]
@@ -525,7 +526,7 @@ func (p *Packed) NearestNeighbors(pt vecmat.Vector, k int) ([]Neighbor, error) {
 		}
 		for idx := s; idx < e; idx++ {
 			if d2 := p.rectDist2(idx, pt); len(best) < kk || d2 <= best[0].dist2 {
-				q.push(nnItem{dist2: d2, node: p.child[idx]})
+				q.push(nnItem{dist2: d2, node: idx + 1})
 			}
 		}
 	}

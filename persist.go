@@ -124,9 +124,11 @@ func Restore(r io.Reader, opts ...Option) (*DB, error) {
 	if epoch == 0 {
 		return nil, errors.New("gaussrange: snapshot epoch 0 (epochs start at 1)")
 	}
-	const maxPoints = 1 << 33
-	if slots > maxPoints || live > slots {
-		return nil, fmt.Errorf("gaussrange: snapshot claims %d live of %d ids (limit %d)", live, slots, int64(maxPoints))
+	if slots > core.IDLimit {
+		return nil, fmt.Errorf("gaussrange: snapshot claims %d ids: %w", slots, ErrIDLimit)
+	}
+	if live > slots {
+		return nil, fmt.Errorf("gaussrange: snapshot claims %d live of %d ids", live, slots)
 	}
 
 	// The header's counts are trusted only once the checksum is: the live

@@ -118,6 +118,9 @@ func TestMutationEndpointValidation(t *testing.T) {
 	if resp := post("/v1/points", server.InsertPointsRequest{Points: [][]float64{{1, 2, 3}}}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("wrong-dimension insert: status %d, want 400", resp.StatusCode)
 	}
+	if resp := post("/v1/points", server.InsertPointsRequest{Points: [][]float64{{1, 2}}, IDs: []int64{1<<31 - 1}}); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("insert id at the id limit: status %d, want 400", resp.StatusCode)
+	}
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/points/notanumber", nil)
 	resp, err := http.DefaultClient.Do(req)

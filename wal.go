@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"gaussrange/internal/core"
 	"gaussrange/internal/vecmat"
 	"gaussrange/internal/wal"
 )
@@ -305,7 +306,13 @@ func validateSubmission(dim int, s *wal.Submission, nextID int64) error {
 			return fmt.Errorf("core: insert %d: non-finite point %v", i, vecmat.Vector(pt))
 		}
 	}
+	if s.InsertIDs == nil && nextID+int64(len(s.Inserts)) > core.IDLimit {
+		return fmt.Errorf("gaussrange: %d inserts from max id %d: %w", len(s.Inserts), nextID, ErrIDLimit)
+	}
 	for i, id := range s.InsertIDs {
+		if id >= core.IDLimit {
+			return fmt.Errorf("gaussrange: insert id %d: %w", id, ErrIDLimit)
+		}
 		if id < nextID {
 			return fmt.Errorf("core: insert id %d below max id %d (ids are never reused)", id, nextID)
 		}
