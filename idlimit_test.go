@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"runtime"
 	"testing"
@@ -115,10 +116,64 @@ func TestIDLimitRefused(t *testing.T) {
 	}
 }
 
+// TestFarIDsSizeNothing: an id below the limit but far past every other
+// sizes nothing — no table is indexed by id, and a delete batch's tombstone
+// copy is sized by the highest id it deletes. After a two-point Load,
+// inserting id 2^27 and then deleting id 0 each allocate under 1 MiB (the
+// first took 2.9 GB while a −1-padded id table was indexed by id), and a
+// checksum-valid snapshot that claims 2^31 − 1 ids and holds none restores
+// under 1 MiB (8 GiB with the table).
+func TestFarIDsSizeNothing(t *testing.T) {
+	const far = 1 << 27
+	under1MiB := func(what string, call func() error) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := call()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s allocated %d B, want < 1 MiB", what, n)
+		}
+	}
+	db := mustLoadRaw(t, [][]float64{{0, 0}, {1, 1}})
+	under1MiB("ApplyWithIDs of id 2^27", func() error {
+		_, _, err := db.ApplyWithIDs([][]float64{{2, 2}}, []int64{far}, nil)
+		return err
+	})
+	under1MiB("deleting id 0 after it", func() error {
+		if ok, err := db.Delete(0); err != nil || !ok {
+			return fmt.Errorf("Delete(0) = %v, %v", ok, err)
+		}
+		return nil
+	})
+	if p, err := db.Point(far); err != nil || p[0] != 2 || db.MaxID() != far+1 || db.Len() != 2 {
+		t.Errorf("after the far insert: Point %v, %v; MaxID %d; Len %d", p, err, db.MaxID(), db.Len())
+	}
+	if _, err := db.Point(far - 1); err == nil {
+		t.Error("a skipped id has a point")
+	}
+
+	var restored *DB
+	under1MiB("Restore of an empty snapshot claiming 2^31 − 1 ids", func() error {
+		var err error
+		restored, err = Restore(bytes.NewReader(snapshotHeader(2, core.IDLimit)))
+		return err
+	})
+	if restored.MaxID() != core.IDLimit || restored.Len() != 0 {
+		t.Errorf("restored MaxID %d, Len %d; want %d and 0", restored.MaxID(), restored.Len(), core.IDLimit)
+	}
+	if _, err := restored.Insert([]float64{1, 1}); !errors.Is(err, ErrIDLimit) {
+		t.Errorf("insert into a full id space: got %v, want ErrIDLimit", err)
+	}
+}
+
 // TestRestoreAtIDLimit: an id space of exactly the limit passes the header
 // check (its ids are all below it), so the bound refuses nothing it should
-// hold. Only the header is checked here: the live records that follow are
-// absent, so Restore stops at the first one without sizing the table.
+// hold. Here the header claims one live record, which is absent, so Restore
+// stops at it.
 func TestRestoreAtIDLimit(t *testing.T) {
 	hdr := snapshotHeader(2, core.IDLimit)
 	hdr = binary.LittleEndian.AppendUint64(hdr[:26], 1) // one live record, missing

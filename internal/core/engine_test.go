@@ -120,7 +120,7 @@ func removeBoundary(t *testing.T, e *Engine, q Query, ids []int64, tol float64) 
 	ev := NewExactEvaluator()
 	out := ids[:0:0]
 	for _, id := range ids {
-		p, err := ev.Qualification(q.Dist, e.idx.Current().point(id), q.Delta)
+		p, err := ev.Qualification(q.Dist, mustPoint(t, e.idx.Current(), id), q.Delta)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -119,24 +119,31 @@ func (h *HeteroIndex) SearchCtx(ctx context.Context, q Query) (*HeteroResult, er
 	if err != nil {
 		return nil, err
 	}
-	candidates, err := h.idx.SearchRect(box)
+	type candidate struct {
+		id int64
+		o  vecmat.Vector
+	}
+	var candidates []candidate
+	err = h.idx.Current().searchRect(box, func(id int64, o vecmat.Vector) {
+		candidates = append(candidates, candidate{id, o})
+	})
 	if err != nil {
 		return nil, err
 	}
 
 	res := &HeteroResult{Retrieved: len(candidates)}
 	done := ctx.Done()
-	for _, id := range candidates {
+	for _, c := range candidates {
 		if stopped(done) {
 			return nil, ctx.Err()
 		}
-		p, err := h.Qualification(q, id)
+		p, err := h.qualification(q, c.id, c.o)
 		if err != nil {
 			return nil, err
 		}
 		res.Integrations++
 		if p >= q.Theta {
-			res.IDs = append(res.IDs, id)
+			res.IDs = append(res.IDs, c.id)
 		}
 	}
 	sortIDs(res.IDs)
@@ -151,8 +158,14 @@ func (h *HeteroIndex) Qualification(q Query, id int64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return h.qualification(q, id, o)
+}
+
+// qualification is Qualification for object id at o.
+func (h *HeteroIndex) qualification(q Query, id int64, o vecmat.Vector) (float64, error) {
 	cov := q.Dist.Cov()
 	if oc := h.covs[id]; oc != nil {
+		var err error
 		cov, err = cov.Add(oc)
 		if err != nil {
 			return 0, err

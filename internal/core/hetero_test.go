@@ -61,7 +61,9 @@ func TestNewHeteroIndexValidation(t *testing.T) {
 }
 
 // The central invariant: the indexed search returns exactly the brute-force
-// answer set for mixed exact/uncertain targets.
+// answer set for mixed exact/uncertain targets. Search takes each
+// candidate's point from the rect walk, so it builds no by-id index
+// (BruteForce, a by-id reader, does).
 func TestHeteroNoLostAnswers(t *testing.T) {
 	rng := rand.New(rand.NewSource(401))
 	h := randomHetero(t, rng, 3000, 2, 500)
@@ -75,11 +77,14 @@ func TestHeteroNoLostAnswers(t *testing.T) {
 			t.Fatal(err)
 		}
 		q := Query{Dist: g, Delta: 10 + rng.Float64()*20, Theta: 0.02 + rng.Float64()*0.2}
-		want, err := h.BruteForce(q)
+		got, err := h.Search(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := h.Search(q)
+		if trial == 0 && h.idx.Current().byID.rows != nil {
+			t.Fatal("Search built the by-id index")
+		}
+		want, err := h.BruteForce(q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,29 +1,23 @@
-//go:build !race
-
 package core
 
 import (
 	"errors"
 	"testing"
-	"unsafe"
 
 	"gaussrange/internal/vecmat"
 )
 
 // TestStageIDLimit: Stage refuses ids at or above IDLimit, sequential ones
-// counted from MaxID and explicit ones, with ErrIDLimit before it appends a
-// slot, and releases the writer mutex. The MaxID at the limit is a slot
-// table header over one real slot, which a refusal never reads past; -race's
-// pointer checks refuse such a header, so this file builds without -race.
+// counted from MaxID and explicit ones, with ErrIDLimit before it changes
+// anything, and releases the writer mutex.
 func TestStageIDLimit(t *testing.T) {
 	ix, err := NewDynamicIndex(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cur := ix.Current()
-	one := []int32{-1}
 	full := *cur
-	full.slot = unsafe.Slice(&one[0], IDLimit)
+	full.maxID = IDLimit
 	ix.cur.Store(&full)
 	if _, err := ix.Stage([]vecmat.Vector{{1, 2}}, nil, nil); !errors.Is(err, ErrIDLimit) {
 		t.Fatalf("sequential insert at MaxID %d: got %v, want ErrIDLimit", IDLimit, err)

@@ -23,7 +23,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"gaussrange/internal/geom"
 	"gaussrange/internal/rtree"
 	"gaussrange/internal/vecmat"
 )
@@ -43,10 +42,10 @@ type Index struct {
 }
 
 // IDLimit bounds the id space: every point id is below it, so an id fits the
-// int32 the packed index and the overlay store it in, and every row of a
-// generation fits its int32 slot. LoadWithIDs, RestoreIndex (Load and
-// Restore) and Stage (Apply, ApplyWithIDs, wal replay) refuse an id at or
-// above it with ErrIDLimit before anything is sized from the id.
+// int32 the packed index and the overlay store it in, and so does every row
+// of a generation. LoadWithIDs, RestoreIndex (Load and Restore) and Stage
+// (Apply, ApplyWithIDs, wal replay) refuse an id at or above it with
+// ErrIDLimit before anything is sized from the id.
 const IDLimit = math.MaxInt32
 
 // ErrIDLimit is the error an id at or above IDLimit is refused with.
@@ -116,35 +115,13 @@ func RestoreIndex(ids []int64, coords []float64, maxID int, epoch uint64, dim in
 		}
 		prev = id
 	}
-	b, slot, err := newGeneration(ids, coords, maxID, dim, opts)
+	b, err := rtree.BuildPackedFlat(coords, ids, nil, dim, opts...)
 	if err != nil {
 		return nil, err
 	}
 	ix := &Index{dim: dim, opts: opts}
-	ix.cur.Store(&Snapshot{base: b, slot: slot, live: live, dim: dim, epoch: epoch})
+	ix.cur.Store(&Snapshot{base: b, byID: new(idIndex), maxID: int64(maxID), baseMax: int64(maxID), live: live, dim: dim, epoch: epoch})
 	return ix, nil
-}
-
-// newGeneration STR-builds a base over the live points — point i at
-// coords[i·dim:(i+1)·dim] under ids[i] (or i), ids strictly increasing and
-// below maxID — and returns it with the generation's slot table, built from
-// leaf order. A generation keeps one copy of its coordinates — the packed
-// leaf block — in one allocation, and holds on to nothing of the generation
-// before it or of coords. maxID ≤ IDLimit, so every slot fits its int32.
-func newGeneration(ids []int64, coords []float64, maxID, dim int, opts []rtree.Option) (*rtree.Packed, []int32, error) {
-	packed, err := rtree.BuildPackedFlat(coords, ids, dim, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	slot := make([]int32, maxID)
-	for id := range slot {
-		slot[id] = -1
-	}
-	for j := 0; j < packed.Len(); j++ {
-		id, _ := packed.Leaf(j)
-		slot[id] = int32(j)
-	}
-	return packed, slot, nil
 }
 
 // Current pins the current snapshot: an immutable view of the latest
@@ -165,11 +142,6 @@ func (ix *Index) Dim() int { return ix.dim }
 // epoch. The caller must not mutate the result.
 func (ix *Index) Point(id int64) (vecmat.Vector, error) {
 	return ix.Current().Point(id)
-}
-
-// SearchRect returns the identifiers of live points inside the rectangle.
-func (ix *Index) SearchRect(r geom.Rect) ([]int64, error) {
-	return ix.Current().SearchRect(r)
 }
 
 // NearestNeighbors returns the k nearest live point identifiers to p,
@@ -264,18 +236,18 @@ func (ix *Index) Stage(inserts []vecmat.Vector, insertIDs []int64, deletes []int
 	// Explicit ids are validated under the lock against the live MaxID so the
 	// whole batch is rejected before any state changes; sequential ones run
 	// from MaxID. Every id stays below IDLimit, and so does every row.
-	if insertIDs == nil && len(cur.slot)+len(inserts) > IDLimit {
+	if insertIDs == nil && cur.maxID+int64(len(inserts)) > IDLimit {
 		ix.mu.Unlock()
-		return nil, fmt.Errorf("core: %d inserts from max id %d: %w", len(inserts), len(cur.slot), ErrIDLimit)
+		return nil, fmt.Errorf("core: %d inserts from max id %d: %w", len(inserts), cur.maxID, ErrIDLimit)
 	}
 	for i, id := range insertIDs {
 		if id >= IDLimit {
 			ix.mu.Unlock()
 			return nil, fmt.Errorf("core: insert id %d: %w", id, ErrIDLimit)
 		}
-		if id < int64(len(cur.slot)) {
+		if id < cur.maxID {
 			ix.mu.Unlock()
-			return nil, fmt.Errorf("core: insert id %d below max id %d (ids are never reused)", id, len(cur.slot))
+			return nil, fmt.Errorf("core: insert id %d below max id %d (ids are never reused)", id, cur.maxID)
 		}
 		if i > 0 && id <= insertIDs[i-1] {
 			ix.mu.Unlock()
@@ -284,11 +256,12 @@ func (ix *Index) Stage(inserts []vecmat.Vector, insertIDs []int64, deletes []int
 	}
 
 	deleted := make([]bool, len(deletes))
-	effective := 0
+	effective, maxDeleted := 0, int64(0)
 	for i, id := range deletes {
 		if cur.Alive(id) && !containsID(deletes[:i], id) {
 			deleted[i] = true
 			effective++
+			maxDeleted = max(maxDeleted, id)
 		}
 	}
 	if len(inserts) == 0 && effective == 0 {
@@ -297,29 +270,30 @@ func (ix *Index) Stage(inserts []vecmat.Vector, insertIDs []int64, deletes []int
 
 	next := &Snapshot{
 		base:      cur.base,
-		slot:      cur.slot,
+		byID:      cur.byID,
 		ovl:       cur.ovl,
 		mem:       cur.mem,
 		byX:       cur.byX,
 		dead:      cur.dead,
 		ndead:     cur.ndead,
 		ndeadBase: cur.ndeadBase,
+		maxID:     cur.maxID,
+		baseMax:   cur.baseMax,
 		live:      cur.live,
 		dim:       cur.dim,
 		epoch:     cur.epoch + 1,
 	}
 
 	if effective > 0 {
-		// Copy-on-write of the tombstone bitset: one bit per id below MaxID
-		// (MaxID/8 bytes a delete batch), so older epochs keep their exact
-		// view and a discarded stage leaves nothing behind.
-		dead := make([]uint64, (len(cur.slot)+63)/64)
+		// Copy-on-write of the tombstone bitset, one bit per id up to the
+		// highest id deleted so far, so older epochs keep their exact view
+		// and a discarded stage leaves nothing behind.
+		dead := make([]uint64, max(len(cur.dead), int(maxDeleted>>6)+1))
 		copy(dead, cur.dead)
-		n := int32(cur.base.Len())
 		for i, id := range deletes {
 			if deleted[i] {
 				dead[id>>6] |= 1 << (id & 63)
-				if cur.slot[id] < n {
+				if id < cur.baseMax {
 					next.ndeadBase++
 				}
 			}
@@ -331,24 +305,21 @@ func (ix *Index) Stage(inserts []vecmat.Vector, insertIDs []int64, deletes []int
 
 	var ids []int64
 	if len(inserts) > 0 {
-		// slot, ovl and mem are append-only between rebuilds: older
-		// snapshots hold shorter headers and never read past them, so
-		// appending under the writer mutex is safe without copying. Explicit
-		// ids pad −1 holes up to their position. A Discarded stage's appends
-		// are harmlessly overwritten by the next Stage — no published
-		// snapshot reads past its own header length.
+		// ovl and mem are append-only between rebuilds: older snapshots
+		// hold shorter headers and never read past them, so appending under
+		// the writer mutex is safe without copying. The ids an explicit-id
+		// insert skips are holes: no row holds them. A Discarded stage's
+		// appends are harmlessly overwritten by the next Stage — no
+		// published snapshot reads past its own header length.
 		ids = make([]int64, len(inserts))
 		for i, p := range inserts {
-			id := int64(len(next.slot))
+			id := next.maxID
 			if insertIDs != nil {
 				id = insertIDs[i]
-				for int64(len(next.slot)) < id {
-					next.slot = append(next.slot, -1)
-				}
 			}
-			next.slot = append(next.slot, int32(next.base.Len()+len(next.mem)))
 			next.ovl = append(next.ovl, p...)
 			next.mem = append(next.mem, int32(id))
+			next.maxID = id + 1
 			ids[i] = id
 		}
 		next.live += len(inserts)
@@ -386,24 +357,26 @@ func (s *Staged) Discard() {
 }
 
 // rebuildSnapshot folds next's overlay into a freshly built base in place,
-// clearing the overlay. The live points are gathered through the slots, in
-// id order, into the one block the build reads; the new generation's slot
-// table and (empty) overlay share nothing with the retired epoch's.
+// clearing the overlay. The live points are gathered by Range, in id order,
+// into the one block the build reads, so the leaf positions the build
+// reports for them are the new base's by-id index; the new generation and
+// its empty overlay share nothing with the retired epoch's.
 func (ix *Index) rebuildSnapshot(next *Snapshot) error {
 	ids := make([]int64, 0, next.live)
 	coords := make([]float64, 0, next.live*ix.dim)
-	for id := range int64(len(next.slot)) {
-		if next.Alive(id) {
-			ids = append(ids, id)
-			coords = append(coords, next.point(id)...)
-		}
-	}
-	b, slot, err := newGeneration(ids, coords, len(next.slot), ix.dim, ix.opts)
+	next.Range(func(id int64, p vecmat.Vector) bool {
+		ids = append(ids, id)
+		coords = append(coords, p...)
+		return true
+	})
+	rows := make([]int32, len(ids))
+	b, err := rtree.BuildPackedFlat(coords, ids, rows, ix.dim, ix.opts...)
 	if err != nil {
 		return err
 	}
-	next.base = b
-	next.slot = slot
+	byID := &idIndex{rows: rows}
+	byID.once.Do(func() {})
+	next.base, next.byID, next.baseMax = b, byID, next.maxID
 	next.ovl = nil
 	next.mem = nil
 	next.byX = nil

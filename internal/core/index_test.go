@@ -75,7 +75,7 @@ func TestDynamicIndex(t *testing.T) {
 	}
 	// Range search parity with a rect.
 	r := geom.Rect{Lo: vecmat.Vector{20, 20}, Hi: vecmat.Vector{50, 50}}
-	ids, err := ix.SearchRect(r)
+	ids, err := ix.Current().SearchRect(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestApplyWithIDs(t *testing.T) {
 		}
 	}
 	r := geom.Rect{Lo: vecmat.Vector{5.5, 5.5}, Hi: vecmat.Vector{6.5, 6.5}}
-	ids, err := ix.SearchRect(r)
+	ids, err := ix.Current().SearchRect(r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,11 +13,30 @@ import (
 	"gaussrange/internal/vecmat"
 )
 
-// frontHalf is what Phases 1 and 2 hand on: the counters and the two id
-// lists, in order.
+// frontHalf is what Phases 1 and 2 hand on: the counters and the two lists
+// in order, needEval's rows as their ids.
 type frontHalf struct {
 	st                 PhaseStats
 	accepted, needEval []int64
+}
+
+// rowIDs returns the ids of snap's rows.
+func rowIDs(snap *Snapshot, rows []int64) []int64 {
+	ids := make([]int64, len(rows))
+	for i, r := range rows {
+		ids[i], _ = snap.row(int(r))
+	}
+	return ids
+}
+
+// mustPoint returns snap's point id or fails the test.
+func mustPoint(t *testing.T, snap *Snapshot, id int64) vecmat.Vector {
+	t.Helper()
+	pt, err := snap.Point(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pt
 }
 
 // fusedOn runs the default front half of p on snap.
@@ -30,12 +49,12 @@ func fusedOn(t *testing.T, p *Plan, snap *Snapshot) frontHalf {
 	if err := p.filterPhasesFused(snap, s); err != nil {
 		t.Fatal(err)
 	}
-	return frontHalf{s.st, s.accepted, s.needEval}
+	return frontHalf{s.st, s.accepted, rowIDs(snap, s.needEval)}
 }
 
 // linearOn is the reference front half: the base's ids collected first,
-// then every overlay row in order against the box, each candidate through
-// filterOne.
+// then every overlay row in order against the box, each candidate's row
+// (looked up by id) through filterOne.
 func linearOn(t *testing.T, p *Plan, snap *Snapshot) frontHalf {
 	t.Helper()
 	s := new(phase2State)
@@ -44,12 +63,16 @@ func linearOn(t *testing.T, p *Plan, snap *Snapshot) frontHalf {
 	p.bindPhase2(s, snap.dim)
 	var pst rtree.SearchStats
 	for _, id := range linearRect(t, snap, p.searchBox, &pst) {
+		r, ok := snap.rowOf(id)
+		if !ok {
+			t.Fatalf("id %d from the rect search has no row", id)
+		}
 		s.st.Retrieved++
-		p.filterOne(s, id, snap.point(id))
+		p.filterOne(s, id, int64(r), mustPoint(t, snap, id))
 	}
 	s.st.NodesRead = int(pst.Nodes)
 	s.st.OverlayScanned = len(snap.mem)
-	return frontHalf{s.st, s.accepted, s.needEval}
+	return frontHalf{s.st, s.accepted, rowIDs(snap, s.needEval)}
 }
 
 // linearRect is the reference rect search: the packed base's collected ids
@@ -57,15 +80,15 @@ func linearOn(t *testing.T, p *Plan, snap *Snapshot) frontHalf {
 // above on any axis: a NaN bound rejects nothing), ascending.
 func linearRect(t *testing.T, snap *Snapshot, r geom.Rect, st *rtree.SearchStats) []int64 {
 	t.Helper()
-	base, err := snap.Packed().CollectRect(r, st)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var ids []int64
-	for _, id := range base {
+	err := snap.Packed().SearchRect(r, func(id int64, _ []float64) bool {
 		if !tombstoned(snap.dead, id) {
 			ids = append(ids, id)
 		}
+		return true
+	}, st)
+	if err != nil {
+		t.Fatal(err)
 	}
 rows:
 	for i, id := range snap.mem {
@@ -174,7 +197,7 @@ func runOverlayScript(t *testing.T, seed int64) {
 	qualifies := func(snap *Snapshot, id int64) bool {
 		qual, ok := quals[id]
 		if !ok {
-			if qual, err = de.DecideQualifies(q.Dist, snap.point(id), q.Delta, q.Theta); err != nil {
+			if qual, err = de.DecideQualifies(q.Dist, mustPoint(t, snap, id), q.Delta, q.Theta); err != nil {
 				t.Fatal(err)
 			}
 			quals[id] = qual

@@ -232,8 +232,9 @@ func (p *Plan) baseStats() PhaseStats {
 type phase2State struct {
 	st            PhaseStats
 	pst           rtree.SearchStats
-	accepted      []int64
-	needEval      []int64
+	accepted      []int64 // ids, or snapshot rows when acceptRows
+	needEval      []int64 // snapshot rows
+	acceptRows    bool    // set by SearchProbs, which evaluates accepted too
 	rows          []int32
 	scratch, yBuf vecmat.Vector
 	qCenter       vecmat.Vector
@@ -253,6 +254,7 @@ func (s *phase2State) release() {
 		s.accepted, s.needEval, s.rows = nil, nil, nil
 	}
 	s.accepted, s.needEval, s.rows = s.accepted[:0], s.needEval[:0], s.rows[:0]
+	s.acceptRows = false
 	s.qCenter = nil
 	phase2Pool.Put(s)
 }
@@ -271,18 +273,17 @@ func (p *Plan) bindPhase2(s *phase2State, dim int) {
 	}
 }
 
-// filterOne decides one candidate without integration where it can, updating
-// the prune counters and routing the rest to accepted or needEval. A plan
-// with a hull asks the hull alone: inside counts into AcceptedBF, outside into
-// PrunedOR, and only the sliver between its polygons needs evaluation. Any
-// other plan streams the candidate through the compiled fringe →
-// oblique-region → BF α∥/α⊥ chain. The decision depends only on o's
-// float64 values, which are bit-identical whether o comes from the snapshot's
-// id-indexed slice or the packed leaf block (both are clones of the same
-// inserted point), so both front halves produce identical id sequences.
-func (p *Plan) filterOne(s *phase2State, id int64, o vecmat.Vector) {
+// filterOne decides the candidate o, id at row r, without integration where
+// it can, updating the prune counters and routing the rest to accepted or
+// needEval. A plan with a hull asks the hull alone: inside counts into
+// AcceptedBF, outside into PrunedOR, and only the sliver between its polygons
+// needs evaluation. Any other plan streams the candidate through the compiled
+// fringe → oblique-region → BF α∥/α⊥ chain. The decision depends only on o's
+// float64 values, which are bit-identical wherever o is read from (every
+// read is a window on the generation's one copy).
+func (p *Plan) filterOne(s *phase2State, id, r int64, o vecmat.Vector) {
 	if p.hull != nil {
-		s.takeHull(id, p.hull.classify(o[0]-s.qCenter[0], o[1]-s.qCenter[1]))
+		s.takeHull(id, r, p.hull.classify(o[0]-s.qCenter[0], o[1]-s.qCenter[1]))
 		return
 	}
 	if p.fringe != nil && !p.fringe.Contains(o) {
@@ -305,33 +306,40 @@ func (p *Plan) filterOne(s *phase2State, id int64, o vecmat.Vector) {
 			return
 		}
 		if p.geo.alphaLower > 0 && d2 <= s.alSq {
-			s.st.AcceptedBF++
-			s.accepted = append(s.accepted, id)
+			s.accept(id, r)
 			return
 		}
 	}
-	s.needEval = append(s.needEval, id)
+	s.needEval = append(s.needEval, r)
 }
 
-// takeHull routes a candidate by the hull's verdict v.
-func (s *phase2State) takeHull(id int64, v int) {
+// accept takes the candidate id at row r as an answer without integration.
+func (s *phase2State) accept(id, r int64) {
+	s.st.AcceptedBF++
+	if s.acceptRows {
+		id = r
+	}
+	s.accepted = append(s.accepted, id)
+}
+
+// takeHull routes the candidate id at row r by the hull's verdict v.
+func (s *phase2State) takeHull(id, r int64, v int) {
 	switch v {
 	case hullInside:
-		s.st.AcceptedBF++
-		s.accepted = append(s.accepted, id)
+		s.accept(id, r)
 	case hullOutside:
 		s.st.PrunedOR++
 	default:
-		s.needEval = append(s.needEval, id)
+		s.needEval = append(s.needEval, r)
 	}
 }
 
 // filterPhases pins the index's current snapshot and executes Phases 1 and
 // 2 against it using the compiled geometry into s: the statistics so far,
-// the directly-accepted ids (BF α⊥ or the hull) and the candidates requiring
-// probability computation. It returns the pinned snapshot, which every later
-// phase must resolve ids against, so a concurrent mutation can never produce
-// a torn answer.
+// the directly-accepted ids (BF α⊥ or the hull) and the rows of the
+// candidates requiring probability computation. It returns the pinned
+// snapshot, which every later phase must resolve rows against, so a
+// concurrent mutation can never produce a torn answer.
 //
 // Phases 1 and 2 run fused, in filterPhasesFused.
 func (p *Plan) filterPhases(ctx context.Context, s *phase2State) (*Snapshot, error) {
@@ -358,16 +366,16 @@ func (p *Plan) filterPhasesFused(snap *Snapshot, s *phase2State) error {
 	st := &s.st
 	t0 := time.Now()
 	d, dead, box := snap.dim, snap.dead, p.searchBox
-	leaf := func(ids []int32, pts []float64) bool {
+	leaf := func(first int, ids []int32, pts []float64) bool {
 		if p.hull != nil {
-			p.hullLeaf(s, dead, ids, pts)
+			p.hullLeaf(s, dead, int64(first), ids, pts)
 			return true
 		}
 		for j, id := range ids {
 			o := pts[j*d : j*d+d : j*d+d]
 			if box.Contains(o) && !tombstoned(dead, int64(id)) {
 				st.Retrieved++
-				p.filterOne(s, int64(id), o)
+				p.filterOne(s, int64(id), int64(first+j), o)
 			}
 		}
 		return true
@@ -385,7 +393,7 @@ func (p *Plan) filterPhasesFused(snap *Snapshot, s *phase2State) error {
 	for _, row := range s.rows {
 		if id := int64(snap.mem[row]); !tombstoned(dead, id) {
 			st.Retrieved++
-			p.filterOne(s, id, snap.overlayPoint(int(row)))
+			p.filterOne(s, id, int64(snap.base.Len())+int64(row), snap.overlayPoint(int(row)))
 		}
 	}
 	st.PhaseDurations[1] = time.Since(t1)
@@ -393,9 +401,9 @@ func (p *Plan) filterPhasesFused(snap *Snapshot, s *phase2State) error {
 }
 
 // hullLeaf is a hull plan's leaf loop (a hull is built for d = 2 only): the
-// rect test, the tombstone test and the hull's verdict inline over one
-// point block — Rect.Contains and filterOne's decisions, in their order.
-func (p *Plan) hullLeaf(s *phase2State, dead []uint64, ids []int32, pts []float64) {
+// rect test, the tombstone test and the hull's verdict inline over one leaf
+// (rows first on) — Rect.Contains and filterOne's decisions, in their order.
+func (p *Plan) hullLeaf(s *phase2State, dead []uint64, first int64, ids []int32, pts []float64) {
 	h := p.hull
 	x0, x1 := p.searchBox.Lo[0], p.searchBox.Hi[0]
 	y0, y1 := p.searchBox.Lo[1], p.searchBox.Hi[1]
@@ -407,7 +415,7 @@ func (p *Plan) hullLeaf(s *phase2State, dead []uint64, ids []int32, pts []float6
 			continue
 		}
 		s.st.Retrieved++
-		s.takeHull(int64(id), h.classify(x-qx, y-qy))
+		s.takeHull(int64(id), first+int64(j), h.classify(x-qx, y-qy))
 	}
 }
 
@@ -475,9 +483,9 @@ func (p *Plan) ExecuteFunc(ctx context.Context, eval Evaluator, fn func(id int64
 	return &st, nil
 }
 
-// phase3 is the one Phase-3 loop. It decides the needEval candidates in
-// order with eval — the decide form when eval offers one, which stops as soon
-// as the answer is settled, else the probability against θ — and hands each
+// phase3 is the one Phase-3 loop. It decides the needEval rows in order with
+// eval — the decide form when eval offers one, which stops as soon as the
+// answer is settled, else the probability against θ — and hands each
 // qualifying id to emit; emit returning false ends the loop. Integrations
 // counts the candidates decided. Cancelling ctx stops the loop between
 // candidates with ctx.Err(); the first evaluator error stops it with an error
@@ -486,11 +494,11 @@ func (p *Plan) phase3(ctx context.Context, eval Evaluator, snap *Snapshot, st *P
 	t2 := time.Now()
 	de, _ := eval.(DecisionEvaluator)
 	done := ctx.Done()
-	for _, id := range needEval {
+	for _, r := range needEval {
 		if stopped(done) {
 			return ctx.Err()
 		}
-		o := snap.point(id)
+		id, o := snap.row(int(r))
 		var qual bool
 		var err error
 		if de != nil {

@@ -129,10 +129,11 @@ func TestSearchParallelAbortsOnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := getPhase2()
-	if _, err := plan.filterPhases(context.Background(), s); err != nil {
+	snap, err := plan.filterPhases(context.Background(), s)
+	if err != nil {
 		t.Fatal(err)
 	}
-	needEval := append([]int64(nil), s.needEval...)
+	needEval := rowIDs(snap, s.needEval)
 	s.release()
 	if len(needEval) < 100 {
 		t.Fatalf("test needs many candidates, got %d", len(needEval))

@@ -23,6 +23,7 @@ type Match struct {
 func (p *Plan) SearchProbs(ctx context.Context, eval Evaluator) ([]Match, *PhaseStats, error) {
 	s := getPhase2()
 	defer s.release()
+	s.acceptRows = true
 	snap, err := p.filterPhases(ctx, s)
 	if err != nil {
 		return nil, nil, err
@@ -36,11 +37,12 @@ func (p *Plan) SearchProbs(ctx context.Context, eval Evaluator) ([]Match, *Phase
 
 	matches := make([]Match, 0, len(all))
 	done := ctx.Done()
-	for _, id := range all {
+	for _, r := range all {
 		if stopped(done) {
 			return nil, nil, ctx.Err()
 		}
-		pr, err := eval.Qualification(p.dist, snap.point(id), p.delta)
+		id, o := snap.row(int(r))
+		pr, err := eval.Qualification(p.dist, o, p.delta)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: qualification of object %d: %w", id, err)
 		}

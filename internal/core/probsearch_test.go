@@ -72,7 +72,7 @@ func TestSearchProbsExactValues(t *testing.T) {
 	}
 	ev := NewExactEvaluator()
 	for _, m := range matches {
-		p, err := ev.Qualification(q.Dist, ix.Current().point(m.ID), q.Delta)
+		p, err := ev.Qualification(q.Dist, mustPoint(t, ix.Current(), m.ID), q.Delta)
 		if err != nil {
 			t.Fatal(err)
 		}

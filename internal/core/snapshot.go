@@ -3,8 +3,10 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 
 	"gaussrange/internal/geom"
 	"gaussrange/internal/rtree"
@@ -23,37 +25,67 @@ import (
 //
 // A generation keeps one copy of its coordinates. A base point lives only in
 // the packed leaf block; an overlay insert's coordinates are row i of ovl,
-// where mem[i] is its id. The id-indexed slot table says where each id's
-// point is: its leaf position j in the base (0 ≤ j < base length), the base
-// length plus its ovl row, or −1 for an id deleted before the last fold (or
-// skipped by an explicit-id insert). slot, ovl and mem are shared
-// structurally across epochs: they are append-only between folds (older
-// snapshots hold shorter slice headers over the same backing arrays and
-// never index past their own lengths), and a fold starts fresh ones. Ids are
-// never reused.
+// where mem[i] is its id. Leaf entry j is row j, ovl row i row n + i (n the
+// base's length); queries carry rows from Phase 2 on. Ids below baseMax are
+// base ids (found through byID) or holes, the rest overlay ids or holes. ovl
+// and mem are shared structurally across epochs: they are append-only
+// between folds (older snapshots hold shorter slice headers over the same
+// backing arrays and never index past their own lengths), and a fold starts
+// fresh ones. Ids are never reused.
 //
-// dead has one bit per id below the MaxID of the delete batch that made it
-// (an id past its end is not tombstoned) and is nil while the generation has
-// no deletes. Each delete batch publishes a fresh copy (Index.Stage), so a
-// published bitset never changes and readers need no atomics.
+// dead has one bit per id up to the highest id deleted (an id past its end is
+// not tombstoned) and is nil while the generation has no deletes. Each delete
+// batch publishes a fresh copy (Index.Stage), so a published bitset never
+// changes and readers need no atomics.
 //
 // byX orders the ovl rows [0, len(byX)) by (axis-0 coordinate, row) for
 // rect searches; the rows past it, fewer than overlayTail, are unsorted.
 // Like dead, a published byX never changes (mergeByX); a fold resets it.
 type Snapshot struct {
 	base  *rtree.Packed
-	slot  []int32   // id-indexed: leaf position, base length + ovl row, or −1
+	byID  *idIndex  // the base's rows in id order, shared by the generation
 	ovl   []float64 // overlay insert coordinates, row-major; row i is mem[i]'s
 	mem   []int32   // ids inserted after the base was built (ascending)
 	byX   []int32   // ovl rows ordered by axis 0, see above
 	dead  []uint64  // tombstone bitset, see above
 	ndead int       // ids set in dead
-	// ndeadBase counts the tombstones whose slot is in the base: the only
-	// ones a base search can return.
+	// ndeadBase counts the tombstones of base ids: the only ones a base
+	// search can return.
 	ndeadBase int
+	maxID     int64 // MaxID
+	baseMax   int64 // MaxID when the base was built
 	live      int
 	dim       int
 	epoch     uint64
+}
+
+// idIndex is a generation's by-id index: its base's leaf positions in id
+// order, 4 B a base point, reported by a fold's build (rebuildSnapshot) or
+// built on a loaded base's first by-id read. No query reads it.
+type idIndex struct {
+	once sync.Once
+	rows []int32
+}
+
+// get returns the by-id index of base, building it on first use: the leaf
+// positions are radix-sorted by id, each keyed id<<shift | j, through a
+// buffer of their own (sortIDs' pooled one would keep 8 B a point alive).
+func (x *idIndex) get(base *rtree.Packed) []int32 {
+	x.once.Do(func() {
+		n := base.Len()
+		shift := bits.Len(uint(n))
+		keys := make([]int64, n)
+		for j := range keys {
+			id, _ := base.Leaf(j)
+			keys[j] = id<<shift | int64(j)
+		}
+		radixSort(keys, make([]int64, n))
+		x.rows = make([]int32, n)
+		for k, key := range keys {
+			x.rows[k] = int32(key & (1<<shift - 1))
+		}
+	})
+	return x.rows
 }
 
 // Epoch returns the snapshot's version number. Epoch 1 is the initial load;
@@ -68,14 +100,15 @@ func (s *Snapshot) Dim() int { return s.dim }
 
 // MaxID returns the exclusive upper bound of identifiers ever assigned up to
 // this epoch (deleted ids remain burned).
-func (s *Snapshot) MaxID() int64 { return int64(len(s.slot)) }
+func (s *Snapshot) MaxID() int64 { return s.maxID }
 
 // Alive reports whether id identifies a live point in this epoch.
 func (s *Snapshot) Alive(id int64) bool {
-	if id < 0 || id >= int64(len(s.slot)) || s.slot[id] < 0 {
+	if id < 0 || id >= s.maxID || tombstoned(s.dead, id) {
 		return false
 	}
-	return !tombstoned(s.dead, id)
+	_, ok := s.rowOf(id)
+	return ok
 }
 
 // tombstoned reports whether id's bit is set in the tombstone bitset dead.
@@ -84,28 +117,47 @@ func tombstoned(dead []uint64, id int64) bool {
 	return w < uint64(len(dead)) && dead[w]&(1<<(uint64(id)&63)) != 0
 }
 
+// rowOf returns the row of id, 0 ≤ id < maxID, and whether it has one (a
+// hole has none; a tombstoned id keeps its row): a binary search of mem for
+// an overlay id, of the by-id index for a base id.
+func (s *Snapshot) rowOf(id int64) (int, bool) {
+	if id >= s.baseMax {
+		i, ok := slices.BinarySearch(s.mem, int32(id))
+		return s.base.Len() + i, ok
+	}
+	rows := s.byID.get(s.base)
+	k, ok := slices.BinarySearchFunc(rows, id, func(j int32, id int64) int {
+		leaf, _ := s.base.Leaf(int(j))
+		return cmp.Compare(leaf, id)
+	})
+	if !ok {
+		return 0, false
+	}
+	return int(rows[k]), true
+}
+
 // Point returns the coordinates of the identified live point: a window on
 // the generation's one copy, which is never written while any snapshot can
 // reach it. The caller must not mutate the result.
 func (s *Snapshot) Point(id int64) (vecmat.Vector, error) {
-	if id < 0 || id >= int64(len(s.slot)) {
-		return nil, fmt.Errorf("core: point id %d out of range [0, %d)", id, len(s.slot))
+	if id < 0 || id >= s.maxID {
+		return nil, fmt.Errorf("core: point id %d out of range [0, %d)", id, s.maxID)
 	}
-	if !s.Alive(id) {
+	r, ok := s.rowOf(id)
+	if !ok || tombstoned(s.dead, id) {
 		return nil, fmt.Errorf("core: point id %d is deleted", id)
 	}
-	return s.point(id), nil
+	_, pt := s.row(r)
+	return pt, nil
 }
 
-// point returns the coordinates of id without liveness checks — for
-// executors iterating ids this snapshot itself produced.
-func (s *Snapshot) point(id int64) vecmat.Vector {
-	j := int(s.slot[id])
-	if n := s.base.Len(); j >= n {
-		return s.overlayPoint(j - n)
+// row returns row r's id and point: leaf entry r of the base, or ovl row
+// r − n past the base's n entries.
+func (s *Snapshot) row(r int) (int64, vecmat.Vector) {
+	if n := s.base.Len(); r >= n {
+		return int64(s.mem[r-n]), s.overlayPoint(r - n)
 	}
-	_, pt := s.base.Leaf(j)
-	return pt
+	return s.base.Leaf(r)
 }
 
 // overlayPoint returns ovl row i: the coordinates of overlay insert mem[i].
@@ -126,28 +178,25 @@ func (s *Snapshot) OverlaySize() (inserted, deleted int) {
 	return len(s.mem), s.ndead
 }
 
-// SearchRect returns the identifiers of live points inside the rectangle:
-// the packed base's answer minus tombstones, plus matching overlay inserts.
-func (s *Snapshot) SearchRect(r geom.Rect) ([]int64, error) {
-	ids, err := s.base.CollectRect(r, nil)
-	if err != nil {
-		return nil, err
-	}
-	if s.ndeadBase > 0 {
-		kept := ids[:0]
-		for _, id := range ids {
-			if !tombstoned(s.dead, id) {
-				kept = append(kept, id)
-			}
+// searchRect calls fn with the id and coordinates of every live point
+// inside r: the packed base's in walk order, then the overlay inserts' in
+// row order.
+func (s *Snapshot) searchRect(r geom.Rect, fn func(id int64, p vecmat.Vector)) error {
+	err := s.base.SearchRect(r, func(id int64, p []float64) bool {
+		if !tombstoned(s.dead, id) {
+			fn(id, p)
 		}
-		ids = kept
+		return true
+	}, nil)
+	if err != nil {
+		return err
 	}
 	for _, row := range s.overlayRows(r, nil) {
 		if id := int64(s.mem[row]); !tombstoned(s.dead, id) {
-			ids = append(ids, id)
+			fn(id, s.overlayPoint(int(row)))
 		}
 	}
-	return ids, nil
+	return nil
 }
 
 // overlayTail is the tail length at which Stage merges the tail into byX.
@@ -321,14 +370,17 @@ func siftDown(h []rtree.Neighbor, i int) {
 }
 
 // Range calls fn for every live point in ascending id order, stopping early
-// when fn returns false. This is the iteration order the persistence layer
-// serializes.
+// when fn returns false: the base's rows through the by-id index, then the
+// overlay's, whose ids are all higher. This is the iteration order the
+// persistence layer serializes and the fold gathers in.
 func (s *Snapshot) Range(fn func(id int64, p vecmat.Vector) bool) {
-	for id := int64(0); id < int64(len(s.slot)); id++ {
-		if !s.Alive(id) {
-			continue
+	for _, j := range s.byID.get(s.base) {
+		if id, pt := s.base.Leaf(int(j)); !tombstoned(s.dead, id) && !fn(id, pt) {
+			return
 		}
-		if !fn(id, s.point(id)) {
+	}
+	for i, id := range s.mem {
+		if !tombstoned(s.dead, int64(id)) && !fn(int64(id), s.overlayPoint(i)) {
 			return
 		}
 	}

@@ -5,12 +5,21 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"gaussrange/internal/geom"
 	"gaussrange/internal/vecmat"
 )
+
+// SearchRect returns the identifiers of live points inside r, in
+// searchRect's order.
+func (s *Snapshot) SearchRect(r geom.Rect) ([]int64, error) {
+	var ids []int64
+	err := s.searchRect(r, func(id int64, _ vecmat.Vector) { ids = append(ids, id) })
+	return ids, err
+}
 
 // model mirrors the index with a plain map for oracle comparisons.
 type model map[int64]vecmat.Vector
@@ -545,4 +554,109 @@ func pointWindowsStable(t *testing.T, n, batch int, minPasses int64) {
 		windows += len(rep.kept)
 	}
 	t.Logf("%d folds, %d reader passes, %d windows rechecked", folds, passes.Load(), windows)
+}
+
+// TestIDIndexBuildRace: a loaded or restored base builds its by-id index on
+// its first by-id read; a fold's build reports it. Each of four rounds
+// restores a fresh index with holes, and four readers call Point, Alive and
+// Range on every snapshot they pin — the restored base's first reads race
+// each other to build its index — while the writer's first batch deletes a
+// base id at once, so Stage's Alive races them too. The writer then inserts
+// with gaps and deletes overlay ids, publishing each batch once a reader has
+// finished a pass on the current epoch, until it has crossed two folds, so
+// the readers also read the indexes the folds' builds reported. Every read
+// must give the id's own coordinates. Run under -race.
+func TestIDIndexBuildRace(t *testing.T) {
+	coords := func(id int64) vecmat.Vector { return vecmat.Vector{float64(id), -0.5 * float64(id)} }
+	rng := rand.New(rand.NewSource(7))
+	steps := 0
+	for round := 0; round < 4; round++ {
+		var ids []int64
+		var flat []float64
+		for id := int64(0); len(ids) < 500; id += 1 + int64(rng.Intn(2)) {
+			ids = append(ids, id)
+			flat = append(flat, coords(id)...)
+		}
+		ix, err := RestoreIndex(ids, flat, int(ids[len(ids)-1])+3, 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const readers = 4
+		var seen atomic.Uint64 // the highest epoch a reader finished a pass on
+		done := make(chan struct{})
+		errs := make(chan string, readers)
+		for r := 0; r < readers; r++ {
+			go func(r int) {
+				rng := rand.New(rand.NewSource(int64(r)))
+				fail := ""
+				for fail == "" {
+					select {
+					case <-done:
+						errs <- fail
+						return
+					default:
+					}
+					snap := ix.Current()
+					for i := 0; i < 16 && fail == ""; i++ {
+						id := rng.Int63n(snap.MaxID())
+						pt, err := snap.Point(id)
+						switch {
+						case (err == nil) != snap.Alive(id):
+							fail = fmt.Sprintf("epoch %d: Point(%d) error %v, Alive %v", snap.Epoch(), id, err, snap.Alive(id))
+						case err == nil && !slices.Equal(pt, coords(id)):
+							fail = fmt.Sprintf("epoch %d: Point(%d) = %v", snap.Epoch(), id, pt)
+						}
+					}
+					prev := int64(-1)
+					snap.Range(func(id int64, pt vecmat.Vector) bool {
+						if id <= prev || !slices.Equal(pt, coords(id)) {
+							fail = fmt.Sprintf("epoch %d: Range gives %d at %v after %d", snap.Epoch(), id, pt, prev)
+						}
+						prev = id
+						return fail == ""
+					})
+					for e := seen.Load(); e < snap.Epoch(); e = seen.Load() {
+						if seen.CompareAndSwap(e, snap.Epoch()) {
+							break
+						}
+					}
+				}
+				errs <- fail
+			}(r)
+		}
+
+		for folds, first := 0, true; folds < 2; first = false {
+			for !first && seen.Load() < ix.Current().Epoch() && len(errs) == 0 {
+				runtime.Gosched()
+			}
+			cur := ix.Current()
+			var ins []vecmat.Vector
+			var insIDs []int64
+			for next := cur.MaxID(); len(insIDs) < 4; next++ {
+				next += int64(rng.Intn(3))
+				insIDs = append(insIDs, next)
+				ins = append(ins, coords(next))
+			}
+			var dels []int64
+			if first {
+				dels = append(dels, ids[rng.Intn(len(ids))])
+			} else if n := len(cur.mem); n > 0 {
+				dels = append(dels, int64(cur.mem[rng.Intn(n)]))
+			}
+			if _, _, err := ix.ApplyWithIDs(ins, insIDs, dels); err != nil {
+				t.Fatal(err)
+			}
+			if ix.Current().base != cur.base {
+				folds++
+			}
+			steps++
+		}
+		close(done)
+		for r := 0; r < readers; r++ {
+			if fail := <-errs; fail != "" {
+				t.Errorf("round %d: %s", round, fail)
+			}
+		}
+	}
+	t.Logf("4 rounds, %d steps", steps)
 }

@@ -31,6 +31,17 @@ func sortIDs(ids []int64) {
 // radixSortIDs radix-sorts ids in place and reports true, or leaves them
 // untouched and reports false when one is negative.
 func radixSortIDs(ids []int64) bool {
+	sp := radixScratch.Get().(*[]int64)
+	if cap(*sp) < len(ids) {
+		*sp = make([]int64, len(ids))
+	}
+	ok := radixSort(ids, (*sp)[:len(ids)])
+	radixScratch.Put(sp)
+	return ok
+}
+
+// radixSort is radixSortIDs with tmp, as long as ids, for its second buffer.
+func radixSort(ids, tmp []int64) bool {
 	var or int64
 	for _, id := range ids {
 		or |= id
@@ -38,11 +49,7 @@ func radixSortIDs(ids []int64) bool {
 	if or < 0 {
 		return false
 	}
-	sp := radixScratch.Get().(*[]int64)
-	if cap(*sp) < len(ids) {
-		*sp = make([]int64, len(ids))
-	}
-	src, dst := ids, (*sp)[:len(ids)]
+	src, dst := ids, tmp
 	passes := (bits.Len64(uint64(or)) + 7) / 8
 	for shift := uint(0); shift < uint(8*passes); shift += 8 {
 		var at [256]uint32 // digit counts, then each digit's next slot
@@ -66,6 +73,5 @@ func radixSortIDs(ids []int64) bool {
 	if passes%2 == 1 {
 		copy(ids, src)
 	}
-	radixScratch.Put(sp)
 	return true
 }

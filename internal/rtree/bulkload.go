@@ -22,7 +22,7 @@ func BuildPacked(points []vecmat.Vector, ids []int64, dim int, opts ...Option) (
 	if err != nil {
 		return nil, err
 	}
-	return BuildPackedFlat(coords, ids, dim, opts...)
+	return BuildPackedFlat(coords, ids, nil, dim, opts...)
 }
 
 // BuildPackedFlat builds the packed index of a static point set with
@@ -31,18 +31,19 @@ func BuildPacked(points []vecmat.Vector, ids []int64, dim int, opts ...Option) (
 // experiments' TIGER point set before issuing queries. coords holds the
 // points row-major — point i at [i·dim, (i+1)·dim) — and is read, not
 // retained; point i's id is ids[i], or i when ids is nil, and must fit an
-// int32: the index stores its ids in four bytes. The build works on
+// int32: the index stores its ids in four bytes. When rows is not nil, the
+// build writes point i's leaf position (Leaf's j) to rows[i]. The build works on
 // the flat coordinates and an int32 permutation and fills the level-order
 // arrays directly — no pointer tree is made; Unpack derives one for the
 // callers that still want it. It runs on up to runtime.GOMAXPROCS(0)
 // goroutines, and its result does not depend on how many.
-func BuildPackedFlat(coords []float64, ids []int64, dim int, opts ...Option) (*Packed, error) {
+func BuildPackedFlat(coords []float64, ids []int64, rows []int32, dim int, opts ...Option) (*Packed, error) {
 	maxFill, minFill, err := nodeFill(dim, opts)
 	if err != nil {
 		return nil, err
 	}
-	if len(coords)%dim != 0 || ids != nil && len(coords) != len(ids)*dim {
-		return nil, fmt.Errorf("%w: %d coordinates for %d ids of dim %d", ErrDimension, len(coords), len(ids), dim)
+	if len(coords)%dim != 0 || ids != nil && len(coords) != len(ids)*dim || rows != nil && len(coords) != len(rows)*dim {
+		return nil, fmt.Errorf("%w: %d coordinates for %d ids and %d rows of dim %d", ErrDimension, len(coords), len(ids), len(rows), dim)
 	}
 	for i, id := range ids {
 		if id != int64(int32(id)) {
@@ -55,7 +56,7 @@ func BuildPackedFlat(coords []float64, ids []int64, dim int, opts ...Option) (*P
 			return nil, fmt.Errorf("rtree: non-finite point %d: %v", i, coords[i*dim:(i+1)*dim])
 		}
 	}
-	return buildPacked(coords, ids, dim, maxFill, minFill, runtime.GOMAXPROCS(0), parallelGrain), nil
+	return buildPacked(coords, ids, rows, dim, maxFill, minFill, runtime.GOMAXPROCS(0), parallelGrain), nil
 }
 
 // BulkLoadPoints is Unpack(BuildPacked(...)): the STR-packed pointer tree.
@@ -546,6 +547,7 @@ func (sg *slabGroups) step(g int) {
 type strBuilder struct {
 	coords       []float64
 	ids          []int64
+	rows         []int32 // point i's leaf position goes to rows[i], when not nil
 	dim, maxFill int
 	workers      int // a step over n entries runs in splitWork(n, workers, grain) parts
 	grain        int
@@ -627,7 +629,11 @@ func (b *strBuilder) emitPart(g int) {
 				if b.ids != nil {
 					id = b.ids[i]
 				}
-				p.setLeaf(e+x-int(p.leafBase), id, b.coords[o:o+dim])
+				j := e + x - int(p.leafBase)
+				p.setLeaf(j, id, b.coords[o:o+dim])
+				if b.rows != nil {
+					b.rows[i] = int32(j)
+				}
 			} else {
 				p.setNode(e+x, lv.lo[o:o+dim], lv.hi[o:o+dim], ge)
 			}
@@ -641,10 +647,10 @@ func (b *strBuilder) emitPart(g int) {
 // equals Pack of the pointer tree the same STR would have built, field for
 // field: same node order, same entry order within nodes, same bounds bits —
 // whatever workers and the least part (grain) are.
-func buildPacked(coords []float64, ids []int64, dim, maxFill, minFill, workers, grain int) *Packed {
+func buildPacked(coords []float64, ids []int64, rows []int32, dim, maxFill, minFill, workers, grain int) *Packed {
 	n := len(coords) / dim
 	workers = splitWork(n, workers, grain)
-	b := &strBuilder{coords: coords, ids: ids, dim: dim, maxFill: maxFill, workers: workers, grain: grain, crew: newCrew(workers)}
+	b := &strBuilder{coords: coords, ids: ids, rows: rows, dim: dim, maxFill: maxFill, workers: workers, grain: grain, crew: newCrew(workers)}
 	defer b.crew.stop()
 	var cs centerSorter
 	if n > maxFill {

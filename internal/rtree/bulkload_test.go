@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"gaussrange/internal/data"
@@ -28,7 +29,8 @@ var buildWorkers = []int{1, 2, 3, 8}
 
 const testGrain = 256
 
-// buildAt is BuildPacked on the given worker count and least part.
+// buildAt is BuildPacked on the given worker count and least part. It also
+// asks for the leaf rows and checks that point i sits at leaf rows[i].
 func buildAt(t testing.TB, pts []vecmat.Vector, ids []int64, dim, workers, grain int, opts ...Option) *Packed {
 	t.Helper()
 	coords, err := flattenPoints(pts, dim)
@@ -39,7 +41,18 @@ func buildAt(t testing.TB, pts []vecmat.Vector, ids []int64, dim, workers, grain
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buildPacked(coords, ids, dim, maxFill, minFill, workers, grain)
+	rows := make([]int32, len(pts))
+	p := buildPacked(coords, ids, rows, dim, maxFill, minFill, workers, grain)
+	for i, r := range rows {
+		want := int64(i)
+		if ids != nil {
+			want = ids[i]
+		}
+		if id, pt := p.Leaf(int(r)); id != want || !slices.Equal(pt, coords[i*dim:(i+1)*dim]) {
+			t.Fatalf("%d workers: point %d (id %d) has row %d, which holds id %d at %v", workers, i, want, r, id, pt)
+		}
+	}
+	return p
 }
 
 // checkBuildMatchesReference holds BuildPacked, and the build at every
@@ -355,7 +368,7 @@ func BenchmarkBuildParts(b *testing.B) {
 					b.StopTimer()
 					runtime.GC()
 					b.StartTimer()
-					buildPacked(coords, ids, dim, maxFill, minFill, w, 1)
+					buildPacked(coords, ids, nil, dim, maxFill, minFill, w, 1)
 				}
 			})
 		}

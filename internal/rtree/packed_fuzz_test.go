@@ -96,11 +96,14 @@ func FuzzPackedSearch(f *testing.F) {
 		// give the same ids in the same order and the same counts.
 		var stL SearchStats
 		var gotL []int64
-		if err := p.SearchRectLeaves(q, func(ids []int32, pts []float64) bool {
+		if err := p.SearchRectLeaves(q, func(first int, ids []int32, pts []float64) bool {
 			if len(pts) != len(ids)*dim {
 				t.Fatalf("leaf: %d ids, %d coordinates", len(ids), len(pts))
 			}
 			for j, id := range ids {
+				if lid, lpt := p.Leaf(first + j); lid != int64(id) || &lpt[0] != &pts[j*dim] {
+					t.Fatalf("leaf: entry %d of the block at %d is not Leaf(%d)", j, first, first+j)
+				}
 				if q.Contains(pts[j*dim : (j+1)*dim]) {
 					gotL = append(gotL, int64(id))
 				}

@@ -179,10 +179,11 @@ func (p *Packed) rectIntersects(e int32, q geom.Rect) bool {
 }
 
 // LeafVisitor receives one leaf the rect walk reached, its points untested:
-// its ids, as the index stores them, and their row-major point block,
-// windows on the packed arrays (valid for the life of the Packed; do not
-// mutate). False stops the walk.
-type LeafVisitor func(ids []int32, pts []float64) bool
+// the leaf position of its first entry (ids[k] is Leaf(first+k)'s id), its
+// ids, as the index stores them, and their row-major point block, windows on
+// the packed arrays (valid for the life of the Packed; do not mutate). False
+// stops the walk.
+type LeafVisitor func(first int, ids []int32, pts []float64) bool
 
 // SearchRectLeaves is the one rect walk: it descends into every node entry
 // whose rectangle intersects query, in exactly the pointer tree's DFS order,
@@ -208,7 +209,7 @@ func (p *Packed) searchRectNode(ni int32, depth int, ctx *rectCtx, fn LeafVisito
 	if ni >= p.firstLeaf {
 		s, e = s-p.leafBase, e-p.leafBase
 		d := int32(p.dim)
-		return fn(p.ids[s:e:e], p.pts[s*d:e*d:e*d])
+		return fn(int(s), p.ids[s:e:e], p.pts[s*d:e*d:e*d])
 	}
 	// Recursion below reuses the scratch arena, so each depth owns its slice.
 	cls := ctx.cls[depth*p.maxSpan : depth*p.maxSpan+int(e-s)]
@@ -240,7 +241,7 @@ func (p *Packed) searchRectNode(ni int32, depth int, ctx *rectCtx, fn LeafVisito
 // st may be nil.
 func (p *Packed) SearchRect(query geom.Rect, fn PointVisitor, st *SearchStats) error {
 	d := p.dim
-	return p.SearchRectLeaves(query, func(ids []int32, pts []float64) bool {
+	return p.SearchRectLeaves(query, func(_ int, ids []int32, pts []float64) bool {
 		for j, id := range ids {
 			pt := pts[j*d : (j+1)*d : (j+1)*d]
 			if query.Contains(pt) && !fn(int64(id), pt) {
@@ -249,17 +250,6 @@ func (p *Packed) SearchRect(query geom.Rect, fn PointVisitor, st *SearchStats) e
 		}
 		return true
 	}, st)
-}
-
-// CollectRect returns the IDs of all data entries intersecting query, in the
-// same order as the pointer tree's CollectRect.
-func (p *Packed) CollectRect(query geom.Rect, st *SearchStats) ([]int64, error) {
-	var ids []int64
-	err := p.SearchRect(query, func(id int64, _ []float64) bool {
-		ids = append(ids, id)
-		return true
-	}, st)
-	return ids, err
 }
 
 // sphereRelMargin over-covers the accumulated relative rounding error of the

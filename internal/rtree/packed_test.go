@@ -10,6 +10,17 @@ import (
 	"gaussrange/internal/vecmat"
 )
 
+// CollectRect returns the IDs of all data entries intersecting query, in the
+// same order as the pointer tree's CollectRect.
+func (p *Packed) CollectRect(query geom.Rect, st *SearchStats) ([]int64, error) {
+	var ids []int64
+	err := p.SearchRect(query, func(id int64, _ []float64) bool {
+		ids = append(ids, id)
+		return true
+	}, st)
+	return ids, err
+}
+
 // randPoints draws n points with coordinates spanning several magnitudes so
 // the float32 mirror actually loses bits and the recheck band is exercised.
 func packedRandPoints(rng *rand.Rand, n, dim int) []vecmat.Vector {

@@ -132,8 +132,8 @@ func Restore(r io.Reader, opts ...Option) (*DB, error) {
 	}
 
 	// The header's counts are trusted only once the checksum is: the live
-	// (id, point) pairs grow as their bytes arrive, and the id table is
-	// sized from the header after the CRC matches.
+	// (id, point) pairs grow as their bytes arrive, and the id count sizes
+	// nothing (it becomes MaxID).
 	var (
 		ids    []int64
 		coords []float64

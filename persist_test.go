@@ -385,8 +385,8 @@ func FuzzRestore(f *testing.F) {
 	binary.LittleEndian.PutUint64(hdr[18:], 1<<33)
 	binary.LittleEndian.PutUint64(hdr[26:], 0)
 	f.Add(hdr)
-	// The same header with its checksum: the id bound refuses it before the
-	// 2^33-slot table is sized (TestIDLimitRefused checks the allocation).
+	// The same header with its checksum: the id bound refuses it
+	// (TestIDLimitRefused checks the allocation).
 	f.Add(snapshotHeader(2, 1<<33))
 	// A checksum-valid snapshot at epoch 0, which Save never writes.
 	zero := append([]byte(nil), good...)

@@ -277,7 +277,7 @@ func TestWALCrashRecoveryProperty(t *testing.T) {
 			t.Fatalf("trial %d: recovered epoch %d beyond committed %d (torn epoch surfaced)", trial, got, finalEpoch)
 		}
 		// Epochs are contiguous by construction of replay; ids must be a
-		// gapless 0..MaxID-1 space of live-or-tombstoned slots.
+		// gapless 0..MaxID-1 space of live-or-tombstoned ids.
 		if rec.MaxID() < 0 {
 			t.Fatalf("trial %d: negative MaxID", trial)
 		}
